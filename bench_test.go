@@ -261,7 +261,7 @@ func BenchmarkFig12(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := engine.Drain(op); err != nil {
+					if _, err := engine.Drain(op, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

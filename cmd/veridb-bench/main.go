@@ -31,10 +31,10 @@
 // response (detection) and to a verified replacement serving again
 // (time-to-recovered).
 //
-// The query subcommand sweeps the vectorized-execution batch size over a
-// fixed query set (scan, filter, aggregate, sort, join) and, with
-// -query-json, records the per-operator latencies so the batching win is
-// tracked across PRs.
+// The query subcommand sweeps the executor's batch capacity over a fixed
+// query set (scan, filter, aggregate, sort, join) and, with -query-json,
+// records the per-operator latencies so what batch size buys is tracked
+// across PRs.
 //
 // The wal subcommand measures authenticated durability: per-statement
 // append throughput with a MACed, fsync'd WAL (vs. the in-memory
@@ -99,7 +99,7 @@ func main() {
 	trials := fs.Int("trials", 8, "fault/recovery cycles, kinds rotating (fault)")
 	faultRows := fs.Int("fault-rows", 128, "seeded rows per instance (fault)")
 	queryRows := fs.Int("query-rows", 30_000, "fact-table rows (query)")
-	batchSizes := fs.String("batch-sizes", "1,64,256", "comma-separated ExecBatchSize sweep (query)")
+	batchSizes := fs.String("batch-sizes", "1,64,256", "comma-separated batch-capacity sweep (query)")
 	queryJSON := fs.String("query-json", "BENCH_query.json", "write the batch sweep as JSON to this path (query); empty disables")
 	statements := fs.Int("statements", 2000, "workload length per durability mode (wal)")
 	checkpointEvery := fs.Int("checkpoint-every", 500, "checkpoint interval for the checkpointed mode (wal)")

@@ -60,7 +60,6 @@ func main() {
 	verifyWorkers := flag.Int("verify-workers", 0, "verification worker pool size (0 = GOMAXPROCS)")
 	partitions := flag.Int("rsws", 16, "RSWS partitions")
 	tableShards := flag.Int("table-shards", 1, "hash shards per table (1 = unsharded)")
-	execBatch := flag.Int("exec-batch", 0, "query execution batch size (0 = default 256, 1 = tuple-at-a-time)")
 	dataDir := flag.String("data-dir", "", "authenticated durable storage directory (empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after this many logged statements (0 = WAL-only; requires -data-dir)")
 	groupCommit := flag.Duration("group-commit", 0, "group-commit window: batch concurrent WAL appends into one fsync (0 = one fsync per statement; requires -data-dir)")
@@ -91,7 +90,6 @@ func main() {
 		VerifyEveryOps:  *verifyEvery,
 		VerifyWorkers:   *verifyWorkers,
 		TableShards:     *tableShards,
-		ExecBatchSize:   *execBatch,
 		DataDir:         *dataDir,
 		CheckpointEvery: *checkpointEvery,
 

@@ -1,18 +1,17 @@
 package veridb
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 
 	"veridb/internal/client"
-	"veridb/internal/portal"
 )
 
-// execBatchSetup loads a deterministic two-table dataset big enough that
-// the planner keeps batching engaged (well past the small-input cutoff):
-// 200 items across 10 categories plus the category dimension table.
+// execBatchSetup loads a deterministic two-table dataset: 200 items across
+// 10 categories plus the category dimension table. internal/core's
+// TestExecCapacityEndorsementGoldens serves the same data and queries at
+// every batch capacity.
 func execBatchSetup(t *testing.T, db *DB) {
 	t.Helper()
 	mustExec(t, db, `CREATE TABLE items (id INT PRIMARY KEY, cat INT, qty INT, price FLOAT, name TEXT)`)
@@ -28,8 +27,7 @@ func execBatchSetup(t *testing.T, db *DB) {
 
 // execBatchQueries is the endorsed workload: scans, filters, expression
 // projections, aggregates, joins, sorts, limits, and two failing queries —
-// error responses are sequenced and MACed like results, so they must be
-// batch-size-invariant too.
+// error responses are sequenced and MACed like results.
 var execBatchQueries = []string{
 	`SELECT id, cat, qty, price, name FROM items`,
 	`SELECT id, name FROM items WHERE qty > 6 AND price < 70.0`,
@@ -66,75 +64,4 @@ func serveAll(t *testing.T, db *DB, key []byte) []*Response {
 		out = append(out, resp)
 	}
 	return out
-}
-
-// TestExecBatchEndorsementIdentity is the batched-execution property test:
-// for every storage layout and join strategy, running the same authenticated
-// workload at ExecBatchSize 2, 3 and 256 must produce responses that are
-// bit-identical to the tuple-at-a-time oracle (ExecBatchSize 1) — same rows
-// in the same order, same sequence numbers, same error text, and therefore
-// the same response digests and MACs. Vectorization must be invisible to
-// the client's endorsement checks.
-func TestExecBatchEndorsementIdentity(t *testing.T) {
-	key := []byte("exec-batch-property-key")
-	variants := []struct {
-		name string
-		cfg  Config
-	}{
-		{"unsharded", Config{Seed: 7}},
-		{"sharded", Config{Seed: 7, TableShards: 4, VerifyWorkers: 2}},
-		{"joinHash", Config{Seed: 7, Join: JoinHash}},
-		{"joinMerge", Config{Seed: 7, Join: JoinMerge}},
-		{"joinNested", Config{Seed: 7, Join: JoinNested}},
-		{"joinIndex", Config{Seed: 7, Join: JoinIndex}},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			oracleCfg := v.cfg
-			oracleCfg.ExecBatchSize = 1
-			oracle := open(t, oracleCfg)
-			execBatchSetup(t, oracle)
-			want := serveAll(t, oracle, key)
-
-			for _, size := range []int{2, 3, 256} {
-				cfg := v.cfg
-				cfg.ExecBatchSize = size
-				db := open(t, cfg)
-				execBatchSetup(t, db)
-				got := serveAll(t, db, key)
-				for i, resp := range got {
-					q := execBatchQueries[i]
-					w := want[i]
-					if resp.QID != w.QID || resp.Seq != w.Seq {
-						t.Fatalf("batch=%d %q: qid/seq (%d,%d), oracle (%d,%d)",
-							size, q, resp.QID, resp.Seq, w.QID, w.Seq)
-					}
-					if resp.ErrMsg != w.ErrMsg {
-						t.Fatalf("batch=%d %q: error %q, oracle %q", size, q, resp.ErrMsg, w.ErrMsg)
-					}
-					if fmt.Sprint(resp.Columns) != fmt.Sprint(w.Columns) {
-						t.Fatalf("batch=%d %q: columns %v, oracle %v", size, q, resp.Columns, w.Columns)
-					}
-					if len(resp.Rows) != len(w.Rows) {
-						t.Fatalf("batch=%d %q: %d rows, oracle %d", size, q, len(resp.Rows), len(w.Rows))
-					}
-					for r := range resp.Rows {
-						if fmt.Sprint(resp.Rows[r]) != fmt.Sprint(w.Rows[r]) {
-							t.Fatalf("batch=%d %q row %d: %v, oracle %v",
-								size, q, r, resp.Rows[r], w.Rows[r])
-						}
-					}
-					if !bytes.Equal(portal.ResponseDigest(resp), portal.ResponseDigest(w)) {
-						t.Fatalf("batch=%d %q: response digest diverged from oracle", size, q)
-					}
-					if !bytes.Equal(resp.MAC, w.MAC) {
-						t.Fatalf("batch=%d %q: response MAC diverged from oracle", size, q)
-					}
-				}
-				if err := db.Verify(); err != nil {
-					t.Fatalf("batch=%d: verification failed after workload: %v", size, err)
-				}
-			}
-		})
-	}
 }

@@ -85,7 +85,7 @@ func scanTime(db *core.DB, tables []string) (time.Duration, error) {
 		}
 		scan := engine.NewTableScan(t, name)
 		start := time.Now()
-		if _, err := engine.Drain(scan); err != nil {
+		if _, err := engine.Drain(scan, nil); err != nil {
 			return 0, err
 		}
 		total += time.Since(start)
@@ -126,7 +126,7 @@ func RunTPCH(cfg TPCHConfig, vc vmem.Config, configName string) (*TPCHRun, error
 			return nil, err
 		}
 		start := time.Now()
-		rows, err := engine.Drain(op)
+		rows, err := engine.Drain(op, nil)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", j.name, err)
 		}

@@ -24,7 +24,6 @@ import (
 	"veridb/internal/client"
 	"veridb/internal/core"
 	"veridb/internal/govern"
-	"veridb/internal/storage"
 )
 
 // OverloadConfig sizes the overload benchmark.
@@ -119,7 +118,6 @@ type OverloadRun struct {
 func overloadSeed(cfg OverloadConfig, ccfg core.Config, nClients int) (*core.DB, []*client.Client, error) {
 	ccfg.Seed = cfg.Seed
 	ccfg.Memory.Partitions = 16
-	ccfg.ExecBatchSize = storage.DefaultBatchCapacity
 	ccfg.PlanCacheSize = 128
 	db, err := core.Open(ccfg)
 	if err != nil {

@@ -10,14 +10,15 @@ import (
 	"veridb/internal/sql"
 )
 
-// ExecBatchConfig sizes the vectorized-execution sweep: the same query set
-// runs at each batch size over the same verified table, so the only moving
-// part is how many rows each operator-to-operator call hands over.
+// ExecBatchConfig sizes the batch-capacity sweep: the same query set runs
+// through the same operators at each capacity over the same verified
+// table, so the only moving part is how many rows each operator-to-operator
+// call hands over.
 type ExecBatchConfig struct {
 	// Rows in the fact table (default 30 000).
 	Rows int
-	// Sizes is the ExecBatchSize sweep (default 1, 64, 256; 1 is the
-	// legacy tuple-at-a-time path).
+	// Sizes is the batch-capacity sweep (default 1, 64, 256; 1 hands over
+	// one row per call).
 	Sizes []int
 	// Reps per measurement; the minimum is kept (default 3).
 	Reps int
@@ -56,8 +57,8 @@ type ExecBatchRun struct {
 	TableRows int
 	Sizes     []int
 	Points    []ExecBatchPoint
-	// Speedup maps operator name to latency(batch=1) / latency(largest
-	// batch) — above 1.0 means vectorization won.
+	// Speedup maps operator name to latency(smallest capacity) /
+	// latency(largest capacity) — above 1.0 means larger batches won.
 	Speedup map[string]float64
 }
 
@@ -75,10 +76,10 @@ var execBatchJobs = []struct {
 	{"join", `SELECT i.id, c.label FROM items i JOIN cats c ON i.cat = c.cat WHERE i.qty = 12`},
 }
 
-// execBatchDB opens a database at one batch size and loads the dataset
-// through the verified write path.
-func execBatchDB(cfg ExecBatchConfig, size int) (*core.DB, error) {
-	db, err := core.Open(core.Config{Seed: uint64(cfg.Seed), ExecBatchSize: size})
+// execBatchDB opens a database and loads the dataset through the verified
+// write path.
+func execBatchDB(cfg ExecBatchConfig) (*core.DB, error) {
+	db, err := core.Open(core.Config{Seed: uint64(cfg.Seed)})
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +117,8 @@ func execBatchDB(cfg ExecBatchConfig, size int) (*core.DB, error) {
 	return db, nil
 }
 
-// runExecBatchQuery plans and drains one query the way core.DB does for
-// the given batch size, returning the drain time and row count.
+// runExecBatchQuery plans one query and drains it the way core.DB does, at
+// the given batch capacity, returning the drain time and row count.
 func runExecBatchQuery(db *core.DB, query string, size int) (time.Duration, int, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -127,65 +128,63 @@ func runExecBatchQuery(db *core.DB, query string, size int) (time.Duration, int,
 	if err != nil {
 		return 0, 0, err
 	}
+	ex := engine.NewExec(nil, nil, size)
+	engine.SetExec(op, ex)
 	start := time.Now()
-	var rows []record.Tuple
-	if size > 1 {
-		rows, err = engine.DrainBatches(engine.AsBatch(op), size)
-	} else {
-		rows, err = engine.Drain(op)
-	}
+	rows, err := engine.Drain(op, ex)
 	if err != nil {
 		return 0, 0, err
 	}
 	return time.Since(start), len(rows), nil
 }
 
-// RunExecBatch measures per-operator query latency across execution batch
-// sizes (Fig. 14 shape: the same plans, scalar vs. vectorized). Row counts
-// are asserted identical across sizes — a batch-size-dependent result is a
-// correctness bug, not a data point.
+// RunExecBatch measures per-operator query latency across batch capacities
+// (Fig. 14 shape: the same plans, the same operators, one row per call up
+// to 256). Row counts are asserted identical across sizes — a
+// capacity-dependent result is a correctness bug, not a data point.
 func RunExecBatch(cfg ExecBatchConfig) (*ExecBatchRun, error) {
 	cfg = cfg.withDefaults()
 	run := &ExecBatchRun{TableRows: cfg.Rows, Sizes: cfg.Sizes, Speedup: make(map[string]float64)}
-	rowsAt := make(map[string]int) // op -> result rows at the first size
+	rowsAt := make(map[string]int) // op -> result rows, the same at every size
 	best := make(map[int]map[string]time.Duration)
+	db, err := execBatchDB(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer db.Close()
 	for _, size := range cfg.Sizes {
 		if size < 1 {
 			return nil, fmt.Errorf("bench: batch size %d out of range", size)
 		}
-		db, err := execBatchDB(cfg, size)
-		if err != nil {
-			return nil, err
-		}
 		best[size] = make(map[string]time.Duration)
-		for _, j := range execBatchJobs {
-			var lat time.Duration
-			var nrows int
-			for rep := 0; rep < cfg.Reps; rep++ {
+	}
+	// Capacities take turns inside each repetition, so warm-up and host
+	// drift fall on all of them alike rather than on whichever ran first.
+	for _, j := range execBatchJobs {
+		for rep := 0; rep < cfg.Reps; rep++ {
+			for _, size := range cfg.Sizes {
 				d, n, err := runExecBatchQuery(db, j.sql, size)
 				if err != nil {
-					db.Close()
 					return nil, fmt.Errorf("bench: %s at batch %d: %w", j.op, size, err)
 				}
-				if rep == 0 || d < lat {
-					lat = d
+				if want, ok := rowsAt[j.op]; ok && want != n {
+					return nil, fmt.Errorf("bench: %s returned %d rows at batch %d, %d before", j.op, n, size, want)
 				}
-				nrows = n
+				rowsAt[j.op] = n
+				if lat, ok := best[size][j.op]; !ok || d < lat {
+					best[size][j.op] = d
+				}
 			}
-			if want, ok := rowsAt[j.op]; ok && want != nrows {
-				db.Close()
-				return nil, fmt.Errorf("bench: %s returned %d rows at batch %d, %d at batch %d",
-					j.op, nrows, size, want, cfg.Sizes[0])
-			}
-			rowsAt[j.op] = nrows
-			best[size][j.op] = lat
+		}
+	}
+	for _, size := range cfg.Sizes {
+		for _, j := range execBatchJobs {
 			run.Points = append(run.Points, ExecBatchPoint{
-				Op: j.op, BatchSize: size, Latency: lat, Rows: nrows,
+				Op: j.op, BatchSize: size, Latency: best[size][j.op], Rows: rowsAt[j.op],
 			})
 		}
-		db.Close()
 	}
-	// Speedup of the largest batch over tuple-at-a-time, when both ran.
+	// Speedup of the largest capacity over the smallest, when they differ.
 	smallest, largest := cfg.Sizes[0], cfg.Sizes[0]
 	for _, s := range cfg.Sizes {
 		if s < smallest {

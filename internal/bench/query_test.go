@@ -32,17 +32,16 @@ func TestRunExecBatchSmall(t *testing.T) {
 	}
 }
 
-// BenchmarkExecBatch times the full-scan drain at each batch size so
-// `go test -bench ExecBatch` tracks the vectorization win across PRs.
+// BenchmarkExecBatch times the full-scan drain at each batch capacity so
+// `go test -bench ExecBatch` tracks what batch size buys across PRs.
 func BenchmarkExecBatch(b *testing.B) {
+	db, err := execBatchDB(ExecBatchConfig{Rows: 20_000}.withDefaults())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
 	for _, size := range []int{1, 64, 256} {
 		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
-			cfg := ExecBatchConfig{Rows: 20_000}.withDefaults()
-			db, err := execBatchDB(cfg, size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := runExecBatchQuery(db, execBatchJobs[0].sql, size); err != nil {

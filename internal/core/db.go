@@ -39,12 +39,10 @@ type Config struct {
 	// (each shard has its own latch, chains and pages). Zero or one keeps
 	// the unsharded layout bit-for-bit.
 	TableShards int
-	// ExecBatchSize is the vectorized execution batch size: queries pull
-	// batches of this many rows through the operator tree instead of one
-	// tuple at a time. 1 forces the exact legacy tuple-at-a-time path;
-	// values > 1 enable batching (the planner still drops trivially small
-	// queries to the scalar path). Zero is mapped to the default by the
-	// public veridb package.
+	// ExecBatchSize is the row capacity of the batches a statement moves
+	// through the operator tree. It only sizes buffers: every value runs
+	// the same operators and returns the same rows, 1 included (one row
+	// per batch). Zero means storage.DefaultBatchCapacity.
 	ExecBatchSize int
 	// Seed, when nonzero, makes the enclave's PRF key deterministic
 	// (benchmarks and tests only).
@@ -140,7 +138,10 @@ type DB struct {
 	store  *storage.Store
 	portal *portal.Portal
 	opts   plan.Options
-	dur    *durable // nil in memory-only mode
+	// batchCap is the batch capacity statements execute at (see
+	// Config.ExecBatchSize).
+	batchCap int
+	dur      *durable // nil in memory-only mode
 
 	// planCache holds compiled statements keyed on normalized SQL; nil
 	// when PlanCacheSize disables caching.
@@ -214,11 +215,15 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.MaxVersionsPerRow > 0 {
 		st.SetMaxVersions(cfg.MaxVersionsPerRow)
 	}
+	if cfg.ExecBatchSize <= 0 {
+		cfg.ExecBatchSize = storage.DefaultBatchCapacity
+	}
 	db := &DB{
 		enc:            enc,
 		mem:            mem,
 		store:          st,
-		opts:           plan.Options{Join: cfg.Join, ExecBatchSize: cfg.ExecBatchSize},
+		opts:           plan.Options{Join: cfg.Join},
+		batchCap:       cfg.ExecBatchSize,
 		planCache:      plan.NewCache(cfg.PlanCacheSize),
 		prepared:       make(map[string]*sql.Prepare),
 		sessions:       make(map[string]*session),
@@ -573,15 +578,14 @@ func (db *DB) dispatchOp(ctx context.Context, sess *session, query string, stmt 
 }
 
 // executeCached runs a checked-out cache entry. A cached SELECT reuses
-// its compiled operator tree (reset, batch size re-derived); cached DML
-// reuses the parsed AST and goes through the ordinary durable routing.
+// its compiled operator tree (reset first); cached DML reuses the parsed
+// AST and goes through the ordinary durable routing.
 func (db *DB) executeCached(ctx context.Context, sess *session, query string, ent *plan.CacheEntry) (*portal.Result, error) {
 	if ent.Op != nil {
 		if err := db.QuarantineError(); err != nil {
 			return nil, err
 		}
 		engine.ResetPlan(ent.Op)
-		engine.SetBatchSize(ent.Op, plan.EffectiveBatchSize(ent.Op, db.opts.ExecBatchSize))
 		return db.runSelectOp(ctx, sess, ent.Op)
 	}
 	if db.dur != nil && isMutating(ent.Stmt) {
@@ -889,29 +893,17 @@ func (db *DB) matchingRows(ex *engine.Exec, t storage.Engine, where sql.Expr) ([
 		return nil, err
 	}
 	engine.SetExec(op, ex)
-	return db.drainExec(op, plan.EffectiveBatchSize(op, db.opts.ExecBatchSize), ex)
+	return engine.Drain(op, ex)
 }
 
 // Budget-pressure degradation: once tracked memory passes this fraction of
-// the budget, statements drop to the degraded batch size before reserving
+// the budget, SELECTs run at the degraded batch capacity before reserving
 // more — smaller materialisation steps under pressure, refusal only when
 // the budget is actually gone.
 const (
 	degradePressure   = 0.5
 	degradedBatchSize = 16
 )
-
-// drainExec runs a compiled plan to completion at batch size eff under the
-// statement controls: batch-wise when vectorized, the legacy scalar path
-// otherwise. Either way the rows come back in identical order, so the
-// portal's response digest (which folds rows in emission order) is
-// bit-identical across modes.
-func (db *DB) drainExec(op engine.Operator, eff int, ex *engine.Exec) ([]record.Tuple, error) {
-	if eff > 1 {
-		return engine.DrainBatchesExec(engine.AsBatch(op), eff, ex)
-	}
-	return engine.DrainExec(op, ex)
-}
 
 func (db *DB) update(ctx context.Context, up *sql.Update) (*portal.Result, error) {
 	t, err := db.store.Table(up.Table)
@@ -944,7 +936,7 @@ func (db *DB) update(ctx context.Context, up *sql.Update) (*portal.Result, error
 	// keep its effects atomic under the single commit timestamp.
 	res := govern.NewReservation(db.budget)
 	defer res.Release()
-	rows, err := db.matchingRows(engine.NewExec(ctx, res), t, up.Where)
+	rows, err := db.matchingRows(engine.NewExec(ctx, res, db.batchCap), t, up.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -981,7 +973,7 @@ func (db *DB) delete(ctx context.Context, del *sql.Delete) (*portal.Result, erro
 	// atomic and runs to completion.
 	res := govern.NewReservation(db.budget)
 	defer res.Release()
-	rows, err := db.matchingRows(engine.NewExec(ctx, res), t, del.Where)
+	rows, err := db.matchingRows(engine.NewExec(ctx, res, db.batchCap), t, del.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -1022,20 +1014,19 @@ func (db *DB) query(ctx context.Context, sess *session, sel *sql.Select) (*porta
 // chain release everything the plan held), and every materialisation the
 // plan performs is charged against the process budget, failing fast with
 // govern.ErrResourceExhausted rather than growing the heap unbounded.
-// Under budget pressure the plan degrades to a smaller batch size first.
+// Under budget pressure the statement's batches are built smaller first.
 func (db *DB) runSelectOp(ctx context.Context, sess *session, op engine.Operator) (*portal.Result, error) {
 	res := govern.NewReservation(db.budget)
 	defer res.Release()
-	ex := engine.NewExec(ctx, res)
+	capacity := db.batchCap
+	if capacity > degradedBatchSize && db.budget.Pressure() > degradePressure {
+		capacity = degradedBatchSize
+	}
+	ex := engine.NewExec(ctx, res, capacity)
 	engine.SetExec(op, ex)
 	// Clear before the plan goes back into the cache, like the snapshot: a
 	// cached operator must not retain a dead context across statements.
 	defer engine.SetExec(op, nil)
-	eff := plan.EffectiveBatchSize(op, db.opts.ExecBatchSize)
-	if eff > degradedBatchSize && db.budget.Pressure() > degradePressure {
-		eff = degradedBatchSize
-		engine.SetBatchSize(op, eff)
-	}
 	snap := sess.pinned()
 	if snap == nil {
 		snap = db.store.OpenSnapshot()
@@ -1045,7 +1036,7 @@ func (db *DB) runSelectOp(ctx context.Context, sess *session, op engine.Operator
 	// Clear before the plan goes back into the cache: a cached operator
 	// must not retain a dangling snapshot across statements.
 	defer engine.SetSnapshot(op, nil)
-	rows, err := db.drainExec(op, eff, ex)
+	rows, err := engine.Drain(op, ex)
 	if err != nil {
 		return nil, err
 	}

@@ -152,10 +152,9 @@ type HashAggregate struct {
 	Names   []string // names for the group columns
 	Aggs    []AggSpec
 
-	batch int   // execution mode; see SetBatchSize
-	exec  *Exec // statement controls; see SetExec
-	out   []record.Tuple
-	pos   int
+	exec *Exec // statement controls; see SetExec
+	out  []record.Tuple
+	pos  int
 }
 
 // Schema exposes group columns then aggregate columns.
@@ -184,44 +183,43 @@ func (h *HashAggregate) Open() error {
 		return err
 	}
 	defer h.Child.Close()
-	// Accumulation is inherently per-row; the cursor keeps the child's
-	// subtree vectorized underneath when the aggregate runs batched.
-	cur := newBatchCursor(h.Child, h.batch)
-	for row := 0; ; row++ {
-		if row%ctxCheckStride == 0 {
-			if err := h.exec.Err(); err != nil {
-				return err
-			}
+	in := NewRowBatch(h.exec.BatchCap())
+	for {
+		if err := h.exec.Err(); err != nil {
+			return err
 		}
-		t, ok, err := cur.next()
+		n, err := h.Child.NextBatch(in)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		keyVals := make([]record.Value, len(h.GroupBy))
-		for i, g := range h.GroupBy {
-			if keyVals[i], err = g.Eval(t); err != nil {
-				return err
-			}
-		}
-		gk := groupKey(keyVals)
-		gr, ok := groups[gk]
-		if !ok {
-			gr = &group{keyVals: keyVals, states: make([]aggState, len(h.Aggs))}
-			groups[gk] = gr
-			order = append(order, gk)
-		}
-		for i, spec := range h.Aggs {
-			v := record.Int(1) // COUNT(*) counts rows
-			if spec.Arg != nil {
-				if v, err = spec.Arg.Eval(t); err != nil {
+		for r := 0; r < n; r++ {
+			t := in.Row(r)
+			keyVals := make([]record.Value, len(h.GroupBy))
+			for i, g := range h.GroupBy {
+				if keyVals[i], err = g.Eval(t); err != nil {
 					return err
 				}
 			}
-			if err := gr.states[i].add(spec, v); err != nil {
-				return err
+			gk := groupKey(keyVals)
+			gr, ok := groups[gk]
+			if !ok {
+				gr = &group{keyVals: keyVals, states: make([]aggState, len(h.Aggs))}
+				groups[gk] = gr
+				order = append(order, gk)
+			}
+			for i, spec := range h.Aggs {
+				v := record.Int(1) // COUNT(*) counts rows
+				if spec.Arg != nil {
+					if v, err = spec.Arg.Eval(t); err != nil {
+						return err
+					}
+				}
+				if err := gr.states[i].add(spec, v); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -244,16 +242,6 @@ func (h *HashAggregate) Open() error {
 	// rows were consumed streaming, so the output buffer is this
 	// operator's materialisation footprint.
 	return h.exec.ChargeTuples(h.out)
-}
-
-// Next emits the next group row.
-func (h *HashAggregate) Next() (record.Tuple, bool, error) {
-	if h.pos >= len(h.out) {
-		return nil, false, nil
-	}
-	t := h.out[h.pos]
-	h.pos++
-	return t, true, nil
 }
 
 // NextBatch emits the next run of group rows.

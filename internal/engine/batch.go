@@ -5,101 +5,14 @@ import (
 	"veridb/internal/storage"
 )
 
-// RowBatch is the unit of data flow for the vectorized execution path: a
-// reusable, capacity-bounded batch of rows plus an optional selection
-// vector. It is the same type the storage iterators fill, so a batch can
-// travel from the verified scan leaf to the portal without reshaping.
+// RowBatch is the unit of data flow between operators: a reusable,
+// capacity-bounded batch of rows plus an optional selection vector. It is
+// the same type the storage iterators fill, so a batch can travel from the
+// verified scan leaf to the portal without reshaping.
 type RowBatch = storage.RowBatch
 
 // NewRowBatch allocates a batch with the given capacity.
 func NewRowBatch(capacity int) *RowBatch { return storage.NewRowBatch(capacity) }
-
-// BatchOperator is the vectorized half of the executor: every engine
-// operator implements it alongside the scalar Operator interface.
-// NextBatch fills dst with up to cap(dst.Rows) output rows and returns the
-// number of live rows; (0, nil) means the operator is exhausted. Filters
-// mark rows dead through dst.Sel instead of compacting, so consumers must
-// read rows through dst.Row(i) / dst.Live().
-//
-// Batched and scalar execution of the same tree produce identical rows in
-// identical order — batching amortises the per-row interface-call chain
-// (and lets filters share row memory via selection vectors) but never
-// reorders, merges or drops work. The batched-vs-scalar oracle property
-// tests pin this, down to the portal's MACed response digests.
-type BatchOperator interface {
-	Operator
-	NextBatch(dst *RowBatch) (int, error)
-}
-
-// AsBatch returns the operator's vectorized form: the operator itself when
-// it is batch-native (every engine operator is), or a fallback adapter
-// that fills batches through Next for foreign Operator implementations.
-func AsBatch(op Operator) BatchOperator {
-	if b, ok := op.(BatchOperator); ok {
-		return b
-	}
-	return &scalarBatch{op}
-}
-
-// scalarBatch adapts a row-at-a-time Operator to BatchOperator.
-type scalarBatch struct{ op Operator }
-
-func (s *scalarBatch) Schema() Schema { return s.op.Schema() }
-func (s *scalarBatch) Open() error    { return s.op.Open() }
-func (s *scalarBatch) Close() error   { return s.op.Close() }
-func (s *scalarBatch) Next() (record.Tuple, bool, error) {
-	return s.op.Next()
-}
-func (s *scalarBatch) NextBatch(dst *RowBatch) (int, error) {
-	return storage.FillBatch(s.op.Next, dst)
-}
-
-// SetBatchSize walks the operator tree and fixes every operator's
-// execution mode before Open: n > 1 makes pipeline-breaking operators
-// (sort, materialise, aggregate build, join build sides) drain their
-// children batch-wise and makes streaming operators pull through batch
-// cursors; n <= 1 is the exact legacy tuple-at-a-time path. The mode must
-// be set before Open because pipeline breakers consume their children
-// inside Open.
-func SetBatchSize(op Operator, n int) {
-	switch x := op.(type) {
-	case *TableScan, *Values:
-		// Leaves: batch size arrives through the dst capacity.
-	case *Filter:
-		SetBatchSize(x.Child, n)
-	case *Project:
-		SetBatchSize(x.Child, n)
-	case *Limit:
-		SetBatchSize(x.Child, n)
-	case *Sort:
-		x.batch = n
-		SetBatchSize(x.Child, n)
-	case *Materialize:
-		x.batch = n
-		SetBatchSize(x.Child, n)
-	case *HashAggregate:
-		x.batch = n
-		SetBatchSize(x.Child, n)
-	case *NestedLoopJoin:
-		x.batch = n
-		SetBatchSize(x.Outer, n)
-		SetBatchSize(x.Inner, n)
-	case *IndexJoin:
-		x.batch = n
-		SetBatchSize(x.Outer, n)
-	case *MergeJoin:
-		x.batch = n
-		SetBatchSize(x.Left, n)
-		SetBatchSize(x.Right, n)
-	case *HashJoin:
-		x.batch = n
-		SetBatchSize(x.Left, n)
-		SetBatchSize(x.Right, n)
-	case *Spool:
-		x.batch = n
-		SetBatchSize(x.Child, n)
-	}
-}
 
 // ResetPlan walks a compiled operator tree and clears every piece of
 // cross-execution state, so a cached plan re-executes as if freshly
@@ -141,81 +54,33 @@ func ResetPlan(op Operator) {
 	}
 }
 
-// DrainBatches runs a batch operator to completion with the given batch
-// size and returns all rows, in the same order the scalar Drain would.
-func DrainBatches(b BatchOperator, size int) ([]record.Tuple, error) {
-	if err := b.Open(); err != nil {
-		return nil, err
-	}
-	defer b.Close()
-	batch := NewRowBatch(size)
-	var out []record.Tuple
-	for {
-		n, err := b.NextBatch(batch)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return out, nil
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, batch.Row(i))
-		}
-	}
-}
-
-// drainChild drains a pipeline breaker's input in the operator's execution
-// mode: batch-wise when batch > 1, through the scalar path otherwise. Row
-// order is identical either way. The statement controls (ex may be nil)
-// bound the drain: cancellation is checked at batch boundaries and the
-// materialised rows are charged to the statement's memory reservation.
-func drainChild(child Operator, batch int, ex *Exec) ([]record.Tuple, error) {
-	if batch > 1 {
-		return DrainBatchesExec(AsBatch(child), batch, ex)
-	}
-	return DrainExec(child, ex)
-}
-
-// batchCursor adapts a child to row-at-a-time consumption while pulling
-// batch-wise underneath: operators whose logic is inherently per-row
-// (merge-join advance, nested-loop outer, aggregate accumulation) read
-// through a cursor so the child's whole subtree still executes vectorized.
-// With batch <= 1 the cursor is a transparent pass-through to child.Next —
-// the exact legacy path.
+// batchCursor hands a child's rows out one at a time while pulling them
+// batch-wise underneath: the joins, whose logic is inherently per-row
+// (merge advance, nested-loop outer, probe), read their inputs through a
+// cursor so the child's whole subtree still runs on batches.
 type batchCursor struct {
 	child Operator
-	bop   BatchOperator // nil: scalar pass-through
 	buf   *RowBatch
 	pos   int
 }
 
-func newBatchCursor(child Operator, batch int) *batchCursor {
-	c := &batchCursor{child: child}
-	if batch > 1 {
-		c.bop = AsBatch(child)
-		c.buf = NewRowBatch(batch)
-	}
-	return c
+func newBatchCursor(child Operator, capacity int) *batchCursor {
+	return &batchCursor{child: child, buf: NewRowBatch(capacity)}
 }
 
 // reset rewinds the cursor after the child was re-opened.
 func (c *batchCursor) reset() {
-	if c.buf != nil {
-		c.buf.Reset()
-	}
+	c.buf.Reset()
 	c.pos = 0
 }
 
 func (c *batchCursor) next() (record.Tuple, bool, error) {
-	if c.bop == nil {
-		return c.child.Next()
-	}
 	if c.pos < c.buf.Live() {
 		t := c.buf.Row(c.pos)
 		c.pos++
 		return t, true, nil
 	}
-	n, err := c.bop.NextBatch(c.buf)
+	n, err := c.child.NextBatch(c.buf)
 	if err != nil {
 		return nil, false, err
 	}
@@ -225,24 +90,6 @@ func (c *batchCursor) next() (record.Tuple, bool, error) {
 	c.pos = 1
 	return c.buf.Row(0), true, nil
 }
-
-// Every engine operator is batch-native.
-var (
-	_ BatchOperator = (*TableScan)(nil)
-	_ BatchOperator = (*Filter)(nil)
-	_ BatchOperator = (*Project)(nil)
-	_ BatchOperator = (*Limit)(nil)
-	_ BatchOperator = (*Sort)(nil)
-	_ BatchOperator = (*Materialize)(nil)
-	_ BatchOperator = (*Values)(nil)
-	_ BatchOperator = (*HashAggregate)(nil)
-	_ BatchOperator = (*NestedLoopJoin)(nil)
-	_ BatchOperator = (*IndexJoin)(nil)
-	_ BatchOperator = (*MergeJoin)(nil)
-	_ BatchOperator = (*HashJoin)(nil)
-	_ BatchOperator = (*Spool)(nil)
-	_ BatchOperator = (*scalarBatch)(nil)
-)
 
 // emitRows copies the next chunk of a materialised row buffer into dst —
 // the shared NextBatch body for operators that buffer their output (Sort,

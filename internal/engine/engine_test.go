@@ -165,7 +165,7 @@ func TestFilterProjectLimit(t *testing.T) {
 		Names: []string{"a10", "s"},
 	}
 	lim := &Limit{Child: pr, N: 1}
-	rows, err := Drain(lim)
+	rows, err := Drain(lim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSortAscDescStable(t *testing.T) {
 		{Expr: compileValue(t, "a", testSchema)},
 		{Expr: compileValue(t, "b", testSchema), Desc: true},
 	}}
-	rows, err := Drain(s)
+	rows, err := Drain(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestHashAggregateGrouped(t *testing.T) {
 			{Func: AggMax, Arg: compileValue(t, "a", testSchema), Name: "hi"},
 		},
 	}
-	rows, err := Drain(agg)
+	rows, err := Drain(agg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestGlobalAggregateOverEmptyInput(t *testing.T) {
 			{Func: AggMin, Arg: compileValue(t, "a", testSchema), Name: "min"},
 		},
 	}
-	rows, err := Drain(agg)
+	rows, err := Drain(agg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestAggregatesSkipNulls(t *testing.T) {
 			{Func: AggAvg, Arg: compileValue(t, "a", aCol), Name: "avg"},
 		},
 	}
-	rows, err := Drain(agg)
+	rows, err := Drain(agg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestIndexJoinPaperExample(t *testing.T) {
 	}
 	j.Residual = compileStr(t, "q.count > i.count", j.Schema())
 	pr := projectCols(t, j, "q.id", "q.count", "i.count")
-	rows, err := Drain(pr)
+	rows, err := Drain(pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestNestedLoopJoinPaperExample(t *testing.T) {
 		Inner: NewTableScan(inv, "i"),
 	}
 	j.On = compileStr(t, "q.id = i.id AND q.count > i.count", j.Schema())
-	rows, err := Drain(projectCols(t, j, "q.id", "q.count", "i.count"))
+	rows, err := Drain(projectCols(t, j, "q.id", "q.count", "i.count"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestMergeJoinPaperExample(t *testing.T) {
 		RightKey: compileValue(t, "i.id", r.Schema()),
 	}
 	j.Residual = compileStr(t, "q.count > i.count", j.Schema())
-	rows, err := Drain(projectCols(t, j, "q.id", "q.count", "i.count"))
+	rows, err := Drain(projectCols(t, j, "q.id", "q.count", "i.count"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestHashJoinPaperExample(t *testing.T) {
 		RightKey: compileValue(t, "i.id", r.Schema()),
 	}
 	j.Residual = compileStr(t, "q.count > i.count", j.Schema())
-	rows, err := Drain(projectCols(t, j, "q.id", "q.count", "i.count"))
+	rows, err := Drain(projectCols(t, j, "q.id", "q.count", "i.count"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestMergeJoinDuplicateKeys(t *testing.T) {
 		LeftKey:  compileValue(t, "l.k", ls),
 		RightKey: compileValue(t, "r.k", rs),
 	}
-	rows, err := Drain(j)
+	rows, err := Drain(j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestRangeScanOperator(t *testing.T) {
 	quote, _, _ := quoteInventory(t)
 	lo, hi := record.Int(2), record.Int(3)
 	scan := NewRangeScan(quote, "q", 0, &lo, &hi)
-	rows, err := Drain(scan)
+	rows, err := Drain(scan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +477,11 @@ func TestRangeScanOperator(t *testing.T) {
 func TestOperatorReopen(t *testing.T) {
 	quote, _, _ := quoteInventory(t)
 	scan := NewTableScan(quote, "q")
-	r1, err := Drain(scan)
+	r1, err := Drain(scan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Drain(scan)
+	r2, err := Drain(scan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

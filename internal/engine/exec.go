@@ -5,36 +5,47 @@ import (
 
 	"veridb/internal/govern"
 	"veridb/internal/record"
+	"veridb/internal/storage"
 )
 
 // Exec carries the per-statement execution controls: the caller's context
-// for cooperative cancellation and a govern.Reservation charged for every
+// for cooperative cancellation, a govern.Reservation charged for every
 // materialisation the statement performs (sort buffers, hash-join build
-// sides, aggregate output, spooled rows, drained results). Operators check
-// the context at batch boundaries — between batches on the vectorized
-// path, every ctxCheckStride rows on the scalar path — so a cancelled or
+// sides, aggregate output, spooled rows, drained results), and the batch
+// capacity every buffer the statement allocates is sized to — the drain
+// loop's batch, pipeline breakers' input drains, join cursors and probe
+// scratch. Operators check the context once per batch, so a cancelled or
 // timed-out statement unwinds through the normal error path and the
 // existing Close/defer chains release scans, latches, snapshot pins and
 // merge producers.
 //
-// A nil *Exec disables both controls; every method is nil-safe, so legacy
-// call sites need no guards.
+// A nil *Exec means no cancellation, no accounting and the default
+// capacity; every method is nil-safe, so call sites need no guards.
 type Exec struct {
-	ctx context.Context
-	res *govern.Reservation
+	ctx      context.Context
+	res      *govern.Reservation
+	batchCap int
 }
 
-// ctxCheckStride is how many scalar rows flow between context checks. The
-// vectorized path checks once per batch instead.
-const ctxCheckStride = 64
-
 // NewExec builds the statement controls. ctx may be nil (treated as
-// background); res may be nil (no memory accounting).
-func NewExec(ctx context.Context, res *govern.Reservation) *Exec {
+// background); res may be nil (no memory accounting); batchCap <= 0 means
+// storage.DefaultBatchCapacity.
+func NewExec(ctx context.Context, res *govern.Reservation, batchCap int) *Exec {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Exec{ctx: ctx, res: res}
+	return &Exec{ctx: ctx, res: res, batchCap: batchCap}
+}
+
+// BatchCap is the row capacity of every batch the statement allocates.
+// Capacity only sizes buffers: rows, order and errors are the same at
+// every value, and 1 moves one row per NextBatch call through the same
+// operators.
+func (e *Exec) BatchCap() int {
+	if e == nil || e.batchCap <= 0 {
+		return storage.DefaultBatchCapacity
+	}
+	return e.batchCap
 }
 
 // Err reports the statement's cancellation state: the context error once
@@ -69,9 +80,10 @@ func (e *Exec) ChargeBytes(n int64) error {
 }
 
 // SetExec walks an operator tree and attaches the statement controls to
-// every operator that reads storage or materialises state. nil detaches
-// them (the plan cache re-targets cached trees per execution). Call before
-// Open, like SetBatchSize and SetSnapshot.
+// every operator that reads storage, materialises state or buffers an
+// input. nil detaches them (the plan cache re-targets cached trees per
+// execution). Call before Open, like SetSnapshot: pipeline breakers
+// consume their children inside Open.
 func SetExec(op Operator, ex *Exec) {
 	switch x := op.(type) {
 	case *TableScan:
@@ -93,11 +105,14 @@ func SetExec(op Operator, ex *Exec) {
 		x.exec = ex
 		SetExec(x.Child, ex)
 	case *NestedLoopJoin:
+		x.exec = ex
 		SetExec(x.Outer, ex)
 		SetExec(x.Inner, ex)
 	case *IndexJoin:
+		x.exec = ex
 		SetExec(x.Outer, ex)
 	case *MergeJoin:
+		x.exec = ex
 		SetExec(x.Left, ex)
 		SetExec(x.Right, ex)
 	case *HashJoin:
@@ -110,56 +125,23 @@ func SetExec(op Operator, ex *Exec) {
 	}
 }
 
-// DrainExec runs an operator to completion under the statement controls:
-// the context is checked every ctxCheckStride rows and the drained rows
-// are charged to the reservation as they accumulate.
-func DrainExec(op Operator, ex *Exec) ([]record.Tuple, error) {
+// Drain runs an operator to completion under the statement controls (ex
+// may be nil) and returns all rows: the context is checked and the drained
+// rows are charged to the reservation once per batch of ex.BatchCap()
+// rows. Drain does not attach ex to the tree; callers whose operators need
+// the controls call SetExec first.
+func Drain(op Operator, ex *Exec) ([]record.Tuple, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	var out []record.Tuple
-	var pending int64
-	for {
-		t, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			if err := ex.ChargeBytes(pending); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		out = append(out, t)
-		pending += record.TupleBytes(t)
-		if len(out)%ctxCheckStride == 0 {
-			if err := ex.Err(); err != nil {
-				return nil, err
-			}
-			if err := ex.ChargeBytes(pending); err != nil {
-				return nil, err
-			}
-			pending = 0
-		}
-	}
-}
-
-// DrainBatchesExec runs a batch operator to completion with the given
-// batch size under the statement controls, checking the context and
-// charging the reservation once per batch.
-func DrainBatchesExec(b BatchOperator, size int, ex *Exec) ([]record.Tuple, error) {
-	if err := b.Open(); err != nil {
-		return nil, err
-	}
-	defer b.Close()
-	batch := NewRowBatch(size)
+	batch := NewRowBatch(ex.BatchCap())
 	var out []record.Tuple
 	for {
 		if err := ex.Err(); err != nil {
 			return nil, err
 		}
-		n, err := b.NextBatch(batch)
+		n, err := op.NextBatch(batch)
 		if err != nil {
 			return nil, err
 		}

@@ -37,8 +37,7 @@ func TestExprNullPropagation(t *testing.T) {
 		}
 	}
 	// AND/OR short-circuit only on a determined LEFT operand; a NULL left
-	// makes the whole conjunction/disjunction NULL. Pin both directions so
-	// the scalar and batched paths can't silently diverge on this.
+	// makes the whole conjunction/disjunction NULL. Pin both directions.
 	det := map[string]struct {
 		want record.Value
 	}{
@@ -148,17 +147,17 @@ func edgeRows() []record.Tuple {
 	return rows
 }
 
-// TestExprScalarVsBatchOracle runs Filter/Project pipelines over the edge
-// rows through the scalar path and the batched path at several batch sizes.
-// Rows, order and values must be identical — NULL handling and selection
-// vectors must not diverge between the two execution modes.
-func TestExprScalarVsBatchOracle(t *testing.T) {
-	preds := []string{
-		"a > 0",
-		"a IS NULL OR s IS NULL",
-		"s < 'c' AND s IS NOT NULL",
-		"a + 1 > 0 OR f",
-		"b >= 0.0",
+// TestExprCapacityInvariant runs Filter/Project pipelines over the edge
+// rows at several batch capacities. The expected rows are what the deleted
+// tuple-at-a-time executor produced: NULL handling and selection vectors
+// must give the same rows, in the same order, at every capacity.
+func TestExprCapacityInvariant(t *testing.T) {
+	preds := []struct{ pred, want string }{
+		{"a > 0", "[[6 x] [7 Zebra] [5 NULL]]"},
+		{"a IS NULL OR s IS NULL", "[[NULL NULL] [NULL b] [5 NULL]]"},
+		{"s < 'c' AND s IS NOT NULL", "[[-3 ] [0 apple] [7 Zebra] [NULL b]]"},
+		{"a + 1 > 0 OR f", "[[6 x] [0 apple] [7 Zebra] [5 NULL]]"},
+		{"b >= 0.0", "[[6 x] [0 apple] [7 Zebra] [NULL b]]"},
 	}
 	build := func(pred string) Operator {
 		vals := &Values{Cols: testSchema, Rows: edgeRows()}
@@ -172,41 +171,23 @@ func TestExprScalarVsBatchOracle(t *testing.T) {
 			Names: []string{"a", "s"},
 		}
 	}
-	for _, pred := range preds {
-		want, err := Drain(build(pred))
-		if err != nil {
-			t.Fatalf("%s scalar: %v", pred, err)
-		}
+	for _, tc := range preds {
 		for _, size := range []int{1, 2, 3, 256} {
-			op := build(pred)
-			SetBatchSize(op, size)
-			got, err := DrainBatches(AsBatch(op), size)
+			got, err := drainAt(build(tc.pred), size)
 			if err != nil {
-				t.Fatalf("%s batch=%d: %v", pred, size, err)
+				t.Fatalf("%s capacity=%d: %v", tc.pred, size, err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s batch=%d: %d rows, scalar %d", pred, size, len(got), len(want))
-			}
-			for i := range got {
-				if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-					t.Fatalf("%s batch=%d row %d: %v vs scalar %v", pred, size, i, got[i], want[i])
-				}
+			if fmt.Sprint(got) != tc.want {
+				t.Fatalf("%s capacity=%d: %v, want %s", tc.pred, size, got, tc.want)
 			}
 		}
 	}
-	// Errors surface identically: a mid-stream eval error aborts both modes.
-	bad := func() Operator {
+	// A mid-stream eval error aborts the drain at every capacity.
+	for _, size := range []int{1, 2, 256} {
 		vals := &Values{Cols: testSchema, Rows: edgeRows()}
-		return &Filter{Child: vals, Pred: compileStr(t, "a / (a - 6) > 0", testSchema)}
-	}
-	if _, err := Drain(bad()); err == nil {
-		t.Fatal("scalar path swallowed division by zero")
-	}
-	for _, size := range []int{2, 256} {
-		op := bad()
-		SetBatchSize(op, size)
-		if _, err := DrainBatches(AsBatch(op), size); err == nil {
-			t.Fatalf("batch=%d path swallowed division by zero", size)
+		bad := &Filter{Child: vals, Pred: compileStr(t, "a / (a - 6) > 0", testSchema)}
+		if _, err := drainAt(bad, size); err == nil {
+			t.Fatalf("capacity=%d swallowed division by zero", size)
 		}
 	}
 }

@@ -27,7 +27,7 @@ type NestedLoopJoin struct {
 	Outer, Inner Operator
 	On           *Compiled // compiled against the concatenated schema
 
-	batch      int // execution mode; see SetBatchSize
+	exec       *Exec // statement controls; see SetExec
 	ocur, icur *batchCursor
 	cur        record.Tuple
 	innerOpen  bool
@@ -42,15 +42,15 @@ func (j *NestedLoopJoin) Schema() Schema {
 func (j *NestedLoopJoin) Open() error {
 	j.cur = nil
 	j.innerOpen = false
-	j.ocur = newBatchCursor(j.Outer, j.batch)
-	j.icur = newBatchCursor(j.Inner, j.batch)
+	j.ocur = newBatchCursor(j.Outer, j.exec.BatchCap())
+	j.icur = newBatchCursor(j.Inner, j.exec.BatchCap())
 	return j.Outer.Open()
 }
 
-// Next emits the next joined row. Both sides are pulled through batch
-// cursors, so their subtrees run vectorized while the join logic itself
+// next produces the next joined row. Both sides are pulled through batch
+// cursors, so their subtrees run on batches while the join logic itself
 // stays per-row.
-func (j *NestedLoopJoin) Next() (record.Tuple, bool, error) {
+func (j *NestedLoopJoin) next() (record.Tuple, bool, error) {
 	for {
 		if j.cur == nil {
 			t, ok, err := j.ocur.next()
@@ -101,7 +101,7 @@ func (j *NestedLoopJoin) Close() error {
 // NextBatch fills dst with joined rows; inputs stream batch-wise through
 // the cursors.
 func (j *NestedLoopJoin) NextBatch(dst *RowBatch) (int, error) {
-	return storage.FillBatch(j.Next, dst)
+	return storage.FillBatch(j.next, dst)
 }
 
 // IndexJoin pulls, for each outer row, the matching inner rows through the
@@ -122,7 +122,7 @@ type IndexJoin struct {
 	// snapshot as the rest of the statement (see engine.SetSnapshot).
 	Snap *storage.Snapshot
 
-	batch   int // execution mode; see SetBatchSize
+	exec    *Exec // statement controls; see SetExec
 	ocur    *batchCursor
 	pb      *RowBatch // probe-scan scratch batch
 	cur     record.Tuple
@@ -143,12 +143,12 @@ func (j *IndexJoin) Schema() Schema {
 // Open opens the outer side.
 func (j *IndexJoin) Open() error {
 	j.cur, j.matches, j.mi = nil, nil, 0
-	j.ocur = newBatchCursor(j.Outer, j.batch)
+	j.ocur = newBatchCursor(j.Outer, j.exec.BatchCap())
 	return j.Outer.Open()
 }
 
-// Next emits the next joined row.
-func (j *IndexJoin) Next() (record.Tuple, bool, error) {
+// next produces the next joined row.
+func (j *IndexJoin) next() (record.Tuple, bool, error) {
 	for {
 		for j.mi < len(j.matches) {
 			row := concatTuples(j.cur, j.matches[j.mi])
@@ -221,35 +221,22 @@ func (j *IndexJoin) probe(key record.Value) ([]record.Tuple, error) {
 		return nil, err
 	}
 	defer sc.Close()
-	if j.batch > 1 {
-		// Batched probe drain: the verified scan fills the scratch batch.
-		if j.pb == nil || j.pb.Cap() != j.batch {
-			j.pb = NewRowBatch(j.batch)
-		}
-		var out []record.Tuple
-		for {
-			n, err := sc.NextBatch(j.pb)
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				return out, nil
-			}
-			for i := 0; i < n; i++ {
-				out = append(out, j.pb.Row(i))
-			}
-		}
+	// The verified scan fills the scratch batch.
+	if j.pb == nil || j.pb.Cap() != j.exec.BatchCap() {
+		j.pb = NewRowBatch(j.exec.BatchCap())
 	}
 	var out []record.Tuple
 	for {
-		t, ok, err := sc.Next()
+		n, err := sc.NextBatch(j.pb)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if n == 0 {
 			return out, nil
 		}
-		out = append(out, t)
+		for i := 0; i < n; i++ {
+			out = append(out, j.pb.Row(i))
+		}
 	}
 }
 
@@ -262,7 +249,7 @@ func (j *IndexJoin) Close() error {
 // NextBatch fills dst with joined rows; the outer input and the probe
 // drains stream batch-wise.
 func (j *IndexJoin) NextBatch(dst *RowBatch) (int, error) {
-	return storage.FillBatch(j.Next, dst)
+	return storage.FillBatch(j.next, dst)
 }
 
 // MergeJoin equi-joins two inputs already sorted on their join keys —
@@ -272,7 +259,7 @@ type MergeJoin struct {
 	Left, Right        Operator
 	LeftKey, RightKey  *Compiled // compiled against the respective schemas
 	Residual           *Compiled // against the concatenated schema; may be nil
-	batch              int       // execution mode; see SetBatchSize
+	exec               *Exec     // statement controls; see SetExec
 	lc, rc             *batchCursor
 	lrow               record.Tuple
 	lkey               record.Value
@@ -292,8 +279,8 @@ func (j *MergeJoin) Schema() Schema {
 func (j *MergeJoin) Open() error {
 	j.lrow, j.group, j.gi, j.rrow = nil, nil, 0, nil
 	j.leftDone, j.skipSame = false, false
-	j.lc = newBatchCursor(j.Left, j.batch)
-	j.rc = newBatchCursor(j.Right, j.batch)
+	j.lc = newBatchCursor(j.Left, j.exec.BatchCap())
+	j.rc = newBatchCursor(j.Right, j.exec.BatchCap())
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
@@ -352,8 +339,8 @@ func (j *MergeJoin) fillGroup(key record.Value) error {
 	return nil
 }
 
-// Next emits the next joined row.
-func (j *MergeJoin) Next() (record.Tuple, bool, error) {
+// next produces the next joined row.
+func (j *MergeJoin) next() (record.Tuple, bool, error) {
 	for {
 		for j.gi < len(j.group) {
 			row := concatTuples(j.lrow, j.group[j.gi])
@@ -425,7 +412,7 @@ func (j *MergeJoin) Close() error {
 // NextBatch fills dst with joined rows; both sorted inputs stream
 // batch-wise through the cursors.
 func (j *MergeJoin) NextBatch(dst *RowBatch) (int, error) {
-	return storage.FillBatch(j.Next, dst)
+	return storage.FillBatch(j.next, dst)
 }
 
 // HashJoin builds a hash table on the right input and probes with the
@@ -435,7 +422,6 @@ type HashJoin struct {
 	LeftKey, RightKey *Compiled
 	Residual          *Compiled
 
-	batch   int   // execution mode; see SetBatchSize
 	exec    *Exec // statement controls; see SetExec
 	lcur    *batchCursor
 	table   map[string][]record.Tuple
@@ -449,13 +435,12 @@ func (j *HashJoin) Schema() Schema {
 	return concatSchema(j.Left.Schema(), j.Right.Schema())
 }
 
-// Open drains the right (build) input into the hash table — batch-wise
-// when the join runs vectorized.
+// Open drains the right (build) input into the hash table.
 func (j *HashJoin) Open() error {
 	j.table = make(map[string][]record.Tuple)
 	j.cur, j.matches, j.mi = nil, nil, 0
-	j.lcur = newBatchCursor(j.Left, j.batch)
-	rows, err := drainChild(j.Right, j.batch, j.exec)
+	j.lcur = newBatchCursor(j.Left, j.exec.BatchCap())
+	rows, err := Drain(j.Right, j.exec)
 	if err != nil {
 		return err
 	}
@@ -473,8 +458,8 @@ func (j *HashJoin) Open() error {
 	return j.Left.Open()
 }
 
-// Next probes the table with successive left rows.
-func (j *HashJoin) Next() (record.Tuple, bool, error) {
+// next probes the table with successive left rows.
+func (j *HashJoin) next() (record.Tuple, bool, error) {
 	for {
 		for j.mi < len(j.matches) {
 			row := concatTuples(j.cur, j.matches[j.mi])
@@ -517,5 +502,5 @@ func (j *HashJoin) Close() error {
 // NextBatch fills dst with joined rows; the probe input streams batch-wise
 // through the cursor and the build side was drained batch-wise in Open.
 func (j *HashJoin) NextBatch(dst *RowBatch) (int, error) {
-	return storage.FillBatch(j.Next, dst)
+	return storage.FillBatch(j.next, dst)
 }

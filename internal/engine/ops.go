@@ -8,34 +8,23 @@ import (
 	"veridb/internal/storage"
 )
 
-// Operator is the volcano iterator interface (§5.4: "the operators in the
-// execution engine, when triggered, output one tuple"). Open may be called
-// again after Close to restart the operator (nested-loop inners rely on
-// this).
+// Operator is the iterator interface every engine operator implements,
+// and the only one: §5.4's volcano model with the batch, not the tuple, as
+// the unit an operator outputs when triggered. NextBatch fills dst with up
+// to dst.Cap() output rows and returns the number of live rows; (0, nil)
+// means the operator is exhausted. Filters mark rows dead through dst.Sel
+// instead of compacting, so consumers must read rows through dst.Row(i) /
+// dst.Live(). Capacity never changes what comes out — rows, order and
+// errors are the same at every dst.Cap(), 1 included (the capacity tests
+// pin this down to the portal's MACed response digests).
+//
+// Open may be called again after Close to restart the operator
+// (nested-loop inners rely on this).
 type Operator interface {
 	Schema() Schema
 	Open() error
-	Next() (record.Tuple, bool, error)
+	NextBatch(dst *RowBatch) (int, error)
 	Close() error
-}
-
-// Drain runs an operator to completion and returns all rows.
-func Drain(op Operator) ([]record.Tuple, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var out []record.Tuple
-	for {
-		t, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, t)
-	}
 }
 
 // TableScan is the verified sequential/range scan leaf (§5.2). With no
@@ -56,7 +45,6 @@ type TableScan struct {
 	exec    *Exec // statement controls; see SetExec
 	sc      storage.Iterator
 	visited int
-	rowsOut int // scalar rows since the last context check
 }
 
 // NewTableScan builds a full scan over the primary chain.
@@ -101,24 +89,6 @@ func (s *TableScan) Open() error {
 	return err
 }
 
-// Next returns the next verified tuple.
-func (s *TableScan) Next() (record.Tuple, bool, error) {
-	if s.sc == nil {
-		return nil, false, fmt.Errorf("engine: scan of %q not open", s.Table.Name())
-	}
-	if s.rowsOut++; s.rowsOut >= ctxCheckStride {
-		s.rowsOut = 0
-		if err := s.exec.Err(); err != nil {
-			return nil, false, err
-		}
-	}
-	t, ok, err := s.sc.Next()
-	if !ok {
-		s.visited = s.sc.Visited()
-	}
-	return t, ok, err
-}
-
 // Close releases the scan (and its shared table lock).
 func (s *TableScan) Close() error {
 	if s.sc != nil {
@@ -132,8 +102,8 @@ func (s *TableScan) Close() error {
 // Visited reports chain records read, including verification boundaries.
 func (s *TableScan) Visited() int { return s.visited }
 
-// NextBatch pulls a verified batch straight from the storage iterator; each
-// row passed the same per-row chain checks as on the Next path.
+// NextBatch pulls a verified batch straight from the storage iterator,
+// which runs the per-row chain checks as it fills.
 func (s *TableScan) NextBatch(dst *RowBatch) (int, error) {
 	if s.sc == nil {
 		return 0, fmt.Errorf("engine: scan of %q not open", s.Table.Name())
@@ -153,8 +123,7 @@ type Filter struct {
 	Child Operator
 	Pred  *Compiled
 
-	bchild BatchOperator // lazy: batched view of Child
-	sel    []int         // selection scratch, reused across batches
+	sel []int // selection scratch, reused across batches
 }
 
 // Schema returns the child schema.
@@ -162,23 +131,6 @@ func (f *Filter) Schema() Schema { return f.Child.Schema() }
 
 // Open opens the child.
 func (f *Filter) Open() error { return f.Child.Open() }
-
-// Next returns the next passing row.
-func (f *Filter) Next() (record.Tuple, bool, error) {
-	for {
-		t, ok, err := f.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		pass, err := f.Pred.EvalBool(t)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			return t, true, nil
-		}
-	}
-}
 
 // Close closes the child.
 func (f *Filter) Close() error { return f.Child.Close() }
@@ -188,11 +140,8 @@ func (f *Filter) Close() error { return f.Child.Close() }
 // row's memory once. A return of 0 means the input is exhausted — batches
 // whose rows all fail are retried internally, never surfaced.
 func (f *Filter) NextBatch(dst *RowBatch) (int, error) {
-	if f.bchild == nil {
-		f.bchild = AsBatch(f.Child)
-	}
 	for {
-		n, err := f.bchild.NextBatch(dst)
+		n, err := f.Child.NextBatch(dst)
 		if err != nil {
 			return 0, err
 		}
@@ -242,8 +191,7 @@ type Project struct {
 	Exprs []*Compiled
 	Names []string
 
-	bchild BatchOperator // lazy: batched view of Child
-	in     *RowBatch     // input scratch, reused across batches
+	in *RowBatch // input scratch, reused across batches
 }
 
 // Schema derives from the compiled expressions.
@@ -259,34 +207,16 @@ func (p *Project) Schema() Schema {
 // Open opens the child.
 func (p *Project) Open() error { return p.Child.Open() }
 
-// Next projects the next row.
-func (p *Project) Next() (record.Tuple, bool, error) {
-	t, ok, err := p.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(record.Tuple, len(p.Exprs))
-	for i, e := range p.Exprs {
-		if out[i], err = e.Eval(t); err != nil {
-			return nil, false, err
-		}
-	}
-	return out, true, nil
-}
-
 // Close closes the child.
 func (p *Project) Close() error { return p.Child.Close() }
 
 // NextBatch projects a child batch into fresh output tuples. Dead input
 // rows are skipped, so the output batch is dense (no selection).
 func (p *Project) NextBatch(dst *RowBatch) (int, error) {
-	if p.bchild == nil {
-		p.bchild = AsBatch(p.Child)
-	}
 	if p.in == nil || p.in.Cap() != dst.Cap() {
 		p.in = NewRowBatch(dst.Cap())
 	}
-	n, err := p.bchild.NextBatch(p.in)
+	n, err := p.Child.NextBatch(p.in)
 	if err != nil {
 		return 0, err
 	}
@@ -313,8 +243,6 @@ type Limit struct {
 	Child Operator
 	N     int
 	seen  int
-
-	bchild BatchOperator // lazy: batched view of Child
 }
 
 // Schema returns the child schema.
@@ -326,19 +254,6 @@ func (l *Limit) Open() error {
 	return l.Child.Open()
 }
 
-// Next forwards until the limit is reached.
-func (l *Limit) Next() (record.Tuple, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	t, ok, err := l.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return t, true, nil
-}
-
 // Close closes the child.
 func (l *Limit) Close() error { return l.Child.Close() }
 
@@ -347,13 +262,10 @@ func (l *Limit) Close() error { return l.Child.Close() }
 // limit leaves the child mid-stream — Close abandons it early, which is why
 // scan producers hang their lifetime on a context (storage/merge.go).
 func (l *Limit) NextBatch(dst *RowBatch) (int, error) {
-	if l.bchild == nil {
-		l.bchild = AsBatch(l.Child)
-	}
 	if l.seen >= l.N {
 		return 0, nil
 	}
-	n, err := l.bchild.NextBatch(dst)
+	n, err := l.Child.NextBatch(dst)
 	if err != nil {
 		return 0, err
 	}
@@ -386,10 +298,9 @@ type Sort struct {
 	Child Operator
 	Keys  []SortKey
 
-	batch int   // execution mode; see SetBatchSize
-	exec  *Exec // statement controls; see SetExec
-	rows  []record.Tuple
-	pos   int
+	exec *Exec // statement controls; see SetExec
+	rows []record.Tuple
+	pos  int
 }
 
 // Schema returns the child schema.
@@ -398,7 +309,7 @@ func (s *Sort) Schema() Schema { return s.Child.Schema() }
 // Open drains and sorts the child.
 func (s *Sort) Open() error {
 	s.rows, s.pos = nil, 0
-	rows, err := drainChild(s.Child, s.batch, s.exec)
+	rows, err := Drain(s.Child, s.exec)
 	if err != nil {
 		return err
 	}
@@ -443,16 +354,6 @@ func (s *Sort) Open() error {
 	return nil
 }
 
-// Next emits the next sorted row.
-func (s *Sort) Next() (record.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
 // NextBatch emits the next run of sorted rows.
 func (s *Sort) NextBatch(dst *RowBatch) (int, error) {
 	return emitRows(s.rows, &s.pos, dst)
@@ -472,7 +373,6 @@ func (s *Sort) Close() error {
 type Materialize struct {
 	Child Operator
 
-	batch  int   // execution mode; see SetBatchSize
 	exec   *Exec // statement controls; see SetExec
 	rows   []record.Tuple
 	filled bool
@@ -485,7 +385,7 @@ func (m *Materialize) Schema() Schema { return m.Child.Schema() }
 // Open fills the buffer on first use and rewinds on every use.
 func (m *Materialize) Open() error {
 	if !m.filled {
-		rows, err := drainChild(m.Child, m.batch, m.exec)
+		rows, err := Drain(m.Child, m.exec)
 		if err != nil {
 			return err
 		}
@@ -494,16 +394,6 @@ func (m *Materialize) Open() error {
 	}
 	m.pos = 0
 	return nil
-}
-
-// Next replays the next buffered row.
-func (m *Materialize) Next() (record.Tuple, bool, error) {
-	if m.pos >= len(m.rows) {
-		return nil, false, nil
-	}
-	t := m.rows[m.pos]
-	m.pos++
-	return t, true, nil
 }
 
 // NextBatch replays the next run of buffered rows.
@@ -526,16 +416,6 @@ func (v *Values) Schema() Schema { return v.Cols }
 
 // Open resets the cursor.
 func (v *Values) Open() error { v.pos = 0; return nil }
-
-// Next emits the next constant row.
-func (v *Values) Next() (record.Tuple, bool, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, false, nil
-	}
-	t := v.Rows[v.pos]
-	v.pos++
-	return t, true, nil
-}
 
 // NextBatch emits the next run of constant rows.
 func (v *Values) NextBatch(dst *RowBatch) (int, error) {

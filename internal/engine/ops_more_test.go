@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"veridb/internal/record"
@@ -38,7 +40,7 @@ func TestMaterializeDrainsChildOnce(t *testing.T) {
 	}}
 	m := &Materialize{Child: src}
 	for round := 0; round < 3; round++ {
-		rows, err := Drain(m)
+		rows, err := Drain(m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +61,7 @@ func TestNestedLoopWithMaterializedInner(t *testing.T) {
 		Inner: &Materialize{Child: innerScan},
 	}
 	j.On = compileStr(t, "q.id = i.id AND q.count > i.count", j.Schema())
-	rows, err := Drain(projectCols(t, j, "q.id", "q.count", "i.count"))
+	rows, err := Drain(projectCols(t, j, "q.id", "q.count", "i.count"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestIndexJoinOnSecondaryChain(t *testing.T) {
 		InnerCol:   1, // grp column with chain
 		OuterKey:   compileValue(t, "q.id % 3", outer.Schema()),
 	}
-	rows, err := Drain(j)
+	rows, err := Drain(j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestIndexJoinOnSecondaryChain(t *testing.T) {
 
 func TestLimitZero(t *testing.T) {
 	src := valuesOp(row(1, 1, "a", true))
-	rows, err := Drain(&Limit{Child: src, N: 0})
+	rows, err := Drain(&Limit{Child: src, N: 0}, nil)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("LIMIT 0: %v, %v", rows, err)
 	}
@@ -112,7 +114,7 @@ func TestLimitZero(t *testing.T) {
 
 func TestSortEmptyInput(t *testing.T) {
 	s := &Sort{Child: valuesOp(), Keys: []SortKey{{Expr: compileValue(t, "a", testSchema)}}}
-	rows, err := Drain(s)
+	rows, err := Drain(s, nil)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty sort: %v, %v", rows, err)
 	}
@@ -126,7 +128,7 @@ func TestHashJoinEmptyBuildSide(t *testing.T) {
 		LeftKey:  compileValue(t, "l.k", ls),
 		RightKey: compileValue(t, "r.k", Schema{{Table: "r", Name: "k", Type: record.TypeInt}}),
 	}
-	rows, err := Drain(j)
+	rows, err := Drain(j, nil)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty build side: %v, %v", rows, err)
 	}
@@ -146,9 +148,206 @@ func TestMergeJoinEmptySides(t *testing.T) {
 			LeftKey:  compileValue(t, "l.k", ls),
 			RightKey: compileValue(t, "r.k", rs),
 		}
-		out, err := Drain(j)
+		out, err := Drain(j, nil)
 		if err != nil || len(out) != 0 {
 			t.Fatalf("%s: %v, %v", name, out, err)
 		}
+	}
+}
+
+// drainAt attaches a statement Exec of the given batch capacity to the
+// tree and drains it.
+func drainAt(op Operator, capacity int) ([]record.Tuple, error) {
+	ex := NewExec(nil, nil, capacity)
+	SetExec(op, ex)
+	return Drain(op, ex)
+}
+
+// capacityFixture is the 50-row src table of spillFixture plus, in the same
+// store, dim: the 25 even ids 2..50 with a secondary chain on grp =
+// (id/2)%5, so every join strategy and the secondary-chain probe have
+// partial matches.
+func capacityFixture(t *testing.T) (*storage.Store, *storage.Table, *storage.Table) {
+	t.Helper()
+	st, src := spillFixture(t)
+	spec := groupedSpec()
+	spec.Name = "dim"
+	dim, err := st.CreateTable(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(2); id <= 50; id += 2 {
+		if err := dim.Insert(record.Tuple{record.Int(id), record.Int((id / 2) % 5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st, src, dim
+}
+
+// TestOperatorsCapacityInvariant drains every operator at batch capacities
+// 1, 7 and 256. The recorded rows (count and FNV-1a of their printed form),
+// error text and per-scan Visited() counts are what the tuple-at-a-time
+// executor produced for the same trees before it was deleted: every
+// capacity must reproduce the rows and the error, and capacity 1 — one row
+// per NextBatch through the same operators — must also read exactly the
+// chain records the scalar path read.
+func TestOperatorsCapacityInvariant(t *testing.T) {
+	st, src, dim := capacityFixture(t)
+	srcScan := func() *TableScan { return NewTableScan(src, "s") }
+	srcRange := func(lo, hi int64) *TableScan {
+		l, h := record.Int(lo), record.Int(hi)
+		return NewRangeScan(src, "s", 0, &l, &h)
+	}
+	dimScan := func() *TableScan { return NewTableScan(dim, "d") }
+	filter := func(child Operator, pred string) *Filter {
+		return &Filter{Child: child, Pred: compileStr(t, pred, child.Schema())}
+	}
+	project := func(child Operator, exprs ...string) *Project {
+		p := &Project{Child: child, Names: exprs}
+		for _, e := range exprs {
+			p.Exprs = append(p.Exprs, compileValue(t, e, child.Schema()))
+		}
+		return p
+	}
+	cases := []struct {
+		name    string
+		build   func() (Operator, []*TableScan)
+		rows    int
+		hash    uint64
+		visited []int
+		err     string
+	}{
+		{name: "scan", rows: 50, hash: 0x8fcb28e48fd03483, visited: []int{51}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return s, []*TableScan{s}
+		}},
+		{name: "rangeScan", rows: 21, hash: 0xc618bd90e65704ed, visited: []int{21}, build: func() (Operator, []*TableScan) {
+			s := srcRange(10, 30)
+			return s, []*TableScan{s}
+		}},
+		{name: "filter", rows: 10, hash: 0xa0339a64df65d8cb, visited: []int{51}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return filter(s, "s.id % 5 = 0"), []*TableScan{s}
+		}},
+		{name: "filterWholeBatchesDie", rows: 10, hash: 0xbb38b71b49111fc1, visited: []int{51}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return filter(s, "s.id > 40"), []*TableScan{s}
+		}},
+		{name: "stackedFilters", rows: 20, hash: 0xb96e1330ccbb3739, visited: []int{51}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return filter(filter(s, "s.id > 10"), "s.id % 2 = 0"), []*TableScan{s}
+		}},
+		{name: "project", rows: 10, hash: 0x3503efbc76939727, visited: []int{51}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return project(filter(s, "s.id % 5 = 0"), "s.id * 2", "s.payload"), []*TableScan{s}
+		}},
+		{name: "limitCutsBatch", rows: 10, hash: 0x9226e46753b140ab, visited: []int{11}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return &Limit{Child: s, N: 10}, []*TableScan{s}
+		}},
+		{name: "limitOverFilter", rows: 3, hash: 0xab457d0d751f23a3, visited: []int{16}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return &Limit{Child: filter(s, "s.id % 5 = 0"), N: 3}, []*TableScan{s}
+		}},
+		{name: "sort", rows: 21, hash: 0xe98252953de4289d, visited: []int{21}, build: func() (Operator, []*TableScan) {
+			s := srcRange(10, 30)
+			return &Sort{Child: s, Keys: []SortKey{{Expr: compileValue(t, "s.id", s.Schema()), Desc: true}}}, []*TableScan{s}
+		}},
+		{name: "materialize", rows: 50, hash: 0x8fcb28e48fd03483, visited: []int{51}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return &Materialize{Child: s}, []*TableScan{s}
+		}},
+		{name: "values", rows: 5, hash: 0x550f5e6031fe981f, build: func() (Operator, []*TableScan) {
+			v := &Values{Cols: testSchema, Rows: edgeRows()}
+			return filter(v, "a IS NOT NULL"), nil
+		}},
+		{name: "hashAggregate", rows: 4, hash: 0xd2af63bec8cb2500, visited: []int{51}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return &HashAggregate{
+				Child:   s,
+				GroupBy: []*Compiled{compileValue(t, "s.id % 4", s.Schema())},
+				Names:   []string{"g"},
+				Aggs: []AggSpec{
+					{Func: AggCount, Name: "n"},
+					{Func: AggSum, Arg: compileValue(t, "s.id", s.Schema()), Name: "sum"},
+				},
+			}, []*TableScan{s}
+		}},
+		{name: "nestedLoopJoin", rows: 5, hash: 0xcaf427cefafe516e, visited: []int{10, 26}, build: func() (Operator, []*TableScan) {
+			o, i := srcRange(1, 10), dimScan()
+			j := &NestedLoopJoin{Outer: o, Inner: i}
+			j.On = compileStr(t, "s.id = d.id", j.Schema())
+			return j, []*TableScan{o, i}
+		}},
+		{name: "indexJoinPrimary", rows: 25, hash: 0xc637c83620f2288e, visited: []int{51}, build: func() (Operator, []*TableScan) {
+			o := srcScan()
+			return &IndexJoin{Outer: o, InnerTable: dim, InnerAlias: "d", InnerCol: 0,
+				OuterKey: compileValue(t, "s.id", o.Schema())}, []*TableScan{o}
+		}},
+		{name: "indexJoinSecondaryChain", rows: 20, hash: 0x445e39921b5abfe1, visited: []int{6}, build: func() (Operator, []*TableScan) {
+			o := srcRange(1, 6)
+			return &IndexJoin{Outer: o, InnerTable: dim, InnerAlias: "d", InnerCol: 1,
+				OuterKey: compileValue(t, "s.id", o.Schema())}, []*TableScan{o}
+		}},
+		{name: "limitOverIndexJoin", rows: 5, hash: 0xcaf427cefafe516e, visited: []int{11}, build: func() (Operator, []*TableScan) {
+			o := srcScan()
+			return &Limit{N: 5, Child: &IndexJoin{Outer: o, InnerTable: dim, InnerAlias: "d", InnerCol: 0,
+				OuterKey: compileValue(t, "s.id", o.Schema())}}, []*TableScan{o}
+		}},
+		{name: "mergeJoin", rows: 25, hash: 0xc637c83620f2288e, visited: []int{51, 26}, build: func() (Operator, []*TableScan) {
+			l, r := srcScan(), dimScan()
+			return &MergeJoin{Left: l, Right: r,
+				LeftKey:  compileValue(t, "s.id", l.Schema()),
+				RightKey: compileValue(t, "d.id", r.Schema())}, []*TableScan{l, r}
+		}},
+		{name: "hashJoin", rows: 25, hash: 0xc637c83620f2288e, visited: []int{51, 26}, build: func() (Operator, []*TableScan) {
+			l, r := srcScan(), dimScan()
+			return &HashJoin{Left: l, Right: r,
+				LeftKey:  compileValue(t, "s.id", l.Schema()),
+				RightKey: compileValue(t, "d.id", r.Schema())}, []*TableScan{l, r}
+		}},
+		{name: "spool", rows: 50, hash: 0x8fcb28e48fd03483, visited: []int{51}, build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return &Spool{Child: s, Store: st}, []*TableScan{s}
+		}},
+		{name: "errorMidScan", rows: 0, hash: 0x9612b07b5ecb5a5, visited: []int{31}, err: "engine: integer division by zero", build: func() (Operator, []*TableScan) {
+			s := srcScan()
+			return project(s, "s.id / (s.id - 30)"), []*TableScan{s}
+		}},
+	}
+	for _, tc := range cases {
+		for _, capacity := range []int{1, 7, 256} {
+			op, scans := tc.build()
+			rows, err := drainAt(op, capacity)
+			if sp, ok := op.(*Spool); ok {
+				if err := sp.Drop(); err != nil {
+					t.Fatalf("%s: drop: %v", tc.name, err)
+				}
+			}
+			errText := ""
+			if err != nil {
+				errText = err.Error()
+			}
+			h := fnv.New64a()
+			fmt.Fprint(h, rows)
+			if errText != tc.err || len(rows) != tc.rows || h.Sum64() != tc.hash {
+				t.Errorf("%s capacity %d: rows %d hash %#x err %q; scalar executor gave rows %d hash %#x err %q",
+					tc.name, capacity, len(rows), h.Sum64(), errText, tc.rows, tc.hash, tc.err)
+			}
+			if capacity != 1 {
+				continue
+			}
+			visited := make([]int, len(scans))
+			for i, s := range scans {
+				visited[i] = s.Visited()
+			}
+			if fmt.Sprint(visited) != fmt.Sprint(tc.visited) {
+				t.Errorf("%s capacity 1: scans visited %v chain records, scalar executor visited %v",
+					tc.name, visited, tc.visited)
+			}
+		}
+	}
+	if err := st.Memory().VerifyAll(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,7 +8,7 @@ import "veridb/internal/storage"
 // regardless of concurrent writers. nil clears the snapshot (the plan
 // cache re-targets cached trees per execution). The tree borrows the
 // snapshot: the caller that pinned it closes it after the statement
-// drains. Call before Open, like SetBatchSize.
+// drains. Call before Open, like SetExec.
 func SetSnapshot(op Operator, snap *storage.Snapshot) {
 	switch x := op.(type) {
 	case *TableScan:

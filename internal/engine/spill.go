@@ -29,7 +29,6 @@ type Spool struct {
 	// Store hosts the temporary table.
 	Store storage.Catalog
 
-	batch  int   // execution mode; see SetBatchSize
 	exec   *Exec // statement controls; see SetExec
 	table  storage.Engine
 	name   string
@@ -99,51 +98,35 @@ func (s *Spool) fill() (err error) {
 		return err
 	}
 	defer s.Child.Close()
-	cur := newBatchCursor(s.Child, s.batch)
+	in := NewRowBatch(s.exec.BatchCap())
 	row := int64(0)
-	var pending int64
 	for {
-		if row%ctxCheckStride == 0 {
-			if err := s.exec.Err(); err != nil {
-				return err
-			}
-			// Spooled rows land in the verified store's heap; charge them
-			// like any other materialisation so a runaway spill hits the
-			// budget instead of the allocator.
-			if err := s.exec.ChargeBytes(pending); err != nil {
-				return err
-			}
-			pending = 0
-		}
-		tup, ok, err := cur.next()
-		if err != nil {
+		if err := s.exec.Err(); err != nil {
 			return err
 		}
-		if !ok {
-			return s.exec.ChargeBytes(pending)
-		}
-		spilled := make(record.Tuple, 0, len(tup)+1)
-		spilled = append(spilled, record.Int(row))
-		spilled = append(spilled, tup...)
-		if err := t.Insert(spilled); err != nil {
+		n, err := s.Child.NextBatch(in)
+		if err != nil || n == 0 {
 			return err
 		}
-		row++
-		pending += record.TupleBytes(spilled)
+		var spilledBytes int64
+		for i := 0; i < n; i++ {
+			tup := in.Row(i)
+			spilled := make(record.Tuple, 0, len(tup)+1)
+			spilled = append(spilled, record.Int(row))
+			spilled = append(spilled, tup...)
+			if err := t.Insert(spilled); err != nil {
+				return err
+			}
+			row++
+			spilledBytes += record.TupleBytes(spilled)
+		}
+		// Spooled rows land in the verified store's heap; charge them like
+		// any other materialisation so a runaway spill hits the budget
+		// instead of the allocator.
+		if err := s.exec.ChargeBytes(spilledBytes); err != nil {
+			return err
+		}
 	}
-}
-
-// Next replays the next spooled row through the verified scan, stripping
-// the row-number column.
-func (s *Spool) Next() (record.Tuple, bool, error) {
-	if s.sc == nil {
-		return nil, false, fmt.Errorf("engine: spool not open")
-	}
-	tup, ok, err := s.sc.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return tup[1:], true, nil
 }
 
 // NextBatch replays the next batch of spooled rows through the verified

@@ -42,11 +42,11 @@ func TestSpoolMatchesMaterialize(t *testing.T) {
 	sp := &Spool{Child: NewTableScan(tb, "src"), Store: st}
 	m := &Materialize{Child: NewTableScan(tb, "src")}
 	for round := 0; round < 3; round++ { // replays included
-		got, err := Drain(sp)
+		got, err := Drain(sp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Drain(m)
+		want, err := Drain(m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestSpoolSchemaAndRowOrder(t *testing.T) {
 	if got := sp.Schema(); len(got) != 2 || got[0].Name != "id" {
 		t.Fatalf("schema %v", got)
 	}
-	rows, err := Drain(sp)
+	rows, err := Drain(sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSpoolSchemaAndRowOrder(t *testing.T) {
 func TestSpoolTamperDetected(t *testing.T) {
 	st, tb := spillFixture(t)
 	sp := &Spool{Child: NewTableScan(tb, "src"), Store: st}
-	if _, err := Drain(sp); err != nil {
+	if _, err := Drain(sp, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt a record in whichever page holds spooled rows: pick any
@@ -127,7 +127,7 @@ func TestSpoolOnEmptyChild(t *testing.T) {
 	st, _ := spillFixture(t)
 	sp := &Spool{Child: &Values{Cols: Schema{{Name: "a", Type: record.TypeInt}}}, Store: st}
 	defer sp.Drop()
-	rows, err := Drain(sp)
+	rows, err := Drain(sp, nil)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty spool: %v, %v", rows, err)
 	}
@@ -144,7 +144,10 @@ type failAfter struct {
 func (f *failAfter) Schema() Schema { return Schema{{Name: "a", Type: record.TypeInt}} }
 func (f *failAfter) Open() error    { f.seen = 0; return nil }
 func (f *failAfter) Close() error   { return nil }
-func (f *failAfter) Next() (record.Tuple, bool, error) {
+func (f *failAfter) NextBatch(dst *RowBatch) (int, error) {
+	return storage.FillBatch(f.next, dst)
+}
+func (f *failAfter) next() (record.Tuple, bool, error) {
 	if f.seen >= f.n {
 		return nil, false, errors.New("child failed mid-drain")
 	}
@@ -168,8 +171,8 @@ func countSpoolTables(st *storage.Store) int {
 // (its pages would stay in the verified set and bloat every later scan).
 func TestSpoolCleanupOnFillError(t *testing.T) {
 	st, _ := spillFixture(t)
-	for _, batch := range []int{0, 8} { // scalar and vectorized fills
-		sp := &Spool{Child: &failAfter{n: 20}, Store: st, batch: batch}
+	for _, batch := range []int{1, 8} { // the failure lands at and inside a batch boundary
+		sp := &Spool{Child: &failAfter{n: 20}, Store: st, exec: NewExec(nil, nil, batch)}
 		if err := sp.Open(); err == nil {
 			t.Fatalf("batch=%d: spool of failing child opened cleanly", batch)
 		}
@@ -188,26 +191,26 @@ func TestSpoolCleanupOnFillError(t *testing.T) {
 	}
 }
 
-// TestSpoolBatchedReplayMatchesScalar replays the same spool batch-wise
-// and row-at-a-time; the row-number column must be stripped identically.
-func TestSpoolBatchedReplayMatchesScalar(t *testing.T) {
+// TestSpoolReplayAcrossCapacities replays the same spool one row and seven
+// rows at a time; the row-number column must be stripped identically.
+func TestSpoolReplayAcrossCapacities(t *testing.T) {
 	st, tb := spillFixture(t)
 	sp := &Spool{Child: NewTableScan(tb, "src"), Store: st}
 	defer sp.Drop()
-	want, err := Drain(sp)
+	want, err := drainAt(sp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DrainBatches(sp, 7)
+	got, err := drainAt(sp, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) || len(got) != 50 {
-		t.Fatalf("batched replay %d rows, scalar %d", len(got), len(want))
+		t.Fatalf("capacity 7 replay %d rows, capacity 1 %d", len(got), len(want))
 	}
 	for i := range got {
 		if len(got[i]) != 2 || got[i][0].I != want[i][0].I || got[i][1].S != want[i][1].S {
-			t.Fatalf("row %d: batched %v, scalar %v", i, got[i], want[i])
+			t.Fatalf("row %d: capacity 7 %v, capacity 1 %v", i, got[i], want[i])
 		}
 	}
 }

@@ -48,11 +48,6 @@ const (
 // Options tune planning.
 type Options struct {
 	Join JoinStrategy
-	// ExecBatchSize is the vectorized execution batch size; <= 1 compiles
-	// the exact legacy tuple-at-a-time plan. The planner may still fall
-	// back to tuple-at-a-time for trivially small inputs
-	// (EffectiveBatchSize).
-	ExecBatchSize int
 }
 
 // binding is one FROM/JOIN table with its alias.
@@ -123,15 +118,7 @@ func PlanSelect(cat Catalog, sel *sql.Select, opt Options) (engine.Operator, err
 	if err != nil {
 		return nil, err
 	}
-	op, err = finishSelect(op, sel)
-	if err != nil {
-		return nil, err
-	}
-	// Fix the execution mode before the tree opens: pipeline breakers
-	// consume their children inside Open, so the batch-vs-scalar choice
-	// must be baked into the plan, not made at drain time.
-	engine.SetBatchSize(op, EffectiveBatchSize(op, opt.ExecBatchSize))
-	return op, nil
+	return finishSelect(op, sel)
 }
 
 // qualifyRefs fills in the table alias of unqualified column references

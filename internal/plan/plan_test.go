@@ -86,7 +86,7 @@ func run(t *testing.T, st *storage.Store, query string, opt Options) []record.Tu
 	if err != nil {
 		t.Fatalf("plan %q: %v", query, err)
 	}
-	rows, err := engine.Drain(op)
+	rows, err := engine.Drain(op, nil)
 	if err != nil {
 		t.Fatalf("run %q: %v", query, err)
 	}
@@ -127,7 +127,7 @@ func TestWherePushdownRangeScan(t *testing.T) {
 	if !strings.Contains(desc, "RangeScan") {
 		t.Fatalf("no pushdown:\n%s", desc)
 	}
-	rows, err := engine.Drain(op)
+	rows, err := engine.Drain(op, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSecondaryChainPushdown(t *testing.T) {
 	if !strings.Contains(Describe(op), "RangeScan(orders as orders, col=cust)") {
 		t.Fatalf("no secondary pushdown:\n%s", Describe(op))
 	}
-	rows, err := engine.Drain(op)
+	rows, err := engine.Drain(op, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestUnqualifiedJoinColumnsGetQualified(t *testing.T) {
 	if desc := Describe(op); !strings.Contains(desc, "MergeJoin") {
 		t.Fatalf("unqualified equi-join did not plan a merge join:\n%s", desc)
 	}
-	rows, err := engine.Drain(op)
+	rows, err := engine.Drain(op, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,19 +328,44 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 	p.mu.Unlock()
 
 	resp := &Response{QID: req.QID, Seq: p.seq.Add(1)}
-	if q, ok := p.exec.(Quarantiner); ok {
-		if qerr := q.QuarantineError(); qerr != nil {
-			// The database is fenced: endorse the quarantine itself, never
-			// a result computed from tampered state.
-			resp.Quarantined = true
-			resp.ErrMsg = qerr.Error()
-			resp.MAC = SignResponse(key, resp)
-			p.cacheResponse(st, resp)
-			return resp, nil
+	// fenced reports whether the database is quarantined and, if so, makes
+	// resp endorse the quarantine itself, never a result computed from
+	// tampered state.
+	fenced := func() bool {
+		q, ok := p.exec.(Quarantiner)
+		if !ok {
+			return false
+		}
+		qerr := q.QuarantineError()
+		if qerr == nil {
+			return false
+		}
+		resp.Quarantined = true
+		resp.ErrMsg = qerr.Error()
+		return true
+	}
+	if !fenced() {
+		res, err := p.execute(req)
+		switch {
+		case err == nil:
+			resp.Columns = res.Columns
+			resp.Rows = res.Rows
+			resp.Affected = res.Affected
+		// An alarm raised after the first check fails the statement inside
+		// the executor: the client must get the quarantine flag, not an
+		// ordinary statement error from a dying instance. So check again.
+		case !fenced():
+			resp.ErrMsg = err.Error()
 		}
 	}
-	var res *Result
-	var err error
+	resp.MAC = SignResponse(key, resp)
+	p.cacheResponse(st, resp)
+	return resp, nil
+}
+
+// execute runs the request's statement on the widest interface the
+// executor offers, under the request's own deadline if it carries one.
+func (p *Portal) execute(req Request) (*Result, error) {
 	if ce, ok := p.exec.(ContextExecutor); ok {
 		ctx := context.Background()
 		if req.TimeoutMS > 0 {
@@ -348,22 +373,12 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 			defer cancel()
 		}
-		res, err = ce.ExecuteContext(ctx, req.ClientID, req.Query)
-	} else if se, ok := p.exec.(SessionExecutor); ok {
-		res, err = se.ExecuteSession(req.ClientID, req.Query)
-	} else {
-		res, err = p.exec.Execute(req.Query)
+		return ce.ExecuteContext(ctx, req.ClientID, req.Query)
 	}
-	if err != nil {
-		resp.ErrMsg = err.Error()
-	} else {
-		resp.Columns = res.Columns
-		resp.Rows = res.Rows
-		resp.Affected = res.Affected
+	if se, ok := p.exec.(SessionExecutor); ok {
+		return se.ExecuteSession(req.ClientID, req.Query)
 	}
-	resp.MAC = SignResponse(key, resp)
-	p.cacheResponse(st, resp)
-	return resp, nil
+	return p.exec.Execute(req.Query)
 }
 
 // cacheResponse stores an endorsed response for retry idempotence. Two

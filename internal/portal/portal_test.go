@@ -236,3 +236,45 @@ func TestResponseDigestSensitivity(t *testing.T) {
 		t.Fatal("digest not deterministic")
 	}
 }
+
+// lateQuarantineExec models an alarm that lands between the portal's fence
+// check and execution: the first QuarantineError call is clean, Execute
+// then fails the way core.DB does once fenced, and every later
+// QuarantineError call reports the compromise.
+type lateQuarantineExec struct {
+	qerr   error
+	checks int
+}
+
+func (q *lateQuarantineExec) QuarantineError() error {
+	if q.checks++; q.checks == 1 {
+		return nil
+	}
+	return q.qerr
+}
+
+func (q *lateQuarantineExec) Execute(string) (*Result, error) { return nil, q.qerr }
+
+// TestQuarantineRaisedDuringExecutionIsFlagged: a statement that fails
+// because the database was fenced under it must come back as an
+// authenticated quarantine response, not as an ordinary statement error
+// the client would take for a healthy instance's answer.
+func TestQuarantineRaisedDuringExecutionIsFlagged(t *testing.T) {
+	exec := &lateQuarantineExec{qerr: errors.New("tamper alarm")}
+	p, key := newPortal(t, exec)
+	req := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
+	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	resp, err := p.Serve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exec.checks != 2 {
+		t.Fatalf("QuarantineError consulted %d times, want before and after execution", exec.checks)
+	}
+	if !resp.Quarantined || resp.ErrMsg != "tamper alarm" {
+		t.Fatalf("resp %+v", resp)
+	}
+	if !bytes.Equal(resp.MAC, SignResponse(key, resp)) {
+		t.Fatal("quarantine response MAC does not verify")
+	}
+}

@@ -159,9 +159,9 @@ func (m *Memory) scanPage(part *partition, vp *vPage) {
 
 // rotate closes the partition's epoch: the read and write sets must now
 // hash the same multiset (Alg. 2 line 9); any divergence is evidence of
-// tampering and raises a sticky alarm. The next-epoch accumulators become
-// current.
-func (m *Memory) rotate(part *partition) error {
+// tampering and raises the sticky alarm, which is how every caller learns
+// of it. The next-epoch accumulators become current.
+func (m *Memory) rotate(part *partition) {
 	part.mu.Lock()
 	ok := part.rsCur.Equal(&part.wsCur)
 	rsSum, wsSum := part.rsCur.Sum(), part.wsCur.Sum()
@@ -175,12 +175,9 @@ func (m *Memory) rotate(part *partition) error {
 	part.mu.Unlock()
 	m.rotations.Add(1)
 	if !ok {
-		err := fmt.Errorf("%w: epoch %d, h(RS)=%v != h(WS)=%v",
-			ErrTamperDetected, epoch, rsSum, wsSum)
-		m.raiseAlarm(err)
-		return err
+		m.raiseAlarm(fmt.Errorf("%w: epoch %d, h(RS)=%v != h(WS)=%v",
+			ErrTamperDetected, epoch, rsSum, wsSum))
 	}
-	return nil
 }
 
 // partitionPageIDs snapshots the partition's registered pages.
@@ -202,8 +199,8 @@ func (part *partition) lookupLocal(id uint64) *vPage {
 }
 
 // scanPartition runs one complete verification pass over a partition and
-// rotates its epoch, returning the tamper alarm if the sets diverged.
-func (m *Memory) scanPartition(part *partition) error {
+// rotates its epoch.
+func (m *Memory) scanPartition(part *partition) {
 	part.scanMu.Lock()
 	defer part.scanMu.Unlock()
 	part.mu.Lock()
@@ -214,28 +211,43 @@ func (m *Memory) scanPartition(part *partition) error {
 			m.scanPage(part, vp)
 		}
 	}
-	return m.rotate(part)
+	m.rotate(part)
 }
 
-// VerifyAll runs a full verification pass over every partition and returns
-// the first (lowest-partition-index) tamper alarm encountered; all
-// partitions are still scanned, so every epoch rotates. Partitions are
-// scanned by up to VerifyWorkers goroutines at once — each partition has
-// its own RSWS lock and scan lock (§4.3), so passes are independent.
-// Callers running a background verifier should stop it first; otherwise
-// VerifyAll waits for in-flight partition passes.
+// VerifyAll runs a full verification pass over every partition — all of
+// them, so every epoch rotates — and returns the sticky alarm: nil only
+// if no rotation, in this call, in the background verifier or in any
+// earlier pass, ever found the read and write sets diverged. (A tampered
+// epoch the background pass rotated first leaves the next epoch
+// self-consistent; the alarm it raised is the answer, not this call's own
+// clean rotations.) Partitions are scanned by up to VerifyWorkers
+// goroutines at once — each partition has its own RSWS lock and scan lock
+// (§4.3), so passes are independent.
+//
+// A running background verifier is paused for the call: its pass in
+// flight is completed at once rather than at the pace of protected
+// operations — it holds that partition's scan lock between kicks, and on
+// an idle instance no kick would ever come — and paced scanning resumes
+// when VerifyAll returns.
 func (m *Memory) VerifyAll() error {
+	if v := m.verifier.Load(); v != nil {
+		// Once the loop has taken the request it finishes its pass without
+		// waiting for kicks, which releases the scan lock scanPartition
+		// below queues on, and starts no new pass until resume is closed.
+		resume := make(chan struct{})
+		select {
+		case v.pause <- resume:
+			defer close(resume)
+		case <-v.done: // stopped meanwhile: nothing holds a scan lock
+		}
+	}
 	workers := min(m.cfg.VerifyWorkers, len(m.parts))
 	if workers <= 1 {
-		var first error
 		for _, part := range m.parts {
-			if err := m.scanPartition(part); err != nil && first == nil {
-				first = err
-			}
+			m.scanPartition(part)
 		}
-		return first
+		return m.Alarm()
 	}
-	errs := make([]error, len(m.parts))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -247,17 +259,12 @@ func (m *Memory) VerifyAll() error {
 				if i >= len(m.parts) {
 					return
 				}
-				errs[i] = m.scanPartition(m.parts[i])
+				m.scanPartition(m.parts[i])
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.Alarm()
 }
 
 // ResidentChecksum XORs every page's last-scanned resident digest into one
@@ -295,6 +302,7 @@ type verifier struct {
 	opsPerScan uint64
 	opsSince   atomic.Uint64
 	kick       chan struct{}
+	pause      chan chan struct{} // VerifyAll hands over its resume channel
 	stop       chan struct{}
 	done       chan struct{}
 
@@ -314,6 +322,7 @@ func (m *Memory) StartVerifier(opsPerPageScan int) error {
 	v := &verifier{
 		opsPerScan: uint64(opsPerPageScan),
 		kick:       make(chan struct{}, 4096),
+		pause:      make(chan chan struct{}),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		tasks:      make(chan scanTask),
@@ -369,8 +378,8 @@ func (m *Memory) maybePace() {
 // verifierLoop drives paced scanning: one page dispatched to the scanner
 // pool per kick, rotating a partition's epoch whenever its pass completes
 // (after all in-flight page scans of the pass have drained), then moving to
-// the next partition. On stop it completes the in-flight pass so locks and
-// epoch state end balanced.
+// the next partition. On stop, and when VerifyAll pauses it, it completes
+// the in-flight pass so locks and epoch state end balanced.
 func (m *Memory) verifierLoop(v *verifier) {
 	defer close(v.done)
 	pi := 0
@@ -394,8 +403,8 @@ func (m *Memory) verifierLoop(v *verifier) {
 		}
 	}
 	endPass := func() {
-		v.inflight.Wait()  // every page of the pass scanned before rotation
-		_ = m.rotate(part) // alarm recorded; background pass keeps going
+		v.inflight.Wait() // every page of the pass scanned before rotation
+		m.rotate(part)    // a divergence raises the alarm; the pass keeps going
 		part.scanMu.Unlock()
 		inPass = false
 		pi = (pi + 1) % len(m.parts)
@@ -429,6 +438,13 @@ func (m *Memory) verifierLoop(v *verifier) {
 		case <-v.stop:
 			finishPass()
 			return
+		case resume := <-v.pause:
+			finishPass()
+			select {
+			case <-resume:
+			case <-v.stop:
+				return
+			}
 		case <-v.kick:
 			step()
 		}

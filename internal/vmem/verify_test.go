@@ -98,7 +98,7 @@ func TestParallelScanResidentMatchesSerial(t *testing.T) {
 // multi-worker VerifyAll is mid-pass over a partitioned memory, with
 // protected operations running concurrently on other pages. Whichever
 // epoch the tampered read lands in, the sticky alarm must be raised within
-// two further full passes.
+// two full passes that start after the tamper.
 func TestTamperDetectedUnderConcurrentVerifyAll(t *testing.T) {
 	m, err := New(enclave.NewForTest(7), Config{Partitions: 8, FullScan: true, VerifyWorkers: 8})
 	if err != nil {
@@ -141,9 +141,11 @@ func TestTamperDetectedUnderConcurrentVerifyAll(t *testing.T) {
 		}(w)
 	}
 	// The tamperer strikes mid-pass.
+	tampered := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(tampered)
 		<-start
 		time.Sleep(100 * time.Microsecond)
 		if err := m.TamperRecord(victim, slot, []byte("the-corrupted-balance")); err != nil {
@@ -152,11 +154,20 @@ func TestTamperDetectedUnderConcurrentVerifyAll(t *testing.T) {
 	}()
 
 	close(start)
-	// Up to three passes: one racing the tamper, two guaranteed to follow
-	// it (full-scan mode rescans every page, so the divergence cannot stay
-	// hidden past the next complete epoch).
+	// Passes race the tamper until it has landed — on a busy host the
+	// tamperer can wake after any number of them — then two are guaranteed
+	// to follow it (full-scan mode rescans every page, so the divergence
+	// cannot stay hidden past the next complete epoch).
 	var verr error
-	for pass := 0; pass < 3 && verr == nil; pass++ {
+	for landed := false; !landed && verr == nil; {
+		select {
+		case <-tampered:
+			landed = true
+		default:
+			verr = m.VerifyAll()
+		}
+	}
+	for pass := 0; pass < 2 && verr == nil; pass++ {
 		verr = m.VerifyAll()
 	}
 	close(stop)
@@ -241,6 +252,103 @@ func TestConcurrentVerifyAllAndBackgroundVerifier(t *testing.T) {
 	m.StopVerifier()
 	if err := m.VerifyAll(); err != nil {
 		t.Fatalf("final pass: %v", err)
+	}
+}
+
+// TestVerifyAllReturnsAlarmRaisedByBackgroundPass: when the background
+// verifier's pass is the one that rotates the tampered epoch, the next
+// epoch is self-consistent and VerifyAll's own rotations are all clean —
+// it must still answer with the alarm that pass raised.
+func TestVerifyAllReturnsAlarmRaisedByBackgroundPass(t *testing.T) {
+	m, err := New(enclave.NewForTest(13), Config{FullScan: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := loadRandomPages(t, m, 4, 4)
+	slot, err := m.Insert(pids[0], []byte("watched-value"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.TamperRecord(pids[0], slot, []byte("corrupt-value")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StartVerifier(1); err != nil {
+		t.Fatal(err)
+	}
+	defer m.StopVerifier()
+	// Traffic on another page paces the background pass until it has
+	// rotated the tampered epoch.
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Alarm() == nil && time.Now().Before(deadline) {
+		if _, err := m.Get(pids[1], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Alarm() == nil {
+		t.Fatal("background verifier missed tampering")
+	}
+	if err := m.VerifyAll(); !errors.Is(err, ErrTamperDetected) {
+		t.Fatalf("VerifyAll after the background pass raised the alarm: %v", err)
+	}
+}
+
+// TestVerifyAllOnIdleMemoryWithPassInFlight: the background verifier holds
+// a partition's scan lock from the first page of a pass to its rotation,
+// and advances only when protected operations kick it. With a pass left in
+// flight and no further traffic, VerifyAll must still return, and paced
+// scanning must pick up again afterwards.
+func TestVerifyAllOnIdleMemoryWithPassInFlight(t *testing.T) {
+	m, err := New(enclave.NewForTest(17), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := loadRandomPages(t, m, 8, 5)
+	if err := m.StartVerifier(4); err != nil {
+		t.Fatal(err)
+	}
+	defer m.StopVerifier()
+	// Four operations are one kick: the pass over the only partition
+	// starts, scans one page of eight and waits for a kick that never
+	// comes.
+	for i := 0; i < 4; i++ {
+		if _, err := m.Get(pids[0], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	part := m.parts[0]
+	inPass := func() bool {
+		part.mu.Lock()
+		defer part.mu.Unlock()
+		return part.scanning
+	}
+	for deadline := time.Now().Add(2 * time.Second); !inPass(); {
+		if time.Now().After(deadline) {
+			t.Fatal("background pass never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan error, 1)
+	go func() { done <- m.VerifyAll() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("VerifyAll on clean memory: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("VerifyAll blocked behind an idle background pass")
+	}
+	// Two rotations so far: the pass VerifyAll had the verifier finish,
+	// and VerifyAll's own. Traffic must drive a third.
+	for deadline := time.Now().Add(10 * time.Second); m.Stats().Rotations < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("paced scanning did not resume: %d rotations", m.Stats().Rotations)
+		}
+		if _, err := m.Get(pids[0], 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"veridb/internal/portal"
 	"veridb/internal/record"
 	"veridb/internal/sql"
-	"veridb/internal/storage"
 	"veridb/internal/vmem"
 )
 
@@ -185,12 +184,6 @@ type Config struct {
 	TableShards int
 	// Join selects the default join strategy ("auto" if empty).
 	Join string
-	// ExecBatchSize is the vectorized execution batch size: queries pull
-	// batches of this many rows through the operator pipeline instead of
-	// one tuple at a time. Zero means the default (256). 1 forces the
-	// exact legacy tuple-at-a-time execution path; results and response
-	// MACs are bit-identical either way.
-	ExecBatchSize int
 	// ECallCycles simulates SGX boundary-crossing cost in CPU cycles
 	// (§2.1 reports ~8000); zero disables the cost model.
 	ECallCycles int64
@@ -303,9 +296,6 @@ func (c Config) validate() error {
 	if c.EPCBytes < 0 {
 		return fmt.Errorf("veridb: EPCBytes is %d; want 0 (default 96 MB) or a positive cap", c.EPCBytes)
 	}
-	if c.ExecBatchSize < 0 {
-		return fmt.Errorf("veridb: ExecBatchSize is %d; want 0 (default %d), 1 (tuple-at-a-time) or a larger batch size", c.ExecBatchSize, storage.DefaultBatchCapacity)
-	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("veridb: CheckpointEvery is %d; want 0 (manual checkpoints) or a positive statement interval", c.CheckpointEvery)
 	}
@@ -389,10 +379,6 @@ func (c Config) coreConfig() (core.Config, error) {
 	if c.Baseline {
 		mode = vmem.ModeBaseline
 	}
-	batch := c.ExecBatchSize
-	if batch == 0 {
-		batch = storage.DefaultBatchCapacity
-	}
 	gcBatch := c.GroupCommitMaxBatch
 	if c.GroupCommitMaxDelay > 0 && gcBatch == 0 {
 		gcBatch = 64
@@ -415,7 +401,6 @@ func (c Config) coreConfig() (core.Config, error) {
 		Join:            js,
 		VerifyEveryOps:  c.VerifyEveryOps,
 		TableShards:     c.TableShards,
-		ExecBatchSize:   batch,
 		Seed:            c.Seed,
 		DataDir:         c.DataDir,
 		CheckpointEvery: c.CheckpointEvery,
