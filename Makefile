@@ -29,11 +29,13 @@ race:
 # a 2-core host, and the deterministic regression tests for the bugs
 # behind them (VerifyAll masking a raised alarm, VerifyAll blocking behind
 # an idle background pass, an unflagged response from an instance
-# quarantined mid-statement), fifty times each under the race detector.
+# quarantined mid-statement), plus the two connection-level refusal tests,
+# which race a qid-0 TError frame against the close behind it — fifty
+# times each under the race detector.
 flake:
 	$(GO) test -race -count=50 -timeout 10m \
-		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged' \
-		./internal/core ./internal/vmem ./internal/portal
+		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal' \
+		./internal/core ./internal/vmem ./internal/portal ./internal/server ./internal/client
 
 bench:
 	$(GO) test -bench=BenchmarkVerifyScaling -benchtime=1x -run=^$$ .
@@ -66,8 +68,8 @@ bench-mvcc:
 bench-overload:
 	$(GO) run ./cmd/veridb-bench overload -overload-rows 500 -seconds 1 -overload-json ""
 
-# Wire-protocol smoke: a short closed-loop sweep of both protocols over
-# real sockets. The bench itself hard-fails on any MAC-verification
+# Wire-protocol smoke: a short closed-loop sweep of the in-flight window
+# over one real socket. The bench itself hard-fails on any MAC-verification
 # failure or post-drain goroutine leak, so this doubles as a regression
 # gate for the pipelined server path. Real measurements use the defaults:
 # veridb-bench serve.

@@ -48,14 +48,12 @@
 // typed shed refusals, and the post-drain leak checks (goroutines,
 // tracked memory, snapshot pins). Every delivered response MAC-verifies.
 //
-// The serve subcommand measures the wire protocols end to end: a
-// closed-loop load generator over real TCP sockets sweeps concurrency
-// {1,4,16,64} × protocol {json, binary}. JSON legs run one serial request
-// per connection (the legacy protocol cannot pipeline); binary legs put
-// the whole window in flight on ONE connection through the client
-// pipeline. Every response is MAC-verified, and the run hard-fails on a
+// The serve subcommand measures the wire protocol end to end: a
+// closed-loop load generator over a real TCP socket sweeps the in-flight
+// window {1,4,16,64} on ONE connection through the client pipeline.
+// Every response is MAC-verified, and the run hard-fails on a
 // verification failure or a post-drain goroutine leak. The headline is
-// the binary-pipelined speedup over serial JSON (acceptance: ≥ 3x).
+// the deepest window's speedup over window 1 (the serial exchange).
 //
 // The mvcc subcommand measures snapshot-read retention: TPC-C writer
 // throughput with and without a concurrent reader that pins snapshots
@@ -110,8 +108,8 @@ func main() {
 	overloadWorkers := fs.Int("overload-workers", 8, "point-query storm workers (overload)")
 	overloadJSON := fs.String("overload-json", "BENCH_overload.json", "write the overload run as JSON to this path (overload); empty disables")
 	wireRows := fs.Int("wire-rows", 2000, "seeded kv rows (serve)")
-	wireOps := fs.Int("wire-ops", 2000, "measured queries per protocol x inflight leg (serve)")
-	inflightList := fs.String("inflights", "1,4,16,64", "comma-separated concurrency sweep (serve)")
+	wireOps := fs.Int("wire-ops", 2000, "measured queries per inflight leg (serve)")
+	inflightList := fs.String("inflights", "1,4,16,64", "comma-separated in-flight window sweep (serve)")
 	rttMS := fs.Float64("rtt", 0.5, "modeled round-trip link latency, ms (serve); 0 measures raw loopback")
 	wireJSON := fs.String("wire-json", "BENCH_wire.json", "write the wire sweep as JSON to this path (serve); empty disables")
 	fs.Parse(os.Args[2:])
@@ -547,19 +545,19 @@ func wireBench(rows, ops int, inflightList string, rttMS float64, jsonPath strin
 	if rtt <= 0 {
 		rtt = -1 // WireConfig: negative means a true zero-latency link
 	}
-	fmt.Printf("== Wire protocols: closed-loop QPS over real sockets (rows=%d, ops=%d/leg, rtt=%.2fms) ==\n",
+	fmt.Printf("== Wire protocol: closed-loop QPS over one pipelined connection (rows=%d, ops=%d/leg, rtt=%.2fms) ==\n",
 		rows, ops, rttMS)
 	run, err := bench.RunWire(bench.WireConfig{Rows: rows, Ops: ops, Inflights: inflights, RTT: rtt})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-9s %9s %10s %10s %12s %12s %10s\n",
-		"protocol", "inflight", "ops", "QPS", "p50(us)", "p99(us)", "verified")
+	fmt.Printf("%9s %10s %10s %12s %12s %10s\n",
+		"inflight", "ops", "QPS", "p50(us)", "p99(us)", "verified")
 	for _, leg := range run.Legs {
-		fmt.Printf("%-9s %9d %10d %10.0f %12.1f %12.1f %10d\n",
-			leg.Protocol, leg.Inflight, leg.Ops, leg.QPS, leg.P50US, leg.P99US, leg.Verified)
+		fmt.Printf("%9d %10d %10.0f %12.1f %12.1f %10d\n",
+			leg.Inflight, leg.Ops, leg.QPS, leg.P50US, leg.P99US, leg.Verified)
 	}
-	fmt.Printf("-- headline: binary pipelined vs serial JSON speedup %.2fx (target >= 3x); every response MAC-verified\n",
+	fmt.Printf("-- headline: deepest window vs window 1 speedup %.2fx; every response MAC-verified\n",
 		run.SpeedupBinaryPipelined)
 	fmt.Printf("-- post-drain goroutines %d (baseline %d): no connection, handler or writer leaked\n",
 		run.PostDrainGoroutines, run.BaselineGoroutines)

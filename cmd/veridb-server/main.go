@@ -1,31 +1,26 @@
 // Command veridb-server exposes a VeriDB instance over TCP with the
-// paper's client protocol (Fig. 2). Two wire encodings share the port,
-// selected per connection by its first byte (see internal/server and
-// DESIGN.md "Wire protocol"):
+// paper's client protocol (Fig. 2) in one encoding: the length-prefixed
+// binary frames of internal/wire, pipelined per connection — many
+// MAC-authenticated requests in flight, responses returned in completion
+// order and matched by qid (see internal/server and DESIGN.md "Wire
+// protocol").
 //
-//   - newline-delimited JSON, one request at a time per connection
-//     (legacy, bit-identical to earlier releases), and
-//   - the length-prefixed binary protocol with per-connection pipelining:
-//     many MAC-authenticated requests in flight per connection, responses
-//     returned in completion order and matched by qid.
+// Frame types (16-byte header: magic, version, type, qid, length):
 //
-// Legacy message formats (one JSON object per line):
+//	→ TAttest  nonce                          ← TQuote  measurement, key, nonce, signature
+//	→ TQuery   client, query, timeout, MAC    ← TResult seq, columns, typed rows, affected, err, quarantined, MAC
+//	→ THealth  (empty)                        ← THealthInfo  JSON health document
+//	                                          ← TError  unauthenticated refusal; qid 0 = the connection is refused and closes
 //
-//	→ {"op":"attest","nonce":"<base64>"}
-//	← {"measurement":"<base64>","publicKey":"<base64>","nonce":"<base64>","signature":"<base64>"}
-//
-//	→ {"op":"query","client":"alice","qid":1,"query":"SELECT ...","mac":"<base64>"}
-//	← {"qid":1,"seq":5,"columns":[...],"rows":[[...]],"affected":0,"err":"","quarantined":false,"mac":"<base64>"}
-//
-//	→ {"op":"health"}
-//	← {"quarantined":false,"alarm":"","verifierRunning":true,"epochs":[...]}
+// To talk to a running server by hand use veridb-cli -addr host:port
+// -client id:hexkey (a query needs an HMAC nobody computes by hand).
 //
 // Clients are provisioned with -client id:hexkey (repeatable).
 //
 // Hardening: per-connection read/write deadlines (-io-timeout), a maximum
-// request size (-max-line, covering JSON lines and binary frame payloads
-// alike) answered with a typed error instead of a silent drop, a
-// connection cap (-max-conns) answered with a structured busy error, a
+// request size (-max-line, a frame's payload) answered with a typed error
+// instead of a silent drop, a connection cap (-max-conns) answered with a
+// connection-level refusal frame, a
 // per-connection pipelining bound (-max-inflight), and graceful drain on
 // SIGINT/SIGTERM (stop accepting, wait for in-flight connections up to
 // -drain-timeout).
@@ -75,9 +70,8 @@ func main() {
 	sessionMaxIdle := flag.Duration("session-max-idle", 0, "expire idle pinned snapshots after this inactivity (0 = never)")
 	respCacheBytes := flag.Int64("response-cache-bytes", 0, "portal response cache byte bound (0 = default 16 MB)")
 	initSQL := flag.String("init", "", "semicolon-separated SQL to run at startup")
-	wireMode := flag.String("wire", server.WireAuto, "accepted wire protocol: auto (sniff per connection), json, or binary")
-	maxLine := flag.Int("max-line", 1<<20, "maximum request size, bytes (JSON line or binary frame payload)")
-	maxInflight := flag.Int("max-inflight", server.DefaultMaxInflight, "pipelined requests executing per connection (binary protocol)")
+	maxLine := flag.Int("max-line", 1<<20, "maximum request size, bytes (frame payload)")
+	maxInflight := flag.Int("max-inflight", server.DefaultMaxInflight, "pipelined requests executing per connection")
 	maxConns := flag.Int("max-conns", 256, "maximum concurrent connections (0 = unlimited)")
 	ioTimeout := flag.Duration("io-timeout", 5*time.Minute, "per-connection read/write deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown wait for in-flight connections")
@@ -145,7 +139,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		DB:          db,
-		Wire:        *wireMode,
 		MaxMessage:  *maxLine,
 		MaxInflight: *maxInflight,
 		IOTimeout:   *ioTimeout,
@@ -159,7 +152,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("veridb-server listening on %s (wire=%s, %d clients provisioned)", ln.Addr(), *wireMode, len(clients))
+	log.Printf("veridb-server listening on %s (%d clients provisioned)", ln.Addr(), len(clients))
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)

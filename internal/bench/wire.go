@@ -1,46 +1,35 @@
 package bench
 
-// Wire-protocol benchmark: the proof for the pipelined binary path. A
-// closed-loop load generator drives authenticated point queries over real
-// TCP sockets against the full server stack (internal/server), sweeping
-// protocol × concurrency:
+// Wire-protocol benchmark: what pipelining buys on the server's one wire
+// protocol. A closed-loop load generator drives authenticated point queries
+// over a real TCP socket against the full server stack (internal/server),
+// sweeping the in-flight window n on ONE connection: a client.Pipeline
+// keeps n MAC-authenticated requests in flight, responses complete out of
+// order, and both sides flush once per burst. Window 1 is the serial
+// request-response exchange.
 //
-//   - json: the legacy newline-delimited protocol. It cannot pipeline, so
-//     concurrency n means n connections, each strictly serial — the best a
-//     legacy client can do.
-//   - binary: ONE connection with a client.Pipeline window of n — many
-//     MAC-authenticated requests in flight, responses completing out of
-//     order, one flush per burst on both sides.
-//
-// Every response is MAC-verified against its request. The binary codec
-// carries typed row images, so verification is the real client check; the
-// JSON protocol stringifies rows, so its legs reconstruct the typed tuples
-// from the known kv schema (one INT column) before verifying — charging
-// the JSON path its true decode cost rather than skipping the check.
+// Every response is MAC-verified against its request: the frames carry
+// typed row images, so verification is the real client check.
 //
 // Loopback has no propagation delay, so by itself it cannot show what
-// pipelining buys: both protocols collapse to the shared CPU cost of
+// pipelining buys: every window collapses to the shared CPU cost of
 // executing and endorsing the query. The sweep therefore models link
 // latency the standard way — every client Write is delivered one round
 // trip after it is issued (RTT, default 500µs, a typical cross-rack
-// figure) without blocking the sender. The serial protocol pays the RTT
-// once per request (it waits for each response); a pipelined sender
-// overlaps the whole window with one delay. Set RTT negative to measure
-// the raw loopback codec cost instead.
+// figure) without blocking the sender. A serial client pays the RTT once
+// per request (it waits for each response); a pipelined sender overlaps
+// the whole window with one delay. Set RTT negative to measure the raw
+// loopback codec cost instead.
 //
-// The headline is SpeedupBinaryPipelined: binary at the deepest window vs
-// json serial (one connection, one request at a time). The run hard-fails
-// on any MAC-verification failure and on a goroutine leak after drain.
+// The headline is SpeedupBinaryPipelined: the deepest window vs window 1.
+// The run hard-fails on any MAC-verification failure and on a goroutine
+// leak after drain.
 
 import (
-	"bufio"
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,8 +37,6 @@ import (
 
 	"veridb"
 	"veridb/internal/client"
-	"veridb/internal/portal"
-	"veridb/internal/record"
 	"veridb/internal/server"
 )
 
@@ -59,7 +46,7 @@ type WireConfig struct {
 	Rows int
 	// Ops is the measured query count per leg (after warmup).
 	Ops int
-	// Inflights is the concurrency sweep, e.g. {1, 4, 16, 64}.
+	// Inflights is the window sweep, e.g. {1, 4, 16, 64}.
 	Inflights []int
 	// RTT is the modeled round-trip link latency paid per client Write
 	// (see the package comment). Negative means zero; zero means the
@@ -91,7 +78,7 @@ func (c WireConfig) withDefaults() WireConfig {
 
 // latencyConn models link latency: every Write is delivered one round
 // trip after it was issued, in order, without blocking the sender — the
-// bytes are "in flight" while the sender keeps going. A serial protocol
+// bytes are "in flight" while the sender keeps going. A serial client
 // still pays the full delay per request (it waits for the response before
 // writing again); a pipelined sender overlaps the whole window with one
 // delay. The round trip is folded into the request direction; responses
@@ -155,9 +142,8 @@ func (l *latencyConn) Close() error {
 	return l.Conn.Close()
 }
 
-// WireLeg is one protocol × inflight measurement.
+// WireLeg is one in-flight-window measurement.
 type WireLeg struct {
-	Protocol string  `json:"protocol"`
 	Inflight int     `json:"inflight"`
 	Ops      int     `json:"ops"`
 	QPS      float64 `json:"qps"`
@@ -172,33 +158,11 @@ type WireRun struct {
 	Rows  int       `json:"rows"`
 	RTTUS float64   `json:"rtt_us"`
 	Legs  []WireLeg `json:"legs"`
-	// SpeedupBinaryPipelined is QPS(binary, deepest window) divided by
-	// QPS(json, one serial connection) — the tentpole headline
-	// (acceptance: >= 3).
+	// SpeedupBinaryPipelined is QPS(deepest window) divided by QPS(window
+	// 1) on the same single connection.
 	SpeedupBinaryPipelined float64 `json:"speedup_binary_pipelined"`
 	BaselineGoroutines     int     `json:"baseline_goroutines"`
 	PostDrainGoroutines    int     `json:"post_drain_goroutines"`
-}
-
-// legacy JSON wire shapes (the protocol is frozen; see cmd/veridb-server
-// package docs for the message formats).
-type legacyRequest struct {
-	Op     string `json:"op"`
-	Client string `json:"client,omitempty"`
-	QID    uint64 `json:"qid,omitempty"`
-	Query  string `json:"query,omitempty"`
-	MAC    string `json:"mac,omitempty"`
-}
-
-type legacyResponse struct {
-	QID         uint64     `json:"qid"`
-	Seq         uint64     `json:"seq"`
-	Columns     []string   `json:"columns,omitempty"`
-	Rows        [][]string `json:"rows,omitempty"`
-	Affected    int        `json:"affected"`
-	Err         string     `json:"err,omitempty"`
-	Quarantined bool       `json:"quarantined,omitempty"`
-	MAC         string     `json:"mac"`
 }
 
 // RunWire executes the sweep and returns the measured run. Any
@@ -245,31 +209,23 @@ func RunWire(cfg WireConfig) (*WireRun, error) {
 	go srv.Serve(ln)
 
 	run := &WireRun{Rows: cfg.Rows, RTTUS: us(cfg.RTT), BaselineGoroutines: baselineG}
-	var jsonSerial, binaryDeepest float64
-	deepest := cfg.Inflights[0]
-	for _, n := range cfg.Inflights {
-		if n > deepest {
-			deepest = n
+	var serial, deepest WireLeg
+	for _, inflight := range cfg.Inflights {
+		leg, err := runWireLeg(inflight, cfg, c, ln.Addr().String())
+		if err != nil {
+			ln.Close()
+			return nil, fmt.Errorf("inflight=%d: %w", inflight, err)
+		}
+		run.Legs = append(run.Legs, *leg)
+		if inflight == 1 {
+			serial = *leg
+		}
+		if inflight >= deepest.Inflight {
+			deepest = *leg
 		}
 	}
-	for _, proto := range []string{"json", "binary"} {
-		for _, inflight := range cfg.Inflights {
-			leg, err := runWireLeg(proto, inflight, cfg, c, ln.Addr().String())
-			if err != nil {
-				ln.Close()
-				return nil, fmt.Errorf("%s inflight=%d: %w", proto, inflight, err)
-			}
-			run.Legs = append(run.Legs, *leg)
-			if proto == "json" && inflight == 1 {
-				jsonSerial = leg.QPS
-			}
-			if proto == "binary" && inflight == deepest {
-				binaryDeepest = leg.QPS
-			}
-		}
-	}
-	if jsonSerial > 0 {
-		run.SpeedupBinaryPipelined = binaryDeepest / jsonSerial
+	if serial.QPS > 0 {
+		run.SpeedupBinaryPipelined = deepest.QPS / serial.QPS
 	}
 
 	// Drain and leak-check: every connection goroutine, handler and writer
@@ -293,10 +249,10 @@ func RunWire(cfg WireConfig) (*WireRun, error) {
 	return run, nil
 }
 
-// runWireLeg measures one protocol × inflight point: a closed loop of
-// cfg.Ops point queries (after a short unmeasured warmup), latency per
-// completed call.
-func runWireLeg(proto string, inflight int, cfg WireConfig, c *client.Client, addr string) (*WireLeg, error) {
+// runWireLeg measures one window: a closed loop of cfg.Ops point queries
+// (after a short unmeasured warmup) from inflight workers sharing one
+// pipelined connection, latency per completed call.
+func runWireLeg(inflight int, cfg WireConfig, c *client.Client, addr string) (*WireLeg, error) {
 	warmup := inflight * 4
 	if warmup > 200 {
 		warmup = 200
@@ -304,172 +260,77 @@ func runWireLeg(proto string, inflight int, cfg WireConfig, c *client.Client, ad
 	total := cfg.Ops + warmup
 	var next atomic.Int64 // op ticket; < warmup ops are unmeasured
 
+	var mu sync.Mutex // guards lats and runErr
 	lats := make([]time.Duration, 0, cfg.Ops)
-	var latMu sync.Mutex
-	var verified atomic.Int64
-	observe := func(measured bool, d time.Duration) {
-		if !measured {
-			return
-		}
-		latMu.Lock()
-		lats = append(lats, d)
-		latMu.Unlock()
-	}
-
-	var started time.Time
+	var runErr error
+	var started time.Time // when the first measured op was issued
 	var startOnce sync.Once
-	markStart := func() { startOnce.Do(func() { started = time.Now() }) }
+	var verified atomic.Int64
 
-	oneQuery := func(do func(query string, req *portal.Request) (*portal.Response, error)) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	p := client.NewPipeline(c, newLatencyConn(conn, cfg.RTT), client.PipelineConfig{MaxInflight: inflight})
+	defer p.Close()
+
+	worker := func() error {
 		for {
 			ticket := next.Add(1) - 1
 			if ticket >= int64(total) {
 				return nil
 			}
 			measured := ticket >= int64(warmup)
-			if measured {
-				markStart()
-			}
-			k := int(ticket) % cfg.Rows
-			query := fmt.Sprintf(`SELECT v FROM kv WHERE k = %d`, k)
 			t0 := time.Now()
-			resp, err := do(query, nil)
+			if measured {
+				startOnce.Do(func() { started = t0 })
+			}
+			// Do verifies: MAC, sequence tracking, typed rows.
+			resp, err := p.Do(fmt.Sprintf(`SELECT v FROM kv WHERE k = %d`, int(ticket)%cfg.Rows))
 			if err != nil {
 				return err
 			}
-			observe(measured, time.Since(t0))
+			if measured {
+				d := time.Since(t0)
+				mu.Lock()
+				lats = append(lats, d)
+				mu.Unlock()
+			}
 			verified.Add(1)
 			if len(resp.Rows) != 1 {
 				return fmt.Errorf("point query returned %d rows", len(resp.Rows))
 			}
 		}
 	}
-
-	var runErr error
 	var wg sync.WaitGroup
-	fail := func(err error) {
-		latMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		latMu.Unlock()
-	}
-
-	dial := func() (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return newLatencyConn(conn, cfg.RTT), nil
-	}
-
-	switch proto {
-	case "binary":
-		conn, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		p := client.NewPipeline(c, conn, client.PipelineConfig{MaxInflight: inflight})
-		defer p.Close()
-		for w := 0; w < inflight; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := oneQuery(func(q string, _ *portal.Request) (*portal.Response, error) {
-					// Do verifies: MAC, sequence tracking, typed rows.
-					return p.Do(q)
-				}); err != nil {
-					fail(err)
+	for w := 0; w < inflight; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := worker(); err != nil {
+				mu.Lock()
+				if runErr == nil {
+					runErr = err
 				}
-			}()
-		}
-		wg.Wait()
-	case "json":
-		for w := 0; w < inflight; w++ {
-			conn, err := dial()
-			if err != nil {
-				return nil, err
+				mu.Unlock()
 			}
-			defer conn.Close()
-			wg.Add(1)
-			go func(conn net.Conn) {
-				defer wg.Done()
-				enc := json.NewEncoder(conn)
-				sc := bufio.NewScanner(conn)
-				if err := oneQuery(func(q string, _ *portal.Request) (*portal.Response, error) {
-					return jsonRoundTrip(c, enc, sc, q)
-				}); err != nil {
-					fail(err)
-				}
-			}(conn)
-		}
-		wg.Wait()
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", proto)
+		}()
 	}
+	wg.Wait()
 	if runErr != nil {
 		return nil, runErr
 	}
 	wall := time.Since(started)
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	leg := &WireLeg{
-		Protocol: proto,
+	return &WireLeg{
 		Inflight: inflight,
 		Ops:      len(lats),
 		Verified: verified.Load() - int64(warmup),
 		QPS:      float64(len(lats)) / wall.Seconds(),
 		P50US:    us(percentileDur(lats, 0.50)),
 		P99US:    us(percentileDur(lats, 0.99)),
-	}
-	return leg, nil
-}
-
-// jsonRoundTrip drives one query over the legacy protocol and verifies
-// the response MAC by reconstructing the typed tuples the server
-// stringified (kv schema: single INT column).
-func jsonRoundTrip(c *client.Client, enc *json.Encoder, sc *bufio.Scanner, query string) (*portal.Response, error) {
-	req := c.NewRequest(query)
-	if err := enc.Encode(legacyRequest{
-		Op: "query", Client: req.ClientID, QID: req.QID, Query: req.Query,
-		MAC: base64.StdEncoding.EncodeToString(req.MAC),
-	}); err != nil {
-		return nil, err
-	}
-	if !sc.Scan() {
-		return nil, fmt.Errorf("connection closed mid-leg: %v", sc.Err())
-	}
-	var lr legacyResponse
-	if err := json.Unmarshal(sc.Bytes(), &lr); err != nil {
-		return nil, err
-	}
-	if lr.Err != "" {
-		return nil, fmt.Errorf("server error: %s", lr.Err)
-	}
-	mac, err := base64.StdEncoding.DecodeString(lr.MAC)
-	if err != nil {
-		return nil, err
-	}
-	resp := &portal.Response{
-		QID: lr.QID, Seq: lr.Seq, Columns: lr.Columns,
-		Affected: lr.Affected, ErrMsg: lr.Err, Quarantined: lr.Quarantined,
-		MAC: mac,
-	}
-	for _, row := range lr.Rows {
-		tuple := make(record.Tuple, len(row))
-		for i, cell := range row {
-			n, err := strconv.ParseInt(cell, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cannot reconstruct typed cell %q from JSON: %w", cell, err)
-			}
-			tuple[i] = record.Int(n)
-		}
-		resp.Rows = append(resp.Rows, tuple)
-	}
-	if err := c.VerifyResponse(req, resp); err != nil {
-		return nil, fmt.Errorf("MAC verification failed over JSON: %w", err)
-	}
-	return resp, nil
+	}, nil
 }
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

@@ -10,7 +10,6 @@ import (
 	"crypto/hmac"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -19,6 +18,7 @@ import (
 	"veridb/internal/govern"
 	"veridb/internal/portal"
 	"veridb/internal/record"
+	"veridb/internal/seqset"
 	"veridb/internal/sql"
 )
 
@@ -74,66 +74,18 @@ func (e *RollbackError) Error() string {
 // Unwrap lets errors.Is(err, ErrRollback) match the typed evidence.
 func (e *RollbackError) Unwrap() error { return ErrRollback }
 
-// SeqTracker records received sequence numbers as merged intervals, the
-// paper's storage optimisation ("maintaining intervals of successive
-// sequence numbers instead of individual numbers"). Add returns
-// ErrRollback on any repeat. Out-of-order arrival (network reordering,
-// footnote 1) is tolerated.
-type SeqTracker struct {
-	mu        sync.Mutex
-	intervals [][2]uint64 // sorted, disjoint, non-adjacent [lo, hi]
-}
+// SeqTracker records received sequence numbers as merged intervals (Len,
+// Max and Intervals come from seqset.Set). Add returns a *RollbackError on
+// any repeat. Out-of-order arrival (network reordering, footnote 1) is
+// tolerated. Safe for concurrent use.
+type SeqTracker struct{ seqset.Set }
 
 // Add records seq, failing if it was seen before.
 func (s *SeqTracker) Add(seq uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := sort.Search(len(s.intervals), func(i int) bool { return s.intervals[i][1] >= seq })
-	if i < len(s.intervals) && s.intervals[i][0] <= seq {
-		return &RollbackError{Seq: seq, Lo: s.intervals[i][0], Hi: s.intervals[i][1]}
-	}
-	// Merge with neighbours where adjacent.
-	mergeLeft := i > 0 && s.intervals[i-1][1]+1 == seq
-	mergeRight := i < len(s.intervals) && s.intervals[i][0] == seq+1
-	switch {
-	case mergeLeft && mergeRight:
-		s.intervals[i-1][1] = s.intervals[i][1]
-		s.intervals = append(s.intervals[:i], s.intervals[i+1:]...)
-	case mergeLeft:
-		s.intervals[i-1][1] = seq
-	case mergeRight:
-		s.intervals[i][0] = seq
-	default:
-		s.intervals = append(s.intervals, [2]uint64{})
-		copy(s.intervals[i+1:], s.intervals[i:])
-		s.intervals[i] = [2]uint64{seq, seq}
+	if lo, hi, added := s.Set.Add(seq); !added {
+		return &RollbackError{Seq: seq, Lo: lo, Hi: hi}
 	}
 	return nil
-}
-
-// Len returns the number of stored intervals (the client's storage cost).
-func (s *SeqTracker) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.intervals)
-}
-
-// Max returns the largest sequence number seen (0 if none) — the floor a
-// recovered portal must resume above.
-func (s *SeqTracker) Max() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.intervals) == 0 {
-		return 0
-	}
-	return s.intervals[len(s.intervals)-1][1]
-}
-
-// Intervals returns a copy of the interval set.
-func (s *SeqTracker) Intervals() [][2]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([][2]uint64(nil), s.intervals...)
 }
 
 // Client is one VeriDB user: it holds the pre-exchanged MAC key, a query

@@ -186,8 +186,8 @@ func (p *Pipeline) Attest(expectedMeasurement [32]byte, nonce []byte) error {
 	return p.c.Attest(call.quote, expectedMeasurement, nonce)
 }
 
-// Health fetches the server's health snapshot (raw JSON, same shape as
-// the legacy protocol's health response).
+// Health fetches the server's health snapshot (the raw JSON document of
+// the THealthInfo payload).
 func (p *Pipeline) Health() ([]byte, error) {
 	call := &Call{
 		kind: wire.THealth,
@@ -384,29 +384,11 @@ func (p *Pipeline) writeLoop() {
 // refusal is informational, not terminal.
 const replayedMarker = "query id replayed"
 
-// readLoop demuxes response frames to their calls. A first byte of '{'
-// means the peer answered in the legacy JSON protocol — the server sends
-// its structured connection-capacity refusal that way on purpose — so the
-// error line is surfaced instead of a bad-magic mystery.
+// readLoop demuxes response frames to their calls until the connection
+// fails (a connection-level refusal in dispatch closes it).
 func (p *Pipeline) readLoop() {
 	br := bufio.NewReader(p.conn)
 	for {
-		first, err := br.Peek(1)
-		if err != nil {
-			p.fatal(fmt.Errorf("%w: read: %v", ErrPipelineClosed, err))
-			return
-		}
-		if first[0] == '{' {
-			line, _ := br.ReadString('\n')
-			msg := strings.TrimSpace(line)
-			if i := strings.Index(msg, `"err":"`); i >= 0 {
-				if rest := msg[i+len(`"err":"`):]; strings.Contains(rest, `"`) {
-					msg = rest[:strings.Index(rest, `"`)]
-				}
-			}
-			p.fatal(fmt.Errorf("%w: server refused: %s", ErrPipelineClosed, msg))
-			return
-		}
 		f, err := wire.ReadFrame(br, p.cfg.MaxResponse)
 		if err != nil {
 			p.fatal(fmt.Errorf("%w: read: %v", ErrPipelineClosed, err))
@@ -416,8 +398,24 @@ func (p *Pipeline) readLoop() {
 	}
 }
 
+// answerTo maps each request frame type to the one response type that
+// answers it (TError can refuse any of them).
+var answerTo = map[wire.Type]wire.Type{
+	wire.TQuery:  wire.TResult,
+	wire.TAttest: wire.TQuote,
+	wire.THealth: wire.THealthInfo,
+}
+
 // dispatch routes one response frame to its pending call.
 func (p *Pipeline) dispatch(f wire.Frame) {
+	if f.Type == wire.TError && f.QID == 0 {
+		// Client qids start at 1, so qid 0 addresses the connection: the
+		// server refused it (bytes that are not a frame, an unknown version,
+		// the connection cap) and is closing. Every pending and later call
+		// gets the refusal's text.
+		p.fatal(fmt.Errorf("%w: server refused: %s", ErrPipelineClosed, f.Payload))
+		return
+	}
 	p.mu.Lock()
 	call := p.pending[f.QID]
 	p.mu.Unlock()
@@ -425,6 +423,15 @@ func (p *Pipeline) dispatch(f wire.Frame) {
 		// A late duplicate (the first copy of a retransmitted call already
 		// completed it) or a response to an abandoned attempt. At-most-once
 		// holds server-side; nothing to do here.
+		return
+	}
+	if f.Type != wire.TError && f.Type != answerTo[call.kind] {
+		// The frame type is outside every MAC: a quote or health frame
+		// relabelled onto a query's qid must fail the call, not complete it
+		// with an empty, unverified outcome.
+		p.mu.Lock()
+		p.completeLocked(call, nil, fmt.Errorf("client: qid %d: %v request answered with a %v frame", f.QID, call.kind, f.Type))
+		p.mu.Unlock()
 		return
 	}
 	switch f.Type {

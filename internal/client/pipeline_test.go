@@ -244,9 +244,8 @@ func TestPipelineRetransmitIsAtMostOnce(t *testing.T) {
 }
 
 // TestPipelineSurfacesCapacityRefusal: the server's connection-capacity
-// refusal is a JSON line even on a binary connection; the pipeline's
-// first-byte fallback surfaces it as a structured error instead of a
-// bad-magic mystery.
+// refusal is a TError addressed to qid 0; the pipeline surfaces its text
+// instead of a bare EOF.
 func TestPipelineSurfacesCapacityRefusal(t *testing.T) {
 	db, err := veridb.Open(veridb.Config{Seed: 24})
 	if err != nil {
@@ -327,5 +326,79 @@ func TestPipelineServerVanishesMidFlight(t *testing.T) {
 		if _, err := call.Wait(); !errors.Is(err, client.ErrPipelineClosed) {
 			t.Fatalf("call %d: want ErrPipelineClosed, got %v", i, err)
 		}
+	}
+}
+
+// TestPipelineSurfacesConnectionRefusal: a TError addressed to qid 0 is the
+// server refusing the connection itself — here the refusals it sends for a
+// protocol version it does not speak and for bytes that are not a frame —
+// just before it closes. The refusal's text must reach the call in flight
+// and every later call, wrapped in ErrPipelineClosed; dropping it (no call
+// has qid 0) leaves the caller with nothing but "read: EOF". The refusal
+// frame races the close; `make flake` repeats this test.
+func TestPipelineSurfacesConnectionRefusal(t *testing.T) {
+	for name, refusal := range map[string]string{
+		"version": "wire: unsupported protocol version: peer speaks v2, this build speaks v1",
+		"magic":   "wire: bad frame magic: 0x7b 0x22",
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				// Absorb the first request, refuse the connection, vanish.
+				if _, err := wire.ReadFrame(conn, 0); err != nil {
+					return
+				}
+				wire.WriteFrame(conn, wire.Frame{Type: wire.TError, QID: 0, Payload: []byte(refusal)})
+			}()
+
+			alice := client.New("alice", []byte("k"))
+			p := dialPipeline(t, alice, ln.Addr().String(), client.PipelineConfig{MaxInflight: 2})
+			for _, when := range []string{"in-flight", "later"} {
+				_, err := p.Do(`SELECT 1`)
+				if !errors.Is(err, client.ErrPipelineClosed) || !strings.Contains(err.Error(), refusal) {
+					t.Fatalf("%s call: want ErrPipelineClosed carrying %q, got %v", when, refusal, err)
+				}
+			}
+		})
+	}
+}
+
+// TestPipelineRejectsMismatchedFrameType: the frame type byte is outside
+// every MAC, so a peer can relabel a health document onto a query's qid.
+// The call must fail — never complete with a nil response and a nil error.
+func TestPipelineRejectsMismatchedFrameType(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		f, err := wire.ReadFrame(conn, 0)
+		if err != nil {
+			return
+		}
+		wire.WriteFrame(conn, wire.Frame{Type: wire.THealthInfo, QID: f.QID, Payload: []byte("{}")})
+		wire.ReadFrame(conn, 0) // hold the connection until the client closes it
+	}()
+
+	alice := client.New("alice", []byte("k"))
+	p := dialPipeline(t, alice, ln.Addr().String(), client.PipelineConfig{})
+	resp, err := p.Do(`SELECT 1`)
+	if err == nil || resp != nil || !strings.Contains(err.Error(), "health-info") {
+		t.Fatalf("query answered by a health frame returned (%+v, %v)", resp, err)
 	}
 }

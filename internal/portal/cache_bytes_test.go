@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"veridb/internal/enclave"
 	"veridb/internal/govern"
 	"veridb/internal/record"
 )
@@ -141,5 +142,73 @@ func TestTimeoutIsAuthenticatedAndDispatched(t *testing.T) {
 	}
 	if !ex.deadline {
 		t.Fatal("executor context carried no deadline for TimeoutMS=50")
+	}
+}
+
+// TestReplayStateStaysBounded: the per-client replay set and the global
+// eviction order must not grow with the number of statements served. Two
+// clients push 100 000 statements between them, each in pipelined windows
+// whose qids reach the portal out of order; afterwards each client's
+// served-qid set is one interval (never more than a window's worth on the
+// way), and the eviction order is within a constant factor of the live
+// cache — on this traffic the byte bound never binds, which is exactly when
+// the order list used to grow by one ref per statement.
+func TestReplayStateStaysBounded(t *testing.T) {
+	enc := enclave.NewForTest(3)
+	keys := map[string][]byte{"alice": []byte("ka"), "bob": []byte("kb")}
+	for id, key := range keys {
+		enc.ProvisionMACKey(id, key)
+	}
+	p := New(enc, &echoExec{})
+
+	const perClient, window = 50_000, 16
+	serve := func(id string, qid uint64) {
+		req := Request{ClientID: id, QID: qid, Query: "SELECT 1"}
+		req.MAC = SignRequest(keys[id], id, qid, req.Query)
+		if _, err := p.Serve(req); err != nil {
+			t.Fatalf("%s qid %d: %v", id, qid, err)
+		}
+	}
+	for base := uint64(1); base <= perClient; base += window {
+		for id := range keys {
+			// Highest qid of the window first: the worst arrival order.
+			for qid := base + window - 1; qid >= base; qid-- {
+				serve(id, qid)
+				if n := p.clients[id].seen.Len(); n > window {
+					t.Fatalf("%s: %d qid intervals with a window of %d", id, n, window)
+				}
+			}
+		}
+	}
+
+	for id := range keys {
+		if n := p.clients[id].seen.Len(); n != 1 {
+			t.Fatalf("%s: %d qid intervals after %d consecutive qids, want 1", id, n, perClient)
+		}
+	}
+	st := p.CacheStats()
+	if st.Entries != 2*responseCacheSize {
+		t.Fatalf("cache holds %d entries, want the per-client cap for both clients (%d)", st.Entries, 2*responseCacheSize)
+	}
+	if n, max := len(p.cacheOrder), 2*st.Entries+cacheOrderSlack+1; n > max {
+		t.Fatalf("eviction order holds %d refs for %d live entries (bound %d)", n, st.Entries, max)
+	}
+
+	// The replay contract is unchanged by the new bookkeeping: a recent qid
+	// replays its cached endorsement, an old one is refused, and shrinking
+	// the byte bound still evicts oldest-first through the compacted order.
+	recent := Request{ClientID: "alice", QID: perClient, Query: "SELECT 1"}
+	recent.MAC = SignRequest(keys["alice"], "alice", recent.QID, recent.Query)
+	if _, err := p.Serve(recent); err != nil {
+		t.Fatalf("cached replay rejected: %v", err)
+	}
+	old := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
+	old.MAC = SignRequest(keys["alice"], "alice", old.QID, old.Query)
+	if _, err := p.Serve(old); !errors.Is(err, ErrReplayedQID) {
+		t.Fatalf("evicted replay served: %v", err)
+	}
+	p.SetResponseCacheBytes(1)
+	if st := p.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("byte bound of 1 left %+v", st)
 	}
 }

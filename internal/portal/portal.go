@@ -19,6 +19,7 @@ import (
 	"veridb/internal/enclave"
 	"veridb/internal/govern"
 	"veridb/internal/record"
+	"veridb/internal/seqset"
 )
 
 // Errors raised by the portal.
@@ -114,11 +115,13 @@ const responseCacheSize = 128
 const defaultResponseCacheBytes = 16 << 20
 
 // clientState is the portal's per-client replay defence: the full set of
-// served qids (replays are never re-executed) plus a bounded cache of the
-// most recent endorsed responses so a client retrying a lost response gets
-// the original endorsement back instead of an error.
+// served qids (replays are never re-executed), kept as merged intervals so
+// a client issuing consecutive qids costs O(in-flight window) however many
+// statements it has run, plus a bounded cache of the most recent endorsed
+// responses so a client retrying a lost response gets the original
+// endorsement back instead of an error.
 type clientState struct {
-	seen  map[uint64]bool
+	seen  seqset.Set
 	cache map[uint64]*Response
 	size  map[uint64]int64 // cached entry byte estimates (for eviction)
 	order []uint64         // cached qids, oldest first (eviction order)
@@ -138,12 +141,15 @@ type Portal struct {
 
 	mu      sync.Mutex
 	clients map[string]*clientState
-	// Response-cache byte accounting: total estimated bytes, the bound,
-	// the global oldest-first eviction order, and the eviction counter.
-	cacheBytes int64
-	cacheMax   int64
-	cacheOrder []cacheRef
-	evictions  int64
+	// Response-cache accounting: live entries, their total estimated
+	// bytes, the byte bound, the global oldest-first eviction order (which
+	// may hold refs to entries the per-client cap already dropped; see
+	// compactOrderLocked), and the eviction counter.
+	cacheEntries int
+	cacheBytes   int64
+	cacheMax     int64
+	cacheOrder   []cacheRef
+	evictions    int64
 	// budget, when set, is charged for cached response bytes so the cache
 	// participates in the process memory governor.
 	budget *govern.Budget
@@ -195,11 +201,7 @@ type CacheStats struct {
 func (p *Portal) CacheStats() CacheStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	entries := 0
-	for _, st := range p.clients {
-		entries += len(st.cache)
-	}
-	return CacheStats{Entries: entries, Bytes: p.cacheBytes, Evictions: p.evictions}
+	return CacheStats{Entries: p.cacheEntries, Bytes: p.cacheBytes, Evictions: p.evictions}
 }
 
 // responseBytes estimates a cached response's heap footprint.
@@ -308,13 +310,12 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 	st := p.clients[req.ClientID]
 	if st == nil {
 		st = &clientState{
-			seen:  make(map[uint64]bool),
 			cache: make(map[uint64]*Response),
 			size:  make(map[uint64]int64),
 		}
 		p.clients[req.ClientID] = st
 	}
-	if st.seen[req.QID] {
+	if _, _, first := st.seen.Add(req.QID); !first {
 		cached := st.cache[req.QID]
 		p.mu.Unlock()
 		if cached != nil {
@@ -324,7 +325,6 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 		// must not re-execute (at-most-once), so reject it.
 		return nil, fmt.Errorf("%w: client %q qid %d", ErrReplayedQID, req.ClientID, req.QID)
 	}
-	st.seen[req.QID] = true
 	p.mu.Unlock()
 
 	resp := &Response{QID: req.QID, Seq: p.seq.Add(1)}
@@ -394,6 +394,7 @@ func (p *Portal) cacheResponse(st *clientState, resp *Response) {
 	st.size[resp.QID] = sz
 	st.order = append(st.order, resp.QID)
 	p.cacheOrder = append(p.cacheOrder, cacheRef{st: st, qid: resp.QID})
+	p.cacheEntries++
 	p.cacheBytes += sz
 	p.budget.Charge(sz)
 	for len(st.order) > responseCacheSize {
@@ -401,7 +402,30 @@ func (p *Portal) cacheResponse(st *clientState, resp *Response) {
 		st.order = st.order[1:]
 	}
 	p.evictOverBytesLocked()
+	p.compactOrderLocked()
 	p.mu.Unlock()
+}
+
+// cacheOrderSlack is how many dead refs cacheOrder may carry beyond one per
+// live entry before it is compacted.
+const cacheOrderSlack = 64
+
+// compactOrderLocked keeps cacheOrder proportional to the live cache. The
+// per-client cap drops entries without touching cacheOrder, and on ordinary
+// traffic the byte bound never binds, so without this the order list would
+// gain one ref per statement forever. Filtering once dead refs outnumber
+// live ones makes the sweep O(1) amortised per cached response.
+func (p *Portal) compactOrderLocked() {
+	if len(p.cacheOrder) <= 2*p.cacheEntries+cacheOrderSlack {
+		return
+	}
+	live := p.cacheOrder[:0]
+	for _, ref := range p.cacheOrder {
+		if _, ok := ref.st.size[ref.qid]; ok {
+			live = append(live, ref)
+		}
+	}
+	p.cacheOrder = live
 }
 
 // evictOverBytesLocked drops oldest entries until the cache fits cacheMax.
@@ -424,6 +448,7 @@ func (p *Portal) dropEntryLocked(st *clientState, qid uint64) {
 	}
 	delete(st.cache, qid)
 	delete(st.size, qid)
+	p.cacheEntries--
 	p.cacheBytes -= sz
 	p.budget.Release(sz)
 	p.evictions++

@@ -1,66 +1,46 @@
 // Package server hosts VeriDB's TCP front end: the connection loop that
-// exposes a veridb.DB over the paper's client protocol (Fig. 2). Two wire
-// encodings share one port:
+// exposes a veridb.DB over the paper's client protocol (Fig. 2) in the
+// length-prefixed binary framing of internal/wire — the only encoding the
+// server speaks. Each connection is pipelined: a reader goroutine demuxes
+// frames into bounded per-request handler goroutines and a single writer
+// goroutine serializes completions, so responses may return out of order,
+// matched to requests by qid.
 //
-//   - The legacy newline-delimited JSON protocol, handled one request at a
-//     time per connection, bit-identical to earlier releases.
-//   - The length-prefixed binary protocol (internal/wire) with
-//     per-connection pipelining: a reader goroutine demuxes frames into
-//     bounded per-request handler goroutines and a single writer goroutine
-//     serializes completions, so responses may return out of order,
-//     matched to requests by qid.
-//
-// The first byte of a connection selects the protocol: wire.Magic0 routes
-// to the binary path, anything else (in practice '{') to the JSON path.
-// Oversized messages are refused with the same typed wire.TooLargeError
-// through both protocols before the connection closes.
+// Every refusal is a wire.TError frame. One addressed to a request's qid
+// answers that request and the connection keeps serving; one addressed to
+// qid 0 (client qids start at 1) is connection-level — bytes that are not
+// a frame, an unknown protocol version, the connection cap — and the
+// connection closes behind it.
 package server
 
 import (
 	"bufio"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"veridb"
-	"veridb/internal/record"
 	"veridb/internal/wire"
-)
-
-// Wire protocol modes for Config.Wire.
-const (
-	// WireAuto sniffs the first byte of each connection (the default).
-	WireAuto = "auto"
-	// WireJSON accepts only the legacy JSON protocol.
-	WireJSON = "json"
-	// WireBinary accepts only the binary protocol.
-	WireBinary = "binary"
 )
 
 // Config tunes the front end. Zero values take the documented defaults.
 type Config struct {
 	// DB is the database instance to serve. Required.
 	DB *veridb.DB
-	// Wire selects the accepted protocol(s): WireAuto (default), WireJSON
-	// or WireBinary.
-	Wire string
-	// MaxMessage caps one request's size in bytes — the JSON line limit
-	// and the binary frame payload limit are the same knob. Default 1 MiB.
+	// MaxMessage caps one request frame's payload in bytes. Default 1 MiB.
 	MaxMessage int
-	// MaxInflight bounds per-connection pipelined query handlers on the
-	// binary path. The database's own admission gate (if configured) still
-	// sheds beyond its slots; this bound keeps one connection from
-	// spawning unbounded goroutines regardless. Default 64.
+	// MaxInflight bounds per-connection pipelined query handlers. The
+	// database's own admission gate (if configured) still sheds beyond its
+	// slots; this bound keeps one connection from spawning unbounded
+	// goroutines regardless. Default 64.
 	MaxInflight int
 	// IOTimeout is the per-read and per-write deadline (0 = none).
 	IOTimeout time.Duration
 	// MaxConns caps concurrent connections (0 = unlimited); excess
-	// connections get a structured refusal, never a silent RST.
+	// connections get a qid-0 TError refusal, never a silent RST.
 	MaxConns int
 }
 
@@ -71,7 +51,6 @@ const DefaultMaxInflight = 64
 // Server is the connection-handling state shared by every session.
 type Server struct {
 	db          *veridb.DB
-	wire        string
 	maxMessage  int
 	maxInflight int
 	ioTimeout   time.Duration
@@ -84,13 +63,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("server: Config.DB is required")
 	}
-	switch cfg.Wire {
-	case "", WireAuto:
-		cfg.Wire = WireAuto
-	case WireJSON, WireBinary:
-	default:
-		return nil, fmt.Errorf("server: unknown wire mode %q (want %s, %s or %s)", cfg.Wire, WireAuto, WireJSON, WireBinary)
-	}
 	if cfg.MaxMessage <= 0 {
 		cfg.MaxMessage = wire.DefaultMaxPayload
 	}
@@ -99,7 +71,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		db:          cfg.DB,
-		wire:        cfg.Wire,
 		maxMessage:  cfg.MaxMessage,
 		maxInflight: cfg.MaxInflight,
 		ioTimeout:   cfg.IOTimeout,
@@ -125,10 +96,13 @@ func (s *Server) Serve(ln net.Listener) error {
 			select {
 			case s.sem <- struct{}{}:
 			default:
-				// Over capacity: a structured refusal beats a silent RST.
-				// The refusal is a JSON line — a binary client surfaces it
-				// through its bad-magic fallback (see client.Pipeline).
-				s.writeLine(conn, map[string]string{"err": "server at connection capacity"})
+				// Over capacity: a connection-level refusal (qid 0) beats a
+				// silent RST; client.Pipeline surfaces its text. Best effort,
+				// in one write — the peer is dropped either way.
+				if s.ioTimeout > 0 {
+					conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
+				}
+				conn.Write(wire.AppendFrame(nil, wire.TError, 0, []byte("server at connection capacity")))
 				conn.Close()
 				continue
 			}
@@ -164,66 +138,7 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	}
 }
 
-// Handle runs one connection to completion: sniff the protocol from the
-// first byte (unless Config.Wire pinned one), then hand off to the
-// protocol loop.
-func (s *Server) Handle(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	mode := s.wire
-	if mode == WireAuto {
-		if s.ioTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.ioTimeout))
-		}
-		first, err := br.Peek(1)
-		if err != nil {
-			return
-		}
-		if first[0] == wire.Magic0 {
-			mode = WireBinary
-		} else {
-			mode = WireJSON
-		}
-	}
-	if mode == WireBinary {
-		s.handleBinary(conn, br)
-		return
-	}
-	s.handleJSON(conn, br)
-}
-
-// --- Legacy JSON protocol (bit-identical to prior releases) ---
-
-type wireRequest struct {
-	Op     string `json:"op"`
-	Nonce  string `json:"nonce,omitempty"`
-	Client string `json:"client,omitempty"`
-	QID    uint64 `json:"qid,omitempty"`
-	Query  string `json:"query,omitempty"`
-	// TimeoutMS is an optional per-request deadline in milliseconds,
-	// folded into the MAC when nonzero (see portal.SignRequestTimeout).
-	TimeoutMS uint64 `json:"timeout_ms,omitempty"`
-	MAC       string `json:"mac,omitempty"`
-}
-
-type wireResponse struct {
-	QID         uint64     `json:"qid"`
-	Seq         uint64     `json:"seq"`
-	Columns     []string   `json:"columns,omitempty"`
-	Rows        [][]string `json:"rows,omitempty"`
-	Affected    int        `json:"affected"`
-	Err         string     `json:"err,omitempty"`
-	Quarantined bool       `json:"quarantined,omitempty"`
-	MAC         string     `json:"mac"`
-}
-
-type wireQuote struct {
-	Measurement string `json:"measurement"`
-	PublicKey   string `json:"publicKey"`
-	Nonce       string `json:"nonce"`
-	Signature   string `json:"signature"`
-}
-
+// wireHealth is the THealthInfo payload (JSON; see wire.THealthInfo).
 type wireHealth struct {
 	Quarantined     bool       `json:"quarantined"`
 	Alarm           string     `json:"alarm,omitempty"`
@@ -246,96 +161,6 @@ type wireGovern struct {
 	SessionsExpired    int64 `json:"sessionsExpired"`
 	SnapshotPins       int   `json:"snapshotPins"`
 	ResponseCacheBytes int64 `json:"responseCacheBytes"`
-}
-
-// writeLine encodes one JSON line under the write deadline.
-func (s *Server) writeLine(conn net.Conn, v any) error {
-	if s.ioTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-	}
-	return json.NewEncoder(conn).Encode(v)
-}
-
-// handleJSON runs one legacy session: read a line under the deadline,
-// dispatch, answer. Oversized requests get a structured error carrying
-// the typed wire.TooLargeError message before the connection closes — a
-// silently dropped session is indistinguishable from an adversarial one,
-// so the server never drops silently.
-func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
-	sc := bufio.NewScanner(br)
-	// Scanner's limit is max(cap(buf), maxMessage): keep the initial
-	// buffer at or below the message limit so the limit actually binds.
-	initial := 64 * 1024
-	if initial > s.maxMessage {
-		initial = s.maxMessage
-	}
-	sc.Buffer(make([]byte, initial), s.maxMessage)
-	for {
-		if s.ioTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.ioTimeout))
-		}
-		if !sc.Scan() {
-			if errors.Is(sc.Err(), bufio.ErrTooLong) {
-				s.writeLine(conn, map[string]string{
-					"err": wire.NewTooLarge(s.maxMessage, 0).Error(),
-				})
-			}
-			return
-		}
-		var req wireRequest
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			s.writeLine(conn, map[string]string{"err": "bad request: " + err.Error()})
-			continue
-		}
-		if err := s.dispatchJSON(conn, req); err != nil {
-			return // write failed: the peer is gone
-		}
-	}
-}
-
-func (s *Server) dispatchJSON(conn net.Conn, req wireRequest) error {
-	switch req.Op {
-	case "attest":
-		nonce, err := base64.StdEncoding.DecodeString(req.Nonce)
-		if err != nil {
-			return s.writeLine(conn, map[string]string{"err": "bad nonce"})
-		}
-		q := s.db.Attest(nonce)
-		m := s.db.Measurement()
-		return s.writeLine(conn, wireQuote{
-			Measurement: base64.StdEncoding.EncodeToString(m[:]),
-			PublicKey:   base64.StdEncoding.EncodeToString(q.PublicKey),
-			Nonce:       base64.StdEncoding.EncodeToString(q.Nonce),
-			Signature:   base64.StdEncoding.EncodeToString(q.Signature),
-		})
-	case "query":
-		mac, err := base64.StdEncoding.DecodeString(req.MAC)
-		if err != nil {
-			return s.writeLine(conn, map[string]string{"err": "bad mac encoding"})
-		}
-		resp, err := s.db.Serve(veridb.Request{
-			ClientID: req.Client, QID: req.QID, Query: req.Query,
-			TimeoutMS: req.TimeoutMS, MAC: mac,
-		})
-		if err != nil {
-			// Authorisation failures have no authenticated response.
-			return s.writeLine(conn, map[string]string{"err": err.Error()})
-		}
-		out := wireResponse{
-			QID: resp.QID, Seq: resp.Seq, Columns: resp.Columns,
-			Affected: resp.Affected, Err: resp.ErrMsg,
-			Quarantined: resp.Quarantined,
-			MAC:         base64.StdEncoding.EncodeToString(resp.MAC),
-		}
-		for _, row := range resp.Rows {
-			out.Rows = append(out.Rows, renderRow(row))
-		}
-		return s.writeLine(conn, out)
-	case "health":
-		return s.writeLine(conn, s.health())
-	default:
-		return s.writeLine(conn, map[string]string{"err": fmt.Sprintf("unknown op %q", req.Op)})
-	}
 }
 
 func (s *Server) health() wireHealth {
@@ -361,18 +186,8 @@ func (s *Server) health() wireHealth {
 	}
 }
 
-func renderRow(row record.Tuple) []string {
-	out := make([]string, len(row))
-	for i, v := range row {
-		out[i] = v.String()
-	}
-	return out
-}
-
-// --- Binary protocol: pipelined frames ---
-
-// handleBinary runs one pipelined session. Three goroutine roles share the
-// connection:
+// Handle runs one pipelined session to completion and closes the
+// connection. Three goroutine roles share it:
 //
 //   - this goroutine reads frames and demuxes: queries spawn handler
 //     goroutines (at most maxInflight concurrent per connection); attest
@@ -390,7 +205,9 @@ func renderRow(row record.Tuple) []string {
 // error) it closes writerDone, unblocking any handler parked on the
 // completion channel; when the reader stops it waits out the handlers,
 // closes the completion channel, and the writer exits after the drain.
-func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
+func (s *Server) Handle(conn net.Conn) {
+	defer conn.Close()
+	br := bufio.NewReader(conn)
 	out := make(chan wire.Frame, s.maxInflight)
 	writerDone := make(chan struct{})
 	go func() {
@@ -447,13 +264,15 @@ reading:
 		}
 		f, err := wire.ReadFrame(br, s.maxMessage)
 		if err != nil {
-			// An over-limit frame is refused by address (type and qid
-			// survive the typed error) and then, like the legacy path, the
-			// connection closes: the payload was never read, so the stream
-			// position is unrecoverable.
-			if errors.Is(err, wire.ErrTooLarge) {
-				refuse(f.QID, err.Error())
-			} else if !errors.Is(err, io.EOF) && !errors.Is(err, wire.ErrTruncated) {
+			// A header the peer sent but the server cannot accept is refused
+			// before the connection closes (the stream position is
+			// unrecoverable). An over-limit frame is refused by address —
+			// type and qid survive the typed error; bad magic, version or
+			// type leave f zero, so the refusal carries qid 0, the
+			// connection-level address. A transport failure (EOF, reset,
+			// the idle deadline) has nobody left to tell.
+			if errors.Is(err, wire.ErrTooLarge) || errors.Is(err, wire.ErrBadMagic) ||
+				errors.Is(err, wire.ErrBadVersion) || errors.Is(err, wire.ErrBadType) {
 				refuse(f.QID, err.Error())
 			}
 			break
@@ -485,7 +304,7 @@ reading:
 				resp, serr := s.db.Serve(req)
 				if serr != nil {
 					// Authorisation failures have no authenticated
-					// response (same contract as the JSON path).
+					// response.
 					refuse(req.QID, serr.Error())
 					return
 				}

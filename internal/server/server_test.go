@@ -2,11 +2,10 @@ package server
 
 import (
 	"bufio"
-	"crypto/ed25519"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -15,7 +14,6 @@ import (
 
 	"veridb"
 	"veridb/internal/client"
-	"veridb/internal/enclave"
 	"veridb/internal/govern"
 	"veridb/internal/portal"
 	"veridb/internal/wire"
@@ -56,138 +54,9 @@ func mustExec(t *testing.T, db *veridb.DB, stmts ...string) {
 	}
 }
 
-// --- Legacy JSON protocol (moved from cmd/veridb-server, behavior
-// unchanged except the typed oversized-message refusal) ---
-
-// TestServerProtocolRoundTrip drives the full legacy client protocol over
-// the wire: attestation, an authenticated query, and rejection of a forged
-// request.
-func TestServerProtocolRoundTrip(t *testing.T) {
-	db := openDB(t, veridb.Config{Seed: 1})
-	mustExec(t, db,
-		`CREATE TABLE t (a INT PRIMARY KEY, b TEXT)`,
-		`INSERT INTO t VALUES (1, 'hello'), (2, 'world')`)
-	key := []byte("wire-secret")
-	db.ProvisionClient("alice", key)
-
-	ln := serveTCP(t, Config{DB: db})
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(conn)
-
-	// Attestation.
-	nonce := []byte("fresh-nonce")
-	if err := enc.Encode(wireRequest{Op: "attest", Nonce: base64.StdEncoding.EncodeToString(nonce)}); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Scan() {
-		t.Fatal("no attestation response")
-	}
-	var q wireQuote
-	if err := json.Unmarshal(sc.Bytes(), &q); err != nil {
-		t.Fatal(err)
-	}
-	mBytes, _ := base64.StdEncoding.DecodeString(q.Measurement)
-	pub, _ := base64.StdEncoding.DecodeString(q.PublicKey)
-	sig, _ := base64.StdEncoding.DecodeString(q.Signature)
-	var m [32]byte
-	copy(m[:], mBytes)
-	if m != db.Measurement() {
-		t.Fatal("measurement mismatch over the wire")
-	}
-	if _, err := enclave.VerifyQuote(enclave.Quote{
-		Measurement: m, PublicKey: ed25519.PublicKey(pub), Nonce: nonce, Signature: sig,
-	}, db.Measurement(), nonce); err != nil {
-		t.Fatalf("wire quote rejected: %v", err)
-	}
-
-	// Authenticated query.
-	query := `SELECT b FROM t WHERE a = 2`
-	mac := portal.SignRequest(key, "alice", 1, query)
-	if err := enc.Encode(wireRequest{
-		Op: "query", Client: "alice", QID: 1, Query: query,
-		MAC: base64.StdEncoding.EncodeToString(mac),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Scan() {
-		t.Fatal("no query response")
-	}
-	var resp wireResponse
-	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" || len(resp.Rows) != 1 || resp.Rows[0][0] != "world" {
-		t.Fatalf("response %+v", resp)
-	}
-	if resp.Seq == 0 || resp.MAC == "" {
-		t.Fatalf("response missing sequencing/MAC: %+v", resp)
-	}
-
-	// Forged MAC is rejected without an authenticated response.
-	if err := enc.Encode(wireRequest{
-		Op: "query", Client: "alice", QID: 2, Query: query,
-		MAC: base64.StdEncoding.EncodeToString([]byte("forged")),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Scan() {
-		t.Fatal("no rejection response")
-	}
-	if !strings.Contains(sc.Text(), "authorization failed") {
-		t.Fatalf("forged request not rejected: %s", sc.Text())
-	}
-
-	// Unknown op.
-	enc.Encode(wireRequest{Op: "shutdown"})
-	if !sc.Scan() || !strings.Contains(sc.Text(), "unknown op") {
-		t.Fatalf("unknown op not rejected: %s", sc.Text())
-	}
-}
-
-// TestServerRejectsOversizedLineWithStructuredError: a request beyond the
-// message limit gets a JSON error carrying the typed wire.TooLargeError
-// message before the connection closes — never a silent drop, and the
-// refusal parses back to the same typed error the binary protocol uses.
-func TestServerRejectsOversizedLineWithStructuredError(t *testing.T) {
-	db := openDB(t, veridb.Config{Seed: 2})
-	ln := serveTCP(t, Config{DB: db, MaxMessage: 256})
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	big := strings.Repeat("x", 1024)
-	if _, err := conn.Write([]byte(`{"op":"query","query":"` + big + "\"}\n")); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatal("oversized request dropped silently")
-	}
-	var resp map[string]string
-	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-		t.Fatalf("unparseable error response %q: %v", sc.Text(), err)
-	}
-	tl, ok := wire.ParseTooLarge(resp["err"])
-	if !ok || tl.Limit != 256 {
-		t.Fatalf("refusal %q did not parse as a typed too-large error (%+v, %v)", resp["err"], tl, ok)
-	}
-	// The connection is closed after the refusal.
-	if sc.Scan() {
-		t.Fatalf("connection still open after oversized request: %q", sc.Text())
-	}
-}
-
 // TestServerConnectionDeadline: an idle session is reaped once the
-// per-connection read deadline elapses (the deadline also covers the
-// protocol-sniffing first byte).
+// per-connection read deadline elapses (the deadline covers the very first
+// header too).
 func TestServerConnectionDeadline(t *testing.T) {
 	db := openDB(t, veridb.Config{Seed: 3})
 	ln := serveTCP(t, Config{DB: db, IOTimeout: 50 * time.Millisecond})
@@ -204,141 +73,6 @@ func TestServerConnectionDeadline(t *testing.T) {
 		t.Fatal("idle connection not closed by deadline")
 	}
 }
-
-// TestServerHealthOp: the health operation reports the verifier state and
-// flips to quarantined after injected tampering is detected.
-func TestServerHealthOp(t *testing.T) {
-	db := openDB(t, veridb.Config{Seed: 4})
-	mustExec(t, db,
-		`CREATE TABLE t (a INT PRIMARY KEY, b TEXT)`,
-		`INSERT INTO t VALUES (1, 'hello')`)
-	ln := serveTCP(t, Config{DB: db})
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(conn)
-
-	health := func() wireHealth {
-		t.Helper()
-		if err := enc.Encode(wireRequest{Op: "health"}); err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Scan() {
-			t.Fatal("no health response")
-		}
-		var h wireHealth
-		if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-
-	if h := health(); h.Quarantined || h.Alarm != "" {
-		t.Fatalf("clean instance reports %+v", h)
-	}
-	if err := db.InjectTamper("t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Verify(); err == nil {
-		t.Fatal("tamper not detected")
-	}
-	if h := health(); !h.Quarantined || h.Alarm == "" {
-		t.Fatalf("tampered instance reports %+v", h)
-	}
-
-	// Queries are now fenced with an authenticated quarantine response.
-	key := []byte("k")
-	db.ProvisionClient("alice", key)
-	query := `SELECT b FROM t WHERE a = 1`
-	mac := portal.SignRequest(key, "alice", 1, query)
-	if err := enc.Encode(wireRequest{
-		Op: "query", Client: "alice", QID: 1, Query: query,
-		MAC: base64.StdEncoding.EncodeToString(mac),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Scan() {
-		t.Fatal("no query response")
-	}
-	var resp wireResponse
-	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Quarantined || resp.MAC == "" || len(resp.Rows) != 0 {
-		t.Fatalf("quarantined query answered %+v", resp)
-	}
-}
-
-// TestServerSnapshotSessionOverWire drives BEGIN SNAPSHOT / COMMIT over
-// TCP with the client package's request helpers: the pinned client's
-// reads stay frozen while another wire client writes, the pinned session
-// is read-only, and COMMIT releases the pin.
-func TestServerSnapshotSessionOverWire(t *testing.T) {
-	db := openDB(t, veridb.Config{Seed: 3})
-	mustExec(t, db,
-		`CREATE TABLE t (a INT PRIMARY KEY, b INT)`,
-		`INSERT INTO t VALUES (1, 10), (2, 20)`)
-	db.ProvisionClient("alice", []byte("ka"))
-	db.ProvisionClient("bob", []byte("kb"))
-	alice := client.New("alice", []byte("ka"))
-	bob := client.New("bob", []byte("kb"))
-
-	ln := serveTCP(t, Config{DB: db})
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(conn)
-
-	send := func(req portal.Request) wireResponse {
-		t.Helper()
-		if err := enc.Encode(wireRequest{
-			Op: "query", Client: req.ClientID, QID: req.QID, Query: req.Query,
-			MAC: base64.StdEncoding.EncodeToString(req.MAC),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Scan() {
-			t.Fatal("no response")
-		}
-		var resp wireResponse
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	begin := send(alice.NewBeginSnapshotRequest())
-	if begin.Err != "" || len(begin.Rows) != 1 || begin.Columns[0] != "snapshot_seq" {
-		t.Fatalf("BEGIN SNAPSHOT over wire: %+v", begin)
-	}
-	if r := send(bob.NewRequest(`INSERT INTO t VALUES (3, 30)`)); r.Err != "" {
-		t.Fatalf("bob insert: %+v", r)
-	}
-	if r := send(alice.NewRequest(`SELECT a FROM t ORDER BY a`)); r.Err != "" || len(r.Rows) != 2 {
-		t.Fatalf("alice pinned read saw bob's write: %+v", r)
-	}
-	if r := send(bob.NewRequest(`SELECT a FROM t ORDER BY a`)); r.Err != "" || len(r.Rows) != 3 {
-		t.Fatalf("bob read: %+v", r)
-	}
-	if r := send(alice.NewRequest(`DELETE FROM t WHERE a = 1`)); !strings.Contains(r.Err, "read-only") {
-		t.Fatalf("alice write under pin: %+v", r)
-	}
-	if r := send(alice.NewCommitSnapshotRequest()); r.Err != "" {
-		t.Fatalf("alice COMMIT: %+v", r)
-	}
-	if r := send(alice.NewRequest(`SELECT a FROM t ORDER BY a`)); r.Err != "" || len(r.Rows) != 3 {
-		t.Fatalf("alice post-COMMIT read: %+v", r)
-	}
-}
-
-// --- Binary protocol ---
 
 // binConn wraps a raw connection speaking frames.
 type binConn struct {
@@ -378,11 +112,36 @@ func (b *binConn) query(req portal.Request) {
 	b.write(wire.Frame{Type: wire.TQuery, QID: req.QID, Payload: wire.EncodeQuery(req)})
 }
 
+// roundTrip sends one query and returns its decoded response with the
+// client-side verification outcome (MAC, qid, sequence tracking).
+func (b *binConn) roundTrip(c *client.Client, req portal.Request) (*portal.Response, error) {
+	b.t.Helper()
+	b.query(req)
+	f := b.read()
+	if f.Type != wire.TResult || f.QID != req.QID {
+		b.t.Fatalf("qid %d answered with %v qid %d %q", req.QID, f.Type, f.QID, f.Payload)
+	}
+	resp, err := wire.DecodeResult(f.QID, f.Payload)
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	return resp, c.VerifyResponse(req, resp)
+}
+
+// expectClosed fails unless the peer has closed the connection with
+// nothing further to read.
+func (b *binConn) expectClosed() {
+	b.t.Helper()
+	b.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if f, err := wire.ReadFrame(b.br, 0); !errors.Is(err, io.EOF) {
+		b.t.Fatalf("connection not cleanly closed: frame %+v err %v", f, err)
+	}
+}
+
 // TestBinaryPipelinedRoundTrip pushes a window of pipelined queries down
 // one connection, then attestation and health, and MAC-verifies every
-// response client-side — the binary codec carries typed row images, so
-// the client checks the portal's endorsement end to end (the legacy JSON
-// path cannot: it stringifies rows).
+// response client-side — the codec carries typed row images, so the
+// client checks the portal's endorsement end to end.
 func TestBinaryPipelinedRoundTrip(t *testing.T) {
 	db := openDB(t, veridb.Config{Seed: 5})
 	mustExec(t, db, `CREATE TABLE t (a INT PRIMARY KEY, b TEXT)`,
@@ -426,7 +185,7 @@ func TestBinaryPipelinedRoundTrip(t *testing.T) {
 		t.Fatalf("%d responses missing", len(reqs))
 	}
 
-	// Attestation over the binary protocol.
+	// Attestation.
 	nonce := []byte("bin-nonce")
 	bc.write(wire.Frame{Type: wire.TAttest, QID: 100, Payload: wire.EncodeAttest(nonce)})
 	f := bc.read()
@@ -441,7 +200,7 @@ func TestBinaryPipelinedRoundTrip(t *testing.T) {
 		t.Fatalf("binary quote rejected: %v", err)
 	}
 
-	// Health over the binary protocol (JSON payload, same shape).
+	// Health (JSON payload).
 	bc.write(wire.Frame{Type: wire.THealth, QID: 101})
 	f = bc.read()
 	if f.Type != wire.THealthInfo || f.QID != 101 {
@@ -464,11 +223,124 @@ func TestBinaryPipelinedRoundTrip(t *testing.T) {
 	if f.Type != wire.TError || !strings.Contains(string(f.Payload), "authorization failed") {
 		t.Fatalf("forged request answered with %v %q", f.Type, f.Payload)
 	}
+	// So does a client the enclave holds no key for.
+	stranger := client.New("mallory", key).NewRequest(`SELECT 1`)
+	bc.query(stranger)
+	f = bc.read()
+	if f.Type != wire.TError || f.QID != stranger.QID || !strings.Contains(string(f.Payload), "authorization failed") {
+		t.Fatalf("unknown client answered with %v qid %d %q", f.Type, f.QID, f.Payload)
+	}
+	// And a frame type only the server sends is refused by address.
+	bc.write(wire.Frame{Type: wire.TResult, QID: 102})
+	f = bc.read()
+	if f.Type != wire.TError || f.QID != 102 || !strings.Contains(string(f.Payload), "unexpected frame type") {
+		t.Fatalf("client-sent TResult answered with %v qid %d %q", f.Type, f.QID, f.Payload)
+	}
 	ok := alice.NewRequest(`SELECT b FROM t WHERE a = 1`)
 	bc.query(ok)
 	f = bc.read()
 	if f.Type != wire.TResult || f.QID != ok.QID {
 		t.Fatalf("connection unusable after refusal: %v %q", f.Type, f.Payload)
+	}
+}
+
+// TestServerHealthOp: the health operation reports the verifier state and
+// flips to quarantined after injected tampering is detected.
+func TestServerHealthOp(t *testing.T) {
+	db := openDB(t, veridb.Config{Seed: 4})
+	mustExec(t, db,
+		`CREATE TABLE t (a INT PRIMARY KEY, b TEXT)`,
+		`INSERT INTO t VALUES (1, 'hello')`)
+	ln := serveTCP(t, Config{DB: db})
+	bc := dialBinary(t, ln.Addr().String())
+
+	health := func() wireHealth {
+		t.Helper()
+		bc.write(wire.Frame{Type: wire.THealth, QID: 1})
+		f := bc.read()
+		if f.Type != wire.THealthInfo {
+			t.Fatalf("health answered with %v %q", f.Type, f.Payload)
+		}
+		var h wireHealth
+		if err := json.Unmarshal(f.Payload, &h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	if h := health(); h.Quarantined || h.Alarm != "" {
+		t.Fatalf("clean instance reports %+v", h)
+	}
+	if err := db.InjectTamper("t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Verify(); err == nil {
+		t.Fatal("tamper not detected")
+	}
+	if h := health(); !h.Quarantined || h.Alarm == "" {
+		t.Fatalf("tampered instance reports %+v", h)
+	}
+
+	// Queries are now fenced with an authenticated quarantine response.
+	key := []byte("k")
+	db.ProvisionClient("alice", key)
+	alice := client.New("alice", key)
+	resp, verr := bc.roundTrip(alice, alice.NewRequest(`SELECT b FROM t WHERE a = 1`))
+	if !errors.Is(verr, client.ErrQuarantined) || !resp.Quarantined || len(resp.Rows) != 0 {
+		t.Fatalf("quarantined query answered %+v (verification: %v)", resp, verr)
+	}
+}
+
+// TestServerSnapshotSessionOverWire drives BEGIN SNAPSHOT / COMMIT over
+// TCP with the client package's request helpers: the pinned client's
+// reads stay frozen while another wire client writes, the pinned session
+// is read-only, and COMMIT releases the pin. Every response MAC-verifies.
+func TestServerSnapshotSessionOverWire(t *testing.T) {
+	db := openDB(t, veridb.Config{Seed: 3})
+	mustExec(t, db,
+		`CREATE TABLE t (a INT PRIMARY KEY, b INT)`,
+		`INSERT INTO t VALUES (1, 10), (2, 20)`)
+	db.ProvisionClient("alice", []byte("ka"))
+	db.ProvisionClient("bob", []byte("kb"))
+	alice := client.New("alice", []byte("ka"))
+	bob := client.New("bob", []byte("kb"))
+
+	ln := serveTCP(t, Config{DB: db})
+	bc := dialBinary(t, ln.Addr().String())
+
+	// send returns the verified response; an authenticated execution error
+	// stays in resp.ErrMsg, anything else fails the test.
+	send := func(c *client.Client, req portal.Request) *portal.Response {
+		t.Helper()
+		resp, verr := bc.roundTrip(c, req)
+		var se *client.ServerError
+		if verr != nil && !errors.As(verr, &se) {
+			t.Fatalf("%s: response fails verification: %v", req.Query, verr)
+		}
+		return resp
+	}
+
+	begin := send(alice, alice.NewBeginSnapshotRequest())
+	if begin.ErrMsg != "" || len(begin.Rows) != 1 || begin.Columns[0] != "snapshot_seq" {
+		t.Fatalf("BEGIN SNAPSHOT over wire: %+v", begin)
+	}
+	if r := send(bob, bob.NewRequest(`INSERT INTO t VALUES (3, 30)`)); r.ErrMsg != "" {
+		t.Fatalf("bob insert: %+v", r)
+	}
+	if r := send(alice, alice.NewRequest(`SELECT a FROM t ORDER BY a`)); r.ErrMsg != "" || len(r.Rows) != 2 {
+		t.Fatalf("alice pinned read saw bob's write: %+v", r)
+	}
+	if r := send(bob, bob.NewRequest(`SELECT a FROM t ORDER BY a`)); r.ErrMsg != "" || len(r.Rows) != 3 {
+		t.Fatalf("bob read: %+v", r)
+	}
+	if r := send(alice, alice.NewRequest(`DELETE FROM t WHERE a = 1`)); !strings.Contains(r.ErrMsg, "read-only") {
+		t.Fatalf("alice write under pin: %+v", r)
+	}
+	if r := send(alice, alice.NewCommitSnapshotRequest()); r.ErrMsg != "" {
+		t.Fatalf("alice COMMIT: %+v", r)
+	}
+	if r := send(alice, alice.NewRequest(`SELECT a FROM t ORDER BY a`)); r.ErrMsg != "" || len(r.Rows) != 3 {
+		t.Fatalf("alice post-COMMIT read: %+v", r)
 	}
 }
 
@@ -619,8 +491,8 @@ func TestBinaryPerFrameOverload(t *testing.T) {
 
 // TestBinaryOversizedFrameTypedRefusal: a frame declaring a payload past
 // the cap is refused by address — the TError carries the offending qid and
-// a message that parses back to the typed too-large error, matching the
-// legacy path's refusal — then the connection closes.
+// a message that parses back to the typed too-large error — then the
+// connection closes.
 func TestBinaryOversizedFrameTypedRefusal(t *testing.T) {
 	db := openDB(t, veridb.Config{Seed: 8})
 	ln := serveTCP(t, Config{DB: db, MaxMessage: 256})
@@ -639,11 +511,7 @@ func TestBinaryOversizedFrameTypedRefusal(t *testing.T) {
 	if !ok || tl.Limit != 256 {
 		t.Fatalf("refusal %q did not parse as typed too-large (%+v, %v)", f.Payload, tl, ok)
 	}
-	// Connection closes after the refusal, like the legacy path.
-	bc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := wire.ReadFrame(bc.br, 0); err == nil {
-		t.Fatal("connection still open after oversized frame")
-	}
+	bc.expectClosed()
 }
 
 // TestBinaryAbruptDisconnectLeaksNothing: killing a client mid-pipeline
@@ -715,72 +583,51 @@ func TestBinaryAbruptDisconnectLeaksNothing(t *testing.T) {
 	}
 }
 
-// TestDualProtocolSniffing: one listener serves a legacy JSON connection
-// and a binary connection side by side; pinned modes refuse the other
-// protocol's first byte instead of misparsing it.
-func TestDualProtocolSniffing(t *testing.T) {
+// TestConnectionLevelRefusals: whatever the server cannot read as a frame
+// it speaks — a JSON line (the retired protocol's opening), a frame from a
+// future protocol version, a type byte it does not know — and a connection
+// past MaxConns each draw exactly one TError addressed to qid 0, the
+// connection-level address, and then a clean close. The refusal frame
+// races the close; `make flake` repeats this test.
+func TestConnectionLevelRefusals(t *testing.T) {
 	db := openDB(t, veridb.Config{Seed: 10})
-	mustExec(t, db, `CREATE TABLE t (a INT PRIMARY KEY)`, `INSERT INTO t VALUES (1)`)
-	key := []byte("sniff-secret")
-	db.ProvisionClient("alice", key)
-	alice := client.New("alice", key)
-
 	ln := serveTCP(t, Config{DB: db})
 
-	// Legacy JSON connection.
-	jc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jc.Close()
-	req := alice.NewRequest(`SELECT a FROM t`)
-	if err := json.NewEncoder(jc).Encode(wireRequest{
-		Op: "query", Client: req.ClientID, QID: req.QID, Query: req.Query,
-		MAC: base64.StdEncoding.EncodeToString(req.MAC),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(jc)
-	if !sc.Scan() {
-		t.Fatal("no JSON response")
-	}
-	var jresp wireResponse
-	if err := json.Unmarshal(sc.Bytes(), &jresp); err != nil {
-		t.Fatal(err)
-	}
-	if jresp.Err != "" || len(jresp.Rows) != 1 {
-		t.Fatalf("JSON leg: %+v", jresp)
-	}
-
-	// Binary connection on the same listener.
-	bc := dialBinary(t, ln.Addr().String())
-	breq := alice.NewRequest(`SELECT a FROM t`)
-	bc.query(breq)
-	f := bc.read()
-	if f.Type != wire.TResult || f.QID != breq.QID {
-		t.Fatalf("binary leg: %v %q", f.Type, f.Payload)
-	}
-	resp, err := wire.DecodeResult(f.QID, f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := alice.VerifyResponse(breq, resp); err != nil {
-		t.Fatal(err)
+	v2 := wire.AppendHeader(nil, wire.THealth, 7, 0)
+	v2[2] = wire.Version + 1
+	badType := wire.AppendHeader(nil, wire.Type(0x7f), 7, 0)
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+		want  error
+	}{
+		{"json line", []byte("{\"op\":\"health\"}\n"), wire.ErrBadMagic},
+		{"future version", v2, wire.ErrBadVersion},
+		{"unknown type", badType, wire.ErrBadType},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bc := dialBinary(t, ln.Addr().String())
+			if _, err := bc.conn.Write(tc.bytes); err != nil {
+				t.Fatal(err)
+			}
+			f := bc.read()
+			if f.Type != wire.TError || f.QID != 0 || !strings.Contains(string(f.Payload), tc.want.Error()) {
+				t.Fatalf("refusal %v qid %d %q, want a qid-0 TError naming %q", f.Type, f.QID, f.Payload, tc.want)
+			}
+			bc.expectClosed()
+		})
 	}
 
-	// A json-pinned server treats a binary frame as a (malformed) JSON
-	// line — it never reaches the binary path.
-	jln := serveTCP(t, Config{DB: db, Wire: WireJSON})
-	pc, err := net.Dial("tcp", jln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	wire.WriteFrame(pc, wire.Frame{Type: wire.THealth, QID: 1})
-	pc.Write([]byte("\n"))
-	pc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	psc := bufio.NewScanner(pc)
-	if !psc.Scan() || !strings.Contains(psc.Text(), "bad request") {
-		t.Fatalf("json-pinned server did not refuse a binary frame as bad JSON: %q", psc.Text())
-	}
+	t.Run("over MaxConns", func(t *testing.T) {
+		ln := serveTCP(t, Config{DB: db, MaxConns: 1})
+		holder := dialBinary(t, ln.Addr().String())
+		holder.write(wire.Frame{Type: wire.THealth, QID: 1})
+		holder.read() // the holder is being served: the slot is taken
+		bc := dialBinary(t, ln.Addr().String())
+		f := bc.read()
+		if f.Type != wire.TError || f.QID != 0 || !strings.Contains(string(f.Payload), "capacity") {
+			t.Fatalf("refusal %v qid %d %q, want a qid-0 TError naming capacity", f.Type, f.QID, f.Payload)
+		}
+		bc.expectClosed()
+	})
 }

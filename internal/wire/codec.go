@@ -3,9 +3,7 @@
 // little-endian fixed-width integers), and response rows travel as
 // record.Encode images — the exact bytes portal.ResponseDigest folds into
 // the response MAC — so a client can rebuild the typed tuples and verify
-// the endorsement bit-for-bit. That is a capability the legacy JSON
-// protocol lacks: it renders rows to strings, erasing the types the digest
-// covers.
+// the endorsement bit-for-bit.
 package wire
 
 import (
@@ -95,7 +93,7 @@ func (r *reader) done() error {
 
 // EncodeQuery encodes an authenticated query request. The qid travels in
 // the frame header, not the payload; the MAC bytes are exactly
-// portal.SignRequestTimeout's output, unchanged from the JSON protocol.
+// portal.SignRequestTimeout's output.
 func EncodeQuery(req portal.Request) []byte {
 	b := make([]byte, 0, 4+len(req.ClientID)+4+len(req.Query)+8+4+len(req.MAC))
 	b = appendString(b, req.ClientID)

@@ -1,6 +1,6 @@
-// Package wire implements VeriDB's length-prefixed binary wire protocol:
-// the high-throughput framing that replaces newline-delimited JSON on the
-// server→portal→client path. A connection carries independent frames, each
+// Package wire implements VeriDB's length-prefixed binary wire protocol,
+// the only encoding on the server→portal→client path. A connection
+// carries independent frames, each
 // tagged with a query id (qid), so many requests can be in flight at once
 // and responses may return out of order — the portal's response cache and
 // the client's qid/MAC reuse already make retries at-most-once, and this
@@ -10,23 +10,21 @@
 //
 //	offset size field
 //	0      2    magic 0xD6 0x42 ("VB" with the high bit set on the V, so
-//	            the first byte can never collide with JSON's '{')
+//	            no text protocol's first byte collides with it)
 //	2      1    protocol version (currently 1)
 //	3      1    frame type
 //	4      8    qid — matches responses to requests; 0 for connection-level
 //	12     4    payload length
 //	16     n    payload (type-specific codec, see codec.go)
 //
-// The MAC scheme is unchanged from the JSON protocol: requests carry the
-// exact portal.SignRequestTimeout bytes and responses the exact
-// portal.SignResponse bytes, so a key provisioned for one protocol
-// authenticates identically on the other.
+// The MAC scheme is the portal's: requests carry the exact
+// portal.SignRequestTimeout bytes and responses the exact
+// portal.SignResponse bytes, so the framing adds nothing to the security
+// argument.
 //
-// Decode errors are typed: ErrBadMagic, ErrBadVersion, ErrTruncated,
-// ErrBadPayload, and *TooLargeError (wrapping ErrTooLarge) for frames
-// beyond the size cap — the same typed refusal the legacy JSON path now
-// uses for over-limit lines, replacing the old ad-hoc bufio.ErrTooLong
-// handling.
+// Decode errors are typed: ErrBadMagic, ErrBadVersion, ErrBadType,
+// ErrTruncated, ErrBadPayload, and *TooLargeError (wrapping ErrTooLarge)
+// for frames beyond the size cap.
 package wire
 
 import (
@@ -40,8 +38,7 @@ import (
 
 // Frame geometry and protocol constants.
 const (
-	// Magic0 and Magic1 open every frame. Magic0 is what the server's
-	// first-byte sniffer keys on to route a connection to the binary path.
+	// Magic0 and Magic1 open every frame; anything else draws ErrBadMagic.
 	Magic0 = 0xD6
 	Magic1 = 0x42
 	// Version is the protocol version this package speaks. A frame with a
@@ -51,7 +48,7 @@ const (
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 16
 	// DefaultMaxPayload caps a frame's payload when the caller passes no
-	// limit of its own (matches the legacy protocol's 1 MiB line limit).
+	// limit of its own (1 MiB).
 	DefaultMaxPayload = 1 << 20
 )
 
@@ -72,13 +69,14 @@ const (
 	TQuote Type = 4
 	// THealth requests the health snapshot (empty payload).
 	THealth Type = 5
-	// THealthInfo carries the health snapshot as JSON (the health channel
-	// is diagnostic, not hot-path; reusing the JSON shape keeps one source
-	// of truth for supervisors speaking either protocol).
+	// THealthInfo carries the health snapshot as a JSON document (the
+	// health channel is diagnostic, not hot-path).
 	THealthInfo Type = 6
 	// TError is an unauthenticated refusal: a human-readable message for
 	// requests with no authenticated response (authorisation failures,
-	// malformed payloads, unsupported versions, over-limit frames).
+	// malformed payloads, over-limit frames). Addressed to qid 0 it refuses
+	// the connection itself (bad magic, unsupported version, connection
+	// cap) and the server closes behind it.
 	TError Type = 7
 )
 
@@ -123,19 +121,18 @@ var (
 	ErrTooLarge = errors.New("wire: message too large")
 )
 
-// TooLargeError is the typed refusal for a message beyond the size cap —
-// a binary frame whose declared payload exceeds the limit, or a legacy
-// JSON line beyond the line limit. Size is 0 when only the violation, not
-// the full size, is known (the legacy scanner stops at the limit). It
-// unwraps to ErrTooLarge.
+// TooLargeError is the typed refusal for a frame whose declared payload
+// exceeds the size cap. Size is 0 when only the violation, not the full
+// size, is known (a refusal parsed back from its message). It unwraps to
+// ErrTooLarge.
 type TooLargeError struct {
 	Limit int
 	Size  int
 }
 
 // tooLargeMarker is the machine-parseable core of the refusal message; it
-// survives the trip through both protocols' string error channels so
-// clients can recover the typed error with ParseTooLarge.
+// survives the trip through TError's string payload so clients can
+// recover the typed error with ParseTooLarge.
 const tooLargeMarker = "-byte message limit"
 
 func (e *TooLargeError) Error() string {
@@ -148,13 +145,8 @@ func (e *TooLargeError) Error() string {
 // Unwrap lets errors.Is(err, ErrTooLarge) match the typed refusal.
 func (e *TooLargeError) Unwrap() error { return ErrTooLarge }
 
-// NewTooLarge builds the typed over-limit refusal. size 0 means unknown.
-func NewTooLarge(limit, size int) *TooLargeError {
-	return &TooLargeError{Limit: limit, Size: size}
-}
-
 // ParseTooLarge recovers a typed *TooLargeError from an error message that
-// crossed the wire as a string (either protocol). ok is false when the
+// crossed the wire as a TError string. ok is false when the
 // message does not carry the over-limit marker.
 func ParseTooLarge(msg string) (*TooLargeError, bool) {
 	i := strings.Index(msg, tooLargeMarker)
@@ -224,7 +216,7 @@ func decodeHeader(h []byte, maxPayload int) (Frame, int, error) {
 		maxPayload = DefaultMaxPayload
 	}
 	if n > uint32(maxPayload) {
-		return f, 0, NewTooLarge(maxPayload, HeaderSize+int(n))
+		return f, 0, &TooLargeError{Limit: maxPayload, Size: HeaderSize + int(n)}
 	}
 	return f, int(n), nil
 }
