@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race flake bench bench-query bench-wal bench-mvcc bench-overload bench-wire chaos crash fuzz ci
+.PHONY: build vet lint test race flake bench bench-scan bench-query bench-wal bench-mvcc bench-overload bench-wire chaos crash fuzz ci
 
 build:
 	$(GO) build ./...
@@ -30,15 +30,24 @@ race:
 # behind them (VerifyAll masking a raised alarm, VerifyAll blocking behind
 # an idle background pass, an unflagged response from an instance
 # quarantined mid-statement), plus the two connection-level refusal tests,
-# which race a qid-0 TError frame against the close behind it — fifty
-# times each under the race detector.
+# which race a qid-0 TError frame against the close behind it, and the two
+# tests of Drain beside a still-running accept loop (the abrupt-disconnect
+# one tripped the race detector about 1 run in 30) — fifty times each
+# under the race detector.
 flake:
 	$(GO) test -race -count=50 -timeout 10m \
-		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal' \
+		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal|TestBinaryAbruptDisconnectLeaksNothing|TestDrainBesideAcceptLoop' \
 		./internal/core ./internal/vmem ./internal/portal ./internal/server ./internal/client
 
 bench:
 	$(GO) test -bench=BenchmarkVerifyScaling -benchtime=1x -run=^$$ .
+
+# The verified scan row: ns/row and allocs/row of a 2 000-row range scan
+# over a lineitem-shaped table. The allocation half is also a plain test
+# (TestScanRowAllocs, at most 3 per row), so `make test` gates it; counts
+# are the same on any host, which the timing smokes below are not.
+bench-scan:
+	$(GO) test -run '^$$' -bench '^BenchmarkScanRow$$' -benchtime 200x ./internal/storage
 
 # Query-execution smoke: a tiny batch-capacity sweep proving the query
 # subcommand runs end-to-end and rows stay capacity-invariant. Real
@@ -101,13 +110,14 @@ crash:
 
 # Fuzz smoke: each decode-path fuzzer runs briefly over its committed
 # seed corpus plus fresh mutations. The invariant under test: arbitrary
-# disk or network bytes produce a typed error or a valid result, never a
-# panic.
+# disk, network or untrusted-memory bytes produce a typed error or a valid
+# result, never a panic.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALHeaderDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/record
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzResultDecode$$' -fuzztime 10s ./internal/wire

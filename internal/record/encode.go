@@ -2,8 +2,10 @@ package record
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // ChainLink is one ⟨key_i, nKey_i⟩ pair of the extended storage model
@@ -105,19 +107,58 @@ func appendValue(buf []byte, v Value) []byte {
 	return buf
 }
 
-// Decode parses an Encode image.
+// ErrCorrupt is wrapped by every decode error: the bytes are not an Encode
+// image. Only canonical images are accepted (Encode(Decode(b)) == b), so a
+// record the storage layer reads back is byte for byte one it wrote.
+var ErrCorrupt = errors.New("record: corrupt encoding")
+
+// Decode parses an Encode image into a record that shares no memory with
+// buf.
 func Decode(buf []byte) (*Record, error) {
-	d := decoder{buf: buf}
+	var s Scratch
+	rec, err := s.Decode(buf)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rec.Links {
+		l := &rec.Links[i]
+		l.Key.B = append([]byte(nil), l.Key.B...)
+		l.NKey.B = append([]byte(nil), l.NKey.B...)
+	}
+	return &Record{Links: rec.Links, Data: s.Tuple()}, nil
+}
+
+// Scratch decodes one record image after another into the same Record, for
+// readers that look at each record only until they fetch the next (the
+// verified scan): no Record, link slice or key copy is allocated per image,
+// and the data tuple is built only on request.
+type Scratch struct {
+	rec   Record
+	data  []byte // the tuple section of the last image
+	arity int    // its column count; -1 for a sentinel
+	text  int    // total length of its text values
+}
+
+// Decode validates the whole image and parses its chain links. The returned
+// record belongs to the Scratch and its keys alias img: both are good until
+// the next Decode and only while img is left unchanged. Its Data is nil;
+// Tuple builds it.
+func (s *Scratch) Decode(img []byte) (*Record, error) {
+	d := decoder{buf: img}
 	nLinks, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
-	r := &Record{Links: make([]ChainLink, nLinks)}
-	for i := range r.Links {
-		if r.Links[i].Key, err = d.key(); err != nil {
+	if cap(s.rec.Links) < int(nLinks) {
+		s.rec.Links = make([]ChainLink, nLinks)
+	}
+	s.rec.Links = s.rec.Links[:nLinks]
+	for i := range s.rec.Links {
+		l := &s.rec.Links[i]
+		if l.Key, err = d.key(); err != nil {
 			return nil, err
 		}
-		if r.Links[i].NKey, err = d.key(); err != nil {
+		if l.NKey, err = d.key(); err != nil {
 			return nil, err
 		}
 	}
@@ -125,22 +166,40 @@ func Decode(buf []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if arity == 0xFF {
-		if len(d.buf) != d.off {
-			return nil, fmt.Errorf("record: %d trailing bytes after sentinel", len(d.buf)-d.off)
-		}
-		return r, nil
-	}
-	r.Data = make(Tuple, arity)
-	for i := range r.Data {
-		if r.Data[i], err = d.value(); err != nil {
-			return nil, err
+	s.arity, s.text, s.data = -1, 0, nil
+	if arity != 0xFF { // 0xFF marks a sentinel
+		s.arity, s.data = int(arity), img[d.off:]
+		var v Value
+		for i := 0; i < s.arity; i++ {
+			n, err := d.value(nil, &v)
+			if err != nil {
+				return nil, err
+			}
+			s.text += n
 		}
 	}
 	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("record: %d trailing bytes", len(d.buf)-d.off)
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf)-d.off)
 	}
-	return r, nil
+	return &s.rec, nil
+}
+
+// Tuple builds the data tuple of the last decoded image: nil for a
+// sentinel, otherwise a fresh tuple that shares no memory with the image —
+// one allocation for the values and one string that every text value is a
+// substring of.
+func (s *Scratch) Tuple() Tuple {
+	if s.arity < 0 {
+		return nil
+	}
+	t := make(Tuple, s.arity)
+	var text strings.Builder
+	text.Grow(s.text)
+	d := decoder{buf: s.data}
+	for i := range t {
+		_, _ = d.value(&text, &t[i]) // cannot fail: Decode validated the section
+	}
+	return t
 }
 
 type decoder struct {
@@ -150,29 +209,33 @@ type decoder struct {
 
 func (d *decoder) byte() (byte, error) {
 	if d.off >= len(d.buf) {
-		return 0, fmt.Errorf("record: truncated encoding at offset %d", d.off)
+		return 0, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, d.off)
 	}
 	b := d.buf[d.off]
 	d.off++
 	return b, nil
 }
 
-func (d *decoder) take(n int) ([]byte, error) {
-	if n < 0 || d.off+n > len(d.buf) {
-		return nil, fmt.Errorf("record: truncated encoding (need %d bytes at %d of %d)", n, d.off, len(d.buf))
+// take returns the next n bytes, aliasing the buffer. n comes from the
+// untrusted image and is compared as it is: converted to int first, a
+// length near MaxInt64 would wrap the bound negative.
+func (d *decoder) take(n uint64) ([]byte, error) {
+	if n > uint64(len(d.buf)-d.off) {
+		return nil, fmt.Errorf("%w: truncated (need %d bytes at %d of %d)", ErrCorrupt, n, d.off, len(d.buf))
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
 	return b, nil
 }
 
-func (d *decoder) uvarint() (uint64, error) {
+// bytes reads a uvarint length in its shortest form and that many bytes.
+func (d *decoder) bytes() ([]byte, error) {
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("record: bad uvarint at offset %d", d.off)
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
+		return nil, fmt.Errorf("%w: bad uvarint at offset %d", ErrCorrupt, d.off)
 	}
 	d.off += n
-	return v, nil
+	return d.take(v)
 }
 
 func (d *decoder) key() (Key, error) {
@@ -180,68 +243,61 @@ func (d *decoder) key() (Key, error) {
 	if err != nil {
 		return Key{}, err
 	}
-	kind := KeyKind(kb)
-	switch kind {
+	switch kind := KeyKind(kb); kind {
 	case KindNull, KindBottom, KindTop:
 		return Key{Kind: kind}, nil
 	case KindNormal:
-		n, err := d.uvarint()
-		if err != nil {
-			return Key{}, err
-		}
-		b, err := d.take(int(n))
-		if err != nil {
-			return Key{}, err
-		}
-		return Key{Kind: kind, B: append([]byte(nil), b...)}, nil
+		b, err := d.bytes()
+		return Key{Kind: kind, B: b}, err
 	default:
-		return Key{}, fmt.Errorf("record: bad key kind %d", kb)
+		return Key{}, fmt.Errorf("%w: bad key kind %d", ErrCorrupt, kb)
 	}
 }
 
-func (d *decoder) value() (Value, error) {
+// value parses one value into out and reports the length of its text. With
+// a nil text it only validates (a text value comes out empty); otherwise
+// the text is appended to the builder, which must have the room reserved,
+// and the value is a substring of the builder's string.
+func (d *decoder) value(text *strings.Builder, out *Value) (int, error) {
 	tag, err := d.byte()
 	if err != nil {
-		return Value{}, err
+		return 0, err
 	}
-	null := tag&nullBit != 0
 	typ := Type(tag &^ nullBit)
 	if typ > TypeBool {
-		return Value{}, fmt.Errorf("record: bad value tag %#x", tag)
+		return 0, fmt.Errorf("%w: bad value tag %#x", ErrCorrupt, tag)
 	}
-	if null {
-		return Null(typ), nil
+	if tag&nullBit != 0 {
+		*out = Null(typ)
+		return 0, nil
 	}
 	switch typ {
-	case TypeInt:
+	case TypeInt, TypeFloat:
 		b, err := d.take(8)
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
-		return Int(int64(binary.LittleEndian.Uint64(b))), nil
-	case TypeFloat:
-		b, err := d.take(8)
-		if err != nil {
-			return Value{}, err
+		if bits := binary.LittleEndian.Uint64(b); typ == TypeInt {
+			*out = Int(int64(bits))
+		} else {
+			*out = Float(math.Float64frombits(bits))
 		}
-		return Float(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
+		return 0, nil
 	case TypeText:
-		n, err := d.uvarint()
-		if err != nil {
-			return Value{}, err
+		b, err := d.bytes()
+		*out = Value{Type: TypeText}
+		if err == nil && text != nil {
+			off := text.Len()
+			text.Write(b)
+			out.S = text.String()[off:]
 		}
-		b, err := d.take(int(n))
-		if err != nil {
-			return Value{}, err
-		}
-		return Text(string(b)), nil
-	case TypeBool:
+		return len(b), err
+	default: // TypeBool
 		b, err := d.byte()
-		if err != nil {
-			return Value{}, err
+		if err == nil && b > 1 {
+			err = fmt.Errorf("%w: bad bool byte %#x", ErrCorrupt, b)
 		}
-		return Bool(b != 0), nil
-	default:
-		return Value{}, fmt.Errorf("record: bad type %d", typ)
+		*out = Bool(b == 1)
+		return 0, err
 	}
 }

@@ -114,13 +114,15 @@ func (k Key) Equal(o Key) bool {
 // order: one kind byte followed by the value bytes. Null keys have no
 // encoding.
 func (k Key) Encode() []byte {
+	return k.AppendEncode(make([]byte, 0, 1+len(k.B)))
+}
+
+// AppendEncode appends the Encode image to dst.
+func (k Key) AppendEncode(dst []byte) []byte {
 	if k.Kind == KindNull {
 		panic("record: encoding a null chain key")
 	}
-	out := make([]byte, 1+len(k.B))
-	out[0] = byte(k.Kind)
-	copy(out[1:], k.B)
-	return out
+	return append(append(dst, byte(k.Kind)), k.B...)
 }
 
 // DecodeKey parses an Encode image.

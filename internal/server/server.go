@@ -55,7 +55,22 @@ type Server struct {
 	maxInflight int
 	ioTimeout   time.Duration
 	sem         chan struct{} // connection-cap semaphore (nil = uncapped)
-	wg          sync.WaitGroup
+
+	mu      sync.Mutex
+	running int           // accept loops and sessions not yet returned
+	idle    chan struct{} // what a Drain waits on; closed when running hits 0
+}
+
+// track counts an accept loop or a session in or out. A sync.WaitGroup
+// cannot do this job: Serve's Add for a new session may run beside Drain's
+// Wait with the count at zero, which the WaitGroup contract forbids.
+func (s *Server) track(delta int) {
+	s.mu.Lock()
+	if s.running += delta; s.running == 0 && s.idle != nil {
+		close(s.idle)
+		s.idle = nil
+	}
+	s.mu.Unlock()
 }
 
 // New builds a server over an open database.
@@ -84,6 +99,8 @@ func New(cfg Config) (*Server, error) {
 // Serve accepts connections until the listener closes, then returns nil.
 // Callers drain in-flight sessions with Drain.
 func (s *Server) Serve(ln net.Listener) error {
+	s.track(1)
+	defer s.track(-1)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -107,9 +124,9 @@ func (s *Server) Serve(ln net.Listener) error {
 				continue
 			}
 		}
-		s.wg.Add(1)
+		s.track(1)
 		go func() {
-			defer s.wg.Done()
+			defer s.track(-1)
 			if s.sem != nil {
 				defer func() { <-s.sem }()
 			}
@@ -118,22 +135,29 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Drain waits for in-flight connections, up to timeout (0 waits forever).
-// It reports whether the server drained fully.
+// Drain waits for Serve to have returned and for in-flight connections, up
+// to timeout (0 waits forever). It reports whether the server drained fully.
 func (s *Server) Drain(timeout time.Duration) bool {
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	if timeout <= 0 {
-		<-done
+	s.mu.Lock()
+	if s.running == 0 {
+		s.mu.Unlock()
 		return true
 	}
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+	}
+	idle := s.idle
+	s.mu.Unlock()
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
-	case <-done:
+	case <-idle:
 		return true
-	case <-time.After(timeout):
+	case <-expired:
 		return false
 	}
 }

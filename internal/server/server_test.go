@@ -631,3 +631,48 @@ func TestConnectionLevelRefusals(t *testing.T) {
 		bc.expectClosed()
 	})
 }
+
+// TestDrainBesideAcceptLoop calls Drain while Serve is still accepting: a
+// new session must be counted in without racing the wait (a WaitGroup's Add
+// at count zero beside its Wait is a misuse the race detector reports), a
+// Drain that cannot finish times out, and the one after the listener closes
+// does finish.
+func TestDrainBesideAcceptLoop(t *testing.T) {
+	srv, err := New(Config{DB: openDB(t, veridb.Config{Seed: 9})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	dialed := make(chan struct{})
+	go func() {
+		defer close(dialed)
+		for i := 0; i < 40; i++ {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Errorf("dial %d: %v", i, err)
+				return
+			}
+			conn.Close()
+		}
+	}()
+	for dialing := true; dialing; {
+		select {
+		case <-dialed:
+			dialing = false
+		default:
+			srv.Drain(time.Millisecond)
+		}
+	}
+	ln.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if !srv.Drain(10 * time.Second) {
+		t.Fatal("server did not drain after the listener closed")
+	}
+}

@@ -72,15 +72,34 @@ type Key struct {
 	pool sync.Pool
 }
 
-func (k *Key) mac() hash.Hash {
-	if h, ok := k.pool.Get().(hash.Hash); ok {
-		h.Reset()
-		return h
-	}
-	return hmac.New(sha512.New, k.k[:])
+// prfState is one pooled evaluator: the keyed HMAC plus the two buffers
+// that cross the hash.Hash interface. Arguments of an interface call
+// escape, so a header or digest on the caller's stack would move to the
+// heap on every evaluation; inside the pooled state, which is on the heap
+// already, they cost nothing.
+type prfState struct {
+	mac hash.Hash
+	hdr [16]byte
+	sum Digest
 }
 
-func (k *Key) put(h hash.Hash) { k.pool.Put(h) }
+func (k *Key) get() *prfState {
+	if st, ok := k.pool.Get().(*prfState); ok {
+		return st
+	}
+	return &prfState{mac: hmac.New(sha512.New, k.k[:])}
+}
+
+// prfv evaluates PRF_k(addr ‖ ver ‖ data) into out.
+func (st *prfState) prfv(addr, ver uint64, data []byte, out *Digest) {
+	st.mac.Reset()
+	binary.LittleEndian.PutUint64(st.hdr[:8], addr)
+	binary.LittleEndian.PutUint64(st.hdr[8:], ver)
+	st.mac.Write(st.hdr[:])
+	st.mac.Write(data)
+	st.mac.Sum(st.sum[:0])
+	*out = st.sum
+}
 
 // NewKey draws a fresh random PRF key.
 func NewKey() (*Key, error) {
@@ -109,62 +128,46 @@ func (k *Key) PRF(addr uint64, data []byte) Digest {
 // Blum-style offline checking timestamps every entry so the read and write
 // multisets contain only distinct elements, which makes the XOR set hash a
 // sound multiset hash (even multiplicities would otherwise cancel).
-func (k *Key) PRFv(addr, ver uint64, data []byte) Digest {
-	mac := k.mac()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[:8], addr)
-	binary.LittleEndian.PutUint64(hdr[8:], ver)
-	mac.Write(hdr[:])
-	mac.Write(data)
-	var d Digest
-	mac.Sum(d[:0])
-	k.put(mac)
+func (k *Key) PRFv(addr, ver uint64, data []byte) (d Digest) {
+	k.PRFvInto(addr, ver, data, &d)
 	return d
 }
 
 // PRFvInto computes PRF_k(addr ‖ ver ‖ data) directly into out, avoiding
 // the 64-byte return-value copy of PRFv. Equivalent to *out = k.PRFv(...).
 func (k *Key) PRFvInto(addr, ver uint64, data []byte, out *Digest) {
-	mac := k.mac()
-	prfvInto(mac, addr, ver, data, out)
-	k.put(mac)
-}
-
-func prfvInto(mac hash.Hash, addr, ver uint64, data []byte, out *Digest) {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[:8], addr)
-	binary.LittleEndian.PutUint64(hdr[8:], ver)
-	mac.Write(hdr[:])
-	mac.Write(data)
-	mac.Sum(out[:0])
+	st := k.get()
+	st.prfv(addr, ver, data, out)
+	k.pool.Put(st)
 }
 
 // Hasher is a batch PRF evaluator: it checks one keyed HMAC state out of
-// the key's pool and reuses it for every evaluation until Close. Scanners
-// that evaluate thousands of PRFs per page (vmem's verification workers)
-// use one Hasher per worker, paying the pool synchronisation once per
-// batch instead of once per cell. A Hasher is not safe for concurrent use.
+// the key's pool and reuses it for every evaluation until Close. Callers
+// that evaluate many PRFs in a row (vmem's verification workers, a range
+// scan's protected reads) hold one Hasher each, paying the pool
+// synchronisation once per batch instead of once per cell. A Hasher is not
+// safe for concurrent use.
 type Hasher struct {
-	k   *Key
-	mac hash.Hash
+	k  *Key
+	st *prfState
 }
 
 // NewHasher checks an HMAC state out of the pool. Callers must Close.
-func (k *Key) NewHasher() *Hasher {
-	return &Hasher{k: k, mac: k.mac()}
+func (k *Key) NewHasher() Hasher {
+	return Hasher{k: k, st: k.get()}
 }
 
 // PRFvInto evaluates PRF_k(addr ‖ ver ‖ data) into out.
 func (h *Hasher) PRFvInto(addr, ver uint64, data []byte, out *Digest) {
-	h.mac.Reset()
-	prfvInto(h.mac, addr, ver, data, out)
+	h.st.prfv(addr, ver, data, out)
 }
 
-// Close returns the HMAC state to the key's pool.
+// Close returns the HMAC state to the key's pool. Idempotent, and a no-op
+// on the zero Hasher.
 func (h *Hasher) Close() {
-	if h.mac != nil {
-		h.k.put(h.mac)
-		h.mac = nil
+	if h.st != nil {
+		h.k.pool.Put(h.st)
+		h.st = nil
 	}
 }
 

@@ -1,6 +1,10 @@
 package sethash
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha512"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -260,6 +264,60 @@ func TestHasherMatchesPRFv(t *testing.T) {
 		h.PRFvInto(addr, ver, data, &got)
 		if !got.Equal(&want) {
 			t.Fatalf("evaluation %d: Hasher disagrees with PRFv", i)
+		}
+	}
+}
+
+// TestPRFvMatchesHMACDefinition recomputes the PRF with a fresh crypto/hmac:
+// PRF_k(addr, ver, data) = HMAC-SHA-512(k, le64(addr) ‖ le64(ver) ‖ data).
+// The golden checksums pin the same thing only through a whole workload;
+// this pins the definition itself, whatever the pooled state does.
+func TestPRFvMatchesHMACDefinition(t *testing.T) {
+	k := KeyFromSeed(24)
+	rng := rand.New(rand.NewSource(24))
+	h := k.NewHasher()
+	defer h.Close()
+	for i := 0; i < 64; i++ {
+		data := make([]byte, rng.Intn(300))
+		rng.Read(data)
+		addr, ver := rng.Uint64(), rng.Uint64()
+		ref := hmac.New(sha512.New, k.k[:])
+		var hdr [16]byte
+		binary.LittleEndian.PutUint64(hdr[:8], addr)
+		binary.LittleEndian.PutUint64(hdr[8:], ver)
+		ref.Write(hdr[:])
+		ref.Write(data)
+		want := ref.Sum(nil)
+		var viaKey, viaHasher Digest
+		k.PRFvInto(addr, ver, data, &viaKey)
+		h.PRFvInto(addr, ver, data, &viaHasher)
+		if got := k.PRFv(addr, ver, data); !bytes.Equal(got[:], want) ||
+			!bytes.Equal(viaKey[:], want) || !bytes.Equal(viaHasher[:], want) {
+			t.Fatalf("evaluation %d: PRFv is not HMAC-SHA-512(k, le64(addr) ‖ le64(ver) ‖ data)", i)
+		}
+	}
+}
+
+// TestPRFEvaluationsDoNotAllocate pins the header and the digest inside the
+// pooled state: an evaluation through any of the three entry points leaves
+// nothing on the heap.
+func TestPRFEvaluationsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items on purpose under the race detector")
+	}
+	k := KeyFromSeed(25)
+	data := make([]byte, 180)
+	var d Digest
+	h := k.NewHasher()
+	defer h.Close()
+	for name, eval := range map[string]func(){
+		"PRFv":            func() { d = k.PRFv(1, 2, data) },
+		"PRFvInto":        func() { k.PRFvInto(1, 2, data, &d) },
+		"Hasher.PRFvInto": func() { h.PRFvInto(1, 2, data, &d) },
+	} {
+		eval() // the state's first Reset marshals the keyed pads once
+		if n := testing.AllocsPerRun(200, eval); n != 0 {
+			t.Errorf("%s: %v allocations per evaluation, want 0", name, n)
 		}
 	}
 }

@@ -1,14 +1,16 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
+	"veridb/internal/index"
 	"veridb/internal/record"
 )
 
 // tableLock serialises structural mutation of a shard; scanners hold it
-// shared so the chain they verify is stable for the statement's duration.
+// shared while they fill a batch.
 type tableLock = sync.RWMutex
 
 // Evidence is the single-record proof an access method hands upward: the
@@ -39,86 +41,107 @@ type ScanBounds struct {
 }
 
 // Scanner is the verified range/sequential scan of §5.2 over one shard's
-// sub-chain. It walks the key chain record by record and enforces the three
-// conditions of Example 5.1:
+// sub-chain. It walks the key chain record by record and enforces, on every
+// record it visits:
 //
 //  1. the first record's key is ≤ the range start,
 //  2. scanning continues until a record's nKey exceeds the range end (so
-//     the final nKey proves nothing was omitted at the top), and
-//  3. every record's key equals its predecessor's nKey (no gaps).
+//     the final nKey proves nothing was omitted at the top),
+//  3. every record's key equals its predecessor's nKey (no gaps), and
+//  4. every record's nKey is above its own key (chainLink), so a rewritten
+//     link cannot send the walk round in a circle.
 //
-// The scanner holds the shard's shared latch from creation until Close (or
-// exhaustion), so concurrent writers cannot invalidate the chain mid-scan.
-// On a multi-shard table a merge iterator stitches one Scanner per shard
-// (merge.go); each Scanner's conditions cover its shard and the merge
-// checks the stitch points.
+// (1)-(3) are the conditions of Example 5.1.
+//
+// On a versioned table every chain step is resolved as of a pinned
+// snapshot seq through the shard's version history (mvcc.go), so the chain
+// it verifies is the committed chain at the snapshot, which concurrent
+// writers cannot change. That stability is what lets it hold the shard's
+// shared latch only while it fills one batch and nothing between fills:
+// writers are never blocked behind an open unfinished scan
+// (TestWriterNotBlockedByOpenScan). An ephemeral table has no history and
+// no second user, and is walked at its latest version the same way.
+//
+// What a scanned row costs is its two PRF evaluations (vmem's Alg. 1 Read),
+// one tuple and one string. Everything else is paid per fill: one latch
+// acquisition, one index cursor walked beside the chain, the reader's keyed
+// hasher, record-image buffer and decode scratch. On a multi-shard table a
+// merge iterator stitches one Scanner per shard (merge.go); each Scanner's
+// conditions cover its shard and the merge checks the stitch points.
 type Scanner struct {
-	sh     *shard
-	chain  int
-	start  record.Key
-	end    record.Key
+	sh    *shard
+	chain int
+	seq   uint64
+	start record.Key
+	end   record.Key
+
+	rd reader
+	// cur is the record fetched but not yet looked at: the scan reads one
+	// record ahead of what it has emitted. It is rd's own record, or, when
+	// shared, a history image that every snapshot reader in its range reads.
 	cur    *record.Record
-	closed bool
-	err    error
-	// stats
+	shared bool
+	// want is the encoded nKey of the record looked at last, while the step
+	// to it is outstanding (cur == nil): where the index cursor stands and
+	// what condition (3) demands of the next record. from is Ascend's copy.
+	want, from []byte
+	// key is the chain key of the row emitted last, in the scanner's own
+	// bytes, for the merge.
+	key record.Key
+	one *RowBatch // nextKeyed's one-row batch
+
+	closed  bool
+	err     error
 	visited int
 }
 
 // newScan opens a verified scan of the given chain of this shard over
-// bounds. On a verification failure the returned scanner is already closed
-// and carries the error.
-func (sh *shard) newScan(chain int, bounds ScanBounds) (*Scanner, error) {
-	start := record.Bottom()
+// bounds as of seq (ignored on an ephemeral table, which has no versions).
+// On a verification failure the returned scanner is already closed and
+// carries the error. While no writer has committed above seq the scan
+// issues exactly the protected reads of a latest-version chain walk (one
+// fetch for the entry point, then one per step), so the verification
+// traffic — and with it the resident RSWS digest — does not depend on
+// versioning.
+func (sh *shard) newScan(chain int, bounds ScanBounds, seq uint64) (*Scanner, error) {
+	s := &Scanner{sh: sh, chain: chain, seq: seq, start: record.Bottom(), end: record.Top(), rd: sh.newReader()}
 	if bounds.Start != nil {
-		start = *bounds.Start
+		s.start = *bounds.Start
 	}
-	end := record.Top()
 	if bounds.End != nil {
-		end = *bounds.End
+		s.end = *bounds.End
 	}
-	s := &Scanner{sh: sh, chain: chain, start: start, end: end}
 	sh.mu.RLock()
-	// Locate the chain entry point: the record with the greatest key ≤
-	// start. Its key ≤ start establishes condition (1).
-	_, loc, ok := sh.chains[chain].SeekLE(start.Encode())
-	if !ok {
-		s.fail(fmt.Errorf("%w: chain %d has no record ≤ %v (missing ⊥ anchor)", ErrVerifyFailed, chain, start))
-		return s, s.err
+	err := sh.floorCheck(seq)
+	if err == nil {
+		// The chain entry point: the record with the greatest key ≤ start.
+		s.cur, s.shared, err = sh.entryAtLocked(&s.rd, chain, s.start, seq)
 	}
-	rec, err := sh.fetch(loc)
+	sh.mu.RUnlock()
+	if err == nil {
+		var l record.ChainLink
+		if l, err = chainLink(s.cur, chain); err == nil && l.Key.Compare(s.start) > 0 {
+			err = fmt.Errorf("%w: first record key %v exceeds scan start %v (condition 1)", ErrVerifyFailed, l.Key, s.start)
+		}
+	}
 	if err != nil {
 		s.fail(err)
-		return s, s.err
 	}
-	if len(rec.Links) <= chain || rec.Links[chain].Key.IsNull() {
-		s.fail(fmt.Errorf("%w: scan entry record does not participate in chain %d", ErrVerifyFailed, chain))
-		return s, s.err
-	}
-	if rec.Links[chain].Key.Compare(start) > 0 {
-		s.fail(fmt.Errorf("%w: first record key %v exceeds scan start %v (condition 1)",
-			ErrVerifyFailed, rec.Links[chain].Key, start))
-		return s, s.err
-	}
-	s.cur = rec
-	return s, nil
+	return s, s.err
 }
 
-// fail records a verification error and releases the lock.
 func (s *Scanner) fail(err error) {
 	s.err = err
-	s.close()
+	s.Close()
 }
 
-func (s *Scanner) close() {
-	if !s.closed {
-		s.closed = true
-		s.sh.mu.RUnlock()
-	}
-}
-
-// Close releases the scanner's shared shard latch. Safe to call repeatedly;
+// Close ends the scan and hands its hasher back. No latch is held between
+// fills, so there is nothing else to release. Safe to call repeatedly;
 // exhausting the scan closes it implicitly.
-func (s *Scanner) Close() { s.close() }
+func (s *Scanner) Close() {
+	s.closed = true
+	s.rd.close()
+}
 
 // Err returns the verification error that ended the scan, if any.
 func (s *Scanner) Err() error { return s.err }
@@ -135,85 +158,135 @@ func (s *Scanner) Next() (record.Tuple, bool, error) {
 	return tup, ok, err
 }
 
-// NextBatch fills dst with up to cap(dst.Rows) verified in-range tuples.
-// The chain walk and the three Example 5.1 conditions are checked per row,
-// exactly as in Next; batching amortises only the call overhead above the
-// scan. Returns (0, nil) once the scan is exhausted.
+// nextKeyed is Next plus the emitted record's chain key — the merge order
+// key the cross-shard stitch needs (merge.go). The key's bytes are the
+// scanner's and good until its next call.
+func (s *Scanner) nextKeyed() (record.Tuple, record.Key, bool, error) {
+	if s.one == nil {
+		s.one = NewRowBatch(1)
+	}
+	n, err := s.NextBatch(s.one)
+	if n == 0 {
+		return nil, record.Key{}, false, err
+	}
+	return s.one.Rows[0], s.key, true, nil
+}
+
+// NextBatch fills dst with up to cap(dst.Rows) verified in-range tuples
+// under one hold of the shard's shared latch. The chain walk and its four
+// conditions are checked on every record; the batch amortises everything
+// else. Returns (0, nil) once the scan is exhausted.
 func (s *Scanner) NextBatch(dst *RowBatch) (int, error) {
 	dst.Reset()
-	for dst.N < len(dst.Rows) {
-		tup, _, ok, err := s.nextKeyed()
-		if err != nil {
-			dst.Reset()
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		dst.Rows[dst.N] = tup
-		dst.N++
+	if s.closed {
+		return 0, s.err
 	}
-	return dst.N, nil
-}
-
-// nextKeyed is Next plus the emitted record's chain key — the merge order
-// key the cross-shard stitch needs (merge.go).
-func (s *Scanner) nextKeyed() (record.Tuple, record.Key, bool, error) {
-	for {
-		if s.err != nil || s.closed || s.cur == nil {
-			return nil, record.Key{}, false, s.err
+	s.sh.mu.RLock()
+	// Stop with the batch full and the next record fetched: the scan reads
+	// one record ahead of what it has emitted, at every capacity.
+	for !s.closed && (s.cur == nil || dst.N < len(dst.Rows)) {
+		if s.cur != nil {
+			s.look(dst)
+			continue
 		}
-		rec := s.cur
-		l := rec.Links[s.chain]
-		s.visited++
-
-		inRange := !rec.IsSentinel() &&
-			l.Key.Compare(s.start) >= 0 && l.Key.Compare(s.end) <= 0
-		var out record.Tuple
-		if inRange {
-			out = rec.Data.Clone()
-		}
-		// Condition (2): once this record's nKey exceeds the range end,
-		// the record itself is the completeness witness for the top of the
-		// range; advance no further.
-		if l.NKey.Compare(s.end) <= 0 {
-			if err := s.step(l.NKey); err != nil {
-				s.fail(err)
-				return nil, record.Key{}, false, s.err
+		// One index cursor walks beside the chain for as long as the index
+		// agrees with it, each entry being the next step. The index is
+		// untrusted: an entry is taken only if it is filed under the key
+		// the chain asks for, and the record it leads to must carry that
+		// key. Ascend keeps from, and look rewrites want as the walk goes.
+		s.from = append(s.from[:0], s.want...)
+		s.sh.chains[s.chain].Ascend(s.from, func(key []byte, loc index.Loc) bool {
+			if !bytes.Equal(key, s.want) || !s.sh.liveVisibleLocked(s.chain, key, s.seq) {
+				return false
 			}
-		} else {
-			s.cur = nil
-			s.close()
-		}
-		if out != nil {
-			return out, l.Key, true, nil
-		}
-		if s.cur == nil {
-			return nil, record.Key{}, false, s.err
+			rec, err := s.rd.fetchKeyed(loc, s.chain, normalKey(key))
+			if err != nil {
+				s.fail(err)
+				return false
+			}
+			s.cur, s.shared = rec, false
+			if dst.N == len(dst.Rows) {
+				return false
+			}
+			s.look(dst)
+			return !s.closed
+		})
+		if s.cur == nil && !s.closed {
+			s.step()
 		}
 	}
+	s.sh.mu.RUnlock()
+	if s.err != nil {
+		dst.Reset()
+	}
+	return dst.N, s.err
 }
 
-// step follows the chain to the record keyed nKey and verifies condition
-// (3): the successor's key must equal the predecessor's nKey.
-func (s *Scanner) step(nKey record.Key) error {
-	if nKey.Kind == record.KindTop {
-		s.cur = nil
-		s.close()
-		return nil
-	}
-	loc, ok := s.sh.chains[s.chain].Get(nKey.Encode())
-	if !ok {
-		return fmt.Errorf("%w: chain %d broken: no record for nKey %v (condition 3)", ErrVerifyFailed, s.chain, nKey)
-	}
-	rec, err := s.sh.fetch(loc)
+// normalKey reads an encoded data-row chain key back without copying it.
+func normalKey(enc []byte) record.Key { return record.Key{Kind: record.KindNormal, B: enc[1:]} }
+
+// look examines cur: emits its tuple into dst (which has room) when it is
+// an in-range data row, then either ends the scan or leaves the step to its
+// nKey outstanding in want.
+func (s *Scanner) look(dst *RowBatch) {
+	l, err := chainLink(s.cur, s.chain)
 	if err != nil {
-		return err
+		s.fail(err)
+		return
 	}
-	if len(rec.Links) <= s.chain || rec.Links[s.chain].Key.IsNull() || !rec.Links[s.chain].Key.Equal(nKey) {
-		return fmt.Errorf("%w: chain %d discontinuity: expected key %v, got %v (condition 3)",
-			ErrVerifyFailed, s.chain, nKey, rec.Links[s.chain].Key)
+	s.visited++
+	if l.Key.Compare(s.start) >= 0 && l.Key.Compare(s.end) <= 0 {
+		// No tuple is built for a boundary record; a sentinel has none.
+		if tup := s.rd.tuple(s.cur, s.shared); tup != nil {
+			dst.Rows[dst.N] = tup
+			dst.N++
+			s.key = record.Key{Kind: l.Key.Kind, B: append(s.key.B[:0], l.Key.B...)}
+		}
 	}
-	s.cur = rec
-	return nil
+	s.cur = nil
+	// Condition (2): once this record's nKey exceeds the range end, the
+	// record itself is the completeness witness for the top of the range;
+	// advance no further.
+	if l.NKey.Compare(s.end) > 0 || l.NKey.Kind == record.KindTop {
+		s.Close()
+		return
+	}
+	s.want = l.NKey.AppendEncode(s.want[:0])
+}
+
+// step resolves want the long way, when the index cursor and the chain
+// part: the key's live version is not the one visible at the snapshot, or
+// the key is not in the live index where the chain says it is (retired
+// since the snapshot, or an index the host tampered with). The committed
+// chain at the snapshot seq links only keys visible at that seq, so a key
+// that resolves to nothing is a verification failure, not a benign race.
+func (s *Scanner) step() {
+	k := normalKey(s.want)
+	rec, shared, err := s.sh.versionAtLocked(&s.rd, s.chain, k, s.want, s.seq)
+	if rec == nil && err == nil {
+		err = fmt.Errorf("%w: chain %d broken at snapshot %d: no visible record for nKey %v (condition 3)",
+			ErrVerifyFailed, s.chain, s.seq, k)
+	}
+	if err != nil {
+		s.fail(err)
+		return
+	}
+	s.cur, s.shared = rec, shared
+}
+
+// snapClosingIter wraps an Iterator with a Snapshot the iterator owns:
+// closing the iterator (or exhausting it via a failed Next) releases the
+// snapshot pin, so implicit per-scan snapshots cannot leak and stall GC.
+type snapClosingIter struct {
+	Iterator
+	snap   *Snapshot
+	closed bool
+}
+
+func (c *snapClosingIter) Close() {
+	c.Iterator.Close()
+	if !c.closed {
+		c.closed = true
+		c.snap.Close()
+	}
 }

@@ -12,10 +12,18 @@ const DefaultBatchCapacity = 256
 
 // RowBatch is a reusable, capacity-bounded batch of decoded rows plus an
 // optional selection vector — the unit of data flow for the batched
-// execution pipeline. The struct (slice headers, selection vector) is
-// reused across refills; the tuples themselves are freshly decoded or
-// freshly built per row, so a consumer may retain rows it pulled from a
-// batch after the batch has been refilled.
+// execution pipeline.
+//
+// Ownership: the batch (Rows slice, selection vector) belongs to whoever
+// passes it to NextBatch and is overwritten by the next fill. Each tuple
+// in it, and the string its text values are substrings of, is allocated
+// for that row alone and shares no memory with the producer — not with the
+// scanner's record-image buffer, which is reused from one record to the
+// next, nor with a shared MVCC history image, which is cloned — so a
+// consumer may keep a row (Sort, a join's build side, LIMIT's output)
+// after the batch is refilled and after the scan is closed. Chain keys
+// never travel in a batch; the scanner's own are good only until its next
+// record.
 //
 // Rows[:N] hold the rows produced by the last fill. Sel, when non-nil,
 // lists the indices of Rows[:N] that are live — filters mark rows dead by

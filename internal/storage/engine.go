@@ -12,8 +12,9 @@ import (
 // per-row chain verification as Next, and on a sharded table the k-way
 // merge's stitch checks run row-by-row inside the fill, so a batch is only
 // handed upward once every row in it is verified. NextBatch returning
-// (0, nil) means the scan is exhausted. Close is idempotent and releases
-// the shard latches the scan holds; exhausting the scan closes it
+// (0, nil) means the scan is exhausted. Close is idempotent; no shard latch
+// is held between calls, so it only ends the scan (and releases the
+// snapshot an implicit scan owns); exhausting the scan closes it
 // implicitly. Visited counts chain records read (including sentinels and
 // boundary records) — the verification-overhead metric of §6.
 type Iterator interface {
@@ -90,10 +91,6 @@ var (
 	_ Engine   = (*Table)(nil)
 	_ Catalog  = (*Store)(nil)
 	_ Iterator = (*Scanner)(nil)
-	_ Iterator = (*snapScanner)(nil)
 	_ Iterator = (*mergeIterator)(nil)
 	_ Iterator = (*parallelMergeIterator)(nil)
-
-	_ chainScanner = (*Scanner)(nil)
-	_ chainScanner = (*snapScanner)(nil)
 )

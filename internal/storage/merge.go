@@ -19,19 +19,6 @@ import (
 // never both claim a key (a duplicate would mean the untrusted host
 // replayed a record into a second shard's stream).
 
-// chainScanner is the per-shard stream a merge stitches: the latch-holding
-// Scanner (ephemeral tables) or the snapshot-resolving snapScanner
-// (versioned tables, eager latch release).
-type chainScanner interface {
-	nextKeyed() (record.Tuple, record.Key, bool, error)
-	Close()
-	Err() error
-	Visited() int
-}
-
-// scanOpener opens one shard's stream for a merge.
-type scanOpener func(sh *shard) (chainScanner, error)
-
 // mergeHead is one shard stream's current front row.
 type mergeHead struct {
 	tup   record.Tuple
@@ -39,48 +26,81 @@ type mergeHead struct {
 	valid bool
 }
 
-// stitchCheck enforces strictly increasing keys across the merged output.
-func stitchCheck(hasLast bool, last, next record.Key, chain int) error {
-	if hasLast && next.Compare(last) <= 0 {
-		return fmt.Errorf("%w: chain %d stitch violation: key %v not above %v (duplicate across shards)",
-			ErrVerifyFailed, chain, next, last)
-	}
-	return nil
-}
-
-// mergeIterator stitches one chainScanner per shard sequentially.
-//
-// Latch lifetime: on versioned tables the per-shard streams are
-// snapScanners, which resolve each chain step against a pinned snapshot
-// under a momentary shared latch and hold nothing between steps — a writer
-// is never blocked behind an open unfinished merge (regression test
-// TestWriterNotBlockedByOpenScan). Only ephemeral tables still use the
-// latch-holding Scanner; those latches are acquired shared in shard order
-// at open, and writers hold at most one shard latch at a time (see
-// shard.update), so the ordered acquisition cannot deadlock against them.
-type mergeIterator struct {
+// stitcher is the k-way merge both merge iterators run over one head per
+// shard stream; they differ only in how a head is refilled.
+type stitcher struct {
 	chain   int
-	scs     []chainScanner
 	heads   []mergeHead
-	last    record.Key
+	last    record.Key // the key emitted last, in the stitcher's own bytes
 	hasLast bool
 	err     error
 	closed  bool
 }
 
-func newMergeIterator(t *Table, chain int, open scanOpener) (*mergeIterator, error) {
-	m := &mergeIterator{chain: chain, scs: make([]chainScanner, 0, len(t.shards)), heads: make([]mergeHead, len(t.shards))}
-	for i, sh := range t.shards {
-		sc, err := open(sh)
-		if err != nil {
-			sc.Close()
-			m.fail(err)
-			return m, m.err
+// next emits the smallest head, after checking that keys strictly increase
+// across the merged output, and refills it through advance. stop is the
+// owning iterator's Close.
+func (m *stitcher) next(advance func(i int) error, stop func()) (record.Tuple, bool, error) {
+	if m.err != nil || m.closed {
+		return nil, false, m.err
+	}
+	best := -1
+	for i := range m.heads {
+		if m.heads[i].valid && (best < 0 || m.heads[i].key.Compare(m.heads[best].key) < 0) {
+			best = i
 		}
+	}
+	if best < 0 {
+		stop()
+		return nil, false, nil
+	}
+	h := m.heads[best]
+	var err error
+	if m.hasLast && h.key.Compare(m.last) <= 0 {
+		err = fmt.Errorf("%w: chain %d stitch violation: key %v not above %v (duplicate across shards)",
+			ErrVerifyFailed, m.chain, h.key, m.last)
+	} else {
+		// A head's key is only good until its stream advances: copy it.
+		m.last, m.hasLast = record.Key{Kind: h.key.Kind, B: append(m.last.B[:0], h.key.B...)}, true
+		err = advance(best)
+	}
+	if err != nil {
+		m.err = err
+		stop()
+		return nil, false, err
+	}
+	return h.tup, true, nil
+}
+
+func (m *stitcher) Err() error { return m.err }
+
+// mergeIterator stitches one Scanner per shard sequentially.
+//
+// Latch lifetime: a Scanner holds its shard's shared latch only while it
+// fills a batch — here, one row — and nothing in between, so a writer is
+// never blocked behind an open unfinished merge (regression test
+// TestWriterNotBlockedByOpenScan), and the merge never holds two shard
+// latches at once.
+type mergeIterator struct {
+	stitcher
+	scs []*Scanner
+}
+
+func newMergeIterator(t *Table, chain int, bounds ScanBounds, seq uint64) (*mergeIterator, error) {
+	m := &mergeIterator{
+		stitcher: stitcher{chain: chain, heads: make([]mergeHead, len(t.shards))},
+		scs:      make([]*Scanner, 0, len(t.shards)),
+	}
+	for i, sh := range t.shards {
+		sc, err := sh.newScan(chain, bounds, seq)
 		m.scs = append(m.scs, sc)
-		if err := m.advance(i); err != nil {
-			m.fail(err)
-			return m, m.err
+		if err == nil {
+			err = m.advance(i)
+		}
+		if err != nil {
+			m.err = err
+			m.Close()
+			return m, err
 		}
 	}
 	return m, nil
@@ -89,42 +109,11 @@ func newMergeIterator(t *Table, chain int, open scanOpener) (*mergeIterator, err
 // advance pulls the next row from shard stream i into its head.
 func (m *mergeIterator) advance(i int) error {
 	tup, key, ok, err := m.scs[i].nextKeyed()
-	if err != nil {
-		return err
-	}
 	m.heads[i] = mergeHead{tup: tup, key: key, valid: ok}
-	return nil
+	return err
 }
 
-func (m *mergeIterator) Next() (record.Tuple, bool, error) {
-	if m.err != nil || m.closed {
-		return nil, false, m.err
-	}
-	best := -1
-	for i := range m.heads {
-		if !m.heads[i].valid {
-			continue
-		}
-		if best < 0 || m.heads[i].key.Compare(m.heads[best].key) < 0 {
-			best = i
-		}
-	}
-	if best < 0 {
-		m.Close()
-		return nil, false, nil
-	}
-	out, key := m.heads[best].tup, m.heads[best].key
-	if err := stitchCheck(m.hasLast, m.last, key, m.chain); err != nil {
-		m.fail(err)
-		return nil, false, m.err
-	}
-	m.last, m.hasLast = key, true
-	if err := m.advance(best); err != nil {
-		m.fail(err)
-		return nil, false, m.err
-	}
-	return out, true, nil
-}
+func (m *mergeIterator) Next() (record.Tuple, bool, error) { return m.next(m.advance, m.Close) }
 
 // NextBatch fills dst with up to cap(dst.Rows) merged rows. The per-row
 // stitch check runs on every row inside the fill, so a batch crossing one
@@ -134,22 +123,12 @@ func (m *mergeIterator) NextBatch(dst *RowBatch) (int, error) {
 	return FillBatch(m.Next, dst)
 }
 
-func (m *mergeIterator) fail(err error) {
-	m.err = err
-	m.Close()
-}
-
 func (m *mergeIterator) Close() {
-	if m.closed {
-		return
-	}
 	m.closed = true
 	for _, sc := range m.scs {
 		sc.Close()
 	}
 }
-
-func (m *mergeIterator) Err() error { return m.err }
 
 func (m *mergeIterator) Visited() int {
 	n := 0
@@ -176,13 +155,8 @@ type shardRow struct {
 // whether this path is used at all (Table.SeqScan), mirroring how
 // VerifyAll fans its partition scans out.
 type parallelMergeIterator struct {
-	chain   int
-	chans   []chan shardRow
-	heads   []mergeHead
-	last    record.Key
-	hasLast bool
-	err     error
-	closed  bool
+	stitcher
+	chans []chan shardRow
 
 	// ctx bounds every producer goroutine's lifetime: cancel fires on
 	// Close (early closes included — LIMIT plans and short-circuiting
@@ -199,63 +173,57 @@ type parallelMergeIterator struct {
 // across consumer stalls without buffering whole shards.
 const producerBuf = 64
 
-func newParallelMergeIterator(t *Table, chain int, open scanOpener) (*parallelMergeIterator, error) {
+func newParallelMergeIterator(t *Table, chain int, bounds ScanBounds, seq uint64) (*parallelMergeIterator, error) {
 	m := &parallelMergeIterator{
-		chain: chain,
-		chans: make([]chan shardRow, len(t.shards)),
-		heads: make([]mergeHead, len(t.shards)),
+		stitcher: stitcher{chain: chain, heads: make([]mergeHead, len(t.shards))},
+		chans:    make([]chan shardRow, len(t.shards)),
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	for i := range t.shards {
 		ch := make(chan shardRow, producerBuf)
 		m.chans[i] = ch
 		m.wg.Add(1)
-		go m.produce(t.shards[i], ch, open)
+		go m.produce(t.shards[i], ch, bounds, seq)
 	}
 	// Prime the heads so open-time verification failures (condition 1,
 	// broken anchors) surface from the constructor like the sequential path.
 	for i := range m.chans {
 		if err := m.advance(i); err != nil {
-			m.fail(err)
-			return m, m.err
+			m.err = err
+			m.Close()
+			return m, err
 		}
 	}
 	return m, nil
 }
 
-func (m *parallelMergeIterator) produce(sh *shard, ch chan<- shardRow, open scanOpener) {
+func (m *parallelMergeIterator) produce(sh *shard, ch chan<- shardRow, bounds ScanBounds, seq uint64) {
 	defer m.wg.Done()
 	defer close(ch)
 	done := m.ctx.Done()
-	sc, err := open(sh)
-	if err != nil {
-		sc.Close()
-		select {
-		case ch <- shardRow{err: err}:
-		case <-done:
-		}
-		return
-	}
+	sc, err := sh.newScan(m.chain, bounds, seq)
 	defer func() {
 		m.visited.Add(int64(sc.Visited()))
 		sc.Close()
 	}()
-	for {
-		tup, key, ok, err := sc.nextKeyed()
-		if err != nil {
-			select {
-			case ch <- shardRow{err: err}:
-			case <-done:
-			}
-			return
+	for err == nil {
+		var row shardRow
+		var ok bool
+		if row.tup, row.key, ok, err = sc.nextKeyed(); err != nil || !ok {
+			break
 		}
-		if !ok {
-			return
-		}
+		// The key waits in the channel past the scanner's next call.
+		row.key.B = append([]byte(nil), row.key.B...)
 		select {
-		case ch <- shardRow{tup: tup, key: key}:
+		case ch <- row:
 		case <-done:
 			return
+		}
+	}
+	if err != nil {
+		select {
+		case ch <- shardRow{err: err}:
+		case <-done:
 		}
 	}
 }
@@ -263,45 +231,12 @@ func (m *parallelMergeIterator) produce(sh *shard, ch chan<- shardRow, open scan
 // advance receives the next row from shard stream i.
 func (m *parallelMergeIterator) advance(i int) error {
 	row, ok := <-m.chans[i]
-	if !ok {
-		m.heads[i] = mergeHead{}
-		return nil
-	}
-	if row.err != nil {
-		return row.err
-	}
-	m.heads[i] = mergeHead{tup: row.tup, key: row.key, valid: true}
-	return nil
+	m.heads[i] = mergeHead{tup: row.tup, key: row.key, valid: ok && row.err == nil}
+	return row.err
 }
 
 func (m *parallelMergeIterator) Next() (record.Tuple, bool, error) {
-	if m.err != nil || m.closed {
-		return nil, false, m.err
-	}
-	best := -1
-	for i := range m.heads {
-		if !m.heads[i].valid {
-			continue
-		}
-		if best < 0 || m.heads[i].key.Compare(m.heads[best].key) < 0 {
-			best = i
-		}
-	}
-	if best < 0 {
-		m.Close()
-		return nil, false, nil
-	}
-	out, key := m.heads[best].tup, m.heads[best].key
-	if err := stitchCheck(m.hasLast, m.last, key, m.chain); err != nil {
-		m.fail(err)
-		return nil, false, m.err
-	}
-	m.last, m.hasLast = key, true
-	if err := m.advance(best); err != nil {
-		m.fail(err)
-		return nil, false, m.err
-	}
-	return out, true, nil
+	return m.next(m.advance, m.Close)
 }
 
 // NextBatch fills dst with up to cap(dst.Rows) merged rows; the per-row
@@ -310,14 +245,8 @@ func (m *parallelMergeIterator) NextBatch(dst *RowBatch) (int, error) {
 	return FillBatch(m.Next, dst)
 }
 
-func (m *parallelMergeIterator) fail(err error) {
-	m.err = err
-	m.Close()
-}
-
-// Close cancels the producers' context and waits for them to release
-// their shard latches, so a writer issued right after Close cannot block
-// on a scan that is still winding down.
+// Close cancels the producers' context and waits for them to finish, so
+// their Visited counts are in once Close returns.
 func (m *parallelMergeIterator) Close() {
 	if m.closed {
 		return
@@ -332,8 +261,6 @@ func (m *parallelMergeIterator) Close() {
 	}
 	m.wg.Wait()
 }
-
-func (m *parallelMergeIterator) Err() error { return m.err }
 
 // Visited sums the per-shard scanner counts; producers publish their count
 // when they finish, so the value is complete once the scan is closed or

@@ -20,8 +20,8 @@ import (
 // the latest committed version; a retired version{begin, end, rec} says
 // "between commit seq begin (inclusive) and end (exclusive), the record
 // looked like rec". Readers pin a Snapshot at the commit watermark and
-// resolve every chain step as of that sequence, which lets scanners drop
-// the shard latch between steps instead of holding it for the scan's life.
+// resolve every chain step as of that sequence, which lets scanners hold
+// the shard latch for one batch fill at a time instead of the scan's life.
 //
 // Trust argument: retired versions are captured from records that were just
 // fetched through the protected vmem interfaces (and therefore verified),
@@ -276,7 +276,7 @@ type version struct {
 // shardVersions is a shard's MVCC side-state, all of it in trusted enclave
 // heap (maps and B-trees of encoded keys — no vmem pages, so the resident
 // digest never sees it). Guarded by the shard latch. nil on ephemeral
-// tables, which keep the classic latch-holding scan.
+// tables, which are read at their latest version.
 type shardVersions struct {
 	// cur[i] maps a chain-i encoded key to the live record's begin seq;
 	// absent means "visible since forever" (seq 0) — the common case for
@@ -293,6 +293,11 @@ type shardVersions struct {
 	// ErrSnapshotTooOld instead of a silently wrong answer.
 	verFloor uint64
 	retained int
+	// newest is the largest effective timestamp any operation on the shard
+	// has committed at. Every begin seq in cur and every end in hist is at
+	// or below it, so a snapshot at or above it sees the live chain as it
+	// is and needs neither map.
+	newest uint64
 }
 
 func newShardVersions(chains int) *shardVersions {
@@ -452,6 +457,9 @@ func (op *mvOp) finish() {
 		}
 	}
 	op.c.noteEff(eff)
+	if eff > mv.newest {
+		mv.newest = eff
+	}
 	floor := op.sh.t.store.clock.floor()
 	maxVer := int(op.sh.t.store.maxVersions.Load())
 	bud := op.sh.t.store.budget.Load()
@@ -496,124 +504,99 @@ func (op *mvOp) finish() {
 	}
 }
 
-// versionAtLocked resolves chain-i key k as of commit seq. Returns the
-// record image visible at seq (shared — callers must not mutate it and
-// must Clone emitted tuples), or visible=false when the key is absent at
-// seq. The caller holds the shard latch (read or write).
-func (sh *shard) versionAtLocked(chain int, k record.Key, enc []byte, seq uint64) (*record.Record, bool, error) {
-	mv := sh.mv
-	if mv != nil {
-		if vs := mv.hist[chain][string(enc)]; len(vs) > 0 {
-			for i := len(vs) - 1; i >= 0; i-- {
-				v := vs[i]
-				if v.begin <= seq {
-					if seq < v.end {
-						return v.rec, true, nil
-					}
-					break // ranges tile downward: older versions end even lower
-				}
+// floorCheck refuses a read at a seq the MaxVersionsPerRow cap has already
+// cut history above. The caller holds the shard latch.
+func (sh *shard) floorCheck(seq uint64) error {
+	if sh.mv != nil && seq < sh.mv.verFloor {
+		return fmt.Errorf("%w: snapshot %d below shard floor %d", ErrSnapshotTooOld, seq, sh.mv.verFloor)
+	}
+	return nil
+}
+
+// liveVisibleLocked reports whether chain-i key enc, present in the live
+// index, is visible at seq in its live version: from one probe of the
+// begin-seq map, and from none while the shard holds no version newer than
+// seq — every scan that no writer has overtaken. It needs no look at the
+// history: version ranges tile, every retired version of a live key ends
+// at or before the live version's begin, so a live version that began at
+// or before seq is the one visible at seq.
+func (sh *shard) liveVisibleLocked(chain int, enc []byte, seq uint64) bool {
+	return sh.mv == nil || sh.mv.newest <= seq || sh.mv.cur[chain][string(enc)] <= seq
+}
+
+// versionAtLocked resolves chain-i key k (encoded enc) as of commit seq,
+// fetching through r. It returns the record image visible at seq, or nil
+// when the key is absent at seq. shared marks a history image: callers must
+// not mutate it and must clone what they emit. An unshared record is r's
+// own and good until r's next fetch. The caller holds the shard latch (read
+// or write).
+func (sh *shard) versionAtLocked(r *reader, chain int, k record.Key, enc []byte, seq uint64) (rec *record.Record, shared bool, err error) {
+	if mv := sh.mv; mv != nil && mv.newest > seq { // else every retired version ended by seq
+		vs := mv.hist[chain][string(enc)]
+		for i := len(vs) - 1; i >= 0; i-- {
+			if vs[i].begin > seq {
+				continue
 			}
+			if seq < vs[i].end {
+				return vs[i].rec, true, nil
+			}
+			break // ranges tile downward: older versions end even lower
 		}
 	}
-	if loc, ok := sh.chains[chain].Get(enc); ok {
-		visible := true
-		if mv != nil {
-			if b := mv.cur[chain][string(enc)]; b > seq {
-				visible = false
-			}
-		}
-		if visible {
-			rec, err := sh.fetch(loc)
-			if err != nil {
-				return nil, false, err
-			}
-			if len(rec.Links) <= chain || rec.Links[chain].Key.IsNull() || !rec.Links[chain].Key.Equal(k) {
-				return nil, false, fmt.Errorf("%w: chain %d index pointed %v at record keyed %v",
-					ErrVerifyFailed, chain, k, rec.Links[chain].Key)
-			}
-			return rec, true, nil
-		}
+	if loc, ok := sh.chains[chain].Get(enc); ok && sh.liveVisibleLocked(chain, enc, seq) {
+		rec, err = r.fetchKeyed(loc, chain, k)
+		return rec, false, err
 	}
-	if mv != nil && seq < mv.verFloor {
-		return nil, false, fmt.Errorf("%w: read at seq %d below shard floor %d", ErrSnapshotTooOld, seq, mv.verFloor)
-	}
-	return nil, false, nil
+	return nil, false, sh.floorCheck(seq)
 }
 
 // entryAtLocked finds the as-of-seq chain entry point: the record with the
-// greatest chain-i key ≤ start that is visible at seq. It walks down over
-// the union of the live index and the history-key index, skipping keys not
-// yet visible at seq; the ⊥ sentinel terminates the walk (its version
-// ranges tile all the way back to genesis). The caller holds the shard
-// latch.
-func (sh *shard) entryAtLocked(chain int, start record.Key, seq uint64) (*record.Record, error) {
+// greatest chain-i key ≤ start that is visible at seq (see versionAtLocked
+// for what it returns). It walks down over the union of the live index and
+// the history-key index, skipping keys not yet visible at seq; the ⊥
+// sentinel terminates the walk (its version ranges tile all the way back
+// to genesis). The caller holds the shard latch.
+func (sh *shard) entryAtLocked(r *reader, chain int, start record.Key, seq uint64) (*record.Record, bool, error) {
 	cursor := start.Encode()
-	first := true
+	seek := (*index.BTree).SeekLE
 	for {
-		var liveKey, histKey []byte
-		var liveOK, histOK bool
-		if first {
-			liveKey, _, liveOK = sh.chains[chain].SeekLE(cursor)
-			if sh.mv != nil {
-				histKey, _, histOK = sh.mv.histKeys[chain].SeekLE(cursor)
-			}
-		} else {
-			liveKey, _, liveOK = sh.chains[chain].SeekLT(cursor)
-			if sh.mv != nil {
-				histKey, _, histOK = sh.mv.histKeys[chain].SeekLT(cursor)
+		cand, _, ok := seek(sh.chains[chain], cursor)
+		if sh.mv != nil {
+			if histKey, _, histOK := seek(sh.mv.histKeys[chain], cursor); histOK && (!ok || string(histKey) > string(cand)) {
+				cand, ok = histKey, true
 			}
 		}
-		first = false
-		cand := liveKey
-		if !liveOK || (histOK && string(histKey) > string(cand)) {
-			cand = histKey
-		}
-		if !liveOK && !histOK {
-			return nil, fmt.Errorf("%w: chain %d has no record ≤ %v (missing ⊥ anchor)", ErrVerifyFailed, chain, start)
+		if !ok {
+			return nil, false, fmt.Errorf("%w: chain %d has no record ≤ %v (missing ⊥ anchor)", ErrVerifyFailed, chain, start)
 		}
 		k, err := record.DecodeKey(cand)
 		if err != nil {
-			return nil, fmt.Errorf("%w: undecodable chain %d key: %v", ErrVerifyFailed, chain, err)
+			return nil, false, fmt.Errorf("%w: undecodable chain %d key: %v", ErrVerifyFailed, chain, err)
 		}
-		rec, visible, err := sh.versionAtLocked(chain, k, cand, seq)
-		if err != nil {
-			return nil, err
+		rec, shared, err := sh.versionAtLocked(r, chain, k, cand, seq)
+		if rec != nil || err != nil {
+			return rec, shared, err
 		}
-		if visible {
-			return rec, nil
-		}
-		cursor = cand
+		cursor, seek = cand, (*index.BTree).SeekLT
 	}
 }
 
-// searchChainAtLocked is the §5.2 verified index search as of a snapshot
-// seq: the entry record's ⟨key, nKey⟩ interval (at seq) proves presence or
-// absence exactly as in the latest-version search.
+// searchChainAt is the §5.2 verified index search as of a snapshot seq: the
+// entry record's ⟨key, nKey⟩ interval (at seq) proves presence or absence
+// exactly as in the latest-version search.
 func (sh *shard) searchChainAt(chain int, k record.Key, seq uint64) (record.Tuple, Evidence, error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.mv != nil && seq < sh.mv.verFloor {
-		return nil, Evidence{}, fmt.Errorf("%w: snapshot %d below shard floor %d", ErrSnapshotTooOld, seq, sh.mv.verFloor)
+	if err := sh.floorCheck(seq); err != nil {
+		return nil, Evidence{}, err
 	}
-	rec, err := sh.entryAtLocked(chain, k, seq)
+	r := sh.newReader()
+	defer r.close()
+	rec, shared, err := sh.entryAtLocked(&r, chain, k, seq)
 	if err != nil {
 		return nil, Evidence{}, err
 	}
-	if len(rec.Links) <= chain || rec.Links[chain].Key.IsNull() {
-		return nil, Evidence{}, fmt.Errorf("%w: evidence record does not participate in chain %d", ErrVerifyFailed, chain)
-	}
-	l := rec.Links[chain]
-	ev := Evidence{Table: sh.t.name, Chain: chain, Key: l.Key, NKey: l.NKey}
-	switch {
-	case l.Key.Equal(k):
-		ev.Found = true
-		return rec.Data.Clone(), ev, nil
-	case l.Key.Compare(k) < 0 && k.Compare(l.NKey) < 0:
-		return nil, ev, nil
-	default:
-		return nil, Evidence{}, fmt.Errorf("%w: record ⟨%v,%v⟩ does not witness probe %v on chain %d at seq %d",
-			ErrVerifyFailed, l.Key, l.NKey, k, chain, seq)
-	}
+	return sh.witness(&r, rec, shared, chain, k)
 }
 
 // SetMaxVersions caps retained versions per row key (0: unlimited). When

@@ -1,0 +1,127 @@
+package storage
+
+import (
+	"runtime"
+	"testing"
+
+	"veridb/internal/record"
+	"veridb/internal/vmem"
+)
+
+// The allocation gate on the verified scan row. A scanned row's floor is
+// its two PRF evaluations, which allocate nothing; everything else the
+// scanner does per row is either amortised over the batch or one of the
+// allocations counted here. Allocation counts are the same on any host,
+// unlike the timing smokes, so this runs with the ordinary tests.
+
+const (
+	scanRowTable = 6000 // rows loaded
+	scanRowSpan  = 2000 // rows per range scan, as in wire_scan_analytic
+	// scanRowMaxAllocs: the tuple, and the one string its text columns are
+	// substrings of. The third is headroom for what a fill pays once (the
+	// index cursor's closure) and a scan pays once (scanner, snapshot).
+	scanRowMaxAllocs = 3
+)
+
+// lineitemTable loads a TPC-H-lineitem-shaped table: eleven columns, four
+// of them text, a secondary chain on the ship date (internal/workload/tpch
+// imports this package, so the shape is restated here).
+func lineitemTable(tb testing.TB) *Table {
+	tb.Helper()
+	col := func(name string, typ record.Type) record.Column { return record.Column{Name: name, Type: typ} }
+	t, err := newStore(tb, vmem.Config{Partitions: 16}).CreateTable(TableSpec{
+		Name: "lineitem",
+		Schema: record.NewSchema(
+			col("l_id", record.TypeInt), col("l_partkey", record.TypeInt),
+			col("l_quantity", record.TypeFloat), col("l_extendedprice", record.TypeFloat),
+			col("l_discount", record.TypeFloat), col("l_tax", record.TypeFloat),
+			col("l_returnflag", record.TypeText), col("l_linestatus", record.TypeText),
+			col("l_shipdate", record.TypeInt),
+			col("l_shipinstruct", record.TypeText), col("l_shipmode", record.TypeText),
+		),
+		PrimaryKey:   0,
+		ChainColumns: []int{8},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	instruct := []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"}
+	mode := []string{"AIR", "AIR REG", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
+	for i := 1; i <= scanRowTable; i++ {
+		err := t.Insert(record.Tuple{
+			record.Int(int64(i)), record.Int(int64(i%200 + 1)),
+			record.Float(float64(i%50 + 1)), record.Float(float64(i) * 1.5),
+			record.Float(float64(i%11) / 100), record.Float(float64(i%9) / 100),
+			record.Text("NRA"[i%3 : i%3+1]), record.Text("OF"[i%2 : i%2+1]), record.Int(int64(8000 + i%2500)),
+			record.Text(instruct[i%len(instruct)]), record.Text(mode[i%len(mode)]),
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return t
+}
+
+// scanSpan range-scans scanRowSpan primary keys from lo batch-wise and
+// returns the rows seen.
+func scanSpan(t *Table, batch *RowBatch, lo int) (int, error) {
+	l, h := record.Int(int64(lo)), record.Int(int64(lo+scanRowSpan-1))
+	it, err := t.RangeScan(0, &l, &h)
+	if err != nil {
+		return 0, err
+	}
+	defer it.Close()
+	rows := 0
+	for {
+		n, err := it.NextBatch(batch)
+		if err != nil || n == 0 {
+			return rows, err
+		}
+		rows += n
+	}
+}
+
+func TestScanRowAllocs(t *testing.T) {
+	tb := lineitemTable(t)
+	batch := NewRowBatch(DefaultBatchCapacity)
+	lo := 1
+	scan := func() {
+		rows, err := scanSpan(tb, batch, lo)
+		if err != nil || rows != scanRowSpan {
+			t.Fatalf("scan from %d: %d rows, %v", lo, rows, err)
+		}
+		lo = 1 + (lo+996)%(scanRowTable-scanRowSpan)
+	}
+	scan()
+	perRow := testing.AllocsPerRun(20, scan) / scanRowSpan
+	t.Logf("%.3f allocs per scanned row", perRow)
+	if perRow > scanRowMaxAllocs {
+		t.Fatalf("%.3f allocs per scanned row, want at most %d", perRow, scanRowMaxAllocs)
+	}
+	if err := tb.mem.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkScanRow is `make bench-scan`: ns and allocations per verified
+// scanned row, over the range scan wire_scan_analytic's statements run.
+func BenchmarkScanRow(b *testing.B) {
+	tb := lineitemTable(b)
+	batch := NewRowBatch(DefaultBatchCapacity)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		n, err := scanSpan(tb, batch, 1+(i*997)%(scanRowTable-scanRowSpan))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += n
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rows), "allocs/row")
+}

@@ -7,6 +7,7 @@ import (
 	"veridb/internal/index"
 	"veridb/internal/page"
 	"veridb/internal/record"
+	"veridb/internal/vmem"
 )
 
 // shard is one independently latched slice of a table. Each shard owns a
@@ -19,9 +20,10 @@ import (
 // (Definition 4.2 holds per shard).
 //
 // The mutex serialises structural mutation (chain maintenance and the
-// untrusted indexes); scanners hold it shared for their lifetime so the
-// chain they verify is stable. The expensive verification work (PRF
-// folding) happens inside vmem under its own per-partition RSWS locks.
+// untrusted indexes); scanners hold it shared while they fill a batch, and
+// read at a snapshot so the chain they verify is stable between fills. The
+// expensive verification work (PRF folding) happens inside vmem under its
+// own per-partition RSWS locks.
 type shard struct {
 	t  *Table
 	id int
@@ -142,7 +144,8 @@ func (sh *shard) placeRecord(enc []byte) (index.Loc, error) {
 	return try(pid)
 }
 
-// fetch reads and decodes the record at loc through the protected Get.
+// fetch reads and decodes the record at loc through the protected Get. The
+// record is the caller's own: the write paths mutate and re-encode it.
 func (sh *shard) fetch(loc index.Loc) (*record.Record, error) {
 	raw, err := sh.t.mem.Get(loc.Page, loc.Slot)
 	if err != nil {
@@ -150,9 +153,88 @@ func (sh *shard) fetch(loc index.Loc) (*record.Record, error) {
 	}
 	rec, err := record.Decode(raw)
 	if err != nil {
-		return nil, fmt.Errorf("%w: undecodable record at (%d,%d): %v", ErrVerifyFailed, loc.Page, loc.Slot, err)
+		return nil, undecodable(loc, err)
 	}
 	return rec, nil
+}
+
+func undecodable(loc index.Loc, err error) error {
+	return fmt.Errorf("%w: undecodable record at (%d,%d): %v", ErrVerifyFailed, loc.Page, loc.Slot, err)
+}
+
+// reader is the read paths' fetch context, one per scan or point lookup: a
+// vmem.Reader (one keyed hasher), the private image of the record fetched
+// last, and the decode scratch whose chain keys alias that image. A fetched
+// record is therefore good only until the next fetch, which is all a chain
+// walk needs; what must outlive it (an emitted tuple, a merge key) is built
+// or copied out first.
+type reader struct {
+	mem vmem.Reader
+	img []byte
+	dec record.Scratch
+}
+
+func (sh *shard) newReader() reader { return reader{mem: sh.t.mem.NewReader()} }
+
+func (r *reader) close() { r.mem.Close() }
+
+// fetch reads the record at loc through the protected Get into the
+// reader's own buffer and parses its chain links.
+func (r *reader) fetch(loc index.Loc) (*record.Record, error) {
+	img, err := r.mem.Get(loc.Page, loc.Slot, r.img[:0])
+	if err != nil {
+		return nil, err
+	}
+	r.img = img
+	rec, err := r.dec.Decode(img)
+	if err != nil {
+		return nil, undecodable(loc, err)
+	}
+	return rec, nil
+}
+
+// fetchKeyed fetches the record the untrusted index files under chain key k
+// and checks that it really carries k — condition (3) of Example 5.1 when k
+// is the predecessor's nKey.
+func (r *reader) fetchKeyed(loc index.Loc, chain int, k record.Key) (*record.Record, error) {
+	rec, err := r.fetch(loc)
+	if err != nil {
+		return nil, err
+	}
+	if chain >= len(rec.Links) || !rec.Links[chain].Key.Equal(k) {
+		return nil, fmt.Errorf("%w: chain %d index pointed %v at a record keyed otherwise (condition 3)",
+			ErrVerifyFailed, chain, k)
+	}
+	return rec, nil
+}
+
+// tuple returns rec's data tuple for handing upward, nil for a sentinel:
+// built fresh from the reader's own image, or cloned when rec is a history
+// image shared with every other snapshot reader.
+func (r *reader) tuple(rec *record.Record, shared bool) record.Tuple {
+	if !shared {
+		return r.dec.Tuple()
+	}
+	if rec.IsSentinel() {
+		return nil
+	}
+	return rec.Data.Clone()
+}
+
+// chainLink returns rec's ⟨key, nKey⟩ on chain after the two checks every
+// record a scan or a point lookup visits must pass: it participates in the
+// chain, and its nKey is above its key. The second is what makes a chain
+// walk terminate — with keys only required to meet end to end, a link
+// rewritten to point backwards would be followed round a circle for ever.
+func chainLink(rec *record.Record, chain int) (record.ChainLink, error) {
+	if chain >= len(rec.Links) || rec.Links[chain].Key.IsNull() || rec.Links[chain].NKey.IsNull() {
+		return record.ChainLink{}, fmt.Errorf("%w: record does not participate in chain %d", ErrVerifyFailed, chain)
+	}
+	l := rec.Links[chain]
+	if l.NKey.Compare(l.Key) <= 0 {
+		return record.ChainLink{}, fmt.Errorf("%w: chain %d does not ascend: record ⟨%v,%v⟩", ErrVerifyFailed, chain, l.Key, l.NKey)
+	}
+	return l, nil
 }
 
 // rewrite stores a mutated record back at loc, relocating it (and fixing
@@ -488,28 +570,34 @@ func (sh *shard) update(pkVal record.Value, pk record.Key, newTup record.Tuple, 
 func (sh *shard) searchChain(chain int, k record.Key) (record.Tuple, Evidence, error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.searchChainLocked(chain, k)
-}
-
-func (sh *shard) searchChainLocked(chain int, k record.Key) (record.Tuple, Evidence, error) {
+	r := sh.newReader()
+	defer r.close()
 	_, loc, ok := sh.chains[chain].SeekLE(k.Encode())
 	if !ok {
 		return nil, Evidence{}, fmt.Errorf("%w: chain %d returned no candidate for %v (missing ⊥ anchor)", ErrVerifyFailed, chain, k)
 	}
-	rec, err := sh.fetch(loc)
+	rec, err := r.fetch(loc)
 	if err != nil {
 		return nil, Evidence{}, err
 	}
-	if len(rec.Links) <= chain || rec.Links[chain].Key.IsNull() {
-		return nil, Evidence{}, fmt.Errorf("%w: evidence record does not participate in chain %d", ErrVerifyFailed, chain)
+	return sh.witness(&r, rec, false, chain, k)
+}
+
+// witness turns the candidate record of an index search into its verdict:
+// the record's ⟨key, nKey⟩ interval must prove the probe present or absent.
+// The evidence keys alias rec's image, which a point lookup's reader never
+// overwrites (it is closed after this) and a history image never changes.
+func (sh *shard) witness(r *reader, rec *record.Record, shared bool, chain int, k record.Key) (record.Tuple, Evidence, error) {
+	l, err := chainLink(rec, chain)
+	if err != nil {
+		return nil, Evidence{}, err
 	}
-	l := rec.Links[chain]
 	ev := Evidence{Table: sh.t.name, Chain: chain, Key: l.Key, NKey: l.NKey}
 	switch {
 	case l.Key.Equal(k):
 		// Condition (1): the record itself proves presence.
 		ev.Found = true
-		return rec.Data.Clone(), ev, nil
+		return r.tuple(rec, shared), ev, nil
 	case l.Key.Compare(k) < 0 && k.Compare(l.NKey) < 0:
 		// Condition (2): key < probe < nKey proves absence.
 		return nil, ev, nil

@@ -44,9 +44,9 @@ type TableSpec struct {
 	Shards int
 	// Ephemeral marks statement-scoped working tables (e.g. spool spill
 	// targets). They skip MVCC versioning entirely: no commit-clock
-	// traffic, no version capture, and scans use the classic latch-holding
-	// Scanner — correct because an ephemeral table is only ever touched by
-	// the statement that created it.
+	// traffic, no version capture, and scans walk the latest version with
+	// no snapshot — correct because an ephemeral table is only ever touched
+	// by the statement that created it.
 	Ephemeral bool
 }
 

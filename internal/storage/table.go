@@ -37,7 +37,7 @@ type Table struct {
 	shards []*shard
 
 	// ephemeral tables (spool spill targets) skip MVCC entirely: no commit
-	// clock traffic, no version capture, latch-holding scans.
+	// clock traffic, no version capture, scans at the latest version.
 	ephemeral bool
 	// born is the commit seq the table was created at; snapshots pinned
 	// below it must not scan the table (their catalog predates it).
@@ -309,22 +309,19 @@ func (t *Table) GetAt(v record.Value, snap *Snapshot) (record.Tuple, Evidence, e
 //
 // On a versioned table the scan runs against an implicit snapshot pinned
 // at the current commit watermark and owned by the iterator (released at
-// Close), so shard latches are never held across the scan's life. Only
-// ephemeral tables use the latch-holding Scanner.
+// Close). An ephemeral table is scanned at its latest version.
 func (t *Table) NewScan(chain int, bounds ScanBounds) (Iterator, error) {
-	if chain < 0 || chain >= len(t.chainCols) {
-		return nil, fmt.Errorf("storage: table %q has no chain %d", t.name, chain)
-	}
 	if t.ephemeral {
-		if len(t.shards) == 1 {
-			return t.shards[0].newScan(chain, bounds)
-		}
-		return newMergeIterator(t, chain, func(sh *shard) (chainScanner, error) {
-			return sh.newScan(chain, bounds)
-		})
+		return t.scanAt(chain, bounds, 0)
 	}
+	return t.withSnapshot(func(snap *Snapshot) (Iterator, error) { return t.NewScanAt(chain, bounds, snap) })
+}
+
+// withSnapshot opens a scan against a fresh snapshot the returned iterator
+// owns.
+func (t *Table) withSnapshot(open func(*Snapshot) (Iterator, error)) (Iterator, error) {
 	snap := t.store.OpenSnapshot()
-	it, err := t.NewScanAt(chain, bounds, snap)
+	it, err := open(snap)
 	if err != nil {
 		snap.Close()
 		return it, err
@@ -335,19 +332,22 @@ func (t *Table) NewScan(chain int, bounds ScanBounds) (Iterator, error) {
 // NewScanAt opens a verified scan of the given chain as of snap. The
 // caller keeps ownership of snap (one snapshot can serve many scans).
 func (t *Table) NewScanAt(chain int, bounds ScanBounds, snap *Snapshot) (Iterator, error) {
-	if chain < 0 || chain >= len(t.chainCols) {
-		return nil, fmt.Errorf("storage: table %q has no chain %d", t.name, chain)
-	}
 	if err := t.snapCheck(snap); err != nil {
 		return nil, err
 	}
-	seq := snap.Seq()
-	if len(t.shards) == 1 {
-		return t.shards[0].newSnapScan(chain, bounds, seq)
+	return t.scanAt(chain, bounds, snap.Seq())
+}
+
+// scanAt opens one Scanner per shard as of seq, stitched when there are
+// several.
+func (t *Table) scanAt(chain int, bounds ScanBounds, seq uint64) (Iterator, error) {
+	if chain < 0 || chain >= len(t.chainCols) {
+		return nil, fmt.Errorf("storage: table %q has no chain %d", t.name, chain)
 	}
-	return newMergeIterator(t, chain, func(sh *shard) (chainScanner, error) {
-		return sh.newSnapScan(chain, bounds, seq)
-	})
+	if len(t.shards) == 1 {
+		return t.shards[0].newScan(chain, bounds, seq)
+	}
+	return newMergeIterator(t, chain, bounds, seq)
 }
 
 // RangeScan opens a verified scan over the chain serving column col,
@@ -424,20 +424,9 @@ func (t *Table) ScanRange(col int, lo, hi *record.Value) (Iterator, error) {
 // versioned table the scan owns an implicit snapshot (see NewScan).
 func (t *Table) SeqScan() (Iterator, error) {
 	if t.ephemeral {
-		if len(t.shards) > 1 && t.mem.Config().VerifyWorkers > 1 {
-			return newParallelMergeIterator(t, 0, func(sh *shard) (chainScanner, error) {
-				return sh.newScan(0, ScanBounds{})
-			})
-		}
-		return t.NewScan(0, ScanBounds{})
+		return t.seqScanAt(0)
 	}
-	snap := t.store.OpenSnapshot()
-	it, err := t.SeqScanAt(snap)
-	if err != nil {
-		snap.Close()
-		return it, err
-	}
-	return &snapClosingIter{Iterator: it, snap: snap}, nil
+	return t.withSnapshot(t.SeqScanAt)
 }
 
 // SeqScanAt is SeqScan evaluated against a pinned snapshot the caller
@@ -446,11 +435,12 @@ func (t *Table) SeqScanAt(snap *Snapshot) (Iterator, error) {
 	if err := t.snapCheck(snap); err != nil {
 		return nil, err
 	}
+	return t.seqScanAt(snap.Seq())
+}
+
+func (t *Table) seqScanAt(seq uint64) (Iterator, error) {
 	if len(t.shards) > 1 && t.mem.Config().VerifyWorkers > 1 {
-		seq := snap.Seq()
-		return newParallelMergeIterator(t, 0, func(sh *shard) (chainScanner, error) {
-			return sh.newSnapScan(0, ScanBounds{}, seq)
-		})
+		return newParallelMergeIterator(t, 0, ScanBounds{}, seq)
 	}
-	return t.NewScanAt(0, ScanBounds{}, snap)
+	return t.scanAt(0, ScanBounds{}, seq)
 }

@@ -124,10 +124,40 @@ func (m *Memory) applyWriteFault(vp *vPage, slot int, old, intended []byte) {
 }
 
 // Get reads the record in (pageID, slot) through the protected interface
-// (Alg. 1 Read): the read is folded into h(RS) and a virtual write-back of
-// the same data, at the next version, into h(WS). The returned slice is a
-// private copy.
+// (Alg. 1 Read). The returned slice is a private copy.
 func (m *Memory) Get(pageID uint64, slot int) ([]byte, error) {
+	r := m.NewReader()
+	defer r.Close()
+	return r.Get(pageID, slot, nil)
+}
+
+// Reader is one goroutine's handle for a run of protected reads (a range
+// scan, a point lookup's one to three fetches): it holds one keyed hasher
+// for all of them and lets the caller supply the buffer each record image
+// lands in. Every read is the same Alg. 1 Read as Memory.Get, which is a
+// one-shot Reader. Callers must Close; a Reader is not safe for concurrent
+// use.
+type Reader struct {
+	m *Memory
+	h sethash.Hasher
+}
+
+// NewReader checks a keyed hasher out of the PRF key's pool (none in
+// ModeBaseline, which evaluates no PRF).
+func (m *Memory) NewReader() Reader {
+	r := Reader{m: m}
+	if m.cfg.Mode == ModeRSWS {
+		r.h = m.key.NewHasher()
+	}
+	return r
+}
+
+// Close returns the hasher to the pool. Idempotent.
+func (r *Reader) Close() { r.h.Close() }
+
+// Get is Memory.Get with the private copy of the record appended to dst.
+func (r *Reader) Get(pageID uint64, slot int, dst []byte) ([]byte, error) {
+	m := r.m
 	vp, err := m.lookup(pageID)
 	if err != nil {
 		return nil, err
@@ -138,34 +168,39 @@ func (m *Memory) Get(pageID uint64, slot int) ([]byte, error) {
 		vp.mu.Unlock()
 		return nil, err
 	}
-	out := append([]byte(nil), data...)
+	dst = append(dst, data...)
 	if m.cfg.Mode == ModeRSWS {
 		m.ops.Add(1)
 		part := m.part(pageID)
 		part.mu.Lock()
 		rs, ws := m.epochSets(part, vp)
 		vp.ensureVers(slot)
-		dr := m.prf(CellAddr(pageID, slot), vp.vers[slot], data)
-		rs.AddDigest(&dr) // the read (Alg. 1 line 3)
-		vp.vers[slot]++
-		dw := m.prf(CellAddr(pageID, slot), vp.vers[slot], data)
-		ws.AddDigest(&dw) // virtual write-back (Alg. 1 line 5)
+		r.fold(rs, ws, CellAddr(pageID, slot), &vp.vers[slot], data)
 		if m.cfg.VerifyMetadata {
 			// The offset lookup is itself a verifiable read of the
 			// line-pointer cell (§4.2: Get performs two verifiable reads).
-			ptr := vp.p.SlotPointerBytes(slot)
-			mr := m.prf(MetaAddr(pageID, slot), vp.mver[slot], ptr)
-			rs.AddDigest(&mr)
-			vp.mver[slot]++
-			mw := m.prf(MetaAddr(pageID, slot), vp.mver[slot], ptr)
-			ws.AddDigest(&mw)
+			r.fold(rs, ws, MetaAddr(pageID, slot), &vp.mver[slot], vp.p.SlotPointerBytes(slot))
 		}
 		part.mu.Unlock()
 		vp.touched = true
 	}
 	vp.mu.Unlock()
 	m.afterOp()
-	return out, nil
+	return dst, nil
+}
+
+// fold is the one place a protected read enters the sets: the cell image at
+// its current version is folded into h(RS) (Alg. 1 line 3) and a virtual
+// write-back of the same data, at the next version, into h(WS) (line 5).
+// The caller holds the page lock and the partition's RSWS lock.
+func (r *Reader) fold(rs, ws *sethash.Accumulator, addr Addr, ver *uint64, data []byte) {
+	var d sethash.Digest
+	r.m.prfEvals.Add(2)
+	r.h.PRFvInto(uint64(addr), *ver, data, &d)
+	rs.AddDigest(&d)
+	*ver++
+	r.h.PRFvInto(uint64(addr), *ver, data, &d)
+	ws.AddDigest(&d)
 }
 
 // Insert stores rec in the page and returns its slot (§4.2 Insert, minus
