@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build vet lint test race flake bench bench-scan bench-query bench-wal bench-mvcc bench-overload bench-wire chaos crash fuzz ci
+.PHONY: build loc vet lint test race flake bench bench-scan bench-query bench-wal bench-mvcc bench-overload bench-wire chaos crash fuzz ci
 
 build:
 	$(GO) build ./...
+
+# The size every simplicity PR quotes: non-test Go lines outside
+# benchmark/ (and outside its git-ignored build directory).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 vet:
 	$(GO) vet ./...
@@ -32,12 +37,17 @@ race:
 # quarantined mid-statement), plus the two connection-level refusal tests,
 # which race a qid-0 TError frame against the close behind it, and the two
 # tests of Drain beside a still-running accept loop (the abrupt-disconnect
-# one tripped the race detector about 1 run in 30) — fifty times each
-# under the race detector.
+# one tripped the race detector about 1 run in 30), and the three tests
+# that race frames or writers against each other by design — a duplicated
+# shed behind its first copy, a pipeline through the duplicating, stalling
+# and dropping chaos connection, writers joining a commit group behind a
+# blocked fsync — and the two tests of a fenced-then-recovered client and a
+# retransmit timer parked behind a shed, fifty times each under the race
+# detector.
 flake:
 	$(GO) test -race -count=50 -timeout 10m \
-		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal|TestBinaryAbruptDisconnectLeaksNothing|TestDrainBesideAcceptLoop' \
-		./internal/core ./internal/vmem ./internal/portal ./internal/server ./internal/client
+		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal|TestBinaryAbruptDisconnectLeaksNothing|TestDrainBesideAcceptLoop|TestPipelineDuplicateShedIsNotARollback|TestPipelineThroughChaosConn|TestFsyncIsTheWindow|TestRunFaultRecoverySmall|TestPipelineStaleRetransmitTimerIsIgnored' \
+		./internal/core ./internal/vmem ./internal/portal ./internal/server ./internal/client ./internal/wal ./internal/bench
 
 bench:
 	$(GO) test -bench=BenchmarkVerifyScaling -benchtime=1x -run=^$$ .
@@ -56,8 +66,8 @@ bench-query:
 	$(GO) run ./cmd/veridb-bench query -query-rows 2000 -batch-sizes 1,64,256 -query-json ""
 
 # Durability smoke: a small WAL workload through all three durability
-# modes plus the concurrent-writer group-commit sweep, proving the wal
-# subcommand runs end-to-end. Real measurements use the defaults:
+# modes plus the concurrent-writer sweep (one row per writer count),
+# proving the wal subcommand runs end-to-end. Real measurements use the defaults:
 # veridb-bench wal.
 bench-wal:
 	$(GO) run ./cmd/veridb-bench wal -statements 300 -checkpoint-every 100 -wal-json ""
@@ -86,22 +96,22 @@ bench-wire:
 	$(GO) run ./cmd/veridb-bench serve -wire-rows 500 -wire-ops 300 -inflights 1,16 -wire-json ""
 
 # Fault-injection suite: the chaos injector, quarantine/failover paths in
-# core, the retrying client, the portal response cache, and the end-to-end
-# fault-recovery bench — all under the race detector, uncached, with a
-# hard timeout so a hung failover fails the run instead of wedging it.
+# core, the client pipeline's retry policy, the portal response cache, and
+# the end-to-end fault-recovery bench — all under the race detector,
+# uncached, with a hard timeout so a hung failover fails the run instead
+# of wedging it.
 chaos:
 	$(GO) test -race -count=1 -timeout 5m \
 		./internal/chaos ./internal/core ./internal/client \
 		./internal/portal ./internal/bench ./internal/govern \
 		./internal/server ./internal/wire
 
-# Crash matrix: the durable-storage proof. Kills the WAL at every record
-# boundary and mid-record (clean truncation + torn half-synced writes),
-# recovers, and diffs against the committed-prefix oracle — serially and
-# under group commit (TestCrashPointMatrixGroupCommit, matched by the
-# TestCrash pattern); plus tamper classification, golden-dir recovery,
-# and the recovery/verifier lifecycle — all under the race detector,
-# uncached.
+# Crash matrix: the durable-storage proof. Kills the WAL of a concurrently
+# written workload at every record boundary and mid-record, inside
+# half-synced commit groups included (clean truncation + torn half-synced
+# writes), recovers, and diffs against the committed-prefix oracle; plus
+# tamper classification, golden-dir recovery, and the recovery/verifier
+# lifecycle — all under the race detector, uncached.
 crash:
 	$(GO) test -race -count=1 -timeout 5m \
 		-run 'TestCrash|TestMidLogBitFlip|TestGolden|TestRecoveryVerifier|TestQuarantinedRecovery' \

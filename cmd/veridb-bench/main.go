@@ -595,11 +595,11 @@ func walBench(statements, checkpointEvery int, jsonPath string) error {
 	fmt.Printf("-- fsync'd MACed append keeps %.1f%% of in-memory write throughput\n",
 		run.DurabilityOverhead*100)
 	fmt.Println("\n-- concurrent-writer sweep (shared durable DB, disjoint key ranges) --")
-	fmt.Printf("%-8s %-13s %16s %12s %12s %12s\n",
-		"clients", "group-commit", "append(stmt/s)", "mean(us)", "p50(us)", "p99(us)")
+	fmt.Printf("%-8s %16s %12s %12s %12s\n",
+		"clients", "append(stmt/s)", "mean(us)", "p50(us)", "p99(us)")
 	for _, p := range run.ConcurrencySweep {
-		fmt.Printf("%-8d %-13v %16.0f %12.2f %12.2f %12.2f\n",
-			p.Clients, p.GroupCommit, p.Throughput, us(p.MeanAppend), us(p.P50Append), us(p.P99Append))
+		fmt.Printf("%-8d %16.0f %12.2f %12.2f %12.2f\n",
+			p.Clients, p.Throughput, us(p.MeanAppend), us(p.P50Append), us(p.P99Append))
 	}
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(run, "", "  ")

@@ -57,8 +57,6 @@ func main() {
 	tableShards := flag.Int("table-shards", 1, "hash shards per table (1 = unsharded)")
 	dataDir := flag.String("data-dir", "", "authenticated durable storage directory (empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after this many logged statements (0 = WAL-only; requires -data-dir)")
-	groupCommit := flag.Duration("group-commit", 0, "group-commit window: batch concurrent WAL appends into one fsync (0 = one fsync per statement; requires -data-dir)")
-	groupCommitBatch := flag.Int("group-commit-batch", 0, "close a commit group early at this many statements (0 = default 64; requires -group-commit)")
 	planCache := flag.Int("plan-cache", 0, "prepared-plan LRU size (0 = default 128)")
 	mvccGC := flag.Duration("mvcc-gc", 0, "background row-version GC period (0 = opportunistic pruning only)")
 	maxVersions := flag.Int("max-versions", 0, "retained row versions per chain key (0 = GC-floor bounded)")
@@ -87,11 +85,9 @@ func main() {
 		DataDir:         *dataDir,
 		CheckpointEvery: *checkpointEvery,
 
-		GroupCommitMaxDelay: *groupCommit,
-		GroupCommitMaxBatch: *groupCommitBatch,
-		PlanCacheSize:       *planCache,
-		MVCCGCInterval:      *mvccGC,
-		MaxVersionsPerRow:   *maxVersions,
+		PlanCacheSize:     *planCache,
+		MVCCGCInterval:    *mvccGC,
+		MaxVersionsPerRow: *maxVersions,
 
 		StatementTimeout:        *stmtTimeout,
 		MemBudget:               *memBudget,

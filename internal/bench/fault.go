@@ -12,12 +12,12 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"veridb/internal/chaos"
 	"veridb/internal/client"
 	"veridb/internal/core"
-	"veridb/internal/portal"
 )
 
 // FaultRecoveryConfig sizes the fault-recovery experiment.
@@ -140,11 +140,19 @@ func runFaultTrial(cfg FaultRecoveryConfig, kind chaos.FaultKind, seed int64) (*
 		return nil, err
 	}
 
+	// The failover is held open until the client has been fenced once. The
+	// 1 ms poll can otherwise replace the quarantined instance between two
+	// of the client's requests, and Detection is defined by what the client
+	// sees; the closed loop below makes the wait at most one request.
+	fenced := make(chan struct{})
+	var fenceOnce sync.Once
+	release := func() { fenceOnce.Do(func() { close(fenced) }) }
 	freshSeed := uint64(seed)*1000 + 100
 	sup, err := core.NewSupervisor(core.SupervisorConfig{
 		Active:  active,
 		Replica: replica,
 		Fresh: func() (*core.DB, error) {
+			<-fenced
 			freshSeed++
 			return openFaultInstance(freshSeed, cfg.VerifyEvery, key)
 		},
@@ -154,11 +162,9 @@ func runFaultTrial(cfg FaultRecoveryConfig, kind chaos.FaultKind, seed int64) (*
 		return nil, err
 	}
 	defer sup.Close()
+	defer release() // a failed trial must not leave the watcher parked in Fresh
 
 	c := client.New("bench", key)
-	tr := client.TransportFunc(func(req portal.Request) (*portal.Response, error) {
-		return sup.Serve(req)
-	})
 
 	in := chaos.New(seed, chaos.MemFault{
 		Kind: kind, AtOp: active.Memory().Stats().Ops + 32, ReplayAfter: 64,
@@ -184,7 +190,11 @@ func runFaultTrial(cfg FaultRecoveryConfig, kind chaos.FaultKind, seed int64) (*
 		} else {
 			query = fmt.Sprintf(`UPDATE kv SET v = 'gen%07d' WHERE k = %d`, i%10_000_000, i%cfg.Rows)
 		}
-		_, err := c.Do(tr, query, client.RetryConfig{Timeout: 10 * time.Second, Retries: 1})
+		req := c.NewRequest(query)
+		resp, err := sup.Serve(req)
+		if err == nil {
+			err = c.VerifyResponse(req, resp)
+		}
 		if faultAt.IsZero() && len(in.Fired()) > 0 {
 			faultAt = time.Now()
 		}
@@ -206,6 +216,7 @@ func runFaultTrial(cfg FaultRecoveryConfig, kind chaos.FaultKind, seed int64) (*
 			trial.QuarantinedResponses++
 			if detectedAt.IsZero() {
 				detectedAt = time.Now()
+				release()
 				if faultAt.IsZero() {
 					faultAt = detectedAt
 				}

@@ -63,18 +63,16 @@ type WALBenchMode struct {
 	WALBytes int64 `json:"wal_bytes"`
 }
 
-// WALConcurrencyPoint is one cell of the concurrent-writer sweep: a
-// client count crossed with group commit on or off. Latencies are
-// per-statement ack times across every client; with group commit on,
-// each ack still waited for its group's fsync — throughput gains come
-// from amortising the fsync, never from acking early.
+// WALConcurrencyPoint is one row of the concurrent-writer sweep.
+// Latencies are per-statement ack times across every client; each ack
+// waited for its commit group's fsync — throughput gains come from
+// sharing the fsync, never from acking early.
 type WALConcurrencyPoint struct {
-	Clients     int           `json:"clients"`
-	GroupCommit bool          `json:"group_commit"`
-	Throughput  float64       `json:"append_stmts_per_sec"`
-	MeanAppend  time.Duration `json:"mean_append_ns"`
-	P50Append   time.Duration `json:"p50_append_ns"`
-	P99Append   time.Duration `json:"p99_append_ns"`
+	Clients    int           `json:"clients"`
+	Throughput float64       `json:"append_stmts_per_sec"`
+	MeanAppend time.Duration `json:"mean_append_ns"`
+	P50Append  time.Duration `json:"p50_append_ns"`
+	P99Append  time.Duration `json:"p99_append_ns"`
 }
 
 // WALBenchRun is the whole experiment, shaped for BENCH_wal.json.
@@ -86,8 +84,8 @@ type WALBenchRun struct {
 	// the fraction of baseline write speed that survives the fsync'd
 	// authenticated append.
 	DurabilityOverhead float64 `json:"wal_vs_memory_throughput_ratio"`
-	// ConcurrencySweep crosses 1/2/4/8/16 concurrent writers with group
-	// commit on and off over a shared durable database.
+	// ConcurrencySweep runs 1/2/4/8/16 concurrent writers over a shared
+	// durable database.
 	ConcurrencySweep []WALConcurrencyPoint `json:"concurrency_sweep"`
 }
 
@@ -127,31 +125,21 @@ func RunWALBench(cfg WALBenchConfig) (*WALBenchRun, error) {
 		run.DurabilityOverhead = run.Modes[1].AppendThroughput / run.Modes[0].AppendThroughput
 	}
 	for _, clients := range []int{1, 2, 4, 8, 16} {
-		for _, group := range []bool{false, true} {
-			dir := filepath.Join(scratch, fmt.Sprintf("sweep-%d-%v", clients, group))
-			pt, err := runWALConcurrent(clients, group, cfg.Statements, cfg.Seed, dir)
-			if err != nil {
-				return nil, fmt.Errorf("bench: wal sweep clients=%d group=%v: %w", clients, group, err)
-			}
-			run.ConcurrencySweep = append(run.ConcurrencySweep, *pt)
+		dir := filepath.Join(scratch, fmt.Sprintf("sweep-%d", clients))
+		pt, err := runWALConcurrent(clients, cfg.Statements, cfg.Seed, dir)
+		if err != nil {
+			return nil, fmt.Errorf("bench: wal sweep clients=%d: %w", clients, err)
 		}
+		run.ConcurrencySweep = append(run.ConcurrencySweep, *pt)
 	}
 	return run, nil
 }
 
 // runWALConcurrent drives `clients` goroutines of inserts over disjoint
 // key ranges against one durable database and reports aggregate
-// throughput and per-ack latency percentiles. With group on, the commit
-// pipeline runs with a 2ms window and an early close at the client
-// count (every in-flight writer enqueued means nothing more can join
-// the group); off is the serial one-fsync-per-statement path.
-func runWALConcurrent(clients int, group bool, statements int, seed uint64, dir string) (*WALConcurrencyPoint, error) {
-	c := core.Config{Seed: seed, DataDir: dir}
-	if group {
-		c.GroupCommitMaxDelay = 2 * time.Millisecond
-		c.GroupCommitMaxBatch = clients
-	}
-	db, err := core.Open(c)
+// throughput and per-ack latency percentiles.
+func runWALConcurrent(clients, statements int, seed uint64, dir string) (*WALConcurrencyPoint, error) {
+	db, err := core.Open(core.Config{Seed: seed, DataDir: dir})
 	if err != nil {
 		return nil, err
 	}
@@ -201,12 +189,11 @@ func runWALConcurrent(clients int, group bool, statements int, seed uint64, dir 
 	}
 	p50, p99 := latencyPercentiles(all)
 	return &WALConcurrencyPoint{
-		Clients:     clients,
-		GroupCommit: group,
-		Throughput:  float64(len(all)) / elapsed.Seconds(),
-		MeanAppend:  sum / time.Duration(len(all)),
-		P50Append:   p50,
-		P99Append:   p99,
+		Clients:    clients,
+		Throughput: float64(len(all)) / elapsed.Seconds(),
+		MeanAppend: sum / time.Duration(len(all)),
+		P50Append:  p50,
+		P99Append:  p99,
 	}, nil
 }
 

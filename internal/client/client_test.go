@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
+	"veridb/internal/govern"
 	"veridb/internal/portal"
 	"veridb/internal/record"
 	"veridb/internal/wire"
@@ -218,3 +220,55 @@ func TestEveryResponseBitIsUnderTheMAC(t *testing.T) {
 }
 
 var errNotAResult = errors.New("frame is not a result")
+
+// TestVerifyResponseTypedRollback: a server replaying an old sequence
+// number (state rollback) yields a *RollbackError carrying the evidence.
+func TestVerifyResponseTypedRollback(t *testing.T) {
+	c, p, key := newClientPortal(t, &countExec{})
+	req1 := c.NewRequest("SELECT 1")
+	resp1, err := p.Serve(req1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.VerifyResponse(req1, resp1); err != nil {
+		t.Fatal(err)
+	}
+	// The "server" answers the next request with the previous sequence
+	// number, properly MACed — exactly what a rolled-back-and-replayed
+	// instance would produce.
+	req2 := c.NewRequest("SELECT 2")
+	rolled := &portal.Response{QID: req2.QID, Seq: resp1.Seq}
+	rolled.MAC = portal.SignResponse(key, rolled)
+	err = c.VerifyResponse(req2, rolled)
+	var rb *RollbackError
+	if !errors.As(err, &rb) {
+		t.Fatalf("replayed seq returned %v, want *RollbackError", err)
+	}
+	if !errors.Is(err, ErrRollback) {
+		t.Fatal("typed rollback does not match ErrRollback")
+	}
+	if rb.Seq != resp1.Seq || rb.Lo > rb.Seq || rb.Hi < rb.Seq {
+		t.Fatalf("evidence %+v for replayed seq %d", rb, resp1.Seq)
+	}
+}
+
+// TestVerifyResponseTypesOverload: the overload refusal survives the trip
+// through the string-typed wire error and comes back as a typed
+// *govern.OverloadedError with its RetryAfter hint intact.
+func TestVerifyResponseTypesOverload(t *testing.T) {
+	exec := &shedExec{sheds: 1}
+	c, p, _ := newClientPortal(t, exec)
+	req := c.NewRequest("SELECT 1")
+	resp, err := p.Serve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verr := c.VerifyResponse(req, resp)
+	var oe *govern.OverloadedError
+	if !errors.As(verr, &oe) {
+		t.Fatalf("verify error not typed: %v", verr)
+	}
+	if oe.RetryAfter != 25*time.Millisecond {
+		t.Fatalf("RetryAfter = %v, want 25ms", oe.RetryAfter)
+	}
+}

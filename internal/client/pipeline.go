@@ -20,24 +20,41 @@ import (
 // gone; the originating transport error (if any) is wrapped alongside it.
 var ErrPipelineClosed = errors.New("client: pipeline closed")
 
+// ErrTimeout means a call's response deadline passed on every attempt its
+// retry budget allowed: the peer never answered.
+var ErrTimeout = errors.New("client: request timed out")
+
 // PipelineConfig tunes a pipelined binary-protocol connection.
+//
+// The retry policy lives here and nowhere else. Safe retries lean on two
+// protocol properties: requests are idempotent at the portal (a re-sent qid
+// returns the cached original endorsement, never a re-execution), and every
+// response is MAC-verified before the caller sees it, so a retry trusts
+// nothing about the channel. A response that fails verification is never
+// retried — a forged or rolled-back response is evidence, not noise — and
+// neither is an authenticated quarantine or execution error. The one
+// verified response that is retried is the overload refusal
+// (govern.ErrOverloaded), an honest "come back later".
 type PipelineConfig struct {
 	// MaxInflight is the in-flight window: how many requests may await
 	// responses at once. Go blocks (backpressure) when the window is full.
-	// Default 16.
+	// Default 16; 1 is the synchronous client (Do sends, waits, returns).
 	MaxInflight int
 	// RetryTimeout is the per-attempt response deadline. When it elapses
 	// the call is retransmitted with the SAME qid and MAC — the portal's
 	// response cache makes the retry at-most-once: a finished query replays
 	// its cached endorsement, an in-flight one answers "query id replayed"
 	// (which the pipeline ignores; the original response is still coming).
-	// 0 disables retransmission.
+	// 0 disables retransmission. A call whose budget runs out unanswered
+	// fails with ErrTimeout.
 	RetryTimeout time.Duration
 	// Retries bounds extra attempts per call: retransmissions plus
-	// fresh-qid overload retries. Default 3.
+	// fresh-qid overload retries. Zero means 3; negative means none (every
+	// call is sent exactly once).
 	Retries int
-	// Backoff is the base delay before an overload retry when the server's
-	// RetryAfter hint is smaller. Default 5ms.
+	// Backoff is the delay before the first overload retry, doubling per
+	// attempt; a larger RetryAfter hint from the server wins (see
+	// retryDelay). Default 5ms.
 	Backoff time.Duration
 	// MaxResponse caps one response frame's payload. Default 64 MiB (a
 	// result set, not a request, sets the size here).
@@ -48,8 +65,11 @@ func (cfg *PipelineConfig) fill() {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 16
 	}
-	if cfg.Retries <= 0 {
+	if cfg.Retries == 0 {
 		cfg.Retries = 3
+	}
+	if cfg.Retries < 0 {
+		cfg.Retries = 0
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 5 * time.Millisecond
@@ -232,8 +252,9 @@ func (p *Pipeline) enqueue(call *Call) {
 	select {
 	case p.sendq <- call:
 	case <-p.closed:
+		err := p.closeErr() // takes p.mu itself
 		p.mu.Lock()
-		p.completeLocked(call, nil, p.closeErr())
+		p.completeLocked(call, nil, err)
 		p.mu.Unlock()
 	}
 }
@@ -246,19 +267,24 @@ func (p *Pipeline) armTimerLocked(call *Call) {
 	if call.timer != nil {
 		call.timer.Stop()
 	}
-	call.timer = time.AfterFunc(p.cfg.RetryTimeout, func() { p.retransmit(call) })
+	qid := call.qid
+	call.timer = time.AfterFunc(p.cfg.RetryTimeout, func() { p.retransmit(call, qid) })
 }
 
 // retransmit re-sends a call that missed its response deadline, with the
-// SAME qid and MAC (at-most-once; see PipelineConfig.RetryTimeout).
-func (p *Pipeline) retransmit(call *Call) {
+// SAME qid and MAC (at-most-once; see PipelineConfig.RetryTimeout). qid is
+// the one the timer was armed for: a timer that fired while dispatch was
+// accepting a shed finds the call reissued under a fresh qid and does
+// nothing — Stop cannot recall it, and it must neither send before the
+// backoff nor spend an attempt of the call's budget.
+func (p *Pipeline) retransmit(call *Call, qid uint64) {
 	p.mu.Lock()
-	if call.completed || p.err != nil {
+	if call.completed || p.err != nil || call.qid != qid {
 		p.mu.Unlock()
 		return
 	}
 	if call.attempts >= p.cfg.Retries {
-		p.completeLocked(call, nil, fmt.Errorf("client: qid %d: no response after %d attempts", call.qid, call.attempts+1))
+		p.completeLocked(call, nil, fmt.Errorf("%w: qid %d: no response after %d attempts", ErrTimeout, call.qid, call.attempts+1))
 		p.mu.Unlock()
 		return
 	}
@@ -268,14 +294,38 @@ func (p *Pipeline) retransmit(call *Call) {
 	p.enqueue(call)
 }
 
-// retryFresh re-signs an overloaded call under a FRESH qid — the shed
-// consumed the old one (the portal's replay window rejects its reuse) —
-// and sends it again. Only queries are retried this way.
-func (p *Pipeline) retryFresh(call *Call) {
-	p.mu.Lock()
-	if call.completed || p.err != nil {
-		p.mu.Unlock()
-		return
+// retryDelay is the wait before re-attempting a call the server shed:
+// the backoff doubled once per attempt already made, or the server's
+// RetryAfter hint if that is longer, capped at one second, plus up to half
+// of itself again in jitter — which de-synchronises a herd of shed clients
+// that would otherwise all honor the same hint at once. jitter(n) returns
+// a value in [0, n) (rand.Int63n outside tests).
+func retryDelay(backoff time.Duration, attempts int, retryAfter time.Duration, jitter func(int64) int64) time.Duration {
+	if attempts > 10 {
+		attempts = 10 // past the one-second cap for any backoff of 1ms or more
+	}
+	delay := backoff << attempts
+	if retryAfter > delay {
+		delay = retryAfter
+	}
+	if delay > time.Second {
+		delay = time.Second
+	}
+	return delay + time.Duration(jitter(int64(delay)/2+1))
+}
+
+// reissueLocked re-signs a shed call under a FRESH qid: the shed was
+// endorsed and cached under the old one, so re-sending it would replay the
+// refusal forever instead of re-attempting admission. The shed IS the
+// response to the old qid, which is unregistered here — a second copy of
+// the shed (a network duplicate, or the cached shed replayed to a
+// retransmission that crossed it) then finds no call and drops like every
+// other late duplicate, instead of reaching the sequence tracker twice and
+// reading as a rollback. The call stays registered, now under the fresh
+// qid, so a dying pipeline still fails it.
+func (p *Pipeline) reissueLocked(call *Call) {
+	if call.timer != nil {
+		call.timer.Stop() // nothing more is coming for the dead qid
 	}
 	delete(p.pending, call.qid)
 	req := p.c.NewRequestTimeout(call.query, call.timeout)
@@ -284,6 +334,15 @@ func (p *Pipeline) retryFresh(call *Call) {
 	call.payload = wire.EncodeQuery(req)
 	call.attempts++
 	p.pending[call.qid] = call
+}
+
+// sendReissued sends a reissued call once its backoff has passed.
+func (p *Pipeline) sendReissued(call *Call) {
+	p.mu.Lock()
+	if call.completed || p.err != nil {
+		p.mu.Unlock()
+		return
+	}
 	p.armTimerLocked(call)
 	p.mu.Unlock()
 	p.enqueue(call)
@@ -447,27 +506,12 @@ func (p *Pipeline) dispatch(f wire.Frame) {
 		var oe *govern.OverloadedError
 		if errors.As(verr, &oe) {
 			p.mu.Lock()
-			canRetry := !call.completed && call.attempts < p.cfg.Retries
-			if canRetry {
-				// Honor the server's hint (or our backoff, whichever is
-				// larger) plus jitter, off the reader goroutine so one shed
-				// call never stalls the window for the others.
-				shift := call.attempts
-				if shift > 10 {
-					shift = 10 // cap the doubling; the jittered ceiling below rules
-				}
-				delay := p.cfg.Backoff << shift
-				if oe.RetryAfter > delay {
-					delay = oe.RetryAfter
-				}
-				if delay > time.Second {
-					delay = time.Second
-				}
-				delay += time.Duration(rand.Int63n(int64(delay)/2 + 1))
-				if call.timer != nil {
-					call.timer.Stop() // the shed IS the response; don't retransmit the dead qid
-				}
-				time.AfterFunc(delay, func() { p.retryFresh(call) })
+			if !call.completed && call.attempts < p.cfg.Retries {
+				// Wait off the reader goroutine, so one shed call never
+				// stalls the window for the others.
+				delay := retryDelay(p.cfg.Backoff, call.attempts, oe.RetryAfter, rand.Int63n)
+				p.reissueLocked(call)
+				time.AfterFunc(delay, func() { p.sendReissued(call) })
 			} else {
 				p.completeLocked(call, resp, verr)
 			}

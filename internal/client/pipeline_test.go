@@ -11,17 +11,26 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"veridb"
+	"veridb/internal/chaos"
 	"veridb/internal/client"
 	"veridb/internal/server"
 	"veridb/internal/wire"
 )
 
 func startServer(t *testing.T, db *veridb.DB, cfg server.Config) net.Listener {
+	return startFlakyServer(t, db, cfg, chaos.WireConfig{})
+}
+
+// startFlakyServer serves db behind the wire-fault layer: the server's
+// writes — its responses — are duplicated, delayed or cut off as faults
+// says (the zero value injects nothing).
+func startFlakyServer(t *testing.T, db *veridb.DB, cfg server.Config, faults chaos.WireConfig) net.Listener {
 	t.Helper()
 	cfg.DB = db
 	srv, err := server.New(cfg)
@@ -33,7 +42,7 @@ func startServer(t *testing.T, db *veridb.DB, cfg server.Config) net.Listener {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close(); srv.Drain(5 * time.Second) })
-	go srv.Serve(ln)
+	go srv.Serve(chaos.WrapListener(ln, faults))
 	return ln
 }
 
@@ -400,5 +409,123 @@ func TestPipelineRejectsMismatchedFrameType(t *testing.T) {
 	resp, err := p.Do(`SELECT 1`)
 	if err == nil || resp != nil || !strings.Contains(err.Error(), "health-info") {
 		t.Fatalf("query answered by a health frame returned (%+v, %v)", resp, err)
+	}
+}
+
+// TestPipelineThroughChaosConn drives a pipeline at the real server through
+// a network that duplicates every second response write, stalls every
+// third for longer than RetryTimeout (so calls retransmit under their old
+// qid while the answer is stuck in the stall), and finally drops the
+// connection. Every completed call must be verified and executed at most
+// once — the inserts would collide on their primary key otherwise, and the
+// row count is checked server-side — no benign duplicate may read as a
+// rollback, the drop must fail every call in flight with ErrPipelineClosed
+// wrapping its cause, and no goroutine may outlive the pipelines.
+func TestPipelineThroughChaosConn(t *testing.T) {
+	db, err := veridb.Open(veridb.Config{Seed: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE t (a INT PRIMARY KEY, b INT)`); err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("chaos-pipe")
+	db.ProvisionClient("alice", key)
+	alice := client.New("alice", key)
+	rows := func() int {
+		res, err := db.Exec(`SELECT a FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Rows)
+	}
+
+	flaky := startFlakyServer(t, db, server.Config{}, chaos.WireConfig{
+		DuplicateEveryWrites: 2,
+		DelayEveryWrites:     3,
+		Delay:                30 * time.Millisecond,
+	})
+	dropping := startFlakyServer(t, db, server.Config{}, chaos.WireConfig{DropAfterWrites: 3})
+	baseline := runtime.NumGoroutine()
+
+	// Duplicates and stalls: everything completes, once.
+	p := dialPipeline(t, alice, flaky.Addr().String(), client.PipelineConfig{
+		MaxInflight:  4,
+		RetryTimeout: 10 * time.Millisecond,
+		Retries:      500,
+	})
+	const n = 60
+	calls := make([]*client.Call, n)
+	for i := range calls {
+		calls[i] = p.Go(fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, i, i))
+	}
+	retransmitted := 0
+	for i, call := range calls {
+		if _, err := call.Wait(); err != nil {
+			t.Fatalf("insert %d through duplicates and stalls: %v", i, err)
+		}
+		retransmitted += call.Attempts()
+	}
+	if retransmitted == 0 {
+		t.Fatal("no call retransmitted — the stall never outlasted RetryTimeout, the test exercised nothing")
+	}
+	if got := rows(); got != n {
+		t.Fatalf("%d rows after %d acknowledged inserts", got, n)
+	}
+	var tracked uint64
+	for _, iv := range alice.Tracker().Intervals() {
+		tracked += iv[1] - iv[0] + 1
+	}
+	if tracked != n {
+		t.Fatalf("tracker holds %d sequence numbers for %d responses", tracked, n)
+	}
+	p.Close()
+
+	// The drop: the connection dies after the server's third write.
+	p2 := dialPipeline(t, alice, dropping.Addr().String(), client.PipelineConfig{MaxInflight: 4})
+	dropped := make([]*client.Call, 40)
+	for i := range dropped {
+		dropped[i] = p2.Go(fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, n+i, n+i))
+	}
+	completed, failed := 0, 0
+	for i, call := range dropped {
+		_, err := call.Wait()
+		switch {
+		case err == nil:
+			completed++
+		case errors.Is(err, client.ErrPipelineClosed) && (strings.Contains(err.Error(), "read: ") || strings.Contains(err.Error(), "write: ")):
+			failed++
+		default:
+			t.Fatalf("insert %d failed with %v, want ErrPipelineClosed wrapping the transport error", n+i, err)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("the connection never dropped")
+	}
+	// A failed insert may or may not have executed before the drop (at most
+	// a window of them were on the wire); the completed ones did, once each.
+	// A read sees an acknowledged insert only once every earlier-sequenced
+	// statement has finished too (reads pin the commit watermark), and the
+	// dropped connection's handlers may still be finishing — so wait for the
+	// count instead of reading it once.
+	got := rows()
+	for deadline := time.Now().Add(5 * time.Second); got < n+completed && time.Now().Before(deadline); got = rows() {
+		time.Sleep(time.Millisecond)
+	}
+	if got < n+completed || got > n+completed+4 {
+		t.Fatalf("%d rows, want %d to %d", got, n+completed, n+completed+4)
+	}
+	if _, err := p2.Do(`SELECT a FROM t WHERE a = 1`); !errors.Is(err, client.ErrPipelineClosed) {
+		t.Fatalf("call after the drop: %v", err)
+	}
+	p2.Close()
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the pipelines:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

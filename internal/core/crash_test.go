@@ -1,18 +1,26 @@
 package core
 
 // The crash-point matrix: the headline proof that the authenticated WAL
-// delivers exactly-the-committed-prefix recovery. A scripted workload
-// runs against a durable database while the harness records the WAL byte
-// offset after every acked statement; then, for every record boundary
-// and every mid-record offset, a copy of the data directory is damaged
-// the way a crash would damage it (clean truncation, torn half-synced
-// tail) and recovered. The recovered image must equal an in-memory
-// oracle that executed exactly the committed prefix — same rows, same
-// WAL sequence number, same resident RSWS checksum (the oracle shares
-// the deterministic Seed, so protected-op histories coincide) — or, for
-// torn writes whose garbage is indistinguishable from tamper, land in
-// quarantine. Zero acked-write loss, zero unacked resurrection, nothing
-// in between.
+// delivers exactly-the-committed-prefix recovery. Concurrent writers run
+// scripted statements against a durable database; then, for every record
+// boundary and every mid-record offset, a copy of the data directory is
+// damaged the way a crash would damage it (clean truncation, torn
+// half-synced tail) and recovered. The recovered image must equal an
+// in-memory oracle that executed exactly the committed prefix — same
+// rows, same WAL sequence number, same resident RSWS checksum (the oracle
+// shares the deterministic Seed, so protected-op histories coincide) —
+// or, for torn writes whose garbage is indistinguishable from tamper,
+// land in quarantine. Zero acked-write loss, zero unacked resurrection,
+// nothing in between.
+//
+// One write+fsync lands a whole commit group, so per-ack file sizes do not
+// fall on record boundaries and the acked order is not the on-disk order.
+// Both are derived from the log itself: wal.Boundaries scans the pristine
+// file's length prefixes for record extents, and the committed statement
+// order is the record order recovered from a copy (wal.Open may truncate
+// torn tails in place, so the pristine file is never opened directly).
+// Kill points inside a half-synced group are the interior record
+// boundaries and midpoints of that group's extent.
 
 import (
 	"errors"
@@ -21,56 +29,94 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"veridb/internal/chaos"
+	"veridb/internal/wal"
 )
 
 const crashSeed = 42
 
-// crashWorkload builds n deterministic, always-succeeding statements —
-// a CREATE TABLE followed by interleaved inserts, updates of live keys
-// and deletes of the oldest live key — plus the committed-prefix oracle
-// for rows: states[k] is kv's sorted "k|v" row set after exactly k
-// statements (nil before the CREATE TABLE lands). Keeping the row oracle
-// in plain Go matters: reading rows out of a protected database is
-// itself a protected operation that bumps RSWS versions, so a database
-// oracle could not be queried without perturbing its own checksum.
-func crashWorkload(n int) (stmts []string, states [][]string) {
-	stmts = []string{`CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)`}
-	table := map[int]string{}
-	snapshot := func() []string {
-		var out []string
-		for k, v := range table {
-			out = append(out, fmt.Sprintf("%d|%s", k, v))
-		}
-		sort.Strings(out)
-		return out
-	}
-	states = [][]string{nil, {}} // before and after CREATE TABLE
+const createKV = `CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)`
+
+// rowOp is what one workload statement does to the plain-Go row oracle.
+type rowOp struct {
+	key int
+	val string // the row's v after the statement; unused for a delete
+	del bool
+}
+
+// writerStatements scripts one writer: n deterministic, always-succeeding
+// statements over the writer's own key range — inserts, updates of its
+// newest live key, deletes of its oldest — with the row effect of each
+// filed in ops under the statement's text (texts are unique across
+// writers, so a log's record order can be folded back into rows).
+func writerStatements(w, n int, ops map[string]rowOp) []string {
+	var stmts []string
 	var live []int
-	next := 0
-	for len(stmts) < n {
-		i := len(stmts)
+	next := w * 10000
+	for i := 1; i <= n; i++ {
+		var s string
+		var op rowOp
 		switch {
 		case i%11 == 0 && len(live) > 2:
-			k := live[0]
+			op = rowOp{key: live[0], del: true}
 			live = live[1:]
-			stmts = append(stmts, fmt.Sprintf(`DELETE FROM kv WHERE k = %d`, k))
-			delete(table, k)
+			s = fmt.Sprintf(`DELETE FROM kv WHERE k = %d`, op.key)
 		case i%7 == 0 && len(live) > 0:
-			k := live[len(live)-1]
-			stmts = append(stmts, fmt.Sprintf(`UPDATE kv SET v = 'u%d' WHERE k = %d`, i, k))
-			table[k] = fmt.Sprintf("u%d", i)
+			op = rowOp{key: live[len(live)-1], val: fmt.Sprintf("u%d", i)}
+			s = fmt.Sprintf(`UPDATE kv SET v = '%s' WHERE k = %d`, op.val, op.key)
 		default:
-			stmts = append(stmts, fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'v%d')`, next, next))
-			table[next] = fmt.Sprintf("v%d", next)
+			op = rowOp{key: next, val: fmt.Sprintf("v%d", next)}
+			s = fmt.Sprintf(`INSERT INTO kv VALUES (%d, '%s')`, op.key, op.val)
 			live = append(live, next)
 			next++
 		}
-		states = append(states, snapshot())
+		ops[s] = op
+		stmts = append(stmts, s)
 	}
-	return stmts, states[:n+1]
+	return stmts
+}
+
+// rowStates is the committed-prefix oracle for rows: states[k] is kv's
+// sorted "k|v" row set after exactly the first k of stmts (createKV, then
+// writer statements in any interleaving) — nil before the CREATE TABLE
+// lands. Keeping the row oracle in plain Go matters: reading rows out of
+// a protected database is itself a protected operation that bumps RSWS
+// versions, so a database oracle could not be queried without perturbing
+// its own checksum.
+func rowStates(stmts []string, ops map[string]rowOp) [][]string {
+	states := [][]string{nil, {}} // before and after CREATE TABLE
+	table := map[int]string{}
+	for _, s := range stmts[1:] {
+		op, ok := ops[s]
+		if !ok {
+			panic(fmt.Sprintf("statement %q is not part of the workload", s))
+		}
+		if op.del {
+			delete(table, op.key)
+		} else {
+			table[op.key] = op.val
+		}
+		snap := make([]string, 0, len(table))
+		for k, v := range table {
+			snap = append(snap, fmt.Sprintf("%d|%s", k, v))
+		}
+		sort.Strings(snap)
+		states = append(states, snap)
+	}
+	return states
+}
+
+// crashWorkload is the one-writer workload: createKV followed by n-1
+// writer statements, and its row oracle.
+func crashWorkload(n int) (stmts []string, states [][]string) {
+	ops := map[string]rowOp{}
+	stmts = append([]string{createKV}, writerStatements(0, n-1, ops)...)
+	return stmts, rowStates(stmts, ops)
 }
 
 // tableRows renders kv's rows sorted, or nil if the table doesn't exist
@@ -236,19 +282,92 @@ func recoverAndCheck(t *testing.T, dir string, o *oracle, wantRows []string, k i
 	}
 }
 
-// TestCrashPointMatrix kills the log at every record boundary and every
-// mid-record offset of a 200-statement workload, by clean truncation and
-// by torn half-synced writes, and requires exact committed-prefix
-// recovery (or quarantine, for tears only) at each of the ~600 points.
+// TestCrashPointMatrix kills the log of a concurrently written workload
+// at every record boundary and every mid-record offset — inside
+// half-synced commit groups included — by clean truncation and by torn
+// half-synced writes, and requires exact committed-prefix recovery (or
+// quarantine, for tears only) at each of the ~600 points.
 func TestCrashPointMatrix(t *testing.T) {
-	n := 200
+	writers, per := 4, 50
 	if testing.Short() {
-		n = 40
+		writers, per = 2, 20
 	}
-	stmts, states := crashWorkload(n)
 	base := t.TempDir()
 	pristine := filepath.Join(base, "pristine")
-	boundaries, walName := runDurableWorkload(t, pristine, Config{Seed: crashSeed}, stmts)
+
+	db, err := Open(Config{Seed: crashSeed, DataDir: pristine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Execute(createKV); err != nil {
+		t.Fatal(err)
+	}
+	// The fsync models a device that takes 100µs, so the other writers
+	// enqueue behind it and the log holds multi-record groups to cut into.
+	var syncs atomic.Int64
+	db.dur.log.SetSyncHook(func(f *os.File) error {
+		syncs.Add(1)
+		time.Sleep(100 * time.Microsecond)
+		return f.Sync()
+	})
+	ops := map[string]rowOp{}
+	scripts := make([][]string, writers)
+	for w := range scripts {
+		scripts[w] = writerStatements(w, per, ops)
+	}
+	var wg sync.WaitGroup
+	for w := range scripts {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, s := range scripts[w] {
+				if _, err := db.Execute(s); err != nil {
+					t.Errorf("writer %d statement %d (%s): %v", w, i, s, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if n := syncs.Load(); n >= int64(writers*per) {
+		t.Fatalf("%d fsyncs for %d statements: no commit group held two records, nothing to half-sync", n, writers*per)
+	}
+	walName := filepath.Base(db.WALPath())
+	db.Close()
+
+	// Committed statement order = WAL record order, read from a copy.
+	extract := filepath.Join(base, "extract")
+	if err := chaos.CopyDir(pristine, extract); err != nil {
+		t.Fatal(err)
+	}
+	l, rec, err := wal.Open(extract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmts := make([]string, 0, len(rec.Tail))
+	for _, r := range rec.Tail {
+		stmts = append(stmts, string(r.Payload))
+	}
+	l.Close()
+	if len(stmts) != 1+writers*per {
+		t.Fatalf("pristine log holds %d records, want %d", len(stmts), 1+writers*per)
+	}
+
+	states := rowStates(stmts, ops)
+
+	// Record extents from the structural scanner, not from ack-time file
+	// sizes (those land mid-group).
+	buf, err := os.ReadFile(filepath.Join(pristine, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundaries := wal.Boundaries(buf)
+	if len(boundaries) != len(stmts)+1 {
+		t.Fatalf("scanner found %d boundaries, want %d", len(boundaries), len(stmts)+1)
+	}
 
 	// Cut points: each boundary, and the midpoint of each record's extent.
 	type cutPoint struct {

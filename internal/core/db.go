@@ -59,15 +59,6 @@ type Config struct {
 	// disables automatic checkpoints (WAL-only durability); requires
 	// DataDir.
 	CheckpointEvery int
-	// GroupCommitMaxDelay enables the WAL commit pipeline: concurrent
-	// mutating statements that land within this window are written and
-	// fsynced as one group, sharing the fsync cost. Zero keeps the serial
-	// one-fsync-per-statement path (bit-identical default).
-	GroupCommitMaxDelay time.Duration
-	// GroupCommitMaxBatch closes a commit group early once it holds this
-	// many statements, without waiting out the delay window. Zero means no
-	// early close. Meaningful only with GroupCommitMaxDelay > 0.
-	GroupCommitMaxBatch int
 	// PlanCacheSize bounds the LRU cache of compiled statements keyed on
 	// normalized SQL (repeated statement shapes skip the parser and
 	// planner). Zero disables the cache; the public veridb package maps
@@ -413,6 +404,15 @@ type Health struct {
 	VerifierRunning bool
 	// Stats snapshots the memory's operation and verification counters.
 	Stats vmem.Stats
+	// WALError is the failed WAL append or fsync that fenced writes ("" while
+	// the log is healthy). It is sticky: every later write is refused with
+	// ErrWALBroken until the instance is replaced.
+	WALError string
+	// CheckpointError is the most recent automatic checkpoint's failure,
+	// cleared by the next checkpoint that succeeds. While it is set the WAL,
+	// and with it recovery time, keeps growing; statements are still acked
+	// and durable.
+	CheckpointError string
 }
 
 // Health snapshots the instance's integrity state. Like Execute, it
@@ -428,6 +428,14 @@ func (db *DB) Health() Health {
 	}
 	if alarm := db.mem.Alarm(); alarm != nil {
 		h.Alarm = alarm.Error()
+	}
+	if d := db.dur; d != nil {
+		if err := d.broken.Load(); err != nil {
+			h.WALError = (*err).Error()
+		}
+		if err := d.ckptErr.Load(); err != nil {
+			h.CheckpointError = (*err).Error()
+		}
 	}
 	return h
 }

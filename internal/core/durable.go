@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"veridb/internal/portal"
 	"veridb/internal/record"
@@ -37,8 +38,20 @@ type durable struct {
 	sinceCkpt int
 	// broken is the sticky I/O failure: once an append cannot be made
 	// durable, further writes are refused rather than silently acked
-	// without durability.
-	broken error
+	// without durability. Atomic, like ckptErr, so Health reads both
+	// without queueing behind a statement that holds mu.
+	broken atomic.Pointer[error]
+	// ckptErr is the last automatic checkpoint's failure, nil once a
+	// checkpoint succeeds; Health reports it.
+	ckptErr atomic.Pointer[error]
+}
+
+// fence records the first append or fsync failure and returns the sticky
+// error every later write is refused with.
+func (d *durable) fence(werr error) error {
+	err := fmt.Errorf("%w: %v", ErrWALBroken, werr)
+	d.broken.CompareAndSwap(nil, &err)
+	return *d.broken.Load()
 }
 
 // ErrWALBroken wraps every statement rejected because a WAL append or
@@ -73,7 +86,6 @@ func (db *DB) openDurable(cfg Config) error {
 		log.Close()
 		return nil
 	}
-	log.SetGroupCommit(cfg.GroupCommitMaxDelay, cfg.GroupCommitMaxBatch)
 	db.dur = &durable{log: log, checkpointEvery: cfg.CheckpointEvery}
 	return nil
 }
@@ -138,9 +150,7 @@ func isMutating(stmt sql.Statement) bool {
 // Apply and enqueue happen under mu; the durability wait happens outside
 // it, so concurrent statements can form a commit group and share one
 // fsync (the statement gate stays held shared across the wait, which is
-// how checkpoints quiesce in-flight groups). With group commit off the
-// enqueue IS the fsync and the wait returns immediately — the serial
-// PR-6 path, bit for bit.
+// how checkpoints quiesce in-flight groups).
 //
 // A crash between apply and fsync loses an unacked write (correct: the
 // client never saw a success), and an append or group-fsync failure
@@ -150,11 +160,10 @@ func (db *DB) executeDurable(ctx context.Context, sess *session, query string, s
 	d := db.dur
 	d.gate.RLock()
 	d.mu.Lock()
-	if d.broken != nil {
-		err := d.broken
+	if broken := d.broken.Load(); broken != nil {
 		d.mu.Unlock()
 		d.gate.RUnlock()
-		return nil, err
+		return nil, *broken
 	}
 	res, err := db.executeStmtSess(ctx, sess, stmt)
 	if err != nil {
@@ -164,20 +173,14 @@ func (db *DB) executeDurable(ctx context.Context, sess *session, query string, s
 	}
 	tk, werr := d.log.Enqueue(wal.RecStmt, []byte(query))
 	if werr != nil {
-		d.broken = fmt.Errorf("%w: %v", ErrWALBroken, werr)
-		err := d.broken
+		err := d.fence(werr)
 		d.mu.Unlock()
 		d.gate.RUnlock()
 		return nil, err
 	}
 	d.mu.Unlock()
 	if _, werr := tk.Wait(); werr != nil {
-		d.mu.Lock()
-		if d.broken == nil {
-			d.broken = fmt.Errorf("%w: %v", ErrWALBroken, werr)
-		}
-		err := d.broken
-		d.mu.Unlock()
+		err := d.fence(werr)
 		d.gate.RUnlock()
 		return nil, err
 	}
@@ -193,11 +196,10 @@ func (db *DB) executeDurable(ctx context.Context, sess *session, query string, s
 	d.gate.RUnlock()
 	if due {
 		// The statement is already durable in the old WAL; a checkpoint
-		// failure costs compaction, not correctness.
+		// failure costs compaction, not correctness, so it is reported
+		// through Health and not by failing an acked statement.
 		if cerr := db.Checkpoint(); cerr != nil && db.mem.Alarm() == nil {
-			// Surfaced on the next Health poll via stats, not by failing a
-			// statement that is already applied, logged and synced.
-			_ = cerr
+			d.ckptErr.Store(&cerr)
 		}
 	}
 	return res, nil
@@ -229,6 +231,7 @@ func (db *DB) Checkpoint() error {
 	d.mu.Lock()
 	d.sinceCkpt = 0
 	d.mu.Unlock()
+	d.ckptErr.Store(nil)
 	return nil
 }
 

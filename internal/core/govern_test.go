@@ -122,9 +122,7 @@ func TestWALFenceNotMaskedByAdmission(t *testing.T) {
 	})
 	exec(t, db, `CREATE TABLE big (id INT PRIMARY KEY, val INT)`)
 	// Trip the sticky WAL fence the way a failed append would.
-	db.dur.mu.Lock()
-	db.dur.broken = fmt.Errorf("%w: injected append fault", ErrWALBroken)
-	db.dur.mu.Unlock()
+	db.dur.fence(errors.New("injected append fault"))
 	// Hold the only slot so the writers below park in the queue.
 	release, err := db.admit.Acquire(context.Background())
 	if err != nil {

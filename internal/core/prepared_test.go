@@ -48,7 +48,7 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 
 func TestPrepareExecuteDurableReplay(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(groupCommitConfig(dir))
+	db, err := Open(Config{Seed: crashSeed, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

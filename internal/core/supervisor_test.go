@@ -48,11 +48,20 @@ func TestSupervisorFailoverEndToEnd(t *testing.T) {
 	seedKV(t, active, 64)
 	seedKV(t, replica, 64)
 
+	// The failover is held open until the client has been fenced once: the
+	// supervisor's poll can otherwise replace the quarantined instance
+	// between two of the client's requests, and this test is about the
+	// client seeing the fencing and then the recovery.
+	fenced := make(chan struct{})
 	var freshSeed uint64 = 300
 	sup, err := NewSupervisor(SupervisorConfig{
 		Active:  active,
 		Replica: replica,
 		Fresh: func() (*DB, error) {
+			select {
+			case <-fenced:
+			case <-time.After(20 * time.Second): // the workload loop reports the failure
+			}
 			freshSeed++
 			return mkInstance(t, freshSeed, key), nil
 		},
@@ -64,9 +73,15 @@ func TestSupervisorFailoverEndToEnd(t *testing.T) {
 	defer sup.Close()
 
 	c := client.New("alice", key)
-	tr := client.TransportFunc(func(req portal.Request) (*portal.Response, error) {
-		return sup.Serve(req)
-	})
+	// do is one signed round trip through the supervisor, verified.
+	do := func(query string) (*portal.Response, error) {
+		req := c.NewRequest(query)
+		resp, err := sup.Serve(req)
+		if err != nil {
+			return nil, err
+		}
+		return resp, c.VerifyResponse(req, resp)
+	}
 
 	// Arm one bit flip a short way into the workload.
 	in := chaos.New(9, chaos.MemFault{Kind: chaos.BitFlip, AtOp: active.Memory().Stats().Ops + 40})
@@ -76,12 +91,14 @@ func TestSupervisorFailoverEndToEnd(t *testing.T) {
 	var sawQuarantine, recovered bool
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) && !recovered {
-		resp, err := c.Do(tr, `SELECT v FROM kv WHERE k = 7`,
-			client.RetryConfig{Timeout: 5 * time.Second, Retries: 1})
+		resp, err := do(`SELECT v FROM kv WHERE k = 7`)
 		switch {
 		case errors.Is(err, client.ErrQuarantined):
 			// Authenticated fencing: VerifyResponse only returns
 			// ErrQuarantined after the MAC (covering the flag) checked out.
+			if !sawQuarantine {
+				close(fenced)
+			}
 			sawQuarantine = true
 		case errors.Is(err, client.ErrRollback):
 			t.Fatalf("sequence continuity broken across failover: %v", err)
@@ -123,8 +140,7 @@ func TestSupervisorFailoverEndToEnd(t *testing.T) {
 	// The replacement keeps serving: a further workload burst stays clean
 	// and strictly sequenced (the tracker would flag any repeat).
 	for i := 0; i < 20; i++ {
-		if _, err := c.Do(tr, `SELECT v FROM kv WHERE k = 3`,
-			client.RetryConfig{Timeout: 5 * time.Second}); err != nil {
+		if _, err := do(`SELECT v FROM kv WHERE k = 3`); err != nil {
 			t.Fatalf("post-failover query %d: %v", i, err)
 		}
 	}

@@ -168,6 +168,8 @@ type wireHealth struct {
 	Alarm           string     `json:"alarm,omitempty"`
 	VerifierRunning bool       `json:"verifierRunning"`
 	Epochs          []uint64   `json:"epochs"`
+	WALError        string     `json:"walError,omitempty"`
+	CheckpointError string     `json:"checkpointError,omitempty"`
 	Govern          wireGovern `json:"govern"`
 }
 
@@ -195,6 +197,8 @@ func (s *Server) health() wireHealth {
 		Alarm:           h.Alarm,
 		VerifierRunning: h.VerifierRunning,
 		Epochs:          h.Epochs,
+		WALError:        h.WALError,
+		CheckpointError: h.CheckpointError,
 		Govern: wireGovern{
 			MemUsed:            g.MemUsed,
 			MemLimit:           g.MemLimit,

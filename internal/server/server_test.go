@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -241,6 +243,32 @@ func TestBinaryPipelinedRoundTrip(t *testing.T) {
 	f = bc.read()
 	if f.Type != wire.TResult || f.QID != ok.QID {
 		t.Fatalf("connection unusable after refusal: %v %q", f.Type, f.Payload)
+	}
+}
+
+// TestServerHealthReportsFailedCheckpoint: the health document carries
+// core's durability fields — an automatic checkpoint that cannot write its
+// segment (a directory squats on the path) shows up as checkpointError,
+// with no WAL error beside it.
+func TestServerHealthReportsFailedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "ckpt-0000000000000001-t.seg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	db := openDB(t, veridb.Config{Seed: 4, DataDir: dir, CheckpointEvery: 2})
+	mustExec(t, db,
+		`CREATE TABLE t (a INT PRIMARY KEY, b TEXT)`,
+		`INSERT INTO t VALUES (1, 'hello')`)
+	ln := serveTCP(t, Config{DB: db})
+	bc := dialBinary(t, ln.Addr().String())
+	bc.write(wire.Frame{Type: wire.THealth, QID: 1})
+	f := bc.read()
+	var h wireHealth
+	if err := json.Unmarshal(f.Payload, &h); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(h.CheckpointError, "ckpt-0000000000000001-t.seg") || h.WALError != "" || h.Quarantined {
+		t.Fatalf("health after a failed checkpoint: %s", f.Payload)
 	}
 }
 

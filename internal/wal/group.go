@@ -1,20 +1,24 @@
 package wal
 
-// Group commit: the leader/follower commit pipeline. Concurrent callers
-// Enqueue encoded records — the MAC chain advances at enqueue time, under
-// the log mutex, so the on-disk byte order and the torn-vs-tamper
-// classifier are exactly those of serial appends — and the first enqueuer
-// of an open group becomes its leader. The leader waits up to
-// GroupCommitMaxDelay (or until the group reaches GroupCommitMaxBatch
-// waiters), drains the group, and writes the whole batch with a single
-// write+fsync. Every waiter's Wait returns only after that fsync: the
-// zero-acked-loss invariant is untouched, the fsync is just amortised.
+// The commit group: the log's one append path. Callers Enqueue encoded
+// records — the MAC chain advances at enqueue time, under the log mutex, so
+// the on-disk byte order and the torn-vs-tamper classifier are those of a
+// log appended one record at a time — and the first enqueuer of an open
+// group is its leader. The leader's Wait waits for the predecessor group's
+// write+fsync to finish, drains whatever has been enqueued by then, and
+// writes the batch with one write and one fsync. Every waiter's Wait
+// returns only after that fsync: no record is acked before it is durable.
 //
-// Flushes happen outside the log mutex so the next group can form while
-// the current one is inside fsync (pipelining). Go mutexes are not FIFO,
-// so byte order on disk is enforced explicitly: each drained group chains
-// on the previous group's "flushed" channel and writes only after its
-// predecessor's bytes are down.
+// The predecessor's fsync is the batching window. A lone writer finds no
+// fsync in flight, so its group holds one record and is written at once —
+// the serial append, byte for byte. Concurrent writers share an fsync for
+// exactly as long as one was already in flight; there is no timer and no
+// size cap to tune.
+//
+// Go mutexes are not FIFO, so byte order on disk rests on that same wait:
+// a group is drained — and the next one may open — only after every
+// earlier group's bytes are down, hence at most one flush is in flight and
+// groups reach the file in the order their records were chained.
 //
 // A failed group write or fsync is sticky: l.failed is set under the log
 // mutex before any waiter of the failing group — or of any later group,
@@ -25,31 +29,24 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 )
+
+// group is one batch of records that reaches disk with a single write and
+// fsync.
+type group struct {
+	buf  []byte          // encoded records, in chain order
+	prev <-chan struct{} // the predecessor group's done (nil for the first)
+	done chan struct{}   // closed once this group is on disk, or failed
+	err  error           // the flush's outcome; read only after done
+}
 
 // Ticket is one caller's stake in a pending group: Wait blocks until the
 // group containing the caller's record is durably on disk (or failed).
 type Ticket struct {
 	l      *Log
 	seq    uint64
-	ch     chan error
+	g      *group
 	leader bool
-	delay  time.Duration
-	// done marks the inline (group-commit-off) path: the record was
-	// written and fsynced during Enqueue, Wait returns immediately.
-	done bool
-}
-
-// SetGroupCommit configures the commit pipeline. delay <= 0 disables
-// grouping: Enqueue writes and fsyncs inline, bit-identical to the
-// serial Append path. maxBatch <= 0 means no early flush — groups close
-// on the delay timer alone.
-func (l *Log) SetGroupCommit(delay time.Duration, maxBatch int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.gcDelay = delay
-	l.gcMaxBatch = maxBatch
 }
 
 // SetSyncHook substitutes fn for File.Sync on the append path — fault
@@ -73,62 +70,32 @@ func (l *Log) Enqueue(typ byte, payload []byte) (*Ticket, error) {
 	if l.failed != nil {
 		return nil, l.failed
 	}
-	seq := l.nextSeq
-	if l.gcDelay <= 0 {
-		// Inline path: exactly the serial append, one write+fsync per
-		// record, under the mutex.
-		buf := appendRecord(nil, l.key, l.prevMAC, seq, typ, payload)
-		if _, err := l.f.Write(buf); err != nil {
-			l.failed = fmt.Errorf("wal: appending record %d: %w", seq, err)
-			return nil, l.failed
-		}
-		if err := l.syncLocked(l.f); err != nil {
-			l.failed = fmt.Errorf("wal: syncing record %d: %w", seq, err)
-			return nil, l.failed
-		}
-		l.prevMAC = chainMAC(l.key, l.prevMAC, seq, typ, payload)
-		l.nextSeq = seq + 1
-		return &Ticket{seq: seq, done: true}, nil
+	g := l.open
+	leader := g == nil
+	if leader {
+		g = &group{prev: l.last, done: make(chan struct{})}
+		l.open = g
 	}
-
-	l.gbuf = appendRecord(l.gbuf, l.key, l.prevMAC, seq, typ, payload)
+	seq := l.nextSeq
+	g.buf = appendRecord(g.buf, l.key, l.prevMAC, seq, typ, payload)
 	l.prevMAC = chainMAC(l.key, l.prevMAC, seq, typ, payload)
 	l.nextSeq = seq + 1
-	ch := make(chan error, 1)
-	l.gwaiters = append(l.gwaiters, ch)
-	t := &Ticket{l: l, seq: seq, ch: ch, delay: l.gcDelay}
-	if !l.leaderActive {
-		l.leaderActive = true
-		t.leader = true
-	}
-	if l.gcMaxBatch > 0 && len(l.gwaiters) >= l.gcMaxBatch {
-		select {
-		case l.full <- struct{}{}:
-		default:
-		}
-	}
-	return t, nil
+	return &Ticket{l: l, seq: seq, g: g, leader: leader}, nil
 }
 
 // Wait blocks until the ticket's record is durable and returns its
-// sequence number. If the caller is the group leader it first runs the
-// group's delay window and flush; followers just wait for the leader's
-// signal. An error means the record may not be on disk — the caller must
-// not ack — and the log is fenced.
+// sequence number. The group's leader flushes it; followers wait for the
+// leader's signal. An error means the record may not be on disk — the
+// caller must not ack — and the log is fenced.
 func (t *Ticket) Wait() (uint64, error) {
-	if t.done {
-		return t.seq, nil
-	}
+	var err error
 	if t.leader {
-		timer := time.NewTimer(t.delay)
-		select {
-		case <-t.l.full:
-		case <-timer.C:
-		}
-		timer.Stop()
-		t.l.flushGroup()
+		err = t.l.flush(t.g)
+	} else {
+		<-t.g.done
+		err = t.g.err
 	}
-	if err := <-t.ch; err != nil {
+	if err != nil {
 		return 0, err
 	}
 	return t.seq, nil
@@ -145,37 +112,31 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 	return t.Wait()
 }
 
-// flushGroup drains the open group and writes it as one unit, ordered
-// strictly after every previously drained group. Called by the group
-// leader, and by Close to steal-drain a pending group.
-func (l *Log) flushGroup() {
-	l.mu.Lock()
-	buf, waiters := l.gbuf, l.gwaiters
-	l.gbuf, l.gwaiters = nil, nil
-	l.leaderActive = false
-	// Drop a stale early-flush signal so the next leader's window is not
-	// cut short by this group's fullness.
-	select {
-	case <-l.full:
-	default:
+// flush puts group g on disk, strictly after every earlier group: wait
+// for the predecessor, close g to new records, write and fsync. Called by
+// g's leader, and by Close and Checkpoint for a group whose leader has not
+// got there yet; whoever loses that race waits for the winner's result.
+func (l *Log) flush(g *group) error {
+	if g.prev != nil {
+		<-g.prev // the predecessor's bytes are down (or it failed)
 	}
-	prev := l.flushed
-	mine := make(chan struct{})
-	l.flushed = mine
-	f := l.f
+	l.mu.Lock()
+	if l.open != g {
+		l.mu.Unlock()
+		<-g.done
+		return g.err
+	}
+	l.open, l.last = nil, g.done
+	f, sync, err := l.f, l.syncHook, l.failed
 	l.mu.Unlock()
-
-	if prev != nil {
-		<-prev // predecessor group's bytes are down (or it failed)
+	if sync == nil {
+		sync = (*os.File).Sync
 	}
 
-	l.mu.Lock()
-	err := l.failed
-	l.mu.Unlock()
-	if err == nil && len(buf) > 0 {
-		if _, werr := f.Write(buf); werr != nil {
+	if err == nil {
+		if _, werr := f.Write(g.buf); werr != nil {
 			err = fmt.Errorf("wal: appending group: %w", werr)
-		} else if serr := l.sync(f); serr != nil {
+		} else if serr := sync(f); serr != nil {
 			err = fmt.Errorf("wal: syncing group: %w", serr)
 		}
 		if err != nil {
@@ -188,41 +149,21 @@ func (l *Log) flushGroup() {
 			l.mu.Unlock()
 		}
 	}
-	close(mine)
-	for _, ch := range waiters {
-		ch <- err
-	}
+	g.err = err
+	close(g.done)
+	return err
 }
 
-// drainPending flushes any open group and waits for every drained group
-// to reach disk. Callers must NOT hold l.mu. Used by Close; Checkpoint
-// needs no equivalent because core holds its statement gate exclusively,
-// which quiesces all in-flight Waits first.
+// drainPending flushes the open group, if any, and waits for every drained
+// group to reach disk. Callers must NOT hold l.mu. Close and Checkpoint
+// settle the log with it before they touch the file handle.
 func (l *Log) drainPending() {
-	l.flushGroup()
 	l.mu.Lock()
-	last := l.flushed
+	g, last := l.open, l.last
 	l.mu.Unlock()
-	if last != nil {
+	if g != nil {
+		_ = l.flush(g) // the group's waiters get the error; the fence holds it
+	} else if last != nil {
 		<-last
 	}
-}
-
-// sync runs the configured fsync (or the injected hook) on f.
-func (l *Log) sync(f *os.File) error {
-	l.mu.Lock()
-	hook := l.syncHook
-	l.mu.Unlock()
-	if hook != nil {
-		return hook(f)
-	}
-	return f.Sync()
-}
-
-// syncLocked is sync for callers already holding l.mu.
-func (l *Log) syncLocked(f *os.File) error {
-	if l.syncHook != nil {
-		return l.syncHook(f)
-	}
-	return f.Sync()
 }

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // keyFile holds the log's MAC key, standing in for SGX sealing: a real
@@ -54,17 +53,11 @@ type Log struct {
 	prevMAC [macSize]byte
 	nextSeq uint64
 
-	// Group-commit state (see group.go). gcDelay <= 0 keeps the serial
-	// one-fsync-per-record path.
-	gcDelay      time.Duration
-	gcMaxBatch   int
-	gbuf         []byte        // encoded records of the open group
-	gwaiters     []chan error  // one per enqueued record, queue order
-	leaderActive bool          // the open group already has a leader
-	full         chan struct{} // early-flush signal (buffered 1)
-	flushed      chan struct{} // closed when the last drained group hit disk
-	failed       error         // sticky write/fsync failure; fences Enqueue
-	syncHook     func(*os.File) error
+	// Commit-group state (see group.go).
+	open     *group          // the group taking records; nil when none is
+	last     <-chan struct{} // done of the last drained group; nil before the first
+	failed   error           // sticky write/fsync failure; fences Enqueue
+	syncHook func(*os.File) error
 }
 
 func walPath(dir string, ckptID uint64) string {
@@ -114,7 +107,7 @@ func Open(dir string) (*Log, *Recovery, error) {
 		return nil, nil, err
 	}
 
-	l := &Log{dir: dir, key: key, full: make(chan struct{}, 1)}
+	l := &Log{dir: dir, key: key}
 	rec := &Recovery{}
 
 	// Choose the newest admissible checkpoint. A torn manifest is the
@@ -488,8 +481,8 @@ func (l *Log) Close() error {
 // Boundaries scans a WAL image structurally — length prefixes only, no
 // MAC verification — and returns the byte offset of every record
 // boundary, starting at the end of the header. Crash harnesses use it to
-// derive cut points for logs written by group commit, where acks no
-// longer land on one-record file-size increments.
+// derive cut points: one write lands a whole commit group, so file sizes
+// observed at ack time need not fall on one-record increments.
 func Boundaries(buf []byte) []int64 {
 	if len(buf) < walHeaderSize {
 		return nil

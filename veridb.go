@@ -205,18 +205,6 @@ type Config struct {
 	// durability; Checkpoint can still be called manually). Requires
 	// DataDir.
 	CheckpointEvery int
-	// GroupCommitMaxDelay enables the group-commit pipeline: concurrent
-	// mutating statements appended to the WAL within this window are
-	// written and fsynced as one group, amortising the fsync without
-	// weakening the ack barrier (no statement is acked before its group's
-	// fsync). Zero disables grouping — one fsync per statement,
-	// bit-identical to prior behavior. Requires DataDir.
-	GroupCommitMaxDelay time.Duration
-	// GroupCommitMaxBatch closes a commit group early once this many
-	// statements are waiting, without waiting out GroupCommitMaxDelay.
-	// Zero means the default (64) when group commit is enabled. Requires
-	// GroupCommitMaxDelay > 0.
-	GroupCommitMaxBatch int
 	// PlanCacheSize bounds the prepared-plan LRU: compiled statements are
 	// reused by normalized SQL text, skipping the parser and planner for
 	// repeated statement shapes. The cache invalidates on DDL and
@@ -302,21 +290,6 @@ func (c Config) validate() error {
 	if c.CheckpointEvery > 0 && c.DataDir == "" {
 		return fmt.Errorf("veridb: CheckpointEvery %d requires DataDir (checkpoints need durable storage)", c.CheckpointEvery)
 	}
-	if c.GroupCommitMaxDelay < 0 {
-		return fmt.Errorf("veridb: GroupCommitMaxDelay is %v; want 0 (one fsync per statement) or a positive window", c.GroupCommitMaxDelay)
-	}
-	if c.GroupCommitMaxDelay > time.Second {
-		return fmt.Errorf("veridb: GroupCommitMaxDelay is %v; every statement ack waits out this window — want at most 1s", c.GroupCommitMaxDelay)
-	}
-	if c.GroupCommitMaxDelay > 0 && c.DataDir == "" {
-		return fmt.Errorf("veridb: GroupCommitMaxDelay %v requires DataDir (group commit batches WAL fsyncs)", c.GroupCommitMaxDelay)
-	}
-	if c.GroupCommitMaxBatch < 0 {
-		return fmt.Errorf("veridb: GroupCommitMaxBatch is %d; want 0 (default 64) or a positive group size", c.GroupCommitMaxBatch)
-	}
-	if c.GroupCommitMaxBatch > 0 && c.GroupCommitMaxDelay == 0 {
-		return fmt.Errorf("veridb: GroupCommitMaxBatch %d has no effect without GroupCommitMaxDelay (group commit is off)", c.GroupCommitMaxBatch)
-	}
 	if c.PlanCacheSize < 0 {
 		return fmt.Errorf("veridb: PlanCacheSize is %d; want 0 (default 128) or a positive entry count", c.PlanCacheSize)
 	}
@@ -379,10 +352,6 @@ func (c Config) coreConfig() (core.Config, error) {
 	if c.Baseline {
 		mode = vmem.ModeBaseline
 	}
-	gcBatch := c.GroupCommitMaxBatch
-	if c.GroupCommitMaxDelay > 0 && gcBatch == 0 {
-		gcBatch = 64
-	}
 	planCache := c.PlanCacheSize
 	if planCache == 0 {
 		planCache = 128
@@ -405,11 +374,9 @@ func (c Config) coreConfig() (core.Config, error) {
 		DataDir:         c.DataDir,
 		CheckpointEvery: c.CheckpointEvery,
 
-		GroupCommitMaxDelay: c.GroupCommitMaxDelay,
-		GroupCommitMaxBatch: gcBatch,
-		PlanCacheSize:       planCache,
-		MVCCGCInterval:      c.MVCCGCInterval,
-		MaxVersionsPerRow:   c.MaxVersionsPerRow,
+		PlanCacheSize:     planCache,
+		MVCCGCInterval:    c.MVCCGCInterval,
+		MaxVersionsPerRow: c.MaxVersionsPerRow,
 
 		StatementTimeout:        c.StatementTimeout,
 		MemBudget:               c.MemBudget,
