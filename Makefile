@@ -121,7 +121,9 @@ crash:
 # Fuzz smoke: each decode-path fuzzer runs briefly over its committed
 # seed corpus plus fresh mutations. The invariant under test: arbitrary
 # disk, network or untrusted-memory bytes produce a typed error or a valid
-# result, never a panic.
+# result, never a panic. FuzzShape is the statement-text one: what the plan
+# cache assumes of two texts with one shape key, and the lexer, Normalize,
+# Render and BindParams round trips.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALHeaderDecode$$' -fuzztime 10s ./internal/wal
@@ -131,5 +133,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzResultDecode$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzShape$$' -fuzztime 10s ./internal/sql
 
 ci: build lint test race flake chaos crash bench-query bench-wal bench-mvcc bench-overload bench-wire

@@ -57,7 +57,7 @@ func main() {
 	tableShards := flag.Int("table-shards", 1, "hash shards per table (1 = unsharded)")
 	dataDir := flag.String("data-dir", "", "authenticated durable storage directory (empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after this many logged statements (0 = WAL-only; requires -data-dir)")
-	planCache := flag.Int("plan-cache", 0, "prepared-plan LRU size (0 = default 128)")
+	planCache := flag.Int("plan-cache", 0, "prepared-plan LRU size in statement shapes (0 = default 128)")
 	mvccGC := flag.Duration("mvcc-gc", 0, "background row-version GC period (0 = opportunistic pruning only)")
 	maxVersions := flag.Int("max-versions", 0, "retained row versions per chain key (0 = GC-floor bounded)")
 	stmtTimeout := flag.Duration("statement-timeout", 0, "per-statement execution deadline (0 = none)")

@@ -59,10 +59,11 @@ type Config struct {
 	// disables automatic checkpoints (WAL-only durability); requires
 	// DataDir.
 	CheckpointEvery int
-	// PlanCacheSize bounds the LRU cache of compiled statements keyed on
-	// normalized SQL (repeated statement shapes skip the parser and
-	// planner). Zero disables the cache; the public veridb package maps
-	// its zero to a default.
+	// PlanCacheSize bounds the LRU cache of compiled statements in
+	// statement shapes — text with its literals lifted out (a repeated
+	// shape skips the parser and planner whatever its literals). Zero
+	// disables the cache; the public veridb package maps its zero to a
+	// default.
 	PlanCacheSize int
 	// MVCCGCInterval runs the version garbage collector every interval,
 	// reclaiming retired row versions below the watermark-and-pins floor.
@@ -134,8 +135,8 @@ type DB struct {
 	batchCap int
 	dur      *durable // nil in memory-only mode
 
-	// planCache holds compiled statements keyed on normalized SQL; nil
-	// when PlanCacheSize disables caching.
+	// planCache holds compiled statements keyed on their shape; nil when
+	// PlanCacheSize disables caching.
 	planCache *plan.Cache
 	// prepared is the PREPARE registry: statement templates by name.
 	// Never logged to the WAL — clients re-prepare after a restart.
@@ -444,8 +445,8 @@ func (db *DB) Health() Health {
 // portal.Executor, so authenticated requests route through the same path.
 // With durable storage enabled, mutating statements go through the
 // append-before-ack path: applied, then logged and fsynced, and only
-// then acked. With the plan cache enabled, repeated statement text skips
-// the parser (and, for SELECT, the planner) entirely.
+// then acked. With the plan cache enabled, a repeated statement shape
+// skips the parser (and, for SELECT, the planner) entirely.
 func (db *DB) Execute(query string) (*portal.Result, error) {
 	return db.ExecuteContext(context.Background(), "", query)
 }
@@ -491,39 +492,44 @@ func (db *DB) ExecuteContext(ctx context.Context, clientID, query string) (*port
 }
 
 // executeAdmitted runs one statement that already holds an admission slot.
+// What it pays before the statement's own work is one lexer pass: the
+// shape key the plan cache is looked up under, and the literals a cached
+// instance is rebound to. Parse, plan and compile run on a miss only.
 func (db *DB) executeAdmitted(ctx context.Context, clientID, query string) (*portal.Result, error) {
 	sess := db.sessionFor(clientID)
 	if err := db.touchSession(sess); err != nil {
 		return nil, err
 	}
-	if db.planCache != nil {
-		if key, nerr := sql.Normalize(query); nerr == nil {
-			if ent := db.planCache.Get(key, db.store.CatalogVersion()); ent != nil {
-				res, err := db.executeCached(ctx, sess, query, ent)
-				db.planCache.Return(ent)
-				return res, err
-			}
-			// Capture the version before planning: a concurrent DDL
-			// between here and Put leaves a stale version in the entry,
-			// which the next Get discards.
-			version := db.store.CatalogVersion()
-			stmt, err := sql.Parse(query)
-			if err != nil {
-				return nil, err
-			}
-			res, op, err := db.dispatchOp(ctx, sess, query, stmt)
-			if err == nil && cacheable(stmt) {
-				db.planCache.Put(key, stmt, op, version)
-			}
-			return res, err
+	// Text that does not lex goes to Parse, which reports it.
+	key, lits, err := sql.Shape(query)
+	cached := err == nil && cachedKind(key)
+	// Read the version before planning: a DDL between here and Put files
+	// the instance under a stale version, which the next Get discards.
+	version := db.store.CatalogVersion()
+	var in *plan.Instance
+	if cached {
+		in = db.planCache.Get(key, version)
+		if in != nil && !(db.stillPrepared(in) && in.Bind(lits)) {
+			db.planCache.Discard()
+			in = nil
 		}
-		// Normalization failed to lex; fall through so Parse reports it.
 	}
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
+	if in == nil {
+		stmt, slots, err := sql.ParseSlots(query)
+		if err != nil {
+			return nil, err
+		}
+		if in, err = db.compile(stmt, slots); err != nil {
+			return nil, err
+		}
+		// Every lifted literal must have its slot, or a hit could not
+		// rebind the instance in full.
+		in.Rebindable = in.Rebindable && len(slots) == len(lits)
 	}
-	res, _, err := db.dispatchOp(ctx, sess, query, stmt)
+	res, err := db.run(ctx, sess, query, in)
+	if cached {
+		db.planCache.Put(key, version, in)
+	}
 	return res, err
 }
 
@@ -539,102 +545,105 @@ func (db *DB) sessionFor(clientID string) *session {
 	return s
 }
 
-// cacheable reports whether a statement's compilation is worth keeping:
-// the repeated-shape statements (queries and DML). DDL and
-// prepared-statement control flow always compile fresh.
-func cacheable(stmt sql.Statement) bool {
-	switch stmt.(type) {
-	case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
+// cachedKind reports whether a shape key is of a statement kind the plan
+// cache holds: the repeated-shape statements (queries, DML and EXECUTE).
+// DDL and the rest of the prepared-statement and snapshot control flow
+// always compile fresh.
+func cachedKind(key string) bool {
+	switch kw, _, _ := strings.Cut(key, " "); kw {
+	case "SELECT", "INSERT", "UPDATE", "DELETE", "EXECUTE":
 		return true
 	}
 	return false
 }
 
-// dispatchOp routes a parsed statement — prepared-statement expansion,
-// durable DML through the WAL, SELECT through an explicitly captured
-// plan (returned for caching), everything else to ExecuteStmt.
-func (db *DB) dispatchOp(ctx context.Context, sess *session, query string, stmt sql.Statement) (*portal.Result, engine.Operator, error) {
-	switch s := stmt.(type) {
-	case *sql.ExecutePrepared:
-		bound, text, err := db.bindPrepared(s)
-		if err != nil {
-			return nil, nil, err
+// compile builds the instance a parsed statement runs as: an EXECUTE is
+// bound to its template, a SELECT (EXECUTEd or plain) is planned, anything
+// else runs from its AST.
+func (db *DB) compile(stmt sql.Statement, slots []*sql.Literal) (*plan.Instance, error) {
+	in := &plan.Instance{Stmt: stmt, Slots: slots, Rebindable: true}
+	if ex, ok := stmt.(*sql.ExecutePrepared); ok {
+		if err := db.bindPrepared(in, ex); err != nil {
+			return nil, err
 		}
-		if db.dur != nil && isMutating(bound) {
-			res, err := db.executeDurable(ctx, sess, text, bound)
-			return res, nil, err
-		}
-		res, err := db.executeStmtSess(ctx, sess, bound)
-		return res, nil, err
-	case *sql.Select:
-		if err := db.QuarantineError(); err != nil {
-			return nil, nil, err
-		}
-		op, err := plan.PlanSelect(db.store, s, db.opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := db.runSelectOp(ctx, sess, op)
-		return res, op, err
 	}
-	if db.dur != nil && isMutating(stmt) {
-		res, err := db.executeDurable(ctx, sess, query, stmt)
-		return res, nil, err
+	if sel, ok := in.Stmt.(*sql.Select); ok {
+		op, err := plan.PlanSelect(db.store, sel, db.opts)
+		if err != nil {
+			return nil, err
+		}
+		in.Op, in.Rebindable = op, plan.Rebindable(sel)
 	}
-	res, err := db.executeStmtSess(ctx, sess, stmt)
-	return res, nil, err
+	return in, nil
 }
 
-// executeCached runs a checked-out cache entry. A cached SELECT reuses
-// its compiled operator tree (reset first); cached DML reuses the parsed
-// AST and goes through the ordinary durable routing.
-func (db *DB) executeCached(ctx context.Context, sess *session, query string, ent *plan.CacheEntry) (*portal.Result, error) {
-	if ent.Op != nil {
+// run executes an instance, fresh or checked out of the cache and rebound:
+// a SELECT through its compiled plan, durable DML and DDL through the WAL,
+// everything else through executeStmtSess.
+func (db *DB) run(ctx context.Context, sess *session, query string, in *plan.Instance) (*portal.Result, error) {
+	if in.Op != nil {
 		if err := db.QuarantineError(); err != nil {
 			return nil, err
 		}
-		engine.ResetPlan(ent.Op)
-		return db.runSelectOp(ctx, sess, ent.Op)
+		return db.runSelectOp(ctx, sess, in.Op)
 	}
-	if db.dur != nil && isMutating(ent.Stmt) {
-		return db.executeDurable(ctx, sess, query, ent.Stmt)
+	if db.dur != nil && isMutating(in.Stmt) {
+		if in.Prepared != nil {
+			// An EXECUTEd write is logged as the bound statement's text,
+			// rendered from the literals it runs with, so replay does not
+			// depend on the registry.
+			var err error
+			if query, err = sql.Render(in.Stmt); err != nil {
+				return nil, err
+			}
+		}
+		return db.executeDurable(ctx, sess, query, in.Stmt)
 	}
-	return db.executeStmtSess(ctx, sess, ent.Stmt)
+	return db.executeStmtSess(ctx, sess, in.Stmt)
 }
 
-// bindPrepared resolves an EXECUTE against the registry: evaluates the
-// constant arguments, substitutes them into a clone of the template, and
-// (for durable DML) renders the bound statement back to SQL text — the
-// form the WAL logs, so replay does not depend on the registry.
-func (db *DB) bindPrepared(ex *sql.ExecutePrepared) (sql.Statement, string, error) {
+// bindPrepared resolves an EXECUTE against the registry and makes in the
+// template's instance: the arguments compiled (constant expressions over
+// the EXECUTE's own literals), evaluated, and substituted into a clone of
+// the template through literal nodes that in.Bind rewrites on a later hit.
+func (db *DB) bindPrepared(in *plan.Instance, ex *sql.ExecutePrepared) error {
 	db.prepMu.Lock()
 	prep, ok := db.prepared[ex.Name]
 	db.prepMu.Unlock()
 	if !ok {
-		return nil, "", fmt.Errorf("core: no prepared statement %q", ex.Name)
+		return fmt.Errorf("core: no prepared statement %q", ex.Name)
 	}
 	if len(ex.Args) != prep.NumParams {
-		return nil, "", fmt.Errorf("core: prepared statement %q wants %d arguments, got %d", ex.Name, prep.NumParams, len(ex.Args))
+		return fmt.Errorf("core: prepared statement %q wants %d arguments, got %d", ex.Name, prep.NumParams, len(ex.Args))
 	}
+	args := make([]*engine.Compiled, len(ex.Args))
 	vals := make([]record.Value, len(ex.Args))
 	for i, e := range ex.Args {
-		v, err := evalConst(e)
+		var err error
+		if args[i], err = engine.Compile(e, engine.Schema{}); err == nil {
+			vals[i], err = args[i].Eval(nil)
+		}
 		if err != nil {
-			return nil, "", fmt.Errorf("core: EXECUTE argument %d: %w", i+1, err)
+			return fmt.Errorf("core: EXECUTE argument %d: %w", i+1, err)
 		}
-		vals[i] = v
 	}
-	bound, err := sql.BindParams(prep.Stmt, vals)
+	bound, params, err := sql.BindParams(prep.Stmt, vals)
 	if err != nil {
-		return nil, "", err
+		return err
 	}
-	var text string
-	if db.dur != nil && isMutating(bound) {
-		if text, err = sql.Render(bound); err != nil {
-			return nil, "", err
-		}
+	in.Stmt, in.Args, in.Params, in.Prepared = bound, args, params, prep
+	return nil
+}
+
+// stillPrepared reports whether an EXECUTE instance's template is still
+// the one registered under its name; any other instance always is.
+func (db *DB) stillPrepared(in *plan.Instance) bool {
+	if in.Prepared == nil {
+		return true
 	}
-	return bound, text, nil
+	db.prepMu.Lock()
+	defer db.prepMu.Unlock()
+	return db.prepared[in.Prepared.Name] == in.Prepared
 }
 
 // PlanCacheStats snapshots the plan cache counters (zero when caching is
@@ -737,11 +746,11 @@ func (db *DB) executeStmtSess(ctx context.Context, sess *session, stmt sql.State
 		db.prepMu.Unlock()
 		return &portal.Result{}, nil
 	case *sql.ExecutePrepared:
-		bound, _, err := db.bindPrepared(s)
-		if err != nil {
+		var in plan.Instance
+		if err := db.bindPrepared(&in, s); err != nil {
 			return nil, err
 		}
-		return db.executeStmtSess(ctx, sess, bound)
+		return db.executeStmtSess(ctx, sess, in.Stmt)
 	case *sql.Deallocate:
 		db.prepMu.Lock()
 		_, ok := db.prepared[s.Name]
@@ -1032,24 +1041,23 @@ func (db *DB) runSelectOp(ctx context.Context, sess *session, op engine.Operator
 	}
 	ex := engine.NewExec(ctx, res, capacity)
 	engine.SetExec(op, ex)
-	// Clear before the plan goes back into the cache, like the snapshot: a
-	// cached operator must not retain a dead context across statements.
-	defer engine.SetExec(op, nil)
 	snap := sess.pinned()
 	if snap == nil {
 		snap = db.store.OpenSnapshot()
 		defer snap.Close()
 	}
 	engine.SetSnapshot(op, snap)
-	// Clear before the plan goes back into the cache: a cached operator
-	// must not retain a dangling snapshot across statements.
-	defer engine.SetSnapshot(op, nil)
+	// Detach the plan before it goes (back) into the cache: a cached
+	// operator retains no dead context, dangling snapshot or row of the
+	// statement that ran it.
+	defer engine.ResetPlan(op)
 	rows, err := engine.Drain(op, ex)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]string, len(op.Schema()))
-	for i, c := range op.Schema() {
+	schema := op.Schema()
+	cols := make([]string, len(schema))
+	for i, c := range schema {
 		cols[i] = c.Name
 	}
 	return &portal.Result{Columns: cols, Rows: rows}, nil

@@ -1,13 +1,21 @@
 package core
 
 // Plan-cache behavior at the statement layer: hits on repeated statement
-// shapes (modulo whitespace/case normalization), invalidation on DDL and
-// shard-layout changes, and — the soundness assertion — a dropped table
-// never being served from a stale cached plan.
+// shapes whatever their literals, whitespace or keyword case; accounting
+// (one hit or one miss per cacheable statement); invalidation on DDL,
+// shard-layout changes and re-PREPAREd names — a dropped table or a
+// replaced template is never served from a stale instance; and cached =
+// fresh under rebinding, for every operator the planner builds and from
+// several clients at once.
 
 import (
+	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+
+	"veridb/internal/plan"
 )
 
 func openCached(t *testing.T) *DB {
@@ -20,7 +28,7 @@ func openCached(t *testing.T) *DB {
 	return db
 }
 
-func TestPlanCacheHitOnNormalizedText(t *testing.T) {
+func TestPlanCacheHitOnShape(t *testing.T) {
 	db := openCached(t)
 	seed(t, db)
 
@@ -29,29 +37,101 @@ func TestPlanCacheHitOnNormalizedText(t *testing.T) {
 	if s0.Hits != 0 {
 		t.Fatalf("first execution hit the cache: %+v", s0)
 	}
-	// Same statement shape, different whitespace and keyword case: the
-	// normalized key is identical, so this is a hit.
+	// Same shape, different whitespace and keyword case: a hit.
 	r2 := exec(t, db, "select  id\n\tfrom quote   where count = 100")
 	s1 := db.PlanCacheStats()
 	if s1.Hits != s0.Hits+1 {
 		t.Fatalf("repeated statement missed the cache: before %+v after %+v", s0, s1)
 	}
-	if len(r1.Rows) != 2 || len(r2.Rows) != len(r1.Rows) {
+	if len(r1.Rows) != 2 || fmt.Sprint(r2.Rows) != fmt.Sprint(r1.Rows) {
 		t.Fatalf("cached rows %v, fresh rows %v", r2.Rows, r1.Rows)
 	}
-	for i := range r1.Rows {
-		if r1.Rows[i][0] != r2.Rows[i][0] {
-			t.Fatalf("row %d: cached %v, fresh %v", i, r2.Rows[i], r1.Rows[i])
-		}
-	}
-	// Different literals are different plans (scan bounds are embedded),
-	// so this must NOT hit the count=100 entry.
+	// Same shape, another literal: a hit too, on a plan rebound to it — the
+	// scan bounds are read from the literal, not embedded.
 	r3 := exec(t, db, `SELECT id FROM quote WHERE count = 500`)
-	if len(r3.Rows) != 1 {
-		t.Fatalf("literal-changed statement reused a stale plan: %v", r3.Rows)
+	if len(r3.Rows) != 1 || r3.Rows[0][0].I != 3 {
+		t.Fatalf("rebound plan returned %v, want the one count=500 row", r3.Rows)
 	}
-	if s2 := db.PlanCacheStats(); s2.Hits != s1.Hits {
-		t.Fatalf("different literals counted as a hit: %+v", s2)
+	s2 := db.PlanCacheStats()
+	if s2.Hits != s1.Hits+1 || s2.Entries != s1.Entries {
+		t.Fatalf("another literal of the shape did not hit: before %+v after %+v", s1, s2)
+	}
+	// A FLOAT in the INT's place is another shape: literal types are fixed
+	// at compile time.
+	r4 := exec(t, db, `SELECT id FROM quote WHERE count < 500.5`)
+	if s3 := db.PlanCacheStats(); s3.Hits != s2.Hits || s3.Entries != s2.Entries+1 {
+		t.Fatalf("FLOAT literal shared the INT literal's shape: before %+v after %+v", s2, s3)
+	}
+	if len(r4.Rows) != 3 {
+		t.Fatalf("FLOAT-literal rows %v, want ids 1, 2 and 3", r4.Rows)
+	}
+}
+
+// TestPlanCacheAccounting: every statement of a cached kind is exactly one
+// hit or one miss, other kinds are neither, and a statement that finds its
+// shape's instances all checked out is a miss whose compiled instance
+// joins them.
+func TestPlanCacheAccounting(t *testing.T) {
+	db := openCached(t) // CREATE TABLE ×2, INSERT ×2: two lookups, two shapes
+	seed(t, db)
+	base := db.PlanCacheStats()
+	if base.Hits+base.Misses != 2 {
+		t.Fatalf("seeding counted %+v, want the two INSERTs only", base)
+	}
+	stmts := []string{
+		`SELECT id FROM quote WHERE id = 1`,
+		`SELECT id FROM quote WHERE id = 2`,
+		`UPDATE quote SET price = 1.5 WHERE id = 1`,
+		`UPDATE quote SET price = 2.5 WHERE id = 2`,
+		`DELETE FROM quote WHERE id = 4`,
+		`INSERT INTO quote VALUES (4,600,100.0)`,
+		`SELECT id FROM nosuch WHERE id = 1`, // fails to plan: a miss, nothing filed
+		`SELECT id FROM nosuch WHERE id = 2`,
+	}
+	for _, q := range stmts {
+		db.Execute(q)
+	}
+	exec(t, db, `BEGIN SNAPSHOT`)
+	exec(t, db, `COMMIT`)
+	exec(t, db, `PREPARE p AS SELECT id FROM quote WHERE id = ?`)
+	s := db.PlanCacheStats()
+	if got := s.Hits + s.Misses - base.Hits - base.Misses; got != uint64(len(stmts)) {
+		t.Fatalf("%d lookups counted for %d cacheable statements: %+v", got, len(stmts), s)
+	}
+	if s.Hits-base.Hits != 2 {
+		t.Fatalf("%d hits, want the second SELECT and the second UPDATE: %+v", s.Hits-base.Hits, s)
+	}
+}
+
+func TestPlanCacheKeepsInstancesPerShape(t *testing.T) {
+	c := plan.NewCache(2)
+	put := func(key string) { c.Put(key, 1, &plan.Instance{Rebindable: true}) }
+	for i := 0; i < 6; i++ {
+		put("a")
+	}
+	n := 0
+	for c.Get("a", 1) != nil {
+		n++
+	}
+	if n == 0 || n >= 6 {
+		t.Fatalf("%d idle instances kept of 6 filed, want the per-shape cap", n)
+	}
+	if s := c.Stats(); s.Hits != uint64(n) || s.Misses != 1 || s.Entries != 1 {
+		t.Fatalf("stats %+v after %d hits and one miss on one shape", s, n)
+	}
+	// An instance that serves its own literals only is never filed.
+	c.Put("b", 1, &plan.Instance{})
+	if c.Get("b", 1) != nil {
+		t.Fatal("a non-rebindable instance was filed")
+	}
+	// The LRU bound counts shapes.
+	put("b")
+	put("c")
+	if s := c.Stats(); s.Entries != 2 {
+		t.Fatalf("%d shapes held by a cache of 2", s.Entries)
+	}
+	if c.Get("a", 1) != nil {
+		t.Fatal("least recently used shape survived two newer ones")
 	}
 }
 
@@ -78,11 +158,9 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("recompiled plan returned %v", res.Rows)
 	}
+	exec(t, db, q) // the recompile re-populated the entry
 	if s2 := db.PlanCacheStats(); s2.Hits != s1.Hits+1 {
-		exec(t, db, q) // the recompile re-populated the entry
-		if s3 := db.PlanCacheStats(); s3.Hits != s1.Hits+1 {
-			t.Fatalf("entry not re-populated after invalidation: %+v", s3)
-		}
+		t.Fatalf("entry not re-populated after invalidation: %+v", s2)
 	}
 
 	// DROP TABLE: a select cached against the dropped table must error,
@@ -115,5 +193,145 @@ func TestPlanCacheShardLayoutInvalidation(t *testing.T) {
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("recompiled plan returned %v", res.Rows)
+	}
+}
+
+// TestPlanCacheExecute: EXECUTE is cached like any statement — constant
+// argument expressions included — and an instance outlives neither its
+// name's DEALLOCATE nor a PREPARE of another template under the name.
+func TestPlanCacheExecute(t *testing.T) {
+	db := openCached(t)
+	seed(t, db)
+	exec(t, db, `PREPARE p AS SELECT id FROM quote WHERE count = ? ORDER BY id`)
+	if rows := exec(t, db, `EXECUTE p (100)`).Rows; len(rows) != 2 {
+		t.Fatalf("EXECUTE p (100): %v", rows)
+	}
+	s0 := db.PlanCacheStats()
+	for _, tc := range [][2]string{
+		{`500`, `[[3]]`},     // the shape of (100): a hit
+		{`2 * 300`, `[[4]]`}, // a constant expression is its own shape
+		{`- 7`, `[]`},
+		{`50 + 50`, `[[1] [2]]`},
+		{`5 * 100`, `[[3]]`}, // the shape of 2 * 300: a hit, re-evaluated
+	} {
+		if rows := exec(t, db, `EXECUTE p (`+tc[0]+`)`).Rows; fmt.Sprint(rows) != tc[1] {
+			t.Fatalf("EXECUTE p (%s): %v, want %s", tc[0], rows, tc[1])
+		}
+	}
+	if s := db.PlanCacheStats(); s.Hits != s0.Hits+2 {
+		t.Fatalf("hits %d → %d, want the two statements of an earlier one's shape: %+v", s0.Hits, s.Hits, s)
+	}
+
+	// The name now means another statement: the instances bound to the old
+	// template must not answer.
+	exec(t, db, `PREPARE p AS SELECT price FROM quote WHERE id = ?`)
+	s1 := db.PlanCacheStats()
+	if rows := exec(t, db, `EXECUTE p (2)`).Rows; fmt.Sprint(rows) != `[[200]]` {
+		t.Fatalf("EXECUTE after re-PREPARE answered from the old template: %v", rows)
+	}
+	if s := db.PlanCacheStats(); s.Invalidations != s1.Invalidations+1 || s.Hits != s1.Hits {
+		t.Fatalf("stale EXECUTE instance not counted as an invalidated miss: before %+v after %+v", s1, s)
+	}
+	if rows := exec(t, db, `EXECUTE p (3)`).Rows; fmt.Sprint(rows) != `[[100]]` {
+		t.Fatalf("EXECUTE p (3) on the new template: %v", rows)
+	}
+	exec(t, db, `DEALLOCATE p`)
+	if _, err := db.Execute(`EXECUTE p (3)`); err == nil || !strings.Contains(err.Error(), "no prepared statement") {
+		t.Fatalf("EXECUTE after DEALLOCATE returned %v", err)
+	}
+}
+
+// TestPlanCacheConcurrentRebinding: eight clients send one shape over
+// disjoint keys at once. Each must get its own row back — an instance is
+// never in two hands — and nearly every statement must hit.
+func TestPlanCacheConcurrentRebinding(t *testing.T) {
+	db := openCached(t)
+	exec(t, db, `CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)`)
+	const clients, perClient = 8, 250
+	for k := 0; k < clients*perClient; k++ {
+		exec(t, db, fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'value-%d')`, k, k))
+	}
+	s0 := db.PlanCacheStats()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := c * perClient; k < (c+1)*perClient; k++ {
+				res, err := db.ExecuteContext(context.Background(), fmt.Sprint("client-", c),
+					fmt.Sprintf(`SELECT v FROM kv WHERE k = %d`, k))
+				if err != nil {
+					t.Errorf("key %d: %v", k, err)
+					return
+				}
+				if want := fmt.Sprintf("value-%d", k); len(res.Rows) != 1 || res.Rows[0][0].S != want {
+					t.Errorf("key %d: got %v, want %s", k, res.Rows, want)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	s := db.PlanCacheStats()
+	hits, looks := float64(s.Hits-s0.Hits), float64(s.Hits+s.Misses-s0.Hits-s0.Misses)
+	if looks != clients*perClient || hits/looks <= 0.9 {
+		t.Fatalf("hit ratio %.3f over %v lookups, want > 0.9 over %d: %+v", hits/looks, looks, clients*perClient, s)
+	}
+	if err := db.Memory().VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCachedPlansRebindEveryOperator: under each join strategy — which
+// between them put Sort, HashAggregate, HashJoin, MergeJoin, IndexJoin,
+// NestedLoopJoin over Materialize, Filter, Project and Limit into plans —
+// statements served from rebound cached plans equal the same statements
+// compiled fresh, and a plan at rest in the cache pins no budget and no
+// snapshot.
+func TestCachedPlansRebindEveryOperator(t *testing.T) {
+	shapes := []string{
+		`SELECT q.id, i.descr FROM quote q JOIN inventory i ON q.id = i.id WHERE q.count >= %d ORDER BY q.id DESC`,
+		`SELECT q.id, i.descr FROM quote q, inventory i WHERE q.id = i.id AND i.count < %d`,
+		`SELECT count, COUNT(*), SUM(price * %d) FROM quote GROUP BY count ORDER BY count`,
+		`SELECT q.count, MAX(i.count + %d) FROM quote q JOIN inventory i ON q.id = i.id GROUP BY q.count ORDER BY q.count`,
+		`SELECT id, price FROM quote WHERE id > %d ORDER BY price DESC, id LIMIT 2`,
+		`SELECT id + %d, 'x' FROM inventory WHERE descr <> 'desc3'`,
+	}
+	for _, join := range []plan.JoinStrategy{plan.JoinAuto, plan.JoinIndex, plan.JoinMerge, plan.JoinHash, plan.JoinNested} {
+		cached, err := Open(Config{Seed: 99, PlanCacheSize: 32, Join: join})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cached.Close()
+		fresh, err := Open(Config{Seed: 99, Join: join}) // no cache: every statement compiles
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		seed(t, cached)
+		seed(t, fresh)
+		s0, g0 := cached.PlanCacheStats(), cached.GovernStats()
+		for _, shape := range shapes {
+			for _, lit := range []int{100, 2, 300, 0} {
+				q := fmt.Sprintf(shape, lit)
+				got, gerr := cached.Execute(q)
+				want, werr := fresh.Execute(q)
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("join %d %q: cached error %v, fresh %v", join, q, gerr, werr)
+				}
+				if gerr == nil && (fmt.Sprint(got.Columns) != fmt.Sprint(want.Columns) || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows)) {
+					t.Fatalf("join %d %q:\ncached %v %v\nfresh  %v %v", join, q, got.Columns, got.Rows, want.Columns, want.Rows)
+				}
+				if g := cached.GovernStats(); g.MemUsed != g0.MemUsed || g.SnapshotPins != 0 {
+					t.Fatalf("join %d %q: cache at rest holds %d budget bytes and %d snapshot pins", join, q, g.MemUsed-g0.MemUsed, g.SnapshotPins)
+				}
+			}
+		}
+		if s := cached.PlanCacheStats(); s.Hits-s0.Hits != uint64(3*len(shapes)) {
+			t.Fatalf("join %d: %d hits, want three of every shape's four statements: %+v", join, s.Hits-s0.Hits, s)
+		}
+		if err := cached.Memory().VerifyAll(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 
 func TestPrepareExecuteDurableReplay(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Config{Seed: crashSeed, DataDir: dir})
+	db, err := Open(Config{Seed: crashSeed, DataDir: dir, PlanCacheSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +60,13 @@ func TestPrepareExecuteDurableReplay(t *testing.T) {
 	exec(t, db, `EXECUTE ins (1, 'it''s', 2.0, TRUE)`)
 	exec(t, db, `EXECUTE ins (2, '', 0.0000001, FALSE)`)
 	exec(t, db, `EXECUTE ins (3, 'plain', -4.5, TRUE)`)
+	// The shape of the first EXECUTE again: a plan-cache hit, whose WAL
+	// text must be rendered from the arguments bound now, not the
+	// instance's first.
+	exec(t, db, `EXECUTE ins (4, 'again', 8.25, TRUE)`)
+	if s := db.PlanCacheStats(); s.Hits != 1 {
+		t.Fatalf("repeated EXECUTE shape: %+v, want one hit", s)
+	}
 	want := exec(t, db, `SELECT k, v, f, b FROM kv`).Rows
 	db.Close()
 
@@ -71,9 +78,9 @@ func TestPrepareExecuteDurableReplay(t *testing.T) {
 	if qerr := re.QuarantineError(); qerr != nil {
 		t.Fatalf("recovered DB quarantined: %v", qerr)
 	}
-	// CREATE + three logged EXECUTEs; the PREPARE itself is never logged.
-	if got := re.WALNextSeq(); got != 4 {
-		t.Fatalf("recovered WAL seq %d, want 4", got)
+	// CREATE + four logged EXECUTEs; the PREPARE itself is never logged.
+	if got := re.WALNextSeq(); got != 5 {
+		t.Fatalf("recovered WAL seq %d, want 5", got)
 	}
 	got := exec(t, re, `SELECT k, v, f, b FROM kv`).Rows
 	if len(got) != len(want) {

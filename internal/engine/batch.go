@@ -14,42 +14,57 @@ type RowBatch = storage.RowBatch
 // NewRowBatch allocates a batch with the given capacity.
 func NewRowBatch(capacity int) *RowBatch { return storage.NewRowBatch(capacity) }
 
-// ResetPlan walks a compiled operator tree and clears every piece of
-// cross-execution state, so a cached plan re-executes as if freshly
-// built. Most operators already reset fully in Open; the exceptions are
-// the buffering operators whose Open is deliberately fill-once within a
-// query (Materialize's row buffer, Spool's temp table) — reuse across
-// queries must clear them or the second execution serves the first
-// execution's rows.
+// ResetPlan detaches an operator tree from the statement that just ran it:
+// the statement controls and the snapshot, every materialised row (sort
+// and join buffers, Materialize's fill-once buffer, Spool's temp table),
+// every cursor over a child and the rows left in scratch batches. What
+// remains is the compiled plan and scratch capacity, so a plan waiting in
+// the cache pins no reservation, no snapshot and no row, and its next
+// execution — after SetExec and SetSnapshot — starts as a fresh build
+// would. core runs it after every execution, failed ones included.
 func ResetPlan(op Operator) {
 	switch x := op.(type) {
-	case *TableScan, *Values:
+	case *TableScan:
+		x.exec, x.Snap = nil, nil
+	case *Values:
 	case *Filter:
 		ResetPlan(x.Child)
 	case *Project:
+		if x.in != nil {
+			clear(x.in.Rows)
+			x.in.Reset()
+		}
 		ResetPlan(x.Child)
 	case *Limit:
 		ResetPlan(x.Child)
 	case *Sort:
+		x.exec, x.rows = nil, nil
 		ResetPlan(x.Child)
 	case *Materialize:
-		x.rows, x.filled, x.pos = nil, false, 0
+		x.exec, x.rows, x.filled, x.pos = nil, nil, false, 0
 		ResetPlan(x.Child)
 	case *HashAggregate:
+		x.exec, x.out = nil, nil
 		ResetPlan(x.Child)
 	case *NestedLoopJoin:
+		x.exec, x.ocur, x.icur, x.cur = nil, nil, nil, nil
 		ResetPlan(x.Outer)
 		ResetPlan(x.Inner)
 	case *IndexJoin:
+		x.exec, x.Snap, x.ocur, x.pb, x.cur, x.matches = nil, nil, nil, nil, nil, nil
 		ResetPlan(x.Outer)
 	case *MergeJoin:
+		x.exec, x.lc, x.rc, x.lrow, x.rrow, x.group = nil, nil, nil, nil, nil, nil
+		x.lkey, x.rkey = record.Value{}, record.Value{}
 		ResetPlan(x.Left)
 		ResetPlan(x.Right)
 	case *HashJoin:
+		x.exec, x.lcur, x.table, x.cur, x.matches = nil, nil, nil, nil, nil
 		ResetPlan(x.Left)
 		ResetPlan(x.Right)
 	case *Spool:
 		_ = x.Drop() // releases the temp table; next Open refills
+		x.exec = nil
 		ResetPlan(x.Child)
 	}
 }

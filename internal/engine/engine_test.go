@@ -461,7 +461,7 @@ func TestMergeJoinDuplicateKeys(t *testing.T) {
 func TestRangeScanOperator(t *testing.T) {
 	quote, _, _ := quoteInventory(t)
 	lo, hi := record.Int(2), record.Int(3)
-	scan := NewRangeScan(quote, "q", 0, &lo, &hi)
+	scan := NewRangeScan(quote, "q", 0, []*record.Value{&lo}, []*record.Value{&hi})
 	rows, err := Drain(scan, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -471,6 +471,17 @@ func TestRangeScanOperator(t *testing.T) {
 	}
 	if scan.Visited() < 2 {
 		t.Fatalf("Visited = %d", scan.Visited())
+	}
+	// Of several same-side bounds the scan takes the tightest each time it
+	// opens: the bounds point into a statement a cached plan is rebound to.
+	lows := []record.Value{record.Int(1), record.Int(3)}
+	loose := record.Int(4)
+	scan = NewRangeScan(quote, "q", 0, []*record.Value{&lows[0], &lows[1]}, []*record.Value{&loose, &hi})
+	for _, want := range []int{1, 2} { // [3,3], then [2,3]
+		if rows, err = Drain(scan, nil); err != nil || len(rows) != want || rows[want-1][0].I != 3 {
+			t.Fatalf("tightest of two bounds per side: rows %v, err %v, want %d ending at 3", rows, err, want)
+		}
+		lows[0], lows[1] = record.Int(2), record.Int(0)
 	}
 }
 

@@ -81,9 +81,8 @@ func (e *Exec) ChargeBytes(n int64) error {
 
 // SetExec walks an operator tree and attaches the statement controls to
 // every operator that reads storage, materialises state or buffers an
-// input. nil detaches them (the plan cache re-targets cached trees per
-// execution). Call before Open, like SetSnapshot: pipeline breakers
-// consume their children inside Open.
+// input (ResetPlan detaches them again). Call before Open, like
+// SetSnapshot: pipeline breakers consume their children inside Open.
 func SetExec(op Operator, ex *Exec) {
 	switch x := op.(type) {
 	case *TableScan:

@@ -50,11 +50,14 @@ func (s Schema) Resolve(table, name string) (int, error) {
 	return found, nil
 }
 
-// Compiled is an executable expression bound to a schema.
+// Compiled is an executable expression bound to a schema. It reads every
+// literal through its AST node at evaluation time, so writing a node's Val
+// rebinds the compiled form (the plan cache's bind step) with nothing to
+// recompile; only a literal's type is fixed at compile time.
 type Compiled struct {
 	eval func(record.Tuple) (record.Value, error)
 	typ  record.Type
-	src  string
+	expr sql.Expr
 }
 
 // Type returns the expression's static result type.
@@ -63,8 +66,10 @@ func (c *Compiled) Type() record.Type { return c.typ }
 // Eval evaluates against a tuple of the bound schema.
 func (c *Compiled) Eval(t record.Tuple) (record.Value, error) { return c.eval(t) }
 
-// String returns the source form.
-func (c *Compiled) String() string { return c.src }
+// String renders the source form from the expression as it is now: the
+// text is wanted only by an error or by Describe, and after a rebind it
+// must quote the literals the statement ran with.
+func (c *Compiled) String() string { return c.expr.String() }
 
 // EvalBool evaluates a predicate; NULL results are false (two-valued
 // semantics, documented in the package README).
@@ -77,7 +82,7 @@ func (c *Compiled) EvalBool(t record.Tuple) (bool, error) {
 		return false, nil
 	}
 	if v.Type != record.TypeBool {
-		return false, fmt.Errorf("engine: predicate %s evaluated to %s, not BOOL", c.src, v.Type)
+		return false, fmt.Errorf("engine: predicate %s evaluated to %s, not BOOL", c, v.Type)
 	}
 	return v.B, nil
 }
@@ -89,7 +94,7 @@ func Compile(e sql.Expr, s Schema) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{eval: ev, typ: typ, src: e.String()}, nil
+	return &Compiled{eval: ev, typ: typ, expr: e}, nil
 }
 
 type evalFn func(record.Tuple) (record.Value, error)
@@ -97,8 +102,7 @@ type evalFn func(record.Tuple) (record.Value, error)
 func compile(e sql.Expr, s Schema) (evalFn, record.Type, error) {
 	switch x := e.(type) {
 	case *sql.Literal:
-		v := x.Val
-		return func(record.Tuple) (record.Value, error) { return v, nil }, v.Type, nil
+		return func(record.Tuple) (record.Value, error) { return x.Val, nil }, x.Val.Type, nil
 	case *sql.ColumnRef:
 		i, err := s.Resolve(x.Table, x.Column)
 		if err != nil {

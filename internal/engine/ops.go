@@ -35,8 +35,13 @@ type TableScan struct {
 	Table storage.Engine
 	Alias string
 	// Col is the bounded column index; -1 scans the primary chain fully.
-	Col    int
-	Lo, Hi *record.Value
+	Col int
+	// Lo and Hi are the candidate bounds on Col, each a pointer into the
+	// statement's AST (a literal node's Val). Open reads them, so a cached
+	// plan follows its statement's rebinding, and scans from the greatest
+	// Lo to the least Hi: which of two same-side bounds is tighter depends
+	// on the values bound, not on the shape planned.
+	Lo, Hi []*record.Value
 	// Snap, when set, resolves the scan against a pinned snapshot instead
 	// of the latest committed state (see engine.SetSnapshot). The scan
 	// borrows the snapshot — the statement that pinned it closes it.
@@ -52,9 +57,25 @@ func NewTableScan(t storage.Engine, alias string) *TableScan {
 	return &TableScan{Table: t, Alias: alias, Col: -1}
 }
 
-// NewRangeScan builds a verified range scan on col's chain.
-func NewRangeScan(t storage.Engine, alias string, col int, lo, hi *record.Value) *TableScan {
+// NewRangeScan builds a verified range scan on col's chain between the
+// tightest of the lower and of the upper bounds (none: open on that side).
+func NewRangeScan(t storage.Engine, alias string, col int, lo, hi []*record.Value) *TableScan {
 	return &TableScan{Table: t, Alias: alias, Col: col, Lo: lo, Hi: hi}
+}
+
+// tightest picks the greatest (sign > 0) or least (sign < 0) of bounds. A
+// bound that does not compare with the one held is passed over, as a
+// filter above the scan applies every bound anyway.
+func tightest(bounds []*record.Value, sign int) *record.Value {
+	var best *record.Value
+	for _, b := range bounds {
+		if best == nil {
+			best = b
+		} else if c, err := best.Compare(*b); err == nil && c*sign < 0 {
+			best = b
+		}
+	}
+	return best
 }
 
 // Schema exposes the table's columns under the scan's alias.
@@ -78,13 +99,13 @@ func (s *TableScan) Open() error {
 	case s.Snap != nil && s.Col < 0:
 		s.sc, err = s.Table.SeqScanAt(s.Snap)
 	case s.Snap != nil:
-		s.sc, err = s.Table.RangeScanAt(s.Col, s.Lo, s.Hi, s.Snap)
+		s.sc, err = s.Table.RangeScanAt(s.Col, tightest(s.Lo, +1), tightest(s.Hi, -1), s.Snap)
 	case s.Col < 0:
 		// SeqScan iterates every shard; on a sharded table the storage
 		// layer fans the per-shard sub-scans out across VerifyWorkers.
 		s.sc, err = s.Table.SeqScan()
 	default:
-		s.sc, err = s.Table.RangeScan(s.Col, s.Lo, s.Hi)
+		s.sc, err = s.Table.RangeScan(s.Col, tightest(s.Lo, +1), tightest(s.Hi, -1))
 	}
 	return err
 }
@@ -190,6 +211,11 @@ type Project struct {
 	Child Operator
 	Exprs []*Compiled
 	Names []string
+	// Titles, when set, names the columns whose entry is non-nil by that
+	// entry's String() at each Schema call instead of by Names: an
+	// unnamed computed select item is headed by its source form, which
+	// quotes literals a cached plan is rebound to between executions.
+	Titles []fmt.Stringer
 
 	in *RowBatch // input scratch, reused across batches
 }
@@ -199,6 +225,9 @@ func (p *Project) Schema() Schema {
 	out := make(Schema, len(p.Exprs))
 	for i, e := range p.Exprs {
 		name := p.Names[i]
+		if p.Titles != nil && p.Titles[i] != nil {
+			name = p.Titles[i].String()
+		}
 		out[i] = Col{Name: name, Type: e.Type()}
 	}
 	return out

@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
+	"veridb/internal/govern"
 	"veridb/internal/record"
 	"veridb/internal/storage"
 )
@@ -192,11 +194,63 @@ func capacityFixture(t *testing.T) (*storage.Store, *storage.Table, *storage.Tab
 // per NextBatch through the same operators — must also read exactly the
 // chain records the scalar path read.
 func TestOperatorsCapacityInvariant(t *testing.T) {
+	st, cases := operatorCases(t)
+	for _, tc := range cases {
+		for _, capacity := range []int{1, 7, 256} {
+			op, scans := tc.build()
+			rows, err := drainAt(op, capacity)
+			if sp, ok := op.(*Spool); ok {
+				if err := sp.Drop(); err != nil {
+					t.Fatalf("%s: drop: %v", tc.name, err)
+				}
+			}
+			errText := ""
+			if err != nil {
+				errText = err.Error()
+			}
+			h := fnv.New64a()
+			fmt.Fprint(h, rows)
+			if errText != tc.err || len(rows) != tc.rows || h.Sum64() != tc.hash {
+				t.Errorf("%s capacity %d: rows %d hash %#x err %q; scalar executor gave rows %d hash %#x err %q",
+					tc.name, capacity, len(rows), h.Sum64(), errText, tc.rows, tc.hash, tc.err)
+			}
+			if capacity != 1 {
+				continue
+			}
+			visited := make([]int, len(scans))
+			for i, s := range scans {
+				visited[i] = s.Visited()
+			}
+			if fmt.Sprint(visited) != fmt.Sprint(tc.visited) {
+				t.Errorf("%s capacity 1: scans visited %v chain records, scalar executor visited %v",
+					tc.name, visited, tc.visited)
+			}
+		}
+	}
+	if err := st.Memory().VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// operatorCase is one operator tree of the capacity and reset tests with
+// what the scalar executor produced for it.
+type operatorCase struct {
+	name    string
+	build   func() (Operator, []*TableScan)
+	rows    int
+	hash    uint64
+	visited []int
+	err     string
+}
+
+// operatorCases builds a tree around every operator type over
+// capacityFixture's tables.
+func operatorCases(t *testing.T) (*storage.Store, []operatorCase) {
 	st, src, dim := capacityFixture(t)
 	srcScan := func() *TableScan { return NewTableScan(src, "s") }
 	srcRange := func(lo, hi int64) *TableScan {
 		l, h := record.Int(lo), record.Int(hi)
-		return NewRangeScan(src, "s", 0, &l, &h)
+		return NewRangeScan(src, "s", 0, []*record.Value{&l}, []*record.Value{&h})
 	}
 	dimScan := func() *TableScan { return NewTableScan(dim, "d") }
 	filter := func(child Operator, pred string) *Filter {
@@ -209,14 +263,7 @@ func TestOperatorsCapacityInvariant(t *testing.T) {
 		}
 		return p
 	}
-	cases := []struct {
-		name    string
-		build   func() (Operator, []*TableScan)
-		rows    int
-		hash    uint64
-		visited []int
-		err     string
-	}{
+	return st, []operatorCase{
 		{name: "scan", rows: 50, hash: 0x8fcb28e48fd03483, visited: []int{51}, build: func() (Operator, []*TableScan) {
 			s := srcScan()
 			return s, []*TableScan{s}
@@ -315,39 +362,82 @@ func TestOperatorsCapacityInvariant(t *testing.T) {
 			return project(s, "s.id / (s.id - 30)"), []*TableScan{s}
 		}},
 	}
+}
+
+// TestResetPlanDetachesEveryOperator is the plan cache's contract with the
+// engine: a tree that ran a statement and was ResetPlan'd holds nothing of
+// it — no statement controls, no snapshot, no reservation's worth of rows,
+// no cursor over a child — and runs the next statement as a fresh build
+// would. Per-execution state is whatever an operator keeps in unexported
+// fields, so the audit is by reflection and covers fields added later.
+func TestResetPlanDetachesEveryOperator(t *testing.T) {
+	st, cases := operatorCases(t)
 	for _, tc := range cases {
-		for _, capacity := range []int{1, 7, 256} {
-			op, scans := tc.build()
-			rows, err := drainAt(op, capacity)
-			if sp, ok := op.(*Spool); ok {
-				if err := sp.Drop(); err != nil {
-					t.Fatalf("%s: drop: %v", tc.name, err)
-				}
+		op, _ := tc.build()
+		var first string
+		for run := 0; run < 2; run++ {
+			res := govern.NewReservation(govern.NewBudget(1 << 30))
+			SetExec(op, NewExec(nil, res, 7))
+			snap := st.OpenSnapshot()
+			SetSnapshot(op, snap)
+			rows, err := Drain(op, nil)
+			ResetPlan(op)
+			snap.Close()
+			res.Release()
+			got := fmt.Sprint(rows, err)
+			if run == 0 {
+				first = got
+			} else if got != first {
+				t.Errorf("%s: second execution of the reset plan gave %s, first gave %s", tc.name, got, first)
 			}
-			errText := ""
-			if err != nil {
-				errText = err.Error()
-			}
-			h := fnv.New64a()
-			fmt.Fprint(h, rows)
-			if errText != tc.err || len(rows) != tc.rows || h.Sum64() != tc.hash {
-				t.Errorf("%s capacity %d: rows %d hash %#x err %q; scalar executor gave rows %d hash %#x err %q",
-					tc.name, capacity, len(rows), h.Sum64(), errText, tc.rows, tc.hash, tc.err)
-			}
-			if capacity != 1 {
-				continue
-			}
-			visited := make([]int, len(scans))
-			for i, s := range scans {
-				visited[i] = s.Visited()
-			}
-			if fmt.Sprint(visited) != fmt.Sprint(tc.visited) {
-				t.Errorf("%s capacity 1: scans visited %v chain records, scalar executor visited %v",
-					tc.name, visited, tc.visited)
-			}
+			assertDetached(t, tc.name, op)
 		}
+	}
+	if pins := st.SnapshotPins(); pins != 0 {
+		t.Errorf("%d snapshot pins left", pins)
 	}
 	if err := st.Memory().VerifyAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// assertDetached fails for every field of the tree under op that could
+// still reference a row, a snapshot or the statement controls. Plain
+// counters and the scratch a plan keeps for its capacity (a filter's
+// selection vector, a projection's input batch once emptied) may stay.
+func assertDetached(t *testing.T, name string, op Operator) {
+	t.Helper()
+	v := reflect.ValueOf(op).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, sf := v.Field(i), v.Type().Field(i)
+		where := fmt.Sprintf("%s: %s.%s", name, v.Type().Name(), sf.Name)
+		switch {
+		case sf.Name == "Snap":
+			if !f.IsNil() {
+				t.Errorf("%s still set", where)
+			}
+		case sf.IsExported():
+			if child, ok := f.Interface().(Operator); ok && child != nil {
+				assertDetached(t, name, child)
+			}
+		case sf.Name == "sel":
+		case sf.Name == "in":
+			if f.IsNil() {
+				continue
+			}
+			for rows, r := f.Elem().FieldByName("Rows"), 0; r < rows.Len(); r++ {
+				if !rows.Index(r).IsNil() {
+					t.Errorf("%s still holds a row", where)
+					break
+				}
+			}
+		default:
+			switch f.Kind() {
+			case reflect.Ptr, reflect.Slice, reflect.Map, reflect.Interface, reflect.Struct:
+				if !f.IsZero() {
+					t.Errorf("%s still set", where)
+				}
+			}
+		}
 	}
 }

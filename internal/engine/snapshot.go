@@ -5,10 +5,9 @@ import "veridb/internal/storage"
 // SetSnapshot walks an operator tree and points every storage-reading leaf
 // — table scans and index-join inner probes — at the given pinned
 // snapshot, so the whole statement reads one consistent committed state
-// regardless of concurrent writers. nil clears the snapshot (the plan
-// cache re-targets cached trees per execution). The tree borrows the
-// snapshot: the caller that pinned it closes it after the statement
-// drains. Call before Open, like SetExec.
+// regardless of concurrent writers (ResetPlan clears it again). The tree
+// borrows the snapshot: the caller that pinned it closes it after the
+// statement drains. Call before Open, like SetExec.
 func SetSnapshot(op Operator, snap *storage.Snapshot) {
 	switch x := op.(type) {
 	case *TableScan:

@@ -1,40 +1,104 @@
 package plan
 
-// The plan cache: an LRU over compiled statements keyed on normalized
-// SQL text. Entries are checked out exclusively — a hit removes the
-// entry from circulation until Return — because both the planner and the
-// executor mutate what they hold: qualifyRefs writes owner names into
-// the shared AST, and buffering operators (Materialize) carry row state
-// across Open/Close. Exclusive checkout makes reuse race-free without
-// cloning; a second concurrent execution of the same statement simply
-// misses and compiles fresh.
+// The plan cache: an LRU over statement shapes. A shape is the key
+// sql.Shape gives a statement — its tokens with every number and string
+// literal replaced by a type tag — and under it are filed instances: a
+// parsed AST, the operator tree compiled from it (SELECT), and the AST's
+// literal nodes in text order, the instance's bind slots. A hit checks an
+// instance out, writes the arriving statement's literals into the slots
+// and runs it; nothing is parsed, planned or compiled.
 //
-// Validity is keyed on the storage catalog version: any CREATE/DROP
-// TABLE or shard-layout change advances it, and Get discards entries
-// planned under an older version (DDL invalidation). Literal values are
-// part of the key text, which is exactly the soundness condition — a
-// cached Select plan embeds its scan bounds.
+// That is sound on three conditions, which replace "same text":
+//
+//   - Same shape: statements with one key parse to ASTs that differ only
+//     in the slots' values, slot for slot of one type (sql.ParseSlots).
+//   - The plan reads literals through their nodes: a compiled expression
+//     loads a literal's Val when evaluated, a range scan takes its bounds
+//     — and the tighter of two on one side — from the nodes when it opens,
+//     and text rendered from the AST (a computed column's header, an
+//     error, the WAL text of an EXECUTEd write) is rendered at use. Where
+//     the planner does decide from a literal's value, the instance is not
+//     filed (Rebindable).
+//   - Exclusive checkout: an instance is in one statement's hands from
+//     Get to Put, so the slot writes, the owner names qualifyRefs writes
+//     into the AST and the row state operators carry across Open/Close
+//     race with nothing. A shape keeps up to instancesPerShape idle
+//     instances, so that many concurrent statements of it all hit; one
+//     more misses, compiles its own and files it if there is room.
+//
+// Validity is keyed on the storage catalog version: any CREATE/DROP TABLE
+// or shard-layout change advances it, and Get discards a shape planned
+// under an older one. What else an instance depends on — the PREPARE
+// template an EXECUTE was bound from — its user checks after checkout.
 
 import (
 	"container/list"
 	"sync"
 
 	"veridb/internal/engine"
+	"veridb/internal/record"
 	"veridb/internal/sql"
 )
 
-// CacheEntry is one cached statement: the parsed AST, the compiled
-// operator tree for SELECTs (nil otherwise), and the catalog version the
-// plan is valid under.
-type CacheEntry struct {
-	key     string
-	Stmt    sql.Statement
-	Op      engine.Operator
-	Version uint64
-	busy    bool
+// instancesPerShape bounds the idle instances kept under one shape: the
+// number of concurrent statements of that shape that can all hit.
+const instancesPerShape = 4
+
+// Instance is one compiled copy of a statement, owned by one execution at
+// a time.
+type Instance struct {
+	// Stmt is the statement to run: the parsed AST, or for EXECUTE the
+	// PREPARE template's copy with Params in place of its placeholders.
+	Stmt sql.Statement
+	// Op is the compiled operator tree of a SELECT, nil otherwise.
+	Op engine.Operator
+	// Slots are the literal nodes lifted out of the shape key, in text
+	// order; Bind writes a statement's literals into them.
+	Slots []*sql.Literal
+	// Args and Params are set for EXECUTE: Args[i] is the compiled i-th
+	// argument (a constant expression over Slots) and Params[i] the literal
+	// node of Stmt it is bound to.
+	Args   []*engine.Compiled
+	Params []*sql.Literal
+	// Prepared is the template an EXECUTE instance was bound from; the
+	// instance is good for as long as the name still maps to it.
+	Prepared *sql.Prepare
+	// Rebindable reports that the instance serves every statement of its
+	// shape; Put files no other kind.
+	Rebindable bool
 }
 
-// CacheStats counts cache traffic.
+// Bind points the instance at one statement's literals (sql.Shape's, for
+// text of the instance's shape) and reports whether it can run them. It
+// cannot when an EXECUTE argument fails to evaluate, or evaluates to
+// another type or to NULL where the compiled value was not (or the
+// reverse): the plan below was made for a non-NULL parameter of that type.
+func (in *Instance) Bind(lits []record.Value) bool {
+	if len(lits) != len(in.Slots) {
+		return false
+	}
+	for i, v := range lits {
+		in.Slots[i].Val = v
+	}
+	for i, a := range in.Args {
+		v, err := a.Eval(nil)
+		p := in.Params[i]
+		if err != nil || v.Type != p.Val.Type || v.Null != p.Val.Null {
+			return false
+		}
+		p.Val = v
+	}
+	return true
+}
+
+// shape is one cache entry: the idle instances of one key.
+type shape struct {
+	key     string
+	version uint64
+	idle    []*Instance
+}
+
+// CacheStats counts cache traffic. Every Get is one hit or one miss.
 type CacheStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
@@ -42,17 +106,17 @@ type CacheStats struct {
 	Entries       int    `json:"entries"`
 }
 
-// Cache is a bounded LRU of compiled statements. All methods are safe
-// for concurrent use.
+// Cache is a bounded LRU of statement shapes. All methods are safe for
+// concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*list.Element // of *CacheEntry
+	entries map[string]*list.Element // of *shape
 	lru     *list.List               // front = most recent
 	stats   CacheStats
 }
 
-// NewCache builds a cache bounded to cap entries; cap < 1 returns nil
+// NewCache builds a cache bounded to cap shapes; cap < 1 returns nil
 // (caching disabled — a nil *Cache is safe to call).
 func NewCache(cap int) *Cache {
 	if cap < 1 {
@@ -61,92 +125,81 @@ func NewCache(cap int) *Cache {
 	return &Cache{cap: cap, entries: make(map[string]*list.Element), lru: list.New()}
 }
 
-// Get checks an entry out, or returns nil on a miss. An entry planned
-// under a different catalog version is discarded (invalidation), and an
-// entry already checked out by a concurrent caller counts as a miss.
-// The caller owns a returned entry exclusively until Return.
-func (c *Cache) Get(key string, version uint64) *CacheEntry {
+// Get checks an idle instance of the shape out, or returns nil on a miss:
+// no such shape, none of its instances idle, or a shape planned under
+// another catalog version, which is discarded (invalidation). The caller
+// owns a returned instance exclusively until it Puts it back.
+func (c *Cache) Get(key string, version uint64) *Instance {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
-	if !ok {
-		c.stats.Misses++
-		return nil
-	}
-	ent := el.Value.(*CacheEntry)
-	if ent.Version != version {
+	if ok && el.Value.(*shape).version != version {
 		c.stats.Invalidations++
-		c.stats.Misses++
-		delete(c.entries, key)
-		c.lru.Remove(el)
-		return nil
+		c.remove(el)
+		ok = false
 	}
-	if ent.busy {
-		c.stats.Misses++
-		return nil
+	if ok {
+		if sh := el.Value.(*shape); len(sh.idle) > 0 {
+			in := sh.idle[len(sh.idle)-1]
+			sh.idle = sh.idle[:len(sh.idle)-1]
+			c.lru.MoveToFront(el)
+			c.stats.Hits++
+			return in
+		}
 	}
-	ent.busy = true
-	c.lru.MoveToFront(el)
-	c.stats.Hits++
-	return ent
+	c.stats.Misses++
+	return nil
 }
 
-// Return hands a checked-out entry back to circulation. If the entry was
-// displaced while out (overwritten by Put, or purged), it is dropped.
-func (c *Cache) Return(ent *CacheEntry) {
-	if c == nil || ent == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[ent.key]; ok && el.Value.(*CacheEntry) == ent {
-		ent.busy = false
-	}
-}
-
-// Put inserts a freshly compiled statement. An existing entry for the
-// key is kept (the concurrent compiler that lost the race discards its
-// copy); beyond capacity the least-recently-used idle entry is evicted.
-func (c *Cache) Put(key string, stmt sql.Statement, op engine.Operator, version uint64) {
+// Discard recounts the hit that checked an instance out as an invalidated
+// miss: its user found it stale or unable to bind, drops it, and compiles
+// the statement fresh.
+func (c *Cache) Discard() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	ent := &CacheEntry{key: key, Stmt: stmt, Op: op, Version: version}
-	c.entries[key] = c.lru.PushFront(ent)
-	for c.lru.Len() > c.cap {
-		evicted := false
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*CacheEntry); !e.busy {
-				delete(c.entries, e.key)
-				c.lru.Remove(el)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // every entry is checked out; tolerate the overshoot
-		}
-	}
+	c.stats.Hits--
+	c.stats.Misses++
+	c.stats.Invalidations++
+	c.mu.Unlock()
 }
 
-// Purge empties the cache (manual invalidation).
-func (c *Cache) Purge() {
-	if c == nil {
+// Put files an instance under key as idle: one checked out by Get, or one
+// freshly compiled under the catalog version given. It is dropped instead
+// when it is not rebindable, when the shape already holds
+// instancesPerShape idle ones, or when the shape has since been planned
+// under a newer version; a shape it opens may push the least recently used
+// one out.
+func (c *Cache) Put(key string, version uint64, in *Instance) {
+	if c == nil || !in.Rebindable {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.Invalidations += uint64(len(c.entries))
-	c.entries = make(map[string]*list.Element)
-	c.lru.Init()
+	el, ok := c.entries[key]
+	if ok && el.Value.(*shape).version < version {
+		c.remove(el)
+		ok = false
+	}
+	if !ok {
+		el = c.lru.PushFront(&shape{key: key, version: version})
+		c.entries[key] = el
+		if c.lru.Len() > c.cap {
+			c.remove(c.lru.Back())
+		}
+	}
+	if sh := el.Value.(*shape); sh.version == version && len(sh.idle) < instancesPerShape {
+		sh.idle = append(sh.idle, in)
+	}
+}
+
+func (c *Cache) remove(el *list.Element) {
+	delete(c.entries, el.Value.(*shape).key)
+	c.lru.Remove(el)
 }
 
 // Stats snapshots the counters.

@@ -125,17 +125,18 @@ func PlanSelect(cat Catalog, sel *sql.Select, opt Options) (engine.Operator, err
 // that resolve to exactly one binding. A name owned by several bound
 // tables is ambiguous and rejected; unknown names are left for expression
 // compilation to report.
-func qualifyRefs(e sql.Expr, binds []binding) error {
-	switch x := e.(type) {
-	case *sql.ColumnRef:
-		if x.Table != "" {
-			return nil
+func qualifyRefs(e sql.Expr, binds []binding) (err error) {
+	contains(e, func(e sql.Expr) bool {
+		x, ok := e.(*sql.ColumnRef)
+		if !ok || x.Table != "" {
+			return false
 		}
 		owner := ""
 		for _, b := range binds {
 			if b.table.Schema().ColIndex(x.Column) >= 0 {
 				if owner != "" {
-					return fmt.Errorf("plan: column %q is ambiguous (in %q and %q)", x.Column, owner, b.alias)
+					err = fmt.Errorf("plan: column %q is ambiguous (in %q and %q)", x.Column, owner, b.alias)
+					return true
 				}
 				owner = b.alias
 			}
@@ -143,40 +144,9 @@ func qualifyRefs(e sql.Expr, binds []binding) error {
 		if owner != "" {
 			x.Table = owner
 		}
-		return nil
-	case *sql.BinaryExpr:
-		if err := qualifyRefs(x.L, binds); err != nil {
-			return err
-		}
-		return qualifyRefs(x.R, binds)
-	case *sql.UnaryExpr:
-		return qualifyRefs(x.E, binds)
-	case *sql.BetweenExpr:
-		if err := qualifyRefs(x.E, binds); err != nil {
-			return err
-		}
-		if err := qualifyRefs(x.Lo, binds); err != nil {
-			return err
-		}
-		return qualifyRefs(x.Hi, binds)
-	case *sql.InExpr:
-		if err := qualifyRefs(x.E, binds); err != nil {
-			return err
-		}
-		for _, i := range x.List {
-			if err := qualifyRefs(i, binds); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *sql.IsNullExpr:
-		return qualifyRefs(x.E, binds)
-	case *sql.FuncCall:
-		if x.Arg != nil {
-			return qualifyRefs(x.Arg, binds)
-		}
-	}
-	return nil
+		return false
+	})
+	return err
 }
 
 // splitAnd flattens a conjunction.
@@ -193,30 +163,12 @@ func splitAnd(e sql.Expr) []sql.Expr {
 // exprAliases collects the table aliases an expression references; refs
 // with empty table qualifiers yield "".
 func exprAliases(e sql.Expr, out map[string]bool) {
-	switch x := e.(type) {
-	case *sql.ColumnRef:
-		out[strings.ToLower(x.Table)] = true
-	case *sql.BinaryExpr:
-		exprAliases(x.L, out)
-		exprAliases(x.R, out)
-	case *sql.UnaryExpr:
-		exprAliases(x.E, out)
-	case *sql.BetweenExpr:
-		exprAliases(x.E, out)
-		exprAliases(x.Lo, out)
-		exprAliases(x.Hi, out)
-	case *sql.InExpr:
-		exprAliases(x.E, out)
-		for _, i := range x.List {
-			exprAliases(i, out)
+	contains(e, func(e sql.Expr) bool {
+		if x, ok := e.(*sql.ColumnRef); ok {
+			out[strings.ToLower(x.Table)] = true
 		}
-	case *sql.IsNullExpr:
-		exprAliases(x.E, out)
-	case *sql.FuncCall:
-		if x.Arg != nil {
-			exprAliases(x.Arg, out)
-		}
-	}
+		return false
+	})
 }
 
 // referencesOnly reports whether e touches only the given alias (or is
@@ -232,7 +184,9 @@ func referencesOnly(e sql.Expr, alias string) bool {
 	return true
 }
 
-// rangeBound is one extracted comparison against a literal.
+// rangeBound is one extracted comparison against a literal. lo and hi point
+// at the literal nodes' values, never at copies: the scan reads them when it
+// opens, which is what lets a cached plan follow its statement's rebinding.
 type rangeBound struct {
 	col string
 	lo  *record.Value
@@ -268,14 +222,13 @@ func extractBound(e sql.Expr) *rangeBound {
 		if lit.Val.Null {
 			return nil
 		}
-		v := lit.Val
 		switch op {
 		case "=":
-			return &rangeBound{col: col.Column, lo: &v, hi: &v}
+			return &rangeBound{col: col.Column, lo: &lit.Val, hi: &lit.Val}
 		case "<", "<=":
-			return &rangeBound{col: col.Column, hi: &v}
+			return &rangeBound{col: col.Column, hi: &lit.Val}
 		case ">", ">=":
-			return &rangeBound{col: col.Column, lo: &v}
+			return &rangeBound{col: col.Column, lo: &lit.Val}
 		}
 	case *sql.BetweenExpr:
 		if x.Negated {
@@ -290,8 +243,7 @@ func extractBound(e sql.Expr) *rangeBound {
 		if !okLo || !okHi || lo.Val.Null || hi.Val.Null {
 			return nil
 		}
-		lv, hv := lo.Val, hi.Val
-		return &rangeBound{col: col.Column, lo: &lv, hi: &hv}
+		return &rangeBound{col: col.Column, lo: &lo.Val, hi: &hi.Val}
 	}
 	return nil
 }
@@ -299,27 +251,32 @@ func extractBound(e sql.Expr) *rangeBound {
 // accessPath builds the scan for one table: a verified range scan on the
 // most constrained chained column, with every pushed-down predicate kept
 // as a filter above it (bounds are a performance device; the filter is the
-// semantic truth, so strict/non-strict handling stays trivial).
+// semantic truth, so strict/non-strict handling stays trivial). Which
+// column that is depends on how many bounds of which kind each one has —
+// the statement's shape — and never on a literal's value: every bound on
+// the chosen column goes to the scan, which takes the tightest when it
+// opens.
 func accessPath(b binding, conjuncts []sql.Expr, used []bool) (engine.Operator, error) {
 	scan := engine.NewTableScan(b.table, b.alias)
 	schema := scan.Schema()
 
 	type colBounds struct {
-		lo, hi *record.Value
+		lo, hi []*record.Value
 		eq     bool
 	}
 	bounds := map[int]*colBounds{} // column index -> bounds
-	var pushed []sql.Expr
+	var pushed []*engine.Compiled
 	for i, c := range conjuncts {
 		if used[i] || !referencesOnly(c, b.alias) {
 			continue
 		}
 		// Confirm the expression actually compiles against this table
 		// alone (unqualified refs may belong to another table).
-		if _, err := engine.Compile(c, schema); err != nil {
+		pred, err := engine.Compile(c, schema)
+		if err != nil {
 			continue
 		}
-		pushed = append(pushed, c)
+		pushed = append(pushed, pred)
 		used[i] = true
 		if rb := extractBound(c); rb != nil {
 			ci := b.table.Schema().ColIndex(rb.col)
@@ -331,11 +288,11 @@ func accessPath(b binding, conjuncts []sql.Expr, used []bool) (engine.Operator, 
 				cb = &colBounds{}
 				bounds[ci] = cb
 			}
-			if rb.lo != nil && (cb.lo == nil || mustLess(*cb.lo, *rb.lo)) {
-				cb.lo = rb.lo
+			if rb.lo != nil {
+				cb.lo = append(cb.lo, rb.lo)
 			}
-			if rb.hi != nil && (cb.hi == nil || mustLess(*rb.hi, *cb.hi)) {
-				cb.hi = rb.hi
+			if rb.hi != nil {
+				cb.hi = append(cb.hi, rb.hi)
 			}
 			if rb.lo != nil && rb.hi != nil {
 				cb.eq = true
@@ -370,19 +327,10 @@ func accessPath(b binding, conjuncts []sql.Expr, used []bool) (engine.Operator, 
 		cb := bounds[bestCol]
 		op = engine.NewRangeScan(b.table, b.alias, bestCol, cb.lo, cb.hi)
 	}
-	for _, c := range pushed {
-		pred, err := engine.Compile(c, schema)
-		if err != nil {
-			return nil, err
-		}
+	for _, pred := range pushed {
 		op = &engine.Filter{Child: op, Pred: pred}
 	}
 	return op, nil
-}
-
-func mustLess(a, b record.Value) bool {
-	c, err := a.Compare(b)
-	return err == nil && c < 0
 }
 
 // equiJoinConjunct finds a conjunct of the form left.x = right.y linking

@@ -8,30 +8,45 @@ import (
 	"veridb/internal/sql"
 )
 
-// hasAggregate reports whether the expression tree contains an aggregate.
-func hasAggregate(e sql.Expr) bool {
-	switch x := e.(type) {
-	case *sql.FuncCall:
+// contains reports whether pred holds for e or for an expression below it,
+// visiting in text order until it does.
+func contains(e sql.Expr, pred func(sql.Expr) bool) bool {
+	if e == nil {
+		return false
+	}
+	if pred(e) {
 		return true
+	}
+	switch x := e.(type) {
 	case *sql.BinaryExpr:
-		return hasAggregate(x.L) || hasAggregate(x.R)
+		return contains(x.L, pred) || contains(x.R, pred)
 	case *sql.UnaryExpr:
-		return hasAggregate(x.E)
+		return contains(x.E, pred)
+	case *sql.FuncCall:
+		return contains(x.Arg, pred)
 	case *sql.BetweenExpr:
-		return hasAggregate(x.E) || hasAggregate(x.Lo) || hasAggregate(x.Hi)
+		return contains(x.E, pred) || contains(x.Lo, pred) || contains(x.Hi, pred)
 	case *sql.InExpr:
-		if hasAggregate(x.E) {
-			return true
-		}
 		for _, i := range x.List {
-			if hasAggregate(i) {
+			if contains(i, pred) {
 				return true
 			}
 		}
+		return contains(x.E, pred)
 	case *sql.IsNullExpr:
-		return hasAggregate(x.E)
+		return contains(x.E, pred)
 	}
 	return false
+}
+
+// hasAggregate reports whether the expression tree contains an aggregate.
+func hasAggregate(e sql.Expr) bool {
+	return contains(e, func(e sql.Expr) bool { _, ok := e.(*sql.FuncCall); return ok })
+}
+
+// hasLiteral reports whether the expression tree contains a literal.
+func hasLiteral(e sql.Expr) bool {
+	return contains(e, func(e sql.Expr) bool { _, ok := e.(*sql.Literal); return ok })
 }
 
 // collectAggs gathers distinct aggregate calls (by source form).
@@ -134,6 +149,38 @@ func rewriteForAgg(e sql.Expr, names map[string]string) (sql.Expr, error) {
 	}
 }
 
+// Rebindable reports whether a plan of sel serves every statement of sel's
+// shape, whatever its literals (see Cache). The one thing PlanSelect
+// decides from a literal's value is finishSelect's source-form matching —
+// an expression against a GROUP BY key, one aggregate call against another
+// — so a statement whose GROUP BY keys quote a literal, or in which two
+// aggregate calls quoting literals were merged, has a plan for its own
+// values only.
+func Rebindable(sel *sql.Select) bool {
+	for _, g := range sel.GroupBy {
+		if hasLiteral(g) {
+			return false
+		}
+	}
+	seen := map[string]bool{}
+	merged := false
+	calls := func(e sql.Expr) bool {
+		if fc, ok := e.(*sql.FuncCall); ok && hasLiteral(fc) {
+			merged = merged || seen[fc.String()]
+			seen[fc.String()] = true
+		}
+		return false
+	}
+	for _, item := range sel.Items {
+		contains(item.Expr, calls)
+	}
+	contains(sel.Having, calls)
+	for _, o := range sel.OrderBy {
+		contains(o.Expr, calls)
+	}
+	return !merged
+}
+
 // finishSelect layers aggregation, HAVING, projection, ORDER BY and LIMIT
 // over the joined/filtered input.
 func finishSelect(op engine.Operator, sel *sql.Select) (engine.Operator, error) {
@@ -152,6 +199,7 @@ func finishSelect(op engine.Operator, sel *sql.Select) (engine.Operator, error) 
 	inSchema := op.Schema()
 	var projExprs []sql.Expr
 	var projNames []string
+	var projTitles []fmt.Stringer
 	orderExprs := make([]sql.Expr, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
 		orderExprs[i] = o.Expr
@@ -235,19 +283,19 @@ func finishSelect(op engine.Operator, sel *sql.Select) (engine.Operator, error) 
 				return nil, err
 			}
 			projExprs = append(projExprs, re)
-			projNames = append(projNames, itemName(item))
+			projNames, projTitles = appendItemName(projNames, projTitles, item)
 		}
 	} else {
 		for _, item := range sel.Items {
 			if item.Star {
 				for _, c := range op.Schema() {
 					projExprs = append(projExprs, &sql.ColumnRef{Table: c.Table, Column: c.Name})
-					projNames = append(projNames, c.Name)
+					projNames, projTitles = append(projNames, c.Name), append(projTitles, nil)
 				}
 				continue
 			}
 			projExprs = append(projExprs, item.Expr)
-			projNames = append(projNames, itemName(item))
+			projNames, projTitles = appendItemName(projNames, projTitles, item)
 		}
 	}
 
@@ -282,7 +330,7 @@ func finishSelect(op engine.Operator, sel *sql.Select) (engine.Operator, error) 
 		}
 		exprs[i] = c
 	}
-	op = &engine.Project{Child: op, Exprs: exprs, Names: projNames}
+	op = &engine.Project{Child: op, Exprs: exprs, Names: projNames, Titles: projTitles}
 	if sortAfterProject {
 		keys := make([]engine.SortKey, len(orderExprs))
 		for i, oe := range orderExprs {
@@ -300,15 +348,17 @@ func finishSelect(op engine.Operator, sel *sql.Select) (engine.Operator, error) 
 	return op, nil
 }
 
-// itemName derives the output column name for a select item.
-func itemName(item sql.SelectItem) string {
+// appendItemName derives the output column name for a select item: its
+// alias, its column, or else its source form — which the projection
+// renders from the live expression at each use (engine.Project.Titles).
+func appendItemName(names []string, titles []fmt.Stringer, item sql.SelectItem) ([]string, []fmt.Stringer) {
 	if item.Alias != "" {
-		return item.Alias
+		return append(names, item.Alias), append(titles, nil)
 	}
 	if ref, ok := item.Expr.(*sql.ColumnRef); ok {
-		return ref.Column
+		return append(names, ref.Column), append(titles, nil)
 	}
-	return item.Expr.String()
+	return append(names, ""), append(titles, item.Expr)
 }
 
 // Describe renders an operator tree for EXPLAIN-style output.
@@ -332,7 +382,11 @@ func describe(op engine.Operator, depth int, sb *strings.Builder) {
 		fmt.Fprintf(sb, "%sFilter(%s)\n", indent, x.Pred)
 		describe(x.Child, depth+1, sb)
 	case *engine.Project:
-		fmt.Fprintf(sb, "%sProject(%s)\n", indent, strings.Join(x.Names, ", "))
+		names := make([]string, len(x.Names))
+		for i, c := range x.Schema() {
+			names[i] = c.Name
+		}
+		fmt.Fprintf(sb, "%sProject(%s)\n", indent, strings.Join(names, ", "))
 		describe(x.Child, depth+1, sb)
 	case *engine.Limit:
 		fmt.Fprintf(sb, "%sLimit(%d)\n", indent, x.N)

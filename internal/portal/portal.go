@@ -6,12 +6,14 @@
 package portal
 
 import (
+	"bytes"
 	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,6 +141,8 @@ type Portal struct {
 	exec Executor
 	seq  *atomic.Uint64
 
+	macs sync.Map // client ID -> *keyedMAC
+
 	mu      sync.Mutex
 	clients map[string]*clientState
 	// Response-cache accounting: live entries, their total estimated
@@ -234,7 +238,11 @@ func SignRequest(key []byte, clientID string, qid uint64, query string) []byte {
 // bit-compatible; a nonzero timeout is authenticated so a relay cannot
 // strip or stretch a client's deadline.
 func SignRequestTimeout(key []byte, clientID string, qid uint64, query string, timeoutMS uint64) []byte {
-	mac := hmac.New(sha256.New, key)
+	return signRequest(hmac.New(sha256.New, key), clientID, qid, query, timeoutMS)
+}
+
+// signRequest is SignRequestTimeout on a MAC already keyed and reset.
+func signRequest(mac hash.Hash, clientID string, qid uint64, query string, timeoutMS uint64) []byte {
 	writeField(mac, []byte("req"))
 	writeField(mac, []byte(clientID))
 	var q [8]byte
@@ -277,10 +285,42 @@ func ResponseDigest(resp *Response) []byte {
 
 // SignResponse computes the response MAC.
 func SignResponse(key []byte, resp *Response) []byte {
-	mac := hmac.New(sha256.New, key)
+	return signResponse(hmac.New(sha256.New, key), resp)
+}
+
+// signResponse is SignResponse on a MAC already keyed and reset.
+func signResponse(mac hash.Hash, resp *Response) []byte {
 	writeField(mac, []byte("resp"))
 	writeField(mac, ResponseDigest(resp))
 	return mac.Sum(nil)
+}
+
+// keyedMAC is one client's pool of HMAC states keyed with its key: keying
+// runs the hash's compression twice, a Reset restores the keyed state, so
+// the portal keys once per state and not twice per request (the check and
+// the endorsement) — what sethash.Key does for the PRF.
+type keyedMAC struct {
+	key  []byte
+	pool sync.Pool // of hash.Hash
+}
+
+func (k *keyedMAC) get() hash.Hash {
+	if mac, ok := k.pool.Get().(hash.Hash); ok {
+		mac.Reset()
+		return mac
+	}
+	return hmac.New(sha256.New, k.key)
+}
+
+// macFor returns the client's keyed states, rekeyed if the enclave was
+// provisioned another key for the client since.
+func (p *Portal) macFor(clientID string, key []byte) *keyedMAC {
+	if v, ok := p.macs.Load(clientID); ok && bytes.Equal(v.(*keyedMAC).key, key) {
+		return v.(*keyedMAC)
+	}
+	k := &keyedMAC{key: key}
+	p.macs.Store(clientID, k)
+	return k
 }
 
 func writeField(h interface{ Write([]byte) (int, error) }, b []byte) {
@@ -302,7 +342,10 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown client %q", ErrUnauthorized, req.ClientID)
 	}
-	want := SignRequestTimeout(key, req.ClientID, req.QID, req.Query, req.TimeoutMS)
+	keyed := p.macFor(req.ClientID, key)
+	mac := keyed.get()
+	defer keyed.pool.Put(mac)
+	want := signRequest(mac, req.ClientID, req.QID, req.Query, req.TimeoutMS)
 	if !hmac.Equal(want, req.MAC) {
 		return nil, fmt.Errorf("%w: MAC mismatch for client %q", ErrUnauthorized, req.ClientID)
 	}
@@ -358,7 +401,8 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 			resp.ErrMsg = err.Error()
 		}
 	}
-	resp.MAC = SignResponse(key, resp)
+	mac.Reset()
+	resp.MAC = signResponse(mac, resp)
 	p.cacheResponse(st, resp)
 	return resp, nil
 }

@@ -2,9 +2,9 @@
 // exposes a veridb.DB over the paper's client protocol (Fig. 2) in the
 // length-prefixed binary framing of internal/wire — the only encoding the
 // server speaks. Each connection is pipelined: a reader goroutine demuxes
-// frames into bounded per-request handler goroutines and a single writer
-// goroutine serializes completions, so responses may return out of order,
-// matched to requests by qid.
+// frames onto a bounded set of handler goroutines that live as long as the
+// connection and a single writer goroutine serializes completions, so
+// responses may return out of order, matched to requests by qid.
 //
 // Every refusal is a wire.TError frame. One addressed to a request's qid
 // answers that request and the connection keeps serving; one addressed to
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"veridb"
+	"veridb/internal/portal"
 	"veridb/internal/wire"
 )
 
@@ -217,22 +218,25 @@ func (s *Server) health() wireHealth {
 // Handle runs one pipelined session to completion and closes the
 // connection. Three goroutine roles share it:
 //
-//   - this goroutine reads frames and demuxes: queries spawn handler
-//     goroutines (at most maxInflight concurrent per connection); attest
-//     and health are answered inline (they touch no database state worth
-//     parallelising).
+//   - this goroutine reads frames and demuxes: a query goes to an idle
+//     handler goroutine, or starts one (at most maxInflight per
+//     connection); attest and health are answered inline (they touch no
+//     database state worth parallelising).
 //   - handler goroutines execute through the portal — which already sheds
 //     past the admission gate's slots — and hand their completion to the
 //     writer. Completions are written in completion order, not arrival
-//     order; the client matches them by qid.
+//     order; the client matches them by qid. A handler serves queries
+//     until the connection ends: a goroutine per query would start on a
+//     minimum stack and grow it all the way down to vmem every time.
 //   - one writer goroutine serializes frames onto the socket, draining
 //     every ready completion before each flush so bursts of small
 //     responses share syscalls.
 //
 // Teardown never leaks a goroutine: when the writer dies (peer gone, write
 // error) it closes writerDone, unblocking any handler parked on the
-// completion channel; when the reader stops it waits out the handlers,
-// closes the completion channel, and the writer exits after the drain.
+// completion channel; when the reader stops it closes the work channel,
+// waits out the handlers, closes the completion channel, and the writer
+// exits after the drain.
 func (s *Server) Handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
@@ -283,8 +287,24 @@ func (s *Server) Handle(conn net.Conn) {
 		return send(wire.Frame{Type: wire.TError, QID: qid, Payload: []byte(msg)})
 	}
 
-	inflight := make(chan struct{}, s.maxInflight)
+	// work hands a query to a handler. It is unbuffered: a send succeeds
+	// only when a handler is idle and receiving.
+	work := make(chan portal.Request)
 	var handlers sync.WaitGroup
+	started := 0
+	handle := func(req portal.Request) {
+		defer handlers.Done()
+		for ok := true; ok; req, ok = <-work {
+			resp, serr := s.db.Serve(req)
+			if serr != nil {
+				// Authorisation failures have no authenticated
+				// response.
+				refuse(req.QID, serr.Error())
+				continue
+			}
+			send(wire.Frame{Type: wire.TResult, QID: resp.QID, Payload: wire.EncodeResult(resp)})
+		}
+	}
 reading:
 	for {
 		if s.ioTimeout > 0 {
@@ -315,29 +335,27 @@ reading:
 				continue
 			}
 			// Bound pipelining: a connection gets at most maxInflight
-			// concurrent handlers; beyond that the reader itself waits,
-			// exerting backpressure on the socket instead of buffering
-			// unbounded goroutines. The admission gate inside the database
-			// sheds independently (typed, per-frame, with a RetryAfter
-			// hint) once its slots and queue fill.
+			// concurrent handlers; with all of them busy the reader itself
+			// waits, exerting backpressure on the socket instead of
+			// buffering unbounded goroutines. The admission gate inside
+			// the database sheds independently (typed, per-frame, with a
+			// RetryAfter hint) once its slots and queue fill.
 			select {
-			case inflight <- struct{}{}:
+			case work <- req:
+				continue
+			default:
+			}
+			if started < s.maxInflight {
+				started++
+				handlers.Add(1)
+				go handle(req)
+				continue
+			}
+			select {
+			case work <- req:
 			case <-writerDone:
 				break reading
 			}
-			handlers.Add(1)
-			go func() {
-				defer handlers.Done()
-				defer func() { <-inflight }()
-				resp, serr := s.db.Serve(req)
-				if serr != nil {
-					// Authorisation failures have no authenticated
-					// response.
-					refuse(req.QID, serr.Error())
-					return
-				}
-				send(wire.Frame{Type: wire.TResult, QID: resp.QID, Payload: wire.EncodeResult(resp)})
-			}()
 		case wire.TAttest:
 			nonce, derr := wire.DecodeAttest(f.Payload)
 			if derr != nil {
@@ -364,6 +382,7 @@ reading:
 			}
 		}
 	}
+	close(work)
 	handlers.Wait()
 	close(out)
 	<-writerDone

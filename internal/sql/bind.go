@@ -1,6 +1,7 @@
 package sql
 
-// Parameter binding and statement rendering for prepared statements.
+// Parameter binding and statement rendering for prepared statements, and
+// the shape pass the plan cache keys statements on.
 // BindParams deep-clones a PREPARE template with every ? placeholder
 // replaced by its bound argument, so the original template survives for
 // the next EXECUTE and concurrent bindings never share expression nodes.
@@ -17,13 +18,20 @@ import (
 )
 
 // BindParams returns a copy of the template with params[i] substituted
-// for the placeholder of index i. The argument count must match exactly.
-func BindParams(stmt Statement, params []record.Value) (Statement, error) {
+// for the placeholder of index i, and the literal nodes it substituted:
+// node i of the copy holds params[i], and rewriting its Val rebinds the
+// copy to another argument. The argument count must match exactly.
+func BindParams(stmt Statement, params []record.Value) (Statement, []*Literal, error) {
 	n := CountParams(stmt)
 	if len(params) != n {
-		return nil, fmt.Errorf("sql: statement wants %d parameters, got %d", n, len(params))
+		return nil, nil, fmt.Errorf("sql: statement wants %d parameters, got %d", n, len(params))
 	}
-	return cloneStmt(stmt, params)
+	lits := make([]*Literal, n)
+	for i, v := range params {
+		lits[i] = &Literal{Val: v}
+	}
+	bound, err := cloneStmt(stmt, lits)
+	return bound, lits, err
 }
 
 // CountParams counts the ? placeholders in a statement.
@@ -95,9 +103,9 @@ func forEachExpr(stmt Statement, fn func(Expr)) {
 	}
 }
 
-// cloneStmt deep-copies a statement; params, when non-nil, substitutes
-// placeholders (nil params leaves them in place — a pure clone).
-func cloneStmt(stmt Statement, params []record.Value) (Statement, error) {
+// cloneStmt deep-copies a statement with params[i] in place of the
+// placeholder of index i.
+func cloneStmt(stmt Statement, params []*Literal) (Statement, error) {
 	switch s := stmt.(type) {
 	case *Insert:
 		out := &Insert{Table: s.Table, Columns: append([]string(nil), s.Columns...)}
@@ -178,18 +186,15 @@ func cloneStmt(stmt Statement, params []record.Value) (Statement, error) {
 	}
 }
 
-func cloneExpr(e Expr, params []record.Value) (Expr, error) {
+func cloneExpr(e Expr, params []*Literal) (Expr, error) {
 	switch x := e.(type) {
 	case nil:
 		return nil, nil
 	case *Param:
-		if params == nil {
-			return &Param{Index: x.Index}, nil
-		}
 		if x.Index < 0 || x.Index >= len(params) {
 			return nil, fmt.Errorf("sql: placeholder %d out of range (%d bound)", x.Index+1, len(params))
 		}
-		return &Literal{Val: params[x.Index]}, nil
+		return params[x.Index], nil
 	case *ColumnRef:
 		return &ColumnRef{Table: x.Table, Column: x.Column}, nil
 	case *Literal:
@@ -443,33 +448,78 @@ func renderLiteral(v record.Value) string {
 	}
 }
 
-// Normalize canonicalises statement text for use as a plan-cache key:
-// lexes and rejoins with single spaces, so case of keywords, whitespace
-// and comments do not fragment the cache. Distinct literals stay
-// distinct keys — a cached plan embeds its literals (scan bounds are
-// extracted from them), so textual identity is exactly the soundness
-// condition for reuse.
+// Normalize canonicalises statement text: lexes and rejoins with single
+// spaces, so case of keywords, whitespace, comments and one trailing
+// semicolon do not tell two statements apart. Literals stay in the text;
+// the plan cache keys on Shape, which lifts them out.
 func Normalize(src string) (string, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return "", err
-	}
+	key, _, err := shape(src, false)
+	return key, err
+}
+
+// Shape is the one lexer pass a statement pays before the plan cache: it
+// returns the statement's shape key — Normalize's text with every number
+// literal replaced by the type tag ?i or ?f and every string literal by ?s
+// — and the lifted values in text order. What the parser consumes
+// structurally stays in the key: NULL, TRUE, FALSE and the count after
+// LIMIT. Two statements with one key parse to ASTs that differ only in the
+// Val of their ParseSlots nodes, slot for slot of one type, so a plan
+// compiled for one runs the other once the values are written into the
+// slots — provided the plan reads literals through their nodes and is
+// used by one statement at a time.
+func Shape(src string) (key string, lits []record.Value, err error) {
+	return shape(src, true)
+}
+
+func shape(src string, lift bool) (string, []record.Value, error) {
+	l := NewLexer(src)
 	var sb strings.Builder
-	for _, t := range toks {
+	sb.Grow(len(src))
+	var lits []record.Value
+	// A semicolon is written only once a token follows it, which leaves
+	// the one trailing terminator Parse accepts out of the key and keeps
+	// every other one in: text Parse rejects must not share a key with
+	// text it accepts.
+	semi, afterLimit := false, false
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return "", nil, err
+		}
 		if t.Kind == TokEOF {
-			break
+			return sb.String(), lits, nil
+		}
+		if semi {
+			sb.WriteString(" ;")
+			semi = false
 		}
 		if t.Kind == TokSymbol && t.Text == ";" {
-			continue // statement terminator is not part of the shape
+			semi = true
+			continue
 		}
 		if sb.Len() > 0 {
 			sb.WriteByte(' ')
 		}
-		if t.Kind == TokString {
+		switch {
+		case lift && t.Kind == TokNumber && !afterLimit:
+			v, err := numberValue(t.Text)
+			if err != nil {
+				return "", nil, err
+			}
+			lits = append(lits, v)
+			if v.Type == record.TypeFloat {
+				sb.WriteString("?f")
+			} else {
+				sb.WriteString("?i")
+			}
+		case lift && t.Kind == TokString:
+			lits = append(lits, record.Text(t.Text))
+			sb.WriteString("?s")
+		case t.Kind == TokString:
 			sb.WriteString("'" + strings.ReplaceAll(t.Text, "'", "''") + "'")
-		} else {
+		default:
 			sb.WriteString(t.Text)
 		}
+		afterLimit = t.Kind == TokKeyword && t.Text == "LIMIT"
 	}
-	return sb.String(), nil
 }

@@ -74,9 +74,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		upper := strings.ToUpper(word)
-		if keywords[upper] {
-			return Token{Kind: TokKeyword, Text: upper, Pos: start}, nil
+		if kw, ok := keyword(word); ok {
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 		}
 		return Token{Kind: TokIdent, Text: word, Pos: start}, nil
 	case isDigit(c) || (c == '.' && isDigit(l.peek2())):
@@ -129,7 +128,7 @@ func (l *Lexer) Next() (Token, error) {
 		switch c {
 		case '=', '<', '>', '(', ')', ',', '*', '+', '-', '/', '.', ';', '%', '?':
 			l.pos++
-			return Token{Kind: TokSymbol, Text: string(c), Pos: start}, nil
+			return Token{Kind: TokSymbol, Text: l.src[start:l.pos], Pos: start}, nil
 		}
 		return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, l.pos)
 	}

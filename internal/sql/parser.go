@@ -15,24 +15,38 @@ type Parser struct {
 	// nparams counts ? placeholders seen in the current top-level
 	// statement; placeholders are legal only inside a PREPARE template.
 	nparams int
+	// slots are the literal nodes built from number and string tokens, in
+	// text order: exactly the tokens Shape lifts out of the cache key.
+	slots []*Literal
 }
 
 // Parse parses a single statement (a trailing semicolon is allowed).
 func Parse(src string) (Statement, error) {
+	st, _, err := ParseSlots(src)
+	return st, err
+}
+
+// ParseSlots is Parse that also returns the statement's bind slots: the
+// *Literal nodes of the returned AST that came from number and string
+// tokens, in text order. Slot i holds the value Shape reports at index i
+// for the same text, so writing another statement's Shape values into the
+// slots' Val turns this AST into that statement's, provided both have the
+// same shape key.
+func ParseSlots(src string) (Statement, []*Literal, error) {
 	toks, err := Tokenize(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &Parser{toks: toks}
 	st, err := p.topStatement()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.acceptSymbol(";")
 	if !p.atEOF() {
-		return nil, fmt.Errorf("sql: trailing input starting at %s", p.cur())
+		return nil, nil, fmt.Errorf("sql: trailing input starting at %s", p.cur())
 	}
-	return st, nil
+	return st, p.slots, nil
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.
@@ -776,6 +790,31 @@ func (p *Parser) unary() (Expr, error) {
 	return p.primary()
 }
 
+// slot builds the literal node of a number or string token and records it
+// as the statement's next bind slot.
+func (p *Parser) slot(v record.Value) *Literal {
+	lit := &Literal{Val: v}
+	p.slots = append(p.slots, lit)
+	return lit
+}
+
+// numberValue is the value of a number token: FLOAT when it has a decimal
+// point, INT otherwise.
+func numberValue(text string) (record.Value, error) {
+	if strings.Contains(text, ".") {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return record.Value{}, fmt.Errorf("sql: bad float literal %q", text)
+		}
+		return record.Float(f), nil
+	}
+	i, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return record.Value{}, fmt.Errorf("sql: bad int literal %q", text)
+	}
+	return record.Int(i), nil
+}
+
 var aggFuncs = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
 
 func (p *Parser) primary() (Expr, error) {
@@ -783,21 +822,14 @@ func (p *Parser) primary() (Expr, error) {
 	switch t.Kind {
 	case TokNumber:
 		p.pos++
-		if strings.Contains(t.Text, ".") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sql: bad float literal %q", t.Text)
-			}
-			return &Literal{Val: record.Float(f)}, nil
-		}
-		i, err := strconv.ParseInt(t.Text, 10, 64)
+		v, err := numberValue(t.Text)
 		if err != nil {
-			return nil, fmt.Errorf("sql: bad int literal %q", t.Text)
+			return nil, err
 		}
-		return &Literal{Val: record.Int(i)}, nil
+		return p.slot(v), nil
 	case TokString:
 		p.pos++
-		return &Literal{Val: record.Text(t.Text)}, nil
+		return p.slot(record.Text(t.Text)), nil
 	case TokKeyword:
 		switch t.Text {
 		case "NULL":

@@ -6,7 +6,10 @@
 // the parser is deliberately dependency-free.
 package sql
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // TokenKind classifies lexer output.
 type TokenKind int
@@ -42,6 +45,26 @@ func (t Token) String() string {
 	default:
 		return fmt.Sprintf("%q", t.Text)
 	}
+}
+
+// keyword returns the reserved word an identifier-shaped lexeme is, in
+// upper case. It allocates nothing for one already there: the lexer is the
+// one pass every statement pays, plan-cache hits included.
+func keyword(word string) (string, bool) {
+	var buf [len("DEALLOCATE")]byte // the longest keyword
+	if len(word) > len(buf) {
+		return "", false
+	}
+	upper := buf[:len(word)]
+	for i := range upper {
+		if upper[i] = word[i]; 'a' <= word[i] && word[i] <= 'z' {
+			upper[i] -= 'a' - 'A'
+		}
+	}
+	if !keywords[string(upper)] {
+		return "", false
+	}
+	return strings.ToUpper(word), true
 }
 
 // keywords are the reserved words of the dialect.

@@ -205,9 +205,10 @@ type Config struct {
 	// durability; Checkpoint can still be called manually). Requires
 	// DataDir.
 	CheckpointEvery int
-	// PlanCacheSize bounds the prepared-plan LRU: compiled statements are
-	// reused by normalized SQL text, skipping the parser and planner for
-	// repeated statement shapes. The cache invalidates on DDL and
+	// PlanCacheSize bounds the prepared-plan LRU, counted in statement
+	// shapes: compiled statements are reused by SQL text with the literals
+	// lifted out, skipping the parser and planner for repeated shapes
+	// whatever their literals. The cache invalidates on DDL and
 	// shard-layout changes; cached and fresh executions produce identical
 	// rows, digests and response MACs. Zero means the default (128).
 	PlanCacheSize int
