@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet lint test race flake bench bench-scan bench-query bench-wal bench-mvcc bench-overload bench-wire chaos crash fuzz ci
+.PHONY: build loc vet lint test race flake bench bench-smoke chaos crash fuzz ci
 
 build:
 	$(GO) build ./...
@@ -41,69 +41,38 @@ race:
 # that race frames or writers against each other by design — a duplicated
 # shed behind its first copy, a pipeline through the duplicating, stalling
 # and dropping chaos connection, writers joining a commit group behind a
-# blocked fsync — and the two tests of a fenced-then-recovered client and a
+# blocked fsync — and the fault-containment trial of every chaos fault
+# kind, and the two tests of a fenced-then-recovered client and a
 # retransmit timer parked behind a shed, fifty times each under the race
 # detector.
 flake:
 	$(GO) test -race -count=50 -timeout 10m \
-		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal|TestBinaryAbruptDisconnectLeaksNothing|TestDrainBesideAcceptLoop|TestPipelineDuplicateShedIsNotARollback|TestPipelineThroughChaosConn|TestFsyncIsTheWindow|TestRunFaultRecoverySmall|TestPipelineStaleRetransmitTimerIsIgnored' \
-		./internal/core ./internal/vmem ./internal/portal ./internal/server ./internal/client ./internal/wal ./internal/bench
+		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal|TestBinaryAbruptDisconnectLeaksNothing|TestDrainBesideAcceptLoop|TestPipelineDuplicateShedIsNotARollback|TestPipelineThroughChaosConn|TestFsyncIsTheWindow|TestFaultRecoveryEveryKind|TestPipelineStaleRetransmitTimerIsIgnored' \
+		./internal/core ./internal/vmem ./internal/portal ./internal/server ./internal/client ./internal/wal
 
+# The paper's figures (bench_test.go) and the per-package sweeps, each
+# benchmark compiled and run once: a smoke that every figure still runs,
+# not a measurement. EXPERIMENTS.md names the -bench pattern, -cpu and
+# -count behind each recorded table.
 bench:
-	$(GO) test -bench=BenchmarkVerifyScaling -benchtime=1x -run=^$$ .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The verified scan row: ns/row and allocs/row of a 2 000-row range scan
-# over a lineitem-shaped table. The allocation half is also a plain test
-# (TestScanRowAllocs, at most 3 per row), so `make test` gates it; counts
-# are the same on any host, which the timing smokes below are not.
-bench-scan:
-	$(GO) test -run '^$$' -bench '^BenchmarkScanRow$$' -benchtime 200x ./internal/storage
-
-# Query-execution smoke: a tiny batch-capacity sweep proving the query
-# subcommand runs end-to-end and rows stay capacity-invariant. Real
-# measurements use the defaults: veridb-bench query.
-bench-query:
-	$(GO) run ./cmd/veridb-bench query -query-rows 2000 -batch-sizes 1,64,256 -query-json ""
-
-# Durability smoke: a small WAL workload through all three durability
-# modes plus the concurrent-writer sweep (one row per writer count),
-# proving the wal subcommand runs end-to-end. Real measurements use the defaults:
-# veridb-bench wal.
-bench-wal:
-	$(GO) run ./cmd/veridb-bench wal -statements 300 -checkpoint-every 100 -wal-json ""
-
-# MVCC snapshot-read smoke: a short writer-retention run with the
-# concurrent snapshot reader asserting repeat-scan bit-identity, proving
-# the mvcc subcommand runs end-to-end. Real measurements use the
-# defaults: veridb-bench mvcc.
-bench-mvcc:
-	$(GO) run ./cmd/veridb-bench mvcc -warehouses 8 -seconds 1 -mvcc-json ""
-
-# Overload-protection smoke: a short shed/timeout/abandonment storm at 4x
-# concurrency. The bench itself hard-fails on any untyped shed, drain
-# stall, leaked pin/goroutine or unaccounted post-drain memory, so this
-# doubles as a leak regression gate. Real measurements use the defaults:
-# veridb-bench overload.
-bench-overload:
-	$(GO) run ./cmd/veridb-bench overload -overload-rows 500 -seconds 1 -overload-json ""
-
-# Wire-protocol smoke: a short closed-loop sweep of the in-flight window
-# over one real socket. The bench itself hard-fails on any MAC-verification
-# failure or post-drain goroutine leak, so this doubles as a regression
-# gate for the pipelined server path. Real measurements use the defaults:
-# veridb-bench serve.
-bench-wire:
-	$(GO) run ./cmd/veridb-bench serve -wire-rows 500 -wire-ops 300 -inflights 1,16 -wire-json ""
+# The repo benchmark (BENCHMARK.json) for two seconds per workload,
+# untraced. It exits non-zero on any MAC failure, wrong answer,
+# durability mismatch, TPC-C violation or post-drain goroutine.
+bench-smoke:
+	bash benchmark/run.sh -seconds 2 -trace 0
 
 # Fault-injection suite: the chaos injector, quarantine/failover paths in
-# core, the client pipeline's retry policy, the portal response cache, and
-# the end-to-end fault-recovery bench — all under the race detector,
+# core (the containment trial of every fault kind and the overload storm
+# with its post-drain leak checks among them), the client pipeline's retry
+# policy, and the portal response cache — all under the race detector,
 # uncached, with a hard timeout so a hung failover fails the run instead
 # of wedging it.
 chaos:
 	$(GO) test -race -count=1 -timeout 5m \
 		./internal/chaos ./internal/core ./internal/client \
-		./internal/portal ./internal/bench ./internal/govern \
+		./internal/portal ./internal/govern \
 		./internal/server ./internal/wire
 
 # Crash matrix: the durable-storage proof. Kills the WAL of a concurrently
@@ -135,4 +104,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShape$$' -fuzztime 10s ./internal/sql
 
-ci: build lint test race flake chaos crash bench-query bench-wal bench-mvcc bench-overload bench-wire
+ci: build lint test race flake chaos crash bench bench-smoke

@@ -13,6 +13,8 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,7 +59,7 @@ func dialPipeline(t *testing.T, c *client.Client, addr string, cfg client.Pipeli
 	return p
 }
 
-func seedBig(t *testing.T, db *veridb.DB, rows int) {
+func seedBig(t testing.TB, db *veridb.DB, rows int) {
 	t.Helper()
 	if _, err := db.Exec(`CREATE TABLE big (a INT PRIMARY KEY, b INT)`); err != nil {
 		t.Fatal(err)
@@ -527,5 +529,78 @@ func TestPipelineThroughChaosConn(t *testing.T) {
 			t.Fatalf("%d goroutines, %d before the pipelines:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// BenchmarkPipelineWindow sweeps the in-flight window of one pipelined
+// connection over a link whose every server write stalls 500 µs — the
+// chaos conn's delay standing in for a cross-rack round trip, without
+// which loopback collapses every window to the shared CPU cost. Window 1
+// is the serial exchange; a deeper window shares one stall among every
+// response a burst flushes. The pipeline MAC-verifies every response, and
+// after the sweep the server must drain with no goroutine left behind.
+func BenchmarkPipelineWindow(b *testing.B) {
+	baseline := runtime.NumGoroutine()
+	db, err := veridb.Open(veridb.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	const rows = 2000
+	seedBig(b, db, rows)
+	key := []byte("window-bench")
+	db.ProvisionClient("bench", key)
+	c := client.New("bench", key)
+	srv, err := server.New(server.Config{DB: db})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(chaos.WrapListener(ln, chaos.WireConfig{DelayEveryWrites: 1, Delay: 500 * time.Microsecond}))
+
+	for _, window := range []int{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("inflight=%d", window), func(b *testing.B) {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := client.NewPipeline(c, conn, client.PipelineConfig{MaxInflight: window})
+			defer p.Close()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < window; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for k := next.Add(1); k <= int64(b.N); k = next.Add(1) {
+						resp, err := p.Do(fmt.Sprintf(`SELECT b FROM big WHERE a = %d`, k%rows))
+						if err == nil && len(resp.Rows) != 1 {
+							err = fmt.Errorf("point query returned %d rows", len(resp.Rows))
+						}
+						if err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
+		})
+	}
+
+	ln.Close()
+	if !srv.Drain(10 * time.Second) {
+		b.Fatal("server did not drain after the sweep")
+	}
+	db.Close()
+	for i := 0; runtime.NumGoroutine() > baseline; i++ {
+		if i >= 500 {
+			b.Fatalf("goroutines %d after drain, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

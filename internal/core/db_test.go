@@ -25,7 +25,7 @@ func openTest(t *testing.T) *DB {
 	return db
 }
 
-func exec(t *testing.T, db *DB, q string) *portal.Result {
+func exec(t testing.TB, db *DB, q string) *portal.Result {
 	t.Helper()
 	res, err := db.Execute(q)
 	if err != nil {

@@ -7,10 +7,13 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"veridb/internal/client"
 	"veridb/internal/govern"
+	"veridb/internal/vmem"
 )
 
 // openGovern opens a DB with overload-protection knobs and registers
@@ -275,5 +278,144 @@ func TestCancelMidScanReleasesResources(t *testing.T) {
 	res := exec(t, db, `SELECT * FROM big WHERE id = 5`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("post-storm query rows = %d", len(res.Rows))
+	}
+}
+
+// TestOverloadStormDrains is the overload-protection gate: eight point-
+// query clients at four times the admission capacity, beside three
+// pathological clients — a full sort under a 1 ms authenticated deadline,
+// a session that pins snapshots and never commits, and a statement whose
+// result outgrows the memory budget — for one second through the portal.
+// Every delivered response must MAC-verify and every shed must be a typed
+// govern.OverloadedError with a positive RetryAfter; each pathological
+// client must trip its protection; after the storm drains, the budget
+// holds the seed floor plus the response cache and nothing else, no pin
+// is held, and Close leaves no goroutine behind. make chaos runs it under
+// the race detector.
+func TestOverloadStormDrains(t *testing.T) {
+	const rows, workers = 500, 8
+	baseG := runtime.NumGoroutine()
+	db, err := Open(Config{
+		Seed:                    1,
+		Memory:                  vmem.Config{Partitions: 16},
+		PlanCacheSize:           128,
+		StatementTimeout:        200 * time.Millisecond,
+		MemBudget:               4 << 20,
+		MaxConcurrentStatements: 2,
+		AdmissionQueueDepth:     8,
+		AdmissionMaxWait:        time.Millisecond,
+		SessionMaxIdle:          50 * time.Millisecond,
+		ResponseCacheBytes:      2 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	seedBig(t, db, rows)
+	// The seeded rows' version images are tracked, persistent memory: the
+	// leak check is against this floor, not zero.
+	floor := db.GovernStats().MemUsed
+	clients := make([]*client.Client, workers+3)
+	for i := range clients {
+		id, key := fmt.Sprintf("w%d", i), []byte(fmt.Sprintf("overload-key-%02d", i))
+		db.Enclave().ProvisionMACKey(id, key)
+		clients[i] = client.New(id, key)
+	}
+
+	var done atomic.Bool
+	var timeouts atomic.Int64
+	var wg sync.WaitGroup
+	errCh := make(chan error, len(clients))
+	// call sends one signed request and returns the message of an
+	// authenticated statement error ("" for a result or a shed). A shed
+	// client honours the RetryAfter hint, the protocol's backpressure.
+	call := func(c *client.Client, query string, timeout time.Duration) (string, error) {
+		req := c.NewRequestTimeout(query, timeout)
+		resp, err := db.Portal().Serve(req)
+		if err != nil {
+			return "", fmt.Errorf("portal refused an authenticated request: %w", err)
+		}
+		verr := c.VerifyResponse(req, resp)
+		var oe *govern.OverloadedError
+		var se *client.ServerError
+		switch {
+		case verr == nil:
+		case errors.As(verr, &oe):
+			if oe.RetryAfter <= 0 {
+				return "", fmt.Errorf("shed without a RetryAfter hint: %w", verr)
+			}
+			time.Sleep(min(oe.RetryAfter, 20*time.Millisecond))
+		case errors.As(verr, &se):
+			return se.Msg, nil
+		default:
+			return "", fmt.Errorf("response failed verification: %w", verr)
+		}
+		return "", nil
+	}
+	loop := func(step func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !done.Load(); i++ {
+				if err := step(i); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		c := clients[w]
+		loop(func(i int) error {
+			_, err := call(c, fmt.Sprintf(`SELECT val FROM big WHERE id = %d`, (w+13*i)%rows), 0)
+			return err
+		})
+	}
+	loop(func(int) error {
+		msg, err := call(clients[workers], `SELECT * FROM big ORDER BY val`, time.Millisecond)
+		if strings.Contains(msg, "deadline") || strings.Contains(msg, "cancel") {
+			timeouts.Add(1)
+		}
+		return err
+	})
+	loop(func(int) error {
+		_, err := call(clients[workers+1], `BEGIN SNAPSHOT`, 0)
+		time.Sleep(100 * time.Millisecond) // idle past SessionMaxIdle: the reaper must unpin
+		return err
+	})
+	hog := fmt.Sprintf(`SELECT id, '%s' FROM big`, strings.Repeat("x", 16<<10))
+	loop(func(int) error {
+		_, err := call(clients[workers+2], hog, 0)
+		time.Sleep(5 * time.Millisecond)
+		return err
+	})
+	time.Sleep(time.Second)
+	done.Store(true)
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+
+	gs := db.GovernStats()
+	for deadline := time.Now().Add(3 * time.Second); gs.Admission.InFlight != 0 || gs.Admission.Waiting != 0 ||
+		gs.SnapshotPins != 0 || gs.MemUsed != gs.ResponseCache.Bytes+floor; gs = db.GovernStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("storm did not drain: inflight=%d waiting=%d pins=%d mem=%d cache=%d floor=%d",
+				gs.Admission.InFlight, gs.Admission.Waiting, gs.SnapshotPins, gs.MemUsed, gs.ResponseCache.Bytes, floor)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if timeouts.Load() == 0 || gs.SessionsExpired == 0 || gs.MemDenied == 0 {
+		t.Fatalf("a protection never tripped: timeouts=%d sessions expired=%d budget denials=%d",
+			timeouts.Load(), gs.SessionsExpired, gs.MemDenied)
+	}
+	db.Close()
+	for i := 0; runtime.NumGoroutine() > baseG+2; i++ {
+		if i >= 50 {
+			t.Fatalf("goroutines %d after Close, baseline %d", runtime.NumGoroutine(), baseG)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

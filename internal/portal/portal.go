@@ -124,9 +124,20 @@ const defaultResponseCacheBytes = 16 << 20
 // endorsement back instead of an error.
 type clientState struct {
 	seen  seqset.Set
-	cache map[uint64]*Response
-	size  map[uint64]int64 // cached entry byte estimates (for eviction)
-	order []uint64         // cached qids, oldest first (eviction order)
+	cache map[uint64]cachedResponse
+	order []uint64 // cached qids, oldest first (eviction order)
+}
+
+// cachedResponse is one endorsed response, its byte estimate (for
+// eviction) and the MAC of the request it answered. The response MAC
+// covers the qid but not the query, so a replay is served the response
+// only if it is the same request: a second session under the client's id
+// that restarts its qids at 1 must not be answered with the first
+// session's endorsements.
+type cachedResponse struct {
+	resp   *Response
+	size   int64
+	reqMAC [sha256.Size]byte
 }
 
 // cacheRef identifies one cached response in global insertion order.
@@ -333,9 +344,9 @@ func writeField(h interface{ Write([]byte) (int, error) }, b []byte) {
 // Serve authorises and executes one request (Fig. 2 steps 1–7). Every
 // response — including execution failures and integrity quarantines — is
 // sequenced and MACed so the client can detect tampering with the error
-// channel too. A replayed qid whose original response is still cached
+// channel too. A replayed request whose original response is still cached
 // returns that cached endorsement (idempotent client retries after a lost
-// response); a replayed qid with no cached response is rejected.
+// response); any other request under a used qid is rejected.
 func (p *Portal) Serve(req Request) (*Response, error) {
 	p.enc.ECall() // the query enters the enclave
 	key, ok := p.enc.MACKey(req.ClientID)
@@ -352,20 +363,18 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 	p.mu.Lock()
 	st := p.clients[req.ClientID]
 	if st == nil {
-		st = &clientState{
-			cache: make(map[uint64]*Response),
-			size:  make(map[uint64]int64),
-		}
+		st = &clientState{cache: make(map[uint64]cachedResponse)}
 		p.clients[req.ClientID] = st
 	}
 	if _, _, first := st.seen.Add(req.QID); !first {
-		cached := st.cache[req.QID]
+		cached, ok := st.cache[req.QID]
 		p.mu.Unlock()
-		if cached != nil {
-			return cached, nil
+		if ok && hmac.Equal(cached.reqMAC[:], want) {
+			return cached.resp, nil
 		}
-		// Evicted, or the first execution is still in flight: the retry
-		// must not re-execute (at-most-once), so reject it.
+		// Evicted, the first execution still in flight, or another request
+		// under a used qid: a retry must not re-execute (at-most-once) and
+		// a different request must not get this qid's endorsement.
 		return nil, fmt.Errorf("%w: client %q qid %d", ErrReplayedQID, req.ClientID, req.QID)
 	}
 	p.mu.Unlock()
@@ -403,7 +412,7 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 	}
 	mac.Reset()
 	resp.MAC = signResponse(mac, resp)
-	p.cacheResponse(st, resp)
+	p.cacheResponse(st, resp, want)
 	return resp, nil
 }
 
@@ -431,11 +440,12 @@ func (p *Portal) execute(req Request) (*Result, error) {
 // bytes are charged to the process budget unconditionally — the cache is
 // already-committed memory, so overshoot shows up as pressure for future
 // reservations rather than failing the response that was just served.
-func (p *Portal) cacheResponse(st *clientState, resp *Response) {
+func (p *Portal) cacheResponse(st *clientState, resp *Response, reqMAC []byte) {
 	sz := responseBytes(resp)
+	e := cachedResponse{resp: resp, size: sz}
+	copy(e.reqMAC[:], reqMAC)
 	p.mu.Lock()
-	st.cache[resp.QID] = resp
-	st.size[resp.QID] = sz
+	st.cache[resp.QID] = e
 	st.order = append(st.order, resp.QID)
 	p.cacheOrder = append(p.cacheOrder, cacheRef{st: st, qid: resp.QID})
 	p.cacheEntries++
@@ -465,7 +475,7 @@ func (p *Portal) compactOrderLocked() {
 	}
 	live := p.cacheOrder[:0]
 	for _, ref := range p.cacheOrder {
-		if _, ok := ref.st.size[ref.qid]; ok {
+		if _, ok := ref.st.cache[ref.qid]; ok {
 			live = append(live, ref)
 		}
 	}
@@ -486,15 +496,14 @@ func (p *Portal) evictOverBytesLocked() {
 // dropEntryLocked removes one cached response, returning its bytes to the
 // accounting and the budget. No-op if the entry is already gone.
 func (p *Portal) dropEntryLocked(st *clientState, qid uint64) {
-	sz, ok := st.size[qid]
+	e, ok := st.cache[qid]
 	if !ok {
 		return
 	}
 	delete(st.cache, qid)
-	delete(st.size, qid)
 	p.cacheEntries--
-	p.cacheBytes -= sz
-	p.budget.Release(sz)
+	p.cacheBytes -= e.size
+	p.budget.Release(e.size)
 	p.evictions++
 }
 

@@ -83,6 +83,29 @@ func TestReplayReturnsCachedResponse(t *testing.T) {
 	}
 }
 
+// TestReusedQIDIsNotAnsweredFromCache: a second session under the same
+// client id and key restarts its qids at 1. Its qid-1 request is another
+// statement, so it must get a typed refusal, not the first session's
+// qid-1 endorsement (MAC-valid, and seq-fresh to the new session's empty
+// tracker). The first session's retransmit is still served from cache.
+func TestReusedQIDIsNotAnsweredFromCache(t *testing.T) {
+	p, key := newPortal(t, &echoExec{})
+	first := Request{ClientID: "alice", QID: 1, Query: "SELECT a"}
+	first.MAC = SignRequest(key, first.ClientID, first.QID, first.Query)
+	endorsed, err := p.Serve(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := Request{ClientID: "alice", QID: 1, Query: "SELECT b"}
+	second.MAC = SignRequest(key, second.ClientID, second.QID, second.Query)
+	if resp, err := p.Serve(second); !errors.Is(err, ErrReplayedQID) {
+		t.Fatalf("request %q under a used qid served %v (%v), want ErrReplayedQID", second.Query, resp, err)
+	}
+	if again, err := p.Serve(first); err != nil || again != endorsed {
+		t.Fatalf("retransmit of the original request: %v, %v", again, err)
+	}
+}
+
 // TestEvictedReplayRejected: once the original response falls out of the
 // bounded cache, a replayed qid is rejected (at-most-once execution).
 func TestEvictedReplayRejected(t *testing.T) {

@@ -103,8 +103,8 @@ func TestScanRowAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkScanRow is `make bench-scan`: ns and allocations per verified
-// scanned row, over the range scan wire_scan_analytic's statements run.
+// BenchmarkScanRow reports ns and allocations per verified scanned row,
+// over the range scan wire_scan_analytic's statements run.
 func BenchmarkScanRow(b *testing.B) {
 	tb := lineitemTable(b)
 	batch := NewRowBatch(DefaultBatchCapacity)
