@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet lint test race flake bench bench-smoke chaos crash fuzz ci
+.PHONY: build loc vet lint test race flake bench bench-smoke soak chaos crash fuzz ci
 
 build:
 	$(GO) build ./...
@@ -44,11 +44,14 @@ race:
 # blocked fsync — and the fault-containment trial of every chaos fault
 # kind, and the two tests of a fenced-then-recovered client and a
 # retransmit timer parked behind a shed, fifty times each under the race
-# detector.
+# detector. The bounded-version-state test drives 25 000 TPC-C
+# transactions (about a minute under the race detector), so it runs three
+# times.
 flake:
 	$(GO) test -race -count=50 -timeout 10m \
 		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal|TestBinaryAbruptDisconnectLeaksNothing|TestDrainBesideAcceptLoop|TestPipelineDuplicateShedIsNotARollback|TestPipelineThroughChaosConn|TestFsyncIsTheWindow|TestFaultRecoveryEveryKind|TestPipelineStaleRetransmitTimerIsIgnored' \
 		./internal/core ./internal/vmem ./internal/portal ./internal/server ./internal/client ./internal/wal
+	$(GO) test -race -count=3 -timeout 10m -run 'TestVersionStateBoundedWithoutPins|TestVersionGCReclaims' ./internal/storage
 
 # The paper's figures (bench_test.go) and the per-package sweeps, each
 # benchmark compiled and run once: a smoke that every figure still runs,
@@ -62,6 +65,13 @@ bench:
 # durability mismatch, TPC-C violation or post-drain goroutine.
 bench-smoke:
 	bash benchmark/run.sh -seconds 2 -trace 0
+
+# Steady state: the TPC-C and durable-write workloads for five minutes
+# each, long enough for version state and the WAL to reach their bounds
+# (writers reclaim retired versions; the log checkpoints itself). Not part
+# of ci.
+soak:
+	bash benchmark/run.sh -workload storage_tpcc,wire_write_durable -seconds 300
 
 # Fault-injection suite: the chaos injector, quarantine/failover paths in
 # core (the containment trial of every fault kind and the overload storm

@@ -56,10 +56,7 @@ func main() {
 	partitions := flag.Int("rsws", 16, "RSWS partitions")
 	tableShards := flag.Int("table-shards", 1, "hash shards per table (1 = unsharded)")
 	dataDir := flag.String("data-dir", "", "authenticated durable storage directory (empty = in-memory only)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after this many logged statements (0 = WAL-only; requires -data-dir)")
 	planCache := flag.Int("plan-cache", 0, "prepared-plan LRU size in statement shapes (0 = default 128)")
-	mvccGC := flag.Duration("mvcc-gc", 0, "background row-version GC period (0 = opportunistic pruning only)")
-	maxVersions := flag.Int("max-versions", 0, "retained row versions per chain key (0 = GC-floor bounded)")
 	stmtTimeout := flag.Duration("statement-timeout", 0, "per-statement execution deadline (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "process memory budget for query state, bytes (0 = track only)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "maximum statements executing at once (0 = no admission control)")
@@ -78,16 +75,12 @@ func main() {
 	flag.Parse()
 
 	db, err := veridb.Open(veridb.Config{
-		RSWSPartitions:  *partitions,
-		VerifyEveryOps:  *verifyEvery,
-		VerifyWorkers:   *verifyWorkers,
-		TableShards:     *tableShards,
-		DataDir:         *dataDir,
-		CheckpointEvery: *checkpointEvery,
-
-		PlanCacheSize:     *planCache,
-		MVCCGCInterval:    *mvccGC,
-		MaxVersionsPerRow: *maxVersions,
+		RSWSPartitions: *partitions,
+		VerifyEveryOps: *verifyEvery,
+		VerifyWorkers:  *verifyWorkers,
+		TableShards:    *tableShards,
+		DataDir:        *dataDir,
+		PlanCacheSize:  *planCache,
 
 		StatementTimeout:        *stmtTimeout,
 		MemBudget:               *memBudget,

@@ -462,7 +462,7 @@ func TestCrashRecoveredDBKeepsWorking(t *testing.T) {
 // sequence continuity rather than checksum equality.
 func TestCrashPointMatrixWithCheckpoints(t *testing.T) {
 	stmts, states := crashWorkload(60)
-	cfg := Config{Seed: crashSeed, CheckpointEvery: 17}
+	cfg := Config{Seed: crashSeed}
 
 	pristine := filepath.Join(t.TempDir(), "pristine")
 	cfg.DataDir = pristine
@@ -479,6 +479,11 @@ func TestCrashPointMatrixWithCheckpoints(t *testing.T) {
 	for i, s := range stmts {
 		if _, err := db.Execute(s); err != nil {
 			t.Fatalf("statement %d: %v", i, s)
+		}
+		if (i+1)%17 == 0 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		size, err := chaos.FileSize(db.WALPath())
 		if err != nil {

@@ -54,26 +54,12 @@ type Config struct {
 	// interfaces behind the VerifyAll gate. Empty keeps the database
 	// purely in memory.
 	DataDir string
-	// CheckpointEvery flushes the verified tables into immutable segment
-	// files and rotates the WAL after this many logged statements. Zero
-	// disables automatic checkpoints (WAL-only durability); requires
-	// DataDir.
-	CheckpointEvery int
 	// PlanCacheSize bounds the LRU cache of compiled statements in
 	// statement shapes — text with its literals lifted out (a repeated
 	// shape skips the parser and planner whatever its literals). Zero
 	// disables the cache; the public veridb package maps its zero to a
 	// default.
 	PlanCacheSize int
-	// MVCCGCInterval runs the version garbage collector every interval,
-	// reclaiming retired row versions below the watermark-and-pins floor.
-	// Zero disables background collection (versions are still pruned
-	// opportunistically as writers retire newer ones).
-	MVCCGCInterval time.Duration
-	// MaxVersionsPerRow caps retained versions per row key; once exceeded
-	// the oldest is discarded and snapshots that needed it fail with
-	// storage.ErrSnapshotTooOld. Zero retains versions until GC.
-	MaxVersionsPerRow int
 	// StatementTimeout bounds each statement's wall-clock execution: the
 	// context threaded through the engine is cancelled at the deadline and
 	// the statement fails with context.DeadlineExceeded, releasing its
@@ -104,7 +90,7 @@ type Config struct {
 	AdmissionMaxWait time.Duration
 	// SessionMaxIdle expires a client session's pinned snapshot (BEGIN
 	// SNAPSHOT) after this much statement inactivity, unblocking version
-	// GC when a client vanishes mid-session. The expired session's next
+	// reclamation when a client vanishes mid-session. The expired session's next
 	// statement fails once with ErrSessionExpired. Zero never expires.
 	SessionMaxIdle time.Duration
 	// ResponseCacheBytes bounds the portal's retry-idempotence response
@@ -159,7 +145,7 @@ type DB struct {
 	stmtTimeout time.Duration
 
 	// Session idle reaper (SessionMaxIdle): expires abandoned snapshot
-	// pins so version GC is never held hostage by a vanished client.
+	// pins so version reclamation is never held hostage by a vanished client.
 	sessionMaxIdle time.Duration
 	reaperStop     chan struct{}
 	reaperWG       sync.WaitGroup
@@ -204,9 +190,6 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.TableShards > 0 {
 		st.SetDefaultShards(cfg.TableShards)
 	}
-	if cfg.MaxVersionsPerRow > 0 {
-		st.SetMaxVersions(cfg.MaxVersionsPerRow)
-	}
 	if cfg.ExecBatchSize <= 0 {
 		cfg.ExecBatchSize = storage.DefaultBatchCapacity
 	}
@@ -247,13 +230,6 @@ func Open(cfg Config) (*DB, error) {
 			return nil, fmt.Errorf("core: starting background verifier: %w", err)
 		}
 	}
-	// GC starts after recovery: replay churns versions that the very first
-	// pass after open reclaims wholesale (nothing pins them).
-	if cfg.MVCCGCInterval > 0 {
-		if err := st.StartVersionGC(cfg.MVCCGCInterval); err != nil {
-			return nil, fmt.Errorf("core: starting version GC: %w", err)
-		}
-	}
 	if cfg.SessionMaxIdle > 0 {
 		db.startSessionReaper(cfg.SessionMaxIdle)
 	}
@@ -278,7 +254,6 @@ func (db *DB) Portal() *portal.Portal { return db.portal }
 // dirty durable state to lose.
 func (db *DB) Close() {
 	db.mem.StopVerifier()
-	db.store.StopVersionGC()
 	db.stopSessionReaper()
 	if db.dur != nil {
 		db.dur.log.Close()
@@ -288,7 +263,7 @@ func (db *DB) Close() {
 // startSessionReaper launches the idle-session collector: every quarter of
 // maxIdle it releases pinned snapshots whose session has not issued a
 // statement within maxIdle, so an abandoned BEGIN SNAPSHOT stops pinning
-// the version-GC floor.
+// the version reclamation floor.
 func (db *DB) startSessionReaper(maxIdle time.Duration) {
 	stop := make(chan struct{})
 	db.reaperStop = stop
@@ -1081,6 +1056,41 @@ func recoveryAlarm(db, replica *DB) error {
 	return nil
 }
 
+// restoreSource is one table a restore rebuilds: its spec, and a stream
+// that hands each of its rows to insert and stops at insert's first error.
+type restoreSource struct {
+	spec storage.TableSpec
+	rows func(insert func(record.Tuple) error) error
+}
+
+// restore creates each source's table and inserts its rows through the
+// ordinary protected write interfaces, so every row re-enters the RSWS
+// accounting: the one restore loop behind checkpoint recovery and Recover.
+// alarm is polled every recoveryAlarmEvery rows, and its first error
+// aborts the restore.
+func (db *DB) restore(srcs []restoreSource, alarm func() error) error {
+	restored := 0
+	for _, src := range srcs {
+		dst, err := db.store.Register(src.spec)
+		if err != nil {
+			return fmt.Errorf("restoring table %q: %v", src.spec.Name, err)
+		}
+		err = src.rows(func(row record.Tuple) error {
+			if err := dst.Insert(row); err != nil {
+				return fmt.Errorf("restoring table %q: %w", src.spec.Name, err)
+			}
+			if restored++; restored%recoveryAlarmEvery == 0 {
+				return alarm()
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Recover rebuilds this (fresh) database from a replica by replaying its
 // schema and contents through the ordinary protected write interfaces
 // (§5.1 "Recovery from failure": "these repeated writes use the same
@@ -1094,48 +1104,46 @@ func (db *DB) Recover(replica *DB, seqFloor uint64) error {
 	if err := recoveryAlarm(db, replica); err != nil {
 		return err
 	}
-	replayed := 0
+	var srcs []restoreSource
 	for _, name := range replica.store.TableNames() {
 		src, err := replica.store.Table(name)
 		if err != nil {
 			return err
 		}
-		spec := storage.TableSpec{
-			Name:       name,
-			Schema:     src.Schema(),
-			PrimaryKey: src.PrimaryKeyColumn(),
-		}
-		for _, c := range src.ChainColumns()[1:] {
-			spec.ChainColumns = append(spec.ChainColumns, c)
-		}
-		dst, err := db.store.Register(spec)
-		if err != nil {
-			return err
-		}
-		sc, err := src.SeqScan()
-		if err != nil {
-			return err
-		}
-		batch := storage.NewRowBatch(storage.DefaultBatchCapacity)
-		for {
-			n, err := sc.NextBatch(batch)
-			if err != nil {
-				return fmt.Errorf("core: recovery scan of %q: %w", name, err)
-			}
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				if err := dst.Insert(batch.Row(i)); err != nil {
+		srcs = append(srcs, restoreSource{
+			spec: storage.TableSpec{
+				Name:         name,
+				Schema:       src.Schema(),
+				PrimaryKey:   src.PrimaryKeyColumn(),
+				ChainColumns: append([]int(nil), src.ChainColumns()[1:]...),
+			},
+			// The replica streams batch by batch; it is never materialised.
+			rows: func(insert func(record.Tuple) error) error {
+				sc, err := src.SeqScan()
+				if err != nil {
 					return err
 				}
-				if replayed++; replayed%recoveryAlarmEvery == 0 {
-					if err := recoveryAlarm(db, replica); err != nil {
-						return err
+				defer sc.Close() // releases the scan's snapshot pin
+				batch := storage.NewRowBatch(storage.DefaultBatchCapacity)
+				for {
+					n, err := sc.NextBatch(batch)
+					if err != nil {
+						return fmt.Errorf("core: recovery scan of %q: %w", name, err)
+					}
+					if n == 0 {
+						return nil
+					}
+					for i := 0; i < n; i++ {
+						if err := insert(batch.Row(i)); err != nil {
+							return err
+						}
 					}
 				}
-			}
-		}
+			},
+		})
+	}
+	if err := db.restore(srcs, func() error { return recoveryAlarm(db, replica) }); err != nil {
+		return err
 	}
 	// Full source verification closes the window between the last batch
 	// check and the end of the replay: every source page's read-set image

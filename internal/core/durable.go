@@ -20,29 +20,43 @@ import (
 	"veridb/internal/wal"
 )
 
+// checkpointFloor is the smallest log an automatic checkpoint compacts. A
+// checkpoint rewrites the whole image, and below the floor replaying the
+// log is cheaper than that rewrite.
+const checkpointFloor = 64 << 20
+
+// checkpointDue is the automatic checkpoint rule: the record bytes logged
+// since the last checkpoint reach max(checkpointFloor, image), the byte
+// size of that checkpoint's segments. Recovery then replays at most one
+// image-sized log however long the instance has run, and each image is
+// rewritten at most once per image's worth of log.
+func checkpointDue(logged, image int64) bool {
+	return logged >= max(checkpointFloor, image)
+}
+
 // durable is the per-DB durability state.
 type durable struct {
 	log *wal.Log
-	// checkpointEvery triggers an automatic checkpoint after this many
-	// logged statements; zero keeps durability WAL-only.
-	checkpointEvery int
 
 	// gate serialises logged statements against checkpoints: DML holds it
 	// shared across apply+append, a checkpoint holds it exclusively while
 	// it freezes the table images and rotates the WAL.
 	gate sync.RWMutex
+	// failedAt is the logged byte count at the last failed checkpoint, 0
+	// once one succeeds: a failing checkpoint is retried after another
+	// threshold of log, not on every statement. Guarded by gate.
+	failedAt int64
 	// mu orders concurrent logged statements: the WAL must record
 	// statements in the order their effects landed in memory, so apply and
 	// append happen under one lock. Reads never take it.
-	mu        sync.Mutex
-	sinceCkpt int
+	mu sync.Mutex
 	// broken is the sticky I/O failure: once an append cannot be made
 	// durable, further writes are refused rather than silently acked
 	// without durability. Atomic, like ckptErr, so Health reads both
 	// without queueing behind a statement that holds mu.
 	broken atomic.Pointer[error]
-	// ckptErr is the last automatic checkpoint's failure, nil once a
-	// checkpoint succeeds; Health reports it.
+	// ckptErr is the last checkpoint's failure, automatic or manual, nil
+	// once a checkpoint succeeds; Health reports it.
 	ckptErr atomic.Pointer[error]
 }
 
@@ -86,7 +100,7 @@ func (db *DB) openDurable(cfg Config) error {
 		log.Close()
 		return nil
 	}
-	db.dur = &durable{log: log, checkpointEvery: cfg.CheckpointEvery}
+	db.dur = &durable{log: log}
 	return nil
 }
 
@@ -97,21 +111,27 @@ func (db *DB) openDurable(cfg Config) error {
 // executor. The background verifier is not running yet — Open starts it
 // only after recovery and its final verification complete.
 func (db *DB) replayRecovery(rec *wal.Recovery) error {
-	for _, img := range rec.Checkpoint {
-		t, err := db.store.CreateTable(storage.TableSpec{
-			Name:         img.Name,
-			Schema:       record.NewSchema(img.Columns...),
-			PrimaryKey:   img.PrimaryKey,
-			ChainColumns: img.ChainColumns,
-		})
-		if err != nil {
-			return fmt.Errorf("restoring table %q: %v", img.Name, err)
+	srcs := make([]restoreSource, len(rec.Checkpoint))
+	for i, img := range rec.Checkpoint {
+		srcs[i] = restoreSource{
+			spec: storage.TableSpec{
+				Name:         img.Name,
+				Schema:       record.NewSchema(img.Columns...),
+				PrimaryKey:   img.PrimaryKey,
+				ChainColumns: img.ChainColumns,
+			},
+			rows: func(insert func(record.Tuple) error) error {
+				for _, row := range img.Rows {
+					if err := insert(row); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
 		}
-		for i, row := range img.Rows {
-			if err := t.Insert(row); err != nil {
-				return fmt.Errorf("restoring table %q row %d: %v", img.Name, i, err)
-			}
-		}
+	}
+	if err := db.restore(srcs, db.mem.Alarm); err != nil {
+		return err
 	}
 	for _, r := range rec.Tail {
 		if r.Type != wal.RecStmt {
@@ -184,34 +204,36 @@ func (db *DB) executeDurable(ctx context.Context, sess *session, query string, s
 		d.gate.RUnlock()
 		return nil, err
 	}
-	d.mu.Lock()
-	d.sinceCkpt++
-	due := d.checkpointEvery > 0 && d.sinceCkpt >= d.checkpointEvery
-	if due {
-		// Reset before the checkpoint attempt so a failing checkpoint
-		// retries at the next interval instead of on every statement.
-		d.sinceCkpt = 0
-	}
-	d.mu.Unlock()
+	due := d.due()
 	d.gate.RUnlock()
 	if due {
 		// The statement is already durable in the old WAL; a checkpoint
 		// failure costs compaction, not correctness, so it is reported
 		// through Health and not by failing an acked statement.
-		if cerr := db.Checkpoint(); cerr != nil && db.mem.Alarm() == nil {
-			d.ckptErr.Store(&cerr)
-		}
+		_ = db.checkpoint(false)
 	}
 	return res, nil
+}
+
+// due reports whether checkpointDue fires for the log as it stands. The
+// caller holds the gate, shared or exclusive.
+func (d *durable) due() bool {
+	logged, image := d.log.Sizes()
+	return checkpointDue(logged-d.failedAt, image)
 }
 
 // Checkpoint freezes the current verified table contents into immutable
 // on-disk segments with a MACed manifest and rotates the WAL (bottom-up
 // bulk build: each segment is the table's rows in primary-key order from
 // a verified sequential scan). It requires a data dir. Automatic
-// checkpoints ride the statement path every CheckpointEvery statements;
-// this entry point lets operators and tests force one.
-func (db *DB) Checkpoint() error {
+// checkpoints ride the statement path whenever checkpointDue fires; this
+// entry point lets operators and tests force one.
+func (db *DB) Checkpoint() error { return db.checkpoint(true) }
+
+// checkpoint runs one checkpoint; unforced, it first re-checks the rule
+// under the exclusive gate, so statements that all saw it fire checkpoint
+// once. A failure is reported through Health.CheckpointError.
+func (db *DB) checkpoint(force bool) error {
 	if err := db.QuarantineError(); err != nil {
 		return err
 	}
@@ -221,16 +243,21 @@ func (db *DB) Checkpoint() error {
 	}
 	d.gate.Lock()
 	defer d.gate.Unlock()
+	if !force && !d.due() {
+		return nil
+	}
 	images, err := db.tableImages()
+	if err == nil {
+		err = d.log.Checkpoint(images)
+	}
 	if err != nil {
+		if db.mem.Alarm() == nil {
+			d.ckptErr.Store(&err)
+		}
+		d.failedAt, _ = d.log.Sizes()
 		return err
 	}
-	if err := d.log.Checkpoint(images); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.sinceCkpt = 0
-	d.mu.Unlock()
+	d.failedAt = 0
 	d.ckptErr.Store(nil)
 	return nil
 }
@@ -256,10 +283,13 @@ func (db *DB) tableImages() ([]*wal.TableImage, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Close releases the scan's snapshot pin; a leaked pin would hold
+		// the version reclamation floor from this checkpoint on.
 		batch := storage.NewRowBatch(storage.DefaultBatchCapacity)
 		for {
 			n, err := sc.NextBatch(batch)
 			if err != nil {
+				sc.Close()
 				return nil, fmt.Errorf("core: checkpoint scan of %q: %w", name, err)
 			}
 			if n == 0 {
@@ -269,6 +299,7 @@ func (db *DB) tableImages() ([]*wal.TableImage, error) {
 				img.Rows = append(img.Rows, batch.Row(i).Clone())
 			}
 		}
+		sc.Close()
 		images = append(images, img)
 	}
 	return images, nil

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"veridb/internal/chaos"
+	"veridb/internal/wal"
 )
 
 // TestConcurrentDurableWorkload: concurrent writers on a durable database
@@ -135,14 +136,14 @@ func TestFailedFsyncFencesWrites(t *testing.T) {
 	}
 }
 
-// TestFailedCheckpointVisibleInHealth: an automatic checkpoint that fails
-// (a directory squats on its segment path, so the segment cannot be
-// created) leaves the statement that triggered it acked and durable, and
+// TestFailedCheckpointVisibleInHealth: a checkpoint that fails (a
+// directory squats on its segment path, so the segment cannot be created)
+// leaves the statements before it acked and durable, and
 // Health.CheckpointError carries the failure until a later checkpoint
 // succeeds.
 func TestFailedCheckpointVisibleInHealth(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Config{Seed: crashSeed, DataDir: dir, CheckpointEvery: 3})
+	db, err := Open(Config{Seed: crashSeed, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +155,15 @@ func TestFailedCheckpointVisibleInHealth(t *testing.T) {
 	stmts := []string{
 		`CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)`,
 		`INSERT INTO kv VALUES (1, 'a')`,
-		`INSERT INTO kv VALUES (2, 'b')`, // third logged statement: checkpoint due
+		`INSERT INTO kv VALUES (2, 'b')`,
 	}
 	for _, s := range stmts {
 		if _, err := db.Execute(s); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
+	}
+	if err := db.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded with a directory on its segment path")
 	}
 	h := db.Health()
 	if !strings.Contains(h.CheckpointError, filepath.Base(squatter)) {
@@ -193,18 +197,131 @@ func TestFailedCheckpointVisibleInHealth(t *testing.T) {
 	}
 	re.Close()
 
-	// The next interval's checkpoint finds the path free, succeeds, and
-	// clears the error.
+	// Three statements later the next checkpoint finds the path free,
+	// succeeds, and clears the error.
 	for k := 3; k <= 5; k++ {
 		if _, err := db.Execute(fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'x')`, k)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	if h := db.Health(); h.CheckpointError != "" {
 		t.Fatalf("Health.CheckpointError = %q after a checkpoint succeeded", h.CheckpointError)
 	}
 	if got := db.dur.log.CheckpointID(); got != 1 {
 		t.Fatalf("checkpoint generation %d, want 1", got)
+	}
+}
+
+// TestCheckpointDue pins the automatic checkpoint rule: the log since the
+// last checkpoint must reach the floor, and past it the image size.
+func TestCheckpointDue(t *testing.T) {
+	const floor = checkpointFloor
+	for _, c := range []struct {
+		logged, image int64
+		want          bool
+	}{
+		{0, 0, false},
+		{floor - 1, 0, false},
+		{floor, 0, true},
+		{floor - 1, floor - 1, false},
+		{floor, floor - 1, true},
+		{floor, floor + 1, false},
+		{3 * floor, 3*floor - 1, true},
+		{3 * floor, 3*floor + 1, false},
+	} {
+		if got := checkpointDue(c.logged, c.image); got != c.want {
+			t.Errorf("checkpointDue(logged %d, image %d) = %v, want %v", c.logged, c.image, got, c.want)
+		}
+	}
+}
+
+// TestLogCheckpointsItself crosses the real checkpoint floor at the zero
+// Config: wide rows inserted and deleted again grow the log while the
+// image stays small, so the statement that takes the log past the floor
+// checkpoints. Afterwards only the newest generation's files remain, and
+// recovery loads its segments plus a tail of just the statements since.
+func TestLogCheckpointsItself(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Config{Seed: crashSeed, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Execute(`CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	const rows, width = 100, 6000
+	var insert strings.Builder
+	insert.WriteString(`INSERT INTO kv VALUES `)
+	for k := 0; k < rows; k++ {
+		if k > 0 {
+			insert.WriteString(", ")
+		}
+		fmt.Fprintf(&insert, "(%d, '%s')", k, strings.Repeat(string(rune('a'+k%26)), width))
+	}
+	batches := 0
+	for db.dur.log.CheckpointID() == 0 {
+		if batches++; batches > 2*checkpointFloor/(rows*width) {
+			t.Fatalf("no checkpoint after %d batches of %d wide rows", batches, rows)
+		}
+		for _, s := range []string{insert.String(), `DELETE FROM kv WHERE k >= 0`} {
+			if _, err := db.Execute(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if logged, image := db.dur.log.Sizes(); logged > 2*rows*width || image == 0 {
+		t.Fatalf("after the checkpoint: %d bytes logged, %d image bytes", logged, image)
+	}
+	// The checkpoint's scans must not leave a snapshot pinned: one would
+	// hold the version reclamation floor for the rest of the run.
+	if pins := db.store.SnapshotPins(); pins != 0 {
+		t.Fatalf("%d snapshot pins held after the checkpoint", pins)
+	}
+	tail := []string{`INSERT INTO kv VALUES (1, 'x')`, `INSERT INTO kv VALUES (2, 'y')`}
+	for _, s := range tail {
+		if _, err := db.Execute(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"ckpt-0000000000000001-kv.seg", "ckpt-0000000000000001.manifest", "sealed.key", "wal-0000000000000001.log"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("data dir holds %v, want only the newest generation %v", names, want)
+	}
+
+	image := filepath.Join(t.TempDir(), "image")
+	if err := chaos.CopyDir(dir, image); err != nil {
+		t.Fatal(err)
+	}
+	log, rec, err := wal.Open(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	if rec.CheckpointID != 1 || len(rec.Checkpoint) != 1 || len(rec.Tail) > len(tail)+1 {
+		t.Fatalf("recovery: checkpoint %d with %d segments and a %d-record tail", rec.CheckpointID, len(rec.Checkpoint), len(rec.Tail))
+	}
+	re, err := Open(Config{Seed: crashSeed, DataDir: image})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if qerr := re.QuarantineError(); qerr != nil {
+		t.Fatalf("recovered image quarantined: %v", qerr)
+	}
+	if rows := tableRows(t, re); !sameRows(rows, tableRows(t, db)) {
+		t.Fatalf("recovered rows %v differ from the live ones", rows)
 	}
 }
 

@@ -162,9 +162,9 @@ func TestWALFenceNotMaskedByAdmission(t *testing.T) {
 }
 
 // TestSessionExpiryUnblocksVersionGC: an abandoned BEGIN SNAPSHOT pins the
-// version-GC floor; the reaper releases the pin, GC reclaims the retired
-// versions, and the client's next statement gets ErrSessionExpired exactly
-// once before service resumes.
+// version reclamation floor; the reaper releases the pin, the next write
+// reclaims the retired versions, and the client's next statement gets
+// ErrSessionExpired exactly once before service resumes.
 func TestSessionExpiryUnblocksVersionGC(t *testing.T) {
 	db := openGovern(t, Config{})
 	exec(t, db, `CREATE TABLE big (id INT PRIMARY KEY, val INT)`)
@@ -179,9 +179,9 @@ func TestSessionExpiryUnblocksVersionGC(t *testing.T) {
 	if pins := db.store.SnapshotPins(); pins != 1 {
 		t.Fatalf("pins = %d, want 1", pins)
 	}
-	// A GC pass under the pin must keep the snapshot-visible version: the
-	// pinned session still reads its original value.
-	gcPinned := db.store.VersionGCPass()
+	// Writers reclaim around the pin but keep the snapshot-visible
+	// version: the pinned session still reads its original value.
+	pinned, _, pinFloor := db.store.VersionStats()
 	res, err := db.ExecuteSession("c1", `SELECT val FROM big WHERE id = 0`)
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +197,13 @@ func TestSessionExpiryUnblocksVersionGC(t *testing.T) {
 	if pins := db.store.SnapshotPins(); pins != 0 {
 		t.Fatalf("pins = %d after reap, want 0", pins)
 	}
-	gcFree := db.store.VersionGCPass()
-	if gcFree.Reclaimed == 0 {
-		t.Fatal("GC reclaimed nothing after the pin was released")
+	exec(t, db, `UPDATE big SET val = 6 WHERE id = 0`)
+	free, _, freeFloor := db.store.VersionStats()
+	if free >= pinned {
+		t.Fatalf("%d versions retained after the pin was released and a write, %d under it", free, pinned)
 	}
-	if gcFree.Floor <= gcPinned.Floor {
-		t.Fatalf("GC floor stuck at %d after reap (was %d)", gcFree.Floor, gcPinned.Floor)
+	if freeFloor <= pinFloor {
+		t.Fatalf("reclamation floor stuck at %d after reap (was %d)", freeFloor, pinFloor)
 	}
 	if got := db.GovernStats().SessionsExpired; got != 1 {
 		t.Fatalf("SessionsExpired = %d, want 1", got)

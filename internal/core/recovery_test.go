@@ -83,13 +83,18 @@ func TestGenerateGoldenDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmts, _ := crashWorkload(goldenStatements)
-	db, err := Open(Config{Seed: goldenSeed, DataDir: goldenDir, CheckpointEvery: 10})
+	db, err := Open(Config{Seed: goldenSeed, DataDir: goldenDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range stmts {
+	for i, s := range stmts {
 		if _, err := db.Execute(s); err != nil {
 			t.Fatal(err)
+		}
+		if (i+1)%10 == 0 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	db.Close()

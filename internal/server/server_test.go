@@ -247,7 +247,7 @@ func TestBinaryPipelinedRoundTrip(t *testing.T) {
 }
 
 // TestServerHealthReportsFailedCheckpoint: the health document carries
-// core's durability fields — an automatic checkpoint that cannot write its
+// core's durability fields — a checkpoint that cannot write its
 // segment (a directory squats on the path) shows up as checkpointError,
 // with no WAL error beside it.
 func TestServerHealthReportsFailedCheckpoint(t *testing.T) {
@@ -255,10 +255,13 @@ func TestServerHealthReportsFailedCheckpoint(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir, "ckpt-0000000000000001-t.seg"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	db := openDB(t, veridb.Config{Seed: 4, DataDir: dir, CheckpointEvery: 2})
+	db := openDB(t, veridb.Config{Seed: 4, DataDir: dir})
 	mustExec(t, db,
 		`CREATE TABLE t (a INT PRIMARY KEY, b TEXT)`,
 		`INSERT INTO t VALUES (1, 'hello')`)
+	if err := db.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded with a directory on its segment path")
+	}
 	ln := serveTCP(t, Config{DB: db})
 	bc := dialBinary(t, ln.Addr().String())
 	bc.write(wire.Frame{Type: wire.THealth, QID: 1})

@@ -111,12 +111,10 @@ func (sh *shard) newScan(chain int, bounds ScanBounds, seq uint64) (*Scanner, er
 	if bounds.End != nil {
 		s.end = *bounds.End
 	}
+	// The chain entry point: the record with the greatest key ≤ start.
 	sh.mu.RLock()
-	err := sh.floorCheck(seq)
-	if err == nil {
-		// The chain entry point: the record with the greatest key ≤ start.
-		s.cur, s.shared, err = sh.entryAtLocked(&s.rd, chain, s.start, seq)
-	}
+	var err error
+	s.cur, s.shared, err = sh.entryAtLocked(&s.rd, chain, s.start, seq)
 	sh.mu.RUnlock()
 	if err == nil {
 		var l record.ChainLink

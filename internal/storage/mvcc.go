@@ -1,11 +1,9 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"veridb/internal/govern"
 	"veridb/internal/index"
@@ -28,11 +26,6 @@ import (
 // and the version lists live inside the enclave's trusted memory, so
 // re-reading them needs no re-verification. The current version keeps the
 // full §5.2 fetch-and-check discipline on every access.
-
-// ErrSnapshotTooOld means a pinned snapshot needs versions that the
-// MaxVersionsPerRow cap has already discarded; the reader must re-open a
-// fresh snapshot.
-var ErrSnapshotTooOld = errors.New("storage: snapshot too old: required row versions were pruned")
 
 // commitClock issues commit sequence numbers and tracks which prefix of
 // them has fully applied (the watermark) plus the snapshot pins that hold
@@ -280,7 +273,8 @@ type version struct {
 type shardVersions struct {
 	// cur[i] maps a chain-i encoded key to the live record's begin seq;
 	// absent means "visible since forever" (seq 0) — the common case for
-	// cold rows, kept small by GC pruning entries at or below the floor.
+	// cold rows, kept small by reclaim dropping entries at or below the
+	// floor.
 	cur []map[string]uint64
 	// hist[i] maps a chain-i encoded key to its retired versions, oldest
 	// first with contiguous [begin, end) ranges.
@@ -288,16 +282,24 @@ type shardVersions struct {
 	// histKeys[i] indexes the keys of hist[i] so as-of seeks can find keys
 	// that no longer exist in the live chain (Loc values are unused).
 	histKeys []*index.BTree
-	// verFloor rises when the MaxVersionsPerRow cap discards a version a
-	// snapshot below it might still need; such snapshots get
-	// ErrSnapshotTooOld instead of a silently wrong answer.
-	verFloor uint64
 	retained int
+	// queue lists, in latch order, every key an operation touched and the
+	// effective timestamp it landed at — the end of the version it
+	// retired and the begin seq it installed. reclaim pops it from the
+	// head, so each retirement is revisited once, by a later writer.
+	queue []retiredAt
 	// newest is the largest effective timestamp any operation on the shard
 	// has committed at. Every begin seq in cur and every end in hist is at
 	// or below it, so a snapshot at or above it sees the live chain as it
 	// is and needs neither map.
 	newest uint64
+}
+
+// retiredAt names one key an operation touched at effective timestamp at.
+type retiredAt struct {
+	chain int
+	key   string
+	at    uint64
 }
 
 func newShardVersions(chains int) *shardVersions {
@@ -460,9 +462,8 @@ func (op *mvOp) finish() {
 	if eff > mv.newest {
 		mv.newest = eff
 	}
-	floor := op.sh.t.store.clock.floor()
-	maxVer := int(op.sh.t.store.maxVersions.Load())
 	bud := op.sh.t.store.budget.Load()
+	mv.reclaim(op.sh.t.store.clock.floor(), bud)
 	for i := range op.pre {
 		for enc, img := range op.pre[i] {
 			b := mv.cur[i][enc]
@@ -470,27 +471,12 @@ func (op *mvOp) finish() {
 				continue // never visible: nothing to retire
 			}
 			vs := mv.hist[i][enc]
-			hadHist := len(vs) > 0
-			for len(vs) > 0 && vs[0].end <= floor {
-				bud.Release(versionBytes(vs[0].rec))
-				vs = vs[1:]
-				mv.retained--
-			}
-			vs = append(vs, version{begin: b, end: eff, rec: img})
-			mv.retained++
-			bud.Charge(versionBytes(img))
-			if maxVer > 0 && len(vs) > maxVer {
-				if f := vs[0].end; f > mv.verFloor {
-					mv.verFloor = f
-				}
-				bud.Release(versionBytes(vs[0].rec))
-				vs = vs[1:]
-				mv.retained--
-			}
-			mv.hist[i][enc] = vs
-			if !hadHist {
+			if len(vs) == 0 {
 				mv.histKeys[i].Set([]byte(enc), index.Loc{})
 			}
+			mv.hist[i][enc] = append(vs, version{begin: b, end: eff, rec: img})
+			mv.retained++
+			bud.Charge(versionBytes(img))
 		}
 	}
 	for i := range op.act {
@@ -500,17 +486,44 @@ func (op *mvOp) finish() {
 			} else {
 				mv.cur[i][enc] = eff
 			}
+			mv.queue = append(mv.queue, retiredAt{chain: i, key: enc, at: eff})
 		}
 	}
 }
 
-// floorCheck refuses a read at a seq the MaxVersionsPerRow cap has already
-// cut history above. The caller holds the shard latch.
-func (sh *shard) floorCheck(seq uint64) error {
-	if sh.mv != nil && seq < sh.mv.verFloor {
-		return fmt.Errorf("%w: snapshot %d below shard floor %d", ErrSnapshotTooOld, seq, sh.mv.verFloor)
+// reclaim pops the retirement queue while its head landed at or below
+// floor — no live or future snapshot reads below it — trimming that key's
+// retired versions that ended by floor and dropping its begin seq if that
+// is still at or below floor (indistinguishable from the implicit 0 for
+// every snapshot that can still open). Each queued entry is popped once,
+// so reclamation costs O(1) amortised per write. A head above floor (a
+// pinned snapshot, or an in-flight commit's operation) waits for a later
+// writer. It touches only trusted heap: the resident RSWS checksum is
+// unchanged by construction. The caller holds the shard write latch.
+func (mv *shardVersions) reclaim(floor uint64, bud *govern.Budget) {
+	n := 0
+	for ; n < len(mv.queue) && mv.queue[n].at <= floor; n++ {
+		e := mv.queue[n]
+		vs := mv.hist[e.chain][e.key]
+		k := 0
+		for k < len(vs) && vs[k].end <= floor {
+			bud.Release(versionBytes(vs[k].rec))
+			k++
+		}
+		mv.retained -= k
+		switch {
+		case k > 0 && k == len(vs):
+			delete(mv.hist[e.chain], e.key)
+			mv.histKeys[e.chain].Delete([]byte(e.key))
+		case k > 0:
+			mv.hist[e.chain][e.key] = vs[k:]
+		}
+		if b, ok := mv.cur[e.chain][e.key]; ok && b <= floor {
+			delete(mv.cur[e.chain], e.key)
+		}
 	}
-	return nil
+	clear(mv.queue[:n])
+	mv.queue = mv.queue[n:]
 }
 
 // liveVisibleLocked reports whether chain-i key enc, present in the live
@@ -547,7 +560,7 @@ func (sh *shard) versionAtLocked(r *reader, chain int, k record.Key, enc []byte,
 		rec, err = r.fetchKeyed(loc, chain, k)
 		return rec, false, err
 	}
-	return nil, false, sh.floorCheck(seq)
+	return nil, false, nil
 }
 
 // entryAtLocked finds the as-of-seq chain entry point: the record with the
@@ -587,9 +600,6 @@ func (sh *shard) entryAtLocked(r *reader, chain int, start record.Key, seq uint6
 func (sh *shard) searchChainAt(chain int, k record.Key, seq uint64) (record.Tuple, Evidence, error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if err := sh.floorCheck(seq); err != nil {
-		return nil, Evidence{}, err
-	}
 	r := sh.newReader()
 	defer r.close()
 	rec, shared, err := sh.entryAtLocked(&r, chain, k, seq)
@@ -599,86 +609,10 @@ func (sh *shard) searchChainAt(chain int, k record.Key, seq uint64) (record.Tupl
 	return sh.witness(&r, rec, shared, chain, k)
 }
 
-// SetMaxVersions caps retained versions per row key (0: unlimited). When
-// the cap discards a version an open snapshot might still need, reads from
-// that snapshot fail with ErrSnapshotTooOld instead of lying.
-func (s *Store) SetMaxVersions(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.maxVersions.Store(int64(n))
-}
-
-// VersionGCStats summarises one garbage-collection pass.
-type VersionGCStats struct {
-	// Reclaimed counts versions dropped by this pass.
-	Reclaimed int
-	// Retained counts versions still held after the pass.
-	Retained int
-	// Floor is the reclamation floor the pass ran at.
-	Floor uint64
-}
-
-// VersionGCPass reclaims, across every table, retired versions whose range
-// ends at or below the watermark-and-pins floor — no live or future
-// snapshot can read them — and prunes live-version begin-seq entries the
-// floor has passed. It touches only trusted heap state: the resident RSWS
-// checksum is unchanged by construction.
-func (s *Store) VersionGCPass() VersionGCStats {
-	floor := s.clock.floor()
-	st := VersionGCStats{Floor: floor}
-	bud := s.budget.Load()
-	s.mu.RLock()
-	tables := make([]*Table, 0, len(s.tables))
-	for _, t := range s.tables {
-		tables = append(tables, t)
-	}
-	s.mu.RUnlock()
-	for _, t := range tables {
-		for _, sh := range t.shards {
-			sh.mu.Lock()
-			mv := sh.mv
-			if mv == nil {
-				sh.mu.Unlock()
-				continue
-			}
-			for i := range mv.hist {
-				for enc, vs := range mv.hist[i] {
-					n := 0
-					for n < len(vs) && vs[n].end <= floor {
-						bud.Release(versionBytes(vs[n].rec))
-						n++
-					}
-					if n == 0 {
-						continue
-					}
-					st.Reclaimed += n
-					mv.retained -= n
-					if n == len(vs) {
-						delete(mv.hist[i], enc)
-						mv.histKeys[i].Delete([]byte(enc))
-					} else {
-						mv.hist[i][enc] = vs[n:]
-					}
-				}
-				for enc, b := range mv.cur[i] {
-					// A begin at or below the floor is indistinguishable from
-					// the implicit 0 for every snapshot that can still open.
-					if b <= floor {
-						delete(mv.cur[i], enc)
-					}
-				}
-			}
-			st.Retained += mv.retained
-			sh.mu.Unlock()
-		}
-	}
-	return st
-}
-
-// VersionStats returns the retained-version count across all tables and
+// VersionStats returns, across all tables, the retained-version count and
+// the live begin-seq entries — the MVCC state held in trusted heap — and
 // the current reclamation floor.
-func (s *Store) VersionStats() (retained int, floor uint64) {
+func (s *Store) VersionStats() (retained, begins int, floor uint64) {
 	floor = s.clock.floor()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -687,51 +621,12 @@ func (s *Store) VersionStats() (retained int, floor uint64) {
 			sh.mu.RLock()
 			if sh.mv != nil {
 				retained += sh.mv.retained
+				for _, m := range sh.mv.cur {
+					begins += len(m)
+				}
 			}
 			sh.mu.RUnlock()
 		}
 	}
-	return retained, floor
-}
-
-// StartVersionGC launches a background goroutine running VersionGCPass
-// every interval. Returns an error if a collector is already running.
-func (s *Store) StartVersionGC(interval time.Duration) error {
-	if interval <= 0 {
-		return fmt.Errorf("storage: version GC interval %v must be positive", interval)
-	}
-	s.gcMu.Lock()
-	defer s.gcMu.Unlock()
-	if s.gcStop != nil {
-		return fmt.Errorf("storage: version GC already running")
-	}
-	stop := make(chan struct{})
-	s.gcStop = stop
-	s.gcWG.Add(1)
-	go func() {
-		defer s.gcWG.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				s.VersionGCPass()
-			}
-		}
-	}()
-	return nil
-}
-
-// StopVersionGC stops the background collector (no-op if not running).
-func (s *Store) StopVersionGC() {
-	s.gcMu.Lock()
-	stop := s.gcStop
-	s.gcStop = nil
-	s.gcMu.Unlock()
-	if stop != nil {
-		close(stop)
-		s.gcWG.Wait()
-	}
+	return retained, begins, floor
 }

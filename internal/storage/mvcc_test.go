@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -245,85 +244,70 @@ func TestGetAtSnapshot(t *testing.T) {
 	}
 }
 
-// TestVersionGCReclaims drives churn under a pinned snapshot, then closes
-// it and requires a GC pass to reclaim everything below the watermark —
-// without perturbing the resident RSWS checksum (versions live in trusted
-// heap, not in verified memory).
+// TestVersionGCReclaims: the writers reclaim the versions they retire once
+// no snapshot can read them. Under a pin the snapshot keeps reading its
+// rows; once the pin closes, one round of writes leaves only the last
+// write per shard's own versions. Reclamation touches only trusted heap: a
+// twin store that held a pin throughout, and so reclaimed nothing, ends
+// with the same resident RSWS checksum.
 func TestVersionGCReclaims(t *testing.T) {
 	s, tb := mvccStore(t, 2)
-	for i := 0; i < 30; i++ {
-		if err := tb.Insert(record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := s.OpenSnapshot()
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 30; i++ {
-			if err := tb.Update(record.Int(int64(i)), record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(float64(round))}); err != nil {
+	twin, twinTb := mvccStore(t, 2)
+	held := twin.OpenSnapshot()
+	defer held.Close()
+	both := func(f func(*Table) error) {
+		t.Helper()
+		for _, x := range []*Table{tb, twinTb} {
+			if err := f(x); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	retained, _ := s.VersionStats()
-	if retained == 0 {
-		t.Fatal("no versions retained under a pinned snapshot")
+	updateAll := func(bal float64) {
+		t.Helper()
+		both(func(x *Table) error {
+			for i := 0; i < 30; i++ {
+				if err := x.Update(record.Int(int64(i)), record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(bal)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
-	// The pin holds the floor down: GC must keep the snapshot readable.
-	st := s.VersionGCPass()
-	if got := scanRows(t, ir(tb.SeqScanAt(snap))); len(got) != 30 {
-		t.Fatalf("snapshot scan after pinned GC saw %d rows", len(got))
+	both(func(x *Table) error {
+		for i := 0; i < 30; i++ {
+			if err := x.Insert(record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(0)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	snap := s.OpenSnapshot()
+	for round := 1; round <= 4; round++ {
+		updateAll(float64(round))
 	}
-	if st.Floor >= snap.Seq()+1 {
-		t.Fatalf("GC floor %d overtook pinned snapshot %d", st.Floor, snap.Seq())
+	if retained, _, floor := s.VersionStats(); retained < 4*30 || floor > snap.Seq() {
+		t.Fatalf("under a pin: %d versions retained at floor %d, want ≥ %d with the floor at most the pin %d", retained, floor, 4*30, snap.Seq())
+	}
+	for _, r := range scanRows(t, ir(tb.SeqScanAt(snap))) {
+		if r[2].F != 0 {
+			t.Fatalf("pinned snapshot read %v, want the pre-update balance 0", r)
+		}
 	}
 
 	snap.Close()
-	before := s.Memory().ResidentChecksum()
-	st = s.VersionGCPass()
-	if st.Reclaimed == 0 {
-		t.Fatal("GC pass reclaimed nothing after the pin was released")
+	updateAll(5)
+	// Each update retires one version under each of the two chain keys and
+	// installs two begin seqs; only the last update on each shard is above
+	// the floor when the round ends.
+	if retained, begins, _ := s.VersionStats(); retained > 2*2 || begins > 2*2 {
+		t.Fatalf("%d versions and %d begin seqs survive a round of writes with no pin, want ≤ 4 each", retained, begins)
 	}
-	if retained, _ := s.VersionStats(); retained != 0 {
-		t.Fatalf("%d versions survive GC with no pins and an idle clock", retained)
+	if got, want := s.Memory().ResidentChecksum(), twin.Memory().ResidentChecksum(); got != want {
+		t.Fatalf("reclamation changed the resident checksum: %x, twin that reclaimed nothing %x", got, want)
 	}
-	if after := s.Memory().ResidentChecksum(); after != before {
-		t.Fatalf("GC pass changed the resident checksum: %x → %x", before, after)
-	}
-	// The table still reads correctly at a fresh snapshot after GC.
-	if got := scanRows(t, ir(tb.SeqScan())); len(got) != 30 {
-		t.Fatalf("post-GC scan saw %d rows", len(got))
-	}
-}
-
-// TestSnapshotTooOld caps versions per row and requires reads from a
-// snapshot whose versions were discarded to fail loudly instead of lying.
-func TestSnapshotTooOld(t *testing.T) {
-	s, tb := mvccStore(t, 1)
-	s.SetMaxVersions(2)
-	if err := tb.Insert(record.Tuple{record.Int(1), record.Int(0), record.Float(0)}); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.OpenSnapshot()
-	defer snap.Close()
-	for i := 0; i < 10; i++ {
-		if err := tb.Update(record.Int(1), record.Tuple{record.Int(1), record.Int(0), record.Float(float64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := tb.GetAt(record.Int(1), snap); !errors.Is(err, ErrSnapshotTooOld) {
-		t.Fatalf("GetAt at a pruned snapshot returned %v, want ErrSnapshotTooOld", err)
-	}
-	sc, err := tb.SeqScanAt(snap)
-	if err == nil {
-		_, _, err = sc.Next()
-		sc.Close()
-	}
-	if !errors.Is(err, ErrSnapshotTooOld) {
-		t.Fatalf("scan at a pruned snapshot returned %v, want ErrSnapshotTooOld", err)
-	}
-	// A fresh snapshot reads fine.
-	if tup, _, err := tb.Get(record.Int(1)); err != nil || tup[2].F != 9 {
-		t.Fatalf("latest read = %v err=%v", tup, err)
+	if got := scanRows(t, ir(tb.SeqScan())); len(got) != 30 || got[0][2].F != 5 {
+		t.Fatalf("scan after reclamation saw %d rows, first %v", len(got), got[0])
 	}
 }
 

@@ -65,17 +65,11 @@ type Store struct {
 	// clock issues commit timestamps and tracks the watermark/floor for
 	// snapshot reads (see mvcc.go).
 	clock *commitClock
-	// maxVersions caps retained versions per row key (0: unlimited).
-	maxVersions atomic.Int64
-
-	gcMu   sync.Mutex
-	gcStop chan struct{}
-	gcWG   sync.WaitGroup
 
 	// budget, when set, is charged for retired MVCC version images (they
-	// live in trusted heap until GC) so version-chain growth is visible to
-	// the process memory governor. Atomic pointer: SetBudget may race with
-	// concurrent commits.
+	// live in trusted heap until reclaimed) so version-chain growth is
+	// visible to the process memory governor. Atomic pointer: SetBudget may
+	// race with concurrent commits.
 	budget atomic.Pointer[govern.Budget]
 }
 

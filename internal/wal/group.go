@@ -77,7 +77,9 @@ func (l *Log) Enqueue(typ byte, payload []byte) (*Ticket, error) {
 		l.open = g
 	}
 	seq := l.nextSeq
+	n := len(g.buf)
 	g.buf = appendRecord(g.buf, l.key, l.prevMAC, seq, typ, payload)
+	l.logged += int64(len(g.buf) - n)
 	l.prevMAC = chainMAC(l.key, l.prevMAC, seq, typ, payload)
 	l.nextSeq = seq + 1
 	return &Ticket{l: l, seq: seq, g: g, leader: leader}, nil

@@ -52,6 +52,11 @@ type Log struct {
 	ckptID  uint64
 	prevMAC [macSize]byte
 	nextSeq uint64
+	// logged counts the record bytes in the current generation's WAL;
+	// image is the byte size of its checkpoint segments (0 before the
+	// first checkpoint). Together they are what the caller's checkpoint
+	// rule weighs: replaying the log against reloading the image.
+	logged, image int64
 
 	// Commit-group state (see group.go).
 	open     *group          // the group taking records; nil when none is
@@ -149,6 +154,7 @@ func Open(dir string) (*Log, *Recovery, error) {
 				return nil, nil, err
 			}
 			rec.Checkpoint = append(rec.Checkpoint, img)
+			l.image += int64(e.Size)
 		}
 	}
 
@@ -267,6 +273,7 @@ func (l *Log) verifyTail(buf []byte, wantBase uint64, rec *Recovery) (torn int64
 		l.prevMAC = mac
 		l.nextSeq = r.Seq + 1
 		off += n
+		l.logged += int64(n)
 	}
 	return 0, nil
 }
@@ -361,6 +368,14 @@ func (l *Log) Path() string {
 // Dir returns the data directory.
 func (l *Log) Dir() string { return l.dir }
 
+// Sizes returns the record bytes logged since the current checkpoint
+// generation began and the byte size of that generation's segments.
+func (l *Log) Sizes() (logged, image int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.logged, l.image
+}
+
 // CheckpointID returns the current checkpoint generation (0 = none yet).
 func (l *Log) CheckpointID() uint64 {
 	l.mu.Lock()
@@ -395,6 +410,7 @@ func (l *Log) Checkpoint(tables []*TableImage) error {
 	}
 	newID := l.ckptID + 1
 	m := &Manifest{CheckpointID: newID, BaseSeq: l.nextSeq}
+	var image int64
 	for _, img := range tables {
 		buf, err := encodeSegment(img, newID)
 		if err != nil {
@@ -408,6 +424,7 @@ func (l *Log) Checkpoint(tables []*TableImage) error {
 			Size:  uint64(len(buf)),
 			MAC:   segMAC(l.key, buf),
 		})
+		image += int64(len(buf))
 	}
 	if err := syncDir(l.dir); err != nil {
 		return err
@@ -432,6 +449,7 @@ func (l *Log) Checkpoint(tables []*TableImage) error {
 	}
 	l.f.Close()
 	l.f = f
+	l.logged, l.image = 0, image
 
 	// Retire the previous generation. Failures here are cosmetic (extra
 	// files), never a durability loss.

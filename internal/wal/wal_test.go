@@ -246,6 +246,42 @@ func TestCheckpointRotation(t *testing.T) {
 	}
 }
 
+// TestSizesCountLogAndImage: Sizes reports the record bytes in the current
+// generation's WAL (the file minus its header) and the bytes of its
+// segments, the same after a reopen as on the live log; a checkpoint
+// restarts the log count.
+func TestSizesCountLogAndImage(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir)
+	check := func(l *Log, image int64) {
+		t.Helper()
+		st, err := os.Stat(l.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if logged, img := l.Sizes(); logged != st.Size()-walHeaderSize || img != image {
+			t.Fatalf("Sizes() = (%d, %d), want (%d, %d)", logged, img, st.Size()-walHeaderSize, image)
+		}
+	}
+	l.Append(RecStmt, []byte("pre-checkpoint 1"))
+	l.Append(RecStmt, []byte("pre-checkpoint 2"))
+	check(l, 0)
+	if err := l.Checkpoint([]*TableImage{testImage()}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.Stat(segmentPath(dir, 1, "kv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(l, seg.Size())
+	l.Append(RecStmt, []byte("post-checkpoint"))
+	check(l, seg.Size())
+	l.Close()
+	l2, _ := openT(t, dir)
+	defer l2.Close()
+	check(l2, seg.Size())
+}
+
 // TestSegmentTamperQuarantines: flipping any byte of a segment breaks the
 // manifest's MAC over it.
 func TestSegmentTamperQuarantines(t *testing.T) {

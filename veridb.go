@@ -193,18 +193,15 @@ type Config struct {
 	Seed uint64
 	// DataDir enables authenticated durable storage: every mutating
 	// statement is appended to a MACed, sequence-chained write-ahead log
-	// in this directory (fsynced before the statement is acked), periodic
+	// in this directory (fsynced before the statement is acked),
 	// checkpoints freeze the verified tables into immutable segment files
-	// with a MACed manifest, and Open recovers the image through the
-	// protected write interfaces behind a full verification gate —
+	// with a MACed manifest — automatically once the log since the last
+	// one outgrows max(64 MiB, the checkpoint image), so recovery replays
+	// at most one image-sized log — and Open recovers the image through
+	// the protected write interfaces behind a full verification gate —
 	// tampered durable state opens quarantined. Empty (the default) keeps
 	// the database purely in memory, bit-identical to prior behavior.
 	DataDir string
-	// CheckpointEvery checkpoints automatically after this many logged
-	// statements. Zero disables automatic checkpoints (WAL-only
-	// durability; Checkpoint can still be called manually). Requires
-	// DataDir.
-	CheckpointEvery int
 	// PlanCacheSize bounds the prepared-plan LRU, counted in statement
 	// shapes: compiled statements are reused by SQL text with the literals
 	// lifted out, skipping the parser and planner for repeated shapes
@@ -212,17 +209,6 @@ type Config struct {
 	// shard-layout changes; cached and fresh executions produce identical
 	// rows, digests and response MACs. Zero means the default (128).
 	PlanCacheSize int
-	// MVCCGCInterval runs a background version-garbage-collection pass at
-	// this period, pruning row versions no live snapshot can read. Zero
-	// disables the background collector (retired versions still fall away
-	// opportunistically as rows are rewritten).
-	MVCCGCInterval time.Duration
-	// MaxVersionsPerRow caps the retained history per row chain key; when
-	// a writer would exceed it the oldest version is dropped and snapshots
-	// old enough to need it fail with a snapshot-too-old error instead of
-	// reading an inconsistent cut. Zero keeps history bounded only by the
-	// GC floor.
-	MaxVersionsPerRow int
 	// StatementTimeout bounds each statement's wall-clock execution. The
 	// deadline is threaded as a context through the planner, engine
 	// operators and storage scans; at expiry the statement fails with
@@ -254,7 +240,7 @@ type Config struct {
 	AdmissionMaxWait time.Duration
 	// SessionMaxIdle expires a client session's pinned snapshot (BEGIN
 	// SNAPSHOT) after this much statement inactivity, so a vanished client
-	// cannot hold version garbage collection hostage. The expired
+	// cannot hold version reclamation hostage. The expired
 	// session's next statement fails once with a session-expired error;
 	// the client re-pins with a fresh BEGIN SNAPSHOT. Zero never expires.
 	SessionMaxIdle time.Duration
@@ -285,20 +271,8 @@ func (c Config) validate() error {
 	if c.EPCBytes < 0 {
 		return fmt.Errorf("veridb: EPCBytes is %d; want 0 (default 96 MB) or a positive cap", c.EPCBytes)
 	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("veridb: CheckpointEvery is %d; want 0 (manual checkpoints) or a positive statement interval", c.CheckpointEvery)
-	}
-	if c.CheckpointEvery > 0 && c.DataDir == "" {
-		return fmt.Errorf("veridb: CheckpointEvery %d requires DataDir (checkpoints need durable storage)", c.CheckpointEvery)
-	}
 	if c.PlanCacheSize < 0 {
 		return fmt.Errorf("veridb: PlanCacheSize is %d; want 0 (default 128) or a positive entry count", c.PlanCacheSize)
-	}
-	if c.MVCCGCInterval < 0 {
-		return fmt.Errorf("veridb: MVCCGCInterval is %v; want 0 (no background version GC) or a positive period", c.MVCCGCInterval)
-	}
-	if c.MaxVersionsPerRow < 0 {
-		return fmt.Errorf("veridb: MaxVersionsPerRow is %d; want 0 (GC-floor bounded history) or a positive cap", c.MaxVersionsPerRow)
 	}
 	if c.StatementTimeout < 0 {
 		return fmt.Errorf("veridb: StatementTimeout is %v; want 0 (no server-side deadline) or a positive duration", c.StatementTimeout)
@@ -368,16 +342,12 @@ func (c Config) coreConfig() (core.Config, error) {
 			EagerCompaction: c.EagerCompaction,
 			VerifyWorkers:   c.VerifyWorkers,
 		},
-		Join:            js,
-		VerifyEveryOps:  c.VerifyEveryOps,
-		TableShards:     c.TableShards,
-		Seed:            c.Seed,
-		DataDir:         c.DataDir,
-		CheckpointEvery: c.CheckpointEvery,
-
-		PlanCacheSize:     planCache,
-		MVCCGCInterval:    c.MVCCGCInterval,
-		MaxVersionsPerRow: c.MaxVersionsPerRow,
+		Join:           js,
+		VerifyEveryOps: c.VerifyEveryOps,
+		TableShards:    c.TableShards,
+		Seed:           c.Seed,
+		DataDir:        c.DataDir,
+		PlanCacheSize:  planCache,
 
 		StatementTimeout:        c.StatementTimeout,
 		MemBudget:               c.MemBudget,
