@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet lint test race flake bench bench-smoke soak chaos crash fuzz ci
+.PHONY: build loc knobs vet lint test race flake bench bench-smoke soak chaos crash fuzz ci
 
 build:
 	$(GO) build ./...
@@ -9,6 +9,15 @@ build:
 # benchmark/ (and outside its git-ignored build directory).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+
+# The public surface every simplicity PR quotes: the exported fields of
+# veridb.Config and core.Config (counted from go doc's source view), and
+# the flags veridb-server defines.
+CONFIG_FIELDS = awk '/^type Config struct/ {f = 1; next} f && /^}/ {exit} f && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n}'
+knobs:
+	@printf 'veridb.Config fields: '; $(GO) doc -u -src . Config | $(CONFIG_FIELDS)
+	@printf 'core.Config fields:   '; $(GO) doc -u -src ./internal/core Config | $(CONFIG_FIELDS)
+	@printf 'veridb-server flags:  '; grep -c 'flag\.\(Bool\|Int\|Int64\|String\|Duration\|Var\)(' cmd/veridb-server/main.go
 
 vet:
 	$(GO) vet ./...

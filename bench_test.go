@@ -82,7 +82,7 @@ func BenchmarkFig9Get(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := int64(i%benchRows+1) * 2
-				if _, _, err := t.SearchPK(record.Int(k)); err != nil {
+				if _, _, err := t.Get(record.Int(k)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -140,7 +140,7 @@ func BenchmarkFig10(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := int64(i%benchRows+1) * 2
-				if _, _, err := t.SearchPK(record.Int(k)); err != nil {
+				if _, _, err := t.Get(record.Int(k)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -195,7 +195,7 @@ func BenchmarkFig11(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := int64(i%benchRows+1) * 2
-			if _, _, err := t.SearchPK(record.Int(k)); err != nil {
+			if _, _, err := t.Get(record.Int(k)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -571,7 +571,7 @@ func BenchmarkAblationTouched(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Touch one row, then verify: the pass should be nearly
 				// free with tracking, a full re-hash without.
-				if _, _, err := t.SearchPK(record.Int(2)); err != nil {
+				if _, _, err := t.Get(record.Int(2)); err != nil {
 					b.Fatal(err)
 				}
 				if err := mem.VerifyAll(); err != nil {
@@ -591,7 +591,7 @@ func BenchmarkAblationECall(b *testing.B) {
 	t, _ := benchTable(b, vmem.Config{})
 	b.Run("colocated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := t.SearchPK(record.Int(int64(i%benchRows+1) * 2)); err != nil {
+			if _, _, err := t.Get(record.Int(int64(i%benchRows+1) * 2)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -599,7 +599,7 @@ func BenchmarkAblationECall(b *testing.B) {
 	b.Run("crossingPerOp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			enc.ECall()
-			if _, _, err := t.SearchPK(record.Int(int64(i%benchRows+1) * 2)); err != nil {
+			if _, _, err := t.Get(record.Int(int64(i%benchRows+1) * 2)); err != nil {
 				b.Fatal(err)
 			}
 		}

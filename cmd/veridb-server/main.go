@@ -52,18 +52,15 @@ func (c *clientFlags) Set(v string) error {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7788", "listen address")
 	verifyEvery := flag.Int("verify-every", 1000, "background verifier pacing")
-	verifyWorkers := flag.Int("verify-workers", 0, "verification worker pool size (0 = GOMAXPROCS)")
 	partitions := flag.Int("rsws", 16, "RSWS partitions")
 	tableShards := flag.Int("table-shards", 1, "hash shards per table (1 = unsharded)")
 	dataDir := flag.String("data-dir", "", "authenticated durable storage directory (empty = in-memory only)")
-	planCache := flag.Int("plan-cache", 0, "prepared-plan LRU size in statement shapes (0 = default 128)")
 	stmtTimeout := flag.Duration("statement-timeout", 0, "per-statement execution deadline (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "process memory budget for query state, bytes (0 = track only)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "maximum statements executing at once (0 = no admission control)")
 	admissionQueue := flag.Int("admission-queue", 0, "statements allowed to wait for an execution slot (requires -max-concurrent)")
 	admissionWait := flag.Duration("admission-wait", 0, "longest a queued statement waits before being shed (0 = 50ms; requires -max-concurrent)")
 	sessionMaxIdle := flag.Duration("session-max-idle", 0, "expire idle pinned snapshots after this inactivity (0 = never)")
-	respCacheBytes := flag.Int64("response-cache-bytes", 0, "portal response cache byte bound (0 = default 16 MB)")
 	initSQL := flag.String("init", "", "semicolon-separated SQL to run at startup")
 	maxLine := flag.Int("max-line", 1<<20, "maximum request size, bytes (frame payload)")
 	maxInflight := flag.Int("max-inflight", server.DefaultMaxInflight, "pipelined requests executing per connection")
@@ -77,10 +74,8 @@ func main() {
 	db, err := veridb.Open(veridb.Config{
 		RSWSPartitions: *partitions,
 		VerifyEveryOps: *verifyEvery,
-		VerifyWorkers:  *verifyWorkers,
 		TableShards:    *tableShards,
 		DataDir:        *dataDir,
-		PlanCacheSize:  *planCache,
 
 		StatementTimeout:        *stmtTimeout,
 		MemBudget:               *memBudget,
@@ -88,7 +83,6 @@ func main() {
 		AdmissionQueueDepth:     *admissionQueue,
 		AdmissionMaxWait:        *admissionWait,
 		SessionMaxIdle:          *sessionMaxIdle,
-		ResponseCacheBytes:      *respCacheBytes,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -6,6 +6,7 @@ package client
 // The tests against the real server stack are in pipeline_test.go.
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -18,10 +19,19 @@ import (
 	"veridb/internal/wire"
 )
 
-// countExec counts executions so tests can pin at-most-once semantics.
-type countExec struct{ n int }
+// healthy is the QuarantineError half of portal.Executor for stubs that
+// are never fenced; each stub embeds it and supplies ExecuteContext.
+type healthy struct{}
 
-func (e *countExec) Execute(query string) (*portal.Result, error) {
+func (healthy) QuarantineError() error { return nil }
+
+// countExec counts executions so tests can pin at-most-once semantics.
+type countExec struct {
+	healthy
+	n int
+}
+
+func (e *countExec) ExecuteContext(context.Context, string, string) (*portal.Result, error) {
 	e.n++
 	return &portal.Result{Columns: []string{"q"}}, nil
 }
@@ -29,11 +39,12 @@ func (e *countExec) Execute(query string) (*portal.Result, error) {
 // shedExec refuses the first sheds executions with a typed overload
 // refusal, then serves normally.
 type shedExec struct {
+	healthy
 	sheds int
 	calls int
 }
 
-func (e *shedExec) Execute(query string) (*portal.Result, error) {
+func (e *shedExec) ExecuteContext(context.Context, string, string) (*portal.Result, error) {
 	e.calls++
 	if e.calls <= e.sheds {
 		return nil, &govern.OverloadedError{RetryAfter: 25 * time.Millisecond}
@@ -43,8 +54,10 @@ func (e *shedExec) Execute(query string) (*portal.Result, error) {
 
 type quarantinedExec struct{ err error }
 
-func (e *quarantinedExec) Execute(string) (*portal.Result, error) { return &portal.Result{}, nil }
-func (e *quarantinedExec) QuarantineError() error                 { return e.err }
+func (e *quarantinedExec) ExecuteContext(context.Context, string, string) (*portal.Result, error) {
+	return &portal.Result{}, nil
+}
+func (e *quarantinedExec) QuarantineError() error { return e.err }
 
 func newClientPortal(t *testing.T, exec portal.Executor) (*Client, *portal.Portal, []byte) {
 	t.Helper()

@@ -57,13 +57,12 @@ type Config struct {
 	// PlanCacheSize bounds the LRU cache of compiled statements in
 	// statement shapes — text with its literals lifted out (a repeated
 	// shape skips the parser and planner whatever its literals). Zero
-	// disables the cache; the public veridb package maps its zero to a
-	// default.
+	// disables the cache; the public veridb package opens with 128.
 	PlanCacheSize int
 	// StatementTimeout bounds each statement's wall-clock execution: the
 	// context threaded through the engine is cancelled at the deadline and
 	// the statement fails with context.DeadlineExceeded, releasing its
-	// scans, latches, snapshot pins and merge producers on the way out.
+	// scans, latches and snapshot pins on the way out.
 	// Zero disables the server-side deadline (per-request deadlines on the
 	// wire still apply).
 	StatementTimeout time.Duration
@@ -93,10 +92,6 @@ type Config struct {
 	// reclamation when a client vanishes mid-session. The expired session's next
 	// statement fails once with ErrSessionExpired. Zero never expires.
 	SessionMaxIdle time.Duration
-	// ResponseCacheBytes bounds the portal's retry-idempotence response
-	// cache by total estimated bytes (oldest evicted first); the per-client
-	// entry cap still applies. Zero keeps the portal default (16 MB).
-	ResponseCacheBytes int64
 }
 
 // ErrQuarantined wraps every request rejected because the database's
@@ -175,11 +170,8 @@ func (s *session) pinned() *storage.Snapshot {
 
 // Open builds a database.
 func Open(cfg Config) (*DB, error) {
-	var enc *enclave.Enclave
-	var err error
-	if cfg.Seed != 0 {
-		enc = enclave.NewForTest(cfg.Seed)
-	} else if enc, err = enclave.New(cfg.Enclave); err != nil {
+	enc, err := enclave.NewSeeded(cfg.Enclave, cfg.Seed)
+	if err != nil {
 		return nil, err
 	}
 	mem, err := vmem.New(enc, cfg.Memory)
@@ -210,9 +202,6 @@ func Open(cfg Config) (*DB, error) {
 	st.SetBudget(db.budget)
 	db.portal = portal.New(enc, db)
 	db.portal.SetBudget(db.budget)
-	if cfg.ResponseCacheBytes > 0 {
-		db.portal.SetResponseCacheBytes(cfg.ResponseCacheBytes)
-	}
 	// Recovery runs before the background verifier starts: WAL replay
 	// drives the protected interfaces at full speed and must not race a
 	// scanner pool, and the recovered image is admitted through an
@@ -342,7 +331,7 @@ func (db *DB) touchSession(sess *session) error {
 // quarantined DB fences every statement (the compromised state must never
 // be endorsed) and stops its background scanner pool — further scanning of
 // memory already known to be compromised is wasted work, and the alarm can
-// never clear. Implements portal.Quarantiner.
+// never clear. Half of portal.Executor.
 func (db *DB) QuarantineError() error {
 	db.qmu.Lock()
 	if db.qerr != nil {
@@ -416,12 +405,12 @@ func (db *DB) Health() Health {
 	return h
 }
 
-// Execute parses and runs one SQL statement. It implements
-// portal.Executor, so authenticated requests route through the same path.
-// With durable storage enabled, mutating statements go through the
-// append-before-ack path: applied, then logged and fsynced, and only
-// then acked. With the plan cache enabled, a repeated statement shape
-// skips the parser (and, for SELECT, the planner) entirely.
+// Execute parses and runs one SQL statement; authenticated requests take
+// the same path through ExecuteContext (portal.Executor). With durable
+// storage enabled, mutating statements go through the append-before-ack
+// path: applied, then logged and fsynced, and only then acked. With the
+// plan cache enabled, a repeated statement shape skips the parser (and,
+// for SELECT, the planner) entirely.
 func (db *DB) Execute(query string) (*portal.Result, error) {
 	return db.ExecuteContext(context.Background(), "", query)
 }

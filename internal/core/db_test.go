@@ -3,16 +3,19 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"veridb/internal/client"
+	"veridb/internal/enclave"
 	"veridb/internal/plan"
 	"veridb/internal/portal"
 	"veridb/internal/record"
 	"veridb/internal/storage"
+	"veridb/internal/vmem"
 )
 
 func openTest(t *testing.T) *DB {
@@ -345,6 +348,60 @@ func TestJoinStrategyConfig(t *testing.T) {
 			t.Fatalf("join strategy %d: %v", j, rows)
 		}
 		db.Close()
+	}
+}
+
+func TestJoinStrategiesAgree(t *testing.T) {
+	want := ""
+	for _, j := range []plan.JoinStrategy{plan.JoinAuto, plan.JoinIndex, plan.JoinMerge, plan.JoinHash, plan.JoinNested} {
+		db, err := Open(Config{Seed: 1, Join: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(db.Close)
+		exec(t, db, `CREATE TABLE a (id INT PRIMARY KEY, v INT)`)
+		exec(t, db, `CREATE TABLE b (id INT PRIMARY KEY, w INT)`)
+		for i := 0; i < 30; i++ {
+			exec(t, db, fmt.Sprintf(`INSERT INTO a VALUES (%d, %d)`, i, i*2))
+			if i%2 == 0 {
+				exec(t, db, fmt.Sprintf(`INSERT INTO b VALUES (%d, %d)`, i, i*3))
+			}
+		}
+		res := exec(t, db, `SELECT a.id, a.v, b.w FROM a, b WHERE a.id = b.id AND a.v > 10 ORDER BY a.id`)
+		var sb strings.Builder
+		for _, r := range res.Rows {
+			fmt.Fprintf(&sb, "%v;", r)
+		}
+		if want == "" {
+			want = sb.String()
+			if len(res.Rows) == 0 {
+				t.Fatal("empty join result")
+			}
+		} else if sb.String() != want {
+			t.Fatalf("join strategy %d disagrees:\n%s\nvs\n%s", j, sb.String(), want)
+		}
+	}
+}
+
+func TestBaselineModeRuns(t *testing.T) {
+	db, err := Open(Config{Seed: 1, Memory: vmem.Config{Mode: vmem.ModeBaseline}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Close)
+	exec(t, db, `CREATE TABLE t (a INT PRIMARY KEY)`)
+	exec(t, db, `INSERT INTO t VALUES (1)`)
+	if s := db.Memory().Stats(); s.PRFEvals != 0 {
+		t.Fatalf("baseline did PRF work: %+v", s)
+	}
+}
+
+// TestSeededOpenHonorsEnclaveConfig: a seed fixes the PRF key and nothing
+// else, so the configured EPC budget still binds.
+func TestSeededOpenHonorsEnclaveConfig(t *testing.T) {
+	_, err := Open(Config{Seed: 1, Enclave: enclave.Config{EPCBytes: 100}, Memory: vmem.Config{Partitions: 4}})
+	if !errors.Is(err, enclave.ErrEPCExhausted) {
+		t.Fatalf("err = %v, want ErrEPCExhausted", err)
 	}
 }
 

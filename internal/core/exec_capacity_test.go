@@ -9,7 +9,6 @@ import (
 	"veridb/internal/client"
 	"veridb/internal/plan"
 	"veridb/internal/portal"
-	"veridb/internal/vmem"
 )
 
 // execGoldens is the endorsed workload of the batch-capacity property test
@@ -69,7 +68,7 @@ func TestExecCapacityEndorsementGoldens(t *testing.T) {
 		cfg  Config
 	}{
 		{"unsharded", Config{}},
-		{"sharded", Config{TableShards: 4, Memory: vmem.Config{VerifyWorkers: 2}}},
+		{"sharded", Config{TableShards: 4}},
 		{"joinHash", Config{Join: plan.JoinHash}},
 		{"joinMerge", Config{Join: plan.JoinMerge}},
 		{"joinNested", Config{Join: plan.JoinNested}},

@@ -306,7 +306,6 @@ func TestOverloadStormDrains(t *testing.T) {
 		AdmissionQueueDepth:     8,
 		AdmissionMaxWait:        time.Millisecond,
 		SessionMaxIdle:          50 * time.Millisecond,
-		ResponseCacheBytes:      2 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -123,6 +123,18 @@ func New(cfg Config) (*Enclave, error) {
 	return e, nil
 }
 
+// NewSeeded is New with the PRF key derived from a nonzero seed, so runs
+// are reproducible (tests and benchmarks); everything else follows cfg. A
+// zero seed keeps New's random key.
+func NewSeeded(cfg Config, seed uint64) (*Enclave, error) {
+	e, err := New(cfg)
+	if err != nil || seed == 0 {
+		return e, err
+	}
+	e.prfKey = sethash.KeyFromSeed(seed)
+	return e, nil
+}
+
 // NewForTest builds a deterministic enclave for tests and benchmarks: the
 // PRF key derives from seed so runs are reproducible.
 func NewForTest(seed uint64) *Enclave {

@@ -16,8 +16,7 @@ import (
 // loop's batch, pipeline breakers' input drains, join cursors and probe
 // scratch. Operators check the context once per batch, so a cancelled or
 // timed-out statement unwinds through the normal error path and the
-// existing Close/defer chains release scans, latches, snapshot pins and
-// merge producers.
+// existing Close/defer chains release scans, latches and snapshot pins.
 //
 // A nil *Exec means no cancellation, no accounting and the default
 // capacity; every method is nil-safe, so call sites need no guards.

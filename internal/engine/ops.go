@@ -102,7 +102,7 @@ func (s *TableScan) Open() error {
 		s.sc, err = s.Table.RangeScanAt(s.Col, tightest(s.Lo, +1), tightest(s.Hi, -1), s.Snap)
 	case s.Col < 0:
 		// SeqScan iterates every shard; on a sharded table the storage
-		// layer fans the per-shard sub-scans out across VerifyWorkers.
+		// layer stitches the per-shard sub-scans in key order.
 		s.sc, err = s.Table.SeqScan()
 	default:
 		s.sc, err = s.Table.RangeScan(s.Col, tightest(s.Lo, +1), tightest(s.Hi, -1))
@@ -289,7 +289,7 @@ func (l *Limit) Close() error { return l.Child.Close() }
 // NextBatch truncates the child's batch to the rows still allowed: a
 // shrunk selection (or N) drops the overflow without copying. Hitting the
 // limit leaves the child mid-stream — Close abandons it early, which is why
-// scan producers hang their lifetime on a context (storage/merge.go).
+// a scan holds no shard latch between fills.
 func (l *Limit) NextBatch(dst *RowBatch) (int, error) {
 	if l.seen >= l.N {
 		return 0, nil

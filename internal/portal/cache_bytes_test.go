@@ -15,13 +15,25 @@ import (
 
 // wideExec returns a response of roughly width bytes for any query, so
 // tests can fill the byte-bounded response cache quickly.
-type wideExec struct{ width int }
+type wideExec struct {
+	healthy
+	width int
+}
 
-func (e *wideExec) Execute(query string) (*Result, error) {
+func (e *wideExec) ExecuteContext(context.Context, string, string) (*Result, error) {
 	return &Result{
 		Columns: []string{"payload"},
 		Rows:    []record.Tuple{{record.Text(strings.Repeat("x", e.width))}},
 	}, nil
+}
+
+// setCacheBound moves the response cache's byte bound, evicting
+// oldest-first down to it at once.
+func setCacheBound(p *Portal, n int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cacheMax = n
+	p.evictOverBytesLocked()
 }
 
 func serveOK(t *testing.T, p *Portal, key []byte, qid uint64) *Response {
@@ -41,7 +53,7 @@ func serveOK(t *testing.T, p *Portal, key []byte, qid uint64) *Response {
 // while a still-cached qid replays fine.
 func TestResponseCacheByteBound(t *testing.T) {
 	p, key := newPortal(t, &wideExec{width: 1024})
-	p.SetResponseCacheBytes(4096)
+	setCacheBound(p, 4096)
 	const n = 20
 	for qid := uint64(1); qid <= n; qid++ {
 		serveOK(t, p, key, qid)
@@ -83,7 +95,7 @@ func TestResponseCacheChargesBudget(t *testing.T) {
 		t.Fatalf("budget used %d != cached bytes %d", used, cached)
 	}
 	// Shrinking the bound evicts immediately and releases the charges.
-	p.SetResponseCacheBytes(1024)
+	setCacheBound(p, 1024)
 	st := p.CacheStats()
 	if st.Bytes > 1024 {
 		t.Fatalf("cache holds %d bytes after shrink to 1024", st.Bytes)
@@ -116,12 +128,12 @@ type ctxExec struct {
 
 func (e *ctxExec) ExecuteContext(ctx context.Context, clientID, query string) (*Result, error) {
 	_, e.deadline = ctx.Deadline()
-	return e.echoExec.Execute(query)
+	return e.echoExec.ExecuteContext(ctx, clientID, query)
 }
 
 // TestTimeoutIsAuthenticatedAndDispatched: the per-request timeout is
 // covered by the request MAC (a relay cannot stretch or strip it), and a
-// nonzero timeout reaches a ContextExecutor as a real context deadline.
+// nonzero timeout reaches the executor as a real context deadline.
 func TestTimeoutIsAuthenticatedAndDispatched(t *testing.T) {
 	ex := &ctxExec{}
 	p, key := newPortal(t, ex)
@@ -207,7 +219,7 @@ func TestReplayStateStaysBounded(t *testing.T) {
 	if _, err := p.Serve(old); !errors.Is(err, ErrReplayedQID) {
 		t.Fatalf("evicted replay served: %v", err)
 	}
-	p.SetResponseCacheBytes(1)
+	setCacheBound(p, 1)
 	if st := p.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("byte bound of 1 left %+v", st)
 	}

@@ -9,6 +9,7 @@ package portal
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,11 +21,12 @@ import (
 // countingExec counts executions and can block until released, to hold
 // many Serve calls in the execution window at once.
 type countingExec struct {
+	healthy
 	calls atomic.Int64
-	gate  chan struct{} // non-nil: Execute blocks until closed
+	gate  chan struct{} // non-nil: ExecuteContext blocks until closed
 }
 
-func (e *countingExec) Execute(query string) (*Result, error) {
+func (e *countingExec) ExecuteContext(_ context.Context, _, query string) (*Result, error) {
 	e.calls.Add(1)
 	if e.gate != nil {
 		<-e.gate

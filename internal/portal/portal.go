@@ -42,29 +42,21 @@ type Result struct {
 	Affected int
 }
 
-// Executor runs an authorised query inside the trust boundary. The core
-// package provides the implementation.
+// Executor runs an authorised query inside the trust boundary; core.DB is
+// the implementation.
+//
+// ExecuteContext runs the query in the issuing client's own session
+// (BEGIN SNAPSHOT pins a read point for that client only, so one client's
+// pinned snapshot never leaks into another's queries) and under ctx, which
+// carries the request's TimeoutMS: the statement is cancelled — resources
+// released — once it elapses.
+//
+// QuarantineError reports a sticky integrity compromise. A non-nil error
+// fences execution: the portal answers every request with an authenticated
+// quarantine response instead of endorsing results from tampered state.
 type Executor interface {
-	Execute(query string) (*Result, error)
-}
-
-// SessionExecutor is implemented by executors that keep per-client session
-// state (core.DB does: BEGIN SNAPSHOT pins a read point for the issuing
-// client only). When the executor supports it, the portal routes each
-// authenticated request under the client's own session so one client's
-// pinned snapshot never leaks into another's queries.
-type SessionExecutor interface {
-	Executor
-	ExecuteSession(clientID, query string) (*Result, error)
-}
-
-// ContextExecutor is implemented by executors that honor per-request
-// deadlines and cancellation (core.DB does). When the executor supports
-// it, the portal derives a context from the request's TimeoutMS and the
-// statement is cancelled — resources released — once it elapses.
-type ContextExecutor interface {
-	Executor
 	ExecuteContext(ctx context.Context, clientID, query string) (*Result, error)
+	QuarantineError() error
 }
 
 // Request is an authenticated client query.
@@ -97,24 +89,16 @@ type Response struct {
 	MAC         []byte // HMAC(k, "resp" ‖ qid ‖ seq ‖ digest)
 }
 
-// Quarantiner is implemented by executors that can report a sticky
-// integrity compromise (core.DB does). A non-nil QuarantineError fences
-// execution: the portal answers every request with an authenticated
-// quarantine response instead of endorsing results from tampered state.
-type Quarantiner interface {
-	QuarantineError() error
-}
-
 // responseCacheSize bounds the per-client last-response cache. A retried
 // request whose original response was already evicted gets ErrReplayedQID
 // again — the cache trades a little enclave memory for retry idempotence,
 // not unbounded history.
 const responseCacheSize = 128
 
-// defaultResponseCacheBytes bounds the response cache's total estimated
-// bytes across all clients: a handful of very large result sets must not
-// dwarf the per-client entry limit. Oldest entries are evicted first.
-const defaultResponseCacheBytes = 16 << 20
+// responseCacheBytes bounds the response cache's total estimated bytes
+// across all clients: a handful of very large result sets must not dwarf
+// the per-client entry limit. Oldest entries are evicted first.
+const responseCacheBytes = 16 << 20
 
 // clientState is the portal's per-client replay defence: the full set of
 // served qids (replays are never re-executed), kept as merged intervals so
@@ -177,7 +161,7 @@ func New(enc *enclave.Enclave, exec Executor) *Portal {
 		exec:     exec,
 		seq:      enc.MonotonicCounter("portal-seq"),
 		clients:  make(map[string]*clientState),
-		cacheMax: defaultResponseCacheBytes,
+		cacheMax: responseCacheBytes,
 	}
 }
 
@@ -186,18 +170,6 @@ func New(enc *enclave.Enclave, exec Executor) *Portal {
 func (p *Portal) SetBudget(b *govern.Budget) {
 	p.mu.Lock()
 	p.budget = b
-	p.mu.Unlock()
-}
-
-// SetResponseCacheBytes bounds the response cache's total estimated bytes;
-// n <= 0 restores the default. Shrinking evicts oldest-first immediately.
-func (p *Portal) SetResponseCacheBytes(n int64) {
-	p.mu.Lock()
-	if n <= 0 {
-		n = defaultResponseCacheBytes
-	}
-	p.cacheMax = n
-	p.evictOverBytesLocked()
 	p.mu.Unlock()
 }
 
@@ -384,11 +356,7 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 	// resp endorse the quarantine itself, never a result computed from
 	// tampered state.
 	fenced := func() bool {
-		q, ok := p.exec.(Quarantiner)
-		if !ok {
-			return false
-		}
-		qerr := q.QuarantineError()
+		qerr := p.exec.QuarantineError()
 		if qerr == nil {
 			return false
 		}
@@ -416,22 +384,16 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 	return resp, nil
 }
 
-// execute runs the request's statement on the widest interface the
-// executor offers, under the request's own deadline if it carries one.
+// execute runs the request's statement in the client's session, under the
+// request's own deadline if it carries one.
 func (p *Portal) execute(req Request) (*Result, error) {
-	if ce, ok := p.exec.(ContextExecutor); ok {
-		ctx := context.Background()
-		if req.TimeoutMS > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-			defer cancel()
-		}
-		return ce.ExecuteContext(ctx, req.ClientID, req.Query)
+	ctx := context.Background()
+	if req.TimeoutMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+		defer cancel()
 	}
-	if se, ok := p.exec.(SessionExecutor); ok {
-		return se.ExecuteSession(req.ClientID, req.Query)
-	}
-	return p.exec.Execute(req.Query)
+	return p.exec.ExecuteContext(ctx, req.ClientID, req.Query)
 }
 
 // cacheResponse stores an endorsed response for retry idempotence. Two

@@ -2,6 +2,7 @@ package portal
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -10,10 +11,19 @@ import (
 	"veridb/internal/record"
 )
 
-// echoExec returns a fixed row for any query.
-type echoExec struct{ fail bool }
+// healthy is the QuarantineError half of Executor for stubs that are never
+// fenced; each stub embeds it and supplies ExecuteContext.
+type healthy struct{}
 
-func (e *echoExec) Execute(query string) (*Result, error) {
+func (healthy) QuarantineError() error { return nil }
+
+// echoExec returns a fixed row for any query.
+type echoExec struct {
+	healthy
+	fail bool
+}
+
+func (e *echoExec) ExecuteContext(_ context.Context, _, query string) (*Result, error) {
 	if e.fail {
 		return nil, errors.New("boom")
 	}
@@ -129,8 +139,8 @@ func TestEvictedReplayRejected(t *testing.T) {
 	}
 }
 
-// quarantineExec reports a sticky compromise through the Quarantiner
-// interface; Execute must never be reached once it trips.
+// quarantineExec reports a sticky compromise through QuarantineError;
+// ExecuteContext must never be reached once it trips.
 type quarantineExec struct {
 	echoExec
 	qerr error
@@ -261,8 +271,8 @@ func TestResponseDigestSensitivity(t *testing.T) {
 }
 
 // lateQuarantineExec models an alarm that lands between the portal's fence
-// check and execution: the first QuarantineError call is clean, Execute
-// then fails the way core.DB does once fenced, and every later
+// check and execution: the first QuarantineError call is clean,
+// ExecuteContext then fails the way core.DB does once fenced, and every later
 // QuarantineError call reports the compromise.
 type lateQuarantineExec struct {
 	qerr   error
@@ -276,7 +286,9 @@ func (q *lateQuarantineExec) QuarantineError() error {
 	return q.qerr
 }
 
-func (q *lateQuarantineExec) Execute(string) (*Result, error) { return nil, q.qerr }
+func (q *lateQuarantineExec) ExecuteContext(context.Context, string, string) (*Result, error) {
+	return nil, q.qerr
+}
 
 // TestQuarantineRaisedDuringExecutionIsFlagged: a statement that fails
 // because the database was fenced under it must come back as an

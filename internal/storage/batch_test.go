@@ -2,9 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"veridb/internal/record"
 	"veridb/internal/vmem"
@@ -31,21 +29,19 @@ func drainBatched(t *testing.T, sc Iterator, capacity int) []record.Tuple {
 
 // TestNextBatchMatchesNext runs the same scan row-at-a-time and batch-wise
 // (with an odd capacity so batch boundaries never align with shard
-// boundaries) over every iterator implementation: single-shard Scanner,
-// sequential k-way merge, and parallel merge. Rows must match exactly.
+// boundaries) over every iterator implementation: single-shard Scanner
+// and the k-way merge. Rows must match exactly.
 func TestNextBatchMatchesNext(t *testing.T) {
 	cases := []struct {
-		name    string
-		workers int
-		shards  int
+		name   string
+		shards int
 	}{
-		{"scanner", 0, 1},
-		{"mergeSequential", 0, 4},
-		{"mergeParallel", 4, 4},
+		{"scanner", 1},
+		{"mergeSequential", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newStore(t, vmem.Config{VerifyWorkers: tc.workers})
+			s := newStore(t, vmem.Config{})
 			tb, err := s.CreateTable(shardedSpec(tc.shards))
 			if err != nil {
 				t.Fatal(err)
@@ -128,53 +124,5 @@ func TestRowBatchSelection(t *testing.T) {
 	b.Reset()
 	if b.Live() != 0 || b.Sel != nil {
 		t.Fatal("Reset kept state")
-	}
-}
-
-// TestEarlyClosedParallelScanLeaksNoGoroutines is the regression test for
-// the per-shard producer lifetime: abandoning a parallel merge scan long
-// before exhaustion (a LIMIT plan, a short-circuiting join) must wind down
-// every producer goroutine. Producers block on full channels when the
-// consumer stops pulling, so without the context cancellation in Close
-// each early-closed scan would strand len(shards) goroutines.
-func TestEarlyClosedParallelScanLeaksNoGoroutines(t *testing.T) {
-	s := newStore(t, vmem.Config{VerifyWorkers: 4})
-	tb, err := s.CreateTable(shardedSpec(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough rows per shard to exceed producerBuf, so producers are
-	// mid-send when the scan is abandoned.
-	for i := 0; i < 2000; i++ {
-		mustInsert(t, tb, record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(0)})
-	}
-	before := runtime.NumGoroutine()
-	for round := 0; round < 25; round++ {
-		sc, err := tb.SeqScan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := unwrapIter(sc).(*parallelMergeIterator); !ok {
-			t.Fatalf("SeqScan returned %T, want parallel merge", unwrapIter(sc))
-		}
-		for i := 0; i < 3; i++ {
-			if _, ok, err := sc.Next(); err != nil || !ok {
-				t.Fatalf("round %d: ok=%v err=%v", round, ok, err)
-			}
-		}
-		sc.Close() // Close waits for producers, so no goroutine survives it
-	}
-	// Close blocks on wg.Wait, but allow the runtime a moment to retire
-	// exiting goroutines before comparing counts.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if after := runtime.NumGoroutine(); after <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked by early-closed scans: before=%d after=%d",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

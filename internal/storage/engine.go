@@ -92,5 +92,4 @@ var (
 	_ Catalog  = (*Store)(nil)
 	_ Iterator = (*Scanner)(nil)
 	_ Iterator = (*mergeIterator)(nil)
-	_ Iterator = (*parallelMergeIterator)(nil)
 )

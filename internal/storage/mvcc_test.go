@@ -12,15 +12,6 @@ import (
 	"veridb/internal/vmem"
 )
 
-// unwrapIter strips the implicit-snapshot ownership wrapper so tests can
-// assert on the concrete iterator a scan routed to.
-func unwrapIter(it Iterator) Iterator {
-	if c, ok := it.(*snapClosingIter); ok {
-		return c.Iterator
-	}
-	return it
-}
-
 func mvccStore(t *testing.T, shards int) (*Store, *Table) {
 	t.Helper()
 	mem, err := vmem.New(enclave.NewForTest(7), vmem.Config{})

@@ -35,7 +35,7 @@ func TestPRFCountPerOp(t *testing.T) {
 		}
 	}
 	// Get: record read + virtual write-back (Alg. 1).
-	count("get", 2, func() { tab.SearchPK(record.Int(500)) })
+	count("get", 2, func() { tab.Get(record.Int(500)) })
 	// Insert: predecessor read (2) + relink write (2) + new cell (1).
 	count("insert", 5, func() { tab.Insert(record.Tuple{record.Int(501), val}) })
 	// Delete: record read (2) + predecessor read+relink (4) + read-out (1).
@@ -43,5 +43,5 @@ func TestPRFCountPerOp(t *testing.T) {
 	// Update in place: record read (2) + rewrite (2).
 	count("update", 4, func() { tab.Update(record.Int(500), record.Tuple{record.Int(500), val}) })
 	// Absence probe costs the same as a hit.
-	count("get-absent", 2, func() { tab.SearchPK(record.Int(501)) })
+	count("get-absent", 2, func() { tab.Get(record.Int(501)) })
 }

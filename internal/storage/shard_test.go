@@ -60,7 +60,7 @@ func goldenWorkload(t *testing.T, shards int) (rangeRows, totalRows int, checksu
 	}
 	for i := 0; i < 500; i += 3 {
 		k := int64((i * 37) % 1000)
-		if _, _, err := tb.SearchPK(record.Int(k)); err != nil {
+		if _, _, err := tb.Get(record.Int(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func goldenWorkload(t *testing.T, shards int) (rangeRows, totalRows int, checksu
 		}
 	}
 	lo, hi := record.Int(3), record.Int(9)
-	sc, err := tb.ScanRange(1, &lo, &hi)
+	sc, err := tb.RangeScan(1, &lo, &hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestShardedScanOrderAndStitch(t *testing.T) {
 	}
 	// Secondary-chain range scans stitch in (value, pk) composite order.
 	lo, hi := record.Int(3), record.Int(5)
-	sc2, err := tb.ScanRange(1, &lo, &hi)
+	sc2, err := tb.RangeScan(1, &lo, &hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestShardedAbsenceProofs(t *testing.T) {
 		mustInsert(t, tb, record.Tuple{record.Int(int64(i)), record.Int(1), record.Float(0)})
 	}
 	for i := 1; i < 100; i += 2 {
-		tup, ev, err := tb.SearchPK(record.Int(int64(i)))
+		tup, ev, err := tb.Get(record.Int(int64(i)))
 		if err != nil {
 			t.Fatalf("absent key %d: %v", i, err)
 		}
@@ -232,63 +232,18 @@ func TestShardedAbsenceProofs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i += 2 {
-		_, ev, err := tb.SearchPK(record.Int(int64(i)))
+		_, ev, err := tb.Get(record.Int(int64(i)))
 		if err != nil || !ev.Found {
 			t.Fatalf("present key %d: found=%v err=%v", i, ev.Found, err)
 		}
 	}
 }
 
-// TestShardedParallelSeqScan exercises the fan-out merge path (one
-// producer goroutine per shard) and checks it returns identical rows to
-// the sequential merge.
-func TestShardedParallelSeqScan(t *testing.T) {
-	s := newStore(t, vmem.Config{VerifyWorkers: 4})
-	tb, err := s.CreateTable(shardedSpec(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		mustInsert(t, tb, record.Tuple{record.Int(int64(i)), record.Int(int64(i % 9)), record.Float(float64(i))})
-	}
-	sc, err := tb.SeqScan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := unwrapIter(sc).(*parallelMergeIterator); !ok {
-		t.Fatalf("SeqScan returned %T, want parallel merge", unwrapIter(sc))
-	}
-	rows := drain(t, sc)
-	if len(rows) != 500 {
-		t.Fatalf("parallel scan returned %d rows", len(rows))
-	}
-	for i, r := range rows {
-		if r[0].I != int64(i) {
-			t.Fatalf("row %d has id %d: parallel merge out of order", i, r[0].I)
-		}
-	}
-	if sc.Visited() < 500 {
-		t.Fatalf("Visited = %d", sc.Visited())
-	}
-	// Early close mid-stream must not leak producer goroutines (the race
-	// detector and goroutine scheduler will complain if it does).
-	sc, err = tb.SeqScan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, ok, err := sc.Next(); err != nil || !ok {
-			t.Fatalf("early rows: ok=%v err=%v", ok, err)
-		}
-	}
-	sc.Close()
-}
-
 // TestConcurrentDMLAcrossShards drives parallel writers over a sharded
 // table (satellite: concurrency test under -race), then compares the
 // final state against a serially-computed oracle and verifies memory.
 func TestConcurrentDMLAcrossShards(t *testing.T) {
-	s := newStore(t, vmem.Config{VerifyWorkers: 4})
+	s := newStore(t, vmem.Config{})
 	tb, err := s.CreateTable(shardedSpec(4))
 	if err != nil {
 		t.Fatal(err)
@@ -333,12 +288,12 @@ func TestConcurrentDMLAcrossShards(t *testing.T) {
 				// Interleave reads: point lookups and short range scans
 				// run against shards other writers are mutating.
 				if op%25 == 0 {
-					if _, _, err := tb.SearchPK(record.Int(k)); err != nil {
+					if _, _, err := tb.Get(record.Int(k)); err != nil {
 						errs <- fmt.Errorf("worker %d search: %w", w, err)
 						return
 					}
 					lo, hi := record.Int(base), record.Int(base+50)
-					sc, err := tb.ScanRange(0, &lo, &hi)
+					sc, err := tb.RangeScan(0, &lo, &hi)
 					if err != nil {
 						errs <- fmt.Errorf("worker %d scan open: %w", w, err)
 						return

@@ -88,7 +88,7 @@ func TestInsertSearchDelete(t *testing.T) {
 	mustInsert(t, tb, record.Tuple{record.Int(1), record.Int(100), record.Float(9.5)})
 	mustInsert(t, tb, record.Tuple{record.Int(3), record.Int(50), record.Float(1.0)})
 
-	tup, ev, err := tb.SearchPK(record.Int(1))
+	tup, ev, err := tb.Get(record.Int(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestInsertSearchDelete(t *testing.T) {
 		t.Fatalf("found=%v tup=%v", ev.Found, tup)
 	}
 	// Absence proof: 2 lies strictly between keys 1 and 3.
-	tup, ev, err = tb.SearchPK(record.Int(2))
+	tup, ev, err = tb.Get(record.Int(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestInsertSearchDelete(t *testing.T) {
 		t.Fatalf("absence evidence ⟨%v,%v⟩, want ⟨1,3⟩", ev.Key, ev.NKey)
 	}
 	// Absence below minimum: evidence is the ⊥ sentinel.
-	_, ev, err = tb.SearchPK(record.Int(0))
+	_, ev, err = tb.Get(record.Int(0))
 	if err != nil || ev.Found {
 		t.Fatalf("below-min: found=%v err=%v", ev.Found, err)
 	}
@@ -117,7 +117,7 @@ func TestInsertSearchDelete(t *testing.T) {
 		t.Fatalf("below-min evidence key %v, want ⊥", ev.Key)
 	}
 	// Absence above maximum: evidence nKey is ⊤ (paper Example 4.3).
-	_, ev, err = tb.SearchPK(record.Int(99))
+	_, ev, err = tb.Get(record.Int(99))
 	if err != nil || ev.Found {
 		t.Fatalf("above-max: found=%v err=%v", ev.Found, err)
 	}
@@ -128,7 +128,7 @@ func TestInsertSearchDelete(t *testing.T) {
 	if err := tb.Delete(record.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ev, _ := tb.SearchPK(record.Int(1)); ev.Found {
+	if _, ev, _ := tb.Get(record.Int(1)); ev.Found {
 		t.Fatal("deleted row still found")
 	}
 	if err := tb.Delete(record.Int(1)); !errors.Is(err, ErrNotFound) {
@@ -199,7 +199,7 @@ func TestRangeScanBoundaries(t *testing.T) {
 	}
 	for _, c := range cases {
 		lo, hi := record.Int(c.lo), record.Int(c.hi)
-		sc, err := tb.ScanRange(0, &lo, &hi)
+		sc, err := tb.RangeScan(0, &lo, &hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestScanEmptyTable(t *testing.T) {
 	}
 	// Secondary chain too.
 	lo, hi := record.Int(0), record.Int(100)
-	sc, err = tb.ScanRange(1, &lo, &hi)
+	sc, err = tb.RangeScan(1, &lo, &hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSecondaryChainWithDuplicates(t *testing.T) {
 		mustInsert(t, tb, record.Tuple{record.Int(id), record.Int(cnt), record.Float(0)})
 	}
 	lo, hi := record.Int(5), record.Int(7)
-	sc, err := tb.ScanRange(1, &lo, &hi)
+	sc, err := tb.RangeScan(1, &lo, &hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestNullSecondaryValueSkipsChain(t *testing.T) {
 	mustInsert(t, tb, record.Tuple{record.Int(1), record.Null(record.TypeInt), record.Float(0)})
 	mustInsert(t, tb, record.Tuple{record.Int(2), record.Int(10), record.Float(0)})
 	lo, hi := record.Int(0), record.Int(100)
-	sc, err := tb.ScanRange(1, &lo, &hi)
+	sc, err := tb.RangeScan(1, &lo, &hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestNullSecondaryValueSkipsChain(t *testing.T) {
 		t.Fatalf("null-valued row leaked into secondary chain: %v", rows)
 	}
 	// But it is reachable by primary key.
-	if _, ev, _ := tb.SearchPK(record.Int(1)); !ev.Found {
+	if _, ev, _ := tb.Get(record.Int(1)); !ev.Found {
 		t.Fatal("null-secondary row lost")
 	}
 	// And deletable without chain corruption.
@@ -307,7 +307,7 @@ func TestUpdateInPlaceAndKeyChange(t *testing.T) {
 	if err := tb.Update(record.Int(1), record.Tuple{record.Int(1), record.Int(10), record.Float(99)}); err != nil {
 		t.Fatal(err)
 	}
-	tup, _, _ := tb.SearchPK(record.Int(1))
+	tup, _, _ := tb.Get(record.Int(1))
 	if tup[2].F != 99 {
 		t.Fatalf("in-place update lost: %v", tup)
 	}
@@ -317,12 +317,12 @@ func TestUpdateInPlaceAndKeyChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := record.Int(25), record.Int(25)
-	sc, _ := tb.ScanRange(1, &lo, &hi)
+	sc, _ := tb.RangeScan(1, &lo, &hi)
 	if rows := drain(t, sc); len(rows) != 1 || rows[0][0].I != 1 {
 		t.Fatalf("re-chained row not found at count=25: %v", rows)
 	}
 	lo, hi = record.Int(10), record.Int(10)
-	sc, _ = tb.ScanRange(1, &lo, &hi)
+	sc, _ = tb.RangeScan(1, &lo, &hi)
 	if rows := drain(t, sc); len(rows) != 0 {
 		t.Fatalf("stale chain entry at count=10: %v", rows)
 	}
@@ -331,10 +331,10 @@ func TestUpdateInPlaceAndKeyChange(t *testing.T) {
 	if err := tb.Update(record.Int(1), record.Tuple{record.Int(7), record.Int(25), record.Float(99)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ev, _ := tb.SearchPK(record.Int(1)); ev.Found {
+	if _, ev, _ := tb.Get(record.Int(1)); ev.Found {
 		t.Fatal("old pk still present")
 	}
-	if _, ev, _ := tb.SearchPK(record.Int(7)); !ev.Found {
+	if _, ev, _ := tb.Get(record.Int(7)); !ev.Found {
 		t.Fatal("new pk missing")
 	}
 	if err := tb.Update(record.Int(404), record.Tuple{record.Int(8), record.Int(1), record.Float(1)}); !errors.Is(err, ErrNotFound) {
@@ -364,7 +364,7 @@ func TestUpdateGrowRelocatesAcrossPages(t *testing.T) {
 	if err := tb.Update(record.Int(3), record.Tuple{record.Int(3), record.Text(big)}); err != nil {
 		t.Fatal(err)
 	}
-	tup, _, err := tb.SearchPK(record.Int(3))
+	tup, _, err := tb.Get(record.Int(3))
 	if err != nil || tup[1].S != big {
 		t.Fatalf("relocated row wrong: %v, %v", tup, err)
 	}
@@ -395,7 +395,7 @@ func TestDeleteAllThenReinsert(t *testing.T) {
 	}
 	// Chains reduced to ⟨⊥,⊤⟩: reinsertion works.
 	mustInsert(t, tb, record.Tuple{record.Int(5), record.Int(5), record.Float(0)})
-	if _, ev, _ := tb.SearchPK(record.Int(5)); !ev.Found {
+	if _, ev, _ := tb.Get(record.Int(5)); !ev.Found {
 		t.Fatal("reinsert after full delete failed")
 	}
 	if err := s.Memory().VerifyAll(); err != nil {
@@ -430,7 +430,7 @@ func TestTextPrimaryKeys(t *testing.T) {
 		t.Fatalf("text scan order %v", got)
 	}
 	lo, hi := record.Text("b"), record.Text("d")
-	sc, _ = tb.ScanRange(0, &lo, &hi)
+	sc, _ = tb.RangeScan(0, &lo, &hi)
 	rows = drain(t, sc)
 	if len(rows) != 2 || rows[0][0].S != "bob" || rows[1][0].S != "carol" {
 		t.Fatalf("text range = %v", rows)
@@ -452,12 +452,12 @@ func TestEvilIndexDetected(t *testing.T) {
 	loc20, _ := tb.shards[0].chains[0].Get(k20.Encode())
 	tb.shards[0].chains[0].Set(k50.Encode(), loc20)
 
-	if _, _, err := tb.SearchPK(record.Int(50)); !errors.Is(err, ErrVerifyFailed) {
+	if _, _, err := tb.Get(record.Int(50)); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("lying index not detected on point search: %v", err)
 	}
 	// Range scans crossing the corrupted entry must fail too.
 	lo, hi := record.Int(30), record.Int(70)
-	sc, err := tb.ScanRange(0, &lo, &hi)
+	sc, err := tb.RangeScan(0, &lo, &hi)
 	if err == nil {
 		for {
 			if _, ok, e := sc.Next(); e != nil {
@@ -483,7 +483,7 @@ func TestEvilIndexHidingKeyDetected(t *testing.T) {
 	}
 	k20, _ := record.KeyOf(record.Int(20))
 	tb.shards[0].chains[0].Delete(k20.Encode())
-	_, _, err := tb.SearchPK(record.Int(20))
+	_, _, err := tb.Get(record.Int(20))
 	if !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("hidden row produced %v; want verification failure", err)
 	}
@@ -557,7 +557,7 @@ func TestRandomWorkloadAgainstShadow(t *testing.T) {
 					}
 					delete(shadow, id)
 				case 3:
-					tup, ev, err := tb.SearchPK(record.Int(id))
+					tup, ev, err := tb.Get(record.Int(id))
 					if err != nil {
 						t.Fatalf("op %d search: %v", op, err)
 					}
@@ -589,7 +589,7 @@ func TestRandomWorkloadAgainstShadow(t *testing.T) {
 			}
 			// Secondary chain covers exactly the live rows as well.
 			lo, hi := record.Int(0), record.Int(19)
-			sc, _ = tb.ScanRange(1, &lo, &hi)
+			sc, _ = tb.RangeScan(1, &lo, &hi)
 			if rows := drain(t, sc); len(rows) != len(shadow) {
 				t.Fatalf("secondary scan %d rows, shadow %d", len(rows), len(shadow))
 			}

@@ -157,16 +157,12 @@ func (t *Table) autoCommit(f func(c *Commit) error) error {
 // Insert adds a tuple to the shard its primary key routes to, maintaining
 // every chain (§4.2 Insert). The write commits under its own timestamp.
 func (t *Table) Insert(tup record.Tuple) error {
-	return t.autoCommit(func(c *Commit) error { return t.insertCommit(tup, c) })
+	return t.autoCommit(func(c *Commit) error { return t.InsertAt(tup, c) })
 }
 
 // InsertAt is Insert stamped with an explicit commit: all writes sharing
 // the commit become visible to snapshot readers atomically at c.Done.
 func (t *Table) InsertAt(tup record.Tuple, c *Commit) error {
-	return t.insertCommit(tup, c)
-}
-
-func (t *Table) insertCommit(tup record.Tuple, c *Commit) error {
 	if err := t.schema.Validate(tup); err != nil {
 		return err
 	}
@@ -182,15 +178,11 @@ func (t *Table) insertCommit(tup record.Tuple, c *Commit) error {
 // unlink from every chain, then drop the record; space reclamation is
 // deferred to the verification scan).
 func (t *Table) Delete(pkVal record.Value) error {
-	return t.autoCommit(func(c *Commit) error { return t.deleteCommit(pkVal, c) })
+	return t.autoCommit(func(c *Commit) error { return t.DeleteAt(pkVal, c) })
 }
 
 // DeleteAt is Delete stamped with an explicit commit.
 func (t *Table) DeleteAt(pkVal record.Value, c *Commit) error {
-	return t.deleteCommit(pkVal, c)
-}
-
-func (t *Table) deleteCommit(pkVal record.Value, c *Commit) error {
 	pk, err := record.KeyOf(pkVal)
 	if err != nil {
 		return err
@@ -205,15 +197,11 @@ func (t *Table) deleteCommit(pkVal record.Value, c *Commit) error {
 // Update). Chain-key columns must not change; use Update for key-changing
 // writes.
 func (t *Table) UpdateFunc(pkVal record.Value, mutate func(record.Tuple) (record.Tuple, error)) error {
-	return t.autoCommit(func(c *Commit) error { return t.updateFuncCommit(pkVal, mutate, c) })
+	return t.autoCommit(func(c *Commit) error { return t.UpdateFuncAt(pkVal, mutate, c) })
 }
 
 // UpdateFuncAt is UpdateFunc stamped with an explicit commit.
 func (t *Table) UpdateFuncAt(pkVal record.Value, mutate func(record.Tuple) (record.Tuple, error), c *Commit) error {
-	return t.updateFuncCommit(pkVal, mutate, c)
-}
-
-func (t *Table) updateFuncCommit(pkVal record.Value, mutate func(record.Tuple) (record.Tuple, error), c *Commit) error {
 	pk, err := record.KeyOf(pkVal)
 	if err != nil {
 		return err
@@ -227,15 +215,11 @@ func (t *Table) updateFuncCommit(pkVal record.Value, mutate func(record.Tuple) (
 // deleted and re-inserted — which re-routes it when the primary key now
 // hashes to a different shard.
 func (t *Table) Update(pkVal record.Value, newTup record.Tuple) error {
-	return t.autoCommit(func(c *Commit) error { return t.updateCommit(pkVal, newTup, c) })
+	return t.autoCommit(func(c *Commit) error { return t.UpdateAt(pkVal, newTup, c) })
 }
 
 // UpdateAt is Update stamped with an explicit commit.
 func (t *Table) UpdateAt(pkVal record.Value, newTup record.Tuple, c *Commit) error {
-	return t.updateCommit(pkVal, newTup, c)
-}
-
-func (t *Table) updateCommit(pkVal record.Value, newTup record.Tuple, c *Commit) error {
 	if err := t.schema.Validate(newTup); err != nil {
 		return err
 	}
@@ -253,7 +237,7 @@ func (t *Table) updateCommit(pkVal record.Value, newTup record.Tuple, c *Commit)
 	}
 	// Same commit: the delete and the re-insert are one version
 	// transition, invisible as separate steps to any snapshot.
-	if err := t.insertCommit(newTup, c); err != nil {
+	if err := t.InsertAt(newTup, c); err != nil {
 		return fmt.Errorf("storage: update of %v lost its row on re-insert: %w", pkVal, err)
 	}
 	return nil
@@ -270,11 +254,6 @@ func (t *Table) Get(v record.Value) (record.Tuple, Evidence, error) {
 		return nil, Evidence{}, err
 	}
 	return t.shardFor(pk).searchChain(0, pk)
-}
-
-// SearchPK is the historical name of Get.
-func (t *Table) SearchPK(v record.Value) (record.Tuple, Evidence, error) {
-	return t.Get(v)
 }
 
 // snapCheck validates that snap may read this table at all.
@@ -412,35 +391,13 @@ func (t *Table) rangeBounds(col int, lo, hi *record.Value) (int, ScanBounds, err
 	return chain, bounds, nil
 }
 
-// ScanRange is the historical name of RangeScan.
-func (t *Table) ScanRange(col int, lo, hi *record.Value) (Iterator, error) {
-	return t.RangeScan(col, lo, hi)
-}
-
-// SeqScan opens a verified scan of the whole primary chain. On a sharded
-// table with VerifyWorkers > 1 the per-shard sub-scans run on concurrent
-// producers and are merged in key order (see merge.go); the output and its
-// verification guarantees are identical to the sequential stitch. On a
-// versioned table the scan owns an implicit snapshot (see NewScan).
-func (t *Table) SeqScan() (Iterator, error) {
-	if t.ephemeral {
-		return t.seqScanAt(0)
-	}
-	return t.withSnapshot(t.SeqScanAt)
-}
+// SeqScan opens a verified scan of the whole primary chain; on a sharded
+// table it stitches the shards in key order like every scan, and on a
+// versioned table it owns an implicit snapshot (see NewScan).
+func (t *Table) SeqScan() (Iterator, error) { return t.NewScan(0, ScanBounds{}) }
 
 // SeqScanAt is SeqScan evaluated against a pinned snapshot the caller
-// owns. The parallel per-shard fan-out applies exactly as in SeqScan.
+// owns.
 func (t *Table) SeqScanAt(snap *Snapshot) (Iterator, error) {
-	if err := t.snapCheck(snap); err != nil {
-		return nil, err
-	}
-	return t.seqScanAt(snap.Seq())
-}
-
-func (t *Table) seqScanAt(seq uint64) (Iterator, error) {
-	if len(t.shards) > 1 && t.mem.Config().VerifyWorkers > 1 {
-		return newParallelMergeIterator(t, 0, ScanBounds{}, seq)
-	}
-	return t.scanAt(0, ScanBounds{}, seq)
+	return t.NewScanAt(0, ScanBounds{}, snap)
 }

@@ -21,7 +21,7 @@ func TestUpdateFuncBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tup, _, _ := tb.SearchPK(record.Int(1))
+	tup, _, _ := tb.Get(record.Int(1))
 	if tup[2].F != 10 {
 		t.Fatalf("row %v", tup)
 	}
@@ -50,7 +50,7 @@ func TestUpdateFuncRejectsChainColumnChange(t *testing.T) {
 		t.Fatal("primary-key change accepted")
 	}
 	// Row untouched after rejections.
-	tup, _, _ := tb.SearchPK(record.Int(1))
+	tup, _, _ := tb.Get(record.Int(1))
 	if tup[1].I != 10 {
 		t.Fatalf("row mutated by rejected update: %v", tup)
 	}
@@ -100,7 +100,7 @@ func TestUpdateFuncAtomicUnderContention(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	tup, _, _ := tb.SearchPK(record.Int(1))
+	tup, _, _ := tb.Get(record.Int(1))
 	if tup[2].F != workers*perWorker {
 		t.Fatalf("lost updates: %v of %d", tup[2].F, workers*perWorker)
 	}
@@ -118,7 +118,7 @@ func TestScannerVisitedCountsBoundaries(t *testing.T) {
 	// Range [25, 35] returns one row (30) but must visit the boundary
 	// witnesses (20 as the ≤-start anchor; 30's nKey 40 proves the top).
 	lo, hi := record.Int(25), record.Int(35)
-	sc, err := tb.ScanRange(0, &lo, &hi)
+	sc, err := tb.RangeScan(0, &lo, &hi)
 	if err != nil {
 		t.Fatal(err)
 	}

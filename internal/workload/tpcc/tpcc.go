@@ -286,7 +286,7 @@ func (w *Worker) NewOrder() error {
 		if w.rng.Intn(100) == 0 && w.cfg.Warehouses > 1 {
 			wh = 1 + w.rng.Intn(w.cfg.Warehouses)
 		}
-		iRow, ev, err := w.t.Item.SearchPK(record.Int(int64(item)))
+		iRow, ev, err := w.t.Item.Get(record.Int(int64(item)))
 		if err != nil || !ev.Found {
 			return fmt.Errorf("tpcc: item %d missing: %w", item, err)
 		}
@@ -359,13 +359,13 @@ func (w *Worker) Payment() error {
 func (w *Worker) OrderStatus() error {
 	d := 1 + w.rng.Intn(DistrictsPerWarehouse)
 	cid := customerID(w.home, d, 1+w.rng.Intn(w.cfg.Customers))
-	if _, _, err := w.t.Customer.SearchPK(record.Int(cid)); err != nil {
+	if _, _, err := w.t.Customer.Get(record.Int(cid)); err != nil {
 		return err
 	}
 	// Scan a small order-line range for the district (verified range scan).
 	lo := record.Int(orderLineID(w.home, d, 1, 0))
 	hi := record.Int(orderLineID(w.home, d, 3, 99))
-	sc, err := w.t.OrderLine.ScanRange(0, &lo, &hi)
+	sc, err := w.t.OrderLine.RangeScan(0, &lo, &hi)
 	if err != nil {
 		return err
 	}

@@ -79,7 +79,7 @@ func TestPaymentEffects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warehouse YTD grew.
-	row, ev, err := tables.Warehouse.SearchPK(record.Int(int64(w.home)))
+	row, ev, err := tables.Warehouse.Get(record.Int(int64(w.home)))
 	if err != nil || !ev.Found {
 		t.Fatal(err)
 	}

@@ -137,58 +137,24 @@ var (
 	ErrSessionExpired = core.ErrSessionExpired
 )
 
-// JoinStrategy names for Config.Join.
-const (
-	// JoinAuto picks index-nested-loop when the inner column has a chain,
-	// else hash join.
-	JoinAuto = "auto"
-	// JoinIndex forces index-nested-loop joins.
-	JoinIndex = "index"
-	// JoinMerge forces sort-merge joins.
-	JoinMerge = "merge"
-	// JoinHash forces hash joins.
-	JoinHash = "hash"
-	// JoinNested forces naive nested-loop joins.
-	JoinNested = "nested"
-)
-
-// Config tunes a database instance. The zero value is a verifying,
-// single-RSWS VeriDB with the paper's recommended optimisations on.
+// Config tunes a database instance: what a deployment sets. The zero value
+// is a verifying, single-RSWS VeriDB with the paper's recommended
+// optimisations on. The paper's ablations (Baseline mode, RSWS including
+// metadata, full scans, eager compaction, forced join plans, ECall cost,
+// EPC size) are axes of the figure harness, which sets them on
+// core.Config directly.
 type Config struct {
-	// Baseline disables all verification machinery (the paper's Baseline
-	// configuration) — benchmarking only.
-	Baseline bool
 	// RSWSPartitions is the number of ReadSet/WriteSet pairs with
 	// independent locks (§4.3). Zero means 1.
 	RSWSPartitions int
-	// VerifyMetadata includes page metadata in verification ("RSWS incl.
-	// metadata", Fig. 9).
-	VerifyMetadata bool
-	// FullScan disables touched-page tracking during verification.
-	FullScan bool
-	// EagerCompaction compacts pages on delete instead of at scan time.
-	EagerCompaction bool
-	// PageSize in bytes (default 8 KB).
-	PageSize int
 	// VerifyEveryOps starts the background verifier scanning one page per
 	// this many operations (Fig. 10's knob). Zero: verify manually.
 	VerifyEveryOps int
-	// VerifyWorkers is the number of concurrent verification workers used
-	// by Verify, the background verifier's scanner pool, and intra-page
-	// PRF evaluation. Zero means GOMAXPROCS; 1 is the serial verifier.
-	VerifyWorkers int
 	// TableShards is the number of hash shards per table, each with its
 	// own latch, key chains and pages; scans stitch the shards back
 	// together in key order. Zero or 1 keeps the single-shard layout
 	// (bit-identical to pre-sharding builds).
 	TableShards int
-	// Join selects the default join strategy ("auto" if empty).
-	Join string
-	// ECallCycles simulates SGX boundary-crossing cost in CPU cycles
-	// (§2.1 reports ~8000); zero disables the cost model.
-	ECallCycles int64
-	// EPCBytes caps simulated enclave memory (default 96 MB).
-	EPCBytes int64
 	// Seed makes the enclave PRF key deterministic (tests/benchmarks).
 	Seed uint64
 	// DataDir enables authenticated durable storage: every mutating
@@ -202,27 +168,19 @@ type Config struct {
 	// tampered durable state opens quarantined. Empty (the default) keeps
 	// the database purely in memory, bit-identical to prior behavior.
 	DataDir string
-	// PlanCacheSize bounds the prepared-plan LRU, counted in statement
-	// shapes: compiled statements are reused by SQL text with the literals
-	// lifted out, skipping the parser and planner for repeated shapes
-	// whatever their literals. The cache invalidates on DDL and
-	// shard-layout changes; cached and fresh executions produce identical
-	// rows, digests and response MACs. Zero means the default (128).
-	PlanCacheSize int
 	// StatementTimeout bounds each statement's wall-clock execution. The
 	// deadline is threaded as a context through the planner, engine
 	// operators and storage scans; at expiry the statement fails with
-	// context.DeadlineExceeded and releases its latches, snapshot pins,
-	// spool tables and merge producers. Zero disables the server-side
-	// deadline (per-request deadlines on the wire still apply; the sooner
-	// of the two wins).
+	// context.DeadlineExceeded and releases its latches, snapshot pins and
+	// spool tables. Zero disables the server-side deadline (per-request
+	// deadlines on the wire still apply; the sooner of the two wins).
 	StatementTimeout time.Duration
 	// MemBudget caps the estimated bytes of statement materialisations
 	// (sorts, hash tables, spools), MVCC version chains and the portal
-	// response cache, process-wide. Statements that would exceed it fail
-	// fast with a typed resource-exhausted error; under pressure
-	// spill-eligible operators degrade to smaller batches first. Zero
-	// tracks usage without refusing.
+	// response cache (itself bounded at 16 MB), process-wide. Statements
+	// that would exceed it fail fast with a typed resource-exhausted error;
+	// under pressure spill-eligible operators degrade to smaller batches
+	// first. Zero tracks usage without refusing.
 	MemBudget int64
 	// MaxConcurrentStatements caps statements executing in the kernel at
 	// once. Excess statements wait in a bounded queue and are shed with a
@@ -244,11 +202,13 @@ type Config struct {
 	// session's next statement fails once with a session-expired error;
 	// the client re-pins with a fresh BEGIN SNAPSHOT. Zero never expires.
 	SessionMaxIdle time.Duration
-	// ResponseCacheBytes bounds the portal's retry-idempotence response
-	// cache by total estimated bytes, evicting oldest first (the
-	// per-client entry cap still applies). Zero keeps the default (16 MB).
-	ResponseCacheBytes int64
 }
+
+// planCacheShapes bounds the prepared-plan LRU, counted in statement
+// shapes: compiled statements are reused by SQL text with the literals
+// lifted out, so a repeated shape skips the parser and planner whatever
+// its literals.
+const planCacheShapes = 128
 
 // validate rejects configurations that would otherwise surface as opaque
 // failures deep inside the memory or storage layers.
@@ -256,23 +216,11 @@ func (c Config) validate() error {
 	if c.RSWSPartitions < 0 {
 		return fmt.Errorf("veridb: RSWSPartitions is %d; want 0 (default) or a positive partition count", c.RSWSPartitions)
 	}
-	if c.VerifyWorkers < 0 {
-		return fmt.Errorf("veridb: VerifyWorkers is %d; want 0 (GOMAXPROCS) or a positive worker count", c.VerifyWorkers)
-	}
-	if c.PageSize < 0 {
-		return fmt.Errorf("veridb: PageSize is %d bytes; want 0 (default 8 KB) or a positive size", c.PageSize)
-	}
 	if c.TableShards < 0 {
 		return fmt.Errorf("veridb: TableShards is %d; want 0 (unsharded) or a positive shard count", c.TableShards)
 	}
 	if c.VerifyEveryOps < 0 {
 		return fmt.Errorf("veridb: VerifyEveryOps is %d; want 0 (manual verification) or a positive op interval", c.VerifyEveryOps)
-	}
-	if c.EPCBytes < 0 {
-		return fmt.Errorf("veridb: EPCBytes is %d; want 0 (default 96 MB) or a positive cap", c.EPCBytes)
-	}
-	if c.PlanCacheSize < 0 {
-		return fmt.Errorf("veridb: PlanCacheSize is %d; want 0 (default 128) or a positive entry count", c.PlanCacheSize)
 	}
 	if c.StatementTimeout < 0 {
 		return fmt.Errorf("veridb: StatementTimeout is %v; want 0 (no server-side deadline) or a positive duration", c.StatementTimeout)
@@ -298,9 +246,6 @@ func (c Config) validate() error {
 	if c.SessionMaxIdle < 0 {
 		return fmt.Errorf("veridb: SessionMaxIdle is %v; want 0 (sessions never expire) or a positive idle bound", c.SessionMaxIdle)
 	}
-	if c.ResponseCacheBytes < 0 {
-		return fmt.Errorf("veridb: ResponseCacheBytes is %d; want 0 (default 16 MB) or a positive byte cap", c.ResponseCacheBytes)
-	}
 	return nil
 }
 
@@ -308,46 +253,13 @@ func (c Config) coreConfig() (core.Config, error) {
 	if err := c.validate(); err != nil {
 		return core.Config{}, err
 	}
-	var js plan.JoinStrategy
-	switch c.Join {
-	case "", JoinAuto:
-		js = plan.JoinAuto
-	case JoinIndex:
-		js = plan.JoinIndex
-	case JoinMerge:
-		js = plan.JoinMerge
-	case JoinHash:
-		js = plan.JoinHash
-	case JoinNested:
-		js = plan.JoinNested
-	default:
-		return core.Config{}, fmt.Errorf("veridb: unknown join strategy %q", c.Join)
-	}
-	mode := vmem.ModeRSWS
-	if c.Baseline {
-		mode = vmem.ModeBaseline
-	}
-	planCache := c.PlanCacheSize
-	if planCache == 0 {
-		planCache = 128
-	}
 	return core.Config{
-		Enclave: enclave.Config{EPCBytes: c.EPCBytes, ECallCycles: c.ECallCycles},
-		Memory: vmem.Config{
-			Mode:            mode,
-			Partitions:      c.RSWSPartitions,
-			PageSize:        c.PageSize,
-			VerifyMetadata:  c.VerifyMetadata,
-			FullScan:        c.FullScan,
-			EagerCompaction: c.EagerCompaction,
-			VerifyWorkers:   c.VerifyWorkers,
-		},
-		Join:           js,
+		Memory:         vmem.Config{Partitions: c.RSWSPartitions},
 		VerifyEveryOps: c.VerifyEveryOps,
 		TableShards:    c.TableShards,
 		Seed:           c.Seed,
 		DataDir:        c.DataDir,
-		PlanCacheSize:  planCache,
+		PlanCacheSize:  planCacheShapes,
 
 		StatementTimeout:        c.StatementTimeout,
 		MemBudget:               c.MemBudget,
@@ -355,7 +267,6 @@ func (c Config) coreConfig() (core.Config, error) {
 		AdmissionQueueDepth:     c.AdmissionQueueDepth,
 		AdmissionMaxWait:        c.AdmissionMaxWait,
 		SessionMaxIdle:          c.SessionMaxIdle,
-		ResponseCacheBytes:      c.ResponseCacheBytes,
 	}, nil
 }
 

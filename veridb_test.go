@@ -76,20 +76,14 @@ func TestTamperDetectionEndToEnd(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Open(Config{Join: "quantum"}); err == nil {
-		t.Fatal("bad join strategy accepted")
-	}
 	cases := []struct {
 		name string
 		cfg  Config
 		want string
 	}{
 		{"negative partitions", Config{RSWSPartitions: -2}, "RSWSPartitions"},
-		{"negative workers", Config{VerifyWorkers: -1}, "VerifyWorkers"},
-		{"negative page size", Config{PageSize: -4096}, "PageSize"},
 		{"negative shards", Config{TableShards: -3}, "TableShards"},
 		{"negative verify interval", Config{VerifyEveryOps: -10}, "VerifyEveryOps"},
-		{"negative epc", Config{EPCBytes: -1}, "EPCBytes"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -108,7 +102,7 @@ func TestShardedSQLEndToEnd(t *testing.T) {
 	// The same SQL workload must produce identical answers whether tables
 	// are sharded or not; sharding is purely a storage-layout knob.
 	run := func(t *testing.T, shards int) ([]Row, []Row) {
-		db := open(t, Config{TableShards: shards, VerifyWorkers: 4})
+		db := open(t, Config{TableShards: shards})
 		mustExec(t, db, `CREATE TABLE orders (id INT PRIMARY KEY, qty INT, INDEX (qty))`)
 		for i := 0; i < 200; i++ {
 			mustExec(t, db, fmt.Sprintf(`INSERT INTO orders VALUES (%d, %d)`, (i*29)%500, i%10))
@@ -136,43 +130,6 @@ func TestShardedSQLEndToEnd(t *testing.T) {
 				t.Fatalf("range query disagrees at %d shards:\n got %v\nwant %v", shards, rng, baseRng)
 			}
 		})
-	}
-}
-
-func TestJoinStrategiesAgree(t *testing.T) {
-	want := ""
-	for _, j := range []string{JoinAuto, JoinIndex, JoinMerge, JoinHash, JoinNested} {
-		db := open(t, Config{Join: j})
-		mustExec(t, db, `CREATE TABLE a (id INT PRIMARY KEY, v INT)`)
-		mustExec(t, db, `CREATE TABLE b (id INT PRIMARY KEY, w INT)`)
-		for i := 0; i < 30; i++ {
-			mustExec(t, db, fmt.Sprintf(`INSERT INTO a VALUES (%d, %d)`, i, i*2))
-			if i%2 == 0 {
-				mustExec(t, db, fmt.Sprintf(`INSERT INTO b VALUES (%d, %d)`, i, i*3))
-			}
-		}
-		res := mustExec(t, db, `SELECT a.id, a.v, b.w FROM a, b WHERE a.id = b.id AND a.v > 10 ORDER BY a.id`)
-		var sb strings.Builder
-		for _, r := range res.Rows {
-			fmt.Fprintf(&sb, "%v;", r)
-		}
-		if want == "" {
-			want = sb.String()
-			if len(res.Rows) == 0 {
-				t.Fatal("empty join result")
-			}
-		} else if sb.String() != want {
-			t.Fatalf("join strategy %s disagrees:\n%s\nvs\n%s", j, sb.String(), want)
-		}
-	}
-}
-
-func TestBaselineModeRuns(t *testing.T) {
-	db := open(t, Config{Baseline: true})
-	mustExec(t, db, `CREATE TABLE t (a INT PRIMARY KEY)`)
-	mustExec(t, db, `INSERT INTO t VALUES (1)`)
-	if s := db.Stats(); s.PRFEvals != 0 {
-		t.Fatalf("baseline did PRF work: %+v", s)
 	}
 }
 
