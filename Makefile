@@ -11,12 +11,13 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # The public surface every simplicity PR quotes: the exported fields of
-# veridb.Config and core.Config (counted from go doc's source view), and
-# the flags veridb-server defines.
+# veridb.Config, core.Config and vmem.Config (counted from go doc's source
+# view), and the flags veridb-server defines.
 CONFIG_FIELDS = awk '/^type Config struct/ {f = 1; next} f && /^}/ {exit} f && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n}'
 knobs:
 	@printf 'veridb.Config fields: '; $(GO) doc -u -src . Config | $(CONFIG_FIELDS)
 	@printf 'core.Config fields:   '; $(GO) doc -u -src ./internal/core Config | $(CONFIG_FIELDS)
+	@printf 'vmem.Config fields:   '; $(GO) doc -u -src ./internal/vmem Config | $(CONFIG_FIELDS)
 	@printf 'veridb-server flags:  '; grep -c 'flag\.\(Bool\|Int\|Int64\|String\|Duration\|Var\)(' cmd/veridb-server/main.go
 
 vet:
@@ -34,8 +35,9 @@ lint: vet
 test:
 	$(GO) test ./...
 
-# The verification pipeline is the concurrency-heavy part of the tree; the
-# race detector must stay green with multi-worker scanning enabled.
+# Verification is the concurrency-heavy part of the tree; the race
+# detector must stay green with VerifyAll's page fan-out and the
+# background verifier running beside protected operations.
 race:
 	$(GO) test -race -count=1 ./...
 

@@ -451,20 +451,21 @@ func scanDigest(t *storage.Table, snap *storage.Snapshot) ([sha256.Size]byte, er
 	}
 }
 
-// BenchmarkVerifyScaling times one full verification pass over a
-// 10 000-page memory as the verification worker count grows. Full-scan
-// mode re-hashes every cell on every pass — the PRF-bound work §6.1 says
-// dominates. The parallel XOR fold is exact, so every worker count must
-// leave the serial pass's resident checksum. Measured (EXPERIMENTS.md): on
-// two cores 2 workers halve a pass and 4-8 workers give back up to 14 % of
-// that; at GOMAXPROCS 1 extra workers do not slow it.
+// verifyScalingChecksums holds each partition count's resident checksum
+// from its first run, across every -cpu value of one invocation.
+var verifyScalingChecksums = map[int]string{}
+
+// BenchmarkVerifyScaling times one full VerifyAll pass over a 10 000-page
+// memory as GOMAXPROCS (-cpu) grows: VerifyAll spreads a pass's pages over
+// that many goroutines. Full-scan mode re-hashes every cell on every pass
+// — the PRF-bound work §6.1 says dominates. It runs at 16 RSWSs and at 1,
+// because the pages, not the partitions, are what is spread. The parallel
+// XOR fold is exact, so every -cpu value must leave the same resident
+// checksum. Measured in EXPERIMENTS.md ("Verification scaling").
 func BenchmarkVerifyScaling(b *testing.B) {
-	var serial string
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			mem, err := vmem.New(enclave.NewForTest(1), vmem.Config{
-				Partitions: 16, FullScan: true, VerifyWorkers: workers,
-			})
+	for _, parts := range []int{16, 1} {
+		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
+			mem, err := vmem.New(enclave.NewForTest(1), vmem.Config{Partitions: parts, FullScan: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -496,10 +497,11 @@ func BenchmarkVerifyScaling(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(mem.Stats().Scans-scans)/b.Elapsed().Seconds(), "pages/s")
 			sum := mem.ResidentChecksum().String()
-			if serial == "" {
-				serial = sum
-			} else if sum != serial {
-				b.Fatalf("resident checksum %s != serial %s: the parallel fold must be bit-identical", sum, serial)
+			if first, ok := verifyScalingChecksums[parts]; !ok {
+				verifyScalingChecksums[parts] = sum
+			} else if sum != first {
+				b.Fatalf("resident checksum %s at GOMAXPROCS %d != %s: the parallel fold must be bit-identical",
+					sum, runtime.GOMAXPROCS(0), first)
 			}
 		})
 	}

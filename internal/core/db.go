@@ -119,10 +119,6 @@ type DB struct {
 	// planCache holds compiled statements keyed on their shape; nil when
 	// PlanCacheSize disables caching.
 	planCache *plan.Cache
-	// prepared is the PREPARE registry: statement templates by name.
-	// Never logged to the WAL — clients re-prepare after a restart.
-	prepMu   sync.Mutex
-	prepared map[string]*sql.Prepare
 
 	qmu  sync.Mutex
 	qerr error // sticky quarantine error, set on first alarm observation
@@ -147,12 +143,16 @@ type DB struct {
 	sessExpired    atomic.Int64
 }
 
-// session is one client's statement context: at most a pinned read
-// snapshot. While pinned, every SELECT reads the pinned committed state
-// and mutating statements are rejected (the session is read-only).
+// session is one client's statement context: its prepared statements and
+// at most a pinned read snapshot. While pinned, every SELECT reads the
+// pinned committed state and mutating statements are rejected (the session
+// is read-only).
 type session struct {
-	mu   sync.Mutex
-	snap *storage.Snapshot
+	mu sync.Mutex
+	// prepared is the client's PREPARE registry: statement templates by
+	// name. Never logged to the WAL — clients re-prepare after a restart.
+	prepared map[string]*sql.Prepare
+	snap     *storage.Snapshot
 	// lastUse is the last statement touch; the reaper expires pinned
 	// sessions idle past SessionMaxIdle.
 	lastUse time.Time
@@ -192,7 +192,6 @@ func Open(cfg Config) (*DB, error) {
 		opts:           plan.Options{Join: cfg.Join},
 		batchCap:       cfg.ExecBatchSize,
 		planCache:      plan.NewCache(cfg.PlanCacheSize),
-		prepared:       make(map[string]*sql.Prepare),
 		sessions:       make(map[string]*session),
 		budget:         govern.NewBudget(cfg.MemBudget),
 		admit:          govern.NewAdmission(cfg.MaxConcurrentStatements, cfg.AdmissionQueueDepth, cfg.AdmissionMaxWait),
@@ -203,8 +202,8 @@ func Open(cfg Config) (*DB, error) {
 	db.portal = portal.New(enc, db)
 	db.portal.SetBudget(db.budget)
 	// Recovery runs before the background verifier starts: WAL replay
-	// drives the protected interfaces at full speed and must not race a
-	// scanner pool, and the recovered image is admitted through an
+	// drives the protected interfaces at full speed and must not race the
+	// background verifier, and the recovered image is admitted through an
 	// explicit VerifyAll gate inside openDurable instead.
 	if cfg.DataDir != "" {
 		if err := db.openDurable(cfg); err != nil {
@@ -212,8 +211,9 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 	// A recovery that found tamper leaves the instance quarantined; the
-	// scanner pool stays down (QuarantineError would stop it on its first
-	// observation anyway — starting it would only leak work and windows).
+	// background verifier stays down (QuarantineError would stop it on its
+	// first observation anyway — starting it would only leak work and
+	// windows).
 	if cfg.VerifyEveryOps > 0 && db.mem.Alarm() == nil {
 		if err := mem.StartVerifier(cfg.VerifyEveryOps); err != nil {
 			return nil, fmt.Errorf("core: starting background verifier: %w", err)
@@ -329,7 +329,7 @@ func (db *DB) touchSession(sess *session) error {
 // QuarantineError returns the sticky quarantine error, entering the
 // quarantined state on the first call that observes a tamper alarm. A
 // quarantined DB fences every statement (the compromised state must never
-// be endorsed) and stops its background scanner pool — further scanning of
+// be endorsed) and stops its background verifier — further scanning of
 // memory already known to be compromised is wasted work, and the alarm can
 // never clear. Half of portal.Executor.
 func (db *DB) QuarantineError() error {
@@ -364,7 +364,7 @@ type Health struct {
 	// Epochs is every RSWS partition's current verification epoch;
 	// advancing epochs are evidence the verifier is making progress.
 	Epochs []uint64
-	// VerifierRunning reports whether the background scanner pool is
+	// VerifierRunning reports whether the background verifier is
 	// attached (quarantine and Close both stop it).
 	VerifierRunning bool
 	// Stats snapshots the memory's operation and verification counters.
@@ -473,7 +473,7 @@ func (db *DB) executeAdmitted(ctx context.Context, clientID, query string) (*por
 	var in *plan.Instance
 	if cached {
 		in = db.planCache.Get(key, version)
-		if in != nil && !(db.stillPrepared(in) && in.Bind(lits)) {
+		if in != nil && !(sess.stillPrepared(in) && in.Bind(lits)) {
 			db.planCache.Discard()
 			in = nil
 		}
@@ -483,7 +483,7 @@ func (db *DB) executeAdmitted(ctx context.Context, clientID, query string) (*por
 		if err != nil {
 			return nil, err
 		}
-		if in, err = db.compile(stmt, slots); err != nil {
+		if in, err = db.compile(sess, stmt, slots); err != nil {
 			return nil, err
 		}
 		// Every lifted literal must have its slot, or a hit could not
@@ -503,7 +503,7 @@ func (db *DB) sessionFor(clientID string) *session {
 	defer db.sessMu.Unlock()
 	s, ok := db.sessions[clientID]
 	if !ok {
-		s = &session{}
+		s = &session{prepared: make(map[string]*sql.Prepare)}
 		db.sessions[clientID] = s
 	}
 	return s
@@ -522,12 +522,12 @@ func cachedKind(key string) bool {
 }
 
 // compile builds the instance a parsed statement runs as: an EXECUTE is
-// bound to its template, a SELECT (EXECUTEd or plain) is planned, anything
-// else runs from its AST.
-func (db *DB) compile(stmt sql.Statement, slots []*sql.Literal) (*plan.Instance, error) {
+// bound to its template in the session's registry, a SELECT (EXECUTEd or
+// plain) is planned, anything else runs from its AST.
+func (db *DB) compile(sess *session, stmt sql.Statement, slots []*sql.Literal) (*plan.Instance, error) {
 	in := &plan.Instance{Stmt: stmt, Slots: slots, Rebindable: true}
 	if ex, ok := stmt.(*sql.ExecutePrepared); ok {
-		if err := db.bindPrepared(in, ex); err != nil {
+		if err := sess.bindPrepared(in, ex); err != nil {
 			return nil, err
 		}
 	}
@@ -566,14 +566,15 @@ func (db *DB) run(ctx context.Context, sess *session, query string, in *plan.Ins
 	return db.executeStmtSess(ctx, sess, in.Stmt)
 }
 
-// bindPrepared resolves an EXECUTE against the registry and makes in the
-// template's instance: the arguments compiled (constant expressions over
-// the EXECUTE's own literals), evaluated, and substituted into a clone of
-// the template through literal nodes that in.Bind rewrites on a later hit.
-func (db *DB) bindPrepared(in *plan.Instance, ex *sql.ExecutePrepared) error {
-	db.prepMu.Lock()
-	prep, ok := db.prepared[ex.Name]
-	db.prepMu.Unlock()
+// bindPrepared resolves an EXECUTE against the session's registry and
+// makes in the template's instance: the arguments compiled (constant
+// expressions over the EXECUTE's own literals), evaluated, and substituted
+// into a clone of the template through literal nodes that in.Bind rewrites
+// on a later hit.
+func (s *session) bindPrepared(in *plan.Instance, ex *sql.ExecutePrepared) error {
+	s.mu.Lock()
+	prep, ok := s.prepared[ex.Name]
+	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("core: no prepared statement %q", ex.Name)
 	}
@@ -599,15 +600,17 @@ func (db *DB) bindPrepared(in *plan.Instance, ex *sql.ExecutePrepared) error {
 	return nil
 }
 
-// stillPrepared reports whether an EXECUTE instance's template is still
-// the one registered under its name; any other instance always is.
-func (db *DB) stillPrepared(in *plan.Instance) bool {
+// stillPrepared reports whether an EXECUTE instance's template is the one
+// this session has registered under its name — the plan cache is shared by
+// every client, so an instance another client bound is not; any other
+// instance always is.
+func (s *session) stillPrepared(in *plan.Instance) bool {
 	if in.Prepared == nil {
 		return true
 	}
-	db.prepMu.Lock()
-	defer db.prepMu.Unlock()
-	return db.prepared[in.Prepared.Name] == in.Prepared
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.prepared[in.Prepared.Name] == in.Prepared
 }
 
 // PlanCacheStats snapshots the plan cache counters (zero when caching is
@@ -705,21 +708,21 @@ func (db *DB) executeStmtSess(ctx context.Context, sess *session, stmt sql.State
 	case *sql.Select:
 		return db.query(ctx, sess, s)
 	case *sql.Prepare:
-		db.prepMu.Lock()
-		db.prepared[s.Name] = s
-		db.prepMu.Unlock()
+		sess.mu.Lock()
+		sess.prepared[s.Name] = s
+		sess.mu.Unlock()
 		return &portal.Result{}, nil
 	case *sql.ExecutePrepared:
 		var in plan.Instance
-		if err := db.bindPrepared(&in, s); err != nil {
+		if err := sess.bindPrepared(&in, s); err != nil {
 			return nil, err
 		}
 		return db.executeStmtSess(ctx, sess, in.Stmt)
 	case *sql.Deallocate:
-		db.prepMu.Lock()
-		_, ok := db.prepared[s.Name]
-		delete(db.prepared, s.Name)
-		db.prepMu.Unlock()
+		sess.mu.Lock()
+		_, ok := sess.prepared[s.Name]
+		delete(sess.prepared, s.Name)
+		sess.mu.Unlock()
 		if !ok {
 			return nil, fmt.Errorf("core: no prepared statement %q", s.Name)
 		}

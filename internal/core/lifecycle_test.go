@@ -26,7 +26,7 @@ func waitGoroutines(t *testing.T, want int) {
 // TestVerifierLifecycleNoLeak: opening a DB with a background verifier
 // and closing it — or quarantining it — returns the process to its
 // baseline goroutine count. Close is idempotent and safe to race with
-// quarantine entry (both paths stop the scanner pool exactly once).
+// quarantine entry (both paths stop the background verifier exactly once).
 func TestVerifierLifecycleNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 

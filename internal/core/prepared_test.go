@@ -7,6 +7,7 @@ package core
 // prepared-statement registry (lost on restart by design).
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,4 +104,51 @@ func TestPrepareExecuteDurableReplay(t *testing.T) {
 	if _, err := re.Execute(`EXECUTE ins (9, 'x', 1.0, TRUE)`); err == nil {
 		t.Fatal("prepared statement survived a restart")
 	}
+}
+
+// TestPreparedStatementsArePerClient: a PREPARE registry is one client's.
+// Two clients prepare different templates under one name; each EXECUTE
+// runs its own client's template, through cache hits on an instance the
+// other client bound included, and one client's DEALLOCATE removes only
+// its own statement.
+func TestPreparedStatementsArePerClient(t *testing.T) {
+	db, err := Open(Config{Seed: 99, PlanCacheSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Close)
+	seed(t, db)
+	run := func(client, q string) ([]string, error) {
+		t.Helper()
+		res, err := db.ExecuteSession(client, q)
+		if err != nil {
+			return nil, err
+		}
+		return res.Columns, nil
+	}
+	want := func(client, q string, col ...string) {
+		t.Helper()
+		cols, err := run(client, q)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", client, q, err)
+		}
+		if fmt.Sprint(cols) != fmt.Sprint(col) {
+			t.Fatalf("%s: %s answered columns %v, want %v", client, q, cols, col)
+		}
+	}
+	want("alice", `PREPARE p AS SELECT id FROM quote WHERE id = ?`)
+	want("bob", `PREPARE p AS SELECT price FROM quote WHERE id = ?`)
+	for i := 1; i <= 3; i++ {
+		want("alice", fmt.Sprintf(`EXECUTE p (%d)`, i), "id")
+		want("bob", fmt.Sprintf(`EXECUTE p (%d)`, i), "price")
+	}
+	want("bob", `DEALLOCATE p`)
+	if _, err := run("bob", `EXECUTE p (1)`); err == nil {
+		t.Fatal("bob's EXECUTE after bob's DEALLOCATE succeeded")
+	}
+	want("alice", `EXECUTE p (1)`, "id")
+	if _, err := run("bob", `DEALLOCATE p`); err == nil {
+		t.Fatal("bob deallocated alice's statement")
+	}
+	want("alice", `DEALLOCATE p`)
 }

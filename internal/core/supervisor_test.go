@@ -134,7 +134,7 @@ func TestSupervisorFailoverEndToEnd(t *testing.T) {
 	if sup.Active() == active {
 		t.Fatal("supervisor still routes to the quarantined instance")
 	}
-	// Quarantine stopped the failed instance's scanner pool.
+	// Quarantine stopped the failed instance's background verifier.
 	if active.Memory().VerifierRunning() {
 		t.Fatal("quarantined instance's verifier still running")
 	}

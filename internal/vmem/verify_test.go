@@ -1,9 +1,11 @@
 package vmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -49,10 +51,10 @@ func loadRandomPages(t testing.TB, m *Memory, n int, seed int64) []uint64 {
 }
 
 // TestParallelScanResidentMatchesSerial is the bit-identical property the
-// XOR-fold parallelism rests on: scanning the same memory contents with 1
-// worker and with many workers must produce identical resident digests
-// (and identical, alarm-free epoch rotations). Runs across the
-// configuration space because metadata mode changes the job list.
+// XOR-fold parallelism rests on: VerifyAll over the same memory contents
+// at GOMAXPROCS 1 and at 8 must produce identical resident digests (and
+// identical, alarm-free epoch rotations). Runs across the configuration
+// space because metadata mode changes the cells a page scan hashes.
 func TestParallelScanResidentMatchesSerial(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
@@ -64,24 +66,19 @@ func TestParallelScanResidentMatchesSerial(t *testing.T) {
 		name := fmt.Sprintf("parts=%d,meta=%v,pagesize=%d", cfg.Partitions, cfg.VerifyMetadata, cfg.PageSize)
 		t.Run(name, func(t *testing.T) {
 			for trial := int64(0); trial < 3; trial++ {
-				build := func(workers int) *Memory {
-					c := cfg
-					c.VerifyWorkers = workers
-					m, err := New(enclave.NewForTest(42), c) // same seed → same PRF key
+				verifyAt := func(procs int) *Memory {
+					m, err := New(enclave.NewForTest(42), cfg) // same seed → same PRF key
 					if err != nil {
 						t.Fatal(err)
 					}
 					loadRandomPages(t, m, 6, 100+trial)
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					if err := m.VerifyAll(); err != nil {
+						t.Fatalf("pass at GOMAXPROCS %d: %v", procs, err)
+					}
 					return m
 				}
-				serial := build(1)
-				parallel := build(8)
-				if err := serial.VerifyAll(); err != nil {
-					t.Fatalf("serial pass: %v", err)
-				}
-				if err := parallel.VerifyAll(); err != nil {
-					t.Fatalf("parallel pass: %v", err)
-				}
+				serial, parallel := verifyAt(1), verifyAt(8)
 				s, p := serial.ResidentChecksum(), parallel.ResidentChecksum()
 				if !s.Equal(&p) {
 					t.Fatalf("trial %d: parallel resident checksum %v != serial %v", trial, p, s)
@@ -95,12 +92,13 @@ func TestParallelScanResidentMatchesSerial(t *testing.T) {
 }
 
 // TestTamperDetectedUnderConcurrentVerifyAll tampers a page while a
-// multi-worker VerifyAll is mid-pass over a partitioned memory, with
-// protected operations running concurrently on other pages. Whichever
-// epoch the tampered read lands in, the sticky alarm must be raised within
-// two full passes that start after the tamper.
+// VerifyAll spread over eight goroutines is mid-pass over a partitioned
+// memory, with protected operations running concurrently on other pages.
+// Whichever epoch the tampered read lands in, the sticky alarm must be
+// raised within two full passes that start after the tamper.
 func TestTamperDetectedUnderConcurrentVerifyAll(t *testing.T) {
-	m, err := New(enclave.NewForTest(7), Config{Partitions: 8, FullScan: true, VerifyWorkers: 8})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	m, err := New(enclave.NewForTest(7), Config{Partitions: 8, FullScan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +178,12 @@ func TestTamperDetectedUnderConcurrentVerifyAll(t *testing.T) {
 	}
 }
 
-// TestTamperDetectedByMultiWorkerBackgroundVerifier is the background
-// variant: the N-worker scanner pool, paced by ordinary traffic, must
-// raise the alarm after a direct memory write.
-func TestTamperDetectedByMultiWorkerBackgroundVerifier(t *testing.T) {
-	m, err := New(enclave.NewForTest(9), Config{Partitions: 4, FullScan: true, VerifyWorkers: 4})
+// TestTamperDetectedByBackgroundVerifierAcrossPartitions is the background
+// variant: the one verifier goroutine, paced by ordinary traffic and
+// moving from partition to partition, must raise the alarm after a direct
+// memory write.
+func TestTamperDetectedByBackgroundVerifierAcrossPartitions(t *testing.T) {
+	m, err := New(enclave.NewForTest(9), Config{Partitions: 4, FullScan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,15 +209,15 @@ func TestTamperDetectedByMultiWorkerBackgroundVerifier(t *testing.T) {
 	}
 	m.StopVerifier()
 	if err := m.Alarm(); !errors.Is(err, ErrTamperDetected) {
-		t.Fatalf("multi-worker background verifier missed tampering: %v", err)
+		t.Fatalf("background verifier missed tampering: %v", err)
 	}
 }
 
 // TestConcurrentVerifyAllAndBackgroundVerifier drives foreground VerifyAll
-// passes, the background scanner pool, and mutating traffic all at once on
-// a clean memory: no false alarm and no deadlock.
+// passes, the background verifier, and mutating traffic all at once on a
+// clean memory: no false alarm and no deadlock.
 func TestConcurrentVerifyAllAndBackgroundVerifier(t *testing.T) {
-	m, err := New(enclave.NewForTest(11), Config{Partitions: 4, VerifyWorkers: 4})
+	m, err := New(enclave.NewForTest(11), Config{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +294,9 @@ func TestVerifyAllReturnsAlarmRaisedByBackgroundPass(t *testing.T) {
 	}
 }
 
-// TestVerifyAllOnIdleMemoryWithPassInFlight: the background verifier holds
-// a partition's scan lock from the first page of a pass to its rotation,
-// and advances only when protected operations kick it. With a pass left in
-// flight and no further traffic, VerifyAll must still return, and paced
+// TestVerifyAllOnIdleMemoryWithPassInFlight: the background verifier
+// advances a pass only when protected operations kick it. With a pass left
+// in flight and no further traffic, VerifyAll must still return, and paced
 // scanning must pick up again afterwards.
 func TestVerifyAllOnIdleMemoryWithPassInFlight(t *testing.T) {
 	m, err := New(enclave.NewForTest(17), Config{})
@@ -340,9 +338,9 @@ func TestVerifyAllOnIdleMemoryWithPassInFlight(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("VerifyAll blocked behind an idle background pass")
 	}
-	// Two rotations so far: the pass VerifyAll had the verifier finish,
-	// and VerifyAll's own. Traffic must drive a third.
-	for deadline := time.Now().Add(10 * time.Second); m.Stats().Rotations < 3; {
+	// Traffic must drive one more rotation after VerifyAll returned.
+	after := m.Stats().Rotations
+	for deadline := time.Now().Add(10 * time.Second); m.Stats().Rotations <= after; {
 		if time.Now().After(deadline) {
 			t.Fatalf("paced scanning did not resume: %d rotations", m.Stats().Rotations)
 		}
@@ -352,14 +350,124 @@ func TestVerifyAllOnIdleMemoryWithPassInFlight(t *testing.T) {
 	}
 }
 
-// TestVerifyWorkersDefaultsToGOMAXPROCS pins the knob's default.
-func TestVerifyWorkersDefault(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.VerifyWorkers < 1 {
-		t.Fatalf("default VerifyWorkers = %d", cfg.VerifyWorkers)
+// TestVerifyAllCatchesTamperBehindPassInFlight: a tamper of a page the
+// pass in flight has already scanned is invisible to that pass's rotation —
+// the scan read the page before the tamper. VerifyAll must complete that
+// pass and then run one of its own, so it returns the alarm even for a pass
+// the background verifier left behind when it stopped.
+func TestVerifyAllCatchesTamperBehindPassInFlight(t *testing.T) {
+	m, err := New(enclave.NewForTest(23), Config{FullScan: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg = Config{VerifyWorkers: 3}.withDefaults()
-	if cfg.VerifyWorkers != 3 {
-		t.Fatalf("explicit VerifyWorkers overridden to %d", cfg.VerifyWorkers)
+	pids := loadRandomPages(t, m, 8, 7)
+	if err := m.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StartVerifier(4); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // one kick: the pass starts and scans one page
+		if _, err := m.Get(pids[0], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	part := m.parts[0]
+	scanned := func() *vPage {
+		part.mu.Lock()
+		epoch := part.epoch
+		part.mu.Unlock()
+		for _, id := range pids {
+			vp := part.lookupLocal(id)
+			vp.mu.Lock()
+			done := vp.scannedEpoch == epoch
+			vp.mu.Unlock()
+			if done {
+				return vp
+			}
+		}
+		return nil
+	}
+	var vp *vPage
+	for deadline := time.Now().Add(2 * time.Second); vp == nil; vp = scanned() {
+		if time.Now().After(deadline) {
+			t.Fatal("the background pass scanned no page")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.StopVerifier()
+	slot, flipped := -1, []byte(nil)
+	if err := m.Slots(vp.id, func(s int, rec []byte) bool {
+		slot, flipped = s, []byte{rec[0] ^ 0xff}
+		return false
+	}); err != nil || slot < 0 {
+		t.Fatalf("no live record on page %d: %v", vp.id, err)
+	}
+	if err := m.TamperRecord(vp.id, slot, flipped); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.VerifyAll(); !errors.Is(err, ErrTamperDetected) {
+		t.Fatalf("VerifyAll after a tamper behind the pass in flight: %v", err)
+	}
+}
+
+// TestPageFreedMidPassIsNotReadTwice: a pass looks a page up and scans it
+// later, and FreePage may read the page out in between (a DROP TABLE beside
+// the verifier). The scan must then skip the page: reading it a second time
+// would leave it in the read set twice and raise a false alarm.
+func TestPageFreedMidPassIsNotReadTwice(t *testing.T) {
+	m, err := New(enclave.NewForTest(29), Config{FullScan: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := loadRandomPages(t, m, 2, 9)
+	part := m.parts[0]
+	part.scanMu.Lock()
+	part.beginPass()
+	vp := part.lookupLocal(pids[0])
+	if err := m.FreePage(pids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if d := m.scanPage(part, vp); !d.Zero() {
+		t.Error("a page freed after its lookup was scanned")
+	}
+	m.finishPasses([]*partition{part})
+	part.scanMu.Unlock()
+	if err := m.Alarm(); err != nil {
+		t.Fatalf("false alarm: %v", err)
+	}
+}
+
+// TestVerifierIsOneGoroutine: the background verifier is one thread, as
+// the paper's is (§6.1). StartVerifier adds exactly one goroutine, and
+// StopVerifier takes it away again. Goroutines are counted by the function
+// that created them, so other tests' stragglers do not count.
+func TestVerifierIsOneGoroutine(t *testing.T) {
+	m, err := New(enclave.NewForTest(19), Config{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadRandomPages(t, m, 8, 6)
+	started := func() int {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		return bytes.Count(buf, []byte("created by veridb/internal/vmem.(*Memory).StartVerifier"))
+	}
+	if n := started(); n != 0 {
+		t.Fatalf("%d verifier goroutines before StartVerifier", n)
+	}
+	if err := m.StartVerifier(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := started(); n != 1 {
+		m.StopVerifier()
+		t.Fatalf("StartVerifier started %d goroutines, want 1", n)
+	}
+	m.StopVerifier()
+	for deadline := time.Now().Add(2 * time.Second); started() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d verifier goroutines after StopVerifier", started())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

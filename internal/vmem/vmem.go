@@ -22,7 +22,6 @@ package vmem
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -66,18 +65,6 @@ type Config struct {
 	// EagerCompaction compacts a page on every delete instead of deferring
 	// reclamation to the verification scan (ablation of §4.3).
 	EagerCompaction bool
-	// NoScanCompaction disables compaction during verification scans.
-	NoScanCompaction bool
-	// VerifyWorkers is the number of concurrent verification workers:
-	// VerifyAll scans that many partitions at once, the background
-	// verifier runs that many page scanners off its kick queue, and a
-	// touched page's PRF evaluations are chunked across that many
-	// goroutines. Partition passes are independent because each partition
-	// has its own RSWS and scan locks (§4.3); intra-page parallelism is
-	// exact because the XOR fold is associative and commutative, so the
-	// combined digest is bit-identical to the serial scan's. Zero means
-	// GOMAXPROCS; 1 recovers the fully serial verifier.
-	VerifyWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -86,9 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PageSize <= 0 {
 		c.PageSize = page.DefaultSize
-	}
-	if c.VerifyWorkers <= 0 {
-		c.VerifyWorkers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -158,6 +142,7 @@ type vPage struct {
 
 	scannedEpoch uint64         // partition epoch this page was last scanned in
 	touched      bool           // any protected access since the last scan
+	freed        bool           // read out by FreePage; scans skip it
 	resident     sethash.Digest // XOR of live-cell PRFs as of the last scan
 }
 
@@ -180,7 +165,10 @@ type partition struct {
 	epoch    uint64
 	scanning bool
 
-	scanMu sync.Mutex // serialises scanners of this partition
+	// scanMu serialises passes over the partition: the background verifier
+	// holds it for one page scan, VerifyAll for its whole call.
+	scanMu  sync.Mutex
+	pending []uint64 // pages the pass in flight has yet to scan; under scanMu
 
 	pagesMu sync.RWMutex
 	pages   map[uint64]*vPage
@@ -313,7 +301,7 @@ func (m *Memory) NewPageIn(affinity int) (uint64, error) {
 
 	part.mu.Lock()
 	if part.scanning {
-		// The scanner's snapshot predates this page; attribute it to the
+		// The pass's page list predates this page; attribute it to the
 		// next epoch so its (so far empty) ledger stays balanced.
 		vp.scannedEpoch = part.epoch
 	}
@@ -325,11 +313,12 @@ func (m *Memory) NewPageIn(affinity int) (uint64, error) {
 		ws.AddDigest(&hw)
 		vp.touched = true
 	}
-	part.mu.Unlock()
-
+	// Registered under the RSWS lock, as beginPass lists pages: a pass
+	// either lists this page or was in flight when it was marked above.
 	part.pagesMu.Lock()
 	part.pages[id] = vp
 	part.pagesMu.Unlock()
+	part.mu.Unlock()
 	m.pageCount.Add(1)
 	return id, nil
 }
@@ -344,25 +333,16 @@ func (m *Memory) FreePage(pageID uint64) error {
 	part := m.part(pageID)
 	vp.mu.Lock()
 	if m.cfg.Mode == ModeRSWS {
+		d := m.pageDigest(vp)
 		part.mu.Lock()
 		rs, _ := m.epochSets(part, vp)
-		vp.p.Slots(func(slot int, rec []byte) bool {
-			vp.ensureVers(slot)
-			d := m.prf(CellAddr(pageID, slot), vp.vers[slot], rec)
-			rs.AddDigest(&d)
-			if m.cfg.VerifyMetadata {
-				md := m.prf(MetaAddr(pageID, slot), vp.mver[slot], vp.p.SlotPointerBytes(slot))
-				rs.AddDigest(&md)
-			}
-			return true
-		})
-		if m.cfg.VerifyMetadata {
-			hd := m.prf(HeaderAddr(pageID), vp.hver, vp.headerBytes())
-			rs.AddDigest(&hd)
-		}
+		rs.AddDigest(&d)
 		part.mu.Unlock()
 		vp.touched = true
 	}
+	// A pass that looked the page up before it leaves the map skips it
+	// rather than reading it out a second time.
+	vp.freed = true
 	vp.mu.Unlock()
 
 	part.pagesMu.Lock()

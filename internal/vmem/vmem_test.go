@@ -107,17 +107,16 @@ func TestNoSuchPage(t *testing.T) {
 // must hold under.
 func allConfigs() map[string]Config {
 	return map[string]Config{
-		"default":            {},
-		"metadata":           {VerifyMetadata: true},
-		"fullscan":           {FullScan: true},
-		"metadata+fullscan":  {VerifyMetadata: true, FullScan: true},
-		"eager-compaction":   {EagerCompaction: true},
-		"meta+eager":         {VerifyMetadata: true, EagerCompaction: true},
-		"no-scan-compaction": {NoScanCompaction: true},
-		"partitioned":        {Partitions: 8},
-		"partitioned+meta":   {Partitions: 8, VerifyMetadata: true},
-		"small-pages":        {PageSize: 512},
-		"small-pages+meta":   {PageSize: 512, VerifyMetadata: true},
+		"default":           {},
+		"metadata":          {VerifyMetadata: true},
+		"fullscan":          {FullScan: true},
+		"metadata+fullscan": {VerifyMetadata: true, FullScan: true},
+		"eager-compaction":  {EagerCompaction: true},
+		"meta+eager":        {VerifyMetadata: true, EagerCompaction: true},
+		"partitioned":       {Partitions: 8},
+		"partitioned+meta":  {Partitions: 8, VerifyMetadata: true},
+		"small-pages":       {PageSize: 512},
+		"small-pages+meta":  {PageSize: 512, VerifyMetadata: true},
 	}
 }
 

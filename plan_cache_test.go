@@ -87,8 +87,17 @@ var rebindShapes = []rebindShape{
 
 var scanRanges = [3][]any{{1, 300}, {200, 399}, {350, 400}}
 
-// rebindSetup is execBatchSetup plus a small lineitem/part pair and the
-// prepared statements the EXECUTE shapes name.
+// execAs runs q in client's session, as the portal runs that client's
+// requests, but consumes no portal sequence number.
+func execAs(t *testing.T, db *DB, client, q string) error {
+	t.Helper()
+	_, err := db.inner.ExecuteSession(client, q)
+	return err
+}
+
+// rebindSetup is execBatchSetup plus a small lineitem/part pair and, in
+// alice's session (a PREPARE registry is one client's), the prepared
+// statements the EXECUTE shapes name.
 func rebindSetup(t *testing.T, db *DB) {
 	t.Helper()
 	execBatchSetup(t, db)
@@ -109,8 +118,14 @@ func rebindSetup(t *testing.T, db *DB) {
 	for _, p := range d.Parts {
 		insert("part", tpch.PartTuple(p))
 	}
-	mustExec(t, db, `PREPARE sel AS SELECT id, name, id + 1 FROM items WHERE id >= ? AND name <> ? ORDER BY id LIMIT 3`)
-	mustExec(t, db, `PREPARE upd AS UPDATE items SET qty = ? WHERE id = ?`)
+	for _, q := range []string{
+		`PREPARE sel AS SELECT id, name, id + 1 FROM items WHERE id >= ? AND name <> ? ORDER BY id LIMIT 3`,
+		`PREPARE upd AS UPDATE items SET qty = ? WHERE id = ?`,
+	} {
+		if err := execAs(t, db, "alice", q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
 }
 
 // serve runs one statement through the authenticated portal and verifies
@@ -144,7 +159,7 @@ func TestPlanCacheEndorsementIdentity(t *testing.T) {
 	coldLoaded := cold.PlanCache()
 
 	// warm has one instance of every shape, compiled for a fourth binding
-	// outside the portal (Exec consumes no portal sequence number), so all
+	// outside the portal (execAs consumes no portal sequence number), so all
 	// three served statements of a shape rebind that one instance.
 	warm := open(t, Config{Seed: 7})
 	rebindSetup(t, warm)
@@ -214,9 +229,9 @@ func TestPlanCacheEndorsementIdentity(t *testing.T) {
 }
 
 // warmShape files one instance of the shape in db's cache without changing
-// db: the statement runs with literals that match no row (a write) or as
-// its first binding (a read; errors included — a statement that fails
-// while running is filed like any other).
+// db: the statement runs in alice's session with literals that match no
+// row (a write) or as its first binding (a read; errors included — a
+// statement that fails while running is filed like any other).
 func warmShape(t *testing.T, db *DB, shape rebindShape) {
 	t.Helper()
 	q := shape.text(0)
@@ -233,5 +248,5 @@ func warmShape(t *testing.T, db *DB, shape rebindShape) {
 	case strings.HasPrefix(q, "EXECUTE upd"):
 		q = `EXECUTE upd (0, 100000)`
 	}
-	_, _ = db.Exec(q)
+	_ = execAs(t, db, "alice", q)
 }

@@ -390,15 +390,16 @@ func (db *DB) Health() Health { return db.inner.Health() }
 // while the instance is healthy.
 func (db *DB) QuarantineError() error { return db.inner.QuarantineError() }
 
-// StartVerifier launches non-quiescent background verification, scanning
-// one page per opsPerPageScan protected operations on the configured
-// worker pool. It returns an error if a verifier is already running.
+// StartVerifier launches non-quiescent background verification: one
+// goroutine that scans one page per opsPerPageScan protected operations.
+// It returns an error if a verifier is already running.
 func (db *DB) StartVerifier(opsPerPageScan int) error {
 	return db.inner.Memory().StartVerifier(opsPerPageScan)
 }
 
-// StopVerifier stops background verification, completing the pass in
-// flight.
+// StopVerifier stops background verification once the page scan in
+// progress is done. A pass left in flight is resumed by the next
+// StartVerifier and completed by Verify.
 func (db *DB) StopVerifier() { db.inner.Memory().StopVerifier() }
 
 // Stats returns verification and enclave counters.
