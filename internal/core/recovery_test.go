@@ -34,7 +34,9 @@ const (
 	goldenStatements = 25
 	// goldenChecksumAfterRecovery pins the resident checksum after
 	// recovering the committed directory and running one VerifyAll scan.
-	goldenChecksumAfterRecovery = "545dbc39ff70b8ff"
+	// It depends on the set-hash PRF (HMAC-SHA-256) but the directory's
+	// bytes do not: the WAL MAC is a separate key and construction.
+	goldenChecksumAfterRecovery = "5e7e2342b1037dd8"
 )
 
 func TestGoldenRecovery(t *testing.T) {

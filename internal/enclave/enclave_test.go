@@ -176,8 +176,8 @@ func TestMACKeyProvisioning(t *testing.T) {
 }
 
 func TestNewForTestDeterministicPRF(t *testing.T) {
-	a := NewForTest(42).PRFKey().PRF(1, []byte("x"))
-	b := NewForTest(42).PRFKey().PRF(1, []byte("x"))
+	a := NewForTest(42).PRFKey().PRFv(1, 0, []byte("x"))
+	b := NewForTest(42).PRFKey().PRFv(1, 0, []byte("x"))
 	if !a.Equal(&b) {
 		t.Fatal("NewForTest PRF key not deterministic")
 	}

@@ -8,14 +8,18 @@
 //
 // so that h can be maintained incrementally under insertion (fold one more
 // PRF image in) and two multisets are equal iff their hashes are equal,
-// except with negligible probability. The paper uses 64-byte accumulators;
-// we realise PRF_k with HMAC-SHA-512, which yields exactly 64 bytes.
+// except with negligible probability. PRF_k is HMAC-SHA-256, so digests and
+// accumulators are 32 bytes and one check is forged with probability 2^-256
+// plus HMAC-SHA-256's PRF advantage. The paper's 64-byte accumulators were
+// an implementation choice, not part of the argument. PRF_k must be a PRF:
+// a keyed hash that is linear in its input (GHASH/GMAC) lets two equal
+// tampers cancel in the XOR, whatever the key.
 package sethash
 
 import (
 	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha512"
+	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
 	"encoding/hex"
@@ -25,9 +29,9 @@ import (
 )
 
 // Size is the byte length of PRF outputs and multiset-hash accumulators.
-const Size = sha512.Size // 64 bytes, matching the paper's accumulators
+const Size = sha256.Size // 32 bytes
 
-// Digest is a single 64-byte PRF image or multiset-hash accumulator.
+// Digest is a single 32-byte PRF image or multiset-hash accumulator.
 type Digest [Size]byte
 
 // Zero reports whether d is the all-zero digest (the hash of the empty set).
@@ -44,7 +48,7 @@ func (d *Digest) Equal(o *Digest) bool {
 // XOR folds o into d in place. Because XOR is its own inverse, the same
 // operation both inserts into and removes from a multiset accumulator.
 //
-// The fold works eight uint64 words at a time rather than byte-wise: the
+// The fold works four uint64 words at a time rather than byte-wise: the
 // accumulator fold sits on the verification scan's hot path (one XOR per
 // live cell per scan), and the word loads/stores compile to plain 64-bit
 // moves. Loading and storing through the same byte order keeps the result
@@ -87,7 +91,7 @@ func (k *Key) get() *prfState {
 	if st, ok := k.pool.Get().(*prfState); ok {
 		return st
 	}
-	return &prfState{mac: hmac.New(sha512.New, k.k[:])}
+	return &prfState{mac: hmac.New(sha256.New, k.k[:])}
 }
 
 // prfv evaluates PRF_k(addr ‖ ver ‖ data) into out.
@@ -114,14 +118,8 @@ func NewKey() (*Key, error) {
 // reproducible benchmarks; production callers should use NewKey.
 func KeyFromSeed(seed uint64) *Key {
 	var k Key
-	sum := sha512.Sum512(binary.LittleEndian.AppendUint64([]byte("veridb-sethash-seed:"), seed))
-	copy(k.k[:], sum[:32])
+	k.k = sha256.Sum256(binary.LittleEndian.AppendUint64([]byte("veridb-sethash-seed:"), seed))
 	return &k
-}
-
-// PRF computes PRF_k(addr ‖ data): the image of one (address, data) pair.
-func (k *Key) PRF(addr uint64, data []byte) Digest {
-	return k.PRFv(addr, 0, data)
 }
 
 // PRFv computes PRF_k(addr ‖ ver ‖ data): the image of a versioned cell.
@@ -134,7 +132,7 @@ func (k *Key) PRFv(addr, ver uint64, data []byte) (d Digest) {
 }
 
 // PRFvInto computes PRF_k(addr ‖ ver ‖ data) directly into out, avoiding
-// the 64-byte return-value copy of PRFv. Equivalent to *out = k.PRFv(...).
+// the digest return-value copy of PRFv. Equivalent to *out = k.PRFv(...).
 func (k *Key) PRFvInto(addr, ver uint64, data []byte, out *Digest) {
 	st := k.get()
 	st.prfv(addr, ver, data, out)
@@ -177,12 +175,6 @@ func (h *Hasher) Close() {
 // it with their own locks, mirroring the paper's RSWS locks.
 type Accumulator struct {
 	h Digest
-}
-
-// Add folds the pair (addr, data) into the multiset.
-func (a *Accumulator) Add(k *Key, addr uint64, data []byte) {
-	d := k.PRF(addr, data)
-	a.h.XOR(&d)
 }
 
 // AddDigest folds a precomputed PRF image into the multiset. Callers that

@@ -3,17 +3,25 @@ package sethash
 import (
 	"bytes"
 	"crypto/hmac"
-	"crypto/sha512"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// fold inserts the element (addr, ver 0, data) into a: one PRF image folded
+// into the accumulator, as vmem does for every cell.
+func fold(a *Accumulator, k *Key, addr uint64, data []byte) {
+	d := k.PRFv(addr, 0, data)
+	a.AddDigest(&d)
+}
+
 func TestPRFDeterministic(t *testing.T) {
 	k := KeyFromSeed(1)
-	a := k.PRF(42, []byte("hello"))
-	b := k.PRF(42, []byte("hello"))
+	a := k.PRFv(42, 0, []byte("hello"))
+	b := k.PRFv(42, 0, []byte("hello"))
 	if !a.Equal(&b) {
 		t.Fatal("PRF not deterministic for identical inputs")
 	}
@@ -21,8 +29,8 @@ func TestPRFDeterministic(t *testing.T) {
 
 func TestPRFDistinguishesAddr(t *testing.T) {
 	k := KeyFromSeed(1)
-	a := k.PRF(1, []byte("x"))
-	b := k.PRF(2, []byte("x"))
+	a := k.PRFv(1, 0, []byte("x"))
+	b := k.PRFv(2, 0, []byte("x"))
 	if a.Equal(&b) {
 		t.Fatal("PRF collided on distinct addresses")
 	}
@@ -30,16 +38,16 @@ func TestPRFDistinguishesAddr(t *testing.T) {
 
 func TestPRFDistinguishesData(t *testing.T) {
 	k := KeyFromSeed(1)
-	a := k.PRF(1, []byte("x"))
-	b := k.PRF(1, []byte("y"))
+	a := k.PRFv(1, 0, []byte("x"))
+	b := k.PRFv(1, 0, []byte("y"))
 	if a.Equal(&b) {
 		t.Fatal("PRF collided on distinct data")
 	}
 }
 
 func TestPRFKeyed(t *testing.T) {
-	a := KeyFromSeed(1).PRF(1, []byte("x"))
-	b := KeyFromSeed(2).PRF(1, []byte("x"))
+	a := KeyFromSeed(1).PRFv(1, 0, []byte("x"))
+	b := KeyFromSeed(2).PRFv(1, 0, []byte("x"))
 	if a.Equal(&b) {
 		t.Fatal("PRF output identical under different keys")
 	}
@@ -49,8 +57,8 @@ func TestPRFBoundaryConcatenation(t *testing.T) {
 	// (addr, data) must be injectively encoded: moving a byte between the
 	// two halves must change the image. addr is fixed-width so this holds.
 	k := KeyFromSeed(3)
-	a := k.PRF(0x01, []byte{0x02})
-	b := k.PRF(0x0102, nil)
+	a := k.PRFv(0x01, 0, []byte{0x02})
+	b := k.PRFv(0x0102, 0, nil)
 	if a.Equal(&b) {
 		t.Fatal("PRF encoding is not injective across the addr/data boundary")
 	}
@@ -65,8 +73,8 @@ func TestNewKeyRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := k1.PRF(1, []byte("x"))
-	b := k2.PRF(1, []byte("x"))
+	a := k1.PRFv(1, 0, []byte("x"))
+	b := k2.PRFv(1, 0, []byte("x"))
 	if a.Equal(&b) {
 		t.Fatal("two fresh keys produced identical PRF output")
 	}
@@ -105,10 +113,10 @@ func TestAccumulatorOrderIndependence(t *testing.T) {
 	}
 	var fwd, rev Accumulator
 	for _, p := range pairs {
-		fwd.Add(k, p[0].(uint64), p[1].([]byte))
+		fold(&fwd, k, p[0].(uint64), p[1].([]byte))
 	}
 	for i := len(pairs) - 1; i >= 0; i-- {
-		rev.Add(k, pairs[i][0].(uint64), pairs[i][1].([]byte))
+		fold(&rev, k, pairs[i][0].(uint64), pairs[i][1].([]byte))
 	}
 	if !fwd.Equal(&rev) {
 		t.Fatal("multiset hash depends on insertion order")
@@ -118,8 +126,8 @@ func TestAccumulatorOrderIndependence(t *testing.T) {
 func TestAccumulatorSelfInverse(t *testing.T) {
 	k := KeyFromSeed(9)
 	var a Accumulator
-	a.Add(k, 5, []byte("payload"))
-	a.Add(k, 5, []byte("payload")) // XOR cancels: even multiplicity vanishes
+	fold(&a, k, 5, []byte("payload"))
+	fold(&a, k, 5, []byte("payload")) // XOR cancels: even multiplicity vanishes
 	s := a.Sum()
 	if !s.Zero() {
 		t.Fatal("adding the same element twice did not cancel")
@@ -129,22 +137,11 @@ func TestAccumulatorSelfInverse(t *testing.T) {
 func TestAccumulatorReset(t *testing.T) {
 	k := KeyFromSeed(9)
 	var a Accumulator
-	a.Add(k, 1, []byte("x"))
+	fold(&a, k, 1, []byte("x"))
 	a.Reset()
 	s := a.Sum()
 	if !s.Zero() {
 		t.Fatal("reset did not clear the accumulator")
-	}
-}
-
-func TestAddDigestMatchesAdd(t *testing.T) {
-	k := KeyFromSeed(11)
-	var a, b Accumulator
-	a.Add(k, 99, []byte("value"))
-	d := k.PRF(99, []byte("value"))
-	b.AddDigest(&d)
-	if !a.Equal(&b) {
-		t.Fatal("AddDigest disagrees with Add")
 	}
 }
 
@@ -163,23 +160,23 @@ func TestReadWriteConsistencyProperty(t *testing.T) {
 		for addr := uint64(0); addr < 8; addr++ {
 			v := []byte{byte(rng.Intn(256))}
 			mem[addr] = v
-			ws.Add(k, addr, v)
+			fold(&ws, k, addr, v)
 		}
 		for i := 0; i < int(nOps); i++ {
 			addr := uint64(rng.Intn(8))
 			if rng.Intn(2) == 0 { // read: fold into RS, virtual write-back into WS
-				rs.Add(k, addr, mem[addr])
-				ws.Add(k, addr, mem[addr])
+				fold(&rs, k, addr, mem[addr])
+				fold(&ws, k, addr, mem[addr])
 			} else { // write: old into RS, new into WS
-				rs.Add(k, addr, mem[addr])
+				fold(&rs, k, addr, mem[addr])
 				v := []byte{byte(rng.Intn(256))}
 				mem[addr] = v
-				ws.Add(k, addr, v)
+				fold(&ws, k, addr, v)
 			}
 		}
 		// Verification scan: read everything once.
 		for addr := uint64(0); addr < 8; addr++ {
-			rs.Add(k, addr, mem[addr])
+			fold(&rs, k, addr, mem[addr])
 		}
 		return rs.Equal(&ws)
 	}
@@ -193,11 +190,11 @@ func TestTamperBreaksConsistency(t *testing.T) {
 	mem := map[uint64][]byte{0: {1}, 1: {2}}
 	var rs, ws Accumulator
 	for a, v := range mem {
-		ws.Add(k, a, v)
+		fold(&ws, k, a, v)
 	}
 	mem[1] = []byte{99} // adversary writes around the protected interface
 	for a, v := range mem {
-		rs.Add(k, a, v)
+		fold(&rs, k, a, v)
 	}
 	if rs.Equal(&ws) {
 		t.Fatal("tampered memory passed the consistency check")
@@ -269,10 +266,14 @@ func TestHasherMatchesPRFv(t *testing.T) {
 }
 
 // TestPRFvMatchesHMACDefinition recomputes the PRF with a fresh crypto/hmac:
-// PRF_k(addr, ver, data) = HMAC-SHA-512(k, le64(addr) ‖ le64(ver) ‖ data).
+// PRF_k(addr, ver, data) = HMAC-SHA-256(k, le64(addr) ‖ le64(ver) ‖ data),
+// a 32-byte image.
 // The golden checksums pin the same thing only through a whole workload;
 // this pins the definition itself, whatever the pooled state does.
 func TestPRFvMatchesHMACDefinition(t *testing.T) {
+	if Size != 32 {
+		t.Fatalf("Size = %d, want 32 (HMAC-SHA-256)", Size)
+	}
 	k := KeyFromSeed(24)
 	rng := rand.New(rand.NewSource(24))
 	h := k.NewHasher()
@@ -281,7 +282,7 @@ func TestPRFvMatchesHMACDefinition(t *testing.T) {
 		data := make([]byte, rng.Intn(300))
 		rng.Read(data)
 		addr, ver := rng.Uint64(), rng.Uint64()
-		ref := hmac.New(sha512.New, k.k[:])
+		ref := hmac.New(sha256.New, k.k[:])
 		var hdr [16]byte
 		binary.LittleEndian.PutUint64(hdr[:8], addr)
 		binary.LittleEndian.PutUint64(hdr[8:], ver)
@@ -293,7 +294,7 @@ func TestPRFvMatchesHMACDefinition(t *testing.T) {
 		h.PRFvInto(addr, ver, data, &viaHasher)
 		if got := k.PRFv(addr, ver, data); !bytes.Equal(got[:], want) ||
 			!bytes.Equal(viaKey[:], want) || !bytes.Equal(viaHasher[:], want) {
-			t.Fatalf("evaluation %d: PRFv is not HMAC-SHA-512(k, le64(addr) ‖ le64(ver) ‖ data)", i)
+			t.Fatalf("evaluation %d: PRFv is not HMAC-SHA-256(k, le64(addr) ‖ le64(ver) ‖ data)", i)
 		}
 	}
 }
@@ -337,27 +338,6 @@ func TestDigestString(t *testing.T) {
 	}
 }
 
-func BenchmarkPRF500B(b *testing.B) {
-	k := KeyFromSeed(1)
-	data := make([]byte, 500)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = k.PRF(uint64(i), data)
-	}
-}
-
-func BenchmarkAccumulatorAdd500B(b *testing.B) {
-	k := KeyFromSeed(1)
-	data := make([]byte, 500)
-	var a Accumulator
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Add(k, uint64(i), data)
-	}
-}
-
 // BenchmarkDigestXOR pins the word-wise fold's win over the byte-wise
 // reference; the scan fold path executes one of these per live cell.
 func BenchmarkDigestXOR(b *testing.B) {
@@ -377,25 +357,41 @@ func BenchmarkDigestXOR(b *testing.B) {
 	})
 }
 
-// BenchmarkPRFvInto measures the batch path against the per-call pool
-// round-trip of PRFv.
+// BenchmarkPRFvInto measures one PRF evaluation at 16, 100 and 500 data
+// bytes (plus the 16-byte header) three ways: PRFv with its per-call pool
+// round-trip, a batch Hasher, and a Hasher image folded into an
+// accumulator, the unit of work of every protected read.
 func BenchmarkPRFvInto(b *testing.B) {
 	k := KeyFromSeed(1)
-	data := make([]byte, 500)
-	b.Run("pooledPerCall", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			_ = k.PRFv(uint64(i), 1, data)
-		}
-	})
-	b.Run("hasherBatch", func(b *testing.B) {
-		h := k.NewHasher()
-		defer h.Close()
-		var d Digest
-		b.SetBytes(int64(len(data)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.PRFvInto(uint64(i), 1, data, &d)
-		}
-	})
+	for _, n := range []int{16, 100, 500} {
+		data := make([]byte, n)
+		b.Run(fmt.Sprintf("pooledPerCall/%dB", n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				_ = k.PRFv(uint64(i), 1, data)
+			}
+		})
+		b.Run(fmt.Sprintf("hasherBatch/%dB", n), func(b *testing.B) {
+			h := k.NewHasher()
+			defer h.Close()
+			var d Digest
+			b.SetBytes(int64(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.PRFvInto(uint64(i), 1, data, &d)
+			}
+		})
+		b.Run(fmt.Sprintf("hasherFold/%dB", n), func(b *testing.B) {
+			h := k.NewHasher()
+			defer h.Close()
+			var a Accumulator
+			var d Digest
+			b.SetBytes(int64(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.PRFvInto(uint64(i), 1, data, &d)
+				a.AddDigest(&d)
+			}
+		})
+	}
 }

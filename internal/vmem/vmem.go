@@ -236,8 +236,9 @@ type alarmBox struct{ err error }
 func New(enc *enclave.Enclave, cfg Config) (*Memory, error) {
 	cfg = cfg.withDefaults()
 	m := &Memory{cfg: cfg, enc: enc, key: enc.PRFKey()}
-	// Each partition keeps 4 accumulators (64 B each) plus epoch/flags in
-	// sealed memory; reserve that from the EPC budget.
+	// Each partition keeps 4 accumulators (sethash.Size = 32 B each) plus
+	// epoch/flags in sealed memory; reserve an upper bound on that from the
+	// EPC budget.
 	if err := enc.ReserveEPC(int64(cfg.Partitions) * 512); err != nil {
 		return nil, fmt.Errorf("vmem: reserving RSWS state: %w", err)
 	}

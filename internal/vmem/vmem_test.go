@@ -263,6 +263,43 @@ func TestTamperDetection(t *testing.T) {
 	}
 }
 
+// TestEqualDeltaTamperOnTwoCellsIsDetected is the attack that rules out a
+// linear keyed hash (GHASH/GMAC with a fixed nonce) as the set-hash PRF: XOR
+// the same δ into two cells of equal length at the same offset. Under a
+// linear PRF the two image differences are equal and cancel in the XOR, so
+// RS and WS still agree and no check can fail; under a PRF they do not.
+func TestEqualDeltaTamperOnTwoCellsIsDetected(t *testing.T) {
+	recs := [][]byte{[]byte("alice balance: 0100"), []byte("bobby balance: 0250")}
+	delta := []byte{0x08, 0x09, 0x00, 0x00}
+	const off = 15
+	for name, cfg := range allConfigs() {
+		t.Run(name, func(t *testing.T) {
+			m := newMem(t, cfg)
+			pid, _ := m.NewPage()
+			var slots []int
+			for _, r := range recs {
+				slot, err := m.Insert(pid, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slots = append(slots, slot)
+			}
+			for i, r := range recs {
+				forged := append([]byte(nil), r...)
+				for j, b := range delta {
+					forged[off+j] ^= b
+				}
+				if err := m.TamperRecord(pid, slots[i], forged); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.VerifyAll(); !errors.Is(err, ErrTamperDetected) {
+				t.Fatalf("equal-δ tamper on two cells not detected: %v", err)
+			}
+		})
+	}
+}
+
 func TestTamperDetectedByScanAloneUnderFullScan(t *testing.T) {
 	// With full scans, even a never-again-read tampered page is caught.
 	m := newMem(t, Config{FullScan: true})
