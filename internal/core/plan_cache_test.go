@@ -335,3 +335,76 @@ func TestCachedPlansRebindEveryOperator(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateAfterCachedNarrowSelect: a SELECT's scans build only the
+// columns it reads, and its cached plan keeps that projection; an UPDATE
+// of the same table afterwards reads and writes back whole rows.
+func TestUpdateAfterCachedNarrowSelect(t *testing.T) {
+	db := openCached(t)
+	seed(t, db)
+	for i := 0; i < 2; i++ { // compile, then hit
+		if r := exec(t, db, `SELECT count FROM quote WHERE id > 2`); fmt.Sprint(r.Rows) != "[[500] [600]]" {
+			t.Fatalf("narrow select: %v", r.Rows)
+		}
+	}
+	before := db.PlanCacheStats()
+	if r := exec(t, db, `UPDATE quote SET count = count + 1 WHERE id > 2`); r.Affected != 2 {
+		t.Fatalf("UPDATE affected %d rows, want 2", r.Affected)
+	}
+	if r := exec(t, db, `SELECT count FROM quote WHERE id > 2`); fmt.Sprint(r.Rows) != "[[501] [601]]" {
+		t.Fatalf("cached narrow select after UPDATE: %v", r.Rows)
+	}
+	if after := db.PlanCacheStats(); after.Hits != before.Hits+1 {
+		t.Fatalf("narrow select missed the cache after UPDATE: before %+v after %+v", before, after)
+	}
+	r := exec(t, db, `SELECT * FROM quote`)
+	if got := fmt.Sprint(r.Rows); got != "[[1 100 100] [2 100 200] [3 501 100] [4 601 100]]" {
+		t.Fatalf("UPDATE did not write back whole rows: %v", got)
+	}
+	if err := db.Memory().VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCountStarOverProjectedScans: COUNT(*) reads no column, so its scan
+// emits zero-width rows — which must still be counted, on one shard and
+// through the sharded merge, fresh and from the plan cache.
+func TestCountStarOverProjectedScans(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, err := Open(Config{Seed: 99, PlanCacheSize: 32, TableShards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(db.Close)
+			exec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, grp INT, note TEXT, INDEX(grp))`)
+			var b strings.Builder
+			b.WriteString("INSERT INTO t VALUES ")
+			for i := 1; i <= 60; i++ {
+				if i > 1 {
+					b.WriteByte(',')
+				}
+				fmt.Fprintf(&b, "(%d, %d, 'n%d')", i, i%4, i)
+			}
+			exec(t, db, b.String())
+			for _, tc := range []struct {
+				query string
+				want  int64
+			}{
+				{`SELECT COUNT(*) FROM t`, 60},
+				{`SELECT COUNT(*) FROM t`, 60},
+				{`SELECT COUNT(*) FROM t WHERE id > 45`, 15},
+				{`SELECT COUNT(*) FROM t WHERE grp = 1`, 15},
+				{`SELECT COUNT(*) FROM t WHERE grp = 2`, 15},
+			} {
+				r := exec(t, db, tc.query)
+				if len(r.Rows) != 1 || r.Rows[0][0].I != tc.want {
+					t.Fatalf("%s: %v, want %d", tc.query, r.Rows, tc.want)
+				}
+			}
+			if err := db.Memory().VerifyAll(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -42,6 +42,10 @@ type TableScan struct {
 	// Lo to the least Hi: which of two same-side bounds is tighter depends
 	// on the values bound, not on the shape planned.
 	Lo, Hi []*record.Value
+	// Cols, when set, is the scan's projection: the table columns, in
+	// table order, its rows hold and its schema lists. The planner keeps
+	// the columns a statement reads; nil keeps them all.
+	Cols []int
 	// Snap, when set, resolves the scan against a pinned snapshot instead
 	// of the latest committed state (see engine.SetSnapshot). The scan
 	// borrows the snapshot — the statement that pinned it closes it.
@@ -78,11 +82,16 @@ func tightest(bounds []*record.Value, sign int) *record.Value {
 	return best
 }
 
-// Schema exposes the table's columns under the scan's alias.
+// Schema exposes the projected table columns under the scan's alias.
 func (s *TableScan) Schema() Schema {
 	cols := s.Table.Schema().Columns
-	out := make(Schema, len(cols))
-	for i, c := range cols {
+	idx := s.Cols
+	if idx == nil {
+		idx = record.AllColumns(len(cols))
+	}
+	out := make(Schema, len(idx))
+	for i, ci := range idx {
+		c := cols[ci]
 		out[i] = Col{Table: s.Alias, Name: c.Name, Type: c.Type}
 	}
 	return out
@@ -124,7 +133,8 @@ func (s *TableScan) Close() error {
 func (s *TableScan) Visited() int { return s.visited }
 
 // NextBatch pulls a verified batch straight from the storage iterator,
-// which runs the per-row chain checks as it fills.
+// which runs the per-row chain checks as it fills and builds the
+// projection's columns only.
 func (s *TableScan) NextBatch(dst *RowBatch) (int, error) {
 	if s.sc == nil {
 		return 0, fmt.Errorf("engine: scan of %q not open", s.Table.Name())
@@ -132,6 +142,7 @@ func (s *TableScan) NextBatch(dst *RowBatch) (int, error) {
 	if err := s.exec.Err(); err != nil {
 		return 0, err
 	}
+	dst.Cols = s.Cols
 	n, err := s.sc.NextBatch(dst)
 	if err != nil || n == 0 {
 		s.visited = s.sc.Visited()

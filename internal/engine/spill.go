@@ -136,6 +136,7 @@ func (s *Spool) NextBatch(dst *RowBatch) (int, error) {
 	if s.sc == nil {
 		return 0, fmt.Errorf("engine: spool not open")
 	}
+	dst.Cols = nil // the whole spooled row: the caller's batch may carry a scan's projection
 	n, err := s.sc.NextBatch(dst)
 	if err != nil {
 		return 0, err

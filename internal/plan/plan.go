@@ -50,10 +50,12 @@ type Options struct {
 	Join JoinStrategy
 }
 
-// binding is one FROM/JOIN table with its alias.
+// binding is one FROM/JOIN table with its alias, and the columns of it
+// the statement reads (see neededCols).
 type binding struct {
 	alias string
 	table storage.Engine
+	cols  []int
 }
 
 // PlanSelect compiles a SELECT into an operator tree.
@@ -96,6 +98,9 @@ func PlanSelect(cat Catalog, sel *sql.Select, opt Options) (engine.Operator, err
 		if err := qualifyRefs(c, binds); err != nil {
 			return nil, err
 		}
+	}
+	for i, cols := range neededCols(sel, binds) {
+		binds[i].cols = cols
 	}
 
 	// Build one access path per binding with its single-table predicates
@@ -147,6 +152,70 @@ func qualifyRefs(e sql.Expr, binds []binding) (err error) {
 		return false
 	})
 	return err
+}
+
+// neededCols returns, per binding, the columns of its table the statement
+// reads, in table order: those its select list, WHERE, JOIN … ON, GROUP BY,
+// HAVING and ORDER BY name, and all of them for a *. A qualified name marks
+// its column in the binding of that alias; an unqualified one in every
+// binding that has the column, so a name owned by two tables stays
+// ambiguous — with the same error — above a projected scan.
+func neededCols(sel *sql.Select, binds []binding) [][]int {
+	need := make([][]bool, len(binds))
+	for i, b := range binds {
+		need[i] = make([]bool, b.table.Schema().Len())
+	}
+	mark := func(e sql.Expr) {
+		contains(e, func(e sql.Expr) bool {
+			x, ok := e.(*sql.ColumnRef)
+			if !ok {
+				return false
+			}
+			for i, b := range binds {
+				if x.Table != "" && !strings.EqualFold(x.Table, b.alias) {
+					continue
+				}
+				// Compiled expressions resolve names case-blind.
+				for ci, c := range b.table.Schema().Columns {
+					if strings.EqualFold(c.Name, x.Column) {
+						need[i][ci] = true
+					}
+				}
+			}
+			return false
+		})
+	}
+	for _, item := range sel.Items {
+		if item.Star {
+			for i := range need {
+				for ci := range need[i] {
+					need[i][ci] = true
+				}
+			}
+		}
+		mark(item.Expr)
+	}
+	mark(sel.Where)
+	for _, j := range sel.Joins {
+		mark(j.On)
+	}
+	for _, g := range sel.GroupBy {
+		mark(g)
+	}
+	mark(sel.Having)
+	for _, o := range sel.OrderBy {
+		mark(o.Expr)
+	}
+	out := make([][]int, len(binds))
+	for i, n := range need {
+		out[i] = []int{} // a scan of no columns still emits its rows
+		for ci, ok := range n {
+			if ok {
+				out[i] = append(out[i], ci)
+			}
+		}
+	}
+	return out
 }
 
 // splitAnd flattens a conjunction.
@@ -258,6 +327,7 @@ func extractBound(e sql.Expr) *rangeBound {
 // opens.
 func accessPath(b binding, conjuncts []sql.Expr, used []bool) (engine.Operator, error) {
 	scan := engine.NewTableScan(b.table, b.alias)
+	scan.Cols = b.cols
 	schema := scan.Schema()
 
 	type colBounds struct {
@@ -325,7 +395,9 @@ func accessPath(b binding, conjuncts []sql.Expr, used []bool) (engine.Operator, 
 	var op engine.Operator = scan
 	if bestCol >= 0 {
 		cb := bounds[bestCol]
-		op = engine.NewRangeScan(b.table, b.alias, bestCol, cb.lo, cb.hi)
+		rs := engine.NewRangeScan(b.table, b.alias, bestCol, cb.lo, cb.hi)
+		rs.Cols = b.cols
+		op = rs
 	}
 	for _, pred := range pushed {
 		op = &engine.Filter{Child: op, Pred: pred}

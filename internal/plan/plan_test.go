@@ -368,3 +368,117 @@ func TestDescribeShapes(t *testing.T) {
 		}
 	}
 }
+
+// scanCols maps each base-table scan leaf of op, by alias, to its
+// projection.
+func scanCols(op engine.Operator, out map[string][]int) map[string][]int {
+	switch x := op.(type) {
+	case *engine.TableScan:
+		out[x.Alias] = x.Cols
+	case *engine.Filter:
+		scanCols(x.Child, out)
+	case *engine.Project:
+		scanCols(x.Child, out)
+	case *engine.Limit:
+		scanCols(x.Child, out)
+	case *engine.Sort:
+		scanCols(x.Child, out)
+	case *engine.HashAggregate:
+		scanCols(x.Child, out)
+	case *engine.Materialize:
+		scanCols(x.Child, out)
+	case *engine.IndexJoin:
+		scanCols(x.Outer, out)
+	case *engine.NestedLoopJoin:
+		scanCols(x.Outer, out)
+		scanCols(x.Inner, out)
+	case *engine.MergeJoin:
+		scanCols(x.Left, out)
+		scanCols(x.Right, out)
+	case *engine.HashJoin:
+		scanCols(x.Left, out)
+		scanCols(x.Right, out)
+	}
+	return out
+}
+
+// TestScansReadOnlyNeededColumns pins which columns each scan builds: those
+// the statement names anywhere, in table order, or none (an empty, not a
+// nil, projection), and the rows that come out of the narrower plans.
+func TestScansReadOnlyNeededColumns(t *testing.T) {
+	st := fixture(t)
+	for _, tc := range []struct {
+		query string
+		opt   Options
+		cols  map[string][]int
+		rows  []string
+	}{
+		{query: `SELECT * FROM quote WHERE id = 3`, cols: map[string][]int{"quote": {0, 1, 2}}, rows: []string{"3|500|100"}},
+		{query: `SELECT COUNT(*) FROM orders`, cols: map[string][]int{"orders": {}}, rows: []string{"20"}},
+		{query: `SELECT COUNT(*) FROM orders WHERE oid > 15`, cols: map[string][]int{"orders": {0}}, rows: []string{"5"}},
+		{
+			query: `SELECT region, COUNT(*) FROM orders GROUP BY region HAVING SUM(total) > 1050 ORDER BY region`,
+			cols:  map[string][]int{"orders": {2, 3}}, rows: []string{"east|10"},
+		},
+		{
+			query: `SELECT oid FROM orders WHERE cust = 3 ORDER BY total DESC`,
+			cols:  map[string][]int{"orders": {0, 1, 2}}, rows: []string{"18", "13", "8", "3"},
+		},
+		{
+			query: `SELECT q.price FROM quote q JOIN orders o ON q.id = o.cust WHERE o.oid < 5`, opt: Options{Join: JoinHash},
+			cols: map[string][]int{"q": {0, 2}, "o": {0, 1}}, rows: []string{"100", "200", "100", "100"},
+		},
+		{
+			query: `SELECT descr FROM quote, inventory WHERE quote.id = inventory.id AND price > 150`, opt: Options{Join: JoinNested},
+			cols: map[string][]int{"quote": {0, 2}, "inventory": {0, 2}}, rows: []string{},
+		},
+		{
+			query: `SELECT descr FROM quote, inventory WHERE quote.id = inventory.id AND price < 150 ORDER BY descr`, opt: Options{Join: JoinMerge},
+			cols: map[string][]int{"quote": {0, 2}, "inventory": {0, 2}}, rows: []string{"desc1", "desc3", "desc4"},
+		},
+	} {
+		stmt, err := sql.Parse(tc.query)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.query, err)
+		}
+		op, err := PlanSelect(st, stmt.(*sql.Select), tc.opt)
+		if err != nil {
+			t.Fatalf("plan %q: %v", tc.query, err)
+		}
+		got := scanCols(op, map[string][]int{})
+		if fmt.Sprint(got) != fmt.Sprint(tc.cols) {
+			t.Errorf("%s: scans read %v, want %v", tc.query, got, tc.cols)
+		}
+		for alias, cols := range got {
+			if (cols == nil) != (tc.cols[alias] == nil) {
+				t.Errorf("%s: scan %s reads %#v, want %#v", tc.query, alias, cols, tc.cols[alias])
+			}
+		}
+		if rows := rowStrings(run(t, st, tc.query, tc.opt)); strings.Join(rows, ",") != strings.Join(tc.rows, ",") {
+			t.Errorf("%s: rows %v, want %v", tc.query, rows, tc.rows)
+		}
+	}
+	if err := st.Memory().VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProjectedScansKeepAmbiguityErrors: a name owned by two tables is
+// built on both sides, so it stays ambiguous, with the error it drew when
+// every scan built every column, in the select list and in WHERE alike.
+func TestProjectedScansKeepAmbiguityErrors(t *testing.T) {
+	st := fixture(t)
+	for query, want := range map[string]string{
+		`SELECT count FROM quote, inventory WHERE quote.id = inventory.id`: `engine: ambiguous column "count"`,
+		`SELECT price FROM quote, inventory WHERE count = 100`:             `plan: column "count" is ambiguous (in "quote" and "inventory")`,
+		`SELECT id FROM quote q JOIN inventory i ON q.id = i.id`:           `engine: ambiguous column "id"`,
+	} {
+		stmt, err := sql.Parse(query)
+		if err != nil {
+			t.Fatalf("parse %q: %v", query, err)
+		}
+		if _, err := PlanSelect(st, stmt.(*sql.Select), Options{}); err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %q", query, err, want)
+		}
+	}
+}

@@ -125,24 +125,58 @@ func Decode(buf []byte) (*Record, error) {
 		l.Key.B = append([]byte(nil), l.Key.B...)
 		l.NKey.B = append([]byte(nil), l.NKey.B...)
 	}
-	return &Record{Links: rec.Links, Data: s.Tuple()}, nil
+	out := &Record{Links: rec.Links}
+	if !s.Sentinel() {
+		out.Data = make(Tuple, s.Arity())
+		var text strings.Builder
+		_ = s.Tuple(AllColumns(s.Arity()), out.Data, &text) // every column exists
+	}
+	return out, nil
+}
+
+// allColumns is AllColumns' shared list, long enough for any tuple the
+// encoding holds (0xFE columns).
+var allColumns = identity(0xFE)
+
+func identity(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// AllColumns returns the column list 0, 1, …, arity-1, the projection that
+// keeps a whole tuple. The list may be shared and must not be written.
+func AllColumns(arity int) []int {
+	if arity > len(allColumns) { // a schema wider than any storable tuple
+		return identity(arity)
+	}
+	return allColumns[:arity:arity]
 }
 
 // Scratch decodes one record image after another into the same Record, for
 // readers that look at each record only until they fetch the next (the
 // verified scan): no Record, link slice or key copy is allocated per image,
-// and the data tuple is built only on request.
+// and data values are built only on request, only for the columns asked
+// for.
 type Scratch struct {
-	rec   Record
-	data  []byte // the tuple section of the last image
-	arity int    // its column count; -1 for a sentinel
-	text  int    // total length of its text values
+	rec      Record
+	img      []byte // the last image
+	sentinel bool   // whether it is a chain anchor
+	arity    int    // its column count
+	// Where each value starts in img: the first len(offs) in offs, held in
+	// the Scratch itself so that one living for a single point lookup
+	// allocates nothing for them, and the rest in wide.
+	offs [32]int32
+	wide []int32
 }
 
-// Decode validates the whole image and parses its chain links. The returned
-// record belongs to the Scratch and its keys alias img: both are good until
-// the next Decode and only while img is left unchanged. Its Data is nil;
-// Tuple builds it.
+// Decode validates the whole image — every link and every value, whichever
+// of them a caller goes on to build — and parses its chain links, noting
+// where each value starts. The returned record belongs to the Scratch and
+// its keys alias img: both are good until the next Decode and only while
+// img is left unchanged. Its Data is nil; Tuple builds values.
 func (s *Scratch) Decode(img []byte) (*Record, error) {
 	d := decoder{buf: img}
 	nLinks, err := d.byte()
@@ -166,16 +200,19 @@ func (s *Scratch) Decode(img []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.arity, s.text, s.data = -1, 0, nil
-	if arity != 0xFF { // 0xFF marks a sentinel
-		s.arity, s.data = int(arity), img[d.off:]
+	s.img, s.sentinel, s.arity, s.wide = img, arity == 0xFF, 0, s.wide[:0]
+	if !s.sentinel {
+		s.arity = int(arity)
 		var v Value
 		for i := 0; i < s.arity; i++ {
-			n, err := d.value(nil, &v)
-			if err != nil {
+			if i < len(s.offs) {
+				s.offs[i] = int32(d.off)
+			} else {
+				s.wide = append(s.wide, int32(d.off))
+			}
+			if err := d.value(nil, &v); err != nil {
 				return nil, err
 			}
-			s.text += n
 		}
 	}
 	if len(d.buf) != d.off {
@@ -184,22 +221,44 @@ func (s *Scratch) Decode(img []byte) (*Record, error) {
 	return &s.rec, nil
 }
 
-// Tuple builds the data tuple of the last decoded image: nil for a
-// sentinel, otherwise a fresh tuple that shares no memory with the image —
-// one allocation for the values and one string that every text value is a
-// substring of.
-func (s *Scratch) Tuple() Tuple {
-	if s.arity < 0 {
-		return nil
+// Sentinel reports whether the last decoded image is a chain anchor, which
+// carries no data tuple.
+func (s *Scratch) Sentinel() bool { return s.sentinel }
+
+// Arity returns the column count of the last decoded image's tuple.
+func (s *Scratch) Arity() int { return s.arity }
+
+// off returns where value c of the last image starts.
+func (s *Scratch) off(c int) int {
+	if c < len(s.offs) {
+		return int(s.offs[c])
 	}
-	t := make(Tuple, s.arity)
-	var text strings.Builder
-	text.Grow(s.text)
-	d := decoder{buf: s.data}
-	for i := range t {
-		_, _ = d.value(&text, &t[i]) // cannot fail: Decode validated the section
+	return int(s.wide[c-len(s.offs)])
+}
+
+// Tuple builds the listed columns of the last decoded image, in list
+// order, into dst, which has len(cols) values. Text values are appended to
+// text and are substrings of its string, so they share no memory with the
+// image; the builder grows at most once per call, by at least its size,
+// so one builder serves many tuples at few allocations. A column beyond
+// the image's arity is an ErrCorrupt error.
+func (s *Scratch) Tuple(cols []int, dst Tuple, text *strings.Builder) error {
+	room := 0
+	for _, c := range cols {
+		if c >= s.arity {
+			return fmt.Errorf("%w: column %d of a %d-column tuple", ErrCorrupt, c, s.arity)
+		}
+		if off := s.off(c); s.img[off] == tagText { // not NULL
+			n, _ := binary.Uvarint(s.img[off+1:])
+			room += int(n)
+		}
 	}
-	return t
+	text.Grow(room)
+	for i, c := range cols {
+		d := decoder{buf: s.img, off: s.off(c)}
+		_ = d.value(text, &dst[i]) // cannot fail: Decode validated the value
+	}
+	return nil
 }
 
 type decoder struct {
@@ -254,35 +313,34 @@ func (d *decoder) key() (Key, error) {
 	}
 }
 
-// value parses one value into out and reports the length of its text. With
-// a nil text it only validates (a text value comes out empty); otherwise
-// the text is appended to the builder, which must have the room reserved,
-// and the value is a substring of the builder's string.
-func (d *decoder) value(text *strings.Builder, out *Value) (int, error) {
+// value parses one value into out. With a nil text it only validates (a
+// text value comes out empty); otherwise the text is appended to the
+// builder and the value is a substring of the builder's string.
+func (d *decoder) value(text *strings.Builder, out *Value) error {
 	tag, err := d.byte()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	typ := Type(tag &^ nullBit)
 	if typ > TypeBool {
-		return 0, fmt.Errorf("%w: bad value tag %#x", ErrCorrupt, tag)
+		return fmt.Errorf("%w: bad value tag %#x", ErrCorrupt, tag)
 	}
 	if tag&nullBit != 0 {
 		*out = Null(typ)
-		return 0, nil
+		return nil
 	}
 	switch typ {
 	case TypeInt, TypeFloat:
 		b, err := d.take(8)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if bits := binary.LittleEndian.Uint64(b); typ == TypeInt {
 			*out = Int(int64(bits))
 		} else {
 			*out = Float(math.Float64frombits(bits))
 		}
-		return 0, nil
+		return nil
 	case TypeText:
 		b, err := d.bytes()
 		*out = Value{Type: TypeText}
@@ -291,13 +349,13 @@ func (d *decoder) value(text *strings.Builder, out *Value) (int, error) {
 			text.Write(b)
 			out.S = text.String()[off:]
 		}
-		return len(b), err
+		return err
 	default: // TypeBool
 		b, err := d.byte()
 		if err == nil && b > 1 {
 			err = fmt.Errorf("%w: bad bool byte %#x", ErrCorrupt, b)
 		}
 		*out = Bool(b == 1)
-		return 0, err
+		return err
 	}
 }

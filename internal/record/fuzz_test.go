@@ -4,8 +4,9 @@ package record
 // reads back from untrusted memory, so the decoder faces arbitrary bytes.
 // The contract: a typed error (wrapping ErrCorrupt) or a record, never a
 // panic; the scan path's scratch decoder and Decode agree; only canonical
-// images are accepted; and an emitted tuple shares no memory with the image
-// it came from.
+// images are accepted; a tuple built for a subset of the columns is that
+// projection of the whole tuple; and an emitted tuple shares no memory with
+// the image it came from.
 //
 // The seed corpus lives in testdata/fuzz/FuzzRecordDecode/ (regenerate with
 // VERIDB_UPDATE_GOLDEN=1 go test -run TestGenerateFuzzCorpus ./internal/record).
@@ -19,16 +20,28 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
 // fuzzSeeds are the committed seeds: a sentinel, a row with NULLs, a row
-// with empty text, a record on two chains — and the three images the
-// decoder used to get wrong.
+// with empty text, a record on two chains, a 40-column row — and the three
+// images the decoder used to get wrong.
 func fuzzSeeds() map[string][]byte {
 	// A key whose uvarint length is MaxInt64: `off+n > len` wrapped negative
 	// and the slice expression panicked.
 	overflow := binary.AppendUvarint([]byte{1, byte(KindNormal)}, math.MaxInt64)
+	wide := make(Tuple, 40)
+	for i := range wide {
+		switch i % 3 {
+		case 0:
+			wide[i] = Int(int64(i))
+		case 1:
+			wide[i] = Text(strconv.Itoa(i))
+		default:
+			wide[i] = Null(TypeFloat)
+		}
+	}
 	return map[string][]byte{
 		"sentinel": Encode(&Record{Links: []ChainLink{{Key: Bottom(), NKey: Top()}, {Key: NullKey(), NKey: NullKey()}}}),
 		"nulls": Encode(&Record{
@@ -45,6 +58,11 @@ func fuzzSeeds() map[string][]byte {
 				{Key: MustKeyOf(Text("k\x00\x0010")), NKey: Top()},
 			},
 			Data: Tuple{Int(10), Text("k"), Text("a longer payload"), Float(1.25), Bool(false)},
+		}),
+		// Wider than the offsets a Scratch holds inline.
+		"wide": Encode(&Record{
+			Links: []ChainLink{{Key: MustKeyOf(Int(1)), NKey: Top()}},
+			Data:  wide,
 		}),
 		"length-overflow": overflow,
 		// ⟨⊥,⊤⟩, one text column "a" whose length 1 is spelt in two bytes.
@@ -78,9 +96,36 @@ func checkDecode(data []byte) error {
 		return fmt.Errorf("accepted a non-canonical image: re-encodes as %x, was %x", enc, data)
 	}
 	// The scratch record's keys alias img, which is still intact.
-	tup := s.Tuple()
+	var tup Tuple
+	var text strings.Builder
+	if !s.Sentinel() {
+		tup = make(Tuple, s.Arity())
+		if err := s.Tuple(AllColumns(s.Arity()), tup, &text); err != nil {
+			return fmt.Errorf("whole tuple: %v", err)
+		}
+	}
 	if enc := Encode(&Record{Links: rec.Links, Data: tup}); !bytes.Equal(enc, data) {
 		return fmt.Errorf("scratch decoder disagrees with Decode: re-encodes as %x, was %x", enc, data)
+	}
+	// A projection, for a column set the input picks: its bits, one per
+	// column, read cyclically.
+	var cols []int
+	for c := range tup {
+		if data[(c/8)%len(data)]&(1<<(c%8)) != 0 {
+			cols = append(cols, c)
+		}
+	}
+	proj := make(Tuple, len(cols))
+	if err := s.Tuple(cols, proj, &text); err != nil {
+		return fmt.Errorf("projection %v: %v", cols, err)
+	}
+	for i, c := range cols {
+		if !sameValue(proj[i], tup[c]) {
+			return fmt.Errorf("projection %v: column %d built as %v, the whole tuple has %v", cols, c, proj[i], tup[c])
+		}
+	}
+	if err := s.Tuple([]int{s.Arity()}, make(Tuple, 1), &text); !errors.Is(err, ErrCorrupt) {
+		return fmt.Errorf("a column beyond the arity: %v, want ErrCorrupt", err)
 	}
 	// Neither Decode's record nor the emitted tuple may notice the buffer
 	// being reused for the next record.
@@ -90,10 +135,21 @@ func checkDecode(data []byte) error {
 	if enc := Encode(&Record{Links: want.Links, Data: tup}); !bytes.Equal(enc, data) {
 		return fmt.Errorf("the emitted tuple changed with the source buffer: %x, was %x", enc, data)
 	}
+	for i, c := range cols {
+		if !sameValue(proj[i], tup[c]) {
+			return fmt.Errorf("the projected tuple changed with the source buffer at column %d", c)
+		}
+	}
 	if enc := Encode(want); !bytes.Equal(enc, data) {
 		return errors.New("Decode's record aliases its input")
 	}
 	return nil
+}
+
+// sameValue compares two values exactly, as their encodings (NaN payloads
+// included).
+func sameValue(a, b Value) bool {
+	return bytes.Equal(appendValue(nil, a), appendValue(nil, b))
 }
 
 func FuzzRecordDecode(f *testing.F) {

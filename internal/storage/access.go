@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 
 	"veridb/internal/index"
@@ -63,11 +64,14 @@ type ScanBounds struct {
 // no second user, and is walked at its latest version the same way.
 //
 // What a scanned row costs is its two PRF evaluations (vmem's Alg. 1 Read),
-// one tuple and one string. Everything else is paid per fill: one latch
-// acquisition, one index cursor walked beside the chain, the reader's keyed
-// hasher, record-image buffer and decode scratch. On a multi-shard table a
-// merge iterator stitches one Scanner per shard (merge.go); each Scanner's
-// conditions cover its shard and the merge checks the stitch points.
+// the validation of its whole image, and the decoding of the columns the
+// batch's projection (RowBatch.Cols) lists, into values cut from the fill's
+// slab. Everything else is paid per fill: one latch acquisition, one index
+// cursor walked beside the chain, the slab and the string its text values
+// are substrings of, the reader's keyed hasher, record-image buffer and
+// decode scratch. On a multi-shard table a merge iterator stitches one
+// Scanner per shard (merge.go); each Scanner's conditions cover its shard
+// and the merge checks the stitch points.
 type Scanner struct {
 	sh    *shard
 	chain int
@@ -89,6 +93,16 @@ type Scanner struct {
 	// bytes, for the merge.
 	key record.Key
 	one *RowBatch // nextKeyed's one-row batch
+
+	// The fill's slab: the values its tuples are cut from, and the builder
+	// their text is appended to. Each fill starts a new slab sized for as
+	// many rows as the previous fill emitted and, when it runs out, moves
+	// to one twice as large. A slab is never reused, so a row a consumer
+	// keeps never aliases a later one.
+	vals        []record.Value
+	text        strings.Builder
+	slabRows    int // rows the next slab holds
+	rows, textN int // rows emitted and text bytes used by the current fill
 
 	closed  bool
 	err     error
@@ -152,17 +166,19 @@ func (s *Scanner) Visited() int { return s.visited }
 // Next returns the next in-range tuple. ok is false when the scan is
 // complete or failed; check Err.
 func (s *Scanner) Next() (record.Tuple, bool, error) {
-	tup, _, ok, err := s.nextKeyed()
+	tup, _, ok, err := s.nextKeyed(nil)
 	return tup, ok, err
 }
 
-// nextKeyed is Next plus the emitted record's chain key — the merge order
-// key the cross-shard stitch needs (merge.go). The key's bytes are the
-// scanner's and good until its next call.
-func (s *Scanner) nextKeyed() (record.Tuple, record.Key, bool, error) {
+// nextKeyed is Next, with the columns cols lists (nil: all), plus the
+// emitted record's chain key — the merge order key the cross-shard stitch
+// needs (merge.go). The key's bytes are the scanner's and good until its
+// next call.
+func (s *Scanner) nextKeyed(cols []int) (record.Tuple, record.Key, bool, error) {
 	if s.one == nil {
 		s.one = NewRowBatch(1)
 	}
+	s.one.Cols = cols
 	n, err := s.NextBatch(s.one)
 	if n == 0 {
 		return nil, record.Key{}, false, err
@@ -170,15 +186,20 @@ func (s *Scanner) nextKeyed() (record.Tuple, record.Key, bool, error) {
 	return s.one.Rows[0], s.key, true, nil
 }
 
-// NextBatch fills dst with up to cap(dst.Rows) verified in-range tuples
-// under one hold of the shard's shared latch. The chain walk and its four
-// conditions are checked on every record; the batch amortises everything
-// else. Returns (0, nil) once the scan is exhausted.
+// NextBatch fills dst with up to cap(dst.Rows) verified in-range tuples,
+// holding the columns dst.Cols lists, under one hold of the shard's shared
+// latch. The chain walk and its four conditions are checked on every
+// record; the batch amortises everything else. Returns (0, nil) once the
+// scan is exhausted.
 func (s *Scanner) NextBatch(dst *RowBatch) (int, error) {
 	dst.Reset()
 	if s.closed {
 		return 0, s.err
 	}
+	s.slabRows = max(s.rows, 1)
+	s.vals, s.rows = nil, 0
+	s.text.Reset()
+	s.text.Grow(s.textN)
 	s.sh.mu.RLock()
 	// Stop with the batch full and the next record fetched: the scan reads
 	// one record ahead of what it has emitted, at every capacity.
@@ -214,6 +235,7 @@ func (s *Scanner) NextBatch(dst *RowBatch) (int, error) {
 		}
 	}
 	s.sh.mu.RUnlock()
+	s.textN = s.text.Len()
 	if s.err != nil {
 		dst.Reset()
 	}
@@ -233,13 +255,13 @@ func (s *Scanner) look(dst *RowBatch) {
 		return
 	}
 	s.visited++
-	if l.Key.Compare(s.start) >= 0 && l.Key.Compare(s.end) <= 0 {
-		// No tuple is built for a boundary record; a sentinel has none.
-		if tup := s.rd.tuple(s.cur, s.shared); tup != nil {
-			dst.Rows[dst.N] = tup
-			dst.N++
-			s.key = record.Key{Kind: l.Key.Kind, B: append(s.key.B[:0], l.Key.B...)}
+	// No tuple is built for a boundary record; a sentinel has none.
+	if l.Key.Compare(s.start) >= 0 && l.Key.Compare(s.end) <= 0 && !s.rd.sentinel(s.cur, s.shared) {
+		if err := s.emit(dst); err != nil {
+			s.fail(err)
+			return
 		}
+		s.key = record.Key{Kind: l.Key.Kind, B: append(s.key.B[:0], l.Key.B...)}
 	}
 	s.cur = nil
 	// Condition (2): once this record's nKey exceeds the range end, the
@@ -250,6 +272,28 @@ func (s *Scanner) look(dst *RowBatch) {
 		return
 	}
 	s.want = l.NKey.AppendEncode(s.want[:0])
+}
+
+// emit appends cur's tuple, holding the columns dst.Cols lists, to dst.
+// The tuple is capped at its own width, so appending to it cannot write
+// into its neighbour in the slab; a zero-width tuple is empty, not nil.
+func (s *Scanner) emit(dst *RowBatch) error {
+	cols := s.rd.columns(s.cur, s.shared, dst.Cols)
+	w := len(cols)
+	if s.vals == nil || cap(s.vals)-len(s.vals) < w {
+		s.vals = make([]record.Value, 0, s.slabRows*w)
+		s.slabRows *= 2
+	}
+	n := len(s.vals)
+	tup := s.vals[n : n+w : n+w]
+	if err := s.rd.tuple(s.cur, s.shared, cols, tup, &s.text); err != nil {
+		return err
+	}
+	s.vals = s.vals[:n+w]
+	dst.Rows[dst.N] = tup
+	dst.N++
+	s.rows++
+	return nil
 }
 
 // step resolves want the long way, when the index cursor and the chain

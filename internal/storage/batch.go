@@ -29,10 +29,16 @@ const DefaultBatchCapacity = 256
 // lists the indices of Rows[:N] that are live — filters mark rows dead by
 // shrinking the selection instead of compacting the batch, so a chain of
 // filters touches each row's memory once.
+//
+// Cols is the projection a verified scan fills the batch with: the table
+// columns, in table order, that each row holds (nil: all of them). Whoever
+// hands the batch to a scan sets it, and Reset leaves it alone. A sharded
+// scan fixes its projection at its first fill.
 type RowBatch struct {
 	Rows []record.Tuple
 	N    int
 	Sel  []int
+	Cols []int
 }
 
 // NewRowBatch allocates a batch with the given capacity (minimum 1).

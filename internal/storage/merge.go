@@ -34,6 +34,8 @@ type mergeHead struct {
 type mergeIterator struct {
 	chain   int
 	scs     []*Scanner
+	cols    []int // the projection, fixed when the heads are primed
+	primed  bool
 	heads   []mergeHead
 	last    record.Key // the key emitted last, in the merge's own bytes
 	hasLast bool
@@ -47,12 +49,9 @@ func newMergeIterator(t *Table, chain int, bounds ScanBounds, seq uint64) (*merg
 		scs:   make([]*Scanner, 0, len(t.shards)),
 		heads: make([]mergeHead, len(t.shards)),
 	}
-	for i, sh := range t.shards {
+	for _, sh := range t.shards {
 		sc, err := sh.newScan(chain, bounds, seq)
 		m.scs = append(m.scs, sc)
-		if err == nil {
-			err = m.advance(i)
-		}
 		if err != nil {
 			m.err = err
 			m.Close()
@@ -62,18 +61,39 @@ func newMergeIterator(t *Table, chain int, bounds ScanBounds, seq uint64) (*merg
 	return m, nil
 }
 
+// prime fills every shard stream's head with its first row, holding the
+// columns cols lists. It runs at the first fill, not at open, because the
+// projection arrives with the first batch.
+func (m *mergeIterator) prime(cols []int) error {
+	m.cols, m.primed = cols, true
+	for i := range m.scs {
+		if err := m.advance(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // advance pulls the next row from shard stream i into its head.
 func (m *mergeIterator) advance(i int) error {
-	tup, key, ok, err := m.scs[i].nextKeyed()
+	tup, key, ok, err := m.scs[i].nextKeyed(m.cols)
 	m.heads[i] = mergeHead{tup: tup, key: key, valid: ok}
 	return err
 }
 
 // Next emits the smallest head, after checking that keys strictly increase
-// across the merged output, and refills it from its shard.
+// across the merged output, and refills it from its shard. Rows hold every
+// column unless a NextBatch fill came first.
 func (m *mergeIterator) Next() (record.Tuple, bool, error) {
 	if m.err != nil || m.closed {
 		return nil, false, m.err
+	}
+	if !m.primed {
+		if err := m.prime(nil); err != nil {
+			m.err = err
+			m.Close()
+			return nil, false, err
+		}
 	}
 	best := -1
 	for i := range m.heads {
@@ -106,8 +126,17 @@ func (m *mergeIterator) Next() (record.Tuple, bool, error) {
 // NextBatch fills dst with up to cap(dst.Rows) merged rows. The per-row
 // stitch check runs on every row inside the fill, so a batch crossing one
 // or more shard boundaries is only handed upward once every stitch point
-// in it has verified.
+// in it has verified. The first fill's dst.Cols is the projection of
+// every row the merge emits.
 func (m *mergeIterator) NextBatch(dst *RowBatch) (int, error) {
+	if !m.primed && m.err == nil && !m.closed {
+		if err := m.prime(dst.Cols); err != nil {
+			m.err = err
+			m.Close()
+			dst.Reset()
+			return 0, err
+		}
+	}
 	return FillBatch(m.Next, dst)
 }
 

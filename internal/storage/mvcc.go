@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,19 +31,23 @@ import (
 
 // commitClock issues commit sequence numbers and tracks which prefix of
 // them has fully applied (the watermark) plus the snapshot pins that hold
-// old versions alive.
+// old versions alive. Its state is two ordered slices, so a commit costs
+// what it covers, never what the clock once held: an end walks the window
+// only up to the first commit still in flight, and the pins' floor is the
+// first pin.
 type commitClock struct {
-	mu      sync.Mutex
-	next    uint64
-	pending map[uint64]struct{}
-	pins    map[uint64]int
-	// doneEff holds the final effective timestamp of completed commits the
-	// watermark has not yet covered. A commit's versions may land above its
-	// issued seq when its writes conflict with an in-flight later commit
-	// (see mvOp), so the watermark must not rest inside any commit's
-	// [seq, eff) window or a snapshot pinned there would see the commit
-	// half-applied.
-	doneEff map[uint64]uint64
+	mu   sync.Mutex
+	next uint64
+	// window holds every issued seq above the watermark, in order:
+	// window[i] is seq mark+1+i. A completed commit's eff may lie above its
+	// seq when its writes conflicted with an in-flight later commit (see
+	// mvOp), so the watermark must not rest inside any commit's [seq, eff)
+	// window or a snapshot pinned there would see the commit half-applied.
+	window []issued
+	// pins are the snapshot read points held, in seq order. A pin is
+	// always taken at the watermark, which never decreases, so a new one
+	// extends the last entry or follows it.
+	pins []pinned
 	// mark is the watermark: the largest W with every seq ≤ W completed
 	// AND wholly visible (effective timestamp ≤ W).
 	// floorV is min(mark, oldest pin): versions whose range ends at or
@@ -50,12 +56,17 @@ type commitClock struct {
 	floorV atomic.Uint64
 }
 
-func newCommitClock() *commitClock {
-	return &commitClock{
-		pending: make(map[uint64]struct{}),
-		pins:    make(map[uint64]int),
-		doneEff: make(map[uint64]uint64),
-	}
+// issued is one commit above the watermark: whether it has ended, and if
+// so its final effective timestamp.
+type issued struct {
+	done bool
+	eff  uint64
+}
+
+// pinned is one snapshot read point and how many snapshots hold it.
+type pinned struct {
+	seq   uint64
+	count int
 }
 
 // begin issues the next commit sequence; the caller must end it (success
@@ -64,7 +75,7 @@ func (c *commitClock) begin() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.next++
-	c.pending[c.next] = struct{}{}
+	c.window = append(c.window, issued{})
 	return c.next
 }
 
@@ -74,27 +85,21 @@ func (c *commitClock) begin() uint64 {
 // seq, so once all in-flight commits complete the watermark reaches next.
 func (c *commitClock) end(seq, eff uint64) {
 	c.mu.Lock()
-	delete(c.pending, seq)
-	c.doneEff[seq] = eff
 	m := c.mark.Load()
+	c.window[seq-m-1] = issued{done: true, eff: eff}
 	best := m
 	runMax := m
-	for u := m + 1; u <= c.next; u++ {
-		if _, inFlight := c.pending[u]; inFlight {
+	for i, w := range c.window {
+		if !w.done {
 			break
 		}
-		if e := c.doneEff[u]; e > runMax {
-			runMax = e
-		}
+		u := m + 1 + uint64(i)
+		runMax = max(runMax, w.eff)
 		if runMax <= u {
 			best = u
 		}
 	}
-	for u := range c.doneEff {
-		if u <= best {
-			delete(c.doneEff, u)
-		}
-	}
+	c.window = c.window[best-m:]
 	c.mark.Store(best)
 	c.recomputeFloorLocked()
 	c.mu.Unlock()
@@ -104,7 +109,11 @@ func (c *commitClock) end(seq, eff uint64) {
 func (c *commitClock) pin() uint64 {
 	c.mu.Lock()
 	s := c.mark.Load()
-	c.pins[s]++
+	if n := len(c.pins); n > 0 && c.pins[n-1].seq == s {
+		c.pins[n-1].count++
+	} else {
+		c.pins = append(c.pins, pinned{seq: s, count: 1})
+	}
 	c.recomputeFloorLocked()
 	c.mu.Unlock()
 	return s
@@ -112,10 +121,13 @@ func (c *commitClock) pin() uint64 {
 
 func (c *commitClock) unpin(seq uint64) {
 	c.mu.Lock()
-	if n := c.pins[seq]; n > 1 {
-		c.pins[seq] = n - 1
-	} else {
-		delete(c.pins, seq)
+	i, found := slices.BinarySearchFunc(c.pins, seq, func(p pinned, s uint64) int { return cmp.Compare(p.seq, s) })
+	switch {
+	case !found:
+	case c.pins[i].count > 1:
+		c.pins[i].count--
+	default:
+		c.pins = slices.Delete(c.pins, i, i+1)
 	}
 	c.recomputeFloorLocked()
 	c.mu.Unlock()
@@ -123,10 +135,8 @@ func (c *commitClock) unpin(seq uint64) {
 
 func (c *commitClock) recomputeFloorLocked() {
 	f := c.mark.Load()
-	for s := range c.pins {
-		if s < f {
-			f = s
-		}
+	if len(c.pins) > 0 {
+		f = min(f, c.pins[0].seq)
 	}
 	c.floorV.Store(f)
 }
@@ -139,8 +149,8 @@ func (c *commitClock) pinCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, cnt := range c.pins {
-		n += cnt
+	for _, p := range c.pins {
+		n += p.count
 	}
 	return n
 }

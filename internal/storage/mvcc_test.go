@@ -370,3 +370,64 @@ func TestSnapshotConsistencyUnderConcurrentWriters(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestCommitClockForgetsStalledBurst holds one commit open while 10 000
+// later ones complete, then ends it: the watermark must jump to the last
+// issued seq and the clock must keep nothing of the burst. While the first
+// commit is open the watermark stays below it and the floor with it.
+func TestCommitClockForgetsStalledBurst(t *testing.T) {
+	c := &commitClock{}
+	first := c.begin()
+	for i := 0; i < 10000; i++ {
+		seq := c.begin()
+		c.end(seq, seq)
+	}
+	if w := c.watermark(); w != first-1 {
+		t.Fatalf("watermark %d past the open commit %d", w, first)
+	}
+	if f := c.floor(); f != first-1 {
+		t.Fatalf("floor %d, want %d", f, first-1)
+	}
+	c.end(first, first)
+	if w := c.watermark(); w != c.next {
+		t.Fatalf("watermark %d after the burst drained, want next %d", w, c.next)
+	}
+	if len(c.window) != 0 {
+		t.Fatalf("%d commits still in the window", len(c.window))
+	}
+}
+
+// TestCommitClockWindowAndPins: the watermark never rests inside a
+// commit's [seq, eff) window, and the floor is the oldest pin.
+func TestCommitClockWindowAndPins(t *testing.T) {
+	c := &commitClock{}
+	a, b := c.begin(), c.begin() // 1, 2
+	c.end(a, b)                  // a landed at b's timestamp
+	if w := c.watermark(); w != 0 {
+		t.Fatalf("watermark %d inside a's [1, 2) window", w)
+	}
+	p0 := c.pin()
+	c.end(b, b)
+	if w := c.watermark(); w != b {
+		t.Fatalf("watermark %d, want %d", w, b)
+	}
+	p2a, p2b := c.pin(), c.pin()
+	if p0 != 0 || p2a != b || p2b != b || c.pinCount() != 3 || len(c.pins) != 2 {
+		t.Fatalf("pins %d %d %d, count %d, entries %v", p0, p2a, p2b, c.pinCount(), c.pins)
+	}
+	if f := c.floor(); f != 0 {
+		t.Fatalf("floor %d with a pin at 0", f)
+	}
+	c.unpin(p0)
+	if f := c.floor(); f != b {
+		t.Fatalf("floor %d, want the oldest pin %d", f, b)
+	}
+	c.unpin(p2a)
+	c.unpin(p2b)
+	if c.pinCount() != 0 || len(c.pins) != 0 {
+		t.Fatalf("pins left: %v", c.pins)
+	}
+	if seq := c.begin(); c.floor() != b {
+		t.Fatalf("floor %d moved with commit %d still open", c.floor(), seq)
+	}
+}

@@ -17,11 +17,21 @@ import (
 const (
 	scanRowTable = 6000 // rows loaded
 	scanRowSpan  = 2000 // rows per range scan, as in wire_scan_analytic
-	// scanRowMaxAllocs: the tuple, and the one string its text columns are
-	// substrings of. The third is headroom for what a fill pays once (the
-	// index cursor's closure) and a scan pays once (scanner, snapshot).
+	// scanRowMaxAllocs: a whole row. Its values are cut from the fill's
+	// slab and its text is appended to the fill's string, both paid per
+	// fill; the bound dates from when each row cost a tuple and a string,
+	// plus headroom for what a fill and a scan pay once.
 	scanRowMaxAllocs = 3
+	// scanRowProjectedMaxAllocs: three numeric columns, as the analytic
+	// statements read. Nothing is left to allocate per row; what a fill
+	// pays once (the slab, the index cursor's closure) and a scan pays
+	// once (scanner, snapshot) amortise to well under one.
+	scanRowProjectedMaxAllocs = 1
 )
+
+// scanRowProjection is three numeric lineitem columns: l_quantity,
+// l_extendedprice and l_discount.
+var scanRowProjection = []int{2, 3, 4}
 
 // lineitemTable loads a TPC-H-lineitem-shaped table: eleven columns, four
 // of them text, a secondary chain on the ship date (internal/workload/tpch
@@ -83,20 +93,32 @@ func scanSpan(t *Table, batch *RowBatch, lo int) (int, error) {
 
 func TestScanRowAllocs(t *testing.T) {
 	tb := lineitemTable(t)
-	batch := NewRowBatch(DefaultBatchCapacity)
-	lo := 1
-	scan := func() {
-		rows, err := scanSpan(tb, batch, lo)
-		if err != nil || rows != scanRowSpan {
-			t.Fatalf("scan from %d: %d rows, %v", lo, rows, err)
-		}
-		lo = 1 + (lo+996)%(scanRowTable-scanRowSpan)
-	}
-	scan()
-	perRow := testing.AllocsPerRun(20, scan) / scanRowSpan
-	t.Logf("%.3f allocs per scanned row", perRow)
-	if perRow > scanRowMaxAllocs {
-		t.Fatalf("%.3f allocs per scanned row, want at most %d", perRow, scanRowMaxAllocs)
+	for _, tc := range []struct {
+		name  string
+		cols  []int
+		bound int
+	}{
+		{"all", nil, scanRowMaxAllocs},
+		{"projected", scanRowProjection, scanRowProjectedMaxAllocs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batch := NewRowBatch(DefaultBatchCapacity)
+			batch.Cols = tc.cols
+			lo := 1
+			scan := func() {
+				rows, err := scanSpan(tb, batch, lo)
+				if err != nil || rows != scanRowSpan {
+					t.Fatalf("scan from %d: %d rows, %v", lo, rows, err)
+				}
+				lo = 1 + (lo+996)%(scanRowTable-scanRowSpan)
+			}
+			scan()
+			perRow := testing.AllocsPerRun(20, scan) / scanRowSpan
+			t.Logf("%.3f allocs per scanned row", perRow)
+			if perRow > float64(tc.bound) {
+				t.Fatalf("%.3f allocs per scanned row, want at most %d", perRow, tc.bound)
+			}
+		})
 	}
 	if err := tb.mem.VerifyAll(); err != nil {
 		t.Fatal(err)
@@ -104,24 +126,33 @@ func TestScanRowAllocs(t *testing.T) {
 }
 
 // BenchmarkScanRow reports ns and allocations per verified scanned row,
-// over the range scan wire_scan_analytic's statements run.
+// over the range scan wire_scan_analytic's statements run, building every
+// column (cols=all) or three numeric ones (cols=3).
 func BenchmarkScanRow(b *testing.B) {
 	tb := lineitemTable(b)
-	batch := NewRowBatch(DefaultBatchCapacity)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ReportAllocs()
-	b.ResetTimer()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		n, err := scanSpan(tb, batch, 1+(i*997)%(scanRowTable-scanRowSpan))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows += n
+	for _, bc := range []struct {
+		name string
+		cols []int
+	}{{"cols=all", nil}, {"cols=3", scanRowProjection}} {
+		b.Run(bc.name, func(b *testing.B) {
+			batch := NewRowBatch(DefaultBatchCapacity)
+			batch.Cols = bc.cols
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				n, err := scanSpan(tb, batch, 1+(i*997)%(scanRowTable-scanRowSpan))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += n
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rows), "allocs/row")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rows), "allocs/row")
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"veridb/internal/index"
 	"veridb/internal/page"
@@ -208,17 +209,46 @@ func (r *reader) fetchKeyed(loc index.Loc, chain int, k record.Key) (*record.Rec
 	return rec, nil
 }
 
-// tuple returns rec's data tuple for handing upward, nil for a sentinel:
-// built fresh from the reader's own image, or cloned when rec is a history
-// image shared with every other snapshot reader.
-func (r *reader) tuple(rec *record.Record, shared bool) record.Tuple {
-	if !shared {
-		return r.dec.Tuple()
+// sentinel reports whether rec, the reader's own record or a shared
+// history image, is a chain anchor rather than a data row.
+func (r *reader) sentinel(rec *record.Record, shared bool) bool {
+	if shared {
+		return rec.IsSentinel()
 	}
-	if rec.IsSentinel() {
+	return r.dec.Sentinel()
+}
+
+// columns returns cols, or when it is nil the list of all of rec's
+// columns.
+func (r *reader) columns(rec *record.Record, shared bool, cols []int) []int {
+	if cols != nil {
+		return cols
+	}
+	if shared {
+		return record.AllColumns(len(rec.Data))
+	}
+	return record.AllColumns(r.dec.Arity())
+}
+
+// tuple builds the listed columns of data row rec into dst, which has
+// len(cols) values, for handing upward: decoded from the reader's own
+// image, text appended to text, or copied from a history image shared
+// with every other snapshot reader, whose strings are as immutable as the
+// builder's.
+func (r *reader) tuple(rec *record.Record, shared bool, cols []int, dst record.Tuple, text *strings.Builder) error {
+	if !shared {
+		if err := r.dec.Tuple(cols, dst, text); err != nil {
+			return fmt.Errorf("%w: %v", ErrVerifyFailed, err)
+		}
 		return nil
 	}
-	return rec.Data.Clone()
+	for i, c := range cols {
+		if c >= len(rec.Data) {
+			return fmt.Errorf("%w: column %d of a %d-column history image", ErrVerifyFailed, c, len(rec.Data))
+		}
+		dst[i] = rec.Data[c]
+	}
+	return nil
 }
 
 // chainLink returns rec's ⟨key, nKey⟩ on chain after the two checks every
@@ -597,7 +627,16 @@ func (sh *shard) witness(r *reader, rec *record.Record, shared bool, chain int, 
 	case l.Key.Equal(k):
 		// Condition (1): the record itself proves presence.
 		ev.Found = true
-		return r.tuple(rec, shared), ev, nil
+		if r.sentinel(rec, shared) {
+			return nil, ev, nil
+		}
+		cols := r.columns(rec, shared, nil)
+		tup := make(record.Tuple, len(cols))
+		var text strings.Builder
+		if err := r.tuple(rec, shared, cols, tup, &text); err != nil {
+			return nil, Evidence{}, err
+		}
+		return tup, ev, nil
 	case l.Key.Compare(k) < 0 && k.Compare(l.NKey) < 0:
 		// Condition (2): key < probe < nKey proves absence.
 		return nil, ev, nil

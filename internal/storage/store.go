@@ -80,7 +80,7 @@ func (s *Store) CatalogVersion() uint64 { return s.version.Load() }
 
 // NewStore builds a store over mem.
 func NewStore(mem *vmem.Memory) *Store {
-	return &Store{mem: mem, tables: make(map[string]*Table), defaultShards: 1, clock: newCommitClock()}
+	return &Store{mem: mem, tables: make(map[string]*Table), defaultShards: 1, clock: &commitClock{}}
 }
 
 // SetDefaultShards sets the shard count used when a TableSpec leaves Shards
