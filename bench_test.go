@@ -57,7 +57,7 @@ func benchTable(b *testing.B, cfg vmem.Config) (*storage.Table, *vmem.Memory) {
 	}
 	val := record.Text(string(make([]byte, 500)))
 	for i := 1; i <= benchRows; i++ {
-		if err := t.Insert(record.Tuple{record.Int(int64(i) * 2), val}); err != nil {
+		if err := t.InsertAt(record.Tuple{record.Int(int64(i) * 2), val}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func BenchmarkFig9Update(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := int64(i%benchRows+1) * 2
-				if err := t.Update(record.Int(k), record.Tuple{record.Int(k), val}); err != nil {
+				if err := t.UpdateAt(record.Int(k), record.Tuple{record.Int(k), val}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -116,10 +116,10 @@ func BenchmarkFig9InsertDelete(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := int64(i%benchRows)*2 + 1
-				if err := t.Insert(record.Tuple{record.Int(k), val}); err != nil {
+				if err := t.InsertAt(record.Tuple{record.Int(k), val}, nil); err != nil {
 					b.Fatal(err)
 				}
-				if err := t.Delete(record.Int(k)); err != nil {
+				if err := t.DeleteAt(record.Int(k), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -210,7 +210,7 @@ func BenchmarkFig11(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := int64(i%benchRows+1) * 2
-			if err := t.Update(record.Int(k), record.Tuple{record.Int(k), v}); err != nil {
+			if err := t.UpdateAt(record.Int(k), record.Tuple{record.Int(k), v}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -521,10 +521,10 @@ func BenchmarkAblationMetadata(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := int64(i%benchRows)*2 + 1
-				if err := t.Insert(record.Tuple{record.Int(k), val}); err != nil {
+				if err := t.InsertAt(record.Tuple{record.Int(k), val}, nil); err != nil {
 					b.Fatal(err)
 				}
-				if err := t.Delete(record.Int(k)); err != nil {
+				if err := t.DeleteAt(record.Int(k), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -546,10 +546,10 @@ func BenchmarkAblationCompaction(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := int64(i%benchRows)*2 + 1
-				if err := t.Insert(record.Tuple{record.Int(k), val}); err != nil {
+				if err := t.InsertAt(record.Tuple{record.Int(k), val}, nil); err != nil {
 					b.Fatal(err)
 				}
-				if err := t.Delete(record.Int(k)); err != nil {
+				if err := t.DeleteAt(record.Int(k), nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -920,7 +920,7 @@ func (db *DB) update(ctx context.Context, up *sql.Update) (*portal.Result, error
 	// keep its effects atomic under the single commit timestamp.
 	res := govern.NewReservation(db.budget)
 	defer res.Release()
-	rows, err := db.matchingRows(engine.NewExec(ctx, res, db.batchCap), t, up.Where)
+	rows, err := db.matchingRows(engine.NewExec(ctx, res, db.batchCap, nil), t, up.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -957,7 +957,7 @@ func (db *DB) delete(ctx context.Context, del *sql.Delete) (*portal.Result, erro
 	// atomic and runs to completion.
 	res := govern.NewReservation(db.budget)
 	defer res.Release()
-	rows, err := db.matchingRows(engine.NewExec(ctx, res, db.batchCap), t, del.Where)
+	rows, err := db.matchingRows(engine.NewExec(ctx, res, db.batchCap, nil), t, del.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -1006,14 +1006,13 @@ func (db *DB) runSelectOp(ctx context.Context, sess *session, op engine.Operator
 	if capacity > degradedBatchSize && db.budget.Pressure() > degradePressure {
 		capacity = degradedBatchSize
 	}
-	ex := engine.NewExec(ctx, res, capacity)
-	engine.SetExec(op, ex)
 	snap := sess.pinned()
 	if snap == nil {
 		snap = db.store.OpenSnapshot()
 		defer snap.Close()
 	}
-	engine.SetSnapshot(op, snap)
+	ex := engine.NewExec(ctx, res, capacity, snap)
+	engine.SetExec(op, ex)
 	// Detach the plan before it goes (back) into the cache: a cached
 	// operator retains no dead context, dangling snapshot or row of the
 	// statement that ran it.
@@ -1063,12 +1062,12 @@ type restoreSource struct {
 func (db *DB) restore(srcs []restoreSource, alarm func() error) error {
 	restored := 0
 	for _, src := range srcs {
-		dst, err := db.store.Register(src.spec)
+		dst, err := db.store.CreateTable(src.spec)
 		if err != nil {
 			return fmt.Errorf("restoring table %q: %v", src.spec.Name, err)
 		}
 		err = src.rows(func(row record.Tuple) error {
-			if err := dst.Insert(row); err != nil {
+			if err := dst.InsertAt(row, nil); err != nil {
 				return fmt.Errorf("restoring table %q: %w", src.spec.Name, err)
 			}
 			if restored++; restored%recoveryAlarmEvery == 0 {
@@ -1096,8 +1095,13 @@ func (db *DB) Recover(replica *DB, seqFloor uint64) error {
 	if err := recoveryAlarm(db, replica); err != nil {
 		return err
 	}
+	names := replica.store.TableNames()
+	// Every table streams from one snapshot, pinned after the names are
+	// listed so that each listed table already exists at it.
+	snap := replica.store.OpenSnapshot()
+	defer snap.Close()
 	var srcs []restoreSource
-	for _, name := range replica.store.TableNames() {
+	for _, name := range names {
 		src, err := replica.store.Table(name)
 		if err != nil {
 			return err
@@ -1111,11 +1115,11 @@ func (db *DB) Recover(replica *DB, seqFloor uint64) error {
 			},
 			// The replica streams batch by batch; it is never materialised.
 			rows: func(insert func(record.Tuple) error) error {
-				sc, err := src.SeqScan()
+				sc, err := src.SeqScanAt(snap)
 				if err != nil {
 					return err
 				}
-				defer sc.Close() // releases the scan's snapshot pin
+				defer sc.Close()
 				batch := storage.NewRowBatch(storage.DefaultBatchCapacity)
 				for {
 					n, err := sc.NextBatch(batch)

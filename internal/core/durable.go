@@ -262,12 +262,17 @@ func (db *DB) checkpoint(force bool) error {
 	return nil
 }
 
-// tableImages snapshots every table through verified sequential scans.
-// Callers hold the statement gate exclusively, so the images are a
-// consistent cut of the database.
+// tableImages snapshots every table through verified sequential scans at
+// one snapshot. Callers hold the statement gate exclusively, so the images
+// are a consistent cut of the database; the snapshot is released on
+// return, since a leaked pin would hold the version reclamation floor from
+// this checkpoint on.
 func (db *DB) tableImages() ([]*wal.TableImage, error) {
+	names := db.store.TableNames()
+	snap := db.store.OpenSnapshot()
+	defer snap.Close()
 	var images []*wal.TableImage
-	for _, name := range db.store.TableNames() {
+	for _, name := range names {
 		t, err := db.store.Table(name)
 		if err != nil {
 			return nil, err
@@ -279,12 +284,10 @@ func (db *DB) tableImages() ([]*wal.TableImage, error) {
 			ChainColumns: append([]int(nil), t.ChainColumns()[1:]...),
 			Rows:         make([]record.Tuple, 0, t.RowCount()),
 		}
-		sc, err := t.SeqScan()
+		sc, err := t.SeqScanAt(snap)
 		if err != nil {
 			return nil, err
 		}
-		// Close releases the scan's snapshot pin; a leaked pin would hold
-		// the version reclamation floor from this checkpoint on.
 		batch := storage.NewRowBatch(storage.DefaultBatchCapacity)
 		for {
 			n, err := sc.NextBatch(batch)

@@ -389,3 +389,57 @@ func BenchmarkDurableWriters(b *testing.B) {
 		})
 	}
 }
+
+// TestUpdateOntoExistingKeySurvivesReopen: an UPDATE moving a row onto a
+// primary key another row holds fails, is never logged, and must leave
+// the live database as it was, so the answers before and after a reopen
+// agree.
+func TestUpdateOntoExistingKeySurvivesReopen(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(Config{Seed: crashSeed, DataDir: dir, TableShards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []string{
+				`CREATE TABLE t (id INT PRIMARY KEY, v INT, INDEX(v))`,
+				`INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)`,
+			} {
+				if _, err := db.Execute(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := db.Execute(`UPDATE t SET id = 2 WHERE id = 1`); err == nil {
+				t.Fatal("UPDATE onto an existing primary key succeeded")
+			}
+			answers := func(db *DB) string {
+				var out []string
+				for _, q := range []string{`SELECT * FROM t`, `SELECT * FROM t WHERE id = 1`, `SELECT id FROM t WHERE v = 10`} {
+					res, err := db.Execute(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, fmt.Sprint(res.Rows))
+				}
+				return strings.Join(out, " ")
+			}
+			live := answers(db)
+			if want := "[[1 10] [2 20] [3 30]] [[1 10]] [[1]]"; live != want {
+				t.Fatalf("live answers after the failed UPDATE: %s, want %s", live, want)
+			}
+			db.Close()
+			re, err := Open(Config{Seed: crashSeed, DataDir: dir, TableShards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := answers(re); got != live {
+				t.Fatalf("answers after reopen: %s, live before: %s", got, live)
+			}
+			if err := re.Memory().VerifyAll(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -15,17 +15,17 @@ type RowBatch = storage.RowBatch
 func NewRowBatch(capacity int) *RowBatch { return storage.NewRowBatch(capacity) }
 
 // ResetPlan detaches an operator tree from the statement that just ran it:
-// the statement controls and the snapshot, every materialised row (sort
+// the statement controls and the snapshot they carry, every materialised row (sort
 // and join buffers, Materialize's fill-once buffer, Spool's temp table),
 // every cursor over a child and the rows left in scratch batches. What
 // remains is the compiled plan and scratch capacity, so a plan waiting in
 // the cache pins no reservation, no snapshot and no row, and its next
-// execution — after SetExec and SetSnapshot — starts as a fresh build
+// execution — after SetExec — starts as a fresh build
 // would. core runs it after every execution, failed ones included.
 func ResetPlan(op Operator) {
 	switch x := op.(type) {
 	case *TableScan:
-		x.exec, x.Snap = nil, nil
+		x.exec = nil
 	case *Values:
 	case *Filter:
 		ResetPlan(x.Child)
@@ -51,7 +51,7 @@ func ResetPlan(op Operator) {
 		ResetPlan(x.Outer)
 		ResetPlan(x.Inner)
 	case *IndexJoin:
-		x.exec, x.Snap, x.ocur, x.pb, x.cur, x.matches = nil, nil, nil, nil, nil, nil
+		x.exec, x.ocur, x.pb, x.cur, x.matches = nil, nil, nil, nil, nil
 		ResetPlan(x.Outer)
 	case *MergeJoin:
 		x.exec, x.lc, x.rc, x.lrow, x.rrow, x.group = nil, nil, nil, nil, nil, nil

@@ -319,12 +319,12 @@ func quoteInventory(t *testing.T) (*storage.Table, *storage.Table, *storage.Stor
 	}
 	// Fig. 8 contents (ids as integers 1..6).
 	for _, r := range [][3]int64{{1, 100, 100}, {2, 100, 200}, {3, 500, 100}, {4, 600, 100}} {
-		if err := quote.Insert(record.Tuple{record.Int(r[0]), record.Int(r[1]), record.Float(float64(r[2]))}); err != nil {
+		if err := quote.InsertAt(record.Tuple{record.Int(r[0]), record.Int(r[1]), record.Float(float64(r[2]))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range [][2]int64{{1, 50}, {3, 200}, {4, 100}, {6, 100}} {
-		if err := inv.Insert(record.Tuple{record.Int(r[0]), record.Int(r[1]), record.Text(fmt.Sprintf("desc%d", r[0]))}); err != nil {
+		if err := inv.InsertAt(record.Tuple{record.Int(r[0]), record.Int(r[1]), record.Text(fmt.Sprintf("desc%d", r[0]))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,7 +9,8 @@ import (
 )
 
 // Exec carries the per-statement execution controls: the caller's context
-// for cooperative cancellation, a govern.Reservation charged for every
+// for cooperative cancellation, the snapshot every storage read of the
+// statement resolves against, a govern.Reservation charged for every
 // materialisation the statement performs (sort buffers, hash-join build
 // sides, aggregate output, spooled rows, drained results), and the batch
 // capacity every buffer the statement allocates is sized to — the drain
@@ -24,16 +25,29 @@ type Exec struct {
 	ctx      context.Context
 	res      *govern.Reservation
 	batchCap int
+	snap     *storage.Snapshot
 }
 
 // NewExec builds the statement controls. ctx may be nil (treated as
 // background); res may be nil (no memory accounting); batchCap <= 0 means
-// storage.DefaultBatchCapacity.
-func NewExec(ctx context.Context, res *govern.Reservation, batchCap int) *Exec {
+// storage.DefaultBatchCapacity; snap may be nil (every read at the latest
+// state, under storage's nil rules). The statement borrows snap: the
+// caller that pinned it closes it after the statement drains.
+func NewExec(ctx context.Context, res *govern.Reservation, batchCap int, snap *storage.Snapshot) *Exec {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Exec{ctx: ctx, res: res, batchCap: batchCap}
+	return &Exec{ctx: ctx, res: res, batchCap: batchCap, snap: snap}
+}
+
+// Snapshot is the pinned snapshot the statement's table scans and index
+// probes read, so a multi-scan plan (joins, self-joins, spool refills)
+// observes one committed state; nil reads the latest state.
+func (e *Exec) Snapshot() *storage.Snapshot {
+	if e == nil {
+		return nil
+	}
+	return e.snap
 }
 
 // BatchCap is the row capacity of every batch the statement allocates.
@@ -80,8 +94,8 @@ func (e *Exec) ChargeBytes(n int64) error {
 
 // SetExec walks an operator tree and attaches the statement controls to
 // every operator that reads storage, materialises state or buffers an
-// input (ResetPlan detaches them again). Call before Open, like
-// SetSnapshot: pipeline breakers consume their children inside Open.
+// input (ResetPlan detaches them again). Call before Open: pipeline
+// breakers consume their children inside Open.
 func SetExec(op Operator, ex *Exec) {
 	switch x := op.(type) {
 	case *TableScan:

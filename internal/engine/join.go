@@ -118,11 +118,8 @@ type IndexJoin struct {
 	OuterKey *Compiled
 	// Residual filters concatenated rows (nil: none).
 	Residual *Compiled
-	// Snap, when set, resolves inner-side probes against the same pinned
-	// snapshot as the rest of the statement (see engine.SetSnapshot).
-	Snap *storage.Snapshot
 
-	exec    *Exec // statement controls; see SetExec
+	exec    *Exec // statement controls and snapshot; see SetExec
 	ocur    *batchCursor
 	pb      *RowBatch // probe-scan scratch batch
 	cur     record.Tuple
@@ -188,16 +185,7 @@ func (j *IndexJoin) probe(key record.Value) ([]record.Tuple, error) {
 	}
 	if j.InnerCol == j.InnerTable.PrimaryKeyColumn() {
 		// The probe routes to the single shard owning the key.
-		var (
-			tup record.Tuple
-			ev  storage.Evidence
-			err error
-		)
-		if j.Snap != nil {
-			tup, ev, err = j.InnerTable.GetAt(key, j.Snap)
-		} else {
-			tup, ev, err = j.InnerTable.Get(key)
-		}
+		tup, ev, err := j.InnerTable.GetAt(key, j.exec.Snapshot())
 		if err != nil {
 			return nil, err
 		}
@@ -208,15 +196,7 @@ func (j *IndexJoin) probe(key record.Value) ([]record.Tuple, error) {
 	}
 	// Secondary-chain probes fan out: every shard's sub-chain contributes
 	// its matches (and its absence proof) for the key.
-	var (
-		sc  storage.Iterator
-		err error
-	)
-	if j.Snap != nil {
-		sc, err = j.InnerTable.RangeScanAt(j.InnerCol, &key, &key, j.Snap)
-	} else {
-		sc, err = j.InnerTable.RangeScan(j.InnerCol, &key, &key)
-	}
+	sc, err := j.InnerTable.RangeScanAt(j.InnerCol, &key, &key, j.exec.Snapshot())
 	if err != nil {
 		return nil, err
 	}

@@ -46,12 +46,8 @@ type TableScan struct {
 	// table order, its rows hold and its schema lists. The planner keeps
 	// the columns a statement reads; nil keeps them all.
 	Cols []int
-	// Snap, when set, resolves the scan against a pinned snapshot instead
-	// of the latest committed state (see engine.SetSnapshot). The scan
-	// borrows the snapshot — the statement that pinned it closes it.
-	Snap *storage.Snapshot
 
-	exec    *Exec // statement controls; see SetExec
+	exec    *Exec // statement controls and snapshot; see SetExec
 	sc      storage.Iterator
 	visited int
 }
@@ -104,17 +100,12 @@ func (s *TableScan) Open() error {
 		s.sc = nil
 	}
 	var err error
-	switch {
-	case s.Snap != nil && s.Col < 0:
-		s.sc, err = s.Table.SeqScanAt(s.Snap)
-	case s.Snap != nil:
-		s.sc, err = s.Table.RangeScanAt(s.Col, tightest(s.Lo, +1), tightest(s.Hi, -1), s.Snap)
-	case s.Col < 0:
-		// SeqScan iterates every shard; on a sharded table the storage
-		// layer stitches the per-shard sub-scans in key order.
-		s.sc, err = s.Table.SeqScan()
-	default:
-		s.sc, err = s.Table.RangeScan(s.Col, tightest(s.Lo, +1), tightest(s.Hi, -1))
+	if s.Col < 0 {
+		// On a sharded table the storage layer stitches the per-shard
+		// sub-scans in key order.
+		s.sc, err = s.Table.SeqScanAt(s.exec.Snapshot())
+	} else {
+		s.sc, err = s.Table.RangeScanAt(s.Col, tightest(s.Lo, +1), tightest(s.Hi, -1), s.exec.Snapshot())
 	}
 	return err
 }

@@ -83,7 +83,7 @@ func TestIndexJoinOnSecondaryChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 9; i++ {
-		if err := grp.Insert(record.Tuple{record.Int(i), record.Int(i % 3)}); err != nil {
+		if err := grp.InsertAt(record.Tuple{record.Int(i), record.Int(i % 3)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestMergeJoinEmptySides(t *testing.T) {
 // drainAt attaches a statement Exec of the given batch capacity to the
 // tree and drains it.
 func drainAt(op Operator, capacity int) ([]record.Tuple, error) {
-	ex := NewExec(nil, nil, capacity)
+	ex := NewExec(nil, nil, capacity, nil)
 	SetExec(op, ex)
 	return Drain(op, ex)
 }
@@ -179,7 +179,7 @@ func capacityFixture(t *testing.T) (*storage.Store, *storage.Table, *storage.Tab
 		t.Fatal(err)
 	}
 	for id := int64(2); id <= 50; id += 2 {
-		if err := dim.Insert(record.Tuple{record.Int(id), record.Int((id / 2) % 5)}); err != nil {
+		if err := dim.InsertAt(record.Tuple{record.Int(id), record.Int((id / 2) % 5)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -377,9 +377,8 @@ func TestResetPlanDetachesEveryOperator(t *testing.T) {
 		var first string
 		for run := 0; run < 2; run++ {
 			res := govern.NewReservation(govern.NewBudget(1 << 30))
-			SetExec(op, NewExec(nil, res, 7))
 			snap := st.OpenSnapshot()
-			SetSnapshot(op, snap)
+			SetExec(op, NewExec(nil, res, 7, snap))
 			rows, err := Drain(op, nil)
 			ResetPlan(op)
 			snap.Close()
@@ -412,10 +411,6 @@ func assertDetached(t *testing.T, name string, op Operator) {
 		f, sf := v.Field(i), v.Type().Field(i)
 		where := fmt.Sprintf("%s: %s.%s", name, v.Type().Name(), sf.Name)
 		switch {
-		case sf.Name == "Snap":
-			if !f.IsNil() {
-				t.Errorf("%s still set", where)
-			}
 		case sf.IsExported():
 			if child, ok := f.Interface().(Operator); ok && child != nil {
 				assertDetached(t, name, child)

@@ -27,10 +27,10 @@ var spoolSeq atomic.Uint64
 type Spool struct {
 	Child Operator
 	// Store hosts the temporary table.
-	Store storage.Catalog
+	Store *storage.Store
 
 	exec   *Exec // statement controls; see SetExec
-	table  storage.Engine
+	table  *storage.Table
 	name   string
 	sc     storage.Iterator
 	filled bool
@@ -51,8 +51,11 @@ func (s *Spool) Open() error {
 	if s.sc != nil {
 		s.sc.Close()
 	}
+	// The temp table is ephemeral (created mid-statement, after the
+	// statement's snapshot pinned) and outside MVCC: it is read at its
+	// latest version, and only the child reads the snapshot.
 	var err error
-	s.sc, err = s.table.SeqScan()
+	s.sc, err = s.table.SeqScanAt(nil)
 	return err
 }
 
@@ -74,7 +77,7 @@ func (s *Spool) fill() (err error) {
 	s.name = fmt.Sprintf("__spool_%d", spoolSeq.Add(1))
 	// Spools are filled and replayed by one goroutine in row order; a
 	// single shard keeps the scan a straight chain walk.
-	t, err := s.Store.Register(storage.TableSpec{
+	t, err := s.Store.CreateTable(storage.TableSpec{
 		Name:       s.name,
 		Schema:     record.NewSchema(cols...),
 		PrimaryKey: 0,
@@ -114,7 +117,7 @@ func (s *Spool) fill() (err error) {
 			spilled := make(record.Tuple, 0, len(tup)+1)
 			spilled = append(spilled, record.Int(row))
 			spilled = append(spilled, tup...)
-			if err := t.Insert(spilled); err != nil {
+			if err := t.InsertAt(spilled, nil); err != nil {
 				return err
 			}
 			row++

@@ -30,7 +30,7 @@ func spillFixture(t *testing.T) (*storage.Store, *storage.Table) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 50; i++ {
-		if err := tb.Insert(record.Tuple{record.Int(int64(i)), record.Text(fmt.Sprintf("p%d", i))}); err != nil {
+		if err := tb.InsertAt(record.Tuple{record.Int(int64(i)), record.Text(fmt.Sprintf("p%d", i))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func countSpoolTables(st *storage.Store) int {
 func TestSpoolCleanupOnFillError(t *testing.T) {
 	st, _ := spillFixture(t)
 	for _, batch := range []int{1, 8} { // the failure lands at and inside a batch boundary
-		sp := &Spool{Child: &failAfter{n: 20}, Store: st, exec: NewExec(nil, nil, batch)}
+		sp := &Spool{Child: &failAfter{n: 20}, Store: st, exec: NewExec(nil, nil, batch, nil)}
 		if err := sp.Open(); err == nil {
 			t.Fatalf("batch=%d: spool of failing child opened cleanly", batch)
 		}

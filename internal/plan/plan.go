@@ -21,13 +21,6 @@ import (
 	"veridb/internal/storage"
 )
 
-// Catalog resolves table names to their storage engines; *storage.Store
-// satisfies it. The planner sees only the Engine seam, never the concrete
-// sharded table.
-type Catalog interface {
-	Table(name string) (storage.Engine, error)
-}
-
 // JoinStrategy forces a join algorithm; JoinAuto picks per join.
 type JoinStrategy int
 
@@ -58,15 +51,16 @@ type binding struct {
 	cols  []int
 }
 
-// PlanSelect compiles a SELECT into an operator tree.
-func PlanSelect(cat Catalog, sel *sql.Select, opt Options) (engine.Operator, error) {
+// PlanSelect compiles a SELECT over st's tables into an operator tree. The
+// planner sees only the Engine seam, never the concrete sharded table.
+func PlanSelect(st *storage.Store, sel *sql.Select, opt Options) (engine.Operator, error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("plan: SELECT without FROM")
 	}
 	var binds []binding
 	seen := map[string]bool{}
 	addBind := func(ref sql.TableRef) error {
-		t, err := cat.Table(ref.Table)
+		t, err := st.Table(ref.Table)
 		if err != nil {
 			return err
 		}

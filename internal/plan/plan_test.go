@@ -61,17 +61,17 @@ func fixture(t *testing.T) *storage.Store {
 		t.Fatal(err)
 	}
 	for _, r := range [][3]int64{{1, 100, 100}, {2, 100, 200}, {3, 500, 100}, {4, 600, 100}} {
-		quote.Insert(record.Tuple{record.Int(r[0]), record.Int(r[1]), record.Float(float64(r[2]))})
+		quote.InsertAt(record.Tuple{record.Int(r[0]), record.Int(r[1]), record.Float(float64(r[2]))}, nil)
 	}
 	for _, r := range [][2]int64{{1, 50}, {3, 200}, {4, 100}, {6, 100}} {
-		inv.Insert(record.Tuple{record.Int(r[0]), record.Int(r[1]), record.Text(fmt.Sprintf("desc%d", r[0]))})
+		inv.InsertAt(record.Tuple{record.Int(r[0]), record.Int(r[1]), record.Text(fmt.Sprintf("desc%d", r[0]))}, nil)
 	}
 	regions := []string{"east", "west"}
 	for i := int64(1); i <= 20; i++ {
-		orders.Insert(record.Tuple{
+		orders.InsertAt(record.Tuple{
 			record.Int(i), record.Int(i % 5), record.Float(float64(i) * 10),
 			record.Text(regions[i%2]),
-		})
+		}, nil)
 	}
 	return st
 }

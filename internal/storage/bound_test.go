@@ -104,7 +104,7 @@ func TestVersionStateBoundedWithoutPins(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s: first row ok=%v err=%v", tb.Name(), ok, err)
 		}
-		if err := tb.Update(tup[tb.PrimaryKeyColumn()], tup); err != nil {
+		if err := tb.UpdateAt(tup[tb.PrimaryKeyColumn()], tup, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -26,12 +26,22 @@ type Iterator interface {
 }
 
 // Engine is the storage seam the upper layers (core, plan, engine) consume
-// instead of the concrete *Table. It carries exactly the paper's verified
-// access methods — point lookup with evidence (§5.2 index search), DML
-// (§4.2 Insert/Delete/Update), and verified range/sequential scans — plus
-// the schema metadata planning needs. Every future backend (disk pages,
-// remote shards) plugs in here; the in-memory sharded table is the first
-// implementation.
+// instead of the concrete *Table, its one implementation. It carries
+// exactly the paper's verified access methods, one method per operation —
+// point lookup with evidence (§5.2 index search), DML (§4.2
+// Insert/Delete/Update), and verified range and sequential scans — plus
+// the schema metadata planning needs.
+//
+// The nil rules, stated once for every method:
+//   - A write with a nil *Commit commits alone, under a commit of its own.
+//     Writes sharing a non-nil commit become visible to snapshot readers
+//     atomically when it is done. Ephemeral tables never touch the commit
+//     clock.
+//   - A read with a nil *Snapshot reads the latest state: a point read sees
+//     the live version under the owning shard's latch, and a scan reads at
+//     a snapshot it pins itself and releases at Close. A non-nil snapshot
+//     stays the caller's, and one can serve many reads.
+//   - An ephemeral table is read only with a nil snapshot.
 type Engine interface {
 	// Schema metadata.
 	Name() string
@@ -43,53 +53,32 @@ type Engine interface {
 	ShardCount() int
 
 	// Verified point access: the result carries single-record ⟨key, nKey⟩
-	// presence/absence evidence (Definition 4.2).
+	// presence/absence evidence (Definition 4.2). Get is GetAt(pk, nil).
+	GetAt(pk record.Value, snap *Snapshot) (record.Tuple, Evidence, error)
 	Get(pk record.Value) (record.Tuple, Evidence, error)
 
-	// DML, each maintaining every ⟨key, nKey⟩ chain (§4.2).
-	Insert(tup record.Tuple) error
-	Delete(pk record.Value) error
-	Update(pk record.Value, newTup record.Tuple) error
-	// UpdateFunc is the read-modify-write primitive: mutate runs on a copy
-	// of the row under the owning shard's write latch. Chain-key columns
-	// must not change; use Update for key-changing writes.
-	UpdateFunc(pk record.Value, mutate func(record.Tuple) (record.Tuple, error)) error
-
-	// Verified scans (§5.2 Example 5.1 conditions). RangeScan covers column
-	// values in [lo, hi] on the chain serving col (nil bounds are open);
-	// SeqScan walks the whole primary chain. On a sharded table both stitch
-	// the per-shard sub-chains in key order.
-	RangeScan(col int, lo, hi *record.Value) (Iterator, error)
-	SeqScan() (Iterator, error)
-
-	// MVCC variants. The At-reads resolve every chain step against a pinned
-	// Snapshot (the committed state at its seq), letting scans run without
-	// holding shard latches; the At-writes stamp their versions with an
-	// explicit Commit so a multi-row statement becomes visible atomically.
-	GetAt(pk record.Value, snap *Snapshot) (record.Tuple, Evidence, error)
+	// Verified scans (§5.2 Example 5.1 conditions). RangeScanAt covers
+	// column values in [lo, hi] on the chain serving col (nil bounds are
+	// open); SeqScanAt walks the whole primary chain. On a sharded table
+	// both stitch the per-shard sub-chains in key order. RangeScan is
+	// RangeScanAt(col, lo, hi, nil).
 	RangeScanAt(col int, lo, hi *record.Value, snap *Snapshot) (Iterator, error)
+	RangeScan(col int, lo, hi *record.Value) (Iterator, error)
 	SeqScanAt(snap *Snapshot) (Iterator, error)
+
+	// DML, each maintaining every ⟨key, nKey⟩ chain (§4.2). UpdateFuncAt is
+	// the read-modify-write primitive: mutate runs on a copy of the row
+	// under the owning shard's write latch. Chain-key columns must not
+	// change; use UpdateAt for key-changing writes.
 	InsertAt(tup record.Tuple, c *Commit) error
 	DeleteAt(pk record.Value, c *Commit) error
 	UpdateAt(pk record.Value, newTup record.Tuple, c *Commit) error
 	UpdateFuncAt(pk record.Value, mutate func(record.Tuple) (record.Tuple, error), c *Commit) error
 }
 
-// Catalog is the table-registry half of the seam: Register creates a table
-// (the §4.2 Register step — its chain sentinels join the verified set) and
-// hands back its Engine. The executor's spill operator and the SQL layer
-// create and drop tables only through this interface.
-type Catalog interface {
-	Register(spec TableSpec) (Engine, error)
-	Table(name string) (Engine, error)
-	DropTable(name string) error
-	TableNames() []string
-}
-
 // Interface conformance pins.
 var (
 	_ Engine   = (*Table)(nil)
-	_ Catalog  = (*Store)(nil)
 	_ Iterator = (*Scanner)(nil)
 	_ Iterator = (*mergeIterator)(nil)
 )

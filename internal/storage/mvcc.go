@@ -189,9 +189,10 @@ func (c *Commit) noteEff(e uint64) {
 
 // Done marks the commit complete (success or failure — the seq is spent
 // either way) and lets the watermark advance past it. All writes under
-// this commit must have returned before Done is called.
+// this commit must have returned before Done is called. Done on a nil
+// Commit does nothing.
 func (c *Commit) Done() {
-	if c.done.CompareAndSwap(false, true) {
+	if c != nil && c.done.CompareAndSwap(false, true) {
 		c.s.clock.end(c.seq, c.eff.Load())
 	}
 }
@@ -350,8 +351,7 @@ func newShardVersions(chains int) *shardVersions {
 // rests at points where every included commit is wholly visible — so a
 // snapshot can never pin inside any commit's [seq, eff) window.
 //
-// A nil *mvOp (ephemeral tables, nil commit) is valid; all methods are
-// no-ops.
+// A nil *mvOp (ephemeral tables) is valid; all methods are no-ops.
 type mvOp struct {
 	sh  *shard
 	c   *Commit
@@ -367,10 +367,10 @@ type mvOp struct {
 }
 
 // mvBegin opens the version transaction for one shard operation under
-// commit c. Returns nil (a valid no-op receiver) on ephemeral tables
-// (nil commit).
+// commit c, which a versioned table's writes always have (Table.commitFor).
+// Returns nil (a valid no-op receiver) on ephemeral tables.
 func (sh *shard) mvBegin(c *Commit) *mvOp {
-	if sh.mv == nil || c == nil {
+	if sh.mv == nil {
 		return nil
 	}
 	n := len(sh.mv.cur)
@@ -575,12 +575,24 @@ func (sh *shard) versionAtLocked(r *reader, chain int, k record.Key, enc []byte,
 
 // entryAtLocked finds the as-of-seq chain entry point: the record with the
 // greatest chain-i key ≤ start that is visible at seq (see versionAtLocked
-// for what it returns). It walks down over the union of the live index and
-// the history-key index, skipping keys not yet visible at seq; the ⊥
+// for what it returns). While the shard holds no version newer than seq —
+// every read at the latest state, and every snapshot no writer has
+// overtaken — the live chain is the chain at seq, and one seek of the live
+// index names the candidate; the caller's chain checks judge the record
+// fetched there. Otherwise it walks down over the union of the live index
+// and the history-key index, skipping keys not yet visible at seq; the ⊥
 // sentinel terminates the walk (its version ranges tile all the way back
 // to genesis). The caller holds the shard latch.
 func (sh *shard) entryAtLocked(r *reader, chain int, start record.Key, seq uint64) (*record.Record, bool, error) {
 	cursor := start.Encode()
+	if sh.mv == nil || sh.mv.newest <= seq {
+		_, loc, ok := sh.chains[chain].SeekLE(cursor)
+		if !ok {
+			return nil, false, fmt.Errorf("%w: chain %d has no record ≤ %v (missing ⊥ anchor)", ErrVerifyFailed, chain, start)
+		}
+		rec, err := r.fetch(loc)
+		return rec, false, err
+	}
 	seek := (*index.BTree).SeekLE
 	for {
 		cand, _, ok := seek(sh.chains[chain], cursor)
@@ -604,9 +616,9 @@ func (sh *shard) entryAtLocked(r *reader, chain int, start record.Key, seq uint6
 	}
 }
 
-// searchChainAt is the §5.2 verified index search as of a snapshot seq: the
-// entry record's ⟨key, nKey⟩ interval (at seq) proves presence or absence
-// exactly as in the latest-version search.
+// searchChainAt is the §5.2 verified index search as of seq (latest for
+// the live state) under the shard's read latch: the entry record's ⟨key,
+// nKey⟩ interval at seq proves presence or absence.
 func (sh *shard) searchChainAt(chain int, k record.Key, seq uint64) (record.Tuple, Evidence, error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -85,7 +86,7 @@ func TestWriterNotBlockedByOpenScan(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			_, tb := mvccStore(t, shards)
 			for i := 0; i < 100; i++ {
-				if err := tb.Insert(record.Tuple{record.Int(int64(i)), record.Int(int64(i % 5)), record.Float(0)}); err != nil {
+				if err := tb.InsertAt(record.Tuple{record.Int(int64(i)), record.Int(int64(i % 5)), record.Float(0)}, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -102,7 +103,7 @@ func TestWriterNotBlockedByOpenScan(t *testing.T) {
 			}
 			done := make(chan error, 1)
 			go func() {
-				done <- tb.Insert(record.Tuple{record.Int(1000), record.Int(0), record.Float(1)})
+				done <- tb.InsertAt(record.Tuple{record.Int(1000), record.Int(0), record.Float(1)}, nil)
 			}()
 			select {
 			case err := <-done:
@@ -139,7 +140,7 @@ func TestSnapshotStableUnderWrites(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s, tb := mvccStore(t, shards)
 			for i := 0; i < 50; i++ {
-				if err := tb.Insert(record.Tuple{record.Int(int64(i)), record.Int(int64(i % 5)), record.Float(float64(i))}); err != nil {
+				if err := tb.InsertAt(record.Tuple{record.Int(int64(i)), record.Int(int64(i % 5)), record.Float(float64(i))}, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -152,17 +153,17 @@ func TestSnapshotStableUnderWrites(t *testing.T) {
 
 			// Heavy churn after the pin: updates, deletes, inserts.
 			for i := 0; i < 50; i += 2 {
-				if err := tb.Update(record.Int(int64(i)), record.Tuple{record.Int(int64(i)), record.Int(int64((i + 1) % 5)), record.Float(-1)}); err != nil {
+				if err := tb.UpdateAt(record.Int(int64(i)), record.Tuple{record.Int(int64(i)), record.Int(int64((i + 1) % 5)), record.Float(-1)}, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 1; i < 50; i += 4 {
-				if err := tb.Delete(record.Int(int64(i))); err != nil {
+				if err := tb.DeleteAt(record.Int(int64(i)), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 100; i < 130; i++ {
-				if err := tb.Insert(record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(9)}); err != nil {
+				if err := tb.InsertAt(record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(9)}, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -197,20 +198,20 @@ func TestSnapshotStableUnderWrites(t *testing.T) {
 func TestGetAtSnapshot(t *testing.T) {
 	s, tb := mvccStore(t, 4)
 	for i := 0; i < 20; i++ {
-		if err := tb.Insert(record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(float64(i))}); err != nil {
+		if err := tb.InsertAt(record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(float64(i))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := s.OpenSnapshot()
 	defer snap.Close()
 
-	if err := tb.Update(record.Int(3), record.Tuple{record.Int(3), record.Int(0), record.Float(-3)}); err != nil {
+	if err := tb.UpdateAt(record.Int(3), record.Tuple{record.Int(3), record.Int(0), record.Float(-3)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Delete(record.Int(7)); err != nil {
+	if err := tb.DeleteAt(record.Int(7), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Insert(record.Tuple{record.Int(50), record.Int(0), record.Float(50)}); err != nil {
+	if err := tb.InsertAt(record.Tuple{record.Int(50), record.Int(0), record.Float(50)}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,7 +259,7 @@ func TestVersionGCReclaims(t *testing.T) {
 		t.Helper()
 		both(func(x *Table) error {
 			for i := 0; i < 30; i++ {
-				if err := x.Update(record.Int(int64(i)), record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(bal)}); err != nil {
+				if err := x.UpdateAt(record.Int(int64(i)), record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(bal)}, nil); err != nil {
 					return err
 				}
 			}
@@ -267,7 +268,7 @@ func TestVersionGCReclaims(t *testing.T) {
 	}
 	both(func(x *Table) error {
 		for i := 0; i < 30; i++ {
-			if err := x.Insert(record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(0)}); err != nil {
+			if err := x.InsertAt(record.Tuple{record.Int(int64(i)), record.Int(0), record.Float(0)}, nil); err != nil {
 				return err
 			}
 		}
@@ -310,7 +311,7 @@ func TestSnapshotConsistencyUnderConcurrentWriters(t *testing.T) {
 	s, tb := mvccStore(t, 4)
 	const nRows = 40
 	for i := 0; i < nRows; i++ {
-		if err := tb.Insert(record.Tuple{record.Int(int64(i)), record.Int(int64(i % 3)), record.Float(100)}); err != nil {
+		if err := tb.InsertAt(record.Tuple{record.Int(int64(i)), record.Int(int64(i % 3)), record.Float(100)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -429,5 +430,126 @@ func TestCommitClockWindowAndPins(t *testing.T) {
 	}
 	if seq := c.begin(); c.floor() != b {
 		t.Fatalf("floor %d moved with commit %d still open", c.floor(), seq)
+	}
+}
+
+// TestNilCommitWritesAreVersioned: a write with a nil commit commits alone
+// (the Engine nil rule), so it captures versions like any other. A
+// snapshot pinned before the four writes reads the table as it was, by
+// scan and by point read.
+func TestNilCommitWritesAreVersioned(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, tb := mvccStore(t, shards)
+			for i := int64(1); i <= 3; i++ {
+				if err := tb.InsertAt(record.Tuple{record.Int(i), record.Int(i % 2), record.Float(float64(i))}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := s.OpenSnapshot()
+			defer snap.Close()
+			before := scanRows(t, ir(tb.SeqScanAt(snap)))
+			gets := func() []string {
+				var out []string
+				for i := int64(1); i <= 4; i++ {
+					tup, ev, err := tb.GetAt(record.Int(i), snap)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, fmt.Sprint(tup, ev.Found))
+				}
+				return out
+			}
+			beforeGets := gets()
+
+			if err := tb.InsertAt(record.Tuple{record.Int(4), record.Int(0), record.Float(4)}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.UpdateAt(record.Int(2), record.Tuple{record.Int(2), record.Int(0), record.Float(-2)}, nil); err != nil {
+				t.Fatal(err)
+			}
+			err := tb.UpdateFuncAt(record.Int(3), func(row record.Tuple) (record.Tuple, error) {
+				row[2] = record.Float(-3)
+				return row, nil
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.DeleteAt(record.Int(1), nil); err != nil {
+				t.Fatal(err)
+			}
+
+			if got := scanRows(t, ir(tb.SeqScanAt(snap))); !rowsEqual(got, before) {
+				t.Fatalf("snapshot scan after nil-commit writes = %v, want %v", got, before)
+			}
+			if got := gets(); fmt.Sprint(got) != fmt.Sprint(beforeGets) {
+				t.Fatalf("snapshot point reads after nil-commit writes = %v, want %v", got, beforeGets)
+			}
+			want := "[[2 0 -2] [3 1 -3] [4 0 4]]"
+			if got := scanRows(t, ir(tb.SeqScanAt(nil))); fmt.Sprint(got) != want {
+				t.Fatalf("latest scan = %v, want %s", got, want)
+			}
+			if err := s.Memory().VerifyAll(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestUpdateOntoExistingKeyKeepsRow: an update that moves a row onto a
+// primary key another row holds fails with ErrDuplicateKey and changes
+// nothing — both rows and every chain, at the latest state and at a
+// snapshot pinned before it. A move onto a free key then succeeds, and the
+// snapshot still reads the row under its old key.
+func TestUpdateOntoExistingKeyKeepsRow(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, tb := mvccStore(t, shards)
+			for i := int64(1); i <= 3; i++ {
+				if err := tb.InsertAt(record.Tuple{record.Int(i), record.Int(i % 2), record.Float(float64(10 * i))}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := s.OpenSnapshot()
+			defer snap.Close()
+			// Every chain: the primary one by a whole scan and by point reads,
+			// the secondary one (grp) by a range scan over all of it.
+			state := func(at *Snapshot) string {
+				var gets []string
+				for i := int64(1); i <= 5; i++ {
+					tup, ev, err := tb.GetAt(record.Int(i), at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gets = append(gets, fmt.Sprint(tup, ev.Found))
+				}
+				return fmt.Sprint(scanRows(t, ir(tb.SeqScanAt(at))), scanRows(t, ir(tb.RangeScanAt(1, nil, nil, at))), gets)
+			}
+			want := state(nil)
+
+			err := tb.UpdateAt(record.Int(1), record.Tuple{record.Int(2), record.Int(0), record.Float(99)}, nil)
+			if !errors.Is(err, ErrDuplicateKey) {
+				t.Fatalf("update onto an existing key: %v, want ErrDuplicateKey", err)
+			}
+			if got := state(nil); got != want {
+				t.Fatalf("latest state after the failed update:\n%s\nwant\n%s", got, want)
+			}
+			if got := state(snap); got != want {
+				t.Fatalf("snapshot state after the failed update:\n%s\nwant\n%s", got, want)
+			}
+
+			if err := tb.UpdateAt(record.Int(1), record.Tuple{record.Int(5), record.Int(0), record.Float(50)}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(scanRows(t, ir(tb.SeqScanAt(nil)))); got != "[[2 0 20] [3 1 30] [5 0 50]]" {
+				t.Fatalf("latest rows after moving 1 to 5: %s", got)
+			}
+			if got := state(snap); got != want {
+				t.Fatalf("snapshot state after moving 1 to 5:\n%s\nwant\n%s", got, want)
+			}
+			if err := s.Memory().VerifyAll(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -63,7 +63,7 @@ func TestScannedRowsOwnTheirMemory(t *testing.T) {
 					defer wg.Done()
 					for ver := int64(1); ver <= 3; ver++ {
 						for id := int64(0); id < rows; id++ {
-							if err := tb.Update(record.Int(id), ownedRow(id, ver)); err != nil {
+							if err := tb.UpdateAt(record.Int(id), ownedRow(id, ver), nil); err != nil {
 								t.Errorf("update %d to v%d: %v", id, ver, err)
 								return
 							}
@@ -201,7 +201,9 @@ func TestScannerMemoryIsDisjointFromRows(t *testing.T) {
 	for id := int64(0); id < 50; id++ {
 		mustInsert(t, tb4, ownedRow(id, 0))
 	}
-	it, err := tb4.scanAt(0, ScanBounds{}, tb4.store.Watermark())
+	snap := tb4.store.OpenSnapshot()
+	defer snap.Close()
+	it, err := tb4.NewScan(0, ScanBounds{}, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -58,13 +59,13 @@ func lineitemTable(tb testing.TB) *Table {
 	instruct := []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"}
 	mode := []string{"AIR", "AIR REG", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
 	for i := 1; i <= scanRowTable; i++ {
-		err := t.Insert(record.Tuple{
+		err := t.InsertAt(record.Tuple{
 			record.Int(int64(i)), record.Int(int64(i%200 + 1)),
 			record.Float(float64(i%50 + 1)), record.Float(float64(i) * 1.5),
 			record.Float(float64(i%11) / 100), record.Float(float64(i%9) / 100),
 			record.Text("NRA"[i%3 : i%3+1]), record.Text("OF"[i%2 : i%2+1]), record.Int(int64(8000 + i%2500)),
 			record.Text(instruct[i%len(instruct)]), record.Text(mode[i%len(mode)]),
-		})
+		}, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -122,6 +123,70 @@ func TestScanRowAllocs(t *testing.T) {
 	}
 	if err := tb.mem.VerifyAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPointReadAllocs is the allocation gate on the verified point read:
+// at the latest state, GetAt(v, nil), and at a snapshot no writer has
+// passed. Each bound is what a present key's read allocated before the
+// latest-state search and the snapshot search became one (shardFor's key
+// encoding is the extra allocation of a sharded table); an absent key's
+// builds no tuple and allocates one fewer.
+func TestPointReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the reader's hasher on purpose under the race detector")
+	}
+	for _, tc := range []struct {
+		shards         int
+		latest, pinned float64
+	}{
+		{1, 5, 6},
+		{4, 6, 7},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			st := newStore(t, vmem.Config{})
+			spec := itemsSpec()
+			spec.Shards = tc.shards
+			tb, err := st.CreateTable(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(1); i <= 500; i++ {
+				mustInsert(t, tb, record.Tuple{record.Int(2 * i), record.Int(i % 7), record.Float(float64(i))})
+			}
+			snap := st.OpenSnapshot()
+			defer snap.Close()
+			for _, k := range []struct {
+				name  string
+				v     record.Value
+				found bool
+			}{{"present", record.Int(250), true}, {"absent", record.Int(251), false}} {
+				for _, at := range []struct {
+					name  string
+					snap  *Snapshot
+					bound float64
+				}{{"latest", nil, tc.latest}, {"snapshot", snap, tc.pinned}} {
+					var err error
+					allocs := testing.AllocsPerRun(100, func() {
+						var ev Evidence
+						if _, ev, err = tb.GetAt(k.v, at.snap); err == nil && ev.Found != k.found {
+							err = fmt.Errorf("found = %v", ev.Found)
+						}
+					})
+					if err != nil {
+						t.Fatalf("%s %s: %v", k.name, at.name, err)
+					}
+					t.Logf("%s %s: %.0f allocs", k.name, at.name, allocs)
+					bound := at.bound
+					if !k.found {
+						bound--
+					}
+					if allocs > bound {
+						t.Errorf("%s %s: %.0f allocs per point read, want at most %.0f", k.name, at.name, allocs, bound)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -332,12 +332,15 @@ func (sh *shard) setPredNKey(op *mvOp, i int, key record.Key, nk record.Key) err
 // every chain (§4.2 Insert: "identifies the record whose primary key right
 // precedes the current one, and updates its nKey").
 func (sh *shard) insert(tup record.Tuple, pk record.Key, c *Commit) error {
-	t := sh.t
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	op := sh.mvBegin(c)
 	defer op.finish()
+	return sh.insertLocked(tup, pk, op)
+}
 
+func (sh *shard) insertLocked(tup record.Tuple, pk record.Key, op *mvOp) error {
+	t := sh.t
 	// One pass per chain: fetch the predecessor once, capture its current
 	// nKey (the new record's successor) and relink it to the new key —
 	// §4.2's "identifies the record whose primary key right precedes the
@@ -502,7 +505,7 @@ func (sh *shard) updateFunc(pkVal record.Value, pk record.Key, mutate func(recor
 		return err
 	}
 	if !newPK.Equal(pk) {
-		return fmt.Errorf("storage: UpdateFunc on %q changed chain column %q",
+		return fmt.Errorf("storage: UpdateFuncAt on %q changed chain column %q",
 			t.name, t.schema.Columns[t.chainCols[0]].Name)
 	}
 	for i := 1; i < len(sh.chains); i++ {
@@ -513,7 +516,7 @@ func (sh *shard) updateFunc(pkVal record.Value, pk record.Key, mutate func(recor
 		old := rec.Links[i]
 		same := (!ok && old.Key.IsNull()) || (ok && !old.Key.IsNull() && nk.Equal(old.Key))
 		if !same {
-			return fmt.Errorf("storage: UpdateFunc on %q changed chain column %q",
+			return fmt.Errorf("storage: UpdateFuncAt on %q changed chain column %q",
 				t.name, t.schema.Columns[t.chainCols[i]].Name)
 		}
 	}
@@ -528,89 +531,52 @@ func (sh *shard) updateFunc(pkVal record.Value, pk record.Key, mutate func(recor
 	return nil
 }
 
-// update replaces the row keyed pk by newTup when no chain key changes
-// (in-place data rewrite, §4.2 Update: "there is no need to update the key
-// chain"). When a chain key does change it deletes the old row and reports
-// reinsert=true: the router then re-inserts newTup, which re-routes it if
-// the primary key moved to another shard. The shard latch is released
-// between the delete and the re-insert (exactly the pre-sharding
-// behaviour), so a writer never holds two shard latches at once — the
-// lock-order argument that keeps multi-shard scans deadlock-free.
-func (sh *shard) update(pkVal record.Value, pk record.Key, newTup record.Tuple, c *Commit) (reinsert bool, err error) {
+// update replaces the row keyed pk by newTup, which keeps the primary key,
+// under one hold of the shard latch: in place when no secondary chain key
+// changes either (§4.2 Update: "there is no need to update the key
+// chain"), otherwise by deleting the row and re-inserting it as one
+// version transition.
+func (sh *shard) update(pkVal record.Value, pk record.Key, newTup record.Tuple, c *Commit) error {
 	t := sh.t
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	loc, ok := sh.chains[0].Get(pk.Encode())
 	if !ok {
-		sh.mu.Unlock()
-		return false, fmt.Errorf("%w: primary key %v in %q", ErrNotFound, pkVal, t.name)
+		return fmt.Errorf("%w: primary key %v in %q", ErrNotFound, pkVal, t.name)
 	}
 	rec, err := sh.fetch(loc)
 	if err != nil {
-		sh.mu.Unlock()
-		return false, err
+		return err
 	}
-	newPK, err := record.KeyOf(newTup[t.chainCols[0]])
-	if err != nil {
-		sh.mu.Unlock()
-		return false, err
-	}
-	sameKeys := newPK.Equal(pk)
-	if sameKeys {
-		for i := 1; i < len(sh.chains) && sameKeys; i++ {
-			nk, ok, err := t.chainKey(i, newTup, newPK)
-			if err != nil {
-				sh.mu.Unlock()
-				return false, err
-			}
-			old := rec.Links[i]
-			switch {
-			case !ok && old.Key.IsNull():
-			case ok && !old.Key.IsNull() && nk.Equal(old.Key):
-			default:
-				sameKeys = false
-			}
+	sameKeys := true
+	for i := 1; i < len(sh.chains) && sameKeys; i++ {
+		nk, ok, err := t.chainKey(i, newTup, pk)
+		if err != nil {
+			return err
 		}
+		old := rec.Links[i]
+		sameKeys = (!ok && old.Key.IsNull()) || (ok && !old.Key.IsNull() && nk.Equal(old.Key))
 	}
+	op := sh.mvBegin(c)
+	defer op.finish()
 	if sameKeys {
-		op := sh.mvBegin(c)
 		op.retire(rec)
 		rec.Data = newTup
-		_, err = sh.rewrite(loc, rec)
-		if err == nil {
-			op.install(rec)
+		if _, err = sh.rewrite(loc, rec); err != nil {
+			return err
 		}
-		op.finish()
-		sh.mu.Unlock()
-		return false, err
+		op.install(rec)
+		return nil
 	}
-	// Chain keys changed: delete + insert (possibly on a different page —
-	// or, if the primary key changed, a different shard).
-	op := sh.mvBegin(c)
-	err = sh.deleteLocked(pk, op)
-	op.finish()
-	sh.mu.Unlock()
-	if err != nil {
-		return false, err
+	// A secondary chain key changed: delete + insert, possibly on a
+	// different page.
+	if err := sh.deleteLocked(pk, op); err != nil {
+		return err
 	}
-	return true, nil
-}
-
-// searchChain runs the verified index search of §5.2 against this shard's
-// chain under the shard's read latch.
-func (sh *shard) searchChain(chain int, k record.Key) (record.Tuple, Evidence, error) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	r := sh.newReader()
-	defer r.close()
-	_, loc, ok := sh.chains[chain].SeekLE(k.Encode())
-	if !ok {
-		return nil, Evidence{}, fmt.Errorf("%w: chain %d returned no candidate for %v (missing ⊥ anchor)", ErrVerifyFailed, chain, k)
+	if err := sh.insertLocked(newTup, pk, op); err != nil {
+		return fmt.Errorf("storage: update of %v lost its row on re-insert: %w", pkVal, err)
 	}
-	rec, err := r.fetch(loc)
-	if err != nil {
-		return nil, Evidence{}, err
-	}
-	return sh.witness(&r, rec, false, chain, k)
+	return nil
 }
 
 // witness turns the candidate record of an index search into its verdict:

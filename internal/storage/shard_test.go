@@ -52,9 +52,9 @@ func goldenWorkload(t *testing.T, shards int) (rangeRows, totalRows int, checksu
 	}
 	for i := 0; i < 500; i++ {
 		k := int64((i * 37) % 1000)
-		err := tb.Insert(record.Tuple{
+		err := tb.InsertAt(record.Tuple{
 			record.Int(k), record.Int(k % 13), record.Float(float64(i) * 1.5),
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,9 +67,9 @@ func goldenWorkload(t *testing.T, shards int) (rangeRows, totalRows int, checksu
 	}
 	for i := 0; i < 500; i += 5 {
 		k := int64((i * 37) % 1000)
-		err := tb.Update(record.Int(k), record.Tuple{
+		err := tb.UpdateAt(record.Int(k), record.Tuple{
 			record.Int(k), record.Int(k % 13), record.Float(float64(i) + 0.25),
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +82,11 @@ func goldenWorkload(t *testing.T, shards int) (rangeRows, totalRows int, checksu
 	rangeRows = len(drain(t, sc))
 	for i := 0; i < 500; i += 7 {
 		k := int64((i * 37) % 1000)
-		if err := tb.Delete(record.Int(k)); err != nil {
+		if err := tb.DeleteAt(record.Int(k), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sc, err = tb.NewScan(0, ScanBounds{})
+	sc, err = tb.NewScan(0, ScanBounds{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestShardedScanOrderAndStitch(t *testing.T) {
 			t.Fatalf("shard %d owns no rows", i)
 		}
 	}
-	sc, err := tb.NewScan(0, ScanBounds{})
+	sc, err := tb.NewScan(0, ScanBounds{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,19 +269,19 @@ func TestConcurrentDMLAcrossShards(t *testing.T) {
 				k := base + int64(rng.Intn(keySpace))
 				switch {
 				case !live[k]:
-					if err := tb.Insert(record.Tuple{record.Int(k), record.Int(k % 17), record.Float(float64(op))}); err != nil {
+					if err := tb.InsertAt(record.Tuple{record.Int(k), record.Int(k % 17), record.Float(float64(op))}, nil); err != nil {
 						errs <- fmt.Errorf("worker %d insert %d: %w", w, k, err)
 						return
 					}
 					live[k] = true
 				case rng.Intn(3) == 0:
-					if err := tb.Delete(record.Int(k)); err != nil {
+					if err := tb.DeleteAt(record.Int(k), nil); err != nil {
 						errs <- fmt.Errorf("worker %d delete %d: %w", w, k, err)
 						return
 					}
 					delete(live, k)
 				default:
-					if err := tb.Update(record.Int(k), record.Tuple{record.Int(k), record.Int(k % 17), record.Float(float64(-op))}); err != nil {
+					if err := tb.UpdateAt(record.Int(k), record.Tuple{record.Int(k), record.Int(k % 17), record.Float(float64(-op))}, nil); err != nil {
 						errs <- fmt.Errorf("worker %d update %d: %w", w, k, err)
 						return
 					}
@@ -395,7 +395,7 @@ func TestTamperAnyShardDetected(t *testing.T) {
 			}
 			// DML elsewhere proceeds obliviously.
 			for i := 200; i < 250; i++ {
-				_ = tb.Insert(record.Tuple{record.Int(int64(i)), record.Int(1), record.Float(0)})
+				_ = tb.InsertAt(record.Tuple{record.Int(int64(i)), record.Int(1), record.Float(0)}, nil)
 			}
 			if err := s.Memory().VerifyAll(); !errors.Is(err, vmem.ErrTamperDetected) {
 				t.Fatalf("tampered shard %d escaped verification: %v", target, err)
@@ -453,7 +453,7 @@ func TestSpaciousSetPrunes(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		if i%10 != 0 {
-			if err := tb.Delete(record.Int(int64(i))); err != nil {
+			if err := tb.DeleteAt(record.Int(int64(i)), nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -37,7 +37,7 @@ func itemsSpec() TableSpec {
 
 func mustInsert(t *testing.T, tb *Table, tup record.Tuple) {
 	t.Helper()
-	if err := tb.Insert(tup); err != nil {
+	if err := tb.InsertAt(tup, nil); err != nil {
 		t.Fatalf("Insert(%v): %v", tup, err)
 	}
 }
@@ -125,13 +125,13 @@ func TestInsertSearchDelete(t *testing.T) {
 		t.Fatalf("above-max evidence nKey %v, want ⊤", ev.NKey)
 	}
 
-	if err := tb.Delete(record.Int(1)); err != nil {
+	if err := tb.DeleteAt(record.Int(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, ev, _ := tb.Get(record.Int(1)); ev.Found {
 		t.Fatal("deleted row still found")
 	}
-	if err := tb.Delete(record.Int(1)); !errors.Is(err, ErrNotFound) {
+	if err := tb.DeleteAt(record.Int(1), nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
 	if tb.RowCount() != 1 {
@@ -146,7 +146,7 @@ func TestDuplicatePrimaryKey(t *testing.T) {
 	s := newStore(t, vmem.Config{})
 	tb, _ := s.CreateTable(itemsSpec())
 	mustInsert(t, tb, record.Tuple{record.Int(1), record.Int(1), record.Float(1)})
-	err := tb.Insert(record.Tuple{record.Int(1), record.Int(2), record.Float(2)})
+	err := tb.InsertAt(record.Tuple{record.Int(1), record.Int(2), record.Float(2)}, nil)
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate insert: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestFullScanOrdered(t *testing.T) {
 	for _, i := range perm {
 		mustInsert(t, tb, record.Tuple{record.Int(int64(i)), record.Int(int64(i % 7)), record.Float(float64(i))})
 	}
-	sc, err := tb.NewScan(0, ScanBounds{})
+	sc, err := tb.NewScan(0, ScanBounds{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRangeScanBoundaries(t *testing.T) {
 func TestScanEmptyTable(t *testing.T) {
 	s := newStore(t, vmem.Config{})
 	tb, _ := s.CreateTable(itemsSpec())
-	sc, err := tb.NewScan(0, ScanBounds{})
+	sc, err := tb.NewScan(0, ScanBounds{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestNullSecondaryValueSkipsChain(t *testing.T) {
 		t.Fatal("null-secondary row lost")
 	}
 	// And deletable without chain corruption.
-	if err := tb.Delete(record.Int(1)); err != nil {
+	if err := tb.DeleteAt(record.Int(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Memory().VerifyAll(); err != nil {
@@ -304,7 +304,7 @@ func TestUpdateInPlaceAndKeyChange(t *testing.T) {
 	mustInsert(t, tb, record.Tuple{record.Int(2), record.Int(20), record.Float(6)})
 
 	// Data-only update: price changes, chains untouched.
-	if err := tb.Update(record.Int(1), record.Tuple{record.Int(1), record.Int(10), record.Float(99)}); err != nil {
+	if err := tb.UpdateAt(record.Int(1), record.Tuple{record.Int(1), record.Int(10), record.Float(99)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tup, _, _ := tb.Get(record.Int(1))
@@ -313,7 +313,7 @@ func TestUpdateInPlaceAndKeyChange(t *testing.T) {
 	}
 
 	// Secondary-chain key change: count 10 → 25.
-	if err := tb.Update(record.Int(1), record.Tuple{record.Int(1), record.Int(25), record.Float(99)}); err != nil {
+	if err := tb.UpdateAt(record.Int(1), record.Tuple{record.Int(1), record.Int(25), record.Float(99)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := record.Int(25), record.Int(25)
@@ -328,7 +328,7 @@ func TestUpdateInPlaceAndKeyChange(t *testing.T) {
 	}
 
 	// Primary-key change.
-	if err := tb.Update(record.Int(1), record.Tuple{record.Int(7), record.Int(25), record.Float(99)}); err != nil {
+	if err := tb.UpdateAt(record.Int(1), record.Tuple{record.Int(7), record.Int(25), record.Float(99)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, ev, _ := tb.Get(record.Int(1)); ev.Found {
@@ -337,7 +337,7 @@ func TestUpdateInPlaceAndKeyChange(t *testing.T) {
 	if _, ev, _ := tb.Get(record.Int(7)); !ev.Found {
 		t.Fatal("new pk missing")
 	}
-	if err := tb.Update(record.Int(404), record.Tuple{record.Int(8), record.Int(1), record.Float(1)}); !errors.Is(err, ErrNotFound) {
+	if err := tb.UpdateAt(record.Int(404), record.Tuple{record.Int(8), record.Int(1), record.Float(1)}, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("update missing row: %v", err)
 	}
 	if err := s.Memory().VerifyAll(); err != nil {
@@ -361,7 +361,7 @@ func TestUpdateGrowRelocatesAcrossPages(t *testing.T) {
 		mustInsert(t, tb, record.Tuple{record.Int(int64(i)), record.Text(strings.Repeat("x", 40))})
 	}
 	big := strings.Repeat("y", 300)
-	if err := tb.Update(record.Int(3), record.Tuple{record.Int(3), record.Text(big)}); err != nil {
+	if err := tb.UpdateAt(record.Int(3), record.Tuple{record.Int(3), record.Text(big)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tup, _, err := tb.Get(record.Int(3))
@@ -369,7 +369,7 @@ func TestUpdateGrowRelocatesAcrossPages(t *testing.T) {
 		t.Fatalf("relocated row wrong: %v, %v", tup, err)
 	}
 	// Chain still walks completely.
-	sc, _ := tb.NewScan(0, ScanBounds{})
+	sc, _ := tb.NewScan(0, ScanBounds{}, nil)
 	if rows := drain(t, sc); len(rows) != 8 {
 		t.Fatalf("scan after relocation: %d rows", len(rows))
 	}
@@ -385,11 +385,11 @@ func TestDeleteAllThenReinsert(t *testing.T) {
 		mustInsert(t, tb, record.Tuple{record.Int(int64(i)), record.Int(int64(i)), record.Float(0)})
 	}
 	for i := 0; i < 50; i++ {
-		if err := tb.Delete(record.Int(int64(i))); err != nil {
+		if err := tb.DeleteAt(record.Int(int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sc, _ := tb.NewScan(0, ScanBounds{})
+	sc, _ := tb.NewScan(0, ScanBounds{}, nil)
 	if rows := drain(t, sc); len(rows) != 0 {
 		t.Fatalf("%d rows after deleting all", len(rows))
 	}
@@ -418,7 +418,7 @@ func TestTextPrimaryKeys(t *testing.T) {
 	for i, n := range names {
 		mustInsert(t, tb, record.Tuple{record.Text(n), record.Int(int64(20 + i))})
 	}
-	sc, _ := tb.NewScan(0, ScanBounds{})
+	sc, _ := tb.NewScan(0, ScanBounds{}, nil)
 	rows := drain(t, sc)
 	var got []string
 	for _, r := range rows {
@@ -539,20 +539,20 @@ func TestRandomWorkloadAgainstShadow(t *testing.T) {
 					cnt := int64(rng.Intn(20))
 					tup := record.Tuple{record.Int(id), record.Int(cnt), record.Float(float64(id))}
 					if _, exists := shadow[id]; exists {
-						if err := tb.Update(record.Int(id), tup); err != nil {
+						if err := tb.UpdateAt(record.Int(id), tup, nil); err != nil {
 							t.Fatalf("op %d update: %v", op, err)
 						}
-					} else if err := tb.Insert(tup); err != nil {
+					} else if err := tb.InsertAt(tup, nil); err != nil {
 						t.Fatalf("op %d insert: %v", op, err)
 					}
 					shadow[id] = [2]int64{cnt, id}
 				case 2:
 					_, exists := shadow[id]
 					if !exists {
-						if err := tb.Delete(record.Int(id)); !errors.Is(err, ErrNotFound) {
+						if err := tb.DeleteAt(record.Int(id), nil); !errors.Is(err, ErrNotFound) {
 							t.Fatalf("op %d delete missing: %v", op, err)
 						}
-					} else if err := tb.Delete(record.Int(id)); err != nil {
+					} else if err := tb.DeleteAt(record.Int(id), nil); err != nil {
 						t.Fatalf("op %d delete: %v", op, err)
 					}
 					delete(shadow, id)
@@ -576,7 +576,7 @@ func TestRandomWorkloadAgainstShadow(t *testing.T) {
 				}
 			}
 			// Full scan agrees with the shadow exactly.
-			sc, _ := tb.NewScan(0, ScanBounds{})
+			sc, _ := tb.NewScan(0, ScanBounds{}, nil)
 			rows := drain(t, sc)
 			if len(rows) != len(shadow) {
 				t.Fatalf("scan %d rows, shadow %d", len(rows), len(shadow))
@@ -618,7 +618,7 @@ func TestScannerCloseReleasesLock(t *testing.T) {
 	s := newStore(t, vmem.Config{})
 	tb, _ := s.CreateTable(itemsSpec())
 	mustInsert(t, tb, record.Tuple{record.Int(1), record.Int(1), record.Float(0)})
-	sc, err := tb.NewScan(0, ScanBounds{})
+	sc, err := tb.NewScan(0, ScanBounds{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

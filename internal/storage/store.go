@@ -44,9 +44,10 @@ type TableSpec struct {
 	Shards int
 	// Ephemeral marks statement-scoped working tables (e.g. spool spill
 	// targets). They skip MVCC versioning entirely: no commit-clock
-	// traffic, no version capture, and scans walk the latest version with
-	// no snapshot — correct because an ephemeral table is only ever touched
-	// by the statement that created it.
+	// traffic, no version capture, and they are written with a nil commit
+	// and read with a nil snapshot, at their latest version (the Engine nil
+	// rules) — correct because an ephemeral table is only ever touched by
+	// the statement that created it.
 	Ephemeral bool
 }
 
@@ -146,16 +147,6 @@ func (s *Store) CreateTable(spec TableSpec) (*Table, error) {
 	}
 	s.tables[spec.Name] = t
 	s.version.Add(1)
-	return t, nil
-}
-
-// Register creates a table and returns it through the Engine seam (the
-// §4.2 Register step: the table's chain sentinels join the verified set).
-func (s *Store) Register(spec TableSpec) (Engine, error) {
-	t, err := s.CreateTable(spec)
-	if err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 
 	"veridb/internal/index"
 	"veridb/internal/record"
@@ -141,27 +142,27 @@ func (t *Table) chainKey(i int, tup record.Tuple, pk record.Key) (record.Key, bo
 	return k, true, nil
 }
 
-// autoCommit runs a single-statement mutation under its own commit
-// timestamp: snapshot readers see it atomically once it completes.
-// Ephemeral tables skip the clock entirely (nil commit, no version
-// capture).
-func (t *Table) autoCommit(f func(c *Commit) error) error {
-	if t.ephemeral {
-		return f(nil)
+// latest is the read seq of a nil snapshot: every committed version is at
+// or below it, so a read at latest sees the live chain.
+const latest = math.MaxUint64
+
+// commitFor is the nil rule every write goes through: a nil c on a
+// versioned table means the write commits alone, under a commit begun
+// here and returned as owned for the caller to end (owned is otherwise
+// nil, whose Done does nothing). Ephemeral tables never touch the commit
+// clock.
+func (t *Table) commitFor(c *Commit) (use, owned *Commit) {
+	if c != nil || t.ephemeral {
+		return c, nil
 	}
-	c := t.store.BeginCommit()
-	defer c.Done()
-	return f(c)
+	c = t.store.BeginCommit()
+	return c, c
 }
 
-// Insert adds a tuple to the shard its primary key routes to, maintaining
-// every chain (§4.2 Insert). The write commits under its own timestamp.
-func (t *Table) Insert(tup record.Tuple) error {
-	return t.autoCommit(func(c *Commit) error { return t.InsertAt(tup, c) })
-}
-
-// InsertAt is Insert stamped with an explicit commit: all writes sharing
-// the commit become visible to snapshot readers atomically at c.Done.
+// InsertAt adds a tuple to the shard its primary key routes to,
+// maintaining every chain (§4.2 Insert). All writes sharing c become
+// visible to snapshot readers atomically at c.Done; a nil c commits the
+// write alone.
 func (t *Table) InsertAt(tup record.Tuple, c *Commit) error {
 	if err := t.schema.Validate(tup); err != nil {
 		return err
@@ -171,54 +172,48 @@ func (t *Table) InsertAt(tup record.Tuple, c *Commit) error {
 	if err != nil {
 		return fmt.Errorf("storage: table %q: %w", t.name, err)
 	}
+	c, owned := t.commitFor(c)
+	defer owned.Done()
 	return t.shardFor(pk).insert(tup, pk, c)
 }
 
-// Delete removes the row with the given primary-key value (§4.2 Delete:
+// DeleteAt removes the row with the given primary-key value (§4.2 Delete:
 // unlink from every chain, then drop the record; space reclamation is
-// deferred to the verification scan).
-func (t *Table) Delete(pkVal record.Value) error {
-	return t.autoCommit(func(c *Commit) error { return t.DeleteAt(pkVal, c) })
-}
-
-// DeleteAt is Delete stamped with an explicit commit.
+// deferred to the verification scan), under c as InsertAt.
 func (t *Table) DeleteAt(pkVal record.Value, c *Commit) error {
 	pk, err := record.KeyOf(pkVal)
 	if err != nil {
 		return err
 	}
+	c, owned := t.commitFor(c)
+	defer owned.Done()
 	return t.shardFor(pk).delete(pk, c)
 }
 
-// UpdateFunc atomically reads the row with the given primary key, applies
-// mutate to a copy, and writes the result back, all under the owning
-// shard's write latch — the read-modify-write primitive transactional
-// workloads need (lost updates are otherwise possible between Get and
-// Update). Chain-key columns must not change; use Update for key-changing
-// writes.
-func (t *Table) UpdateFunc(pkVal record.Value, mutate func(record.Tuple) (record.Tuple, error)) error {
-	return t.autoCommit(func(c *Commit) error { return t.UpdateFuncAt(pkVal, mutate, c) })
-}
-
-// UpdateFuncAt is UpdateFunc stamped with an explicit commit.
+// UpdateFuncAt atomically reads the row with the given primary key,
+// applies mutate to a copy, and writes the result back, all under the
+// owning shard's write latch — the read-modify-write primitive
+// transactional workloads need (lost updates are otherwise possible
+// between a read and UpdateAt). Chain-key columns must not change; use
+// UpdateAt for key-changing writes. c as in InsertAt.
 func (t *Table) UpdateFuncAt(pkVal record.Value, mutate func(record.Tuple) (record.Tuple, error), c *Commit) error {
 	pk, err := record.KeyOf(pkVal)
 	if err != nil {
 		return err
 	}
+	c, owned := t.commitFor(c)
+	defer owned.Done()
 	return t.shardFor(pk).updateFunc(pkVal, pk, mutate, c)
 }
 
-// Update replaces the row with the given primary key by newTup. When no
-// chain key changes, the data field is rewritten in place (§4.2 Update:
-// "there is no need to update the key chain"); otherwise the row is
-// deleted and re-inserted — which re-routes it when the primary key now
-// hashes to a different shard.
-func (t *Table) Update(pkVal record.Value, newTup record.Tuple) error {
-	return t.autoCommit(func(c *Commit) error { return t.UpdateAt(pkVal, newTup, c) })
-}
-
-// UpdateAt is Update stamped with an explicit commit.
+// UpdateAt replaces the row with the given primary key by newTup, under c
+// as InsertAt. When no chain key changes, the data field is rewritten in
+// place (§4.2 Update: "there is no need to update the key chain"). When
+// only a secondary chain key changes, the row is deleted and re-inserted
+// under one hold of the shard latch. When the primary key changes, the row
+// under the new key is inserted first — re-routed if the key hashes to
+// another shard — and the old row deleted after, so an update onto an
+// existing key fails with ErrDuplicateKey and leaves the row as it was.
 func (t *Table) UpdateAt(pkVal record.Value, newTup record.Tuple, c *Commit) error {
 	if err := t.schema.Validate(newTup); err != nil {
 		return err
@@ -228,98 +223,88 @@ func (t *Table) UpdateAt(pkVal record.Value, newTup record.Tuple, c *Commit) err
 	if err != nil {
 		return err
 	}
-	reinsert, err := t.shardFor(pk).update(pkVal, pk, newTup, c)
+	newPK, err := record.KeyOf(newTup[t.chainCols[0]])
 	if err != nil {
 		return err
 	}
-	if !reinsert {
-		return nil
+	c, owned := t.commitFor(c)
+	defer owned.Done()
+	if newPK.Equal(pk) {
+		return t.shardFor(pk).update(pkVal, pk, newTup, c)
 	}
-	// Same commit: the delete and the re-insert are one version
-	// transition, invisible as separate steps to any snapshot.
-	if err := t.InsertAt(newTup, c); err != nil {
-		return fmt.Errorf("storage: update of %v lost its row on re-insert: %w", pkVal, err)
+	// Same commit: the insert and the delete are one version transition,
+	// invisible as separate steps to any snapshot.
+	if err := t.shardFor(newPK).insert(newTup, newPK, c); err != nil {
+		return err
 	}
-	return nil
-}
-
-// Get is the verified index search of §5.2: SELECT * WHERE pk = v. The
-// probe routes to the single shard that could hold the key; the untrusted
-// index supplies a candidate location and the record fetched from
-// write-read consistent memory must satisfy key == v (present) or
-// key < v < nKey (absent), otherwise ErrVerifyFailed is returned.
-func (t *Table) Get(v record.Value) (record.Tuple, Evidence, error) {
-	pk, err := record.KeyOf(v)
-	if err != nil {
-		return nil, Evidence{}, err
-	}
-	return t.shardFor(pk).searchChain(0, pk)
-}
-
-// snapCheck validates that snap may read this table at all.
-func (t *Table) snapCheck(snap *Snapshot) error {
-	if t.ephemeral {
-		return fmt.Errorf("storage: ephemeral table %q cannot be read at a snapshot", t.name)
-	}
-	if snap.Seq() < t.born {
-		return fmt.Errorf("storage: table %q was created at seq %d, after snapshot %d", t.name, t.born, snap.Seq())
+	if err := t.shardFor(pk).delete(pk, c); err != nil {
+		if uerr := t.shardFor(newPK).delete(newPK, c); uerr != nil {
+			return fmt.Errorf("storage: update of %v kept its row under both keys: %w (undo: %v)", pkVal, err, uerr)
+		}
+		return err
 	}
 	return nil
 }
 
-// GetAt is Get evaluated against a pinned snapshot: the ⟨key, nKey⟩
-// evidence record is the one visible at the snapshot seq, so presence and
-// absence are proved for the committed state the snapshot pinned.
+// Get is GetAt at the latest state.
+func (t *Table) Get(v record.Value) (record.Tuple, Evidence, error) { return t.GetAt(v, nil) }
+
+// readSeq is the nil rule every read goes through: a nil snap reads the
+// latest state, any other snap its pinned seq, which must not predate the
+// table. An ephemeral table has no versions and is read only with nil.
+func (t *Table) readSeq(snap *Snapshot) (uint64, error) {
+	switch {
+	case snap == nil:
+		return latest, nil
+	case t.ephemeral:
+		return 0, fmt.Errorf("storage: ephemeral table %q cannot be read at a snapshot", t.name)
+	case snap.Seq() < t.born:
+		return 0, fmt.Errorf("storage: table %q was created at seq %d, after snapshot %d", t.name, t.born, snap.Seq())
+	}
+	return snap.Seq(), nil
+}
+
+// GetAt is the verified index search of §5.2, SELECT * WHERE pk = v, as of
+// snap. The probe routes to the single shard that could hold the key; the
+// untrusted index supplies a candidate location and the record visible at
+// the snapshot must satisfy key == v (present) or key < v < nKey (absent),
+// otherwise ErrVerifyFailed is returned. A nil snap reads the live version
+// under the owning shard's latch.
 func (t *Table) GetAt(v record.Value, snap *Snapshot) (record.Tuple, Evidence, error) {
-	if err := t.snapCheck(snap); err != nil {
+	seq, err := t.readSeq(snap)
+	if err != nil {
 		return nil, Evidence{}, err
 	}
 	pk, err := record.KeyOf(v)
 	if err != nil {
 		return nil, Evidence{}, err
 	}
-	return t.shardFor(pk).searchChainAt(0, pk, snap.Seq())
+	return t.shardFor(pk).searchChainAt(0, pk, seq)
 }
 
-// NewScan opens a verified scan of the given chain over bounds. For
-// chain 0 the bounds are primary keys; for secondary chains callers pass
-// composite bounds (record.CompositeLow/High). On a sharded table the scan
-// stitches every shard's sub-chain in key order.
+// NewScan opens a verified scan of the given chain over bounds as of snap.
+// For chain 0 the bounds are primary keys; for secondary chains callers
+// pass composite bounds (record.CompositeLow/High). On a sharded table the
+// scan stitches every shard's sub-chain in key order.
 //
-// On a versioned table the scan runs against an implicit snapshot pinned
-// at the current commit watermark and owned by the iterator (released at
-// Close). An ephemeral table is scanned at its latest version.
-func (t *Table) NewScan(chain int, bounds ScanBounds) (Iterator, error) {
-	if t.ephemeral {
-		return t.scanAt(chain, bounds, 0)
+// The caller keeps ownership of a non-nil snap (one snapshot can serve many
+// scans). With a nil snap a versioned table is scanned at a snapshot the
+// scan pins itself at the current commit watermark and releases at Close;
+// an ephemeral table is scanned at its latest version.
+func (t *Table) NewScan(chain int, bounds ScanBounds, snap *Snapshot) (Iterator, error) {
+	if snap == nil && !t.ephemeral {
+		snap = t.store.OpenSnapshot()
+		it, err := t.NewScan(chain, bounds, snap)
+		if err != nil {
+			snap.Close()
+			return it, err
+		}
+		return &snapClosingIter{Iterator: it, snap: snap}, nil
 	}
-	return t.withSnapshot(func(snap *Snapshot) (Iterator, error) { return t.NewScanAt(chain, bounds, snap) })
-}
-
-// withSnapshot opens a scan against a fresh snapshot the returned iterator
-// owns.
-func (t *Table) withSnapshot(open func(*Snapshot) (Iterator, error)) (Iterator, error) {
-	snap := t.store.OpenSnapshot()
-	it, err := open(snap)
+	seq, err := t.readSeq(snap)
 	if err != nil {
-		snap.Close()
-		return it, err
-	}
-	return &snapClosingIter{Iterator: it, snap: snap}, nil
-}
-
-// NewScanAt opens a verified scan of the given chain as of snap. The
-// caller keeps ownership of snap (one snapshot can serve many scans).
-func (t *Table) NewScanAt(chain int, bounds ScanBounds, snap *Snapshot) (Iterator, error) {
-	if err := t.snapCheck(snap); err != nil {
 		return nil, err
 	}
-	return t.scanAt(chain, bounds, snap.Seq())
-}
-
-// scanAt opens one Scanner per shard as of seq, stitched when there are
-// several.
-func (t *Table) scanAt(chain int, bounds ScanBounds, seq uint64) (Iterator, error) {
 	if chain < 0 || chain >= len(t.chainCols) {
 		return nil, fmt.Errorf("storage: table %q has no chain %d", t.name, chain)
 	}
@@ -329,25 +314,21 @@ func (t *Table) scanAt(chain int, bounds ScanBounds, seq uint64) (Iterator, erro
 	return newMergeIterator(t, chain, bounds, seq)
 }
 
-// RangeScan opens a verified scan over the chain serving column col,
-// restricted to column values in [lo, hi] (nil bounds are open). For
-// secondary chains the value bounds are translated to composite-key bounds
-// so duplicate column values are all covered.
+// RangeScan is RangeScanAt at the latest state.
 func (t *Table) RangeScan(col int, lo, hi *record.Value) (Iterator, error) {
-	chain, bounds, err := t.rangeBounds(col, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return t.NewScan(chain, bounds)
+	return t.RangeScanAt(col, lo, hi, nil)
 }
 
-// RangeScanAt is RangeScan evaluated against a pinned snapshot.
+// RangeScanAt opens a verified scan over the chain serving column col,
+// restricted to column values in [lo, hi] (nil bounds are open), as of
+// snap (see NewScan). For secondary chains the value bounds are translated
+// to composite-key bounds so duplicate column values are all covered.
 func (t *Table) RangeScanAt(col int, lo, hi *record.Value, snap *Snapshot) (Iterator, error) {
 	chain, bounds, err := t.rangeBounds(col, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return t.NewScanAt(chain, bounds, snap)
+	return t.NewScan(chain, bounds, snap)
 }
 
 // rangeBounds translates column-value bounds into chain-key scan bounds.
@@ -391,13 +372,12 @@ func (t *Table) rangeBounds(col int, lo, hi *record.Value) (int, ScanBounds, err
 	return chain, bounds, nil
 }
 
-// SeqScan opens a verified scan of the whole primary chain; on a sharded
-// table it stitches the shards in key order like every scan, and on a
-// versioned table it owns an implicit snapshot (see NewScan).
-func (t *Table) SeqScan() (Iterator, error) { return t.NewScan(0, ScanBounds{}) }
+// SeqScan is SeqScanAt at the latest state.
+func (t *Table) SeqScan() (Iterator, error) { return t.SeqScanAt(nil) }
 
-// SeqScanAt is SeqScan evaluated against a pinned snapshot the caller
-// owns.
+// SeqScanAt opens a verified scan of the whole primary chain as of snap
+// (see NewScan); on a sharded table it stitches the shards in key order
+// like every scan.
 func (t *Table) SeqScanAt(snap *Snapshot) (Iterator, error) {
-	return t.NewScanAt(0, ScanBounds{}, snap)
+	return t.NewScan(0, ScanBounds{}, snap)
 }

@@ -275,11 +275,11 @@ func TestNoFalseAlarmUnderConcurrentWriter(t *testing.T) {
 						var err error
 						switch i % 3 {
 						case 0:
-							err = tb.Insert(record.Tuple{record.Int(k), record.Int(1), record.Float(0)})
+							err = tb.InsertAt(record.Tuple{record.Int(k), record.Int(1), record.Float(0)}, nil)
 						case 1:
-							err = tb.Update(record.Int(k-1), record.Tuple{record.Int(k - 1), record.Int(2), record.Float(1)})
+							err = tb.UpdateAt(record.Int(k-1), record.Tuple{record.Int(k - 1), record.Int(2), record.Float(1)}, nil)
 						default:
-							err = tb.Delete(record.Int(k - 2))
+							err = tb.DeleteAt(record.Int(k-2), nil)
 						}
 						if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrDuplicateKey) {
 							t.Errorf("writer: %v", err)

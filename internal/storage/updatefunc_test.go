@@ -14,10 +14,10 @@ func TestUpdateFuncBasic(t *testing.T) {
 	s := newStore(t, vmem.Config{})
 	tb, _ := s.CreateTable(itemsSpec())
 	mustInsert(t, tb, record.Tuple{record.Int(1), record.Int(10), record.Float(5)})
-	err := tb.UpdateFunc(record.Int(1), func(row record.Tuple) (record.Tuple, error) {
+	err := tb.UpdateFuncAt(record.Int(1), func(row record.Tuple) (record.Tuple, error) {
 		row[2] = record.Float(row[2].F * 2)
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,18 +34,18 @@ func TestUpdateFuncRejectsChainColumnChange(t *testing.T) {
 	s := newStore(t, vmem.Config{})
 	tb, _ := s.CreateTable(itemsSpec()) // chain on column 1 (count)
 	mustInsert(t, tb, record.Tuple{record.Int(1), record.Int(10), record.Float(5)})
-	err := tb.UpdateFunc(record.Int(1), func(row record.Tuple) (record.Tuple, error) {
+	err := tb.UpdateFuncAt(record.Int(1), func(row record.Tuple) (record.Tuple, error) {
 		row[1] = record.Int(99) // chained column
 		return row, nil
-	})
+	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "chain column") {
 		t.Fatalf("chain-column change accepted: %v", err)
 	}
 	// Primary key change rejected too.
-	err = tb.UpdateFunc(record.Int(1), func(row record.Tuple) (record.Tuple, error) {
+	err = tb.UpdateFuncAt(record.Int(1), func(row record.Tuple) (record.Tuple, error) {
 		row[0] = record.Int(2)
 		return row, nil
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("primary-key change accepted")
 	}
@@ -59,17 +59,17 @@ func TestUpdateFuncRejectsChainColumnChange(t *testing.T) {
 func TestUpdateFuncMissingRowAndCallbackError(t *testing.T) {
 	s := newStore(t, vmem.Config{})
 	tb, _ := s.CreateTable(itemsSpec())
-	err := tb.UpdateFunc(record.Int(404), func(row record.Tuple) (record.Tuple, error) {
+	err := tb.UpdateFuncAt(record.Int(404), func(row record.Tuple) (record.Tuple, error) {
 		return row, nil
-	})
+	}, nil)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	mustInsert(t, tb, record.Tuple{record.Int(1), record.Int(1), record.Float(1)})
 	sentinel := errors.New("abort")
-	err = tb.UpdateFunc(record.Int(1), func(record.Tuple) (record.Tuple, error) {
+	err = tb.UpdateFuncAt(record.Int(1), func(record.Tuple) (record.Tuple, error) {
 		return nil, sentinel
-	})
+	}, nil)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("callback error lost: %v", err)
 	}
@@ -88,10 +88,10 @@ func TestUpdateFuncAtomicUnderContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				err := tb.UpdateFunc(record.Int(1), func(row record.Tuple) (record.Tuple, error) {
+				err := tb.UpdateFuncAt(record.Int(1), func(row record.Tuple) (record.Tuple, error) {
 					row[2] = record.Float(row[2].F + 1)
 					return row, nil
-				})
+				}, nil)
 				if err != nil {
 					t.Error(err)
 					return

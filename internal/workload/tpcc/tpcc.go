@@ -160,47 +160,47 @@ func Populate(t *Tables, cfg Config, seed int64) error {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 1; i <= cfg.Items; i++ {
-		err := t.Item.Insert(record.Tuple{
+		err := t.Item.InsertAt(record.Tuple{
 			record.Int(int64(i)),
 			record.Text(fmt.Sprintf("item-%d", i)),
 			record.Float(1 + rng.Float64()*99),
-		})
+		}, nil)
 		if err != nil {
 			return err
 		}
 	}
 	for w := 1; w <= cfg.Warehouses; w++ {
-		err := t.Warehouse.Insert(record.Tuple{
+		err := t.Warehouse.InsertAt(record.Tuple{
 			record.Int(int64(w)), record.Text(fmt.Sprintf("wh-%d", w)), record.Float(0),
-		})
+		}, nil)
 		if err != nil {
 			return err
 		}
 		for i := 1; i <= cfg.Items; i++ {
-			err := t.Stock.Insert(record.Tuple{
+			err := t.Stock.InsertAt(record.Tuple{
 				record.Int(stockID(w, i)),
 				record.Int(int64(10 + rng.Intn(91))),
 				record.Int(0), record.Int(0),
-			})
+			}, nil)
 			if err != nil {
 				return err
 			}
 		}
 		for d := 1; d <= DistrictsPerWarehouse; d++ {
-			err := t.District.Insert(record.Tuple{
+			err := t.District.InsertAt(record.Tuple{
 				record.Int(districtID(w, d)),
 				record.Text(fmt.Sprintf("dist-%d-%d", w, d)),
 				record.Float(0), record.Int(1),
-			})
+			}, nil)
 			if err != nil {
 				return err
 			}
 			for c := 1; c <= cfg.Customers; c++ {
-				err := t.Customer.Insert(record.Tuple{
+				err := t.Customer.InsertAt(record.Tuple{
 					record.Int(customerID(w, d, c)),
 					record.Text(fmt.Sprintf("cust-%d-%d-%d", w, d, c)),
 					record.Float(-10), record.Float(10), record.Int(1),
-				})
+				}, nil)
 				if err != nil {
 					return err
 				}
@@ -259,24 +259,24 @@ func (w *Worker) NewOrder() error {
 	// Atomically allocate the district's next order id (the row-level
 	// read-modify-write TPC-C requires).
 	var oID int
-	err := w.t.District.UpdateFunc(record.Int(did), func(row record.Tuple) (record.Tuple, error) {
+	err := w.t.District.UpdateFuncAt(record.Int(did), func(row record.Tuple) (record.Tuple, error) {
 		oID = int(row[3].I)
 		row[3] = record.Int(int64(oID + 1))
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return fmt.Errorf("tpcc: district %d: %w", did, err)
 	}
 	nLines := 5 + w.rng.Intn(11) // 5..15 as in TPC-C
 	cid := customerID(w.home, d, 1+w.rng.Intn(w.cfg.Customers))
 	oid := orderID(w.home, d, oID)
-	err = w.t.Orders.Insert(record.Tuple{
+	err = w.t.Orders.InsertAt(record.Tuple{
 		record.Int(oid), record.Int(cid), record.Int(int64(nLines)), record.Int(0),
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}
-	if err := w.t.NewOrder.Insert(record.Tuple{record.Int(oid)}); err != nil {
+	if err := w.t.NewOrder.InsertAt(record.Tuple{record.Int(oid)}, nil); err != nil {
 		return err
 	}
 	for l := 1; l <= nLines; l++ {
@@ -293,7 +293,7 @@ func (w *Worker) NewOrder() error {
 		price := iRow[2].F
 		sid := stockID(wh, item)
 		qty := 1 + w.rng.Intn(10)
-		err = w.t.Stock.UpdateFunc(record.Int(sid), func(row record.Tuple) (record.Tuple, error) {
+		err = w.t.Stock.UpdateFuncAt(record.Int(sid), func(row record.Tuple) (record.Tuple, error) {
 			sQty := row[1].I - int64(qty)
 			if sQty < 10 {
 				sQty += 91
@@ -302,15 +302,15 @@ func (w *Worker) NewOrder() error {
 			row[2] = record.Int(row[2].I + int64(qty))
 			row[3] = record.Int(row[3].I + 1)
 			return row, nil
-		})
+		}, nil)
 		if err != nil {
 			return fmt.Errorf("tpcc: stock %d: %w", sid, err)
 		}
-		err = w.t.OrderLine.Insert(record.Tuple{
+		err = w.t.OrderLine.InsertAt(record.Tuple{
 			record.Int(orderLineID(w.home, d, oID, l)),
 			record.Int(int64(item)), record.Int(int64(qty)),
 			record.Float(float64(qty) * price),
-		})
+		}, nil)
 		if err != nil {
 			return err
 		}
@@ -323,36 +323,36 @@ func (w *Worker) NewOrder() error {
 func (w *Worker) Payment() error {
 	d := 1 + w.rng.Intn(DistrictsPerWarehouse)
 	amount := 1 + w.rng.Float64()*4999
-	err := w.t.Warehouse.UpdateFunc(record.Int(int64(w.home)), func(row record.Tuple) (record.Tuple, error) {
+	err := w.t.Warehouse.UpdateFuncAt(record.Int(int64(w.home)), func(row record.Tuple) (record.Tuple, error) {
 		row[2] = record.Float(row[2].F + amount)
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return fmt.Errorf("tpcc: warehouse %d: %w", w.home, err)
 	}
 	did := districtID(w.home, d)
-	err = w.t.District.UpdateFunc(record.Int(did), func(row record.Tuple) (record.Tuple, error) {
+	err = w.t.District.UpdateFuncAt(record.Int(did), func(row record.Tuple) (record.Tuple, error) {
 		row[2] = record.Float(row[2].F + amount)
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return fmt.Errorf("tpcc: district %d: %w", did, err)
 	}
 	cid := customerID(w.home, d, 1+w.rng.Intn(w.cfg.Customers))
-	err = w.t.Customer.UpdateFunc(record.Int(cid), func(row record.Tuple) (record.Tuple, error) {
+	err = w.t.Customer.UpdateFuncAt(record.Int(cid), func(row record.Tuple) (record.Tuple, error) {
 		row[2] = record.Float(row[2].F - amount)
 		row[3] = record.Float(row[3].F + amount)
 		row[4] = record.Int(row[4].I + 1)
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return fmt.Errorf("tpcc: customer %d: %w", cid, err)
 	}
 	w.hseq++
-	return w.t.History.Insert(record.Tuple{
+	return w.t.History.InsertAt(record.Tuple{
 		record.Int(int64(w.id)*1_000_000_000 + w.hseq),
 		record.Int(cid), record.Float(amount),
-	})
+	}, nil)
 }
 
 // OrderStatus reads a customer and scans their most recent order lines.

@@ -200,7 +200,7 @@ func Load(st *storage.Store, d *Dataset) error {
 		return err
 	}
 	for _, l := range d.Lineitems {
-		if err := li.Insert(LineitemTuple(l)); err != nil {
+		if err := li.InsertAt(LineitemTuple(l), nil); err != nil {
 			return err
 		}
 	}
@@ -209,7 +209,7 @@ func Load(st *storage.Store, d *Dataset) error {
 		return err
 	}
 	for _, p := range d.Parts {
-		if err := pt.Insert(PartTuple(p)); err != nil {
+		if err := pt.InsertAt(PartTuple(p), nil); err != nil {
 			return err
 		}
 	}
