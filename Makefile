@@ -55,7 +55,8 @@ race:
 # shed behind its first copy, a pipeline through the duplicating, stalling
 # and dropping chaos connection, writers joining a commit group behind a
 # blocked fsync — and the fault-containment trial of every chaos fault
-# kind, and the two tests of a fenced-then-recovered client and a
+# kind (detect, fence, Recover from a replica, resume above the seq
+# floor), and the two tests of a fenced-then-recovered client and a
 # retransmit timer parked behind a shed, fifty times each under the race
 # detector. The bounded-version-state test drives 25 000 TPC-C
 # transactions (about a minute under the race detector), so it runs three
@@ -86,12 +87,12 @@ bench-smoke:
 soak:
 	bash benchmark/run.sh -workload storage_tpcc,wire_write_durable -seconds 300
 
-# Fault-injection suite: the chaos injector, quarantine/failover paths in
-# core (the containment trial of every fault kind and the overload storm
-# with its post-drain leak checks among them), the client pipeline's retry
-# policy, and the portal response cache — all under the race detector,
-# uncached, with a hard timeout so a hung failover fails the run instead
-# of wedging it.
+# Fault-injection suite: the chaos injector, the quarantine and Recover
+# paths in core (the containment trial of every fault kind and the
+# overload storm with its post-drain leak checks among them), the client
+# pipeline's retry policy, and the portal response cache — all under the
+# race detector, uncached, with a hard timeout so a hung recovery fails the
+# run instead of wedging it.
 chaos:
 	$(GO) test -race -count=1 -timeout 5m \
 		./internal/chaos ./internal/core ./internal/client \

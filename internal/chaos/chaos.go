@@ -5,9 +5,9 @@
 // writes, scheduled by protected-operation count) and on the wire through
 // net.Listener/net.Conn wrappers (dropped connections, delayed and
 // duplicated responses). The verification machinery must detect every
-// memory fault, and the containment/failover pipeline (core.Supervisor)
-// must recover from it; the chaos tests and bench.RunFaultRecovery drive
-// both.
+// memory fault, and the containment path (quarantine, then core.DB.Recover
+// from a replica) must recover from it; the chaos tests and
+// core.BenchmarkFaultRecovery drive both.
 //
 // Determinism: given the same seed, fault schedule and a single-threaded
 // workload, the injector corrupts the same cells at the same operation

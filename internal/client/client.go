@@ -170,12 +170,6 @@ func ExecuteText(name string, args ...record.Value) string {
 	return sb.String()
 }
 
-// NewExecuteRequest signs an EXECUTE of the named prepared statement with
-// the given arguments (see ExecuteText).
-func (c *Client) NewExecuteRequest(name string, args ...record.Value) portal.Request {
-	return c.NewRequest(ExecuteText(name, args...))
-}
-
 // NewBeginSnapshotRequest signs a BEGIN SNAPSHOT: the server pins a
 // consistent read point for this client's session and returns its commit
 // sequence in a single snapshot_seq column. Until the matching COMMIT,

@@ -134,7 +134,7 @@ func TestSnapshotRequestHelpers(t *testing.T) {
 		t.Fatal("qids collide")
 	}
 	for _, r := range []portal.Request{begin, commit} {
-		want := portal.SignRequest([]byte("key"), "alice", r.QID, r.Query)
+		want := portal.SignRequestTimeout([]byte("key"), "alice", r.QID, r.Query, 0)
 		if !hmac.Equal(want, r.MAC) {
 			t.Fatalf("bad MAC on %q", r.Query)
 		}

@@ -96,7 +96,7 @@ type Config struct {
 
 // ErrQuarantined wraps every request rejected because the database's
 // verifier raised a sticky tamper alarm: the state machine is fenced and
-// only failover (Supervisor) or a fresh Recover can restore service.
+// only a fresh instance rebuilt with Recover can restore service.
 var ErrQuarantined = errors.New("core: database quarantined after tamper alarm")
 
 // ErrSessionExpired is returned once, on the first statement a client
@@ -354,8 +354,8 @@ func (db *DB) QuarantineError() error {
 }
 
 // Health is a point-in-time snapshot of the instance's integrity state:
-// what a supervisor polls to decide on failover, and what an operator
-// reads to understand an outage.
+// what an operator polls to decide on recovery from a replica, and reads
+// to understand an outage.
 type Health struct {
 	// Quarantined reports whether the DB has fenced itself after an alarm.
 	Quarantined bool
@@ -1086,11 +1086,12 @@ func (db *DB) restore(srcs []restoreSource, alarm func() error) error {
 // schema and contents through the ordinary protected write interfaces
 // (§5.1 "Recovery from failure": "these repeated writes use the same
 // interfaces introduced in Section 4.2, and naturally update the states
-// stored in SGX"). The always-running verifier covers the replay itself;
-// Recover additionally polls both instances' alarms every batch of rows
-// and aborts on the first tamper, and verifies the replica in full before
-// resuming the portal's sequence counter — a compromised replica must
-// never be replayed into service.
+// stored in SGX"). Recover polls both instances' alarms every batch of
+// rows and aborts on the first tamper, then verifies the replica and this
+// instance in full before resuming the portal's sequence counter above
+// seqFloor: a compromised replica must never be replayed into service, and
+// a rebuild is admitted only once every one of its pages reconciles. On
+// error the counter is left where it was.
 func (db *DB) Recover(replica *DB, seqFloor uint64) error {
 	if err := recoveryAlarm(db, replica); err != nil {
 		return err
@@ -1146,6 +1147,12 @@ func (db *DB) Recover(replica *DB, seqFloor uint64) error {
 	// must still reconcile with its write set.
 	if err := replica.mem.VerifyAll(); err != nil {
 		return fmt.Errorf("core: recovery source failed final verification: %w", err)
+	}
+	// The destination is verified in full too: its alarm polls only see
+	// what a background verifier has already scanned, and an instance opened
+	// without one has scanned nothing.
+	if err := db.mem.VerifyAll(); err != nil {
+		return fmt.Errorf("core: recovery destination failed final verification: %w", err)
 	}
 	if err := recoveryAlarm(db, replica); err != nil {
 		return err

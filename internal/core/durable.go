@@ -75,8 +75,9 @@ var ErrWALBroken = errors.New("core: WAL append failed; refusing further writes"
 
 // openDurable runs recovery for cfg.DataDir and attaches the WAL. Tamper
 // anywhere in the durable state raises the memory's sticky alarm and
-// returns nil: the DB opens quarantined, so the PR-4 containment path
-// (fencing, supervisor failover) engages instead of silent acceptance.
+// returns nil: the DB opens quarantined, so the containment path
+// (fencing, then Recover from a replica) engages instead of silent
+// acceptance.
 // Environmental errors (I/O, permissions) fail the open.
 func (db *DB) openDurable(cfg Config) error {
 	log, rec, err := wal.Open(cfg.DataDir)

@@ -14,7 +14,7 @@
 //   - A limited EPC: the enclave accounts every byte of protected state and
 //     refuses to exceed its budget, so "keep the whole database in EPC" is
 //     as impractical here as on hardware (§1, §3.3).
-//   - Expensive boundary crossings: ECalls/OCalls can charge a configurable
+//   - Expensive boundary crossings: an ECall can charge a configurable
 //     cycle cost (~8000 cycles reported by the paper §2.1), letting the
 //     ablation benches measure the cost of not colocating the query engine
 //     with the storage interface.
@@ -79,7 +79,6 @@ type Enclave struct {
 	ecallCycles int64
 	cyclePeriod time.Duration // duration of one simulated cycle batch
 	ecalls      atomic.Int64
-	ocalls      atomic.Int64
 
 	mu       sync.Mutex
 	counters map[string]*atomic.Uint64
@@ -166,14 +165,6 @@ func (e *Enclave) ECall() {
 	}
 }
 
-// OCall models leaving the enclave to invoke untrusted code.
-func (e *Enclave) OCall() {
-	e.ocalls.Add(1)
-	if e.ecallCycles > 0 {
-		spin(e.cyclePeriod)
-	}
-}
-
 // spin busy-waits for d. Sleeping is useless at sub-microsecond scale, and
 // a real ECall burns cycles rather than yielding, so the simulation does too.
 func spin(d time.Duration) {
@@ -182,10 +173,9 @@ func spin(d time.Duration) {
 	}
 }
 
-// Stats reports boundary-crossing counts and EPC usage.
+// Stats reports the boundary-crossing count and EPC usage.
 type Stats struct {
 	ECalls   int64
-	OCalls   int64
 	EPCUsed  int64
 	EPCLimit int64
 }
@@ -194,7 +184,6 @@ type Stats struct {
 func (e *Enclave) Stats() Stats {
 	return Stats{
 		ECalls:   e.ecalls.Load(),
-		OCalls:   e.ocalls.Load(),
 		EPCUsed:  e.epcUsed.Load(),
 		EPCLimit: e.epcBudget,
 	}
@@ -303,15 +292,4 @@ func quoteBody(m [32]byte, pub ed25519.PublicKey, nonce []byte) []byte {
 	b = append(b, pub...)
 	b = append(b, nonce...)
 	return b
-}
-
-// Endorse signs payload with the enclave's attestation key. The query
-// engine endorses results on their way back to the client (Fig. 2 step 7).
-func (e *Enclave) Endorse(payload []byte) []byte {
-	return ed25519.Sign(e.signPriv, payload)
-}
-
-// VerifyEndorsement checks an endorsement against an attested public key.
-func VerifyEndorsement(pub ed25519.PublicKey, payload, sig []byte) bool {
-	return ed25519.Verify(pub, payload, sig)
 }

@@ -3,6 +3,9 @@ package portal
 import (
 	"bytes"
 	"context"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -39,7 +42,7 @@ func setCacheBound(p *Portal, n int64) {
 func serveOK(t *testing.T, p *Portal, key []byte, qid uint64) *Response {
 	t.Helper()
 	req := Request{ClientID: "alice", QID: qid, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 	resp, err := p.Serve(req)
 	if err != nil {
 		t.Fatalf("qid %d: %v", qid, err)
@@ -70,12 +73,12 @@ func TestResponseCacheByteBound(t *testing.T) {
 	}
 	// Oldest-first: qid 1 is gone, the newest qid is still cached.
 	old := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	old.MAC = SignRequest(key, old.ClientID, old.QID, old.Query)
+	old.MAC = SignRequestTimeout(key, old.ClientID, old.QID, old.Query, 0)
 	if _, err := p.Serve(old); !errors.Is(err, ErrReplayedQID) {
 		t.Fatalf("evicted replay served: %v", err)
 	}
 	fresh := Request{ClientID: "alice", QID: n, Query: "SELECT 1"}
-	fresh.MAC = SignRequest(key, fresh.ClientID, fresh.QID, fresh.Query)
+	fresh.MAC = SignRequestTimeout(key, fresh.ClientID, fresh.QID, fresh.Query, 0)
 	if _, err := p.Serve(fresh); err != nil {
 		t.Fatalf("cached replay rejected: %v", err)
 	}
@@ -106,14 +109,23 @@ func TestResponseCacheChargesBudget(t *testing.T) {
 }
 
 // TestSignRequestTimeoutZeroCompat: a zero timeout folds nothing extra
-// into the MAC — byte-identical to the legacy SignRequest, so old clients
-// and new portals interoperate.
+// into the MAC — byte-identical to the deadline-less MAC, HMAC-SHA-256 over
+// the length-prefixed fields "req", client id, le64(qid) and query — so
+// old clients and new portals interoperate.
 func TestSignRequestTimeoutZeroCompat(t *testing.T) {
 	key := []byte("shared")
-	legacy := SignRequest(key, "alice", 7, "SELECT 1")
-	zero := SignRequestTimeout(key, "alice", 7, "SELECT 1", 0)
-	if !bytes.Equal(legacy, zero) {
-		t.Fatal("zero-timeout MAC differs from legacy SignRequest")
+	mac := hmac.New(sha256.New, key)
+	var qid [8]byte
+	binary.LittleEndian.PutUint64(qid[:], 7)
+	for _, f := range [][]byte{[]byte("req"), []byte("alice"), qid[:], []byte("SELECT 1")} {
+		var n [4]byte
+		binary.LittleEndian.PutUint32(n[:], uint32(len(f)))
+		mac.Write(n[:])
+		mac.Write(f)
+	}
+	legacy := mac.Sum(nil)
+	if zero := SignRequestTimeout(key, "alice", 7, "SELECT 1", 0); !bytes.Equal(legacy, zero) {
+		t.Fatal("zero-timeout MAC differs from the deadline-less MAC")
 	}
 	if with := SignRequestTimeout(key, "alice", 7, "SELECT 1", 250); bytes.Equal(with, legacy) {
 		t.Fatal("timeout not folded into the MAC")
@@ -176,7 +188,7 @@ func TestReplayStateStaysBounded(t *testing.T) {
 	const perClient, window = 50_000, 16
 	serve := func(id string, qid uint64) {
 		req := Request{ClientID: id, QID: qid, Query: "SELECT 1"}
-		req.MAC = SignRequest(keys[id], id, qid, req.Query)
+		req.MAC = SignRequestTimeout(keys[id], id, qid, req.Query, 0)
 		if _, err := p.Serve(req); err != nil {
 			t.Fatalf("%s qid %d: %v", id, qid, err)
 		}
@@ -210,12 +222,12 @@ func TestReplayStateStaysBounded(t *testing.T) {
 	// replays its cached endorsement, an old one is refused, and shrinking
 	// the byte bound still evicts oldest-first through the compacted order.
 	recent := Request{ClientID: "alice", QID: perClient, Query: "SELECT 1"}
-	recent.MAC = SignRequest(keys["alice"], "alice", recent.QID, recent.Query)
+	recent.MAC = SignRequestTimeout(keys["alice"], "alice", recent.QID, recent.Query, 0)
 	if _, err := p.Serve(recent); err != nil {
 		t.Fatalf("cached replay rejected: %v", err)
 	}
 	old := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	old.MAC = SignRequest(keys["alice"], "alice", old.QID, old.Query)
+	old.MAC = SignRequestTimeout(keys["alice"], "alice", old.QID, old.Query, 0)
 	if _, err := p.Serve(old); !errors.Is(err, ErrReplayedQID) {
 		t.Fatalf("evicted replay served: %v", err)
 	}

@@ -51,7 +51,7 @@ func TestServeConcurrentDistinctQIDs(t *testing.T) {
 			defer wg.Done()
 			qid := uint64(i + 1)
 			req := Request{ClientID: "alice", QID: qid, Query: "SELECT 1"}
-			req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+			req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 			resps[i], errs[i] = p.Serve(req)
 		}(i)
 	}
@@ -89,7 +89,7 @@ func TestServeConcurrentSameQIDExecutesOnce(t *testing.T) {
 	p, key := newPortal(t, exec)
 
 	req := Request{ClientID: "alice", QID: 7, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 
 	first := make(chan *Response, 1)
 	go func() {

@@ -204,22 +204,17 @@ func responseBytes(resp *Response) int64 {
 	return n
 }
 
-// Seq returns the highest sequence number assigned so far — the floor a
-// failover replacement must resume above for clients to observe seq
-// continuity.
+// Seq returns the highest sequence number assigned so far — the floor an
+// instance rebuilt with Recover must resume above for clients to observe
+// seq continuity.
 func (p *Portal) Seq() uint64 { return p.seq.Load() }
 
-// SignRequest computes the request MAC with the pre-exchanged key. The
-// client package calls this on its own copy of the key.
-func SignRequest(key []byte, clientID string, qid uint64, query string) []byte {
-	return SignRequestTimeout(key, clientID, qid, query, 0)
-}
-
-// SignRequestTimeout is SignRequest for requests carrying a per-request
-// deadline. A zero timeout yields the exact legacy MAC (the field is
-// folded in only when set), so deadline-less clients and servers remain
-// bit-compatible; a nonzero timeout is authenticated so a relay cannot
-// strip or stretch a client's deadline.
+// SignRequestTimeout computes the request MAC with the pre-exchanged key;
+// the client package calls it on its own copy of the key. timeoutMS is
+// the request's deadline, zero for none. A zero timeout folds nothing in,
+// so deadline-less requests keep the MAC they had before deadlines
+// existed; a nonzero timeout is authenticated so a relay cannot strip or
+// stretch a client's deadline.
 func SignRequestTimeout(key []byte, clientID string, qid uint64, query string, timeoutMS uint64) []byte {
 	return signRequest(hmac.New(sha256.New, key), clientID, qid, query, timeoutMS)
 }

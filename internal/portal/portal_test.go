@@ -44,7 +44,7 @@ func newPortal(t *testing.T, exec Executor) (*Portal, []byte) {
 func TestServeHappyPath(t *testing.T) {
 	p, key := newPortal(t, &echoExec{})
 	req := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 	resp, err := p.Serve(req)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestServeRejectsBadMACAndUnknownClient(t *testing.T) {
 		t.Fatalf("bad MAC served: %v", err)
 	}
 	req = Request{ClientID: "nobody", QID: 1, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 	if _, err := p.Serve(req); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("unknown client served: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestServeRejectsBadMACAndUnknownClient(t *testing.T) {
 func TestReplayReturnsCachedResponse(t *testing.T) {
 	p, key := newPortal(t, &echoExec{})
 	req := Request{ClientID: "alice", QID: 9, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 	first, err := p.Serve(req)
 	if err != nil {
 		t.Fatal(err)
@@ -101,13 +101,13 @@ func TestReplayReturnsCachedResponse(t *testing.T) {
 func TestReusedQIDIsNotAnsweredFromCache(t *testing.T) {
 	p, key := newPortal(t, &echoExec{})
 	first := Request{ClientID: "alice", QID: 1, Query: "SELECT a"}
-	first.MAC = SignRequest(key, first.ClientID, first.QID, first.Query)
+	first.MAC = SignRequestTimeout(key, first.ClientID, first.QID, first.Query, 0)
 	endorsed, err := p.Serve(first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	second := Request{ClientID: "alice", QID: 1, Query: "SELECT b"}
-	second.MAC = SignRequest(key, second.ClientID, second.QID, second.Query)
+	second.MAC = SignRequestTimeout(key, second.ClientID, second.QID, second.Query, 0)
 	if resp, err := p.Serve(second); !errors.Is(err, ErrReplayedQID) {
 		t.Fatalf("request %q under a used qid served %v (%v), want ErrReplayedQID", second.Query, resp, err)
 	}
@@ -121,7 +121,7 @@ func TestReusedQIDIsNotAnsweredFromCache(t *testing.T) {
 func TestEvictedReplayRejected(t *testing.T) {
 	p, key := newPortal(t, &echoExec{})
 	req := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 	if _, err := p.Serve(req); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestEvictedReplayRejected(t *testing.T) {
 	for i := 0; i < responseCacheSize; i++ {
 		qid := uint64(i + 2)
 		r := Request{ClientID: "alice", QID: qid, Query: "SELECT 1"}
-		r.MAC = SignRequest(key, r.ClientID, r.QID, r.Query)
+		r.MAC = SignRequestTimeout(key, r.ClientID, r.QID, r.Query, 0)
 		if _, err := p.Serve(r); err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestQuarantinedResponsesAreAuthenticated(t *testing.T) {
 	exec := &quarantineExec{qerr: errors.New("tamper alarm")}
 	p, key := newPortal(t, exec)
 	req := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 	resp, err := p.Serve(req)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestQuarantinedResponsesAreAuthenticated(t *testing.T) {
 	// A clean executor keeps serving normally through the same path.
 	exec.qerr = nil
 	req2 := Request{ClientID: "alice", QID: 2, Query: "SELECT 2"}
-	req2.MAC = SignRequest(key, req2.ClientID, req2.QID, req2.Query)
+	req2.MAC = SignRequestTimeout(key, req2.ClientID, req2.QID, req2.Query, 0)
 	resp2, err := p.Serve(req2)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestQuarantinedResponsesAreAuthenticated(t *testing.T) {
 func TestExecutionErrorsAreSequencedAndMACed(t *testing.T) {
 	p, key := newPortal(t, &echoExec{fail: true})
 	req := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 	resp, err := p.Serve(req)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestSequenceStrictlyIncreasesUnderConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req := Request{ClientID: "alice", QID: uint64(i + 1), Query: "SELECT 1"}
-			req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+			req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 			resp, err := p.Serve(req)
 			if err != nil {
 				t.Error(err)
@@ -232,7 +232,7 @@ func TestResumeAt(t *testing.T) {
 	p, key := newPortal(t, &echoExec{})
 	p.ResumeAt(1000)
 	req := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 	resp, err := p.Serve(req)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestResumeAt(t *testing.T) {
 	}
 	p.ResumeAt(5) // lower floor is a no-op
 	resp2, _ := p.Serve(Request{ClientID: "alice", QID: 2, Query: "SELECT 1",
-		MAC: SignRequest(key, "alice", 2, "SELECT 1")})
+		MAC: SignRequestTimeout(key, "alice", 2, "SELECT 1", 0)})
 	if resp2.Seq != 1002 {
 		t.Fatalf("Seq = %d, floor lowered the counter", resp2.Seq)
 	}
@@ -298,7 +298,7 @@ func TestQuarantineRaisedDuringExecutionIsFlagged(t *testing.T) {
 	exec := &lateQuarantineExec{qerr: errors.New("tamper alarm")}
 	p, key := newPortal(t, exec)
 	req := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	req.MAC = SignRequest(key, req.ClientID, req.QID, req.Query)
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
 	resp, err := p.Serve(req)
 	if err != nil {
 		t.Fatal(err)

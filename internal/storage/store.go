@@ -161,6 +161,23 @@ func (s *Store) Table(name string) (Engine, error) {
 	return t, nil
 }
 
+// PageIDs lists the vmem pages the named table's shards own.
+func (s *Store) PageIDs(table string) ([]uint64, error) {
+	s.mu.RLock()
+	t, ok := s.tables[table]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, table)
+	}
+	var ids []uint64
+	for _, sh := range t.shards {
+		sh.mu.RLock()
+		ids = append(ids, sh.pages...)
+		sh.mu.RUnlock()
+	}
+	return ids, nil
+}
+
 // DropTable removes a table and frees the pages of every shard.
 func (s *Store) DropTable(name string) error {
 	s.mu.Lock()

@@ -365,9 +365,6 @@ func (l *Log) Path() string {
 	return l.path
 }
 
-// Dir returns the data directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Sizes returns the record bytes logged since the current checkpoint
 // generation began and the byte size of that generation's segments.
 func (l *Log) Sizes() (logged, image int64) {

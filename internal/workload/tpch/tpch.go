@@ -142,40 +142,6 @@ func CreateTablesSQL() []string {
 	}
 }
 
-// Specs returns the storage-level table specs (for direct loading).
-func Specs() []storage.TableSpec {
-	return []storage.TableSpec{
-		{
-			Name: "lineitem",
-			Schema: record.NewSchema(
-				record.Column{Name: "l_id", Type: record.TypeInt},
-				record.Column{Name: "l_partkey", Type: record.TypeInt},
-				record.Column{Name: "l_quantity", Type: record.TypeFloat},
-				record.Column{Name: "l_extendedprice", Type: record.TypeFloat},
-				record.Column{Name: "l_discount", Type: record.TypeFloat},
-				record.Column{Name: "l_tax", Type: record.TypeFloat},
-				record.Column{Name: "l_returnflag", Type: record.TypeText},
-				record.Column{Name: "l_linestatus", Type: record.TypeText},
-				record.Column{Name: "l_shipdate", Type: record.TypeInt},
-				record.Column{Name: "l_shipinstruct", Type: record.TypeText},
-				record.Column{Name: "l_shipmode", Type: record.TypeText},
-			),
-			PrimaryKey:   0,
-			ChainColumns: []int{8},
-		},
-		{
-			Name: "part",
-			Schema: record.NewSchema(
-				record.Column{Name: "p_partkey", Type: record.TypeInt},
-				record.Column{Name: "p_brand", Type: record.TypeText},
-				record.Column{Name: "p_container", Type: record.TypeText},
-				record.Column{Name: "p_size", Type: record.TypeInt},
-			),
-			PrimaryKey: 0,
-		},
-	}
-}
-
 // LineitemTuple converts a row for storage insertion.
 func LineitemTuple(l Lineitem) record.Tuple {
 	return record.Tuple{
@@ -193,7 +159,7 @@ func PartTuple(p Part) record.Tuple {
 	}
 }
 
-// Load inserts the dataset into a store created with Specs.
+// Load inserts the dataset into a store holding the CreateTablesSQL tables.
 func Load(st *storage.Store, d *Dataset) error {
 	li, err := st.Table("lineitem")
 	if err != nil {

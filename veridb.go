@@ -297,8 +297,8 @@ type Stats struct {
 	Rotations uint64
 	// Alarms counts raised tamper alarms.
 	Alarms uint64
-	// ECalls and OCalls count simulated enclave boundary crossings.
-	ECalls, OCalls int64
+	// ECalls counts simulated enclave boundary crossings.
+	ECalls int64
 	// EPCUsed is the simulated enclave memory in use, bytes.
 	EPCUsed int64
 }
@@ -409,7 +409,7 @@ func (db *DB) Stats() Stats {
 	return Stats{
 		Ops: m.Ops, PRFEvals: m.PRFEvals, PagesAlive: m.PagesAlive,
 		Scans: m.Scans, FastScans: m.FastScans, Rotations: m.Rotations,
-		Alarms: m.Alarms, ECalls: e.ECalls, OCalls: e.OCalls, EPCUsed: e.EPCUsed,
+		Alarms: m.Alarms, ECalls: e.ECalls, EPCUsed: e.EPCUsed,
 	}
 }
 
@@ -449,17 +449,17 @@ func (db *DB) RowCount(table string) (int, error) {
 	return t.RowCount(), nil
 }
 
-// InjectTamper simulates the §3.1 adversary: it flips bytes of one stored
-// record directly in untrusted memory, bypassing every protected
-// interface. Verification must subsequently raise an alarm. Demo/test use
-// only.
+// InjectTamper simulates the §3.1 adversary: it flips bytes of one record
+// stored in one of the table's pages directly in untrusted memory,
+// bypassing every protected interface. Verification must subsequently
+// raise an alarm. Demo/test use only.
 func (db *DB) InjectTamper(table string) error {
-	t, err := db.inner.Store().Table(table)
+	pages, err := db.inner.Store().PageIDs(table)
 	if err != nil {
 		return err
 	}
 	mem := db.inner.Memory()
-	for _, pid := range mem.PageIDs() {
+	for _, pid := range pages {
 		// Pick a victim record first; Slots holds the page lock, so the
 		// actual tampering happens after it returns.
 		victim := -1
@@ -485,7 +485,7 @@ func (db *DB) InjectTamper(table string) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("veridb: table %q has no record to tamper", t.Name())
+	return fmt.Errorf("veridb: table %q has no record to tamper", table)
 }
 
 // ParseOnly checks a statement's syntax without executing it.

@@ -1,6 +1,7 @@
 package veridb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -72,6 +73,58 @@ func TestTamperDetectionEndToEnd(t *testing.T) {
 	}
 	if db.Stats().Alarms == 0 {
 		t.Fatal("alarm counter zero")
+	}
+}
+
+// TestInjectTamperHitsNamedTable: the tamper lands in a page of the named
+// table, so another table's rows still read back intact until
+// verification raises the alarm.
+func TestInjectTamperHitsNamedTable(t *testing.T) {
+	db := open(t, Config{})
+	for _, name := range []string{"a", "b"} {
+		mustExec(t, db, fmt.Sprintf(`CREATE TABLE %s (k INT PRIMARY KEY, v TEXT)`, name))
+		for i := 0; i < 20; i++ {
+			mustExec(t, db, fmt.Sprintf(`INSERT INTO %s VALUES (%d, '%s-%d')`, name, i, name, i))
+		}
+	}
+	if err := db.InjectTamper("b"); err != nil {
+		t.Fatal(err)
+	}
+	res := mustExec(t, db, `SELECT k, v FROM a`)
+	if len(res.Rows) != 20 {
+		t.Fatalf("table a read back %d rows, want 20", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		if want := fmt.Sprintf("a-%d", row[0].I); row[1].S != want {
+			t.Fatalf("table a row %v, want v = %q", row, want)
+		}
+	}
+	if err := db.Verify(); err == nil {
+		t.Fatal("tampering table b not detected")
+	}
+}
+
+// TestExecTimeout: a statement whose deadline has already passed fails
+// with context.DeadlineExceeded and leaves the database serving; a zero
+// timeout sets no deadline.
+func TestExecTimeout(t *testing.T) {
+	db := open(t, Config{})
+	mustExec(t, db, `CREATE TABLE t (k INT PRIMARY KEY, v INT)`)
+	for i := 0; i < 500; i++ {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, i, i*i))
+	}
+	if _, err := db.ExecTimeout(`SELECT k, v FROM t`, time.Nanosecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("scan under an expired timeout returned %v, want context.DeadlineExceeded", err)
+	}
+	if res := mustExec(t, db, `SELECT v FROM t WHERE k = 7`); len(res.Rows) != 1 || res.Rows[0][0].I != 49 {
+		t.Fatalf("statement after the timeout returned %v", res.Rows)
+	}
+	res, err := db.ExecTimeout(`SELECT k, v FROM t`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 500 {
+		t.Fatalf("zero timeout returned %d rows, want 500", len(res.Rows))
 	}
 }
 
