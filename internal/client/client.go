@@ -88,11 +88,13 @@ func (s *SeqTracker) Add(seq uint64) error {
 	return nil
 }
 
-// Client is one VeriDB user: it holds the pre-exchanged MAC key, a query
-// id counter, the sequence tracker, and the attested enclave identity.
+// Client is one VeriDB user: it holds the pre-exchanged MAC key (as the
+// keyed MAC states it signs requests and verifies responses with), a
+// query id counter, the sequence tracker, and the attested enclave
+// identity.
 type Client struct {
-	ID  string
-	key []byte
+	ID   string
+	macs *portal.KeyedMAC
 
 	mu      sync.Mutex
 	nextQID uint64
@@ -104,7 +106,7 @@ type Client struct {
 // New builds a client with the pre-exchanged key (provisioned into the
 // enclave out of band, e.g. over the attested channel).
 func New(id string, key []byte) *Client {
-	return &Client{ID: id, key: append([]byte(nil), key...)}
+	return &Client{ID: id, macs: portal.NewKeyedMAC(append([]byte(nil), key...))}
 }
 
 // Attest verifies an enclave quote against the expected measurement and
@@ -141,12 +143,13 @@ func (c *Client) NewRequestTimeout(query string, timeout time.Duration) portal.R
 			ms = 1 // sub-millisecond deadlines round up, not off
 		}
 	}
+	mac := c.macs.RequestMAC(c.ID, qid, query, ms)
 	return portal.Request{
 		ClientID:  c.ID,
 		QID:       qid,
 		Query:     query,
 		TimeoutMS: ms,
-		MAC:       portal.SignRequestTimeout(c.key, c.ID, qid, query, ms),
+		MAC:       mac[:],
 	}
 }
 
@@ -194,8 +197,8 @@ func (c *Client) VerifyResponse(req portal.Request, resp *portal.Response) error
 	if resp.QID != req.QID {
 		return fmt.Errorf("%w: got %d want %d", ErrWrongQID, resp.QID, req.QID)
 	}
-	want := portal.SignResponse(c.key, resp)
-	if !hmac.Equal(want, resp.MAC) {
+	want := c.macs.ResponseMAC(resp)
+	if !hmac.Equal(want[:], resp.MAC) {
 		return ErrBadMAC
 	}
 	if resp.Quarantined {

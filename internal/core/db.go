@@ -549,7 +549,7 @@ func (db *DB) run(ctx context.Context, sess *session, query string, in *plan.Ins
 		if err := db.QuarantineError(); err != nil {
 			return nil, err
 		}
-		return db.runSelectOp(ctx, sess, in.Op)
+		return db.runSelectOp(ctx, sess, in)
 	}
 	if db.dur != nil && isMutating(in.Stmt) {
 		if in.Prepared != nil {
@@ -982,15 +982,15 @@ func (db *DB) query(ctx context.Context, sess *session, sel *sql.Select) (*porta
 	if err != nil {
 		return nil, err
 	}
-	return db.runSelectOp(ctx, sess, op)
+	return db.runSelectOp(ctx, sess, &plan.Instance{Op: op})
 }
 
-// runSelectOp drains a compiled plan into a result. Every base-table scan
-// in the plan reads one snapshot: the session's pinned one (BEGIN
-// SNAPSHOT) when present, otherwise a statement snapshot opened at the
-// current commit watermark and released when the drain finishes. Either
-// way a multi-scan plan (joins, self-joins, spool refills) observes a
-// single consistent committed state.
+// runSelectOp drains a SELECT instance's compiled plan into a result.
+// Every base-table scan in the plan reads one snapshot: the session's
+// pinned one (BEGIN SNAPSHOT) when present, otherwise a statement snapshot
+// opened at the current commit watermark and released when the drain
+// finishes. Either way a multi-scan plan (joins, self-joins, spool
+// refills) observes a single consistent committed state.
 //
 // The statement executes under its context and a statement-scoped memory
 // reservation: cancellation unwinds at batch boundaries through the
@@ -999,9 +999,13 @@ func (db *DB) query(ctx context.Context, sess *session, sel *sql.Select) (*porta
 // plan performs is charged against the process budget, failing fast with
 // govern.ErrResourceExhausted rather than growing the heap unbounded.
 // Under budget pressure the statement's batches are built smaller first.
-func (db *DB) runSelectOp(ctx context.Context, sess *session, op engine.Operator) (*portal.Result, error) {
-	res := govern.NewReservation(db.budget)
-	defer res.Release()
+// The controls, the reservation, the drain batch and the column names are
+// the instance's, reused by each execution of a cached one.
+func (db *DB) runSelectOp(ctx context.Context, sess *session, in *plan.Instance) (*portal.Result, error) {
+	if in.Res == nil {
+		in.Res = govern.NewReservation(db.budget)
+	}
+	defer in.Res.Release()
 	capacity := db.batchCap
 	if capacity > degradedBatchSize && db.budget.Pressure() > degradePressure {
 		capacity = degradedBatchSize
@@ -1011,20 +1015,27 @@ func (db *DB) runSelectOp(ctx context.Context, sess *session, op engine.Operator
 		snap = db.store.OpenSnapshot()
 		defer snap.Close()
 	}
-	ex := engine.NewExec(ctx, res, capacity, snap)
-	engine.SetExec(op, ex)
+	ex := &in.Exec
+	ex.Reset(ctx, in.Res, capacity, snap)
+	engine.SetExec(in.Op, ex)
 	// Detach the plan before it goes (back) into the cache: a cached
-	// operator retains no dead context, dangling snapshot or row of the
+	// instance retains no dead context, dangling snapshot or row of the
 	// statement that ran it.
-	defer engine.ResetPlan(op)
-	rows, err := engine.Drain(op, ex)
+	defer func() {
+		engine.ResetPlan(in.Op)
+		ex.Reset(nil, nil, 0, nil)
+	}()
+	rows, batch, err := engine.DrainThrough(in.Op, ex, in.Batch)
+	in.Batch = batch
 	if err != nil {
 		return nil, err
 	}
-	schema := op.Schema()
-	cols := make([]string, len(schema))
-	for i, c := range schema {
-		cols[i] = c.Name
+	cols := in.Columns
+	if cols == nil {
+		var fixed bool
+		if cols, fixed = engine.Names(in.Op); fixed {
+			in.Columns = cols
+		}
 	}
 	return &portal.Result{Columns: cols, Rows: rows}, nil
 }

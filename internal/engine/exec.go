@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"slices"
 
 	"veridb/internal/govern"
 	"veridb/internal/record"
@@ -34,10 +36,19 @@ type Exec struct {
 // state, under storage's nil rules). The statement borrows snap: the
 // caller that pinned it closes it after the statement drains.
 func NewExec(ctx context.Context, res *govern.Reservation, batchCap int, snap *storage.Snapshot) *Exec {
+	e := new(Exec)
+	e.Reset(ctx, res, batchCap, snap)
+	return e
+}
+
+// Reset makes e what NewExec builds from the same arguments, in place: a
+// plan run statement after statement (a cached plan instance's) points one
+// Exec at each, and detaches it after with Reset(nil, nil, 0, nil).
+func (e *Exec) Reset(ctx context.Context, res *govern.Reservation, batchCap int, snap *storage.Snapshot) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Exec{ctx: ctx, res: res, batchCap: batchCap, snap: snap}
+	*e = Exec{ctx: ctx, res: res, batchCap: batchCap, snap: snap}
 }
 
 // Snapshot is the pinned snapshot the statement's table scans and index
@@ -137,35 +148,79 @@ func SetExec(op Operator, ex *Exec) {
 	}
 }
 
+// Names returns the names of op's output columns and whether they are
+// fixed: the same at every execution of the plan. They are when the
+// projection on top names every column itself; one that heads a column by
+// its live source form (Project.Titles) renders it anew after each
+// rebinding.
+func Names(op Operator) ([]string, bool) {
+	schema := op.Schema()
+	names := make([]string, len(schema))
+	for i, c := range schema {
+		names[i] = c.Name
+	}
+	return names, fixedNames(op)
+}
+
+func fixedNames(op Operator) bool {
+	switch x := op.(type) {
+	case *Limit:
+		return fixedNames(x.Child)
+	case *Sort:
+		return fixedNames(x.Child)
+	case *Project:
+		return !slices.ContainsFunc(x.Titles, func(t fmt.Stringer) bool { return t != nil })
+	}
+	return false
+}
+
 // Drain runs an operator to completion under the statement controls (ex
 // may be nil) and returns all rows: the context is checked and the drained
 // rows are charged to the reservation once per batch of ex.BatchCap()
 // rows. Drain does not attach ex to the tree; callers whose operators need
 // the controls call SetExec first.
 func Drain(op Operator, ex *Exec) ([]record.Tuple, error) {
+	rows, _, err := DrainThrough(op, ex, NewRowBatch(ex.BatchCap()))
+	return rows, err
+}
+
+// DrainThrough is Drain through a batch its caller keeps from one
+// execution of a plan to the next — nil the first time, then the batch the
+// last call returned — so a plan run statement after statement allocates
+// its drain batch once. The batch has ex.BatchCap() rows, as Drain's: its
+// size sets how far the scans below read ahead of a Limit or a failing
+// expression, so a kept plan must read as a fresh one would. It comes back
+// holding no row.
+func DrainThrough(op Operator, ex *Exec, batch *RowBatch) ([]record.Tuple, *RowBatch, error) {
+	if batch == nil || batch.Cap() != ex.BatchCap() {
+		batch = NewRowBatch(ex.BatchCap())
+	}
+	defer func() {
+		clear(batch.Rows)
+		batch.Reset()
+	}()
 	if err := op.Open(); err != nil {
-		return nil, err
+		return nil, batch, err
 	}
 	defer op.Close()
-	batch := NewRowBatch(ex.BatchCap())
 	var out []record.Tuple
 	for {
 		if err := ex.Err(); err != nil {
-			return nil, err
+			return nil, batch, err
 		}
 		n, err := op.NextBatch(batch)
 		if err != nil {
-			return nil, err
+			return nil, batch, err
 		}
 		if n == 0 {
-			return out, nil
+			return out, batch, nil
 		}
 		start := len(out)
 		for i := 0; i < n; i++ {
 			out = append(out, batch.Row(i))
 		}
 		if err := ex.ChargeTuples(out[start:]); err != nil {
-			return nil, err
+			return nil, batch, err
 		}
 	}
 }

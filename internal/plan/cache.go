@@ -36,6 +36,7 @@ import (
 	"sync"
 
 	"veridb/internal/engine"
+	"veridb/internal/govern"
 	"veridb/internal/record"
 	"veridb/internal/sql"
 )
@@ -66,6 +67,18 @@ type Instance struct {
 	// Rebindable reports that the instance serves every statement of its
 	// shape; Put files no other kind.
 	Rebindable bool
+
+	// Exec, Res, Batch and Columns are a SELECT's per-statement state,
+	// kept on the instance so that an execution of a checked-out one
+	// allocates none of it: the statement controls, the reservation they
+	// charge, the drain batch (engine.DrainThrough) and the output column
+	// names when they are fixed (engine.Names). Between executions they
+	// hold no row, context or snapshot. Columns reaches every result of
+	// the instance and is never written.
+	Exec    engine.Exec
+	Res     *govern.Reservation
+	Batch   *engine.RowBatch
+	Columns []string
 }
 
 // Bind points the instance at one statement's literals (sql.Shape's, for

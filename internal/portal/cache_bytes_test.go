@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 	"strings"
 	"testing"
 	"time"
@@ -108,27 +109,107 @@ func TestResponseCacheChargesBudget(t *testing.T) {
 	}
 }
 
+// refField feeds one field to h the way the MAC code did before MAC
+// inputs were built in a buffer: the u32 length, then the bytes, each its
+// own Write.
+func refField(h hash.Hash, b []byte) {
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], uint32(len(b)))
+	h.Write(n[:])
+	h.Write(b)
+}
+
+// refRequestMAC is the request MAC fed field by field into a fresh HMAC.
+func refRequestMAC(key []byte, clientID string, qid uint64, query string, timeoutMS uint64) []byte {
+	mac := hmac.New(sha256.New, key)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], qid)
+	for _, f := range [][]byte{[]byte("req"), []byte(clientID), b[:], []byte(query)} {
+		refField(mac, f)
+	}
+	if timeoutMS != 0 {
+		binary.LittleEndian.PutUint64(b[:], timeoutMS)
+		refField(mac, []byte("deadline"))
+		refField(mac, b[:])
+	}
+	return mac.Sum(nil)
+}
+
+// refResponseMAC is the response MAC over a digest hashed field by field,
+// each row through record.Encode, into a fresh HMAC.
+func refResponseMAC(key []byte, resp *Response) []byte {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range []uint64{resp.QID, resp.Seq, uint64(resp.Affected)} {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, c := range resp.Columns {
+		refField(h, []byte(c))
+	}
+	for _, row := range resp.Rows {
+		refField(h, record.Encode(&record.Record{Data: row}))
+	}
+	refField(h, []byte(resp.ErrMsg))
+	q := byte(0)
+	if resp.Quarantined {
+		q = 1
+	}
+	refField(h, []byte{q})
+	mac := hmac.New(sha256.New, key)
+	refField(mac, []byte("resp"))
+	refField(mac, h.Sum(nil))
+	return mac.Sum(nil)
+}
+
 // TestSignRequestTimeoutZeroCompat: a zero timeout folds nothing extra
 // into the MAC — byte-identical to the deadline-less MAC, HMAC-SHA-256 over
 // the length-prefixed fields "req", client id, le64(qid) and query — so
-// old clients and new portals interoperate.
+// old clients and new portals interoperate. And the MAC layout is the one
+// fed field by field before MAC inputs were buffered: for requests with
+// and without a deadline, empty and 64 KiB queries, and responses with
+// NULL, text, float and bool values, an error message or the quarantine
+// flag, one-shot and through one KeyedMAC whose pooled buffer every case
+// reuses.
 func TestSignRequestTimeoutZeroCompat(t *testing.T) {
 	key := []byte("shared")
-	mac := hmac.New(sha256.New, key)
-	var qid [8]byte
-	binary.LittleEndian.PutUint64(qid[:], 7)
-	for _, f := range [][]byte{[]byte("req"), []byte("alice"), qid[:], []byte("SELECT 1")} {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(f)))
-		mac.Write(n[:])
-		mac.Write(f)
-	}
-	legacy := mac.Sum(nil)
+	legacy := refRequestMAC(key, "alice", 7, "SELECT 1", 0)
 	if zero := SignRequestTimeout(key, "alice", 7, "SELECT 1", 0); !bytes.Equal(legacy, zero) {
 		t.Fatal("zero-timeout MAC differs from the deadline-less MAC")
 	}
 	if with := SignRequestTimeout(key, "alice", 7, "SELECT 1", 250); bytes.Equal(with, legacy) {
 		t.Fatal("timeout not folded into the MAC")
+	}
+
+	keyed := NewKeyedMAC(key)
+	big := strings.Repeat("x", 64<<10)
+	for _, query := range []string{"", "SELECT 1", big} {
+		for _, timeout := range []uint64{0, 250} {
+			want := refRequestMAC(key, "alice", 9, query, timeout)
+			got := keyed.RequestMAC("alice", 9, query, timeout)
+			if !bytes.Equal(got[:], want) || !bytes.Equal(SignRequestTimeout(key, "alice", 9, query, timeout), want) {
+				t.Errorf("request MAC (query of %d bytes, timeout %d) differs from the field-by-field MAC", len(query), timeout)
+			}
+		}
+	}
+	rows := []record.Tuple{
+		{record.Int(1), record.Null(record.TypeText), record.Float(-2.5), record.Bool(true)},
+		{record.Int(-7), record.Text("héllo"), record.Null(record.TypeFloat), record.Bool(false)},
+		{record.Null(record.TypeInt), record.Text(""), record.Float(0), record.Null(record.TypeBool)},
+	}
+	for name, resp := range map[string]*Response{
+		"empty":       {QID: 1, Seq: 1},
+		"rows":        {QID: 2, Seq: 5, Columns: []string{"i", "s", "f", "b"}, Rows: rows},
+		"big rows":    {QID: 3, Seq: 6, Columns: []string{"s"}, Rows: []record.Tuple{{record.Text(big)}, {record.Text(big)}}},
+		"affected":    {QID: 4, Seq: 7, Affected: 3},
+		"error":       {QID: 5, Seq: 8, ErrMsg: "core: no such table"},
+		"quarantined": {QID: 6, Seq: 9, ErrMsg: "vmem: tamper detected", Quarantined: true},
+	} {
+		want := refResponseMAC(key, resp)
+		got := keyed.ResponseMAC(resp)
+		if !bytes.Equal(got[:], want) || !bytes.Equal(SignResponse(key, resp), want) {
+			t.Errorf("%s: response MAC differs from the field-by-field MAC", name)
+		}
 	}
 }
 

@@ -35,7 +35,9 @@ var (
 	ErrReplayedQID = errors.New("portal: query id replayed")
 )
 
-// Result is a query outcome produced by the trusted executor.
+// Result is a query outcome produced by the trusted executor. Columns
+// may be shared by every result of one cached statement shape: it is read,
+// never written.
 type Result struct {
 	Columns  []string
 	Rows     []record.Tuple
@@ -136,7 +138,7 @@ type Portal struct {
 	exec Executor
 	seq  *atomic.Uint64
 
-	macs sync.Map // client ID -> *keyedMAC
+	macs sync.Map // client ID -> *KeyedMAC
 
 	mu      sync.Mutex
 	clients map[string]*clientState
@@ -214,98 +216,180 @@ func (p *Portal) Seq() uint64 { return p.seq.Load() }
 // the request's deadline, zero for none. A zero timeout folds nothing in,
 // so deadline-less requests keep the MAC they had before deadlines
 // existed; a nonzero timeout is authenticated so a relay cannot strip or
-// stretch a client's deadline.
+// stretch a client's deadline. It keys an HMAC for this one call; an end
+// that signs many requests holds a KeyedMAC.
 func SignRequestTimeout(key []byte, clientID string, qid uint64, query string, timeoutMS uint64) []byte {
-	return signRequest(hmac.New(sha256.New, key), clientID, qid, query, timeoutMS)
+	msg := make([]byte, 0, 48+len(clientID)+len(query))
+	return oneShotMAC(key, appendRequestInput(msg, clientID, qid, query, timeoutMS))
 }
 
-// signRequest is SignRequestTimeout on a MAC already keyed and reset.
-func signRequest(mac hash.Hash, clientID string, qid uint64, query string, timeoutMS uint64) []byte {
-	writeField(mac, []byte("req"))
-	writeField(mac, []byte(clientID))
-	var q [8]byte
-	binary.LittleEndian.PutUint64(q[:], qid)
-	writeField(mac, q[:])
-	writeField(mac, []byte(query))
-	if timeoutMS != 0 {
-		var t [8]byte
-		binary.LittleEndian.PutUint64(t[:], timeoutMS)
-		writeField(mac, []byte("deadline"))
-		writeField(mac, t[:])
-	}
+// SignResponse computes the response MAC, keying an HMAC for this one
+// call (see SignRequestTimeout).
+func SignResponse(key []byte, resp *Response) []byte {
+	return oneShotMAC(key, appendResponseInput(make([]byte, 0, 256), resp))
+}
+
+func oneShotMAC(key, msg []byte) []byte {
+	mac := hmac.New(sha256.New, key)
+	mac.Write(msg)
 	return mac.Sum(nil)
+}
+
+// appendRequestInput appends the bytes the request MAC covers, each a
+// field: "req", the client id, le64(qid), the query and, only when
+// nonzero, "deadline" and le64(timeoutMS).
+func appendRequestInput(b []byte, clientID string, qid uint64, query string, timeoutMS uint64) []byte {
+	b = AppendField(b, "req")
+	b = AppendField(b, clientID)
+	b = appendU64Field(b, qid)
+	b = AppendField(b, query)
+	if timeoutMS != 0 {
+		b = AppendField(b, "deadline")
+		b = appendU64Field(b, timeoutMS)
+	}
+	return b
+}
+
+// appendResponseInput appends to b[:0] the bytes the response MAC covers:
+// "resp" and the response digest, each a field. The digest input is built
+// in b first and hashed on the stack.
+func appendResponseInput(b []byte, resp *Response) []byte {
+	b = appendDigestInput(b[:0], resp)
+	d := sha256.Sum256(b)
+	b = AppendField(b[:0], "resp")
+	return AppendField(b, d[:])
 }
 
 // ResponseDigest deterministically hashes a response's payload.
 func ResponseDigest(resp *Response) []byte {
-	h := sha256.New()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], resp.QID)
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], resp.Seq)
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(resp.Affected))
-	h.Write(b[:])
+	d := sha256.Sum256(appendDigestInput(nil, resp))
+	return d[:]
+}
+
+// appendDigestInput appends the bytes ResponseDigest hashes: le64 qid, seq
+// and affected count, then as fields the column names, each row's
+// record.Encode image, the error message and the quarantine flag.
+func appendDigestInput(b []byte, resp *Response) []byte {
+	b = binary.LittleEndian.AppendUint64(b, resp.QID)
+	b = binary.LittleEndian.AppendUint64(b, resp.Seq)
+	b = binary.LittleEndian.AppendUint64(b, uint64(resp.Affected))
 	for _, c := range resp.Columns {
-		writeField(h, []byte(c))
+		b = AppendField(b, c)
 	}
 	for _, row := range resp.Rows {
-		writeField(h, record.Encode(&record.Record{Data: row}))
+		b = AppendRowField(b, row)
 	}
-	writeField(h, []byte(resp.ErrMsg))
+	b = AppendField(b, resp.ErrMsg)
 	q := byte(0)
 	if resp.Quarantined {
 		q = 1
 	}
-	writeField(h, []byte{q})
-	return h.Sum(nil)
+	b = binary.LittleEndian.AppendUint32(b, 1) // a one-byte field
+	return append(b, q)
 }
 
-// SignResponse computes the response MAC.
-func SignResponse(key []byte, resp *Response) []byte {
-	return signResponse(hmac.New(sha256.New, key), resp)
+// AppendField appends the protocol's one field primitive: the length of p
+// as a little-endian u32, then p. Every MAC input and every wire payload
+// is built of these fields and little-endian fixed-width integers.
+func AppendField[T ~[]byte | ~string](b []byte, p T) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+	return append(b, p...)
 }
 
-// signResponse is SignResponse on a MAC already keyed and reset.
-func signResponse(mac hash.Hash, resp *Response) []byte {
-	writeField(mac, []byte("resp"))
-	writeField(mac, ResponseDigest(resp))
-	return mac.Sum(nil)
+// appendU64Field appends le64(v) as a field.
+func appendU64Field(b []byte, v uint64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, 8)
+	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-// keyedMAC is one client's pool of HMAC states keyed with its key: keying
-// runs the hash's compression twice, a Reset restores the keyed state, so
-// the portal keys once per state and not twice per request (the check and
-// the endorsement) — what sethash.Key does for the PRF.
-type keyedMAC struct {
+// AppendRowField appends a result row as one field holding its
+// record.Encode image: the bytes the response digest covers for the row,
+// and the bytes a result frame carries, so a client rebuilds exactly what
+// was endorsed.
+func AppendRowField(b []byte, row record.Tuple) []byte {
+	at := len(b)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = record.AppendEncode(b, &record.Record{Data: row})
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
+}
+
+// KeyedMAC computes the protocol's MACs under one key, at either end: the
+// portal holds one per client, a client.Client its own. It pools HMAC
+// states already keyed — keying runs the hash's compression twice and a
+// Reset restores the keyed state, so a state is keyed once and not twice
+// per request (the check and the endorsement; the signature and the
+// verification), which is what sethash.Key does for the PRF — and beside
+// each state the buffer its messages are built in, so a MAC costs one
+// pass over fields appended into memory the state already owns, and no
+// allocation. No pooled memory leaves: a MAC comes back as an array.
+type KeyedMAC struct {
 	key  []byte
-	pool sync.Pool // of hash.Hash
+	pool sync.Pool // of *macState
 }
 
-func (k *keyedMAC) get() hash.Hash {
-	if mac, ok := k.pool.Get().(hash.Hash); ok {
-		mac.Reset()
-		return mac
+// macState is one pooled keyed HMAC with its message buffer and the
+// array its sum is written into.
+type macState struct {
+	mac hash.Hash
+	buf []byte
+	sum [sha256.Size]byte
+}
+
+// maxPooledMessage bounds the message buffer a pooled state keeps: a
+// larger result's digest input is built in a buffer dropped after use, so
+// the pool's footprint stays at a few small responses' worth.
+const maxPooledMessage = 64 << 10
+
+// NewKeyedMAC returns the MAC helper for key, which it keeps and does not
+// copy.
+func NewKeyedMAC(key []byte) *KeyedMAC { return &KeyedMAC{key: key} }
+
+// get returns a keyed state: a pooled one, reset to the keyed state, or
+// one keyed now.
+func (k *KeyedMAC) get() *macState {
+	if st, ok := k.pool.Get().(*macState); ok {
+		st.mac.Reset()
+		return st
 	}
-	return hmac.New(sha256.New, k.key)
+	return &macState{mac: hmac.New(sha256.New, k.key)}
+}
+
+// sum MACs the state's message and returns the state to the pool.
+func (k *KeyedMAC) sum(st *macState) (out [sha256.Size]byte) {
+	st.mac.Write(st.buf)
+	copy(out[:], st.mac.Sum(st.sum[:0]))
+	if cap(st.buf) > maxPooledMessage {
+		st.buf = nil
+	}
+	k.pool.Put(st)
+	return out
+}
+
+// RequestMAC is the request MAC (see SignRequestTimeout).
+func (k *KeyedMAC) RequestMAC(clientID string, qid uint64, query string, timeoutMS uint64) [sha256.Size]byte {
+	st := k.get()
+	st.buf = appendRequestInput(st.buf[:0], clientID, qid, query, timeoutMS)
+	return k.sum(st)
+}
+
+// ResponseMAC is the response MAC: HMAC(k, "resp" ‖ ResponseDigest(resp)),
+// each a field.
+func (k *KeyedMAC) ResponseMAC(resp *Response) [sha256.Size]byte {
+	st := k.get()
+	st.buf = appendResponseInput(st.buf, resp)
+	return k.sum(st)
 }
 
 // macFor returns the client's keyed states, rekeyed if the enclave was
 // provisioned another key for the client since.
-func (p *Portal) macFor(clientID string, key []byte) *keyedMAC {
-	if v, ok := p.macs.Load(clientID); ok && bytes.Equal(v.(*keyedMAC).key, key) {
-		return v.(*keyedMAC)
+func (p *Portal) macFor(clientID string, key []byte) *KeyedMAC {
+	if v, ok := p.macs.Load(clientID); ok && bytes.Equal(v.(*KeyedMAC).key, key) {
+		return v.(*KeyedMAC)
 	}
-	k := &keyedMAC{key: key}
+	k := NewKeyedMAC(key)
 	p.macs.Store(clientID, k)
 	return k
-}
-
-func writeField(h interface{ Write([]byte) (int, error) }, b []byte) {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(b)))
-	h.Write(n[:])
-	h.Write(b)
 }
 
 // Serve authorises and executes one request (Fig. 2 steps 1–7). Every
@@ -321,10 +405,8 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 		return nil, fmt.Errorf("%w: unknown client %q", ErrUnauthorized, req.ClientID)
 	}
 	keyed := p.macFor(req.ClientID, key)
-	mac := keyed.get()
-	defer keyed.pool.Put(mac)
-	want := signRequest(mac, req.ClientID, req.QID, req.Query, req.TimeoutMS)
-	if !hmac.Equal(want, req.MAC) {
+	want := keyed.RequestMAC(req.ClientID, req.QID, req.Query, req.TimeoutMS)
+	if !hmac.Equal(want[:], req.MAC) {
 		return nil, fmt.Errorf("%w: MAC mismatch for client %q", ErrUnauthorized, req.ClientID)
 	}
 	p.mu.Lock()
@@ -336,7 +418,7 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 	if _, _, first := st.seen.Add(req.QID); !first {
 		cached, ok := st.cache[req.QID]
 		p.mu.Unlock()
-		if ok && hmac.Equal(cached.reqMAC[:], want) {
+		if ok && cached.reqMAC == want {
 			return cached.resp, nil
 		}
 		// Evicted, the first execution still in flight, or another request
@@ -373,8 +455,8 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 			resp.ErrMsg = err.Error()
 		}
 	}
-	mac.Reset()
-	resp.MAC = signResponse(mac, resp)
+	mac := keyed.ResponseMAC(resp)
+	resp.MAC = mac[:]
 	p.cacheResponse(st, resp, want)
 	return resp, nil
 }
@@ -397,10 +479,9 @@ func (p *Portal) execute(req Request) (*Result, error) {
 // bytes are charged to the process budget unconditionally — the cache is
 // already-committed memory, so overshoot shows up as pressure for future
 // reservations rather than failing the response that was just served.
-func (p *Portal) cacheResponse(st *clientState, resp *Response, reqMAC []byte) {
+func (p *Portal) cacheResponse(st *clientState, resp *Response, reqMAC [sha256.Size]byte) {
 	sz := responseBytes(resp)
-	e := cachedResponse{resp: resp, size: sz}
-	copy(e.reqMAC[:], reqMAC)
+	e := cachedResponse{resp: resp, size: sz, reqMAC: reqMAC}
 	p.mu.Lock()
 	st.cache[resp.QID] = e
 	st.order = append(st.order, resp.QID)

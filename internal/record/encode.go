@@ -50,8 +50,11 @@ const (
 // Encode serialises the record. The format is self-describing (no schema
 // needed to decode) and deterministic, which matters because these bytes
 // are exactly what the PRF in the write-read consistent memory covers.
-func Encode(r *Record) []byte {
-	var buf []byte
+func Encode(r *Record) []byte { return AppendEncode(nil, r) }
+
+// AppendEncode appends the record's Encode image to buf and returns the
+// extended buffer.
+func AppendEncode(buf []byte, r *Record) []byte {
 	buf = append(buf, byte(len(r.Links)))
 	for _, l := range r.Links {
 		buf = appendKey(buf, l.Key)

@@ -6,7 +6,8 @@ package record
 // panic; the scan path's scratch decoder and Decode agree; only canonical
 // images are accepted; a tuple built for a subset of the columns is that
 // projection of the whole tuple; and an emitted tuple shares no memory with
-// the image it came from.
+// the image it came from. AppendEncode extends a buffer by exactly
+// Encode's image.
 //
 // The seed corpus lives in testdata/fuzz/FuzzRecordDecode/ (regenerate with
 // VERIDB_UPDATE_GOLDEN=1 go test -run TestGenerateFuzzCorpus ./internal/record).
@@ -94,6 +95,17 @@ func checkDecode(data []byte) error {
 	// included).
 	if enc := Encode(want); !bytes.Equal(enc, data) {
 		return fmt.Errorf("accepted a non-canonical image: re-encodes as %x, was %x", enc, data)
+	}
+	// AppendEncode extends a buffer by exactly Encode's image, whether it
+	// grows the buffer or writes into spare capacity.
+	prefix := data[:len(data)/3]
+	for _, dst := range [][]byte{
+		append([]byte(nil), prefix...),
+		append(make([]byte, 0, len(prefix)+len(data)), prefix...),
+	} {
+		if got := AppendEncode(dst, want); !bytes.Equal(got, append(append([]byte(nil), prefix...), data...)) {
+			return fmt.Errorf("AppendEncode(%x) = %x, want the prefix then %x", prefix, got, data)
+		}
 	}
 	// The scratch record's keys alias img, which is still intact.
 	var tup Tuple

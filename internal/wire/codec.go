@@ -9,26 +9,17 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"veridb/internal/enclave"
 	"veridb/internal/portal"
 	"veridb/internal/record"
 )
 
-// Field primitives.
+// Field primitives: portal.AppendField, and fixed-width integers.
 
 func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
 }
 
 // reader consumes payload fields with bounds checking; every failure is
@@ -96,10 +87,10 @@ func (r *reader) done() error {
 // portal.SignRequestTimeout's output.
 func EncodeQuery(req portal.Request) []byte {
 	b := make([]byte, 0, 4+len(req.ClientID)+4+len(req.Query)+8+4+len(req.MAC))
-	b = appendString(b, req.ClientID)
-	b = appendString(b, req.Query)
+	b = portal.AppendField(b, req.ClientID)
+	b = portal.AppendField(b, req.Query)
 	b = appendU64(b, req.TimeoutMS)
-	b = appendBytes(b, req.MAC)
+	b = portal.AppendField(b, req.MAC)
 	return b
 }
 
@@ -134,10 +125,11 @@ func DecodeQuery(qid uint64, payload []byte) (portal.Request, error) {
 // record.Encode images — the same bytes the response digest covers — so
 // DecodeResult rebuilds tuples the client can MAC-verify.
 func EncodeResult(resp *portal.Response) []byte {
-	var b []byte
+	// Sized to hold a point read's answer whole; a larger one grows.
+	b := make([]byte, 0, 256)
 	b = appendU64(b, resp.Seq)
 	b = appendU64(b, uint64(resp.Affected))
-	b = appendString(b, resp.ErrMsg)
+	b = portal.AppendField(b, resp.ErrMsg)
 	q := byte(0)
 	if resp.Quarantined {
 		q = 1
@@ -145,13 +137,13 @@ func EncodeResult(resp *portal.Response) []byte {
 	b = append(b, q)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Columns)))
 	for _, c := range resp.Columns {
-		b = appendString(b, c)
+		b = portal.AppendField(b, c)
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Rows)))
 	for _, row := range resp.Rows {
-		b = appendBytes(b, record.Encode(&record.Record{Data: row}))
+		b = portal.AppendRowField(b, row)
 	}
-	b = appendBytes(b, resp.MAC)
+	b = portal.AppendField(b, resp.MAC)
 	return b
 }
 
@@ -205,16 +197,22 @@ func DecodeResult(qid uint64, payload []byte) (*portal.Response, error) {
 	}
 	if nrows > 0 {
 		resp.Rows = make([]record.Tuple, nrows)
+		// One record.Scratch and one text builder serve every row: a row
+		// costs its tuple, its text a share of the builder's string.
+		var s record.Scratch
+		var text strings.Builder
 		for i := range resp.Rows {
 			img, err := r.bytes()
 			if err != nil {
 				return nil, err
 			}
-			rec, err := record.Decode(img)
-			if err != nil {
+			if _, err := s.Decode(img); err != nil {
 				return nil, fmt.Errorf("%w: row %d: %v", ErrBadPayload, i, err)
 			}
-			resp.Rows[i] = rec.Data
+			if !s.Sentinel() {
+				resp.Rows[i] = make(record.Tuple, s.Arity())
+				_ = s.Tuple(record.AllColumns(s.Arity()), resp.Rows[i], &text) // every column exists
+			}
 		}
 	}
 	mac, err := r.bytes()
@@ -232,7 +230,7 @@ func DecodeResult(qid uint64, payload []byte) (*portal.Response, error) {
 
 // EncodeAttest encodes an attestation request's nonce.
 func EncodeAttest(nonce []byte) []byte {
-	return appendBytes(nil, nonce)
+	return portal.AppendField(nil, nonce)
 }
 
 // DecodeAttest decodes a TAttest payload.
@@ -251,10 +249,10 @@ func DecodeAttest(payload []byte) ([]byte, error) {
 // EncodeQuote encodes an attestation quote.
 func EncodeQuote(q enclave.Quote) []byte {
 	var b []byte
-	b = appendBytes(b, q.Measurement[:])
-	b = appendBytes(b, q.PublicKey)
-	b = appendBytes(b, q.Nonce)
-	b = appendBytes(b, q.Signature)
+	b = portal.AppendField(b, q.Measurement[:])
+	b = portal.AppendField(b, q.PublicKey)
+	b = portal.AppendField(b, q.Nonce)
+	b = portal.AppendField(b, q.Signature)
 	return b
 }
 

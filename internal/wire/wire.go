@@ -28,6 +28,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -246,8 +247,8 @@ func DecodeFrame(buf []byte, maxPayload int) (Frame, int, error) {
 // offending type and qid (payload unread) so the caller can refuse it by
 // address before closing the connection.
 func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
-	var h [HeaderSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
+	h, err := readHeader(r)
+	if err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
@@ -256,7 +257,7 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	f, n, err := decodeHeader(h[:], maxPayload)
+	f, n, err := decodeHeader(h, maxPayload)
 	if err != nil {
 		return f, err
 	}
@@ -269,18 +270,35 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	return f, nil
 }
 
+// readHeader reads the next HeaderSize bytes of r, with io.ReadFull's
+// errors. From a *bufio.Reader — what the server and the client read
+// through — the header is peeked in the reader's own buffer, good until r
+// is read again, and never copied to the heap.
+func readHeader(r io.Reader) ([]byte, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		h := make([]byte, HeaderSize)
+		n, err := io.ReadFull(r, h)
+		return h[:n], err
+	}
+	h, err := br.Peek(HeaderSize)
+	br.Discard(len(h)) // peeked, so buffered: cannot fail
+	if err == io.EOF && len(h) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return h, err
+}
+
 // WriteFrame writes one frame to w. Callers batching many frames should
 // hand in a buffered writer and flush once per quiescence, not per frame —
-// that amortisation is most of the binary path's throughput win.
+// that amortisation is most of the binary path's throughput win. Into a
+// *bufio.Writer the header is built in the writer's free space, in place.
 func WriteFrame(w io.Writer, f Frame) error {
-	var h [HeaderSize]byte
-	h[0] = Magic0
-	h[1] = Magic1
-	h[2] = Version
-	h[3] = byte(f.Type)
-	binary.LittleEndian.PutUint64(h[4:12], f.QID)
-	binary.LittleEndian.PutUint32(h[12:16], uint32(len(f.Payload)))
-	if _, err := w.Write(h[:]); err != nil {
+	var h []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		h = bw.AvailableBuffer()
+	}
+	if _, err := w.Write(AppendHeader(h, f.Type, f.QID, len(f.Payload))); err != nil {
 		return err
 	}
 	if len(f.Payload) > 0 {

@@ -1,0 +1,5 @@
+//go:build race
+
+package veridb
+
+const raceEnabled = true

@@ -272,7 +272,9 @@ func (c Config) coreConfig() (core.Config, error) {
 
 // Result is the outcome of one statement.
 type Result struct {
-	// Columns names the result columns (queries only).
+	// Columns names the result columns (queries only). Results of one
+	// cached statement shape may share the slice: read it, do not write
+	// it.
 	Columns []string
 	// Rows holds the result rows (queries only).
 	Rows []Row
