@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc knobs vet lint test race flake bench bench-smoke soak chaos crash fuzz ci
+.PHONY: build loc knobs vet lint test allocs race flake bench bench-smoke soak chaos crash fuzz ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ lint: vet
 
 test:
 	$(GO) test ./...
+
+# The allocation gates, every Test…Allocs in the tree, uncached and
+# without the race detector, under which the gates that lean on sync.Pool
+# skip: the verified scan row and point read, the verified write, and the
+# MAC'd round trip. Counts, not timings, so they hold on any host.
+allocs:
+	$(GO) test -count=1 -run 'Allocs$$' ./...
 
 # Verification is the concurrency-heavy part of the tree; the race
 # detector must stay green with VerifyAll's page fan-out and the
@@ -128,4 +135,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShape$$' -fuzztime 10s ./internal/sql
 
-ci: build lint test race flake chaos crash bench bench-smoke
+ci: build lint test allocs race flake chaos crash bench bench-smoke

@@ -152,18 +152,46 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11 compares VeriDB against the MB-Tree on the same ops.
+// BenchmarkFig11 compares VeriDB against the MB-Tree on the same four
+// ops: Get, Insert, Delete and Update over a table of benchRows even keys.
 func BenchmarkFig11(b *testing.B) {
 	val := make([]byte, 500)
 	key := func(k int64) []byte {
 		return []byte{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
 	}
-	b.Run("MBTree/Get", func(b *testing.B) {
+	mbTree := func() *mbtree.Tree {
 		tr := mbtree.New(mbtree.DefaultFanout)
-		var root mbtree.Hash
 		for i := 1; i <= benchRows; i++ {
-			root = tr.Insert(key(int64(i)*2), val)
+			tr.Insert(key(int64(i)*2), val)
 		}
+		return tr
+	}
+	veriDB := func(b *testing.B) *storage.Table {
+		t, mem := benchTable(b, vmem.Config{})
+		if err := mem.StartVerifier(1000); err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(mem.StopVerifier)
+		return t
+	}
+	v := record.Text(string(val))
+	insert := func(b *testing.B, t *storage.Table) func(int64) {
+		return func(k int64) {
+			if err := t.InsertAt(record.Tuple{record.Int(k), v}, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	del := func(b *testing.B, t *storage.Table) func(int64) {
+		return func(k int64) {
+			if err := t.DeleteAt(record.Int(k), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("MBTree/Get", func(b *testing.B) {
+		tr := mbTree()
+		root := tr.Root()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := int64(i%benchRows+1) * 2
@@ -176,22 +204,28 @@ func BenchmarkFig11(b *testing.B) {
 			}
 		}
 	})
-	b.Run("MBTree/Update", func(b *testing.B) {
-		tr := mbtree.New(mbtree.DefaultFanout)
-		for i := 1; i <= benchRows; i++ {
-			tr.Insert(key(int64(i)*2), val)
+	b.Run("MBTree/Insert", func(b *testing.B) {
+		tr := mbTree()
+		b.ResetTimer()
+		fig11Churn(b, func(k int64) { tr.Insert(key(k), val) }, func(k int64) { tr.Delete(key(k)) })
+	})
+	b.Run("MBTree/Delete", func(b *testing.B) {
+		tr := mbTree()
+		for j := 0; j < benchRows; j++ {
+			tr.Insert(key(int64(j)*2+1), val)
 		}
+		b.ResetTimer()
+		fig11Churn(b, func(k int64) { tr.Delete(key(k)) }, func(k int64) { tr.Insert(key(k), val) })
+	})
+	b.Run("MBTree/Update", func(b *testing.B) {
+		tr := mbTree()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tr.Insert(key(int64(i%benchRows+1)*2), val)
 		}
 	})
 	b.Run("VeriDB/Get", func(b *testing.B) {
-		t, mem := benchTable(b, vmem.Config{})
-		if err := mem.StartVerifier(1000); err != nil {
-			b.Fatal(err)
-		}
-		defer mem.StopVerifier()
+		t := veriDB(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := int64(i%benchRows+1) * 2
@@ -200,13 +234,21 @@ func BenchmarkFig11(b *testing.B) {
 			}
 		}
 	})
-	b.Run("VeriDB/Update", func(b *testing.B) {
-		t, mem := benchTable(b, vmem.Config{})
-		if err := mem.StartVerifier(1000); err != nil {
-			b.Fatal(err)
+	b.Run("VeriDB/Insert", func(b *testing.B) {
+		t := veriDB(b)
+		b.ResetTimer()
+		fig11Churn(b, insert(b, t), del(b, t))
+	})
+	b.Run("VeriDB/Delete", func(b *testing.B) {
+		t := veriDB(b)
+		for j := 0; j < benchRows; j++ {
+			insert(b, t)(int64(j)*2 + 1)
 		}
-		defer mem.StopVerifier()
-		v := record.Text(string(val))
+		b.ResetTimer()
+		fig11Churn(b, del(b, t), insert(b, t))
+	})
+	b.Run("VeriDB/Update", func(b *testing.B) {
+		t := veriDB(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := int64(i%benchRows+1) * 2
@@ -215,6 +257,23 @@ func BenchmarkFig11(b *testing.B) {
 			}
 		}
 	})
+}
+
+// fig11Churn times b.N calls of op on the odd keys between the loaded even
+// ones, in order. After each pass over all benchRows of them, undo puts
+// every key back, untimed, so every pass starts from the same table.
+func fig11Churn(b *testing.B, op, undo func(k int64)) {
+	for i := 0; i < b.N; i++ {
+		j := i % benchRows
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			for u := 0; u < benchRows; u++ {
+				undo(int64(u)*2 + 1)
+			}
+			b.StartTimer()
+		}
+		op(int64(j)*2 + 1)
+	}
 }
 
 // fig12DB loads a small TPC-H instance once per configuration.

@@ -85,9 +85,9 @@ func (t *BTree) Get(key []byte) (Loc, bool) {
 }
 
 // Set inserts key → loc, replacing any existing entry. It reports whether
-// a new key was inserted.
+// a new key was inserted. The tree keeps its own copy of a new key (and
+// none of a replaced one's), so the caller may reuse key's bytes.
 func (t *BTree) Set(key []byte, loc Loc) bool {
-	key = append([]byte(nil), key...)
 	if len(t.root.keys) == maxKeys {
 		old := t.root
 		t.root = &node{children: []*node{old}}
@@ -137,7 +137,7 @@ func (n *node) insertNonFull(key []byte, loc Loc) bool {
 		if n.leaf() {
 			n.keys = append(n.keys, nil)
 			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = key
+			n.keys[i] = append([]byte(nil), key...) // the tree's own copy
 			n.vals = append(n.vals, Loc{})
 			copy(n.vals[i+1:], n.vals[i:])
 			n.vals[i] = loc

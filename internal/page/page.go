@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 const (
@@ -229,16 +230,10 @@ func (p *Page) Delete(i int) error {
 // an oversized update "will need to perform a delete followed by an insert,
 // which may happen on a different page").
 func (p *Page) Update(i int, rec []byte) error {
-	if i < 0 || i >= p.slotCount() {
-		return fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.slotCount())
+	if err := p.Reserve(i, len(rec)); err != nil {
+		return err
 	}
 	off, length := p.slot(i)
-	if off == 0 {
-		return fmt.Errorf("%w: %d", ErrDeadSlot, i)
-	}
-	if len(rec) == 0 {
-		return ErrEmptyRecord
-	}
 	if uint32(len(rec)) <= length {
 		copy(p.buf[off:], rec)
 		if uint32(len(rec)) < length {
@@ -249,16 +244,6 @@ func (p *Page) Update(i int, rec []byte) error {
 		}
 		return nil
 	}
-	// Grow: need fresh heap space for the new image. Compact with the old
-	// image still live (so its slot survives), then retry; the old image's
-	// space is released after the new one is written.
-	if p.ContiguousFree() < len(rec) {
-		p.Compact()
-		off, length = p.slot(i)
-		if p.ContiguousFree() < len(rec) {
-			return ErrPageFull
-		}
-	}
 	newOff := p.freeEnd() - uint32(len(rec))
 	copy(p.buf[newOff:], rec)
 	p.setFreeEnd(newOff)
@@ -268,32 +253,88 @@ func (p *Page) Update(i int, rec []byte) error {
 	return nil
 }
 
+// Reserve readies slot i for an Update to an n-byte image and fails as
+// that Update would: ErrBadSlot, ErrDeadSlot, ErrEmptyRecord or
+// ErrPageFull. An image that outgrows the record's space needs fresh heap
+// space; when the contiguous free region is too small the page is
+// compacted with the old image still live (so its slot survives), which
+// may move records even when the answer is ErrPageFull. After a nil
+// return, Update(i, rec) with len(rec) == n writes without moving any
+// other record, and the old image stays readable through Get until then.
+func (p *Page) Reserve(i, n int) error {
+	if i < 0 || i >= p.slotCount() {
+		return fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.slotCount())
+	}
+	off, length := p.slot(i)
+	if off == 0 {
+		return fmt.Errorf("%w: %d", ErrDeadSlot, i)
+	}
+	if n == 0 {
+		return ErrEmptyRecord
+	}
+	if n <= int(length) || p.ContiguousFree() >= n {
+		return nil
+	}
+	p.Compact()
+	if p.ContiguousFree() < n {
+		return ErrPageFull
+	}
+	return nil
+}
+
+// compactScratch lends Compact the buffer it lays records out in, so a
+// compaction allocates nothing once the pool holds a page's worth.
+var compactScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // Compact rewrites all live records into a contiguous region at the back of
 // the page, preserving slot numbers, and zeroes the dead-byte counter. It
 // is what the paper runs as a side task of the verification scan (§4.3).
+// Records land in slot order from the end of the page down. The leading
+// run of records already where that layout puts them stays put; the rest
+// are laid out in one scratch buffer first, because a destination may
+// overlap another record's source, and copied back in one piece.
 func (p *Page) Compact() {
-	type liveRec struct {
-		slot int
-		data []byte
-	}
-	var recs []liveRec
-	for i := 0; i < p.slotCount(); i++ {
-		off, length := p.slot(i)
-		if off != 0 {
-			// Copy out: destinations may overlap sources.
-			recs = append(recs, liveRec{i, append([]byte(nil), p.buf[off:off+length]...)})
-		}
-	}
+	n := p.slotCount()
 	end := uint32(len(p.buf))
-	for _, r := range recs {
-		end -= uint32(len(r.data))
-		copy(p.buf[end:], r.data)
-		p.setSlot(r.slot, end, uint32(len(r.data)))
+	first := 0
+	for ; first < n; first++ {
+		off, length := p.slot(first)
+		if off == 0 {
+			continue
+		}
+		if off != end-length {
+			break
+		}
+		end = off
+	}
+	if first < n {
+		total := uint32(0)
+		for i := first; i < n; i++ {
+			_, length := p.slot(i)
+			total += length
+		}
+		bp := compactScratch.Get().(*[]byte)
+		if uint32(cap(*bp)) < total {
+			*bp = make([]byte, total)
+		}
+		scratch := (*bp)[:total]
+		at := total // scratch[k] lands at end-total+k
+		for i := first; i < n; i++ {
+			off, length := p.slot(i)
+			if off == 0 {
+				continue
+			}
+			at -= length
+			copy(scratch[at:], p.buf[off:off+length])
+			p.setSlot(i, end-total+at, length)
+		}
+		end -= total
+		copy(p.buf[end:], scratch)
+		compactScratch.Put(bp)
 	}
 	p.setFreeEnd(end)
 	p.setDead(0)
 	// Drop trailing dead slots so the directory can shrink.
-	n := p.slotCount()
 	for n > 0 {
 		if off, _ := p.slot(n - 1); off != 0 {
 			break

@@ -334,3 +334,153 @@ func BenchmarkGet(b *testing.B) {
 		}
 	}
 }
+
+// refCompact is Compact as it was written before it laid records out
+// through a scratch buffer: every live record copied out on its own, then
+// written back in slot order from the end of the page down. It is the
+// reference the differential tests below hold Compact to.
+func refCompact(p *Page) {
+	type liveRec struct {
+		slot int
+		data []byte
+	}
+	var recs []liveRec
+	for i := 0; i < p.slotCount(); i++ {
+		off, length := p.slot(i)
+		if off != 0 {
+			recs = append(recs, liveRec{i, append([]byte(nil), p.buf[off:off+length]...)})
+		}
+	}
+	end := uint32(len(p.buf))
+	for _, r := range recs {
+		end -= uint32(len(r.data))
+		copy(p.buf[end:], r.data)
+		p.setSlot(r.slot, end, uint32(len(r.data)))
+	}
+	p.setFreeEnd(end)
+	p.setDead(0)
+	n := p.slotCount()
+	for n > 0 {
+		if off, _ := p.slot(n - 1); off != 0 {
+			break
+		}
+		n--
+	}
+	p.setSlotCount(n)
+}
+
+// refInsert and refUpdate are Insert and Update with refCompact in place
+// of Compact, so a reference page can follow a tested page op for op.
+func refInsert(p *Page, rec []byte) (int, error) {
+	if slot, ok := p.tryInsert(rec); ok {
+		return slot, nil
+	}
+	if p.ContiguousFree()+int(p.deadBytes()) < len(rec)+SlotSize {
+		return 0, ErrPageFull
+	}
+	refCompact(p)
+	if slot, ok := p.tryInsert(rec); ok {
+		return slot, nil
+	}
+	return 0, ErrPageFull
+}
+
+func refUpdate(p *Page, i int, rec []byte) error {
+	if _, length := p.slot(i); len(rec) > int(length) && p.ContiguousFree() < len(rec) {
+		refCompact(p)
+	}
+	return p.Update(i, rec) // compacts no further: the room is made or cannot be
+}
+
+func clonePage(p *Page) *Page { return &Page{buf: append([]byte(nil), p.buf...)} }
+
+// TestCompactMatchesCopyOut drives seeded random inserts, deletes, growing
+// and shrinking updates and explicit compactions against a page and a
+// reference page that compacts by copy-out, and requires the two buffers
+// to be byte-identical after every operation: the same slot-order layout,
+// the same header, and the same stale bytes in the free gap.
+func TestCompactMatchesCopyOut(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := New(1024)
+		ref := clonePage(p)
+		var live []int
+		for op := 0; op < 400; op++ {
+			rec := make([]byte, 1+rng.Intn(96))
+			rng.Read(rec)
+			var what string
+			var err, refErr error
+			switch k := rng.Intn(10); {
+			case k < 4:
+				what = "insert"
+				var s, rs int
+				s, err = p.Insert(rec)
+				rs, refErr = refInsert(ref, rec)
+				if err == nil && s == rs {
+					live = append(live, s)
+				}
+			case k < 6 && len(live) > 0:
+				what = "delete"
+				j := rng.Intn(len(live))
+				err, refErr = p.Delete(live[j]), ref.Delete(live[j])
+				live = append(live[:j], live[j+1:]...)
+			case k < 9 && len(live) > 0:
+				what = "update"
+				s := live[rng.Intn(len(live))]
+				if cur, _ := p.Get(s); k == 8 && len(cur) > 1 {
+					rec = make([]byte, 1+rng.Intn(len(cur)-1)) // shrink in place
+					rng.Read(rec)
+				}
+				err, refErr = p.Update(s, rec), refUpdate(ref, s, rec)
+			default:
+				what = "compact"
+				p.Compact()
+				refCompact(ref)
+			}
+			if !errors.Is(err, refErr) && (err == nil || refErr == nil || err.Error() != refErr.Error()) {
+				t.Fatalf("seed %d op %d %s: %v, reference %v", seed, op, what, err, refErr)
+			}
+			if !bytes.Equal(p.buf, ref.buf) {
+				t.Fatalf("seed %d op %d %s: page bytes differ from the copy-out reference", seed, op, what)
+			}
+		}
+	}
+}
+
+// TestCompactOverlappingMove pins the case a copy-free compaction gets
+// wrong: a record whose destination overlaps another live record's
+// source. Slot 0 grows, moving below slot 1; compaction puts slot 0 back
+// at the end of the page, over the first bytes of slot 1's image.
+func TestCompactOverlappingMove(t *testing.T) {
+	p := New(256)
+	a, b := bytes.Repeat([]byte{'a'}, 10), bytes.Repeat([]byte{'b'}, 10)
+	mustSlot := func(s int, err error) int {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s0, s1 := mustSlot(p.Insert(a)), mustSlot(p.Insert(b))
+	grown := bytes.Repeat([]byte{'A'}, 20)
+	if err := p.Update(s0, grown); err != nil {
+		t.Fatal(err)
+	}
+	if off0, _ := p.slot(s0); int(off0) >= p.Size()-20 {
+		t.Fatalf("setup: slot 0 at %d did not move below slot 1", off0)
+	}
+	ref := clonePage(p)
+	p.Compact()
+	refCompact(ref)
+	if !bytes.Equal(p.buf, ref.buf) {
+		t.Fatal("page bytes differ from the copy-out reference")
+	}
+	for s, want := range map[int][]byte{s0: grown, s1: b} {
+		if got, err := p.Get(s); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("slot %d after Compact: %q, %v", s, got, err)
+		}
+	}
+	if off0, _ := p.slot(s0); int(off0) != p.Size()-20 {
+		t.Fatalf("slot 0 at %d after Compact, want %d", off0, p.Size()-20)
+	}
+}

@@ -35,7 +35,7 @@ func CompositeKey(v Value, pk Key) (Key, error) {
 	if pk.Kind != KindNormal {
 		return Key{}, fmt.Errorf("record: composite key needs a normal primary key, got %v", pk)
 	}
-	b := escapeAppend(nil, vk.B)
+	b := escapeAppend(make([]byte, 0, len(vk.B)+2+len(pk.B)), vk.B) // exact unless v holds a zero byte
 	b = append(b, pk.B...)
 	return Key{Kind: KindNormal, B: b}, nil
 }

@@ -123,10 +123,23 @@ func Decode(buf []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every key's bytes are copied into one buffer, each key capped so an
+	// append to one cannot run into the next.
+	n := 0
+	for _, l := range rec.Links {
+		n += len(l.Key.B) + len(l.NKey.B)
+	}
+	keys := make([]byte, 0, n)
+	own := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil
+		}
+		keys = append(keys, b...)
+		return keys[len(keys)-len(b) : len(keys) : len(keys)]
+	}
 	for i := range rec.Links {
 		l := &rec.Links[i]
-		l.Key.B = append([]byte(nil), l.Key.B...)
-		l.NKey.B = append([]byte(nil), l.NKey.B...)
+		l.Key.B, l.NKey.B = own(l.Key.B), own(l.NKey.B)
 	}
 	out := &Record{Links: rec.Links}
 	if !s.Sentinel() {

@@ -234,16 +234,28 @@ func (s *Schema) Validate(t Tuple) error {
 }
 
 // Coerce normalises a validated tuple to the schema's types (widening INT
-// literals stored into FLOAT columns).
+// literals stored into FLOAT columns, typing NULLs). It returns t itself
+// when t is already normal and a normalised copy otherwise; t is never
+// changed.
 func (s *Schema) Coerce(t Tuple) Tuple {
-	out := t.Clone()
-	for i := range out {
-		if !out[i].Null && s.Columns[i].Type == TypeFloat && out[i].Type == TypeInt {
-			out[i] = Float(float64(out[i].I))
+	var out Tuple
+	for i, v := range t {
+		want := s.Columns[i].Type
+		switch {
+		case v.Null && v.Type != want:
+			v.Type = want
+		case !v.Null && want == TypeFloat && v.Type == TypeInt:
+			v = Float(float64(v.I))
+		default:
+			continue
 		}
-		if out[i].Null {
-			out[i].Type = s.Columns[i].Type
+		if out == nil {
+			out = t.Clone()
 		}
+		out[i] = v
+	}
+	if out == nil {
+		return t
 	}
 	return out
 }

@@ -99,7 +99,11 @@ func (c *commitClock) end(seq, eff uint64) {
 			best = u
 		}
 	}
-	c.window = c.window[best-m:]
+	// Shift the window down rather than reslice it, so its backing array
+	// keeps its capacity and begin appends without allocating.
+	if best > m {
+		c.window = c.window[:copy(c.window, c.window[best-m:])]
+	}
 	c.mark.Store(best)
 	c.recomputeFloorLocked()
 	c.mu.Unlock()
@@ -296,9 +300,10 @@ type shardVersions struct {
 	retained int
 	// queue lists, in latch order, every key an operation touched and the
 	// effective timestamp it landed at — the end of the version it
-	// retired and the begin seq it installed. reclaim pops it from the
-	// head, so each retirement is revisited once, by a later writer.
+	// retired and the begin seq it installed. reclaim pops it from
+	// queue[head], so each retirement is revisited once, by a later writer.
 	queue []retiredAt
+	head  int
 	// newest is the largest effective timestamp any operation on the shard
 	// has committed at. Every begin seq in cur and every end in hist is at
 	// or below it, so a snapshot at or above it sees the live chain as it
@@ -351,65 +356,81 @@ func newShardVersions(chains int) *shardVersions {
 // rests at points where every included commit is wholly visible — so a
 // snapshot can never pin inside any commit's [seq, eff) window.
 //
+// Each shard owns one mvOp and reuses it for every operation: mvBegin
+// hands it out under the shard write latch, and finish, which empties it,
+// runs before that latch is released, so no second operation on the shard
+// can see it half full. An operation touches a handful of keys (every
+// chain key of each record it retires or installs: six for an insert into
+// a two-chain table), so they sit in a slice searched linearly, and each
+// key is encoded to its string once, when it is first touched: that
+// string is what the version maps and the reclaim queue keep.
+//
 // A nil *mvOp (ephemeral tables) is valid; all methods are no-ops.
 type mvOp struct {
 	sh  *shard
 	c   *Commit
 	seq uint64
-	// pre[i][enc] is the first-captured pre-image per chain-i key: the
-	// image visible before the operation. Intra-op churn (insert's undo
-	// path) retires the same key again; those later images were never
-	// visible and are discarded.
-	pre []map[string]*record.Record
-	// act[i][enc] is a touched live entry's final disposition: +1 the key
-	// is live after the op (install), -1 it left the chains (unlink).
-	act []map[string]int8
+	// touched holds one entry per chain key the operation touched.
+	touched []touchedKey
+	// enc is the scratch a key is encoded into to be looked up in touched.
+	enc []byte
+}
+
+// touchedKey is one chain key an operation touched: its first-captured
+// pre-image, the image visible before the operation (nil when the key was
+// only installed; intra-op churn such as insert's undo path retires a key
+// again, and those later images were never visible and are dropped), and
+// its final disposition: live after the operation, or gone from the
+// chains.
+type touchedKey struct {
+	chain int
+	key   string
+	pre   *record.Record
+	live  bool
 }
 
 // mvBegin opens the version transaction for one shard operation under
 // commit c, which a versioned table's writes always have (Table.commitFor).
-// Returns nil (a valid no-op receiver) on ephemeral tables.
+// It returns the shard's own op, emptied by the previous finish, or nil (a
+// valid no-op receiver) on ephemeral tables. The caller holds the shard
+// write latch until finish has run.
 func (sh *shard) mvBegin(c *Commit) *mvOp {
 	if sh.mv == nil {
 		return nil
 	}
-	n := len(sh.mv.cur)
-	op := &mvOp{
-		sh:  sh,
-		c:   c,
-		seq: c.Seq(),
-		pre: make([]map[string]*record.Record, n),
-		act: make([]map[string]int8, n),
-	}
-	for i := 0; i < n; i++ {
-		op.pre[i] = make(map[string]*record.Record)
-		op.act[i] = make(map[string]int8)
-	}
+	op := &sh.op
+	op.sh, op.c, op.seq = sh, c, c.Seq()
 	return op
 }
 
-// retire captures rec's pre-image under every chain key it carries. Call
-// before mutating or unlinking the record. The record stays live unless a
-// later unlink says otherwise.
+// entry returns chain's entry for key k, adding it (live, no pre-image)
+// on first touch. The pointer is good until the next entry call.
+func (op *mvOp) entry(chain int, k record.Key) *touchedKey {
+	op.enc = k.AppendEncode(op.enc[:0])
+	for i := range op.touched {
+		if e := &op.touched[i]; e.chain == chain && e.key == string(op.enc) {
+			return e
+		}
+	}
+	op.touched = append(op.touched, touchedKey{chain: chain, key: string(op.enc), live: true})
+	return &op.touched[len(op.touched)-1]
+}
+
+// retire captures rec as the pre-image of every chain key it carries that
+// has none yet. Call before mutating or unlinking the record. rec itself
+// is kept, so the caller must not change it afterwards: a write builds its
+// new image in a fresh Record. The record stays live unless a later unlink
+// says otherwise.
 func (op *mvOp) retire(rec *record.Record) {
 	if op == nil {
 		return
 	}
-	var cl *record.Record
 	for i, l := range rec.Links {
 		if l.Key.IsNull() {
 			continue
 		}
-		enc := string(l.Key.Encode())
-		if _, seen := op.pre[i][enc]; seen {
-			continue
-		}
-		if cl == nil {
-			cl = rec.Clone()
-		}
-		op.pre[i][enc] = cl
-		if _, ok := op.act[i][enc]; !ok {
-			op.act[i][enc] = 1
+		if e := op.entry(i, l.Key); e.pre == nil {
+			e.pre = rec
 		}
 	}
 }
@@ -421,32 +442,35 @@ func (op *mvOp) install(rec *record.Record) {
 		return
 	}
 	for i, l := range rec.Links {
-		if l.Key.IsNull() {
-			continue
+		if !l.Key.IsNull() {
+			op.entry(i, l.Key).live = true
 		}
-		op.act[i][string(l.Key.Encode())] = 1
 	}
 }
 
-// unlink retires rec's pre-image and marks its live entries for removal
-// (the record is leaving the chains). Call before the physical delete.
+// unlink retires rec's pre-image, as retire, and marks its live entries
+// for removal (the record is leaving the chains). Call before the physical
+// delete.
 func (op *mvOp) unlink(rec *record.Record) {
 	if op == nil {
 		return
 	}
-	op.retire(rec)
 	for i, l := range rec.Links {
 		if l.Key.IsNull() {
 			continue
 		}
-		op.act[i][string(l.Key.Encode())] = -1
+		e := op.entry(i, l.Key)
+		if e.pre == nil {
+			e.pre = rec
+		}
+		e.live = false
 	}
 }
 
 // finish commits the accumulated version effects at the operation's single
-// effective timestamp and must run before the shard latch is released.
-// Empty ranges (eff equal to a key's current begin — intra-commit churn)
-// append nothing.
+// effective timestamp and empties the op for the shard's next operation.
+// It must run before the shard latch is released. Empty ranges (eff equal
+// to a key's current begin — intra-commit churn) append nothing.
 func (op *mvOp) finish() {
 	if op == nil {
 		return
@@ -456,15 +480,13 @@ func (op *mvOp) finish() {
 	// key's version frontier (live begin and retired tail) so ranges tile
 	// per key and the whole operation shares one visibility boundary.
 	eff := op.seq
-	for i := range op.act {
-		for enc := range op.act[i] {
-			if b, ok := mv.cur[i][enc]; ok && b > eff {
-				eff = b
-			}
-			if vs := mv.hist[i][enc]; len(vs) > 0 {
-				if e := vs[len(vs)-1].end; e > eff {
-					eff = e
-				}
+	for _, e := range op.touched {
+		if b, ok := mv.cur[e.chain][e.key]; ok && b > eff {
+			eff = b
+		}
+		if vs := mv.hist[e.chain][e.key]; len(vs) > 0 {
+			if end := vs[len(vs)-1].end; end > eff {
+				eff = end
 			}
 		}
 	}
@@ -474,31 +496,27 @@ func (op *mvOp) finish() {
 	}
 	bud := op.sh.t.store.budget.Load()
 	mv.reclaim(op.sh.t.store.clock.floor(), bud)
-	for i := range op.pre {
-		for enc, img := range op.pre[i] {
-			b := mv.cur[i][enc]
-			if eff <= b {
-				continue // never visible: nothing to retire
-			}
-			vs := mv.hist[i][enc]
+	for _, e := range op.touched {
+		cur := mv.cur[e.chain]
+		if b := cur[e.key]; e.pre != nil && eff > b { // else never visible: nothing to retire
+			hist := mv.hist[e.chain]
+			vs := hist[e.key]
 			if len(vs) == 0 {
-				mv.histKeys[i].Set([]byte(enc), index.Loc{})
+				mv.histKeys[e.chain].Set([]byte(e.key), index.Loc{})
 			}
-			mv.hist[i][enc] = append(vs, version{begin: b, end: eff, rec: img})
+			hist[e.key] = append(vs, version{begin: b, end: eff, rec: e.pre})
 			mv.retained++
-			bud.Charge(versionBytes(img))
+			bud.Charge(versionBytes(e.pre))
 		}
-	}
-	for i := range op.act {
-		for enc, a := range op.act[i] {
-			if a < 0 {
-				delete(mv.cur[i], enc)
-			} else {
-				mv.cur[i][enc] = eff
-			}
-			mv.queue = append(mv.queue, retiredAt{chain: i, key: enc, at: eff})
+		if e.live {
+			cur[e.key] = eff
+		} else {
+			delete(cur, e.key)
 		}
+		mv.queue = append(mv.queue, retiredAt{chain: e.chain, key: e.key, at: eff})
 	}
+	clear(op.touched) // drop the pre-images and keys the version maps do not keep
+	op.touched, op.c = op.touched[:0], nil
 }
 
 // reclaim pops the retirement queue while its head landed at or below
@@ -511,9 +529,10 @@ func (op *mvOp) finish() {
 // writer. It touches only trusted heap: the resident RSWS checksum is
 // unchanged by construction. The caller holds the shard write latch.
 func (mv *shardVersions) reclaim(floor uint64, bud *govern.Budget) {
+	q := mv.queue[mv.head:]
 	n := 0
-	for ; n < len(mv.queue) && mv.queue[n].at <= floor; n++ {
-		e := mv.queue[n]
+	for ; n < len(q) && q[n].at <= floor; n++ {
+		e := q[n]
 		vs := mv.hist[e.chain][e.key]
 		k := 0
 		for k < len(vs) && vs[k].end <= floor {
@@ -532,8 +551,17 @@ func (mv *shardVersions) reclaim(floor uint64, bud *govern.Budget) {
 			delete(mv.cur[e.chain], e.key)
 		}
 	}
-	clear(mv.queue[:n])
-	mv.queue = mv.queue[n:]
+	clear(q[:n])
+	mv.head += n
+	// Once the entries still queued are no more than those popped, shift
+	// them down to the front: the backing array keeps its capacity, so
+	// finish appends without allocating, and each entry is moved at most
+	// once per entry popped before it.
+	if rest := len(mv.queue) - mv.head; rest <= mv.head {
+		copy(mv.queue, mv.queue[mv.head:])
+		clear(mv.queue[rest:])
+		mv.queue, mv.head = mv.queue[:rest], 0
+	}
 }
 
 // liveVisibleLocked reports whether chain-i key enc, present in the live

@@ -46,6 +46,17 @@ type shard struct {
 	// trusted enclave heap, outside the write-read consistent memory, so
 	// versioning never perturbs the resident RSWS digest. Guarded by mu.
 	mv *shardVersions
+
+	// The write paths' scratch, reused under the write latch so that a
+	// write allocates only what it keeps: the version transaction (see
+	// mvOp), an index probe's encoded key, the image a fetch reads, the
+	// image a write encodes (vmem copies it into the page), and the links
+	// of a relinked record.
+	op    mvOp
+	key   []byte
+	img   []byte
+	enc   []byte
+	links []record.ChainLink
 }
 
 func newShard(t *Table, id, affinity int) (*shard, error) {
@@ -145,14 +156,27 @@ func (sh *shard) placeRecord(enc []byte) (index.Loc, error) {
 	return try(pid)
 }
 
-// fetch reads and decodes the record at loc through the protected Get. The
-// record is the caller's own: the write paths mutate and re-encode it.
+// probe encodes k into the shard's key scratch for one index probe; the
+// bytes are good until the next probe. The caller holds the write latch.
+func (sh *shard) probe(k record.Key) []byte {
+	sh.key = k.AppendEncode(sh.key[:0])
+	return sh.key
+}
+
+// fetch reads the record at loc through the protected Get, into the
+// shard's image scratch, and decodes it into a record of the caller's own
+// that shares no memory with the page or the scratch: the write paths
+// retire it as the pre-image snapshot readers keep, unchanged, and build
+// the new image in a fresh Record. The caller holds the write latch.
 func (sh *shard) fetch(loc index.Loc) (*record.Record, error) {
-	raw, err := sh.t.mem.Get(loc.Page, loc.Slot)
+	r := sh.t.mem.NewReader()
+	img, err := r.Get(loc.Page, loc.Slot, sh.img[:0])
+	r.Close()
 	if err != nil {
 		return nil, err
 	}
-	rec, err := record.Decode(raw)
+	sh.img = img
+	rec, err := record.Decode(img)
 	if err != nil {
 		return nil, undecodable(loc, err)
 	}
@@ -270,9 +294,11 @@ func chainLink(rec *record.Record, chain int) (record.ChainLink, error) {
 // rewrite stores a mutated record back at loc, relocating it (and fixing
 // every chain index entry) when the grown record no longer fits its page
 // (§4.2: an oversized update performs a delete followed by an insert,
-// possibly on a different page).
+// possibly on a different page). The image is encoded into the shard's
+// scratch, which vmem copies into the page.
 func (sh *shard) rewrite(loc index.Loc, rec *record.Record) (index.Loc, error) {
-	enc := record.Encode(rec)
+	sh.enc = record.AppendEncode(sh.enc[:0], rec)
+	enc := sh.enc
 	err := sh.t.mem.Update(loc.Page, loc.Slot, enc)
 	if err == nil {
 		return loc, nil
@@ -293,9 +319,19 @@ func (sh *shard) rewrite(loc index.Loc, rec *record.Record) (index.Loc, error) {
 		if l.Key.IsNull() {
 			continue
 		}
-		sh.chains[i].Set(l.Key.Encode(), newLoc)
+		sh.chains[i].Set(sh.probe(l.Key), newLoc)
 	}
 	return newLoc, nil
+}
+
+// relink rewrites the record rec at loc with its chain-i nKey set to nk.
+// rec, a retired pre-image, stays as it is: the new image is built from
+// the shard's links scratch.
+func (sh *shard) relink(loc index.Loc, rec *record.Record, i int, nk record.Key) error {
+	sh.links = append(sh.links[:0], rec.Links...)
+	sh.links[i].NKey = nk
+	_, err := sh.rewrite(loc, &record.Record{Links: sh.links, Data: rec.Data})
+	return err
 }
 
 // setPredNKey updates the chain-i predecessor of key so that its nKey
@@ -305,7 +341,7 @@ func (sh *shard) rewrite(loc index.Loc, rec *record.Record) (index.Loc, error) {
 // predecessor's pre-image is retired into op so snapshot readers keep
 // seeing the old link.
 func (sh *shard) setPredNKey(op *mvOp, i int, key record.Key, nk record.Key) error {
-	_, loc, ok := sh.chains[i].SeekLT(key.Encode())
+	_, loc, ok := sh.chains[i].SeekLT(sh.probe(key))
 	if !ok {
 		return fmt.Errorf("%w: chain %d has no predecessor for %v", ErrVerifyFailed, i, key)
 	}
@@ -320,8 +356,7 @@ func (sh *shard) setPredNKey(op *mvOp, i int, key record.Key, nk record.Key) err
 		return fmt.Errorf("%w: chain %d predecessor %v not below %v", ErrVerifyFailed, i, rec.Links[i].Key, key)
 	}
 	op.retire(rec)
-	rec.Links[i].NKey = nk
-	if _, err = sh.rewrite(loc, rec); err != nil {
+	if err := sh.relink(loc, rec, i, nk); err != nil {
 		return err
 	}
 	op.install(rec)
@@ -347,18 +382,19 @@ func (sh *shard) insertLocked(tup record.Tuple, pk record.Key, op *mvOp) error {
 	// current one, and updates its nKey", paid as one verifiable read plus
 	// one verifiable write per chain. Re-seeking per chain keeps this
 	// correct when several chains share one predecessor record.
-	keys := make([]record.Key, len(sh.chains))
-	present := make([]bool, len(sh.chains))
-	succs := make([]record.Key, len(sh.chains))
-	relinked := 0
+	var stack [4]chainInsert // a table of up to four chains needs no heap
+	ins := stack[:0]
+	if n := len(sh.chains); n > len(stack) {
+		ins = make([]chainInsert, 0, n)
+	}
 	undo := func() {
 		// Restore predecessors updated so far (failure of a later step).
 		// The op records only first pre-images and final dispositions, so
 		// the relink-then-restore churn never reaches the version lists and
 		// snapshot readers stay consistent.
-		for i := 0; i < relinked; i++ {
-			if present[i] {
-				_ = sh.setPredNKey(op, i, keys[i], succs[i])
+		for i, c := range ins {
+			if c.present {
+				_ = sh.setPredNKey(op, i, c.key, c.succ)
 			}
 		}
 	}
@@ -369,11 +405,10 @@ func (sh *shard) insertLocked(tup record.Tuple, pk record.Key, op *mvOp) error {
 			return err
 		}
 		if !ok {
-			relinked++
+			ins = append(ins, chainInsert{})
 			continue
 		}
-		keys[i], present[i] = k, true
-		pKey, pLoc, found := sh.chains[i].SeekLE(k.Encode())
+		pKey, pLoc, found := sh.chains[i].SeekLE(sh.probe(k))
 		if !found {
 			undo()
 			return fmt.Errorf("%w: chain %d missing ⊥ anchor", ErrVerifyFailed, i)
@@ -391,39 +426,47 @@ func (sh *shard) insertLocked(tup record.Tuple, pk record.Key, op *mvOp) error {
 			undo()
 			return fmt.Errorf("%w: chain %d anchor at %x does not participate", ErrVerifyFailed, i, pKey)
 		}
-		succs[i] = pRec.Links[i].NKey
+		succ := pRec.Links[i].NKey
 		op.retire(pRec)
-		pRec.Links[i].NKey = k
-		if _, err := sh.rewrite(pLoc, pRec); err != nil {
+		if err := sh.relink(pLoc, pRec, i, k); err != nil {
 			undo()
 			return err
 		}
 		op.install(pRec)
-		relinked++
+		ins = append(ins, chainInsert{key: k, succ: succ, present: true})
 	}
 
-	links := make([]record.ChainLink, len(sh.chains))
-	for i := range links {
-		if present[i] {
-			links[i] = record.ChainLink{Key: keys[i], NKey: succs[i]}
+	var linkStack [4]record.ChainLink
+	links := linkStack[:0]
+	for _, c := range ins {
+		if c.present {
+			links = append(links, record.ChainLink{Key: c.key, NKey: c.succ})
 		} else {
-			links[i] = record.ChainLink{Key: record.NullKey(), NKey: record.NullKey()}
+			links = append(links, record.ChainLink{Key: record.NullKey(), NKey: record.NullKey()})
 		}
 	}
-	newRec := &record.Record{Links: links, Data: tup}
-	loc, err := sh.placeRecord(record.Encode(newRec))
+	newRec := record.Record{Links: links, Data: tup}
+	sh.enc = record.AppendEncode(sh.enc[:0], &newRec)
+	loc, err := sh.placeRecord(sh.enc)
 	if err != nil {
 		undo()
 		return err
 	}
-	for i := range sh.chains {
-		if present[i] {
-			sh.chains[i].Set(keys[i].Encode(), loc)
+	for i, c := range ins {
+		if c.present {
+			sh.chains[i].Set(sh.probe(c.key), loc)
 		}
 	}
-	op.install(newRec)
+	op.install(&newRec)
 	sh.rows++
 	return nil
+}
+
+// chainInsert is what an insert learned of one chain: the new record's key
+// on it and its successor there, or that the record does not participate.
+type chainInsert struct {
+	key, succ record.Key
+	present   bool
 }
 
 func (sh *shard) delete(pk record.Key, c *Commit) error {
@@ -435,7 +478,7 @@ func (sh *shard) delete(pk record.Key, c *Commit) error {
 }
 
 func (sh *shard) deleteLocked(pk record.Key, op *mvOp) error {
-	loc, ok := sh.chains[0].Get(pk.Encode())
+	loc, ok := sh.chains[0].Get(sh.probe(pk))
 	if !ok {
 		return fmt.Errorf("%w: primary key %v in %q", ErrNotFound, pk, sh.t.name)
 	}
@@ -461,13 +504,13 @@ func (sh *shard) deleteLocked(pk record.Key, op *mvOp) error {
 		}
 	}
 	// The predecessor rewrites may have relocated this record; re-resolve.
-	loc, ok = sh.chains[0].Get(pk.Encode())
+	loc, ok = sh.chains[0].Get(sh.probe(pk))
 	if !ok {
 		return fmt.Errorf("%w: record vanished during delete", ErrVerifyFailed)
 	}
 	for i := range sh.chains {
 		if l := rec.Links[i]; !l.Key.IsNull() {
-			sh.chains[i].Delete(l.Key.Encode())
+			sh.chains[i].Delete(sh.probe(l.Key))
 		}
 	}
 	if err := sh.t.mem.Delete(loc.Page, loc.Slot); err != nil {
@@ -484,7 +527,7 @@ func (sh *shard) updateFunc(pkVal record.Value, pk record.Key, mutate func(recor
 	t := sh.t
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	loc, ok := sh.chains[0].Get(pk.Encode())
+	loc, ok := sh.chains[0].Get(sh.probe(pk))
 	if !ok {
 		return fmt.Errorf("%w: primary key %v in %q", ErrNotFound, pkVal, t.name)
 	}
@@ -492,6 +535,8 @@ func (sh *shard) updateFunc(pkVal record.Value, pk record.Key, mutate func(recor
 	if err != nil {
 		return err
 	}
+	// rec is retired as it is, so mutate gets the one copy of its data
+	// the write makes.
 	newTup, err := mutate(rec.Data.Clone())
 	if err != nil {
 		return err
@@ -523,8 +568,7 @@ func (sh *shard) updateFunc(pkVal record.Value, pk record.Key, mutate func(recor
 	op := sh.mvBegin(c)
 	defer op.finish()
 	op.retire(rec)
-	rec.Data = newTup
-	if _, err = sh.rewrite(loc, rec); err != nil {
+	if _, err = sh.rewrite(loc, &record.Record{Links: rec.Links, Data: newTup}); err != nil {
 		return err
 	}
 	op.install(rec)
@@ -540,7 +584,7 @@ func (sh *shard) update(pkVal record.Value, pk record.Key, newTup record.Tuple, 
 	t := sh.t
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	loc, ok := sh.chains[0].Get(pk.Encode())
+	loc, ok := sh.chains[0].Get(sh.probe(pk))
 	if !ok {
 		return fmt.Errorf("%w: primary key %v in %q", ErrNotFound, pkVal, t.name)
 	}
@@ -561,8 +605,7 @@ func (sh *shard) update(pkVal record.Value, pk record.Key, newTup record.Tuple, 
 	defer op.finish()
 	if sameKeys {
 		op.retire(rec)
-		rec.Data = newTup
-		if _, err = sh.rewrite(loc, rec); err != nil {
+		if _, err = sh.rewrite(loc, &record.Record{Links: rec.Links, Data: newTup}); err != nil {
 			return err
 		}
 		op.install(rec)

@@ -121,7 +121,8 @@ func (t *Table) shardFor(pk record.Key) *shard {
 	if len(t.shards) == 1 {
 		return t.shards[0]
 	}
-	return t.shards[index.ShardOf(pk.Encode(), len(t.shards))]
+	var buf [32]byte // most keys encode on the stack
+	return t.shards[index.ShardOf(pk.AppendEncode(buf[:0]), len(t.shards))]
 }
 
 // chainKey derives the chain-i key for a tuple: the plain primary key for

@@ -1,0 +1,112 @@
+package storage
+
+import (
+	"testing"
+
+	"veridb/internal/record"
+	"veridb/internal/vmem"
+)
+
+// The allocation gate on the verified write. A write keeps what snapshot
+// readers and the indexes need of it — each retired pre-image (a decoded
+// record: the Record, its links, one buffer of key bytes and the data
+// tuple, 4 allocations), the version list it opens under each of that
+// record's chain keys, the history index's copy of each such key, the key
+// strings the version maps and the reclaim queue hold, and the untrusted
+// index's copy of each new key — and allocates little else: the commit a
+// nil-commit write begins for itself, the encoded primary key, and the
+// composite key of a secondary chain. Everything the write only passes
+// through (the version transaction, index probes, fetched and encoded
+// images, compaction) reuses shard or pool scratch. Before it did, the
+// same three calls allocated 93, 54 and 101 times.
+const (
+	// insertMaxAllocs: the predecessor's pre-image (4), retired once but
+	// fetched and decoded twice, since it precedes the new row on both
+	// chains (4 more, discarded); 2 version lists and 2 history-key
+	// copies; 4 key strings (the predecessor's two keys, the new row's
+	// two); 2 chain-index key copies; the commit, the primary key, the
+	// secondary chain's composite key (2) and the caller's tuple.
+	insertMaxAllocs = 23
+	// updateMaxAllocs: the row's pre-image (4); the one copy of its data
+	// handed to mutate; 2 version lists, 2 history-key copies and 2 key
+	// strings; the commit, the primary key twice (the lookup and the
+	// unchanged-key check), the composite key the check rebuilds (2) and
+	// the caller's closure.
+	updateMaxAllocs = 17
+	// deleteMaxAllocs: the row's and its predecessor's pre-images (8),
+	// the predecessor decoded a second time for its other chain (4,
+	// discarded); 4 version lists, 4 history-key copies and 4 key strings
+	// (two chain keys each); the commit and the primary key.
+	deleteMaxAllocs = 26
+)
+
+// TestWriteAllocs gates InsertAt, UpdateFuncAt and DeleteAt of one row on
+// a warm one-shard table with two chains (itemsSpec) and no snapshot
+// pinned, each write under a commit of its own. Allocation counts are the
+// same on any host, unlike timings, so this runs with the ordinary tests.
+func TestWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the pooled hasher and compaction buffer on purpose under the race detector")
+	}
+	tb, err := newStore(t, vmem.Config{}).CreateTable(itemsSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm = 2000
+	for i := int64(1); i <= warm; i++ {
+		mustInsert(t, tb, record.Tuple{record.Int(2 * i), record.Int(i % 97), record.Float(float64(i))})
+	}
+	const runs = 200 // AllocsPerRun calls the function once more to warm up
+	var err2 error
+	next := int64(0)
+	// Odd keys between the warm rows: each insert relinks a predecessor on
+	// both chains, and each delete unlinks one.
+	insert := testing.AllocsPerRun(runs, func() {
+		next++
+		if err := tb.InsertAt(record.Tuple{record.Int(2*next + 1), record.Int(next % 97), record.Float(1)}, nil); err != nil {
+			err2 = err
+		}
+	})
+	inserted := next
+	next = 0
+	update := testing.AllocsPerRun(runs, func() {
+		next++
+		err := tb.UpdateFuncAt(record.Int(2*next+1), func(tup record.Tuple) (record.Tuple, error) {
+			tup[2] = record.Float(tup[2].F + 1)
+			return tup, nil
+		}, nil)
+		if err != nil {
+			err2 = err
+		}
+	})
+	next = 0
+	del := testing.AllocsPerRun(runs, func() {
+		next++
+		if err := tb.DeleteAt(record.Int(2*next+1), nil); err != nil {
+			err2 = err
+		}
+	})
+	if err2 != nil {
+		t.Fatal(err2)
+	}
+	if next != inserted || tb.RowCount() != warm {
+		t.Fatalf("deleted %d of %d inserted rows; %d rows left, want %d", next, inserted, tb.RowCount(), warm)
+	}
+	for _, g := range []struct {
+		name   string
+		allocs float64
+		bound  float64
+	}{
+		{"InsertAt", insert, insertMaxAllocs},
+		{"UpdateFuncAt", update, updateMaxAllocs},
+		{"DeleteAt", del, deleteMaxAllocs},
+	} {
+		t.Logf("%s: %.1f allocs", g.name, g.allocs)
+		if g.allocs > g.bound {
+			t.Errorf("%s: %.1f allocs per write, want at most %.0f", g.name, g.allocs, g.bound)
+		}
+	}
+	if err := tb.mem.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -104,13 +104,12 @@ func (m *Memory) afterOp() {
 	}
 }
 
-// applyWriteFault lets the installed hook corrupt the bytes that actually
-// landed in untrusted memory while the accumulators keep the intended
-// image (a dropped or torn DMA write). Must be called with vp.mu held,
-// after intended has been stored in slot. Faults that cannot be stored in
-// place (length mismatch) are ignored.
-func (m *Memory) applyWriteFault(vp *vPage, slot int, old, intended []byte) {
-	hp := m.hook.Load()
+// applyWriteFault lets hook hp, loaded once at the operation's start,
+// corrupt the bytes that actually landed in untrusted memory while the
+// accumulators keep the intended image (a dropped or torn DMA write). Must
+// be called with vp.mu held, after intended has been stored in slot.
+// Faults that cannot be stored in place (length mismatch) are ignored.
+func (m *Memory) applyWriteFault(hp *Hook, vp *vPage, slot int, old, intended []byte) {
 	if hp == nil {
 		return
 	}
@@ -243,7 +242,7 @@ func (m *Memory) Insert(pageID uint64, rec []byte) (int, error) {
 		part.mu.Unlock()
 		vp.touched = true
 	}
-	m.applyWriteFault(vp, slot, nil, rec)
+	m.applyWriteFault(m.hook.Load(), vp, slot, nil, rec)
 	vp.mu.Unlock()
 	m.afterOp()
 	return slot, nil
@@ -251,42 +250,48 @@ func (m *Memory) Insert(pageID uint64, rec []byte) (int, error) {
 
 // Update overwrites the record in (pageID, slot) (Alg. 1 Write): the old
 // image enters h(RS), the new image h(WS). If the new record does not fit
-// the page, page.ErrPageFull is returned and the caller relocates (§4.2).
+// the page, page.ErrPageFull is returned and the caller relocates (§4.2);
+// no PRF is evaluated for it. The old image's read is folded from the page
+// bytes before the new image overwrites them, so the write copies the old
+// image only for an installed fault hook, which is handed it.
 func (m *Memory) Update(pageID uint64, slot int, rec []byte) error {
 	vp, err := m.lookup(pageID)
 	if err != nil {
 		return err
 	}
+	hp := m.hook.Load()
 	vp.mu.Lock()
-	old, err := vp.p.Get(slot)
-	if err != nil {
-		vp.mu.Unlock()
-		return err
-	}
 	track := m.cfg.Mode == ModeRSWS
-	var oldCopy []byte
 	var snap metaSnapshot
-	if track {
-		oldCopy = append([]byte(nil), old...)
-		if m.cfg.VerifyMetadata {
-			snap = vp.snapshotMeta()
-		}
+	if track && m.cfg.VerifyMetadata {
+		snap = vp.snapshotMeta()
 	}
-	if err := vp.p.Update(slot, rec); err != nil {
+	if err := vp.p.Reserve(slot, len(rec)); err != nil {
+		// A refused update may still have compacted the page.
 		if track && m.cfg.VerifyMetadata {
 			m.foldMetaSolo(vp, snap)
 		}
 		vp.mu.Unlock()
 		return err
 	}
+	old, _ := vp.p.Get(slot) // live: Reserve checked the slot
+	var oldCopy []byte
+	if hp != nil {
+		oldCopy = append([]byte(nil), old...)
+	}
+	var part *partition
+	var rs, ws *sethash.Accumulator
 	if track {
 		m.ops.Add(1)
-		part := m.part(pageID)
+		part = m.part(pageID)
 		part.mu.Lock()
-		rs, ws := m.epochSets(part, vp)
+		rs, ws = m.epochSets(part, vp)
 		vp.ensureVers(slot)
-		dr := m.prf(CellAddr(pageID, slot), vp.vers[slot], oldCopy)
+		dr := m.prf(CellAddr(pageID, slot), vp.vers[slot], old)
 		rs.AddDigest(&dr)
+	}
+	_ = vp.p.Update(slot, rec) // cannot fail: Reserve made the room
+	if track {
 		vp.vers[slot]++
 		dw := m.prf(CellAddr(pageID, slot), vp.vers[slot], rec)
 		ws.AddDigest(&dw)
@@ -296,16 +301,17 @@ func (m *Memory) Update(pageID uint64, slot int, rec []byte) error {
 		part.mu.Unlock()
 		vp.touched = true
 	}
-	m.applyWriteFault(vp, slot, oldCopy, rec)
+	m.applyWriteFault(hp, vp, slot, oldCopy, rec)
 	vp.mu.Unlock()
 	m.afterOp()
 	return nil
 }
 
 // Delete removes the record in (pageID, slot) (§4.2 Delete): the final
-// image is read out into h(RS) and the cell leaves the verified set. Space
-// reclamation is deferred to the verification scan unless EagerCompaction
-// is configured (§4.3 "Compact page during verification").
+// image is read out into h(RS), from the page bytes before a compaction
+// can overwrite them, and the cell leaves the verified set. Space reclamation
+// is deferred to the verification scan unless EagerCompaction is
+// configured (§4.3 "Compact page during verification").
 func (m *Memory) Delete(pageID uint64, slot int) error {
 	vp, err := m.lookup(pageID)
 	if err != nil {
@@ -318,17 +324,24 @@ func (m *Memory) Delete(pageID uint64, slot int) error {
 		return err
 	}
 	track := m.cfg.Mode == ModeRSWS
-	var oldCopy []byte
 	var snap metaSnapshot
-	if track {
-		oldCopy = append([]byte(nil), old...)
-		if m.cfg.VerifyMetadata {
-			snap = vp.snapshotMeta()
-		}
+	if track && m.cfg.VerifyMetadata {
+		snap = vp.snapshotMeta()
 	}
 	if err := vp.p.Delete(slot); err != nil {
 		vp.mu.Unlock()
 		return err
+	}
+	var part *partition
+	var rs, ws *sethash.Accumulator
+	if track {
+		m.ops.Add(1)
+		part = m.part(pageID)
+		part.mu.Lock()
+		rs, ws = m.epochSets(part, vp)
+		vp.ensureVers(slot)
+		dr := m.prf(CellAddr(pageID, slot), vp.vers[slot], old) // a tombstone moves no byte
+		rs.AddDigest(&dr)
 	}
 	if m.cfg.EagerCompaction {
 		// Ablation configuration: pay the record-relocation cost on every
@@ -336,13 +349,6 @@ func (m *Memory) Delete(pageID uint64, slot int) error {
 		vp.p.Compact()
 	}
 	if track {
-		m.ops.Add(1)
-		part := m.part(pageID)
-		part.mu.Lock()
-		rs, ws := m.epochSets(part, vp)
-		vp.ensureVers(slot)
-		dr := m.prf(CellAddr(pageID, slot), vp.vers[slot], oldCopy)
-		rs.AddDigest(&dr)
 		if m.cfg.VerifyMetadata {
 			m.foldMetaDiff(vp, snap, rs, ws)
 		}
@@ -445,7 +451,7 @@ func (m *Memory) moveLocked(srcPage uint64, srcSlot int, dstPage uint64) (int, e
 		dp.mu.Unlock()
 		dst.touched = true
 	}
-	m.applyWriteFault(dst, dstSlot, nil, rec)
+	m.applyWriteFault(m.hook.Load(), dst, dstSlot, nil, rec)
 	return dstSlot, nil
 }
 
