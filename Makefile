@@ -110,11 +110,13 @@ chaos:
 # written workload at every record boundary and mid-record, inside
 # half-synced commit groups included (clean truncation + torn half-synced
 # writes), recovers, and diffs against the committed-prefix oracle; plus
-# tamper classification, golden-dir recovery, and the recovery/verifier
-# lifecycle — all under the race detector, uncached.
+# tamper classification, golden-dir recovery, the recovery/verifier
+# lifecycle, and the replays that compile logged writes (an EXECUTEd write,
+# a key-changing UPDATE, concurrent durable writers) — all under the race
+# detector, uncached.
 crash:
 	$(GO) test -race -count=1 -timeout 5m \
-		-run 'TestCrash|TestMidLogBitFlip|TestGolden|TestRecoveryVerifier|TestQuarantinedRecovery' \
+		-run 'TestCrash|TestMidLogBitFlip|TestGolden|TestRecoveryVerifier|TestQuarantinedRecovery|TestPrepareExecuteDurableReplay|TestUpdateOntoExistingKeySurvivesReopen|TestConcurrentDurableWorkload' \
 		./internal/core
 	$(GO) test -race -count=1 -timeout 5m ./internal/wal ./internal/chaos
 

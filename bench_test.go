@@ -17,10 +17,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"veridb"
 	"veridb/internal/core"
 	"veridb/internal/enclave"
 	"veridb/internal/engine"
@@ -124,6 +126,81 @@ func BenchmarkFig9InsertDelete(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWriteMix is the write path without a disk: wire_write_durable's
+// 50/25/25 UPDATE/INSERT/DELETE mix by primary key over an in-memory kv
+// table of writeMixRows rows, each statement a plan-cache hit served through
+// the portal (db.Serve) and verified by the client. One op is one
+// statement; allocs/op counts both ends. The statements are drawn before
+// the timer starts, from a model of which keys are present.
+func BenchmarkWriteMix(b *testing.B) {
+	const writeMixRows = 10_000
+	db, err := veridb.Open(veridb.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)`); err != nil {
+		b.Fatal(err)
+	}
+	present := make([]int64, 0, writeMixRows)
+	var absent []int64
+	for lo := 0; lo < writeMixRows; lo += 100 {
+		var sb strings.Builder
+		sb.WriteString(`INSERT INTO kv VALUES `)
+		for k := lo; k < lo+100; k++ {
+			if k > lo {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "(%d, 'value-%08d-0')", k, k)
+			present = append(present, int64(k))
+		}
+		if _, err := db.Exec(sb.String()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	stmts := make([]string, b.N)
+	for i := range stmts {
+		switch r := rng.Float64(); {
+		case r < 0.50:
+			k := present[rng.Intn(len(present))]
+			stmts[i] = fmt.Sprintf(`UPDATE kv SET v = 'value-%08d-%d' WHERE k = %d`, k, i, k)
+		case r < 0.75 && len(absent) > 0:
+			j := rng.Intn(len(absent))
+			k := absent[j]
+			absent[j] = absent[len(absent)-1]
+			absent = absent[:len(absent)-1]
+			present = append(present, k)
+			stmts[i] = fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'value-%08d-%d')`, k, k, i)
+		default:
+			j := rng.Intn(len(present))
+			k := present[j]
+			present[j] = present[len(present)-1]
+			present = present[:len(present)-1]
+			absent = append(absent, k)
+			stmts[i] = fmt.Sprintf(`DELETE FROM kv WHERE k = %d`, k)
+		}
+	}
+	key := []byte("write-mix-key")
+	db.ProvisionClient("bench", key)
+	c := veridb.NewClient("bench", key)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, q := range stmts {
+		req := c.NewRequest(q)
+		resp, err := db.Serve(req)
+		if err == nil {
+			err = c.VerifyResponse(req, resp)
+		}
+		if err == nil && resp.Affected != 1 {
+			err = fmt.Errorf("%d rows affected", resp.Affected)
+		}
+		if err != nil {
+			b.Fatalf("%s: %v", q, err)
+		}
 	}
 }
 

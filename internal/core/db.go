@@ -409,8 +409,8 @@ func (db *DB) Health() Health {
 // the same path through ExecuteContext (portal.Executor). With durable
 // storage enabled, mutating statements go through the append-before-ack
 // path: applied, then logged and fsynced, and only then acked. With the
-// plan cache enabled, a repeated statement shape skips the parser (and,
-// for SELECT, the planner) entirely.
+// plan cache enabled, a repeated SELECT, INSERT, UPDATE, DELETE or
+// EXECUTE shape skips the parser, the planner and the expression compiler.
 func (db *DB) Execute(query string) (*portal.Result, error) {
 	return db.ExecuteContext(context.Background(), "", query)
 }
@@ -522,8 +522,11 @@ func cachedKind(key string) bool {
 }
 
 // compile builds the instance a parsed statement runs as: an EXECUTE is
-// bound to its template in the session's registry, a SELECT (EXECUTEd or
-// plain) is planned, anything else runs from its AST.
+// bound to its template in the session's registry, then a SELECT is
+// planned; an INSERT, UPDATE or DELETE gets its table and its value
+// expressions compiled, and an UPDATE or DELETE its read phase planned;
+// anything else runs from its AST. A pinned session refuses a write
+// before the write's table is looked up.
 func (db *DB) compile(sess *session, stmt sql.Statement, slots []*sql.Literal) (*plan.Instance, error) {
 	in := &plan.Instance{Stmt: stmt, Slots: slots, Rebindable: true}
 	if ex, ok := stmt.(*sql.ExecutePrepared); ok {
@@ -531,26 +534,110 @@ func (db *DB) compile(sess *session, stmt sql.Statement, slots []*sql.Literal) (
 			return nil, err
 		}
 	}
-	if sel, ok := in.Stmt.(*sql.Select); ok {
-		op, err := plan.PlanSelect(db.store, sel, db.opts)
-		if err != nil {
-			return nil, err
+	if err := sess.writable(in.Stmt); err != nil {
+		return nil, err
+	}
+	var err error
+	switch s := in.Stmt.(type) {
+	case *sql.Select:
+		err = db.planRead(in, s)
+	case *sql.Insert:
+		if in.Table, err = db.store.Table(s.Table); err == nil {
+			in.Values, err = compileValues(in.Table, s)
 		}
-		in.Op, in.Rebindable = op, plan.Rebindable(sel)
+	case *sql.Update:
+		if in.Table, err = db.store.Table(s.Table); err == nil {
+			in.Set, err = compileSet(in.Table, s)
+		}
+		if err == nil {
+			err = db.planRead(in, readPhase(in.Table, s.Where))
+		}
+	case *sql.Delete:
+		if in.Table, err = db.store.Table(s.Table); err == nil {
+			err = db.planRead(in, readPhase(in.Table, s.Where))
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return in, nil
 }
 
-// run executes an instance, fresh or checked out of the cache and rebound:
-// a SELECT through its compiled plan, durable DML and DDL through the WAL,
-// everything else through executeStmtSess.
-func (db *DB) run(ctx context.Context, sess *session, query string, in *plan.Instance) (*portal.Result, error) {
-	if in.Op != nil {
-		if err := db.QuarantineError(); err != nil {
+// planRead plans sel as the instance's Op: a SELECT, or the read phase of
+// an UPDATE or DELETE.
+func (db *DB) planRead(in *plan.Instance, sel *sql.Select) error {
+	op, err := plan.PlanSelect(db.store, sel, db.opts)
+	if err != nil {
+		return err
+	}
+	in.Op, in.Res = op, govern.NewReservation(db.budget)
+	in.Rebindable = in.Rebindable && plan.Rebindable(sel)
+	return nil
+}
+
+// readPhase is the SELECT an UPDATE or DELETE finds its rows with: every
+// column of the rows of t that where holds for.
+func readPhase(t storage.Engine, where sql.Expr) *sql.Select {
+	return &sql.Select{
+		Items: []sql.SelectItem{{Star: true}},
+		From:  []sql.TableRef{{Table: t.Name(), Alias: t.Name()}},
+		Where: where,
+		Limit: -1,
+	}
+}
+
+// compileValues compiles an INSERT's value rows, each value tagged with
+// the column it fills: the named ones, or every column in schema order.
+func compileValues(t storage.Engine, ins *sql.Insert) ([][]plan.Assign, error) {
+	order := record.AllColumns(t.Schema().Len())
+	if len(ins.Columns) > 0 {
+		order = make([]int, len(ins.Columns))
+		for i, name := range ins.Columns {
+			if order[i] = t.Schema().ColIndex(name); order[i] < 0 {
+				return nil, fmt.Errorf("core: table %q has no column %q", ins.Table, name)
+			}
+		}
+	}
+	values := make([][]plan.Assign, len(ins.Rows))
+	for r, row := range ins.Rows {
+		if len(row) != len(order) {
+			return nil, fmt.Errorf("core: INSERT row has %d values for %d columns", len(row), len(order))
+		}
+		values[r] = make([]plan.Assign, len(row))
+		for i, e := range row {
+			c, err := engine.Compile(e, engine.Schema{})
+			if err != nil {
+				return nil, err
+			}
+			values[r][i] = plan.Assign{Col: order[i], Expr: c}
+		}
+	}
+	return values, nil
+}
+
+// compileSet compiles an UPDATE's SET list against the row its read
+// phase's scan reports.
+func compileSet(t storage.Engine, up *sql.Update) ([]plan.Assign, error) {
+	row := (&engine.TableScan{Table: t, Alias: up.Table}).Schema()
+	set := make([]plan.Assign, len(up.Set))
+	for i, a := range up.Set {
+		ci := t.Schema().ColIndex(a.Column)
+		if ci < 0 {
+			return nil, fmt.Errorf("core: table %q has no column %q", up.Table, a.Column)
+		}
+		c, err := engine.Compile(a.Value, row)
+		if err != nil {
 			return nil, err
 		}
-		return db.runSelectOp(ctx, sess, in)
+		set[i] = plan.Assign{Col: ci, Expr: c}
 	}
+	return set, nil
+}
+
+// run executes an instance, fresh or checked out of the cache and rebound:
+// on a durable instance a write or DDL statement through the WAL,
+// everything else through apply.
+func (db *DB) run(ctx context.Context, sess *session, query string, in *plan.Instance) (*portal.Result, error) {
 	if db.dur != nil && isMutating(in.Stmt) {
 		if in.Prepared != nil {
 			// An EXECUTEd write is logged as the bound statement's text,
@@ -561,9 +648,39 @@ func (db *DB) run(ctx context.Context, sess *session, query string, in *plan.Ins
 				return nil, err
 			}
 		}
-		return db.executeDurable(ctx, sess, query, in.Stmt)
+		return db.executeDurable(ctx, sess, query, in)
 	}
-	return db.executeStmtSess(ctx, sess, in.Stmt)
+	return db.apply(ctx, sess, in)
+}
+
+// apply runs an instance without logging it: every statement of an
+// in-memory database, the step executeDurable logs, and WAL replay. Once
+// the verifier's alarm is sticky every statement — reads included — is
+// fenced with ErrQuarantined: results computed from tampered state must
+// never be endorsed.
+func (db *DB) apply(ctx context.Context, sess *session, in *plan.Instance) (*portal.Result, error) {
+	if err := db.QuarantineError(); err != nil {
+		return nil, err
+	}
+	if err := sess.writable(in.Stmt); err != nil {
+		return nil, err
+	}
+	switch {
+	case in.Table != nil:
+		return db.write(ctx, in)
+	case in.Op != nil:
+		return db.runSelectOp(ctx, sess, in)
+	}
+	return db.executeStmtSess(sess, in.Stmt)
+}
+
+// writable refuses a statement that changes the database while the session
+// has a snapshot pinned: the session is read-only until COMMIT.
+func (s *session) writable(stmt sql.Statement) error {
+	if isMutating(stmt) && s.pinned() != nil {
+		return fmt.Errorf("core: session is read-only while a snapshot is pinned; COMMIT first")
+	}
+	return nil
 }
 
 // bindPrepared resolves an EXECUTE against the session's registry and
@@ -653,24 +770,9 @@ func (db *DB) GovernStats() GovernStats {
 // Budget exposes the process memory budget (library-level access).
 func (db *DB) Budget() *govern.Budget { return db.budget }
 
-// ExecuteStmt runs a parsed statement. Once the verifier's alarm is sticky
-// every statement — reads included — is fenced with ErrQuarantined:
-// results computed from tampered state must never be endorsed.
-// ExecuteStmt applies directly, bypassing the WAL: durable instances
-// reach it through Execute (which logs mutations) and through recovery
-// replay (which must not re-log); library callers driving ExecuteStmt on
-// a durable instance forgo durability for those statements.
-func (db *DB) ExecuteStmt(stmt sql.Statement) (*portal.Result, error) {
-	return db.executeStmtSess(context.Background(), db.sessionFor(""), stmt)
-}
-
-func (db *DB) executeStmtSess(ctx context.Context, sess *session, stmt sql.Statement) (*portal.Result, error) {
-	if err := db.QuarantineError(); err != nil {
-		return nil, err
-	}
-	if isMutating(stmt) && sess.pinned() != nil {
-		return nil, fmt.Errorf("core: session is read-only while a snapshot is pinned; COMMIT first")
-	}
+// executeStmtSess runs the statements compile leaves as ASTs: DDL, the
+// snapshot and prepared-statement control flow, and EXPLAIN.
+func (db *DB) executeStmtSess(sess *session, stmt sql.Statement) (*portal.Result, error) {
 	switch s := stmt.(type) {
 	case *sql.BeginSnapshot:
 		sess.mu.Lock()
@@ -699,25 +801,11 @@ func (db *DB) executeStmtSess(ctx context.Context, sess *session, stmt sql.State
 			return nil, err
 		}
 		return &portal.Result{}, nil
-	case *sql.Insert:
-		return db.insert(s)
-	case *sql.Update:
-		return db.update(ctx, s)
-	case *sql.Delete:
-		return db.delete(ctx, s)
-	case *sql.Select:
-		return db.query(ctx, sess, s)
 	case *sql.Prepare:
 		sess.mu.Lock()
 		sess.prepared[s.Name] = s
 		sess.mu.Unlock()
 		return &portal.Result{}, nil
-	case *sql.ExecutePrepared:
-		var in plan.Instance
-		if err := sess.bindPrepared(&in, s); err != nil {
-			return nil, err
-		}
-		return db.executeStmtSess(ctx, sess, in.Stmt)
 	case *sql.Deallocate:
 		sess.mu.Lock()
 		_, ok := sess.prepared[s.Name]
@@ -786,203 +874,103 @@ func (db *DB) createTable(ct *sql.CreateTable) (*portal.Result, error) {
 	return &portal.Result{}, nil
 }
 
-// evalConst evaluates an expression with no column references (INSERT
-// values, SET right-hand sides without references).
-func evalConst(e sql.Expr) (record.Value, error) {
-	c, err := engine.Compile(e, engine.Schema{})
-	if err != nil {
-		return record.Value{}, err
-	}
-	return c.Eval(nil)
-}
-
-func (db *DB) insert(ins *sql.Insert) (*portal.Result, error) {
-	t, err := db.store.Table(ins.Table)
-	if err != nil {
-		return nil, err
-	}
-	schema := t.Schema()
-	// Column ordering: explicit list or schema order.
-	order := make([]int, 0, schema.Len())
-	if len(ins.Columns) == 0 {
-		for i := 0; i < schema.Len(); i++ {
-			order = append(order, i)
-		}
-	} else {
-		for _, name := range ins.Columns {
-			ci := schema.ColIndex(name)
-			if ci < 0 {
-				return nil, fmt.Errorf("core: table %q has no column %q", ins.Table, name)
-			}
-			order = append(order, ci)
-		}
-	}
-	n := 0
-	tups := make([]record.Tuple, 0, len(ins.Rows))
-	for _, row := range ins.Rows {
-		if len(row) != len(order) {
-			return nil, fmt.Errorf("core: INSERT row has %d values for %d columns", len(row), len(order))
-		}
-		tup := make(record.Tuple, schema.Len())
-		for i := range tup {
-			tup[i] = record.Null(schema.Columns[i].Type)
-		}
-		for i, e := range row {
-			v, err := evalConst(e)
-			if err != nil {
-				return nil, err
-			}
-			tup[order[i]] = v
-		}
-		tups = append(tups, tup)
-	}
-	// One commit timestamp for the whole statement: snapshots see all of
-	// the INSERT's rows or none of them.
-	if err := db.withCommit(func(c *storage.Commit) error {
-		for _, tup := range tups {
-			if err := t.InsertAt(tup, c); err != nil {
-				return err
-			}
-			n++
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return &portal.Result{Affected: n}, nil
-}
-
-// withCommit runs f under a single commit timestamp. Every version f
-// installs or retires shares the one sequence number, so a statement's
-// effects become visible to snapshots atomically when the commit is done.
-func (db *DB) withCommit(f func(c *storage.Commit) error) error {
-	c := db.store.BeginCommit()
-	defer c.Done()
-	return f(c)
-}
-
-// matchingRows plans and materialises the rows of one table satisfying
-// where (the scan closes before any write begins, so DML never deadlocks
-// with its own read phase). The statement controls bound the read phase:
-// cancellation unwinds it and the materialised rows charge the budget.
-func (db *DB) matchingRows(ex *engine.Exec, t storage.Engine, where sql.Expr) ([]record.Tuple, error) {
-	sel := &sql.Select{
-		Items: []sql.SelectItem{{Star: true}},
-		From:  []sql.TableRef{{Table: t.Name(), Alias: t.Name()}},
-		Where: where,
-		Limit: -1,
-	}
-	op, err := plan.PlanSelect(db.store, sel, db.opts)
-	if err != nil {
-		return nil, err
-	}
-	engine.SetExec(op, ex)
-	return engine.Drain(op, ex)
-}
-
 // Budget-pressure degradation: once tracked memory passes this fraction of
-// the budget, SELECTs run at the degraded batch capacity before reserving
-// more — smaller materialisation steps under pressure, refusal only when
-// the budget is actually gone.
+// the budget, statements drain their plans at the degraded batch capacity
+// before reserving more — smaller materialisation steps under pressure,
+// refusal only when the budget is actually gone.
 const (
 	degradePressure   = 0.5
 	degradedBatchSize = 16
 )
 
-func (db *DB) update(ctx context.Context, up *sql.Update) (*portal.Result, error) {
-	t, err := db.store.Table(up.Table)
+// write runs an INSERT, UPDATE or DELETE instance. An UPDATE or DELETE
+// first drains its read phase at the latest state; cancellation applies to
+// that phase only. Every row the statement writes is computed before the
+// first is written, and the write loop then runs to completion under one
+// commit timestamp: there is no undo log, so a statement's effects are
+// atomic only if nothing in the loop can fail on a value.
+func (db *DB) write(ctx context.Context, in *plan.Instance) (*portal.Result, error) {
+	t := in.Table
+	// The table compile found must still be the catalog's: a write to one
+	// dropped since would be logged, and replay could not repeat it.
+	if cur, err := db.store.Table(t.Name()); err != nil {
+		return nil, err
+	} else if cur != t {
+		return nil, fmt.Errorf("core: table %q was dropped and recreated while the statement ran", t.Name())
+	}
+	var rows, news []record.Tuple
+	var err error
+	if in.Op != nil {
+		defer in.Res.Release()
+		if rows, err = db.drain(ctx, in, nil); err != nil {
+			return nil, err
+		}
+	}
+	switch in.Stmt.(type) {
+	case *sql.Insert:
+		rows, err = insertRows(t.Schema(), in.Values)
+	case *sql.Update:
+		news, err = updatedRows(rows, in.Set)
+	}
 	if err != nil {
 		return nil, err
 	}
-	schema := t.Schema()
-	scanSchema := make(engine.Schema, schema.Len())
-	for i, c := range schema.Columns {
-		scanSchema[i] = engine.Col{Table: up.Table, Name: c.Name, Type: c.Type}
-	}
-	type setter struct {
-		col  int
-		expr *engine.Compiled
-	}
-	setters := make([]setter, len(up.Set))
-	for i, a := range up.Set {
-		ci := schema.ColIndex(a.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("core: table %q has no column %q", up.Table, a.Column)
+	pk := t.PrimaryKeyColumn()
+	c := db.store.BeginCommit()
+	defer c.Done()
+	for i, row := range rows {
+		switch in.Stmt.(type) {
+		case *sql.Insert:
+			err = t.InsertAt(row, c)
+		case *sql.Update:
+			err = t.UpdateAt(row[pk], news[i], c)
+		default:
+			err = t.DeleteAt(row[pk], c)
 		}
-		c, err := engine.Compile(a.Value, scanSchema)
 		if err != nil {
 			return nil, err
 		}
-		setters[i] = setter{col: ci, expr: c}
 	}
-	// Cancellation applies to the read phase only: once the write loop
-	// starts there is no undo log, so the statement runs to completion to
-	// keep its effects atomic under the single commit timestamp.
-	res := govern.NewReservation(db.budget)
-	defer res.Release()
-	rows, err := db.matchingRows(engine.NewExec(ctx, res, db.batchCap, nil), t, up.Where)
-	if err != nil {
-		return nil, err
-	}
-	pkCol := t.PrimaryKeyColumn()
-	n := 0
-	if err := db.withCommit(func(c *storage.Commit) error {
-		for _, row := range rows {
-			newTup := row.Clone()
-			for _, s := range setters {
-				v, err := s.expr.Eval(row)
-				if err != nil {
-					return err
-				}
-				newTup[s.col] = v
-			}
-			if err := t.UpdateAt(row[pkCol], newTup, c); err != nil {
-				return err
-			}
-			n++
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return &portal.Result{Affected: n}, nil
+	return &portal.Result{Affected: len(rows)}, nil
 }
 
-func (db *DB) delete(ctx context.Context, del *sql.Delete) (*portal.Result, error) {
-	t, err := db.store.Table(del.Table)
-	if err != nil {
-		return nil, err
-	}
-	// As in update: cancellation bounds the read phase; the write loop is
-	// atomic and runs to completion.
-	res := govern.NewReservation(db.budget)
-	defer res.Release()
-	rows, err := db.matchingRows(engine.NewExec(ctx, res, db.batchCap, nil), t, del.Where)
-	if err != nil {
-		return nil, err
-	}
-	pkCol := t.PrimaryKeyColumn()
-	n := 0
-	if err := db.withCommit(func(c *storage.Commit) error {
-		for _, row := range rows {
-			if err := t.DeleteAt(row[pkCol], c); err != nil {
-				return err
-			}
-			n++
+// insertRows evaluates an INSERT's value rows into whole tuples, NULL in
+// every column the statement does not name.
+func insertRows(schema *record.Schema, values [][]plan.Assign) ([]record.Tuple, error) {
+	rows := make([]record.Tuple, len(values))
+	for r, row := range values {
+		tup := make(record.Tuple, schema.Len())
+		for i := range tup {
+			tup[i] = record.Null(schema.Columns[i].Type)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		for _, a := range row {
+			v, err := a.Expr.Eval(nil)
+			if err != nil {
+				return nil, err
+			}
+			tup[a.Col] = v
+		}
+		rows[r] = tup
 	}
-	return &portal.Result{Affected: n}, nil
+	return rows, nil
 }
 
-func (db *DB) query(ctx context.Context, sess *session, sel *sql.Select) (*portal.Result, error) {
-	op, err := plan.PlanSelect(db.store, sel, db.opts)
-	if err != nil {
-		return nil, err
+// updatedRows computes the new image of each row an UPDATE matched: a
+// copy with the SET columns replaced, every expression evaluated against
+// the row as it was.
+func updatedRows(rows []record.Tuple, set []plan.Assign) ([]record.Tuple, error) {
+	news := make([]record.Tuple, len(rows))
+	for i, row := range rows {
+		news[i] = row.Clone()
+		for _, a := range set {
+			v, err := a.Expr.Eval(row)
+			if err != nil {
+				return nil, err
+			}
+			news[i][a.Col] = v
+		}
 	}
-	return db.runSelectOp(ctx, sess, &plan.Instance{Op: op})
+	return news, nil
 }
 
 // runSelectOp drains a SELECT instance's compiled plan into a result.
@@ -991,29 +979,40 @@ func (db *DB) query(ctx context.Context, sess *session, sel *sql.Select) (*porta
 // opened at the current commit watermark and released when the drain
 // finishes. Either way a multi-scan plan (joins, self-joins, spool
 // refills) observes a single consistent committed state.
-//
-// The statement executes under its context and a statement-scoped memory
-// reservation: cancellation unwinds at batch boundaries through the
-// normal error path (the deferred snapshot close and the operator Close
-// chain release everything the plan held), and every materialisation the
-// plan performs is charged against the process budget, failing fast with
-// govern.ErrResourceExhausted rather than growing the heap unbounded.
-// Under budget pressure the statement's batches are built smaller first.
-// The controls, the reservation, the drain batch and the column names are
-// the instance's, reused by each execution of a cached one.
 func (db *DB) runSelectOp(ctx context.Context, sess *session, in *plan.Instance) (*portal.Result, error) {
-	if in.Res == nil {
-		in.Res = govern.NewReservation(db.budget)
-	}
 	defer in.Res.Release()
-	capacity := db.batchCap
-	if capacity > degradedBatchSize && db.budget.Pressure() > degradePressure {
-		capacity = degradedBatchSize
-	}
 	snap := sess.pinned()
 	if snap == nil {
 		snap = db.store.OpenSnapshot()
 		defer snap.Close()
+	}
+	rows, err := db.drain(ctx, in, snap)
+	if err != nil {
+		return nil, err
+	}
+	cols := in.Columns
+	if cols == nil {
+		var fixed bool
+		if cols, fixed = engine.Names(in.Op); fixed {
+			in.Columns = cols
+		}
+	}
+	return &portal.Result{Columns: cols, Rows: rows}, nil
+}
+
+// drain runs an instance's compiled plan to completion at snap (nil reads
+// the latest state) under the statement's context and the instance's
+// reservation: cancellation unwinds at batch boundaries through the
+// operator Close chain, and every materialisation, the drained rows
+// included, is charged against the process budget, failing fast with
+// govern.ErrResourceExhausted. Under budget pressure batches are built
+// smaller first. The controls and the batch are the
+// instance's, reused by each execution of a cached one; the caller
+// releases in.Res once it is done with the rows.
+func (db *DB) drain(ctx context.Context, in *plan.Instance, snap *storage.Snapshot) ([]record.Tuple, error) {
+	capacity := db.batchCap
+	if capacity > degradedBatchSize && db.budget.Pressure() > degradePressure {
+		capacity = degradedBatchSize
 	}
 	ex := &in.Exec
 	ex.Reset(ctx, in.Res, capacity, snap)
@@ -1027,17 +1026,7 @@ func (db *DB) runSelectOp(ctx context.Context, sess *session, in *plan.Instance)
 	}()
 	rows, batch, err := engine.DrainThrough(in.Op, ex, in.Batch)
 	in.Batch = batch
-	if err != nil {
-		return nil, err
-	}
-	cols := in.Columns
-	if cols == nil {
-		var fixed bool
-		if cols, fixed = engine.Names(in.Op); fixed {
-			in.Columns = cols
-		}
-	}
-	return &portal.Result{Columns: cols, Rows: rows}, nil
+	return rows, err
 }
 
 // recoveryAlarmEvery is how many replayed rows separate alarm checks

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"veridb/internal/plan"
 	"veridb/internal/portal"
 	"veridb/internal/record"
 	"veridb/internal/sql"
@@ -108,9 +109,9 @@ func (db *DB) openDurable(cfg Config) error {
 // replayRecovery rebuilds the database image: checkpoint segments load
 // through the ordinary protected write interfaces (every row re-enters
 // the RSWS accounting, exactly like the §5.1 replica replay), then the
-// WAL tail replays statement by statement through the parser and
-// executor. The background verifier is not running yet — Open starts it
-// only after recovery and its final verification complete.
+// WAL tail replays statement by statement, each parsed, compiled and
+// applied unlogged. The background verifier is not running yet — Open
+// starts it only after recovery and its final verification complete.
 func (db *DB) replayRecovery(rec *wal.Recovery) error {
 	srcs := make([]restoreSource, len(rec.Checkpoint))
 	for i, img := range rec.Checkpoint {
@@ -134,6 +135,7 @@ func (db *DB) replayRecovery(rec *wal.Recovery) error {
 	if err := db.restore(srcs, db.mem.Alarm); err != nil {
 		return err
 	}
+	sess := db.sessionFor("")
 	for _, r := range rec.Tail {
 		if r.Type != wal.RecStmt {
 			return fmt.Errorf("WAL record %d has unknown type %d", r.Seq, r.Type)
@@ -146,8 +148,13 @@ func (db *DB) replayRecovery(rec *wal.Recovery) error {
 			return fmt.Errorf("WAL record %d is not a mutating statement", r.Seq)
 		}
 		// Only statements that fully succeeded were logged, so a replay
-		// failure means the log and the rebuilt image diverged.
-		if _, err := db.ExecuteStmt(stmt); err != nil {
+		// failure means the log and the rebuilt image diverged. db.dur is
+		// still nil: apply does not log the statement again.
+		in, err := db.compile(sess, stmt, nil)
+		if err == nil {
+			_, err = db.apply(context.Background(), sess, in)
+		}
+		if err != nil {
 			return fmt.Errorf("replaying WAL record %d: %v", r.Seq, err)
 		}
 	}
@@ -164,20 +171,21 @@ func isMutating(stmt sql.Statement) bool {
 	return false
 }
 
-// executeDurable applies one mutating statement and appends it to the WAL
-// before acking. The lock order (gate shared, then mu) keeps the log's
-// statement order identical to the memory's apply order — the property
-// replay equivalence rests on — while checkpoints exclude the whole path.
-// Apply and enqueue happen under mu; the durability wait happens outside
-// it, so concurrent statements can form a commit group and share one
-// fsync (the statement gate stays held shared across the wait, which is
-// how checkpoints quiesce in-flight groups).
+// executeDurable applies one mutating statement's instance and appends
+// the statement to the WAL before acking. The lock order (gate shared,
+// then mu) keeps the log's statement order identical to the memory's
+// apply order — the property replay equivalence rests on — while
+// checkpoints exclude the whole path. Apply and enqueue happen under mu
+// (the instance was compiled before, outside both locks); the durability
+// wait happens outside it, so concurrent statements can form a commit
+// group and share one fsync (the statement gate stays held shared across
+// the wait, which is how checkpoints quiesce in-flight groups).
 //
 // A crash between apply and fsync loses an unacked write (correct: the
 // client never saw a success), and an append or group-fsync failure
 // refuses the ack and fences further writes rather than acking a
 // non-durable statement.
-func (db *DB) executeDurable(ctx context.Context, sess *session, query string, stmt sql.Statement) (*portal.Result, error) {
+func (db *DB) executeDurable(ctx context.Context, sess *session, query string, in *plan.Instance) (*portal.Result, error) {
 	d := db.dur
 	d.gate.RLock()
 	d.mu.Lock()
@@ -186,7 +194,7 @@ func (db *DB) executeDurable(ctx context.Context, sess *session, query string, s
 		d.gate.RUnlock()
 		return nil, *broken
 	}
-	res, err := db.executeStmtSess(ctx, sess, stmt)
+	res, err := db.apply(ctx, sess, in)
 	if err != nil {
 		d.mu.Unlock()
 		d.gate.RUnlock()

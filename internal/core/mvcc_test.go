@@ -15,7 +15,11 @@ import (
 )
 
 func TestSnapshotSessionStatements(t *testing.T) {
-	db := openTest(t)
+	db, err := Open(Config{Seed: 99, PlanCacheSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Close)
 	seed(t, db)
 
 	res, err := db.ExecuteSession("s1", `BEGIN SNAPSHOT`)
@@ -37,9 +41,23 @@ func TestSnapshotSessionStatements(t *testing.T) {
 	if _, err := db.ExecuteSession("s2", `COMMIT`); err == nil || !strings.Contains(err.Error(), "without a pinned snapshot") {
 		t.Fatalf("bare COMMIT: %v", err)
 	}
-	// The pinned session is read-only.
-	if _, err := db.ExecuteSession("s1", `INSERT INTO quote VALUES (9, 9, 9.0)`); err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("write under pinned snapshot: %v", err)
+	// The pinned session is read-only, and says so before it looks for a
+	// write's table: the write to a missing table compiles afresh each
+	// time (a failed compile files nothing), and the DELETE's shape, run
+	// first in another session, comes from the plan cache.
+	exec(t, db, `DELETE FROM quote WHERE id = 99`)
+	for _, q := range []string{
+		`INSERT INTO quote VALUES (9, 9, 9.0)`,
+		`INSERT INTO missing VALUES (9)`,
+		`INSERT INTO missing VALUES (9)`,
+		`DELETE FROM quote WHERE id = 1`,
+	} {
+		if _, err := db.ExecuteSession("s1", q); err == nil || !strings.Contains(err.Error(), "read-only") {
+			t.Fatalf("%s under pinned snapshot: %v", q, err)
+		}
+	}
+	if s := db.PlanCacheStats(); s.Hits != 1 {
+		t.Fatalf("plan cache %+v, want the DELETE's one hit", s)
 	}
 
 	// Writes from other sessions proceed and are invisible to s1.

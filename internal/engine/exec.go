@@ -30,20 +30,13 @@ type Exec struct {
 	snap     *storage.Snapshot
 }
 
-// NewExec builds the statement controls. ctx may be nil (treated as
+// Reset points e at one statement: ctx may be nil (treated as
 // background); res may be nil (no memory accounting); batchCap <= 0 means
 // storage.DefaultBatchCapacity; snap may be nil (every read at the latest
 // state, under storage's nil rules). The statement borrows snap: the
-// caller that pinned it closes it after the statement drains.
-func NewExec(ctx context.Context, res *govern.Reservation, batchCap int, snap *storage.Snapshot) *Exec {
-	e := new(Exec)
-	e.Reset(ctx, res, batchCap, snap)
-	return e
-}
-
-// Reset makes e what NewExec builds from the same arguments, in place: a
-// plan run statement after statement (a cached plan instance's) points one
-// Exec at each, and detaches it after with Reset(nil, nil, 0, nil).
+// caller that pinned it closes it after the statement drains. A plan run
+// statement after statement (a cached plan instance's) points one Exec at
+// each, and detaches it after with Reset(nil, nil, 0, nil).
 func (e *Exec) Reset(ctx context.Context, res *govern.Reservation, batchCap int, snap *storage.Snapshot) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -160,7 +160,7 @@ func TestMergeJoinEmptySides(t *testing.T) {
 // drainAt attaches a statement Exec of the given batch capacity to the
 // tree and drains it.
 func drainAt(op Operator, capacity int) ([]record.Tuple, error) {
-	ex := NewExec(nil, nil, capacity, nil)
+	ex := &Exec{batchCap: capacity}
 	SetExec(op, ex)
 	return Drain(op, ex)
 }
@@ -378,7 +378,7 @@ func TestResetPlanDetachesEveryOperator(t *testing.T) {
 		for run := 0; run < 2; run++ {
 			res := govern.NewReservation(govern.NewBudget(1 << 30))
 			snap := st.OpenSnapshot()
-			SetExec(op, NewExec(nil, res, 7, snap))
+			SetExec(op, &Exec{res: res, batchCap: 7, snap: snap})
 			rows, err := Drain(op, nil)
 			ResetPlan(op)
 			snap.Close()

@@ -172,7 +172,7 @@ func countSpoolTables(st *storage.Store) int {
 func TestSpoolCleanupOnFillError(t *testing.T) {
 	st, _ := spillFixture(t)
 	for _, batch := range []int{1, 8} { // the failure lands at and inside a batch boundary
-		sp := &Spool{Child: &failAfter{n: 20}, Store: st, exec: NewExec(nil, nil, batch, nil)}
+		sp := &Spool{Child: &failAfter{n: 20}, Store: st, exec: &Exec{batchCap: batch}}
 		if err := sp.Open(); err == nil {
 			t.Fatalf("batch=%d: spool of failing child opened cleanly", batch)
 		}

@@ -3,10 +3,11 @@ package plan
 // The plan cache: an LRU over statement shapes. A shape is the key
 // sql.Shape gives a statement — its tokens with every number and string
 // literal replaced by a type tag — and under it are filed instances: a
-// parsed AST, the operator tree compiled from it (SELECT), and the AST's
-// literal nodes in text order, the instance's bind slots. A hit checks an
-// instance out, writes the arriving statement's literals into the slots
-// and runs it; nothing is parsed, planned or compiled.
+// parsed AST, what is compiled from it (an operator tree, a write's value
+// expressions), and the AST's literal nodes in text order, the instance's
+// bind slots. A hit checks an instance out, writes the arriving
+// statement's literals into the slots and runs it; nothing is parsed,
+// planned or compiled.
 //
 // That is sound on three conditions, which replace "same text":
 //
@@ -39,6 +40,7 @@ import (
 	"veridb/internal/govern"
 	"veridb/internal/record"
 	"veridb/internal/sql"
+	"veridb/internal/storage"
 )
 
 // instancesPerShape bounds the idle instances kept under one shape: the
@@ -51,8 +53,14 @@ type Instance struct {
 	// Stmt is the statement to run: the parsed AST, or for EXECUTE the
 	// PREPARE template's copy with Params in place of its placeholders.
 	Stmt sql.Statement
-	// Op is the compiled operator tree of a SELECT, nil otherwise.
+	// Op is the compiled operator tree of a SELECT, or the whole-row read
+	// phase of an UPDATE or DELETE; nil otherwise.
 	Op engine.Operator
+	// Table is the table a write changes, nil otherwise; Set is an
+	// UPDATE's SET list and Values an INSERT's value rows, compiled.
+	Table  storage.Engine
+	Set    []Assign
+	Values [][]Assign
 	// Slots are the literal nodes lifted out of the shape key, in text
 	// order; Bind writes a statement's literals into them.
 	Slots []*sql.Literal
@@ -68,17 +76,24 @@ type Instance struct {
 	// shape; Put files no other kind.
 	Rebindable bool
 
-	// Exec, Res, Batch and Columns are a SELECT's per-statement state,
+	// Exec, Res, Batch and Columns are the per-statement state of an Op,
 	// kept on the instance so that an execution of a checked-out one
 	// allocates none of it: the statement controls, the reservation they
-	// charge, the drain batch (engine.DrainThrough) and the output column
-	// names when they are fixed (engine.Names). Between executions they
-	// hold no row, context or snapshot. Columns reaches every result of
-	// the instance and is never written.
+	// charge, the drain batch (engine.DrainThrough) and a SELECT's output
+	// column names when they are fixed (engine.Names). Between executions
+	// they hold no row, context or snapshot. Columns reaches every result
+	// of the instance and is never written.
 	Exec    engine.Exec
 	Res     *govern.Reservation
 	Batch   *engine.RowBatch
 	Columns []string
+}
+
+// Assign is one compiled column value of a write: Expr's value goes into
+// column Col of the row written.
+type Assign struct {
+	Col  int
+	Expr *engine.Compiled
 }
 
 // Bind points the instance at one statement's literals (sql.Shape's, for

@@ -42,27 +42,33 @@ func NullKey() Key { return Key{Kind: KindNull} }
 // KeyOf derives the chain key for a value. NULL column values cannot be
 // chain keys (the chains define a total order over present keys).
 func KeyOf(v Value) (Key, error) {
+	b, err := AppendKeyOf(nil, v)
+	if err != nil {
+		return Key{}, err
+	}
+	return Key{Kind: KindNormal, B: b}, nil
+}
+
+// AppendKeyOf appends the bytes of KeyOf(v) to dst: the key without a Key
+// of its own, for a caller that compares it through a scratch buffer.
+func AppendKeyOf(dst []byte, v Value) ([]byte, error) {
 	if v.Null {
-		return Key{}, fmt.Errorf("record: NULL cannot be a chain key")
+		return dst, fmt.Errorf("record: NULL cannot be a chain key")
 	}
 	switch v.Type {
 	case TypeInt:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(v.I)^(1<<63))
-		return Key{Kind: KindNormal, B: b[:]}, nil
+		return binary.BigEndian.AppendUint64(dst, uint64(v.I)^(1<<63)), nil
 	case TypeFloat:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], floatOrderBits(v.F))
-		return Key{Kind: KindNormal, B: b[:]}, nil
+		return binary.BigEndian.AppendUint64(dst, floatOrderBits(v.F)), nil
 	case TypeText:
-		return Key{Kind: KindNormal, B: []byte(v.S)}, nil
+		return append(dst, v.S...), nil
 	case TypeBool:
 		if v.B {
-			return Key{Kind: KindNormal, B: []byte{1}}, nil
+			return append(dst, 1), nil
 		}
-		return Key{Kind: KindNormal, B: []byte{0}}, nil
+		return append(dst, 0), nil
 	default:
-		return Key{}, fmt.Errorf("record: unkeyable type %s", v.Type)
+		return dst, fmt.Errorf("record: unkeyable type %s", v.Type)
 	}
 }
 

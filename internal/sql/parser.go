@@ -49,28 +49,6 @@ func ParseSlots(src string) (Statement, []*Literal, error) {
 	return st, p.slots, nil
 }
 
-// ParseScript parses a semicolon-separated sequence of statements.
-func ParseScript(src string) ([]Statement, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
-	var out []Statement
-	for {
-		for p.acceptSymbol(";") {
-		}
-		if p.atEOF() {
-			return out, nil
-		}
-		st, err := p.topStatement()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-}
-
 // topStatement parses one statement and enforces that ? placeholders
 // appear only under PREPARE.
 func (p *Parser) topStatement() (Statement, error) {

@@ -238,20 +238,6 @@ func TestParseNotEqualSpellings(t *testing.T) {
 	}
 }
 
-func TestParseScript(t *testing.T) {
-	stmts, err := ParseScript(`
-		CREATE TABLE t (a INT PRIMARY KEY);
-		INSERT INTO t VALUES (1);
-		SELECT * FROM t;
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 3 {
-		t.Fatalf("parsed %d statements", len(stmts))
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",

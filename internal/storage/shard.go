@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -545,25 +546,11 @@ func (sh *shard) updateFunc(pkVal record.Value, pk record.Key, mutate func(recor
 		return err
 	}
 	newTup = t.schema.Coerce(newTup)
-	newPK, err := record.KeyOf(newTup[t.chainCols[0]])
-	if err != nil {
+	if i, err := sh.changedChain(rec, newTup); err != nil {
 		return err
-	}
-	if !newPK.Equal(pk) {
+	} else if i >= 0 {
 		return fmt.Errorf("storage: UpdateFuncAt on %q changed chain column %q",
-			t.name, t.schema.Columns[t.chainCols[0]].Name)
-	}
-	for i := 1; i < len(sh.chains); i++ {
-		nk, ok, err := t.chainKey(i, newTup, pk)
-		if err != nil {
-			return err
-		}
-		old := rec.Links[i]
-		same := (!ok && old.Key.IsNull()) || (ok && !old.Key.IsNull() && nk.Equal(old.Key))
-		if !same {
-			return fmt.Errorf("storage: UpdateFuncAt on %q changed chain column %q",
-				t.name, t.schema.Columns[t.chainCols[i]].Name)
-		}
+			t.name, t.schema.Columns[t.chainCols[i]].Name)
 	}
 	op := sh.mvBegin(c)
 	defer op.finish()
@@ -592,18 +579,13 @@ func (sh *shard) update(pkVal record.Value, pk record.Key, newTup record.Tuple, 
 	if err != nil {
 		return err
 	}
-	sameKeys := true
-	for i := 1; i < len(sh.chains) && sameKeys; i++ {
-		nk, ok, err := t.chainKey(i, newTup, pk)
-		if err != nil {
-			return err
-		}
-		old := rec.Links[i]
-		sameKeys = (!ok && old.Key.IsNull()) || (ok && !old.Key.IsNull() && nk.Equal(old.Key))
+	changed, err := sh.changedChain(rec, newTup)
+	if err != nil {
+		return err
 	}
 	op := sh.mvBegin(c)
 	defer op.finish()
-	if sameKeys {
+	if changed < 0 {
 		op.retire(rec)
 		if _, err = sh.rewrite(loc, &record.Record{Links: rec.Links, Data: newTup}); err != nil {
 			return err
@@ -620,6 +602,34 @@ func (sh *shard) update(pkVal record.Value, pk record.Key, newTup record.Tuple, 
 		return fmt.Errorf("storage: update of %v lost its row on re-insert: %w", pkVal, err)
 	}
 	return nil
+}
+
+// changedChain returns the first chain on which newTup's key differs from
+// rec's, or -1 when newTup keeps every chain key. It compares the key
+// bytes of the chain columns' old and new values through the shard's key
+// scratch, allocating nothing. The caller holds the write latch.
+func (sh *shard) changedChain(rec *record.Record, newTup record.Tuple) (int, error) {
+	for i, col := range sh.t.chainCols {
+		old, v := rec.Data[col], newTup[col]
+		if old.IsNull() || v.IsNull() {
+			if old.IsNull() != v.IsNull() {
+				return i, nil
+			}
+			continue
+		}
+		var err error
+		if sh.key, err = record.AppendKeyOf(sh.key[:0], old); err != nil {
+			return 0, err
+		}
+		n := len(sh.key)
+		if sh.key, err = record.AppendKeyOf(sh.key, v); err != nil {
+			return 0, err
+		}
+		if !bytes.Equal(sh.key[:n], sh.key[n:]) {
+			return i, nil
+		}
+	}
+	return -1, nil
 }
 
 // witness turns the candidate record of an index search into its verdict:

@@ -18,7 +18,8 @@ import (
 // composite key of a secondary chain. Everything the write only passes
 // through (the version transaction, index probes, fetched and encoded
 // images, compaction) reuses shard or pool scratch. Before it did, the
-// same three calls allocated 93, 54 and 101 times.
+// same three calls allocated 93, 54 and 101 times, and UpdateFuncAt 17
+// before its unchanged-key check stopped building keys.
 const (
 	// insertMaxAllocs: the predecessor's pre-image (4), retired once but
 	// fetched and decoded twice, since it precedes the new row on both
@@ -29,10 +30,9 @@ const (
 	insertMaxAllocs = 23
 	// updateMaxAllocs: the row's pre-image (4); the one copy of its data
 	// handed to mutate; 2 version lists, 2 history-key copies and 2 key
-	// strings; the commit, the primary key twice (the lookup and the
-	// unchanged-key check), the composite key the check rebuilds (2) and
-	// the caller's closure.
-	updateMaxAllocs = 17
+	// strings; the commit and the primary key. The check that mutate kept
+	// every chain key compares through the shard's key scratch.
+	updateMaxAllocs = 13
 	// deleteMaxAllocs: the row's and its predecessor's pre-images (8),
 	// the predecessor decoded a second time for its other chain (4,
 	// discarded); 4 version lists, 4 history-key copies and 4 key strings

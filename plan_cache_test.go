@@ -25,10 +25,14 @@ import (
 
 // rebindShape is one statement shape with three bindings of its literals.
 // misses is how many of the three a warmed cache is expected not to serve.
+// warm, for a write, binds the shape to literals that change nothing: an
+// UPDATE or DELETE that matches no row, an INSERT of rows keyed from
+// 100000 that warmShape deletes again.
 type rebindShape struct {
 	format string
 	args   [3][]any
 	misses int
+	warm   []any
 }
 
 func (s rebindShape) text(binding int) string { return fmt.Sprintf(s.format, s.args[binding]...) }
@@ -67,15 +71,24 @@ var rebindShapes = []rebindShape{
 	// GROUP BY keys and merged aggregate calls are matched by source form.
 	{format: `SELECT id %% %d, COUNT(*) FROM items GROUP BY id %% %d ORDER BY id %% %d`, args: [3][]any{{3, 3, 3}, {7, 7, 7}, {2, 2, 2}}, misses: 3},
 	{format: `SELECT SUM(qty * %d), SUM(qty * %d) FROM items`, args: [3][]any{{2, 2}, {2, 3}, {3, 3}}, misses: 2},
-	// DML hits reuse the AST.
-	{format: `UPDATE items SET qty = %d, name = '%s' WHERE id = %d`, args: [3][]any{{40, "a", 1}, {41, "b''c", 2}, {42, "", 1}}},
-	{format: `INSERT INTO cats VALUES (%d, '%s')`, args: [3][]any{{10, "cat-10"}, {11, "cat-11"}, {10, "dup"}}}, // the third is a key violation
-	{format: `DELETE FROM cats WHERE cat >= %d`, args: [3][]any{{11}, {10}, {10}}},
+	// Writes: a hit rebinds the compiled read phase and value expressions.
+	{format: `UPDATE items SET qty = %d, name = '%s' WHERE id = %d`, args: [3][]any{{40, "a", 1}, {41, "b''c", 2}, {42, "", 1}}, warm: []any{0, "w", 100000}},
+	{format: `INSERT INTO cats VALUES (%d, '%s')`, args: [3][]any{{10, "cat-10"}, {11, "cat-11"}, {10, "dup"}}, warm: []any{100000, "w"}}, // the third is a key violation
+	{format: `DELETE FROM cats WHERE cat >= %d`, args: [3][]any{{11}, {10}, {10}}, warm: []any{100000}},
+	// A SET that reads a column, over a range read phase.
+	{format: `UPDATE items SET qty = qty + %d WHERE id BETWEEN %d AND %d`, args: [3][]any{{1, 10, 20}, {3, 15, 15}, {100, 30, 20}}, warm: []any{0, 100000, 100001}},
+	// A read phase on no chain column.
+	{format: `DELETE FROM items WHERE qty = %d AND price > %.1f`, args: [3][]any{{3, 80.0}, {7, 99.5}, {12, 95.0}}, warm: []any{1000, 0.5}},
+	{format: `INSERT INTO cats VALUES (%d, '%s'), (%d, '%s')`, args: [3][]any{{20, "a", 21, "b"}, {22, "", 23, "it''s"}, {24, "c", 25, "d"}}, warm: []any{100000, "w", 100001, "w"}},
+	{format: `INSERT INTO cats (label, cat) VALUES ('%s', %d)`, args: [3][]any{{"x", 30}, {"y", 31}, {"z", 30}}, warm: []any{"w", 100000}}, // the third is a key violation
+	// A key-changing UPDATE; the second lands on an existing key.
+	{format: `UPDATE cats SET cat = %d WHERE cat = %d`, args: [3][]any{{40, 1}, {2, 40}, {41, 99}}, warm: []any{100001, 100000}},
+	{format: `EXECUTE del (%d)`, args: [3][]any{{3}, {3}, {40}}, warm: []any{100000}},
 	{format: `SELECT id, qty, name FROM items WHERE id <= %d`, args: [3][]any{{2}, {1}, {0}}},
 	// EXECUTE: the arguments are the literals, constant expressions too.
 	{format: `EXECUTE sel (%d, '%s')`, args: [3][]any{{5, "item-007"}, {199, "nope"}, {0, "item-000"}}},
 	{format: `EXECUTE sel (%d * %d, '%s')`, args: [3][]any{{5, 2, "x"}, {0, 0, "item-001"}, {14, 14, "item-196"}}},
-	{format: `EXECUTE upd (%d, %d)`, args: [3][]any{{77, 3}, {78, 4}, {79, 3}}},
+	{format: `EXECUTE upd (%d, %d)`, args: [3][]any{{77, 3}, {78, 4}, {79, 3}}, warm: []any{0, 100000}},
 	{format: `SELECT id, qty FROM items WHERE id BETWEEN %d AND %d`, args: [3][]any{{3, 4}, {3, 3}, {4, 4}}},
 	// The five wire_scan_analytic shapes.
 	{format: `SELECT COUNT(*), SUM(l_quantity), AVG(l_extendedprice) FROM lineitem WHERE l_id BETWEEN %d AND %d`, args: scanRanges},
@@ -121,6 +134,7 @@ func rebindSetup(t *testing.T, db *DB) {
 	for _, q := range []string{
 		`PREPARE sel AS SELECT id, name, id + 1 FROM items WHERE id >= ? AND name <> ? ORDER BY id LIMIT 3`,
 		`PREPARE upd AS UPDATE items SET qty = ? WHERE id = ?`,
+		`PREPARE del AS DELETE FROM cats WHERE cat = ?`,
 	} {
 		if err := execAs(t, db, "alice", q); err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -229,24 +243,18 @@ func TestPlanCacheEndorsementIdentity(t *testing.T) {
 }
 
 // warmShape files one instance of the shape in db's cache without changing
-// db: the statement runs in alice's session with literals that match no
-// row (a write) or as its first binding (a read; errors included — a
-// statement that fails while running is filed like any other).
+// db: the statement runs in alice's session with the shape's warm literals
+// (a write) or as its first binding (a read; errors included — a statement
+// that fails while running is filed like any other).
 func warmShape(t *testing.T, db *DB, shape rebindShape) {
 	t.Helper()
-	q := shape.text(0)
-	switch {
-	case strings.HasPrefix(q, "UPDATE"):
-		q = `UPDATE items SET qty = 0, name = 'w' WHERE id = 100000`
-	case strings.HasPrefix(q, "INSERT"):
-		// Insert and delete a row of the shape; the DELETE is its own
-		// shape, warmed again below when its turn comes.
-		mustExec(t, db, `INSERT INTO cats VALUES (100000, 'w')`)
-		q = `DELETE FROM cats WHERE cat >= 100000`
-	case strings.HasPrefix(q, "DELETE"):
-		q = `DELETE FROM cats WHERE cat >= 100000`
-	case strings.HasPrefix(q, "EXECUTE upd"):
-		q = `EXECUTE upd (0, 100000)`
+	if shape.warm == nil {
+		_ = execAs(t, db, "alice", shape.text(0))
+		return
 	}
-	_ = execAs(t, db, "alice", q)
+	_ = execAs(t, db, "alice", fmt.Sprintf(shape.format, shape.warm...))
+	if strings.HasPrefix(shape.format, "INSERT") {
+		// The DELETE is its own shape, warmed again when its turn comes.
+		mustExec(t, db, `DELETE FROM cats WHERE cat >= 100000`)
+	}
 }

@@ -18,6 +18,12 @@ import (
 const (
 	serveAllocs  = 19 // db.Serve of a plan-cache hit returning one row
 	clientAllocs = 1  // client NewRequest + VerifyResponse: the request MAC
+	// The whole verified round trip (NewRequest, Serve, VerifyResponse) of
+	// a plan-cache hit writing one row by primary key. Before writes ran as
+	// compiled plan instances, these read 28, 88 and 87.
+	insertAllocs = 23
+	updateAllocs = 37
+	deleteAllocs = 39
 )
 
 // TestServeRoundTripAllocs gates the allocations of one verified point
@@ -26,8 +32,11 @@ const (
 // signing the request and verifying the response. Keyed MAC states, the
 // buffers MAC and digest inputs are built in, and a cached plan's
 // per-statement state are reused; a change that allocates any of them per
-// statement again fails here. A count, so it holds on any host; skipped
-// under the race detector, where sync.Pool drops entries on purpose.
+// statement again fails here. The write cases gate the whole round trip
+// of a one-row INSERT, UPDATE and DELETE by primary key, each a hit whose
+// read phase and value expressions were compiled once. A count, so it
+// holds on any host; skipped under the race detector, where sync.Pool
+// drops entries on purpose.
 func TestServeRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled MAC states on purpose under the race detector")
@@ -111,6 +120,63 @@ func TestServeRoundTripAllocs(t *testing.T) {
 			t.Errorf("NewRequest + VerifyResponse: %.1f allocs, want <= %d", allocs, clientAllocs)
 		}
 	})
+
+	roundTrip := func(q string) error {
+		req := c.NewRequest(q)
+		resp, err := db.Serve(req)
+		if err == nil {
+			err = c.VerifyResponse(req, resp)
+		}
+		if err == nil && resp.Affected != 1 {
+			err = fmt.Errorf("%s: %d rows affected", q, resp.Affected)
+		}
+		return err
+	}
+	// Warm each write shape's cached instance on keys of its own.
+	for k := 100; k < 300; k++ {
+		for _, q := range []string{
+			fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'w')`, k),
+			fmt.Sprintf(`UPDATE kv SET v = 'x' WHERE k = %d`, k),
+			fmt.Sprintf(`DELETE FROM kv WHERE k = %d`, k),
+		} {
+			if err := roundTrip(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ins, upd, del := make([]string, runs+1), make([]string, runs+1), make([]string, runs+1)
+	for i := range ins {
+		k := 1000 + i
+		ins[i] = fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'value-%d')`, k, k)
+		upd[i] = fmt.Sprintf(`UPDATE kv SET v = 'updated-%d' WHERE k = %d`, i, k)
+		del[i] = fmt.Sprintf(`DELETE FROM kv WHERE k = %d`, k)
+	}
+	for _, w := range []struct {
+		name  string
+		qs    []string
+		bound int
+	}{
+		{"insert", ins, insertAllocs},
+		{"update", upd, updateAllocs},
+		{"delete", del, deleteAllocs},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			i := 0
+			var err error
+			allocs := testing.AllocsPerRun(runs, func() {
+				if rerr := roundTrip(w.qs[i]); rerr != nil && err == nil {
+					err = rerr
+				}
+				i++
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs > float64(w.bound) {
+				t.Errorf("verified %s round trip: %.1f allocs, want <= %d", w.name, allocs, w.bound)
+			}
+		})
+	}
 }
 
 // TestReplayAfterReuse guards the rule that no reused buffer reaches an
