@@ -11,14 +11,16 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # The public surface every simplicity PR quotes: the exported fields of
-# veridb.Config, core.Config and vmem.Config (counted from go doc's source
-# view), the flags veridb-server defines, and the methods of the storage
-# seam.
+# every config object — veridb.Config, core.Config, vmem.Config,
+# server.Config and enclave.Config (counted from go doc's source view) —
+# the flags veridb-server defines, and the methods of the storage seam.
 CONFIG_FIELDS = awk '/^type Config struct/ {f = 1; next} f && /^}/ {exit} f && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n}'
 knobs:
 	@printf 'veridb.Config fields: '; $(GO) doc -u -src . Config | $(CONFIG_FIELDS)
 	@printf 'core.Config fields:   '; $(GO) doc -u -src ./internal/core Config | $(CONFIG_FIELDS)
 	@printf 'vmem.Config fields:   '; $(GO) doc -u -src ./internal/vmem Config | $(CONFIG_FIELDS)
+	@printf 'server.Config fields: '; $(GO) doc -u -src ./internal/server Config | $(CONFIG_FIELDS)
+	@printf 'enclave.Config fields: '; $(GO) doc -u -src ./internal/enclave Config | $(CONFIG_FIELDS)
 	@printf 'veridb-server flags:  '; grep -c 'flag\.\(Bool\|Int\|Int64\|String\|Duration\|Var\)(' cmd/veridb-server/main.go
 	@printf 'storage.Engine methods: '; $(GO) doc -u -src ./internal/storage Engine | grep -cE '^[[:space:]]+[A-Z][A-Za-z]*\('
 

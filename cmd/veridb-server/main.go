@@ -57,9 +57,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "authenticated durable storage directory (empty = in-memory only)")
 	stmtTimeout := flag.Duration("statement-timeout", 0, "per-statement execution deadline (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "process memory budget for query state, bytes (0 = track only)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "maximum statements executing at once (0 = no admission control)")
-	admissionQueue := flag.Int("admission-queue", 0, "statements allowed to wait for an execution slot (requires -max-concurrent)")
-	admissionWait := flag.Duration("admission-wait", 0, "longest a queued statement waits before being shed (0 = 50ms; requires -max-concurrent)")
+	maxConcurrent := flag.Int("max-concurrent", 0, "maximum statements executing at once; the excess is shed at once (0 = no admission control)")
 	sessionMaxIdle := flag.Duration("session-max-idle", 0, "expire idle pinned snapshots after this inactivity (0 = never)")
 	initSQL := flag.String("init", "", "semicolon-separated SQL to run at startup")
 	maxLine := flag.Int("max-line", 1<<20, "maximum request size, bytes (frame payload)")
@@ -80,8 +78,6 @@ func main() {
 		StatementTimeout:        *stmtTimeout,
 		MemBudget:               *memBudget,
 		MaxConcurrentStatements: *maxConcurrent,
-		AdmissionQueueDepth:     *admissionQueue,
-		AdmissionMaxWait:        *admissionWait,
 		SessionMaxIdle:          *sessionMaxIdle,
 	})
 	if err != nil {

@@ -150,7 +150,6 @@ func TestPipelineOverloadRetriesFreshQID(t *testing.T) {
 	db, err := veridb.Open(veridb.Config{
 		Seed:                    22,
 		MaxConcurrentStatements: 1,
-		AdmissionMaxWait:        time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -74,19 +74,10 @@ type Config struct {
 	// without refusing.
 	MemBudget int64
 	// MaxConcurrentStatements caps statements executing inside the kernel
-	// at once; excess statements wait in a bounded admission queue and are
-	// shed with a typed govern.ErrOverloaded (carrying a RetryAfter hint)
-	// once the queue is full or AdmissionMaxWait elapses. Zero disables
-	// admission control.
+	// at once; a statement that finds every slot taken is shed at once
+	// with a typed govern.ErrOverloaded carrying a RetryAfter hint. Zero
+	// disables admission control.
 	MaxConcurrentStatements int
-	// AdmissionQueueDepth bounds how many statements may wait for an
-	// execution slot before new arrivals are shed immediately. Meaningful
-	// only with MaxConcurrentStatements > 0.
-	AdmissionQueueDepth int
-	// AdmissionMaxWait bounds how long a queued statement waits for a slot
-	// before being shed. Zero maps to a 50ms default. Meaningful only with
-	// MaxConcurrentStatements > 0.
-	AdmissionMaxWait time.Duration
 	// SessionMaxIdle expires a client session's pinned snapshot (BEGIN
 	// SNAPSHOT) after this much statement inactivity, unblocking version
 	// reclamation when a client vanishes mid-session. The expired session's next
@@ -194,7 +185,7 @@ func Open(cfg Config) (*DB, error) {
 		planCache:      plan.NewCache(cfg.PlanCacheSize),
 		sessions:       make(map[string]*session),
 		budget:         govern.NewBudget(cfg.MemBudget),
-		admit:          govern.NewAdmission(cfg.MaxConcurrentStatements, cfg.AdmissionQueueDepth, cfg.AdmissionMaxWait),
+		admit:          govern.NewAdmission(cfg.MaxConcurrentStatements),
 		stmtTimeout:    cfg.StatementTimeout,
 		sessionMaxIdle: cfg.SessionMaxIdle,
 	}
@@ -427,32 +418,63 @@ func (db *DB) ExecuteSession(clientID, query string) (*portal.Result, error) {
 // statement is cancelled when ctx ends (and, with StatementTimeout set,
 // when the server-side deadline elapses — whichever comes first), with
 // every resource it held released through the operator Close chain. All
-// statements pass the admission gate first; once the server is past
-// MaxConcurrentStatements with a full queue, new statements are refused
-// with a typed govern.ErrOverloaded. Integrity fences are checked before
-// and after admission so quarantine is never masked as overload.
+// statements pass the admission gate first; once MaxConcurrentStatements
+// are running, new statements are refused with a typed
+// govern.ErrOverloaded. Integrity fences take precedence over the shed,
+// so neither quarantine nor a fenced WAL is masked as overload.
 func (db *DB) ExecuteContext(ctx context.Context, clientID, query string) (*portal.Result, error) {
 	// Fence first: a quarantined instance refuses with the quarantine
 	// error no matter how loaded it is.
 	if err := db.QuarantineError(); err != nil {
 		return nil, err
 	}
+	release, err := db.admit.Acquire()
+	if err != nil {
+		if ferr := db.writeFence(clientID, query); ferr != nil {
+			return nil, ferr
+		}
+		return nil, err
+	}
+	defer release()
 	if db.stmtTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, db.stmtTimeout)
 		defer cancel()
 	}
-	release, err := db.admit.Acquire(ctx)
-	if err != nil {
-		// A quarantine raised while this statement waited takes precedence
-		// over the shed: the client must learn the instance is fenced.
-		if qerr := db.QuarantineError(); qerr != nil {
-			return nil, qerr
-		}
-		return nil, err
-	}
-	defer release()
 	return db.executeAdmitted(ctx, clientID, query)
+}
+
+// writeFence is the sticky WAL error when the log is fenced and query
+// changes the database, nil otherwise: a shed write must not come back as
+// a retryable overload when no retry can make it durable. It runs only on
+// the shed path, so the parse it may need costs an admitted statement
+// nothing.
+func (db *DB) writeFence(clientID, query string) error {
+	if db.dur == nil {
+		return nil
+	}
+	broken := db.dur.broken.Load()
+	if broken == nil {
+		return nil
+	}
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		return nil
+	}
+	if ex, ok := stmt.(*sql.ExecutePrepared); ok {
+		sess := db.sessionFor(clientID)
+		sess.mu.Lock()
+		prep := sess.prepared[ex.Name]
+		sess.mu.Unlock()
+		if prep == nil {
+			return nil
+		}
+		stmt = prep.Stmt
+	}
+	if !isMutating(stmt) {
+		return nil
+	}
+	return *broken
 }
 
 // executeAdmitted runs one statement that already holds an admission slot.
@@ -743,7 +765,7 @@ type GovernStats struct {
 	MemLimit     int64
 	MemHighWater int64
 	MemDenied    int64
-	// Admission snapshots the shed/queue counters.
+	// Admission snapshots the admitted/shed/in-flight counters.
 	Admission govern.AdmissionStats
 	// SessionsExpired counts pinned sessions the idle reaper released.
 	SessionsExpired int64

@@ -78,20 +78,22 @@ func TestCancelledContextStopsSelect(t *testing.T) {
 	}
 }
 
-// TestAdmissionShedsTypedOverload: with one slot and no queue, a second
-// concurrent statement is refused with a typed *govern.OverloadedError
-// carrying a RetryAfter hint, and admission resumes once the slot frees.
+// TestAdmissionShedsTypedOverload: with both slots of a two-slot gate
+// held, the next statement is shed at once with a typed
+// *govern.OverloadedError whose RetryAfter is 50ms per statement in
+// flight, and the same statement is admitted once a slot frees.
 func TestAdmissionShedsTypedOverload(t *testing.T) {
-	db := openGovern(t, Config{
-		MaxConcurrentStatements: 1,
-		AdmissionQueueDepth:     0,
-		AdmissionMaxWait:        5 * time.Millisecond,
-	})
+	db := openGovern(t, Config{MaxConcurrentStatements: 2})
 	seedBig(t, db, 10)
-	release, err := db.admit.Acquire(context.Background())
+	rel1, err := db.admit.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rel2, err := db.admit.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel2()
 	_, err = db.Execute(`SELECT * FROM big`)
 	if !errors.Is(err, govern.ErrOverloaded) {
 		t.Fatalf("want ErrOverloaded, got %v", err)
@@ -100,64 +102,50 @@ func TestAdmissionShedsTypedOverload(t *testing.T) {
 	if !errors.As(err, &oe) {
 		t.Fatalf("shed error not typed: %v", err)
 	}
-	if oe.RetryAfter < time.Millisecond {
-		t.Fatalf("RetryAfter hint missing: %v", oe.RetryAfter)
+	if oe.RetryAfter != 100*time.Millisecond {
+		t.Fatalf("RetryAfter = %v, want 100ms for two statements in flight", oe.RetryAfter)
 	}
-	if got := db.GovernStats().Admission.Shed; got < 1 {
-		t.Fatalf("shed counter = %d", got)
+	if got := db.GovernStats().Admission.Shed; got != 1 {
+		t.Fatalf("shed counter = %d, want 1", got)
 	}
-	release()
+	rel1()
 	if _, err := db.Execute(`SELECT * FROM big`); err != nil {
 		t.Fatalf("post-release statement: %v", err)
 	}
 }
 
-// TestWALFenceNotMaskedByAdmission: statements queued in admission while
-// the WAL fence trips drain with ErrWALBroken — an integrity refusal the
-// client must see — never with a retryable ErrOverloaded that would invite
-// pointless retries against a fenced instance.
+// TestWALFenceNotMaskedByAdmission: a write the full gate turns away
+// while the WAL fence is tripped fails with ErrWALBroken — an integrity
+// refusal the client must see — never with a retryable ErrOverloaded that
+// would invite pointless retries against a fenced instance; an EXECUTE of
+// a prepared write counts as a write. A read shed beside it is still an
+// overload: reads keep serving on a fenced log.
 func TestWALFenceNotMaskedByAdmission(t *testing.T) {
-	db := openGovern(t, Config{
-		DataDir:                 t.TempDir(),
-		MaxConcurrentStatements: 1,
-		AdmissionQueueDepth:     8,
-		AdmissionMaxWait:        5 * time.Second,
-	})
+	db := openGovern(t, Config{DataDir: t.TempDir(), MaxConcurrentStatements: 1})
 	exec(t, db, `CREATE TABLE big (id INT PRIMARY KEY, val INT)`)
+	exec(t, db, `PREPARE put AS INSERT INTO big VALUES (?, ?)`)
 	// Trip the sticky WAL fence the way a failed append would.
 	db.dur.fence(errors.New("injected append fault"))
-	// Hold the only slot so the writers below park in the queue.
-	release, err := db.admit.Acquire(context.Background())
+	// Hold the only slot so every statement below is shed.
+	release, err := db.admit.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers = 4
-	errs := make([]error, writers)
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = db.Execute(fmt.Sprintf(`INSERT INTO big VALUES (%d,%d)`, i, i))
-		}(i)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for db.admit.Stats().Waiting < writers {
-		if time.Now().After(deadline) {
-			release()
-			t.Fatalf("writers never queued: %+v", db.admit.Stats())
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	release()
-	wg.Wait()
-	for i, err := range errs {
+	defer release()
+	for _, q := range []string{`INSERT INTO big VALUES (1, 1)`, `EXECUTE put (2, 2)`} {
+		_, err := db.Execute(q)
 		if !errors.Is(err, ErrWALBroken) {
-			t.Fatalf("writer %d: want ErrWALBroken, got %v", i, err)
+			t.Fatalf("%s: want ErrWALBroken, got %v", q, err)
 		}
 		if errors.Is(err, govern.ErrOverloaded) {
-			t.Fatalf("writer %d: fence masked as overload: %v", i, err)
+			t.Fatalf("%s: fence masked as overload: %v", q, err)
 		}
+	}
+	if _, err := db.Execute(`SELECT * FROM big`); !errors.Is(err, govern.ErrOverloaded) {
+		t.Fatalf("read: want ErrOverloaded, got %v", err)
+	}
+	if got := db.GovernStats().Admission.Shed; got != 3 {
+		t.Fatalf("shed counter = %d, want 3", got)
 	}
 }
 
@@ -303,8 +291,6 @@ func TestOverloadStormDrains(t *testing.T) {
 		StatementTimeout:        200 * time.Millisecond,
 		MemBudget:               4 << 20,
 		MaxConcurrentStatements: 2,
-		AdmissionQueueDepth:     8,
-		AdmissionMaxWait:        time.Millisecond,
 		SessionMaxIdle:          50 * time.Millisecond,
 	})
 	if err != nil {
@@ -399,11 +385,11 @@ func TestOverloadStormDrains(t *testing.T) {
 	}
 
 	gs := db.GovernStats()
-	for deadline := time.Now().Add(3 * time.Second); gs.Admission.InFlight != 0 || gs.Admission.Waiting != 0 ||
+	for deadline := time.Now().Add(3 * time.Second); gs.Admission.InFlight != 0 ||
 		gs.SnapshotPins != 0 || gs.MemUsed != gs.ResponseCache.Bytes+floor; gs = db.GovernStats() {
 		if time.Now().After(deadline) {
-			t.Fatalf("storm did not drain: inflight=%d waiting=%d pins=%d mem=%d cache=%d floor=%d",
-				gs.Admission.InFlight, gs.Admission.Waiting, gs.SnapshotPins, gs.MemUsed, gs.ResponseCache.Bytes, floor)
+			t.Fatalf("storm did not drain: inflight=%d pins=%d mem=%d cache=%d floor=%d",
+				gs.Admission.InFlight, gs.SnapshotPins, gs.MemUsed, gs.ResponseCache.Bytes, floor)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

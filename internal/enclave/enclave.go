@@ -57,13 +57,15 @@ type Config struct {
 	// cycles. Zero disables crossing-cost simulation (the default for
 	// correctness tests; benches opt in).
 	ECallCycles int64
-	// CPUGHz converts cycles to wall time when ECallCycles > 0. Zero means
-	// 3.8 GHz, the paper's Xeon E3-1270 v6.
-	CPUGHz float64
-	// Measurement overrides the enclave identity hash input; empty uses a
-	// fixed VeriDB identity string.
-	Measurement string
 }
+
+// cpuGHz converts simulated cycles to wall time: the paper's Xeon
+// E3-1270 v6.
+const cpuGHz = 3.8
+
+// identity is the enclave identity hash input (the measured code's
+// stand-in).
+const identity = "veridb-enclave-v1"
 
 // Enclave is a simulated SGX enclave instance. All fields are private: the
 // only way to interact with enclave state is through its methods, which
@@ -97,12 +99,8 @@ func New(cfg Config) (*Enclave, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := cfg.Measurement
-	if m == "" {
-		m = "veridb-enclave-v1"
-	}
 	e := &Enclave{
-		measurement: sha256.Sum256([]byte(m)),
+		measurement: sha256.Sum256([]byte(identity)),
 		signPriv:    priv,
 		signPub:     pub,
 		epcBudget:   cfg.EPCBytes,
@@ -114,11 +112,7 @@ func New(cfg Config) (*Enclave, error) {
 	if e.epcBudget == 0 {
 		e.epcBudget = DefaultEPCBytes
 	}
-	ghz := cfg.CPUGHz
-	if ghz == 0 {
-		ghz = 3.8
-	}
-	e.cyclePeriod = time.Duration(float64(time.Second) / (ghz * 1e9) * float64(e.ecallCycles))
+	e.cyclePeriod = time.Duration(float64(time.Second) / (cpuGHz * 1e9) * float64(e.ecallCycles))
 	return e, nil
 }
 

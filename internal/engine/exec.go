@@ -142,10 +142,10 @@ func SetExec(op Operator, ex *Exec) {
 }
 
 // Names returns the names of op's output columns and whether they are
-// fixed: the same at every execution of the plan. They are when the
-// projection on top names every column itself; one that heads a column by
-// its live source form (Project.Titles) renders it anew after each
-// rebinding.
+// fixed: the same at every execution of the plan. They are unless the
+// projection on top heads a column by its live source form
+// (Project.Titles), which renders it anew after each rebinding; a plan
+// without a projection (SELECT *) reports its input's column names.
 func Names(op Operator) ([]string, bool) {
 	schema := op.Schema()
 	names := make([]string, len(schema))
@@ -164,7 +164,7 @@ func fixedNames(op Operator) bool {
 	case *Project:
 		return !slices.ContainsFunc(x.Titles, func(t fmt.Stringer) bool { return t != nil })
 	}
-	return false
+	return true
 }
 
 // Drain runs an operator to completion under the statement controls (ex

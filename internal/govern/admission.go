@@ -1,7 +1,6 @@
 package govern
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -56,64 +55,51 @@ func ParseOverloaded(msg string) (*OverloadedError, bool) {
 	return &OverloadedError{RetryAfter: time.Duration(ms) * time.Millisecond}, true
 }
 
-// AdmissionStats is a point-in-time snapshot of the admission queue.
+// AdmissionStats is a point-in-time snapshot of the admission gate.
 type AdmissionStats struct {
 	Admitted int64 // statements that got a slot
-	Queued   int64 // statements that waited in the queue before a slot
 	Shed     int64 // statements refused with ErrOverloaded
 	InFlight int64 // slots currently held
-	Waiting  int64 // statements currently parked in the queue
 }
 
-// Admission bounds statement concurrency with a slot pool and a finite
-// wait queue. A statement either takes a free slot immediately, waits in
-// the queue up to maxWait (or its context deadline, whichever is sooner),
-// or is shed with a typed *OverloadedError carrying a retry hint.
+// retryPerStatement is the backoff a shed statement is told to wait for
+// each statement running ahead of it.
+const retryPerStatement = 50 * time.Millisecond
+
+// Admission bounds statement concurrency with a slot pool. A statement
+// takes a free slot or is shed at once with a typed *OverloadedError
+// carrying a retry hint; nothing waits, so a statement that is admitted
+// runs at unloaded latency and the excess is turned back to the client's
+// backoff.
 //
 // A nil *Admission admits everything: Acquire returns a no-op release.
 type Admission struct {
-	slots    chan struct{}
-	queueCap int64
-	maxWait  time.Duration
+	slots chan struct{}
 
 	admitted atomic.Int64
-	queued   atomic.Int64
 	shed     atomic.Int64
 	inFlight atomic.Int64
-	waiting  atomic.Int64
 }
 
-// NewAdmission builds an admission gate with maxConcurrent slots, at most
-// queueDepth statements waiting behind them, and maxWait as the longest a
-// queued statement will park before being shed. maxConcurrent <= 0
-// disables the gate (returns nil).
-func NewAdmission(maxConcurrent, queueDepth int, maxWait time.Duration) *Admission {
+// NewAdmission builds an admission gate with maxConcurrent slots.
+// maxConcurrent <= 0 disables the gate (returns nil).
+func NewAdmission(maxConcurrent int) *Admission {
 	if maxConcurrent <= 0 {
 		return nil
 	}
-	if queueDepth < 0 {
-		queueDepth = 0
-	}
-	if maxWait <= 0 {
-		maxWait = 50 * time.Millisecond
-	}
-	return &Admission{
-		slots:    make(chan struct{}, maxConcurrent),
-		queueCap: int64(queueDepth),
-		maxWait:  maxWait,
-	}
+	return &Admission{slots: make(chan struct{}, maxConcurrent)}
 }
 
-// Acquire claims an execution slot, waiting in the bounded queue if none
-// is free. The returned release function MUST be called exactly once when
-// the statement finishes. On refusal it returns a *OverloadedError whose
-// RetryAfter reflects the current queue depth, or ctx.Err() if the
-// caller's context died while waiting.
-func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
+// Acquire claims a free execution slot or sheds the statement. The
+// returned release function MUST be called exactly once when the
+// statement finishes. On refusal it returns a *OverloadedError whose
+// RetryAfter is 50ms per statement in flight (counting at least one, so
+// the hint never parses back from the wire's whole milliseconds as "no
+// hint"), capped at 2s.
+func (a *Admission) Acquire() (release func(), err error) {
 	if a == nil {
 		return func() {}, nil
 	}
-	// Fast path: free slot, no queueing.
 	select {
 	case a.slots <- struct{}{}:
 		a.admitted.Add(1)
@@ -121,52 +107,14 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		return a.release, nil
 	default:
 	}
-	// Queue full → shed immediately rather than park.
-	if a.waiting.Load() >= a.queueCap {
-		a.shed.Add(1)
-		return nil, a.refusal()
-	}
-	a.waiting.Add(1)
-	defer a.waiting.Add(-1)
-	timer := time.NewTimer(a.maxWait)
-	defer timer.Stop()
-	select {
-	case a.slots <- struct{}{}:
-		a.admitted.Add(1)
-		a.queued.Add(1)
-		a.inFlight.Add(1)
-		return a.release, nil
-	case <-timer.C:
-		a.shed.Add(1)
-		return nil, a.refusal()
-	case <-ctx.Done():
-		a.shed.Add(1)
-		return nil, ctx.Err()
-	}
+	a.shed.Add(1)
+	after := time.Duration(max(a.inFlight.Load(), 1)) * retryPerStatement
+	return nil, &OverloadedError{RetryAfter: min(after, 2*time.Second)}
 }
 
 func (a *Admission) release() {
 	a.inFlight.Add(-1)
 	<-a.slots
-}
-
-// refusal builds the shed error with a retry hint scaled to how backed up
-// the server is: one maxWait per queued-or-running statement ahead of the
-// caller. The hint is clamped to [1ms, 2s] — the wire encoding carries
-// whole milliseconds, so anything smaller would parse back as "no hint".
-func (a *Admission) refusal() *OverloadedError {
-	depth := a.waiting.Load() + a.inFlight.Load()
-	if depth < 1 {
-		depth = 1
-	}
-	after := time.Duration(depth) * a.maxWait
-	if after < time.Millisecond {
-		after = time.Millisecond
-	}
-	if after > 2*time.Second {
-		after = 2 * time.Second
-	}
-	return &OverloadedError{RetryAfter: after}
 }
 
 // Stats snapshots the admission counters. Zero-valued for a nil gate.
@@ -176,9 +124,7 @@ func (a *Admission) Stats() AdmissionStats {
 	}
 	return AdmissionStats{
 		Admitted: a.admitted.Load(),
-		Queued:   a.queued.Load(),
 		Shed:     a.shed.Load(),
 		InFlight: a.inFlight.Load(),
-		Waiting:  a.waiting.Load(),
 	}
 }

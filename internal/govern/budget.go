@@ -1,8 +1,8 @@
 // Package govern implements the overload-protection primitives shared by
 // the server stack: a process-wide memory budget charged by the execution
-// engine, the portal response cache, and MVCC version chains; and a bounded
-// admission queue that sheds load with typed, retryable refusals once the
-// server is past capacity.
+// engine, the portal response cache, and MVCC version chains; and an
+// admission gate that sheds load with typed, retryable refusals once every
+// execution slot is taken.
 //
 // The budget is advisory bookkeeping, not an allocator: callers estimate
 // bytes (see internal/record's TupleBytes) and charge/release around the

@@ -1,7 +1,6 @@
 package govern
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -166,12 +165,12 @@ func TestReservationNil(t *testing.T) {
 }
 
 func TestAdmissionImmediateSlot(t *testing.T) {
-	a := NewAdmission(2, 4, 10*time.Millisecond)
-	rel1, err := a.Acquire(context.Background())
+	a := NewAdmission(2)
+	rel1, err := a.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := a.Acquire(context.Background())
+	rel2, err := a.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +185,13 @@ func TestAdmissionImmediateSlot(t *testing.T) {
 }
 
 func TestAdmissionShedsWhenSaturated(t *testing.T) {
-	a := NewAdmission(1, 0, 5*time.Millisecond)
-	rel, err := a.Acquire(context.Background())
+	a := NewAdmission(1)
+	rel, err := a.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel()
-	_, err = a.Acquire(context.Background())
+	_, err = a.Acquire()
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("want ErrOverloaded, got %v", err)
 	}
@@ -200,85 +199,34 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	if !errors.As(err, &oe) {
 		t.Fatalf("want *OverloadedError, got %T", err)
 	}
-	if oe.RetryAfter <= 0 {
-		t.Fatalf("RetryAfter = %v, want > 0", oe.RetryAfter)
+	if oe.RetryAfter != 50*time.Millisecond {
+		t.Fatalf("RetryAfter = %v, want 50ms for one statement in flight", oe.RetryAfter)
 	}
 	if s := a.Stats(); s.Shed != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
-func TestAdmissionQueueAdmitsAfterRelease(t *testing.T) {
-	a := NewAdmission(1, 2, time.Second)
-	rel, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		r2, err := a.Acquire(context.Background())
-		if err == nil {
-			r2()
+// TestAdmissionRetryHintCapped: the hint grows 50ms per statement in
+// flight and stops at 2s.
+func TestAdmissionRetryHintCapped(t *testing.T) {
+	a := NewAdmission(64)
+	for i := 0; i < 64; i++ {
+		rel, err := a.Acquire()
+		if err != nil {
+			t.Fatal(err)
 		}
-		done <- err
-	}()
-	// Wait until the second acquire is parked in the queue.
-	deadline := time.Now().Add(time.Second)
-	for a.Stats().Waiting == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+		defer rel()
 	}
-	rel()
-	if err := <-done; err != nil {
-		t.Fatalf("queued acquire: %v", err)
-	}
-	if s := a.Stats(); s.Queued != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestAdmissionMaxWaitSheds(t *testing.T) {
-	a := NewAdmission(1, 4, 10*time.Millisecond)
-	rel, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel()
-	start := time.Now()
-	_, err = a.Acquire(context.Background())
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("want ErrOverloaded, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("shed too fast (%v); should have waited ~maxWait", elapsed)
-	}
-}
-
-func TestAdmissionContextCancelWhileQueued(t *testing.T) {
-	a := NewAdmission(1, 4, time.Minute)
-	rel, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := a.Acquire(ctx)
-		done <- err
-	}()
-	deadline := time.Now().Add(time.Second)
-	for a.Stats().Waiting == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	var oe *OverloadedError
+	if _, err := a.Acquire(); !errors.As(err, &oe) || oe.RetryAfter != 2*time.Second {
+		t.Fatalf("want a 2s hint at 64 in flight, got %v", err)
 	}
 }
 
 func TestAdmissionNilAdmitsEverything(t *testing.T) {
 	var a *Admission
-	rel, err := a.Acquire(context.Background())
+	rel, err := a.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -369,6 +369,39 @@ func TestDescribeShapes(t *testing.T) {
 	}
 }
 
+// TestSelectStarHasNoProjection: a lone SELECT * returns its input's rows
+// under its input's column names, with no identity Project copying them;
+// its rows match the same columns named one by one, and a SELECT * beside
+// another item still projects.
+func TestSelectStarHasNoProjection(t *testing.T) {
+	st := fixture(t)
+	const from = ` FROM quote q JOIN inventory i ON q.id = i.id WHERE q.count > 1 ORDER BY q.price DESC LIMIT 3`
+	stmt, _ := sql.Parse(`SELECT *` + from)
+	op, err := PlanSelect(st, stmt.(*sql.Select), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if desc := Describe(op); strings.Contains(desc, "Project") {
+		t.Fatalf("SELECT * kept a projection:\n%s", desc)
+	}
+	names, fixed := engine.Names(op)
+	if got := strings.Join(names, ","); got != "id,count,price,id,count,descr" || !fixed {
+		t.Fatalf("names = %s (fixed %v)", got, fixed)
+	}
+	star := run(t, st, `SELECT *`+from, Options{})
+	listed := run(t, st, `SELECT q.id, q.count, q.price, i.id, i.count, i.descr`+from, Options{})
+	if len(star) == 0 || fmt.Sprint(star) != fmt.Sprint(listed) {
+		t.Fatalf("SELECT * rows %v, listed columns %v", star, listed)
+	}
+	stmt, _ = sql.Parse(`SELECT *, id FROM quote`)
+	if op, err = PlanSelect(st, stmt.(*sql.Select), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := op.(*engine.Project); !ok {
+		t.Fatalf("SELECT *, id planned without a projection:\n%s", Describe(op))
+	}
+}
+
 // scanCols maps each base-table scan leaf of op, by alias, to its
 // projection.
 func scanCols(op engine.Operator, out map[string][]int) map[string][]int {

@@ -321,16 +321,20 @@ func finishSelect(op engine.Operator, sel *sql.Select) (engine.Operator, error) 
 	if len(sel.OrderBy) > 0 && !sortAfterProject {
 		op = &engine.Sort{Child: op, Keys: sortKeys}
 	}
-	// Projection.
-	exprs := make([]*engine.Compiled, len(projExprs))
-	for i, pe := range projExprs {
-		c, err := engine.Compile(pe, op.Schema())
-		if err != nil {
-			return nil, err
+	// Projection, unless it is the identity (a lone SELECT * without
+	// aggregation): then the input's rows, under the same column names,
+	// are the result's, and copying each one would buy nothing.
+	if needsAgg || len(sel.Items) != 1 || !sel.Items[0].Star {
+		exprs := make([]*engine.Compiled, len(projExprs))
+		for i, pe := range projExprs {
+			c, err := engine.Compile(pe, op.Schema())
+			if err != nil {
+				return nil, err
+			}
+			exprs[i] = c
 		}
-		exprs[i] = c
+		op = &engine.Project{Child: op, Exprs: exprs, Names: projNames, Titles: projTitles}
 	}
-	op = &engine.Project{Child: op, Exprs: exprs, Names: projNames, Titles: projTitles}
 	if sortAfterProject {
 		keys := make([]engine.SortKey, len(orderExprs))
 		for i, oe := range orderExprs {

@@ -176,14 +176,13 @@ type wireHealth struct {
 
 // wireGovern is the overload-protection slice of the health response:
 // what a capacity planner watches (high-water memory, shed counts) and
-// what a load balancer keys on (in-flight and waiting depths).
+// what a load balancer keys on (the in-flight depth).
 type wireGovern struct {
 	MemUsed            int64 `json:"memUsed"`
 	MemLimit           int64 `json:"memLimit"`
 	MemHighWater       int64 `json:"memHighWater"`
 	MemDenied          int64 `json:"memDenied"`
 	InFlight           int64 `json:"inFlight"`
-	Waiting            int64 `json:"waiting"`
 	Shed               int64 `json:"shed"`
 	SessionsExpired    int64 `json:"sessionsExpired"`
 	SnapshotPins       int   `json:"snapshotPins"`
@@ -206,7 +205,6 @@ func (s *Server) health() wireHealth {
 			MemHighWater:       g.MemHighWater,
 			MemDenied:          g.MemDenied,
 			InFlight:           g.Admission.InFlight,
-			Waiting:            g.Admission.Waiting,
 			Shed:               g.Admission.Shed,
 			SessionsExpired:    g.SessionsExpired,
 			SnapshotPins:       g.SnapshotPins,
@@ -339,7 +337,7 @@ reading:
 			// waits, exerting backpressure on the socket instead of
 			// buffering unbounded goroutines. The admission gate inside
 			// the database sheds independently (typed, per-frame, with a
-			// RetryAfter hint) once its slots and queue fill.
+			// RetryAfter hint) once its slots are taken.
 			select {
 			case work <- req:
 				continue

@@ -430,7 +430,7 @@ func TestBinaryOutOfOrderCompletion(t *testing.T) {
 	t.Fatal("pipelined fast query never completed ahead of the slow scan")
 }
 
-// TestBinaryPerFrameOverload: with a one-slot admission gate (no queue)
+// TestBinaryPerFrameOverload: with a one-slot admission gate
 // and the slot pinned by a direct slow statement, every query in a
 // pipelined burst is refused per-frame with a typed ErrOverloaded carrying
 // a RetryAfter hint — the refusals don't stall the window or poison the
@@ -439,7 +439,6 @@ func TestBinaryPerFrameOverload(t *testing.T) {
 	db := openDB(t, veridb.Config{
 		Seed:                    7,
 		MaxConcurrentStatements: 1,
-		AdmissionMaxWait:        time.Millisecond,
 	})
 	mustExec(t, db, `CREATE TABLE big (a INT PRIMARY KEY, b INT)`)
 	var sb strings.Builder

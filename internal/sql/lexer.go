@@ -95,25 +95,26 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+		// The literal is a slice of the source unless it holds an escaped
+		// quote ('') to undo.
+		escaped := false
+		for i := start + 1; i < len(l.src); i++ {
+			if l.src[i] != '\'' {
+				continue
 			}
-			ch := l.src[l.pos]
-			if ch == '\'' {
-				if l.peek2() == '\'' { // escaped quote: ''
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
+			if i+1 < len(l.src) && l.src[i+1] == '\'' {
+				escaped = true
+				i++
+				continue
 			}
-			sb.WriteByte(ch)
-			l.pos++
+			l.pos = i + 1
+			text := l.src[start+1 : i]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			return Token{Kind: TokString, Text: text, Pos: start}, nil
 		}
+		return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 	default:
 		// Two-character operators first.
 		two := ""

@@ -42,9 +42,33 @@ func TestTokenizeBasics(t *testing.T) {
 	}
 }
 
+// TestTokenizeStringLiterals: a literal's text is its body with each
+// escaped (doubled) quote undone, wherever in the body it stands, and
+// the token after it starts where the closing quote ends.
+func TestTokenizeStringLiterals(t *testing.T) {
+	for src, want := range map[string]string{
+		`'abc' x`:     "abc",
+		`'' x`:        "",
+		`'it''s' x`:   "it's",
+		`'''' x`:      "'",
+		`'''a''' x`:   "'a'",
+		`'a''b''c' x`: "a'b'c",
+	} {
+		toks, err := Tokenize(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if toks[0].Kind != TokString || toks[0].Text != want || toks[1].Text != "x" {
+			t.Fatalf("%s: got %+v, want string %q then x", src, toks, want)
+		}
+	}
+}
+
 func TestTokenizeErrors(t *testing.T) {
-	if _, err := Tokenize("SELECT 'unterminated"); err == nil {
-		t.Fatal("unterminated string accepted")
+	for _, src := range []string{"SELECT 'unterminated", "SELECT 'it''", "SELECT '"} {
+		if _, err := Tokenize(src); err == nil {
+			t.Fatalf("unterminated string %s accepted", src)
+		}
 	}
 	if _, err := Tokenize("SELECT @x"); err == nil {
 		t.Fatal("bad character accepted")

@@ -21,9 +21,9 @@ const (
 	// The whole verified round trip (NewRequest, Serve, VerifyResponse) of
 	// a plan-cache hit writing one row by primary key. Before writes ran as
 	// compiled plan instances, these read 28, 88 and 87.
-	insertAllocs = 23
-	updateAllocs = 37
-	deleteAllocs = 39
+	insertAllocs = 21
+	updateAllocs = 34
+	deleteAllocs = 38
 )
 
 // TestServeRoundTripAllocs gates the allocations of one verified point

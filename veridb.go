@@ -183,19 +183,11 @@ type Config struct {
 	// first. Zero tracks usage without refusing.
 	MemBudget int64
 	// MaxConcurrentStatements caps statements executing in the kernel at
-	// once. Excess statements wait in a bounded queue and are shed with a
-	// typed overloaded error carrying a RetryAfter hint once the queue is
-	// full or AdmissionMaxWait elapses; the retrying client honors the
-	// hint with jittered backoff. Zero disables admission control.
+	// once. A statement that finds every slot taken is shed at once with a
+	// typed overloaded error carrying a RetryAfter hint; the retrying
+	// client honors the hint with jittered backoff. Zero disables
+	// admission control.
 	MaxConcurrentStatements int
-	// AdmissionQueueDepth bounds how many statements may wait for an
-	// execution slot before new arrivals are shed immediately. Meaningful
-	// only with MaxConcurrentStatements > 0.
-	AdmissionQueueDepth int
-	// AdmissionMaxWait bounds how long a queued statement waits for a
-	// slot before being shed. Zero means 50ms. Meaningful only with
-	// MaxConcurrentStatements > 0.
-	AdmissionMaxWait time.Duration
 	// SessionMaxIdle expires a client session's pinned snapshot (BEGIN
 	// SNAPSHOT) after this much statement inactivity, so a vanished client
 	// cannot hold version reclamation hostage. The expired
@@ -231,18 +223,6 @@ func (c Config) validate() error {
 	if c.MaxConcurrentStatements < 0 {
 		return fmt.Errorf("veridb: MaxConcurrentStatements is %d; want 0 (no admission control) or a positive slot count", c.MaxConcurrentStatements)
 	}
-	if c.AdmissionQueueDepth < 0 {
-		return fmt.Errorf("veridb: AdmissionQueueDepth is %d; want 0 (shed when all slots busy) or a positive queue depth", c.AdmissionQueueDepth)
-	}
-	if c.AdmissionQueueDepth > 0 && c.MaxConcurrentStatements == 0 {
-		return fmt.Errorf("veridb: AdmissionQueueDepth %d has no effect without MaxConcurrentStatements (admission control is off)", c.AdmissionQueueDepth)
-	}
-	if c.AdmissionMaxWait < 0 {
-		return fmt.Errorf("veridb: AdmissionMaxWait is %v; want 0 (default 50ms) or a positive wait", c.AdmissionMaxWait)
-	}
-	if c.AdmissionMaxWait > 0 && c.MaxConcurrentStatements == 0 {
-		return fmt.Errorf("veridb: AdmissionMaxWait %v has no effect without MaxConcurrentStatements (admission control is off)", c.AdmissionMaxWait)
-	}
 	if c.SessionMaxIdle < 0 {
 		return fmt.Errorf("veridb: SessionMaxIdle is %v; want 0 (sessions never expire) or a positive idle bound", c.SessionMaxIdle)
 	}
@@ -264,8 +244,6 @@ func (c Config) coreConfig() (core.Config, error) {
 		StatementTimeout:        c.StatementTimeout,
 		MemBudget:               c.MemBudget,
 		MaxConcurrentStatements: c.MaxConcurrentStatements,
-		AdmissionQueueDepth:     c.AdmissionQueueDepth,
-		AdmissionMaxWait:        c.AdmissionMaxWait,
 		SessionMaxIdle:          c.SessionMaxIdle,
 	}, nil
 }
@@ -342,7 +320,7 @@ func (db *DB) Explain(query string) (string, error) { return db.inner.Explain(qu
 func (db *DB) PlanCache() PlanCacheStats { return db.inner.PlanCacheStats() }
 
 // Govern snapshots the overload-protection counters (memory budget,
-// admission queue, expired sessions, snapshot pins, response cache).
+// admission gate, expired sessions, snapshot pins, response cache).
 func (db *DB) Govern() GovernStats { return db.inner.GovernStats() }
 
 // ExecTimeout is Exec with a per-statement deadline: the statement is
