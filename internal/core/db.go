@@ -68,10 +68,9 @@ type Config struct {
 	StatementTimeout time.Duration
 	// MemBudget caps the estimated bytes of statement materialisations,
 	// MVCC version chains and the portal response cache, process-wide.
-	// Statements that would exceed it fail fast with a typed
-	// govern.ErrResourceExhausted; under sustained pressure spill-eligible
-	// operators degrade to smaller batches first. Zero tracks usage
-	// without refusing.
+	// A statement whose materialisations would exceed it fails fast with a
+	// typed govern.ErrResourceExhausted. Zero tracks usage without
+	// refusing.
 	MemBudget int64
 	// MaxConcurrentStatements caps statements executing inside the kernel
 	// at once; a statement that finds every slot taken is shed at once
@@ -896,15 +895,6 @@ func (db *DB) createTable(ct *sql.CreateTable) (*portal.Result, error) {
 	return &portal.Result{}, nil
 }
 
-// Budget-pressure degradation: once tracked memory passes this fraction of
-// the budget, statements drain their plans at the degraded batch capacity
-// before reserving more — smaller materialisation steps under pressure,
-// refusal only when the budget is actually gone.
-const (
-	degradePressure   = 0.5
-	degradedBatchSize = 16
-)
-
 // write runs an INSERT, UPDATE or DELETE instance. An UPDATE or DELETE
 // first drains its read phase at the latest state; cancellation applies to
 // that phase only. Every row the statement writes is computed before the
@@ -999,8 +989,8 @@ func updatedRows(rows []record.Tuple, set []plan.Assign) ([]record.Tuple, error)
 // Every base-table scan in the plan reads one snapshot: the session's
 // pinned one (BEGIN SNAPSHOT) when present, otherwise a statement snapshot
 // opened at the current commit watermark and released when the drain
-// finishes. Either way a multi-scan plan (joins, self-joins, spool
-// refills) observes a single consistent committed state.
+// finishes. Either way a multi-scan plan (joins, self-joins, a nested-loop
+// join's inner rescans) observes a single consistent committed state.
 func (db *DB) runSelectOp(ctx context.Context, sess *session, in *plan.Instance) (*portal.Result, error) {
 	defer in.Res.Release()
 	snap := sess.pinned()
@@ -1026,18 +1016,13 @@ func (db *DB) runSelectOp(ctx context.Context, sess *session, in *plan.Instance)
 // the latest state) under the statement's context and the instance's
 // reservation: cancellation unwinds at batch boundaries through the
 // operator Close chain, and every materialisation, the drained rows
-// included, is charged against the process budget, failing fast with
-// govern.ErrResourceExhausted. Under budget pressure batches are built
-// smaller first. The controls and the batch are the
-// instance's, reused by each execution of a cached one; the caller
-// releases in.Res once it is done with the rows.
+// included, is charged against the process budget: a statement the budget
+// cannot cover fails fast with govern.ErrResourceExhausted. The controls
+// and the batch are the instance's, reused by each execution of a cached
+// one; the caller releases in.Res once it is done with the rows.
 func (db *DB) drain(ctx context.Context, in *plan.Instance, snap *storage.Snapshot) ([]record.Tuple, error) {
-	capacity := db.batchCap
-	if capacity > degradedBatchSize && db.budget.Pressure() > degradePressure {
-		capacity = degradedBatchSize
-	}
 	ex := &in.Exec
-	ex.Reset(ctx, in.Res, capacity, snap)
+	ex.Reset(ctx, in.Res, db.batchCap, snap)
 	engine.SetExec(in.Op, ex)
 	// Detach the plan before it goes (back) into the cache: a cached
 	// instance retains no dead context, dangling snapshot or row of the

@@ -313,13 +313,14 @@ func TestOverloadStormDrains(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(clients))
 	// call sends one signed request and returns the message of an
-	// authenticated statement error ("" for a result or a shed). A shed
-	// client honours the RetryAfter hint, the protocol's backpressure.
-	call := func(c *client.Client, query string, timeout time.Duration) (string, error) {
+	// authenticated statement error ("" for a result or a shed) and whether
+	// the request was shed. A shed client honours the RetryAfter hint, the
+	// protocol's backpressure, before call returns.
+	call := func(c *client.Client, query string, timeout time.Duration) (msg string, shed bool, err error) {
 		req := c.NewRequestTimeout(query, timeout)
 		resp, err := db.Portal().Serve(req)
 		if err != nil {
-			return "", fmt.Errorf("portal refused an authenticated request: %w", err)
+			return "", false, fmt.Errorf("portal refused an authenticated request: %w", err)
 		}
 		verr := c.VerifyResponse(req, resp)
 		var oe *govern.OverloadedError
@@ -328,15 +329,16 @@ func TestOverloadStormDrains(t *testing.T) {
 		case verr == nil:
 		case errors.As(verr, &oe):
 			if oe.RetryAfter <= 0 {
-				return "", fmt.Errorf("shed without a RetryAfter hint: %w", verr)
+				return "", true, fmt.Errorf("shed without a RetryAfter hint: %w", verr)
 			}
 			time.Sleep(min(oe.RetryAfter, 20*time.Millisecond))
+			return "", true, nil
 		case errors.As(verr, &se):
-			return se.Msg, nil
+			return se.Msg, false, nil
 		default:
-			return "", fmt.Errorf("response failed verification: %w", verr)
+			return "", false, fmt.Errorf("response failed verification: %w", verr)
 		}
-		return "", nil
+		return "", false, nil
 	}
 	loop := func(step func(i int) error) {
 		wg.Add(1)
@@ -353,25 +355,34 @@ func TestOverloadStormDrains(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		c := clients[w]
 		loop(func(i int) error {
-			_, err := call(c, fmt.Sprintf(`SELECT val FROM big WHERE id = %d`, (w+13*i)%rows), 0)
+			_, _, err := call(c, fmt.Sprintf(`SELECT val FROM big WHERE id = %d`, (w+13*i)%rows), 0)
 			return err
 		})
 	}
 	loop(func(int) error {
-		msg, err := call(clients[workers], `SELECT * FROM big ORDER BY val`, time.Millisecond)
+		msg, _, err := call(clients[workers], `SELECT * FROM big ORDER BY val`, time.Millisecond)
 		if strings.Contains(msg, "deadline") || strings.Contains(msg, "cancel") {
 			timeouts.Add(1)
 		}
 		return err
 	})
 	loop(func(int) error {
-		_, err := call(clients[workers+1], `BEGIN SNAPSHOT`, 0)
+		// A shed BEGIN SNAPSHOT pins nothing, and neither does the one that
+		// reports the previous pin's expiry: retry (call has waited out any
+		// RetryAfter hint) until a snapshot pins, past the storm's end if
+		// need be, and only then idle.
+		for msg, shed := "", true; shed || msg != ""; {
+			var err error
+			if msg, shed, err = call(clients[workers+1], `BEGIN SNAPSHOT`, 0); err != nil {
+				return err
+			}
+		}
 		time.Sleep(100 * time.Millisecond) // idle past SessionMaxIdle: the reaper must unpin
-		return err
+		return nil
 	})
 	hog := fmt.Sprintf(`SELECT id, '%s' FROM big`, strings.Repeat("x", 16<<10))
 	loop(func(int) error {
-		_, err := call(clients[workers+2], hog, 0)
+		_, _, err := call(clients[workers+2], hog, 0)
 		time.Sleep(5 * time.Millisecond)
 		return err
 	})

@@ -15,9 +15,9 @@ type RowBatch = storage.RowBatch
 func NewRowBatch(capacity int) *RowBatch { return storage.NewRowBatch(capacity) }
 
 // ResetPlan detaches an operator tree from the statement that just ran it:
-// the statement controls and the snapshot they carry, every materialised row (sort
-// and join buffers, Materialize's fill-once buffer, Spool's temp table),
-// every cursor over a child and the rows left in scratch batches. What
+// the statement controls and the snapshot they carry, every materialised
+// row (sort and join buffers, Materialize's fill-once buffer), every
+// cursor over a child and the rows left in scratch batches. What
 // remains is the compiled plan and scratch capacity, so a plan waiting in
 // the cache pins no reservation, no snapshot and no row, and its next
 // execution — after SetExec — starts as a fresh build
@@ -62,10 +62,6 @@ func ResetPlan(op Operator) {
 		x.exec, x.lcur, x.table, x.cur, x.matches = nil, nil, nil, nil, nil
 		ResetPlan(x.Left)
 		ResetPlan(x.Right)
-	case *Spool:
-		_ = x.Drop() // releases the temp table; next Open refills
-		x.exec = nil
-		ResetPlan(x.Child)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // for cooperative cancellation, the snapshot every storage read of the
 // statement resolves against, a govern.Reservation charged for every
 // materialisation the statement performs (sort buffers, hash-join build
-// sides, aggregate output, spooled rows, drained results), and the batch
+// sides, aggregate output, drained results), and the batch
 // capacity every buffer the statement allocates is sized to — the drain
 // loop's batch, pipeline breakers' input drains, join cursors and probe
 // scratch. Operators check the context once per batch, so a cancelled or
@@ -45,8 +45,8 @@ func (e *Exec) Reset(ctx context.Context, res *govern.Reservation, batchCap int,
 }
 
 // Snapshot is the pinned snapshot the statement's table scans and index
-// probes read, so a multi-scan plan (joins, self-joins, spool refills)
-// observes one committed state; nil reads the latest state.
+// probes read, so a multi-scan plan (joins, self-joins, a nested-loop
+// join's inner rescans) observes one committed state; nil reads the latest state.
 func (e *Exec) Snapshot() *storage.Snapshot {
 	if e == nil {
 		return nil
@@ -84,14 +84,6 @@ func (e *Exec) ChargeTuples(rows []record.Tuple) error {
 	var n int64
 	for _, t := range rows {
 		n += record.TupleBytes(t)
-	}
-	return e.res.Grow(n)
-}
-
-// ChargeBytes reserves n estimated bytes for the statement.
-func (e *Exec) ChargeBytes(n int64) error {
-	if e == nil || e.res == nil {
-		return nil
 	}
 	return e.res.Grow(n)
 }
@@ -135,9 +127,6 @@ func SetExec(op Operator, ex *Exec) {
 		x.exec = ex
 		SetExec(x.Left, ex)
 		SetExec(x.Right, ex)
-	case *Spool:
-		x.exec = ex
-		SetExec(x.Child, ex)
 	}
 }
 

@@ -321,10 +321,10 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materialises the child and emits rows in key order. Operator state
-// beyond a handful of rows conceptually spills to the verifiable storage
-// rather than EPC (§5.4 discusses the options); the simulation keeps it in
-// the enclave's accounted memory.
+// Sort materialises the child and emits rows in key order. Its buffer
+// stays in the enclave's accounted memory: §5.4's spill of operator state
+// to the verifiable storage is not implemented, so a sort past the memory
+// budget fails with govern.ErrResourceExhausted.
 type Sort struct {
 	Child Operator
 	Keys  []SortKey

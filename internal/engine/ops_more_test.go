@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"veridb/internal/enclave"
 	"veridb/internal/govern"
 	"veridb/internal/record"
 	"veridb/internal/storage"
+	"veridb/internal/vmem"
 )
 
 // groupedSpec is a table with a secondary chain on its second column.
@@ -165,13 +167,33 @@ func drainAt(op Operator, capacity int) ([]record.Tuple, error) {
 	return Drain(op, ex)
 }
 
-// capacityFixture is the 50-row src table of spillFixture plus, in the same
-// store, dim: the 25 even ids 2..50 with a secondary chain on grp =
+// capacityFixture is src, 50 rows (i, "p<i>") for i in 1..50, plus, in the
+// same store, dim: the 25 even ids 2..50 with a secondary chain on grp =
 // (id/2)%5, so every join strategy and the secondary-chain probe have
 // partial matches.
 func capacityFixture(t *testing.T) (*storage.Store, *storage.Table, *storage.Table) {
 	t.Helper()
-	st, src := spillFixture(t)
+	mem, err := vmem.New(enclave.NewForTest(31), vmem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := storage.NewStore(mem)
+	src, err := st.CreateTable(storage.TableSpec{
+		Name: "src",
+		Schema: record.NewSchema(
+			record.Column{Name: "id", Type: record.TypeInt},
+			record.Column{Name: "payload", Type: record.TypeText},
+		),
+		PrimaryKey: 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 50; i++ {
+		if err := src.InsertAt(record.Tuple{record.Int(int64(i)), record.Text(fmt.Sprintf("p%d", i))}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	spec := groupedSpec()
 	spec.Name = "dim"
 	dim, err := st.CreateTable(spec)
@@ -199,11 +221,6 @@ func TestOperatorsCapacityInvariant(t *testing.T) {
 		for _, capacity := range []int{1, 7, 256} {
 			op, scans := tc.build()
 			rows, err := drainAt(op, capacity)
-			if sp, ok := op.(*Spool); ok {
-				if err := sp.Drop(); err != nil {
-					t.Fatalf("%s: drop: %v", tc.name, err)
-				}
-			}
 			errText := ""
 			if err != nil {
 				errText = err.Error()
@@ -352,10 +369,6 @@ func operatorCases(t *testing.T) (*storage.Store, []operatorCase) {
 			return &HashJoin{Left: l, Right: r,
 				LeftKey:  compileValue(t, "s.id", l.Schema()),
 				RightKey: compileValue(t, "d.id", r.Schema())}, []*TableScan{l, r}
-		}},
-		{name: "spool", rows: 50, hash: 0x8fcb28e48fd03483, visited: []int{51}, build: func() (Operator, []*TableScan) {
-			s := srcScan()
-			return &Spool{Child: s, Store: st}, []*TableScan{s}
 		}},
 		{name: "errorMidScan", rows: 0, hash: 0x9612b07b5ecb5a5, visited: []int{31}, err: "engine: integer division by zero", build: func() (Operator, []*TableScan) {
 			s := srcScan()

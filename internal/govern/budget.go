@@ -15,7 +15,7 @@
 //   - Charge/Release: unconditional, for long-lived structures (MVCC version
 //     chains, response cache entries) whose growth cannot fail a committed
 //     write retroactively. These elevate Used so that *future* reservations
-//     observe the pressure and fail or degrade.
+//     observe them and fail.
 package govern
 
 import (
@@ -133,16 +133,6 @@ func (b *Budget) Denied() int64 {
 		return 0
 	}
 	return b.denied.Load()
-}
-
-// Pressure reports Used/Limit in [0,1+]; 0 when unlimited or nil. The
-// engine uses this to degrade batch sizes before reservations start
-// failing outright.
-func (b *Budget) Pressure() float64 {
-	if b == nil || b.limit <= 0 {
-		return 0
-	}
-	return float64(b.used.Load()) / float64(b.limit)
 }
 
 func (b *Budget) bumpHighWater(v int64) {

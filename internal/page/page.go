@@ -372,5 +372,7 @@ func (p *Page) SlotPointerBytes(i int) []byte {
 
 // RawBuffer exposes the underlying byte buffer. It exists so tests and the
 // tamper demo can mutate memory the way an adversary with host access would
-// (bypassing every protected interface); regular code must never use it.
+// (bypassing every protected interface); regular code only reads the
+// metadata cells through it (vmem copies them to fold their changes) and
+// must never write through it.
 func (p *Page) RawBuffer() []byte { return p.buf }

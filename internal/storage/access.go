@@ -60,8 +60,7 @@ type ScanBounds struct {
 // writers cannot change. That stability is what lets it hold the shard's
 // shared latch only while it fills one batch and nothing between fills:
 // writers are never blocked behind an open unfinished scan
-// (TestWriterNotBlockedByOpenScan). An ephemeral table has no history and
-// no second user, and is walked at its latest version the same way.
+// (TestWriterNotBlockedByOpenScan).
 //
 // What a scanned row costs is its two PRF evaluations (vmem's Alg. 1 Read),
 // the validation of its whole image, and the decoding of the columns the
@@ -110,13 +109,12 @@ type Scanner struct {
 }
 
 // newScan opens a verified scan of the given chain of this shard over
-// bounds as of seq (ignored on an ephemeral table, which has no versions).
-// On a verification failure the returned scanner is already closed and
-// carries the error. While no writer has committed above seq the scan
-// issues exactly the protected reads of a latest-version chain walk (one
-// fetch for the entry point, then one per step), so the verification
-// traffic — and with it the resident RSWS digest — does not depend on
-// versioning.
+// bounds as of seq. On a verification failure the returned scanner is
+// already closed and carries the error. While no writer has committed
+// above seq the scan issues exactly the protected reads of a
+// latest-version chain walk (one fetch for the entry point, then one per
+// step), so the verification traffic — and with it the resident RSWS
+// digest — does not depend on versioning.
 func (sh *shard) newScan(chain int, bounds ScanBounds, seq uint64) (*Scanner, error) {
 	s := &Scanner{sh: sh, chain: chain, seq: seq, start: record.Bottom(), end: record.Top(), rd: sh.newReader()}
 	if bounds.Start != nil {

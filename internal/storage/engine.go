@@ -35,13 +35,11 @@ type Iterator interface {
 // The nil rules, stated once for every method:
 //   - A write with a nil *Commit commits alone, under a commit of its own.
 //     Writes sharing a non-nil commit become visible to snapshot readers
-//     atomically when it is done. Ephemeral tables never touch the commit
-//     clock.
+//     atomically when it is done.
 //   - A read with a nil *Snapshot reads the latest state: a point read sees
 //     the live version under the owning shard's latch, and a scan reads at
 //     a snapshot it pins itself and releases at Close. A non-nil snapshot
 //     stays the caller's, and one can serve many reads.
-//   - An ephemeral table is read only with a nil snapshot.
 type Engine interface {
 	// Schema metadata.
 	Name() string

@@ -283,8 +283,7 @@ type version struct {
 
 // shardVersions is a shard's MVCC side-state, all of it in trusted enclave
 // heap (maps and B-trees of encoded keys — no vmem pages, so the resident
-// digest never sees it). Guarded by the shard latch. nil on ephemeral
-// tables, which are read at their latest version.
+// digest never sees it). Guarded by the shard latch.
 type shardVersions struct {
 	// cur[i] maps a chain-i encoded key to the live record's begin seq;
 	// absent means "visible since forever" (seq 0) — the common case for
@@ -364,8 +363,6 @@ func newShardVersions(chains int) *shardVersions {
 // a two-chain table), so they sit in a slice searched linearly, and each
 // key is encoded to its string once, when it is first touched: that
 // string is what the version maps and the reclaim queue keep.
-//
-// A nil *mvOp (ephemeral tables) is valid; all methods are no-ops.
 type mvOp struct {
 	sh  *shard
 	c   *Commit
@@ -390,14 +387,10 @@ type touchedKey struct {
 }
 
 // mvBegin opens the version transaction for one shard operation under
-// commit c, which a versioned table's writes always have (Table.commitFor).
-// It returns the shard's own op, emptied by the previous finish, or nil (a
-// valid no-op receiver) on ephemeral tables. The caller holds the shard
-// write latch until finish has run.
+// commit c, which every write has (Table.commitFor). It returns the
+// shard's own op, emptied by the previous finish. The caller holds the
+// shard write latch until finish has run.
 func (sh *shard) mvBegin(c *Commit) *mvOp {
-	if sh.mv == nil {
-		return nil
-	}
 	op := &sh.op
 	op.sh, op.c, op.seq = sh, c, c.Seq()
 	return op
@@ -422,9 +415,6 @@ func (op *mvOp) entry(chain int, k record.Key) *touchedKey {
 // new image in a fresh Record. The record stays live unless a later unlink
 // says otherwise.
 func (op *mvOp) retire(rec *record.Record) {
-	if op == nil {
-		return
-	}
 	for i, l := range rec.Links {
 		if l.Key.IsNull() {
 			continue
@@ -438,9 +428,6 @@ func (op *mvOp) retire(rec *record.Record) {
 // install records rec as live after the operation, under every chain key
 // it carries. Call after the physical mutation lands.
 func (op *mvOp) install(rec *record.Record) {
-	if op == nil {
-		return
-	}
 	for i, l := range rec.Links {
 		if !l.Key.IsNull() {
 			op.entry(i, l.Key).live = true
@@ -452,9 +439,6 @@ func (op *mvOp) install(rec *record.Record) {
 // for removal (the record is leaving the chains). Call before the physical
 // delete.
 func (op *mvOp) unlink(rec *record.Record) {
-	if op == nil {
-		return
-	}
 	for i, l := range rec.Links {
 		if l.Key.IsNull() {
 			continue
@@ -472,9 +456,6 @@ func (op *mvOp) unlink(rec *record.Record) {
 // It must run before the shard latch is released. Empty ranges (eff equal
 // to a key's current begin — intra-commit churn) append nothing.
 func (op *mvOp) finish() {
-	if op == nil {
-		return
-	}
 	mv := op.sh.mv
 	// The effective timestamp: the commit seq, raised to every touched
 	// key's version frontier (live begin and retired tail) so ranges tile
@@ -572,7 +553,7 @@ func (mv *shardVersions) reclaim(floor uint64, bud *govern.Budget) {
 // at or before the live version's begin, so a live version that began at
 // or before seq is the one visible at seq.
 func (sh *shard) liveVisibleLocked(chain int, enc []byte, seq uint64) bool {
-	return sh.mv == nil || sh.mv.newest <= seq || sh.mv.cur[chain][string(enc)] <= seq
+	return sh.mv.newest <= seq || sh.mv.cur[chain][string(enc)] <= seq
 }
 
 // versionAtLocked resolves chain-i key k (encoded enc) as of commit seq,
@@ -582,7 +563,7 @@ func (sh *shard) liveVisibleLocked(chain int, enc []byte, seq uint64) bool {
 // own and good until r's next fetch. The caller holds the shard latch (read
 // or write).
 func (sh *shard) versionAtLocked(r *reader, chain int, k record.Key, enc []byte, seq uint64) (rec *record.Record, shared bool, err error) {
-	if mv := sh.mv; mv != nil && mv.newest > seq { // else every retired version ended by seq
+	if mv := sh.mv; mv.newest > seq { // else every retired version ended by seq
 		vs := mv.hist[chain][string(enc)]
 		for i := len(vs) - 1; i >= 0; i-- {
 			if vs[i].begin > seq {
@@ -613,7 +594,7 @@ func (sh *shard) versionAtLocked(r *reader, chain int, k record.Key, enc []byte,
 // to genesis). The caller holds the shard latch.
 func (sh *shard) entryAtLocked(r *reader, chain int, start record.Key, seq uint64) (*record.Record, bool, error) {
 	cursor := start.Encode()
-	if sh.mv == nil || sh.mv.newest <= seq {
+	if sh.mv.newest <= seq {
 		_, loc, ok := sh.chains[chain].SeekLE(cursor)
 		if !ok {
 			return nil, false, fmt.Errorf("%w: chain %d has no record ≤ %v (missing ⊥ anchor)", ErrVerifyFailed, chain, start)
@@ -624,10 +605,8 @@ func (sh *shard) entryAtLocked(r *reader, chain int, start record.Key, seq uint6
 	seek := (*index.BTree).SeekLE
 	for {
 		cand, _, ok := seek(sh.chains[chain], cursor)
-		if sh.mv != nil {
-			if histKey, _, histOK := seek(sh.mv.histKeys[chain], cursor); histOK && (!ok || string(histKey) > string(cand)) {
-				cand, ok = histKey, true
-			}
+		if histKey, _, histOK := seek(sh.mv.histKeys[chain], cursor); histOK && (!ok || string(histKey) > string(cand)) {
+			cand, ok = histKey, true
 		}
 		if !ok {
 			return nil, false, fmt.Errorf("%w: chain %d has no record ≤ %v (missing ⊥ anchor)", ErrVerifyFailed, chain, start)
@@ -669,11 +648,9 @@ func (s *Store) VersionStats() (retained, begins int, floor uint64) {
 	for _, t := range s.tables {
 		for _, sh := range t.shards {
 			sh.mu.RLock()
-			if sh.mv != nil {
-				retained += sh.mv.retained
-				for _, m := range sh.mv.cur {
-					begins += len(m)
-				}
+			retained += sh.mv.retained
+			for _, m := range sh.mv.cur {
+				begins += len(m)
 			}
 			sh.mu.RUnlock()
 		}

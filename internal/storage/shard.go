@@ -43,9 +43,9 @@ type shard struct {
 	rows     int
 
 	// mv holds the shard's retired record versions and live-version begin
-	// seqs for MVCC snapshot reads (nil on ephemeral tables). It lives in
-	// trusted enclave heap, outside the write-read consistent memory, so
-	// versioning never perturbs the resident RSWS digest. Guarded by mu.
+	// seqs for MVCC snapshot reads. It lives in trusted enclave heap,
+	// outside the write-read consistent memory, so versioning never
+	// perturbs the resident RSWS digest. Guarded by mu.
 	mv *shardVersions
 
 	// The write paths' scratch, reused under the write latch so that a
@@ -67,9 +67,7 @@ func newShard(t *Table, id, affinity int) (*shard, error) {
 		affinity: affinity,
 		chains:   make([]*index.BTree, len(t.chainCols)),
 		spacious: make(map[uint64]bool),
-	}
-	if !t.ephemeral {
-		sh.mv = newShardVersions(len(t.chainCols))
+		mv:       newShardVersions(len(t.chainCols)),
 	}
 	for i := range sh.chains {
 		sh.chains[i] = index.New()

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -375,6 +376,47 @@ func TestUpdateGrowRelocatesAcrossPages(t *testing.T) {
 	}
 	if err := s.Memory().VerifyAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTamperAfterRelocationDetected grows a row until UpdateAt relocates it
+// to another page (rewrite's delete and re-insert), then tampers with the
+// relocated cell behind the protected interface: the record must still be
+// in the verified set at its new home.
+func TestTamperAfterRelocationDetected(t *testing.T) {
+	s := newStore(t, vmem.Config{PageSize: 512, FullScan: true})
+	tb, err := s.CreateTable(TableSpec{
+		Name: "docs",
+		Schema: record.NewSchema(
+			record.Column{Name: "id", Type: record.TypeInt},
+			record.Column{Name: "body", Type: record.TypeText},
+		),
+		PrimaryKey: 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		mustInsert(t, tb, record.Tuple{record.Int(int64(i)), record.Text(strings.Repeat("x", 40))})
+	}
+	_, _, before, _ := linkLoc(tb, 3)
+	if err := tb.UpdateAt(record.Int(3), record.Tuple{record.Int(3), record.Text(strings.Repeat("y", 300))}, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, _, after, _ := linkLoc(tb, 3)
+	if after.Page == before.Page {
+		t.Fatalf("row stayed on page %d: the update did not relocate it", before.Page)
+	}
+	if err := s.Memory().VerifyAll(); err != nil {
+		t.Fatalf("clean relocation failed verification: %v", err)
+	}
+	raw := bytes.Clone(rawRecord(t, tb, after))
+	raw[len(raw)-1] ^= 0xff // a body byte
+	if err := s.Memory().TamperRecord(after.Page, after.Slot, raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Memory().VerifyAll(); !errors.Is(err, vmem.ErrTamperDetected) {
+		t.Fatalf("tamper after relocation undetected: %v", err)
 	}
 }
 

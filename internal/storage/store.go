@@ -42,13 +42,6 @@ type TableSpec struct {
 	// Shards is the hash-shard count; 0 falls back to the store default and
 	// 1 (the overall default) reproduces the unsharded layout bit-for-bit.
 	Shards int
-	// Ephemeral marks statement-scoped working tables (e.g. spool spill
-	// targets). They skip MVCC versioning entirely: no commit-clock
-	// traffic, no version capture, and they are written with a nil commit
-	// and read with a nil snapshot, at their latest version (the Engine nil
-	// rules) — correct because an ephemeral table is only ever touched by
-	// the statement that created it.
-	Ephemeral bool
 }
 
 // Store owns the verifiable storage for a set of tables over one
@@ -134,17 +127,15 @@ func (s *Store) CreateTable(spec TableSpec) (*Table, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("storage: table %q shard count %d must be ≥ 1", spec.Name, shards)
 	}
-	t, err := newTable(s, spec.Name, spec.Schema, chainCols, shards, spec.Ephemeral)
+	t, err := newTable(s, spec.Name, spec.Schema, chainCols, shards)
 	if err != nil {
 		return nil, err
 	}
-	if !spec.Ephemeral {
-		// Stamp the creation as a commit so snapshots pinned before it will
-		// refuse to scan the table (their catalog predates it).
-		c := s.BeginCommit()
-		t.born = c.Seq()
-		c.Done()
-	}
+	// Stamp the creation as a commit so snapshots pinned before it will
+	// refuse to scan the table (their catalog predates it).
+	c := s.BeginCommit()
+	t.born = c.Seq()
+	c.Done()
 	s.tables[spec.Name] = t
 	s.version.Add(1)
 	return t, nil
@@ -193,14 +184,12 @@ func (s *Store) DropTable(name string) error {
 	bud := s.budget.Load()
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		if sh.mv != nil {
-			// The dropped table's retired versions go with it; return their
-			// budget charge so the governor doesn't count freed heap.
-			for i := range sh.mv.hist {
-				for _, vs := range sh.mv.hist[i] {
-					for _, v := range vs {
-						bud.Release(versionBytes(v.rec))
-					}
+		// The dropped table's retired versions go with it; return their
+		// budget charge so the governor doesn't count freed heap.
+		for i := range sh.mv.hist {
+			for _, vs := range sh.mv.hist[i] {
+				for _, v := range vs {
+					bud.Release(versionBytes(v.rec))
 				}
 			}
 		}

@@ -37,15 +37,12 @@ type Table struct {
 
 	shards []*shard
 
-	// ephemeral tables (spool spill targets) skip MVCC entirely: no commit
-	// clock traffic, no version capture, scans at the latest version.
-	ephemeral bool
 	// born is the commit seq the table was created at; snapshots pinned
 	// below it must not scan the table (their catalog predates it).
 	born uint64
 }
 
-func newTable(s *Store, name string, schema *record.Schema, chainCols []int, nShards int, ephemeral bool) (*Table, error) {
+func newTable(s *Store, name string, schema *record.Schema, chainCols []int, nShards int) (*Table, error) {
 	if nShards < 1 {
 		nShards = 1
 	}
@@ -56,7 +53,6 @@ func newTable(s *Store, name string, schema *record.Schema, chainCols []int, nSh
 		schema:    schema,
 		chainCols: chainCols,
 		shards:    make([]*shard, nShards),
-		ephemeral: ephemeral,
 	}
 	for i := range t.shards {
 		affinity := -1
@@ -147,13 +143,11 @@ func (t *Table) chainKey(i int, tup record.Tuple, pk record.Key) (record.Key, bo
 // or below it, so a read at latest sees the live chain.
 const latest = math.MaxUint64
 
-// commitFor is the nil rule every write goes through: a nil c on a
-// versioned table means the write commits alone, under a commit begun
-// here and returned as owned for the caller to end (owned is otherwise
-// nil, whose Done does nothing). Ephemeral tables never touch the commit
-// clock.
+// commitFor is the nil rule every write goes through: a nil c means the
+// write commits alone, under a commit begun here and returned as owned for
+// the caller to end (owned is otherwise nil, whose Done does nothing).
 func (t *Table) commitFor(c *Commit) (use, owned *Commit) {
-	if c != nil || t.ephemeral {
+	if c != nil {
 		return c, nil
 	}
 	c = t.store.BeginCommit()
@@ -252,13 +246,11 @@ func (t *Table) Get(v record.Value) (record.Tuple, Evidence, error) { return t.G
 
 // readSeq is the nil rule every read goes through: a nil snap reads the
 // latest state, any other snap its pinned seq, which must not predate the
-// table. An ephemeral table has no versions and is read only with nil.
+// table.
 func (t *Table) readSeq(snap *Snapshot) (uint64, error) {
 	switch {
 	case snap == nil:
 		return latest, nil
-	case t.ephemeral:
-		return 0, fmt.Errorf("storage: ephemeral table %q cannot be read at a snapshot", t.name)
 	case snap.Seq() < t.born:
 		return 0, fmt.Errorf("storage: table %q was created at seq %d, after snapshot %d", t.name, t.born, snap.Seq())
 	}
@@ -289,11 +281,10 @@ func (t *Table) GetAt(v record.Value, snap *Snapshot) (record.Tuple, Evidence, e
 // scan stitches every shard's sub-chain in key order.
 //
 // The caller keeps ownership of a non-nil snap (one snapshot can serve many
-// scans). With a nil snap a versioned table is scanned at a snapshot the
-// scan pins itself at the current commit watermark and releases at Close;
-// an ephemeral table is scanned at its latest version.
+// scans). With a nil snap the table is scanned at a snapshot the scan pins
+// itself at the current commit watermark and releases at Close.
 func (t *Table) NewScan(chain int, bounds ScanBounds, snap *Snapshot) (Iterator, error) {
-	if snap == nil && !t.ephemeral {
+	if snap == nil {
 		snap = t.store.OpenSnapshot()
 		it, err := t.NewScan(chain, bounds, snap)
 		if err != nil {

@@ -38,17 +38,42 @@ const (
 	// discarded); 4 version lists, 4 history-key copies and 4 key strings
 	// (two chain keys each); the commit and the primary key.
 	deleteMaxAllocs = 26
+
+	// With VerifyMetadata every protected write first copies the page's
+	// header and line pointers in one allocation: three for an insert (the
+	// new record and its predecessor's relink on each chain), one for an
+	// update, three for a delete.
+	insertMetaMaxAllocs = insertMaxAllocs + 3
+	updateMetaMaxAllocs = updateMaxAllocs + 1
+	deleteMetaMaxAllocs = deleteMaxAllocs + 3
 )
 
 // TestWriteAllocs gates InsertAt, UpdateFuncAt and DeleteAt of one row on
 // a warm one-shard table with two chains (itemsSpec) and no snapshot
-// pinned, each write under a commit of its own. Allocation counts are the
-// same on any host, unlike timings, so this runs with the ordinary tests.
+// pinned, each write under a commit of its own, in the default
+// configuration and with VerifyMetadata, whose every protected write also
+// copies the page's metadata cells once. Allocation counts are the same on
+// any host, unlike timings, so this runs with the ordinary tests.
 func TestWriteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the pooled hasher and compaction buffer on purpose under the race detector")
 	}
-	tb, err := newStore(t, vmem.Config{}).CreateTable(itemsSpec())
+	for _, c := range []struct {
+		name                string
+		cfg                 vmem.Config
+		insert, update, del float64
+	}{
+		{"RSWS", vmem.Config{}, insertMaxAllocs, updateMaxAllocs, deleteMaxAllocs},
+		{"VerifyMetadata", vmem.Config{VerifyMetadata: true}, insertMetaMaxAllocs, updateMetaMaxAllocs, deleteMetaMaxAllocs},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			testWriteAllocs(t, c.cfg, c.insert, c.update, c.del)
+		})
+	}
+}
+
+func testWriteAllocs(t *testing.T, cfg vmem.Config, insertMax, updateMax, deleteMax float64) {
+	tb, err := newStore(t, cfg).CreateTable(itemsSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +122,9 @@ func TestWriteAllocs(t *testing.T) {
 		allocs float64
 		bound  float64
 	}{
-		{"InsertAt", insert, insertMaxAllocs},
-		{"UpdateFuncAt", update, updateMaxAllocs},
-		{"DeleteAt", del, deleteMaxAllocs},
+		{"InsertAt", insert, insertMax},
+		{"UpdateFuncAt", update, updateMax},
+		{"DeleteAt", del, deleteMax},
 	} {
 		t.Logf("%s: %.1f allocs", g.name, g.allocs)
 		if g.allocs > g.bound {

@@ -14,19 +14,27 @@ import (
 // read/write sets keeps metadata verification correct even when the slotted
 // page compacts internally and relocates many records at once.
 type metaSnapshot struct {
-	hdr  []byte
-	ptrs [][]byte // indexed by slot; nil beyond the directory
+	// img is one copy of the page's leading bytes: the header, then the
+	// line pointer of every slot in the directory.
+	img []byte
 }
 
-// snapshotMeta copies the page's metadata cells. vp.mu must be held.
+// snapshotMeta copies the page's metadata cells in one allocation. The
+// directory is bounded by what the page can hold, so a slot count past it
+// copies no byte beyond the buffer. vp.mu must be held.
 func (vp *vPage) snapshotMeta() metaSnapshot {
-	s := metaSnapshot{hdr: append([]byte(nil), vp.headerBytes()...)}
-	n := vp.p.SlotCount()
-	s.ptrs = make([][]byte, n)
-	for i := 0; i < n; i++ {
-		s.ptrs[i] = append([]byte(nil), vp.p.SlotPointerBytes(i)...)
+	buf := vp.p.RawBuffer()
+	n := min(vp.p.SlotCount(), (len(buf)-page.HeaderSize)/page.SlotSize)
+	return metaSnapshot{img: append([]byte(nil), buf[:page.HeaderSize+n*page.SlotSize]...)}
+}
+
+// ptr returns the copied line pointer of slot i, nil beyond the directory.
+func (s metaSnapshot) ptr(i int) []byte {
+	b := page.HeaderSize + i*page.SlotSize
+	if b+page.SlotSize > len(s.img) {
+		return nil
 	}
-	return s
+	return s.img[b : b+page.SlotSize]
 }
 
 // ptrLive reports whether a line-pointer image references a record (offset
@@ -40,23 +48,17 @@ func ptrLive(ptr []byte) bool {
 // while its slot is live; the header cell is always a member. Callers must
 // hold vp.mu and part.mu and pass the accumulators chosen by epochSets.
 func (m *Memory) foldMetaDiff(vp *vPage, snap metaSnapshot, rs, ws *sethash.Accumulator) {
-	newHdr := vp.headerBytes()
-	if !bytes.Equal(snap.hdr, newHdr) {
-		hr := m.prf(HeaderAddr(vp.id), vp.hver, snap.hdr)
+	oldHdr, newHdr := snap.img[:page.HeaderSize], vp.headerBytes()
+	if !bytes.Equal(oldHdr, newHdr) {
+		hr := m.prf(HeaderAddr(vp.id), vp.hver, oldHdr)
 		rs.AddDigest(&hr)
 		vp.hver++
 		hw := m.prf(HeaderAddr(vp.id), vp.hver, newHdr)
 		ws.AddDigest(&hw)
 	}
-	n := vp.p.SlotCount()
-	if len(snap.ptrs) > n {
-		n = len(snap.ptrs)
-	}
+	n := max(vp.p.SlotCount(), (len(snap.img)-page.HeaderSize)/page.SlotSize)
 	for s := 0; s < n; s++ {
-		var oldPtr []byte
-		if s < len(snap.ptrs) {
-			oldPtr = snap.ptrs[s]
-		}
+		oldPtr := snap.ptr(s)
 		newPtr := vp.p.SlotPointerBytes(s) // nil beyond the directory
 		oldLive, newLive := ptrLive(oldPtr), ptrLive(newPtr)
 		if !oldLive && !newLive {
@@ -358,101 +360,6 @@ func (m *Memory) Delete(pageID uint64, slot int) error {
 	vp.mu.Unlock()
 	m.afterOp()
 	return nil
-}
-
-// Move atomically relocates a record to another page (§4.2 Move): the
-// source cell is read out of the verified set and the image re-enters it at
-// the destination, all under the protection of both page locks so the
-// evidence record is never absent from the verified set mid-move.
-func (m *Memory) Move(srcPage uint64, srcSlot int, dstPage uint64) (int, error) {
-	if srcPage == dstPage {
-		return srcSlot, nil
-	}
-	dstSlot, err := m.moveLocked(srcPage, srcSlot, dstPage)
-	if err != nil {
-		return 0, err
-	}
-	m.afterOp()
-	return dstSlot, nil
-}
-
-// moveLocked performs Move's page-locked portion; afterOp must run with
-// the locks released, so the caller handles it.
-func (m *Memory) moveLocked(srcPage uint64, srcSlot int, dstPage uint64) (int, error) {
-	src, err := m.lookup(srcPage)
-	if err != nil {
-		return 0, err
-	}
-	dst, err := m.lookup(dstPage)
-	if err != nil {
-		return 0, err
-	}
-	// Lock in ID order to avoid deadlock with concurrent moves.
-	first, second := src, dst
-	if first.id > second.id {
-		first, second = second, first
-	}
-	first.mu.Lock()
-	defer first.mu.Unlock()
-	second.mu.Lock()
-	defer second.mu.Unlock()
-
-	data, err := src.p.Get(srcSlot)
-	if err != nil {
-		return 0, err
-	}
-	rec := append([]byte(nil), data...)
-	track := m.cfg.Mode == ModeRSWS
-	var srcSnap, dstSnap metaSnapshot
-	if track && m.cfg.VerifyMetadata {
-		srcSnap = src.snapshotMeta()
-		dstSnap = dst.snapshotMeta()
-	}
-	dstSlot, err := dst.p.Insert(rec)
-	if err != nil {
-		if track && m.cfg.VerifyMetadata {
-			m.foldMetaSolo(dst, dstSnap)
-		}
-		return 0, err
-	}
-	if err := src.p.Delete(srcSlot); err != nil {
-		// Roll back the insert; the move must be atomic.
-		_ = dst.p.Delete(dstSlot)
-		if track && m.cfg.VerifyMetadata {
-			m.foldMetaSolo(dst, dstSnap)
-		}
-		return 0, err
-	}
-	if track {
-		m.ops.Add(1)
-		// Source partition: read-out.
-		sp := m.part(srcPage)
-		sp.mu.Lock()
-		rs, ws := m.epochSets(sp, src)
-		src.ensureVers(srcSlot)
-		dr := m.prf(CellAddr(srcPage, srcSlot), src.vers[srcSlot], rec)
-		rs.AddDigest(&dr)
-		if m.cfg.VerifyMetadata {
-			m.foldMetaDiff(src, srcSnap, rs, ws)
-		}
-		sp.mu.Unlock()
-		src.touched = true
-		// Destination partition: write-in.
-		dp := m.part(dstPage)
-		dp.mu.Lock()
-		rs, ws = m.epochSets(dp, dst)
-		dst.ensureVers(dstSlot)
-		dst.vers[dstSlot]++
-		dw := m.prf(CellAddr(dstPage, dstSlot), dst.vers[dstSlot], rec)
-		ws.AddDigest(&dw)
-		if m.cfg.VerifyMetadata {
-			m.foldMetaDiff(dst, dstSnap, rs, ws)
-		}
-		dp.mu.Unlock()
-		dst.touched = true
-	}
-	m.applyWriteFault(m.hook.Load(), dst, dstSlot, nil, rec)
-	return dstSlot, nil
 }
 
 // PageInfo describes a page's space situation; the storage layer uses it to

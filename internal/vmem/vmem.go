@@ -191,7 +191,7 @@ type Stats struct {
 // enclave's bookkeeping and the bytes that actually land in host memory.
 //
 // MutateWrite is called under the page lock on every successful protected
-// write (Insert, Update, Move write-in) with the image the accumulators
+// write (Insert, Update) with the image the accumulators
 // folded; the returned slice is what actually lands in untrusted memory.
 // Returning intended unchanged (or a slice of a different length, which
 // cannot be stored in place) applies no fault. old is the previous cell

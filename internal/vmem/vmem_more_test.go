@@ -49,26 +49,6 @@ func TestPartitionStateRejectedWhenEPCTooSmall(t *testing.T) {
 	}
 }
 
-func TestTamperAfterMoveDetected(t *testing.T) {
-	m := newMem(t, Config{FullScan: true})
-	p1, _ := m.NewPage()
-	p2, _ := m.NewPage()
-	slot, _ := m.Insert(p1, []byte("protected-record"))
-	newSlot, err := m.Move(p1, slot, p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.VerifyAll(); err != nil {
-		t.Fatalf("clean move failed verification: %v", err)
-	}
-	if err := m.TamperRecord(p2, newSlot, []byte("tampered!-record")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.VerifyAll(); !errors.Is(err, ErrTamperDetected) {
-		t.Fatalf("tamper after move undetected: %v", err)
-	}
-}
-
 func TestAlarmIsolatedPerMemoryInstance(t *testing.T) {
 	a := newMem(t, Config{FullScan: true})
 	b := newMem(t, Config{FullScan: true})

@@ -360,48 +360,6 @@ func TestBaselineModeTracksNothing(t *testing.T) {
 	}
 }
 
-func TestMoveKeepsVerificationBalanced(t *testing.T) {
-	for _, parts := range []int{1, 4} {
-		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
-			m := newMem(t, Config{Partitions: parts, VerifyMetadata: true})
-			p1, _ := m.NewPage()
-			p2, _ := m.NewPage()
-			p3, _ := m.NewPage()
-			s1, _ := m.Insert(p1, []byte("moving-record"))
-			m.Insert(p1, []byte("staying-record"))
-			newSlot, err := m.Move(p1, s1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := m.Get(p2, newSlot)
-			if err != nil || !bytes.Equal(got, []byte("moving-record")) {
-				t.Fatalf("moved record: %q, %v", got, err)
-			}
-			if _, err := m.Get(p1, s1); err == nil {
-				t.Fatal("source slot still readable after move")
-			}
-			// Cross-partition move too.
-			s3, _ := m.Insert(p3, []byte("cross"))
-			if _, err := m.Move(p3, s3, p1); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.VerifyAll(); err != nil {
-				t.Fatalf("move unbalanced the sets: %v", err)
-			}
-		})
-	}
-}
-
-func TestMoveSamePageIsNoop(t *testing.T) {
-	m := newMem(t, Config{})
-	p1, _ := m.NewPage()
-	s, _ := m.Insert(p1, []byte("stay"))
-	got, err := m.Move(p1, s, p1)
-	if err != nil || got != s {
-		t.Fatalf("Move same page = %d, %v", got, err)
-	}
-}
-
 func TestFreePageBalancesSets(t *testing.T) {
 	for name, cfg := range map[string]Config{"plain": {}, "meta": {VerifyMetadata: true}} {
 		t.Run(name, func(t *testing.T) {

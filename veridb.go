@@ -171,16 +171,17 @@ type Config struct {
 	// StatementTimeout bounds each statement's wall-clock execution. The
 	// deadline is threaded as a context through the planner, engine
 	// operators and storage scans; at expiry the statement fails with
-	// context.DeadlineExceeded and releases its latches, snapshot pins and
-	// spool tables. Zero disables the server-side deadline (per-request
+	// context.DeadlineExceeded and releases its latches and snapshot pins.
+	// Zero disables the server-side deadline (per-request
 	// deadlines on the wire still apply; the sooner of the two wins).
 	StatementTimeout time.Duration
 	// MemBudget caps the estimated bytes of statement materialisations
-	// (sorts, hash tables, spools), MVCC version chains and the portal
-	// response cache (itself bounded at 16 MB), process-wide. Statements
-	// that would exceed it fail fast with a typed resource-exhausted error;
-	// under pressure spill-eligible operators degrade to smaller batches
-	// first. Zero tracks usage without refusing.
+	// (sorts, hash tables, aggregates, drained results), MVCC version
+	// chains and the portal response cache (itself bounded at 16 MB),
+	// process-wide. A statement whose materialisations would exceed it
+	// fails fast with a typed resource-exhausted error; nothing spills to
+	// verified storage (the paper's §5.4 sketch is not implemented). Zero
+	// tracks usage without refusing.
 	MemBudget int64
 	// MaxConcurrentStatements caps statements executing in the kernel at
 	// once. A statement that finds every slot taken is shed at once with a
