@@ -66,8 +66,10 @@ race:
 # blocked fsync — and the fault-containment trial of every chaos fault
 # kind (detect, fence, Recover from a replica, resume above the seq
 # floor), and the two tests of a fenced-then-recovered client and a
-# retransmit timer parked behind a shed, fifty times each under the race
-# detector. The bounded-version-state test drives 25 000 TPC-C
+# retransmit timer parked behind a shed, and the three portal tests that
+# race requests against a client's own lock (distinct qids of one client,
+# copies of one qid, two clients keeping responses in their replay
+# windows), fifty times each under the race detector. The bounded-version-state test drives 25 000 TPC-C
 # transactions (about a minute under the race detector), so it runs three
 # times. The overload storm failed only without the race detector (a
 # session driver that idled after a shed BEGIN SNAPSHOT had pinned
@@ -75,7 +77,7 @@ race:
 # it.
 flake:
 	$(GO) test -race -count=50 -timeout 10m \
-		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal|TestBinaryAbruptDisconnectLeaksNothing|TestDrainBesideAcceptLoop|TestPipelineDuplicateShedIsNotARollback|TestPipelineThroughChaosConn|TestFsyncIsTheWindow|TestFaultRecoveryEveryKind|TestPipelineStaleRetransmitTimerIsIgnored' \
+		-run 'TestVerifierLifecycleNoLeak|TestSupervisorFailoverEndToEnd|TestTamperDetectedUnderConcurrentVerifyAll|TestVerifyAllReturnsAlarmRaisedByBackgroundPass|TestVerifyAllOnIdleMemoryWithPassInFlight|TestQuarantineRaisedDuringExecutionIsFlagged|TestConnectionLevelRefusals|TestPipelineSurfacesConnectionRefusal|TestBinaryAbruptDisconnectLeaksNothing|TestDrainBesideAcceptLoop|TestPipelineDuplicateShedIsNotARollback|TestPipelineThroughChaosConn|TestFsyncIsTheWindow|TestFaultRecoveryEveryKind|TestPipelineStaleRetransmitTimerIsIgnored|TestServeConcurrentDistinctQIDs|TestServeConcurrentSameQIDExecutesOnce|TestReplayWindowConcurrentClients' \
 		./internal/core ./internal/vmem ./internal/portal ./internal/server ./internal/client ./internal/wal
 	$(GO) test -race -count=3 -timeout 10m -run 'TestVersionStateBoundedWithoutPins|TestVersionGCReclaims' ./internal/storage
 	$(GO) test -count=50 -timeout 10m -run 'TestOverloadStormDrains$$' ./internal/core
@@ -103,7 +105,7 @@ soak:
 # Fault-injection suite: the chaos injector, the quarantine and Recover
 # paths in core (the containment trial of every fault kind and the
 # overload storm with its post-drain leak checks among them), the client
-# pipeline's retry policy, and the portal response cache — all under the
+# pipeline's retry policy, and the portal replay window — all under the
 # race detector, uncached, with a hard timeout so a hung recovery fails the
 # run instead of wedging it.
 chaos:

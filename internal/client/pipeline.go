@@ -42,8 +42,8 @@ type PipelineConfig struct {
 	MaxInflight int
 	// RetryTimeout is the per-attempt response deadline. When it elapses
 	// the call is retransmitted with the SAME qid and MAC — the portal's
-	// response cache makes the retry at-most-once: a finished query replays
-	// its cached endorsement, an in-flight one answers "query id replayed"
+	// replay window makes the retry at-most-once: a finished query replays
+	// its kept endorsement, an in-flight one answers "query id replayed"
 	// (which the pipeline ignores; the original response is still coming).
 	// 0 disables retransmission. A call whose budget runs out unanswered
 	// fails with ErrTimeout.

@@ -67,7 +67,7 @@ type Config struct {
 	// wire still apply).
 	StatementTimeout time.Duration
 	// MemBudget caps the estimated bytes of statement materialisations,
-	// MVCC version chains and the portal response cache, process-wide.
+	// MVCC version chains and the portal's replay windows, process-wide.
 	// A statement whose materialisations would exceed it fails fast with a
 	// typed govern.ErrResourceExhausted. Zero tracks usage without
 	// refusing.
@@ -770,7 +770,7 @@ type GovernStats struct {
 	SessionsExpired int64
 	// SnapshotPins is the number of snapshot pins currently held.
 	SnapshotPins int
-	// ResponseCache snapshots the portal response cache.
+	// ResponseCache snapshots the portal's replay windows.
 	ResponseCache portal.CacheStats
 }
 

@@ -278,7 +278,7 @@ func TestCancelMidScanReleasesResources(t *testing.T) {
 // Every delivered response must MAC-verify and every shed must be a typed
 // govern.OverloadedError with a positive RetryAfter; each pathological
 // client must trip its protection; after the storm drains, the budget
-// holds the seed floor plus the response cache and nothing else, no pin
+// holds the seed floor plus the replay windows and nothing else, no pin
 // is held, and Close leaves no goroutine behind. make chaos runs it under
 // the race detector.
 func TestOverloadStormDrains(t *testing.T) {

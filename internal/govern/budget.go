@@ -1,6 +1,6 @@
 // Package govern implements the overload-protection primitives shared by
 // the server stack: a process-wide memory budget charged by the execution
-// engine, the portal response cache, and MVCC version chains; and an
+// engine, the portal's replay windows, and MVCC version chains; and an
 // admission gate that sheds load with typed, retryable refusals once every
 // execution slot is taken.
 //
@@ -13,7 +13,7 @@
 //     ErrResourceExhausted before the allocation happens, and everything it
 //     reserved is returned when the statement finishes.
 //   - Charge/Release: unconditional, for long-lived structures (MVCC version
-//     chains, response cache entries) whose growth cannot fail a committed
+//     chains, responses kept for replay) whose growth cannot fail a committed
 //     write retroactively. These elevate Used so that *future* reservations
 //     observe them and fail.
 package govern
@@ -80,7 +80,7 @@ func (b *Budget) Reserve(n int64) error {
 }
 
 // Charge claims n bytes unconditionally. Used for growth that cannot fail
-// (a committed write's new MVCC version, a response-cache insert): the
+// (a committed write's new MVCC version, a response kept for replay): the
 // overshoot is visible to subsequent Reserve calls, which is how pressure
 // propagates to shed-eligible work.
 func (b *Budget) Charge(n int64) {

@@ -18,7 +18,7 @@ import (
 )
 
 // wideExec returns a response of roughly width bytes for any query, so
-// tests can fill the byte-bounded response cache quickly.
+// tests can size responses around the replay window's byte rule.
 type wideExec struct {
 	healthy
 	width int
@@ -29,15 +29,6 @@ func (e *wideExec) ExecuteContext(context.Context, string, string) (*Result, err
 		Columns: []string{"payload"},
 		Rows:    []record.Tuple{{record.Text(strings.Repeat("x", e.width))}},
 	}, nil
-}
-
-// setCacheBound moves the response cache's byte bound, evicting
-// oldest-first down to it at once.
-func setCacheBound(p *Portal, n int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cacheMax = n
-	p.evictOverBytesLocked()
 }
 
 func serveOK(t *testing.T, p *Portal, key []byte, qid uint64) *Response {
@@ -51,43 +42,55 @@ func serveOK(t *testing.T, p *Portal, key []byte, qid uint64) *Response {
 	return resp
 }
 
-// TestResponseCacheByteBound: the response cache never holds more than the
-// configured byte budget — oldest endorsements are evicted first, the
-// eviction counter advances, and a replay of an evicted qid is refused
-// while a still-cached qid replays fine.
+// replayErr replays alice's "SELECT 1" under qid and returns the error.
+func replayErr(p *Portal, key []byte, qid uint64) error {
+	req := Request{ClientID: "alice", QID: qid, Query: "SELECT 1"}
+	req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
+	_, err := p.Serve(req)
+	return err
+}
+
+// TestResponseCacheByteBound: a response over maxReplayBytes is returned
+// and MAC-verifies, but the window does not keep it — it charges nothing
+// to the budget and its replay is refused like an evicted one — while a
+// response just under the rule is kept, and a full window of such
+// responses stays within 16 MiB.
 func TestResponseCacheByteBound(t *testing.T) {
-	p, key := newPortal(t, &wideExec{width: 1024})
-	setCacheBound(p, 4096)
-	const n = 20
-	for qid := uint64(1); qid <= n; qid++ {
+	ex := &wideExec{width: maxReplayBytes}
+	p, key := newPortal(t, ex)
+	b := govern.NewBudget(0) // track-only
+	p.SetBudget(b)
+	resp := serveOK(t, p, key, 1)
+	if sz := responseBytes(resp); sz <= maxReplayBytes {
+		t.Fatalf("response of %d bytes is not over the %d-byte rule", sz, maxReplayBytes)
+	}
+	if !bytes.Equal(resp.MAC, SignResponse(key, resp)) {
+		t.Fatal("large response MAC does not verify")
+	}
+	if st := p.CacheStats(); st != (CacheStats{}) || b.Used() != 0 {
+		t.Fatalf("large response kept: %+v, budget used %d", st, b.Used())
+	}
+	if err := replayErr(p, key, 1); !errors.Is(err, ErrReplayedQID) {
+		t.Fatalf("replay of an unkept response: %v", err)
+	}
+
+	ex.width = maxReplayBytes - 1024
+	for qid := uint64(2); qid <= replayWindow+10; qid++ {
 		serveOK(t, p, key, qid)
 	}
 	st := p.CacheStats()
-	if st.Bytes > 4096 {
-		t.Fatalf("cache holds %d bytes past the 4096 bound", st.Bytes)
+	if st.Entries != replayWindow || st.Bytes > 16<<20 || b.Used() != st.Bytes {
+		t.Fatalf("full window %+v, budget used %d", st, b.Used())
 	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions despite overflow")
-	}
-	if st.Entries >= n {
-		t.Fatalf("all %d entries retained under a bound that fits ~3", n)
-	}
-	// Oldest-first: qid 1 is gone, the newest qid is still cached.
-	old := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	old.MAC = SignRequestTimeout(key, old.ClientID, old.QID, old.Query, 0)
-	if _, err := p.Serve(old); !errors.Is(err, ErrReplayedQID) {
-		t.Fatalf("evicted replay served: %v", err)
-	}
-	fresh := Request{ClientID: "alice", QID: n, Query: "SELECT 1"}
-	fresh.MAC = SignRequestTimeout(key, fresh.ClientID, fresh.QID, fresh.Query, 0)
-	if _, err := p.Serve(fresh); err != nil {
-		t.Fatalf("cached replay rejected: %v", err)
+	if err := replayErr(p, key, replayWindow+10); err != nil {
+		t.Fatalf("kept replay rejected: %v", err)
 	}
 }
 
-// TestResponseCacheChargesBudget: every cached byte is charged to the
-// process budget and released on eviction, so the cache's footprint is
-// visible to (and bounded with) the rest of the memory governor.
+// TestResponseCacheChargesBudget: every kept byte is charged to the
+// process budget, and a response overwritten by a later one releases its
+// charge and counts one eviction, so the windows' footprint is visible to
+// (and bounded with) the rest of the memory governor.
 func TestResponseCacheChargesBudget(t *testing.T) {
 	p, key := newPortal(t, &wideExec{width: 512})
 	b := govern.NewBudget(0) // track-only
@@ -95,17 +98,18 @@ func TestResponseCacheChargesBudget(t *testing.T) {
 	for qid := uint64(1); qid <= 8; qid++ {
 		serveOK(t, p, key, qid)
 	}
-	if used, cached := b.Used(), p.CacheStats().Bytes; used != cached {
-		t.Fatalf("budget used %d != cached bytes %d", used, cached)
-	}
-	// Shrinking the bound evicts immediately and releases the charges.
-	setCacheBound(p, 1024)
 	st := p.CacheStats()
-	if st.Bytes > 1024 {
-		t.Fatalf("cache holds %d bytes after shrink to 1024", st.Bytes)
+	if st.Entries != 8 || st.Evictions != 0 || b.Used() != st.Bytes {
+		t.Fatalf("after 8 responses: %+v, budget used %d", st, b.Used())
 	}
-	if used := b.Used(); used != st.Bytes {
-		t.Fatalf("budget used %d != cached bytes %d after shrink", used, st.Bytes)
+	// replayWindow more responses of the same size: the last 8 overwrite
+	// qids 1 … 8.
+	for qid := uint64(9); qid <= replayWindow+8; qid++ {
+		serveOK(t, p, key, qid)
+	}
+	got := p.CacheStats()
+	if got.Entries != replayWindow || got.Evictions != 8 || got.Bytes != st.Bytes/8*replayWindow || b.Used() != got.Bytes {
+		t.Fatalf("after %d responses: %+v, budget used %d", replayWindow+8, got, b.Used())
 	}
 }
 
@@ -250,14 +254,12 @@ func TestTimeoutIsAuthenticatedAndDispatched(t *testing.T) {
 	}
 }
 
-// TestReplayStateStaysBounded: the per-client replay set and the global
-// eviction order must not grow with the number of statements served. Two
-// clients push 100 000 statements between them, each in pipelined windows
-// whose qids reach the portal out of order; afterwards each client's
-// served-qid set is one interval (never more than a window's worth on the
-// way), and the eviction order is within a constant factor of the live
-// cache — on this traffic the byte bound never binds, which is exactly when
-// the order list used to grow by one ref per statement.
+// TestReplayStateStaysBounded: the per-client replay state must not grow
+// with the number of statements served. Two clients push 100 000
+// statements between them, each in pipelined windows whose qids reach the
+// portal out of order; afterwards each client's served-qid set is one
+// interval (never more than a window's worth on the way), and the replay
+// windows hold exactly their replayWindow latest responses each.
 func TestReplayStateStaysBounded(t *testing.T) {
 	enc := enclave.NewForTest(3)
 	keys := map[string][]byte{"alice": []byte("ka"), "bob": []byte("kb")}
@@ -265,6 +267,8 @@ func TestReplayStateStaysBounded(t *testing.T) {
 		enc.ProvisionMACKey(id, key)
 	}
 	p := New(enc, &echoExec{})
+	b := govern.NewBudget(0)
+	p.SetBudget(b)
 
 	const perClient, window = 50_000, 16
 	serve := func(id string, qid uint64) {
@@ -279,7 +283,7 @@ func TestReplayStateStaysBounded(t *testing.T) {
 			// Highest qid of the window first: the worst arrival order.
 			for qid := base + window - 1; qid >= base; qid-- {
 				serve(id, qid)
-				if n := p.clients[id].seen.Len(); n > window {
+				if n := p.client(id).seen.Len(); n > window {
 					t.Fatalf("%s: %d qid intervals with a window of %d", id, n, window)
 				}
 			}
@@ -287,33 +291,22 @@ func TestReplayStateStaysBounded(t *testing.T) {
 	}
 
 	for id := range keys {
-		if n := p.clients[id].seen.Len(); n != 1 {
+		if n := p.client(id).seen.Len(); n != 1 {
 			t.Fatalf("%s: %d qid intervals after %d consecutive qids, want 1", id, n, perClient)
 		}
 	}
 	st := p.CacheStats()
-	if st.Entries != 2*responseCacheSize {
-		t.Fatalf("cache holds %d entries, want the per-client cap for both clients (%d)", st.Entries, 2*responseCacheSize)
-	}
-	if n, max := len(p.cacheOrder), 2*st.Entries+cacheOrderSlack+1; n > max {
-		t.Fatalf("eviction order holds %d refs for %d live entries (bound %d)", n, st.Entries, max)
+	if st.Entries != 2*replayWindow || st.Evictions != 2*(perClient-replayWindow) || b.Used() != st.Bytes {
+		t.Fatalf("windows %+v, budget used %d; want %d entries and %d evictions",
+			st, b.Used(), 2*replayWindow, 2*(perClient-replayWindow))
 	}
 
-	// The replay contract is unchanged by the new bookkeeping: a recent qid
-	// replays its cached endorsement, an old one is refused, and shrinking
-	// the byte bound still evicts oldest-first through the compacted order.
-	recent := Request{ClientID: "alice", QID: perClient, Query: "SELECT 1"}
-	recent.MAC = SignRequestTimeout(keys["alice"], "alice", recent.QID, recent.Query, 0)
-	if _, err := p.Serve(recent); err != nil {
-		t.Fatalf("cached replay rejected: %v", err)
+	// The window is the latest replayWindow qids: the oldest of them
+	// replays its endorsement, the one just below is refused.
+	if err := replayErr(p, keys["alice"], perClient-replayWindow+1); err != nil {
+		t.Fatalf("replay inside the window rejected: %v", err)
 	}
-	old := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
-	old.MAC = SignRequestTimeout(keys["alice"], "alice", old.QID, old.Query, 0)
-	if _, err := p.Serve(old); !errors.Is(err, ErrReplayedQID) {
-		t.Fatalf("evicted replay served: %v", err)
-	}
-	setCacheBound(p, 1)
-	if st := p.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("byte bound of 1 left %+v", st)
+	if err := replayErr(p, keys["alice"], perClient-replayWindow); !errors.Is(err, ErrReplayedQID) {
+		t.Fatalf("replay below the window served: %v", err)
 	}
 }

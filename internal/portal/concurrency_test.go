@@ -10,11 +10,14 @@ package portal
 import (
 	"bytes"
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"veridb/internal/enclave"
+	"veridb/internal/govern"
 	"veridb/internal/record"
 )
 
@@ -135,5 +138,56 @@ func TestServeConcurrentSameQIDExecutesOnce(t *testing.T) {
 	}
 	if got := exec.calls.Load(); got != 1 {
 		t.Fatalf("executor ran %d times for one qid", got)
+	}
+}
+
+// TestReplayWindowConcurrentClients: two clients hammer Serve at once,
+// several goroutines each, with every statement retried once; the replay
+// windows' accounting stays exact — the budget holds what the windows
+// hold, and no client keeps more than replayWindow responses.
+func TestReplayWindowConcurrentClients(t *testing.T) {
+	enc := enclave.NewForTest(3)
+	keys := map[string][]byte{"alice": []byte("ka"), "bob": []byte("kb")}
+	for id, key := range keys {
+		enc.ProvisionMACKey(id, key)
+	}
+	p := New(enc, &echoExec{})
+	b := govern.NewBudget(0)
+	p.SetBudget(b)
+
+	const workers, perWorker = 4, 100
+	var wg sync.WaitGroup
+	for id, key := range keys {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(id string, key []byte, w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					qid := uint64(i*workers + w + 1)
+					req := Request{ClientID: id, QID: qid, Query: "SELECT 1"}
+					req.MAC = SignRequestTimeout(key, id, qid, req.Query, 0)
+					resp, err := p.Serve(req)
+					if err != nil {
+						t.Errorf("%s qid %d: %v", id, qid, err)
+						return
+					}
+					// The retry is answered from the window, or refused once
+					// later responses pushed it out; it never executes again.
+					if again, err := p.Serve(req); err == nil && again != resp {
+						t.Errorf("%s qid %d: retry answered with another response", id, qid)
+					} else if err != nil && !errors.Is(err, ErrReplayedQID) {
+						t.Errorf("%s qid %d retry: %v", id, qid, err)
+					}
+				}
+			}(id, key, w)
+		}
+	}
+	wg.Wait()
+	st := p.CacheStats()
+	if b.Used() != st.Bytes {
+		t.Fatalf("budget used %d != kept bytes %d", b.Used(), st.Bytes)
+	}
+	if st.Entries > 2*replayWindow || st.Entries == 0 {
+		t.Fatalf("%d kept responses for two clients of window %d", st.Entries, replayWindow)
 	}
 }

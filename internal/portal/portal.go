@@ -91,45 +91,38 @@ type Response struct {
 	MAC         []byte // HMAC(k, "resp" ‖ qid ‖ seq ‖ digest)
 }
 
-// responseCacheSize bounds the per-client last-response cache. A retried
-// request whose original response was already evicted gets ErrReplayedQID
-// again — the cache trades a little enclave memory for retry idempotence,
-// not unbounded history.
-const responseCacheSize = 128
+// replayWindow is how many of its latest responses a client's record keeps
+// for retries, each overwriting the oldest; a retry whose response has
+// left gets ErrReplayedQID again. Slots go by completion, not by qid: a
+// client's qids have gaps (a request signed and never sent, an overload
+// retry under a fresh qid).
+const replayWindow = 128
 
-// responseCacheBytes bounds the response cache's total estimated bytes
-// across all clients: a handful of very large result sets must not dwarf
-// the per-client entry limit. Oldest entries are evicted first.
-const responseCacheBytes = 16 << 20
+// maxReplayBytes is the largest response a window keeps, so a client's
+// window never holds more than 16 MiB. A larger result is a read the
+// client can run again.
+const maxReplayBytes = 16 << 20 / replayWindow
 
-// clientState is the portal's per-client replay defence: the full set of
-// served qids (replays are never re-executed), kept as merged intervals so
-// a client issuing consecutive qids costs O(in-flight window) however many
-// statements it has run, plus a bounded cache of the most recent endorsed
-// responses so a client retrying a lost response gets the original
-// endorsement back instead of an error.
+// clientState is the portal's record of one provisioned client: its keyed
+// MAC states, its served qids as merged intervals (a replay never
+// re-executes; consecutive qids cost one interval), and the replay window
+// of its latest endorsed responses. mu guards the window only.
 type clientState struct {
-	seen  seqset.Set
-	cache map[uint64]cachedResponse
-	order []uint64 // cached qids, oldest first (eviction order)
+	keyed  atomic.Pointer[KeyedMAC]
+	seen   seqset.Set
+	mu     sync.Mutex
+	window [replayWindow]cachedResponse
+	oldest int // the slot the next kept response overwrites
 }
 
-// cachedResponse is one endorsed response, its byte estimate (for
-// eviction) and the MAC of the request it answered. The response MAC
-// covers the qid but not the query, so a replay is served the response
-// only if it is the same request: a second session under the client's id
-// that restarts its qids at 1 must not be answered with the first
-// session's endorsements.
+// cachedResponse is one slot of a replay window: an endorsed response (nil
+// if empty), its byte estimate and the MAC of the request it answered. The
+// response MAC does not cover the query, so a slot answers only that
+// request, not another session's reuse of the qid.
 type cachedResponse struct {
 	resp   *Response
 	size   int64
 	reqMAC [sha256.Size]byte
-}
-
-// cacheRef identifies one cached response in global insertion order.
-type cacheRef struct {
-	st  *clientState
-	qid uint64
 }
 
 // Portal is the enclave-resident query gateway.
@@ -138,59 +131,37 @@ type Portal struct {
 	exec Executor
 	seq  *atomic.Uint64
 
-	macs sync.Map // client ID -> *KeyedMAC
+	clients sync.Map // client ID -> *clientState
 
-	mu      sync.Mutex
-	clients map[string]*clientState
-	// Response-cache accounting: live entries, their total estimated
-	// bytes, the byte bound, the global oldest-first eviction order (which
-	// may hold refs to entries the per-client cap already dropped; see
-	// compactOrderLocked), and the eviction counter.
-	cacheEntries int
-	cacheBytes   int64
-	cacheMax     int64
-	cacheOrder   []cacheRef
-	evictions    int64
-	// budget, when set, is charged for cached response bytes so the cache
-	// participates in the process memory governor.
-	budget *govern.Budget
+	// Replay-window accounting across all clients — kept responses, their
+	// estimated bytes, responses overwritten — and the process budget the
+	// kept bytes are charged to (nil: none).
+	entries, used, evictions atomic.Int64
+	budget                   *govern.Budget
 }
 
 // New builds a portal over an enclave and executor.
 func New(enc *enclave.Enclave, exec Executor) *Portal {
-	return &Portal{
-		enc:      enc,
-		exec:     exec,
-		seq:      enc.MonotonicCounter("portal-seq"),
-		clients:  make(map[string]*clientState),
-		cacheMax: responseCacheBytes,
-	}
+	return &Portal{enc: enc, exec: exec, seq: enc.MonotonicCounter("portal-seq")}
 }
 
-// SetBudget charges cached response bytes against the process memory
-// budget (nil detaches). Call before serving traffic.
-func (p *Portal) SetBudget(b *govern.Budget) {
-	p.mu.Lock()
-	p.budget = b
-	p.mu.Unlock()
-}
+// SetBudget charges kept response bytes against the process memory budget
+// (nil detaches). Call before serving traffic.
+func (p *Portal) SetBudget(b *govern.Budget) { p.budget = b }
 
-// CacheStats is a point-in-time snapshot of the response cache.
+// CacheStats is a point-in-time snapshot of the replay windows.
 type CacheStats struct {
-	// Entries is the number of cached responses across all clients.
+	// Entries is the number of kept responses across all clients.
 	Entries int
-	// Bytes is the estimated total size of cached responses.
+	// Bytes is the estimated total size of kept responses.
 	Bytes int64
-	// Evictions counts responses dropped by either bound (per-client
-	// entries or total bytes) since the portal started.
+	// Evictions counts kept responses overwritten since the portal started.
 	Evictions int64
 }
 
-// CacheStats snapshots the response-cache counters.
+// CacheStats snapshots the replay-window counters.
 func (p *Portal) CacheStats() CacheStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return CacheStats{Entries: p.cacheEntries, Bytes: p.cacheBytes, Evictions: p.evictions}
+	return CacheStats{Entries: int(p.entries.Load()), Bytes: p.used.Load(), Evictions: p.evictions.Load()}
 }
 
 // responseBytes estimates a cached response's heap footprint.
@@ -381,52 +352,55 @@ func (k *KeyedMAC) ResponseMAC(resp *Response) [sha256.Size]byte {
 	return k.sum(st)
 }
 
+// client returns the client's record, made on its first request.
+func (p *Portal) client(clientID string) *clientState {
+	v, ok := p.clients.Load(clientID)
+	if !ok {
+		v, _ = p.clients.LoadOrStore(clientID, new(clientState))
+	}
+	return v.(*clientState)
+}
+
 // macFor returns the client's keyed states, rekeyed if the enclave was
 // provisioned another key for the client since.
-func (p *Portal) macFor(clientID string, key []byte) *KeyedMAC {
-	if v, ok := p.macs.Load(clientID); ok && bytes.Equal(v.(*KeyedMAC).key, key) {
-		return v.(*KeyedMAC)
+func (st *clientState) macFor(key []byte) *KeyedMAC {
+	if k := st.keyed.Load(); k != nil && bytes.Equal(k.key, key) {
+		return k
 	}
 	k := NewKeyedMAC(key)
-	p.macs.Store(clientID, k)
+	st.keyed.Store(k)
 	return k
 }
 
 // Serve authorises and executes one request (Fig. 2 steps 1–7). Every
 // response — including execution failures and integrity quarantines — is
 // sequenced and MACed so the client can detect tampering with the error
-// channel too. A replayed request whose original response is still cached
-// returns that cached endorsement (idempotent client retries after a lost
-// response); any other request under a used qid is rejected.
+// channel too. A replayed request whose original response is still in the
+// client's replay window returns that endorsement (idempotent client
+// retries after a lost response); any other request under a used qid is
+// rejected. Serve takes no lock but its own client's.
 func (p *Portal) Serve(req Request) (*Response, error) {
 	p.enc.ECall() // the query enters the enclave
 	key, ok := p.enc.MACKey(req.ClientID)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown client %q", ErrUnauthorized, req.ClientID)
 	}
-	keyed := p.macFor(req.ClientID, key)
+	st := p.client(req.ClientID)
+	keyed := st.macFor(key)
 	want := keyed.RequestMAC(req.ClientID, req.QID, req.Query, req.TimeoutMS)
 	if !hmac.Equal(want[:], req.MAC) {
 		return nil, fmt.Errorf("%w: MAC mismatch for client %q", ErrUnauthorized, req.ClientID)
 	}
-	p.mu.Lock()
-	st := p.clients[req.ClientID]
-	if st == nil {
-		st = &clientState{cache: make(map[uint64]cachedResponse)}
-		p.clients[req.ClientID] = st
-	}
 	if _, _, first := st.seen.Add(req.QID); !first {
-		cached, ok := st.cache[req.QID]
-		p.mu.Unlock()
-		if ok && cached.reqMAC == want {
-			return cached.resp, nil
+		if resp := st.replay(req.QID, want); resp != nil {
+			return resp, nil
 		}
-		// Evicted, the first execution still in flight, or another request
-		// under a used qid: a retry must not re-execute (at-most-once) and
-		// a different request must not get this qid's endorsement.
+		// Evicted, too large to keep, the first execution still in flight,
+		// or another request under a used qid: a retry must not re-execute
+		// (at-most-once) and a different request must not get this qid's
+		// endorsement.
 		return nil, fmt.Errorf("%w: client %q qid %d", ErrReplayedQID, req.ClientID, req.QID)
 	}
-	p.mu.Unlock()
 
 	resp := &Response{QID: req.QID, Seq: p.seq.Add(1)}
 	// fenced reports whether the database is quarantined and, if so, makes
@@ -457,7 +431,7 @@ func (p *Portal) Serve(req Request) (*Response, error) {
 	}
 	mac := keyed.ResponseMAC(resp)
 	resp.MAC = mac[:]
-	p.cacheResponse(st, resp, want)
+	p.keep(st, resp, want)
 	return resp, nil
 }
 
@@ -473,76 +447,42 @@ func (p *Portal) execute(req Request) (*Result, error) {
 	return p.exec.ExecuteContext(ctx, req.ClientID, req.Query)
 }
 
-// cacheResponse stores an endorsed response for retry idempotence. Two
-// bounds apply: the per-client entry cap (replay-window depth) and the
-// portal-wide byte cap (total memory), both evicting oldest-first. Cached
-// bytes are charged to the process budget unconditionally — the cache is
-// already-committed memory, so overshoot shows up as pressure for future
-// reservations rather than failing the response that was just served.
-func (p *Portal) cacheResponse(st *clientState, resp *Response, reqMAC [sha256.Size]byte) {
-	sz := responseBytes(resp)
-	e := cachedResponse{resp: resp, size: sz, reqMAC: reqMAC}
-	p.mu.Lock()
-	st.cache[resp.QID] = e
-	st.order = append(st.order, resp.QID)
-	p.cacheOrder = append(p.cacheOrder, cacheRef{st: st, qid: resp.QID})
-	p.cacheEntries++
-	p.cacheBytes += sz
-	p.budget.Charge(sz)
-	for len(st.order) > responseCacheSize {
-		p.dropEntryLocked(st, st.order[0])
-		st.order = st.order[1:]
-	}
-	p.evictOverBytesLocked()
-	p.compactOrderLocked()
-	p.mu.Unlock()
-}
-
-// cacheOrderSlack is how many dead refs cacheOrder may carry beyond one per
-// live entry before it is compacted.
-const cacheOrderSlack = 64
-
-// compactOrderLocked keeps cacheOrder proportional to the live cache. The
-// per-client cap drops entries without touching cacheOrder, and on ordinary
-// traffic the byte bound never binds, so without this the order list would
-// gain one ref per statement forever. Filtering once dead refs outnumber
-// live ones makes the sweep O(1) amortised per cached response.
-func (p *Portal) compactOrderLocked() {
-	if len(p.cacheOrder) <= 2*p.cacheEntries+cacheOrderSlack {
-		return
-	}
-	live := p.cacheOrder[:0]
-	for _, ref := range p.cacheOrder {
-		if _, ok := ref.st.cache[ref.qid]; ok {
-			live = append(live, ref)
+// replay returns the kept response to qid if it answered the request with
+// MAC reqMAC, and nil otherwise.
+func (st *clientState) replay(qid uint64, reqMAC [sha256.Size]byte) *Response {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i := range st.window {
+		if e := &st.window[i]; e.resp != nil && e.resp.QID == qid && e.reqMAC == reqMAC {
+			return e.resp
 		}
 	}
-	p.cacheOrder = live
+	return nil
 }
 
-// evictOverBytesLocked drops oldest entries until the cache fits cacheMax.
-// Refs whose entry was already removed by the per-client cap are skipped
-// (dropEntryLocked no-ops on absent qids).
-func (p *Portal) evictOverBytesLocked() {
-	for p.cacheBytes > p.cacheMax && len(p.cacheOrder) > 0 {
-		ref := p.cacheOrder[0]
-		p.cacheOrder = p.cacheOrder[1:]
-		p.dropEntryLocked(ref.st, ref.qid)
-	}
-}
-
-// dropEntryLocked removes one cached response, returning its bytes to the
-// accounting and the budget. No-op if the entry is already gone.
-func (p *Portal) dropEntryLocked(st *clientState, qid uint64) {
-	e, ok := st.cache[qid]
-	if !ok {
+// keep puts an endorsed response of at most maxReplayBytes in the client's
+// window in place of the oldest. Its bytes are charged to the budget
+// unconditionally: the response is already-committed memory, so overshoot
+// shows up as pressure on future reservations.
+func (p *Portal) keep(st *clientState, resp *Response, reqMAC [sha256.Size]byte) {
+	sz := responseBytes(resp)
+	if sz > maxReplayBytes {
 		return
 	}
-	delete(st.cache, qid)
-	p.cacheEntries--
-	p.cacheBytes -= e.size
-	p.budget.Release(e.size)
-	p.evictions++
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	slot := &st.window[st.oldest]
+	st.oldest = (st.oldest + 1) % replayWindow
+	if slot.resp == nil {
+		p.entries.Add(1)
+	} else {
+		p.used.Add(-slot.size)
+		p.budget.Release(slot.size)
+		p.evictions.Add(1)
+	}
+	*slot = cachedResponse{resp: resp, size: sz, reqMAC: reqMAC}
+	p.used.Add(sz)
+	p.budget.Charge(sz)
 }
 
 // ResumeAt fast-forwards the sequence counter after recovery. A machine

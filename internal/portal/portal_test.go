@@ -116,8 +116,8 @@ func TestReusedQIDIsNotAnsweredFromCache(t *testing.T) {
 	}
 }
 
-// TestEvictedReplayRejected: once the original response falls out of the
-// bounded cache, a replayed qid is rejected (at-most-once execution).
+// TestEvictedReplayRejected: once the original response leaves the
+// replay window, a replayed qid is rejected (at-most-once execution).
 func TestEvictedReplayRejected(t *testing.T) {
 	p, key := newPortal(t, &echoExec{})
 	req := Request{ClientID: "alice", QID: 1, Query: "SELECT 1"}
@@ -125,8 +125,8 @@ func TestEvictedReplayRejected(t *testing.T) {
 	if _, err := p.Serve(req); err != nil {
 		t.Fatal(err)
 	}
-	// Push qid 1 out of the FIFO cache.
-	for i := 0; i < responseCacheSize; i++ {
+	// Serve qids 2 … 129; qid 129 takes qid 1's slot.
+	for i := 0; i < replayWindow; i++ {
 		qid := uint64(i + 2)
 		r := Request{ClientID: "alice", QID: qid, Query: "SELECT 1"}
 		r.MAC = SignRequestTimeout(key, r.ClientID, r.QID, r.Query, 0)
@@ -136,6 +136,97 @@ func TestEvictedReplayRejected(t *testing.T) {
 	}
 	if _, err := p.Serve(req); !errors.Is(err, ErrReplayedQID) {
 		t.Fatalf("evicted replay served: %v", err)
+	}
+}
+
+// slowExec blocks a query named "SLOW" until release is closed and echoes
+// every other query at once.
+type slowExec struct {
+	echoExec
+	started chan struct{}
+	release chan struct{}
+}
+
+func (e *slowExec) ExecuteContext(ctx context.Context, clientID, query string) (*Result, error) {
+	if query == "SLOW" {
+		close(e.started)
+		<-e.release
+	}
+	return e.echoExec.ExecuteContext(ctx, clientID, query)
+}
+
+// TestReplayWindowKeepsLatestResponses: a response replays until
+// replayWindow later responses are kept, and a late finisher — a lower qid
+// completing after a higher one — is kept beside the newer response
+// instead of pushing it out.
+func TestReplayWindowKeepsLatestResponses(t *testing.T) {
+	ex := &slowExec{started: make(chan struct{}), release: make(chan struct{})}
+	p, key := newPortal(t, ex)
+	const late, q = 1, 2
+	slow := Request{ClientID: "alice", QID: late, Query: "SLOW"}
+	slow.MAC = SignRequestTimeout(key, slow.ClientID, slow.QID, slow.Query, 0)
+	done := make(chan *Response, 1)
+	go func() {
+		resp, err := p.Serve(slow)
+		if err != nil {
+			t.Errorf("late qid: %v", err)
+		}
+		done <- resp
+	}()
+	<-ex.started
+	endorsed := serveOK(t, p, key, q)
+	close(ex.release)
+	lateResp := <-done
+	if lateResp == nil || !bytes.Equal(lateResp.MAC, SignResponse(key, lateResp)) {
+		t.Fatal("late response missing or not MAC-valid")
+	}
+
+	replayed := func(qid uint64, want *Response) {
+		t.Helper()
+		req := Request{ClientID: "alice", QID: qid, Query: "SELECT 1"}
+		if qid == late {
+			req = slow
+		}
+		req.MAC = SignRequestTimeout(key, req.ClientID, req.QID, req.Query, 0)
+		got, err := p.Serve(req)
+		if want == nil && !errors.Is(err, ErrReplayedQID) {
+			t.Fatalf("qid %d replayed after leaving the window: %v, %v", qid, got, err)
+		}
+		if want != nil && (err != nil || got != want) {
+			t.Fatalf("qid %d: replay %v, %v, want its kept endorsement", qid, got, err)
+		}
+	}
+	replayed(q, endorsed)
+	replayed(late, lateResp)
+	if st := p.CacheStats(); st.Entries != 2 || st.Evictions != 0 {
+		t.Fatalf("window after a late finisher: %+v", st)
+	}
+
+	// q's response and replayWindow-1 later ones fill the window: q stays.
+	for qid := uint64(q + 1); qid <= replayWindow; qid++ {
+		serveOK(t, p, key, qid)
+	}
+	replayed(q, endorsed)
+	// One more pushes out q, the oldest kept response, and only q.
+	newest := serveOK(t, p, key, replayWindow+1)
+	replayed(q, nil)
+	replayed(late, lateResp)
+	replayed(replayWindow+1, newest)
+}
+
+// TestRekeyedClientIsServedUnderNewKey: a client provisioned a new key is
+// authenticated under it, and no longer under the old one.
+func TestRekeyedClientIsServedUnderNewKey(t *testing.T) {
+	enc := enclave.NewForTest(3)
+	enc.ProvisionMACKey("alice", []byte("old"))
+	p := New(enc, &echoExec{})
+	serveOK(t, p, []byte("old"), 1)
+	enc.ProvisionMACKey("alice", []byte("new"))
+	if err := replayErr(p, []byte("old"), 2); !errors.Is(err, ErrUnauthorized) {
+		t.Fatalf("old key after rekeying: %v", err)
+	}
+	if resp := serveOK(t, p, []byte("new"), 2); !bytes.Equal(resp.MAC, SignResponse([]byte("new"), resp)) {
+		t.Fatal("response not endorsed under the new key")
 	}
 }
 

@@ -35,12 +35,15 @@ type shard struct {
 	// allocation order, bit-for-bit).
 	affinity int
 
-	mu       tableLock
-	chains   []*index.BTree // chains[i] indexes chain i by encoded key
-	pages    []uint64
-	fill     uint64          // current insertion target page
-	spacious map[uint64]bool // pages with known reclaimable or free space
-	rows     int
+	mu     tableLock
+	chains []*index.BTree // chains[i] indexes chain i by encoded key
+	pages  []uint64
+	fill   uint64 // current insertion target page
+	// Pages with known reclaimable or free space: a stack in marking order,
+	// so placement depends only on the writes, and its members as a set.
+	spaciousOrder []uint64
+	spacious      map[uint64]bool
+	rows          int
 
 	// mv holds the shard's retired record versions and live-version begin
 	// seqs for MVCC snapshot reads. It lives in trusted enclave heap,
@@ -91,10 +94,17 @@ func newShard(t *Table, id, affinity int) (*shard, error) {
 	return sh, nil
 }
 
-// spaciousSweepCap bounds how many spacious-map entries one placeRecord call
-// may examine while pruning re-filled pages; random map order spreads the
-// sweep across inserts.
+// spaciousSweepCap bounds how many spacious pages one placeRecord call may
+// examine, from the top of the stack, while pruning re-filled pages.
 const spaciousSweepCap = 32
+
+// markSpacious records that page pid has reclaimable space.
+func (sh *shard) markSpacious(pid uint64) {
+	if !sh.spacious[pid] {
+		sh.spacious[pid] = true
+		sh.spaciousOrder = append(sh.spaciousOrder, pid)
+	}
+}
 
 // placeRecord stores encoded bytes in a page with room, allocating pages as
 // needed, and returns the location.
@@ -113,38 +123,36 @@ func (sh *shard) placeRecord(enc []byte) (index.Loc, error) {
 			return index.Loc{}, err
 		}
 	}
-	// Retry a few pages known to have reclaimable space before growing.
-	// Pages that have been re-filled since they were marked (compaction
-	// plus later inserts) are dropped without spending a placement attempt:
-	// without the pruning the map only ever shrinks by failed tries, and
-	// under long delete/insert churn it accumulates entries for full pages.
+	// Retry a few pages known to have reclaimable space, latest marked
+	// first, before growing. Pages re-filled since they were marked are
+	// dropped without spending a placement attempt, so long delete/insert
+	// churn does not pile up entries for full pages.
 	tried, examined := 0, 0
-	for pid := range sh.spacious {
-		if pid == sh.fill {
-			delete(sh.spacious, pid)
-			continue
-		}
-		if examined++; examined > spaciousSweepCap {
+	for i := len(sh.spaciousOrder) - 1; i >= 0 && tried < 4; i-- {
+		pid := sh.spaciousOrder[i]
+		if pid != sh.fill && examined >= spaciousSweepCap {
 			break
 		}
+		// A page examined leaves: it is the fill page, too full, or tried.
+		delete(sh.spacious, pid)
+		sh.spaciousOrder = append(sh.spaciousOrder[:i], sh.spaciousOrder[i+1:]...)
+		if pid == sh.fill {
+			continue
+		}
+		examined++
 		if info, err := sh.t.mem.Info(pid); err == nil &&
 			info.ContiguousFree+info.Reclaimable < len(enc) {
-			delete(sh.spacious, pid)
 			continue
 		}
 		loc, err := try(pid)
 		if err == nil {
 			sh.fill = pid
-			delete(sh.spacious, pid)
 			return loc, nil
 		}
 		if !errors.Is(err, page.ErrPageFull) {
 			return index.Loc{}, err
 		}
-		delete(sh.spacious, pid)
-		if tried++; tried >= 4 {
-			break
-		}
+		tried++
 	}
 	pid, err := sh.t.mem.NewPageIn(sh.affinity)
 	if err != nil {
@@ -312,7 +320,7 @@ func (sh *shard) rewrite(loc index.Loc, rec *record.Record) (index.Loc, error) {
 	if err := sh.t.mem.Delete(loc.Page, loc.Slot); err != nil {
 		return index.Loc{}, err
 	}
-	sh.spacious[loc.Page] = true
+	sh.markSpacious(loc.Page)
 	for i := range sh.chains {
 		l := rec.Links[i]
 		if l.Key.IsNull() {
@@ -515,7 +523,7 @@ func (sh *shard) deleteLocked(pk record.Key, op *mvOp) error {
 	if err := sh.t.mem.Delete(loc.Page, loc.Slot); err != nil {
 		return err
 	}
-	sh.spacious[loc.Page] = true
+	sh.markSpacious(loc.Page)
 	sh.rows--
 	return nil
 }

@@ -27,8 +27,8 @@ const (
 
 // goldenWorkload replays a fixed insert/search/update/scan/delete mix and
 // returns the range-scan row count, the final full-scan row count and the
-// resident checksum. Deletes run last so page placement never consults the
-// (map-ordered) spacious set and the digest stays deterministic.
+// resident checksum. Deletes run last, so page placement never consults the
+// spacious pages.
 func goldenWorkload(t *testing.T, shards int) (rangeRows, totalRows int, checksum string) {
 	t.Helper()
 	mem, err := vmem.New(enclave.NewForTest(42), vmem.Config{})
@@ -475,5 +475,89 @@ func TestSpaciousSetPrunes(t *testing.T) {
 	}
 	if err := s.Memory().VerifyAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// placementWorkload runs a seeded, single-goroutine sequence of 3 000
+// inserts, 1 000 deletes and 1 000 updates that grow or shrink a text
+// column (so rows relocate and placement retries pages with reclaimable
+// space) on a fresh store with VerifyMetadata, and returns the memory's
+// counters and resident checksum.
+func placementWorkload(t *testing.T) (vmem.Stats, string) {
+	t.Helper()
+	mem, err := vmem.New(enclave.NewForTest(42), vmem.Config{VerifyMetadata: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := NewStore(mem).CreateTable(TableSpec{
+		Name: "placed",
+		Schema: record.NewSchema(
+			record.Column{Name: "id", Type: record.TypeInt},
+			record.Column{Name: "cat", Type: record.TypeInt},
+			record.Column{Name: "body", Type: record.TypeText},
+		),
+		PrimaryKey:   0,
+		ChainColumns: []int{1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(46))
+	body := func() record.Value { return record.Text(string(make([]byte, rng.Intn(200)))) }
+	ops := make([]byte, 0, 4000)
+	for i := 0; i < 2000; i++ {
+		ops = append(ops, 'i')
+	}
+	for i := 0; i < 1000; i++ {
+		ops = append(ops, 'd', 'u')
+	}
+	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	var live []int64
+	insert := func(k int64) {
+		if err := tb.InsertAt(record.Tuple{record.Int(k), record.Int(k % 13), body()}, nil); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, k)
+	}
+	for k := int64(0); k < 1000; k++ {
+		insert(k)
+	}
+	for i, op := range ops {
+		switch op {
+		case 'i':
+			insert(int64(1000 + i))
+		case 'd':
+			j := rng.Intn(len(live))
+			if err := tb.DeleteAt(record.Int(live[j]), nil); err != nil {
+				t.Fatal(err)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case 'u':
+			err := tb.UpdateFuncAt(record.Int(live[rng.Intn(len(live))]), func(tup record.Tuple) (record.Tuple, error) {
+				tup[2] = body()
+				return tup, nil
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := mem.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+	return mem.Stats(), fmt.Sprint(mem.ResidentChecksum())
+}
+
+// TestPlacementIsDeterministic: one seeded write sequence lays its pages
+// out the same way every time, so its protected-operation and PRF counts
+// and its resident checksum replay from the seed. Placement retries pages
+// with reclaimable space in an order that depends only on the writes.
+func TestPlacementIsDeterministic(t *testing.T) {
+	stats, sum := placementWorkload(t)
+	for run := 2; run <= 3; run++ {
+		if s, c := placementWorkload(t); s != stats || c != sum {
+			t.Fatalf("run %d: stats %+v checksum %s, first run %+v checksum %s", run, s, c, stats, sum)
+		}
 	}
 }

@@ -2,7 +2,7 @@
 // the only encoding on the server→portal→client path. A connection
 // carries independent frames, each
 // tagged with a query id (qid), so many requests can be in flight at once
-// and responses may return out of order — the portal's response cache and
+// and responses may return out of order — the portal's replay window and
 // the client's qid/MAC reuse already make retries at-most-once, and this
 // framing merely exposes that concurrency on the wire.
 //

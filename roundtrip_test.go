@@ -28,7 +28,7 @@ const (
 
 // TestServeRoundTripAllocs gates the allocations of one verified point
 // read at both ends of the protocol: the portal serving a plan-cache hit
-// (MAC check, execution, endorsement, response cache) and the client
+// (MAC check, execution, endorsement, replay window) and the client
 // signing the request and verifying the response. Keyed MAC states, the
 // buffers MAC and digest inputs are built in, and a cached plan's
 // per-statement state are reused; a change that allocates any of them per
@@ -51,7 +51,7 @@ func TestServeRoundTripAllocs(t *testing.T) {
 	key := []byte("round-trip-allocs-key")
 	db.ProvisionClient("alice", key)
 	c := client.New("alice", key)
-	// Warm the plan cache, the keyed MAC pools and the response cache.
+	// Warm the plan cache, the keyed MAC pools and the replay window.
 	for i := 0; i < 200; i++ {
 		k := i % len(queries)
 		req := c.NewRequest(queries[k])

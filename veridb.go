@@ -122,7 +122,7 @@ type PlanCacheStats = plan.CacheStats
 
 // GovernStats snapshots the overload-protection state: memory-budget
 // usage, admission/shed counters, expired sessions, live snapshot pins
-// and the portal response cache.
+// and the portal's replay windows.
 type GovernStats = core.GovernStats
 
 // Overload-protection errors crossing the public API.
@@ -177,11 +177,12 @@ type Config struct {
 	StatementTimeout time.Duration
 	// MemBudget caps the estimated bytes of statement materialisations
 	// (sorts, hash tables, aggregates, drained results), MVCC version
-	// chains and the portal response cache (itself bounded at 16 MB),
-	// process-wide. A statement whose materialisations would exceed it
-	// fails fast with a typed resource-exhausted error; nothing spills to
-	// verified storage (the paper's §5.4 sketch is not implemented). Zero
-	// tracks usage without refusing.
+	// chains and the portal's replay windows (at most 16 MiB per
+	// provisioned client), process-wide. A statement whose
+	// materialisations would exceed it fails fast with a typed
+	// resource-exhausted error; nothing spills to verified storage (the
+	// paper's §5.4 sketch is not implemented). Zero tracks usage without
+	// refusing.
 	MemBudget int64
 	// MaxConcurrentStatements caps statements executing in the kernel at
 	// once. A statement that finds every slot taken is shed at once with a
@@ -321,7 +322,7 @@ func (db *DB) Explain(query string) (string, error) { return db.inner.Explain(qu
 func (db *DB) PlanCache() PlanCacheStats { return db.inner.PlanCacheStats() }
 
 // Govern snapshots the overload-protection counters (memory budget,
-// admission gate, expired sessions, snapshot pins, response cache).
+// admission gate, expired sessions, snapshot pins, replay windows).
 func (db *DB) Govern() GovernStats { return db.inner.GovernStats() }
 
 // ExecTimeout is Exec with a per-statement deadline: the statement is
