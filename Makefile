@@ -117,8 +117,10 @@ chaos:
 # Crash matrix: the durable-storage proof. Kills the WAL of a concurrently
 # written workload at every record boundary and mid-record, inside
 # half-synced commit groups included (clean truncation + torn half-synced
-# writes), recovers, and diffs against the committed-prefix oracle; plus
-# tamper classification, golden-dir recovery, the recovery/verifier
+# writes, each also as a zero tail in a file whose length ran ahead, and
+# a group landed out of order), recovers, and diffs against the
+# committed-prefix oracle; plus a crash between a length step and its
+# fsync, tamper classification, golden-dir recovery, the recovery/verifier
 # lifecycle, and the replays that compile logged writes (an EXECUTEd write,
 # a key-changing UPDATE, concurrent durable writers) — all under the race
 # detector, uncached.
@@ -131,12 +133,15 @@ crash:
 # Fuzz smoke: each decode-path fuzzer runs briefly over its committed
 # seed corpus plus fresh mutations. The invariant under test: arbitrary
 # disk, network or untrusted-memory bytes produce a typed error or a valid
-# result, never a panic. FuzzShape is the statement-text one: what the plan
+# result, never a panic. FuzzWALTail holds WAL recovery to it behind a
+# valid log: a zero run then fuzzed bytes recover the acked records or
+# quarantine. FuzzShape is the statement-text one: what the plan
 # cache assumes of two texts with one shape key, and the lexer, Normalize,
 # Render and BindParams round trips.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALHeaderDecode$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzWALTail$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/record

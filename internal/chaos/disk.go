@@ -4,10 +4,11 @@ package chaos
 // The WAL and checkpoint files live on an untrusted disk (paper §2: the
 // platform outside the enclave is adversarial, and that includes
 // persistence), so the crash harness needs the same two fault families
-// the memory side has — crash-shaped damage (torn tails, partial fsync
-// visibility) that recovery must absorb by restoring the committed
-// prefix, and tamper-shaped damage (bit flips, splices, deletions) that
-// recovery must answer with quarantine. All injectors are deterministic:
+// the memory side has — crash-shaped damage (torn tails, zero tails of a
+// file whose length ran ahead of its writes, partial fsync visibility)
+// that recovery must absorb by restoring the committed prefix, and
+// tamper-shaped damage (bit flips, splices, deletions) that recovery must
+// answer with quarantine. All injectors are deterministic:
 // they take explicit offsets, or derive them from the target size, so a
 // crash-matrix run replays identically.
 
@@ -54,6 +55,49 @@ func TornWriteAt(path string, off int64) error {
 		torn = append(torn, tail[i]^0x55)
 	}
 	return os.WriteFile(path, torn, 0o644)
+}
+
+// ZeroFrom models a crash in a log whose file length was set ahead of
+// its records: every byte from off to the end reads back as zero and the
+// length is kept — the writes past off never reached the disk, while the
+// length step that made room for them did. Recovery must read the zero
+// tail as the log's clean end.
+func ZeroFrom(path string, off int64) error {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	if off < 0 || off > fi.Size() {
+		return fmt.Errorf("chaos: zero %s from %d (have %d bytes)", filepath.Base(path), off, fi.Size())
+	}
+	// Cutting and re-extending leaves a hole, which reads as zero.
+	if err := os.Truncate(path, off); err != nil {
+		return err
+	}
+	return os.Truncate(path, fi.Size())
+}
+
+// TornZeroAt is TornWriteAt inside a fixed-length file: of the bytes from
+// off to the last non-zero byte, the first half comes back garbled and
+// everything after it reads as zero; the length is kept.
+func TornZeroAt(path string, off int64) error {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if off < 0 || off > int64(len(buf)) {
+		return fmt.Errorf("chaos: tear %s at %d (have %d bytes)", filepath.Base(path), off, len(buf))
+	}
+	end := int64(len(buf))
+	for end > off && buf[end-1] == 0 {
+		end--
+	}
+	torn := buf[off : off+(end-off)/2]
+	for i := range torn {
+		torn[i] ^= 0x55
+	}
+	clear(buf[off+int64(len(torn)):])
+	return os.WriteFile(path, buf, 0o644)
 }
 
 // FlipBit flips one bit at byteOff: the adversarial in-place edit. In
@@ -128,14 +172,4 @@ func FailingSync(after int64, err error) func(*os.File) error {
 		}
 		return err
 	}
-}
-
-// FileSize returns a file's size (crash matrices record WAL boundary
-// offsets with it).
-func FileSize(path string) (int64, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
 }

@@ -5,15 +5,16 @@ package core
 // scripted statements against a durable database; then, for every record
 // boundary and every mid-record offset, a copy of the data directory is
 // damaged the way a crash would damage it (clean truncation, torn
-// half-synced tail) and recovered. The recovered image must equal an
-// in-memory oracle that executed exactly the committed prefix — same
-// rows, same WAL sequence number, same resident RSWS checksum (the oracle
-// shares the deterministic Seed, so protected-op histories coincide) —
-// or, for torn writes whose garbage is indistinguishable from tamper,
-// land in quarantine. Zero acked-write loss, zero unacked resurrection,
-// nothing in between.
+// half-synced tail, and both again inside a file whose length ran ahead
+// of its records: a zero tail, a garbled half then zeros) and recovered.
+// The recovered image must equal an in-memory oracle that executed
+// exactly the committed prefix — same rows, same WAL sequence number,
+// same resident RSWS checksum (the oracle shares the deterministic Seed,
+// so protected-op histories coincide) — or, for torn writes whose garbage
+// is indistinguishable from tamper, land in quarantine. Zero acked-write
+// loss, zero unacked resurrection, nothing in between.
 //
-// One write+fsync lands a whole commit group, so per-ack file sizes do not
+// One write+fsync lands a whole commit group, so per-ack log ends do not
 // fall on record boundaries and the acked order is not the on-disk order.
 // Both are derived from the log itself: wal.Boundaries scans the pristine
 // file's length prefixes for record extents, and the committed statement
@@ -21,6 +22,13 @@ package core
 // torn tails in place, so the pristine file is never opened directly).
 // Kill points inside a half-synced group are the interior record
 // boundaries and midpoints of that group's extent.
+//
+// The log writes each group in place below a file length that grows in
+// steps, so the log's end is not the file's size: the harness reads it
+// from the record boundaries (walEnd), and the zero forms give a cut copy
+// the length step a live log has. An in-place write may also land a later
+// block of the last group before an earlier one; that image must recover
+// the prefix before the hole or quarantine.
 
 import (
 	"errors"
@@ -200,9 +208,26 @@ func (o *oracle) checksumAt(t *testing.T, k int) string {
 	return sum
 }
 
+// walEnd is the logical end of the WAL file at path: the offset past its
+// last complete record. While the log is open its file runs past that in
+// zero bytes, since the length grows in steps; wal.Boundaries stops at
+// the first zero length field.
+func walEnd(t *testing.T, path string) int64 {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := wal.Boundaries(buf)
+	if len(b) == 0 {
+		t.Fatalf("%s holds no complete WAL header", filepath.Base(path))
+	}
+	return b[len(b)-1]
+}
+
 // runDurableWorkload executes stmts against a fresh durable database in
-// dir and returns the WAL size after every statement: boundaries[k] is
-// the log's byte size once exactly k statements are committed
+// dir and returns the WAL's logical end after every statement:
+// boundaries[k] is the log's end once exactly k statements are committed
 // (boundaries[0] is the header).
 func runDurableWorkload(t *testing.T, dir string, cfg Config, stmts []string) (boundaries []int64, walName string) {
 	t.Helper()
@@ -212,23 +237,75 @@ func runDurableWorkload(t *testing.T, dir string, cfg Config, stmts []string) (b
 		t.Fatal(err)
 	}
 	defer db.Close()
-	size, err := chaos.FileSize(db.WALPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundaries = append(boundaries, size)
+	boundaries = append(boundaries, walEnd(t, db.WALPath()))
 	for i, s := range stmts {
 		if _, err := db.Execute(s); err != nil {
 			t.Fatalf("statement %d (%s): %v", i, s, err)
 		}
-		size, err := chaos.FileSize(db.WALPath())
-		if err != nil {
-			t.Fatal(err)
-		}
-		boundaries = append(boundaries, size)
+		boundaries = append(boundaries, walEnd(t, db.WALPath()))
 	}
 	return boundaries, filepath.Base(db.WALPath())
 }
+
+// crashStep is the zero tail the zero crash forms give a cut copy's WAL:
+// the length a live log's file runs ahead of its records (one length
+// step; any length reads the same).
+const crashStep = 1 << 20
+
+// Crash forms: how a cut copy of the WAL is damaged at a cut offset.
+const (
+	cutTruncate = "truncate"  // chaos.TruncateAt
+	cutTear     = "tear"      // chaos.TornWriteAt
+	cutZero     = "zero"      // chaos.ZeroFrom, in a file a step long
+	cutTearZero = "tear-zero" // chaos.TornZeroAt, in a file a step long
+	// cutOutOfOrder zeroes from the cut on but keeps a later extent of
+	// the same half-synced group: its later block landed, an earlier one
+	// did not.
+	cutOutOfOrder = "out-of-order"
+)
+
+// crashCut damages the WAL at path with one crash form at off; keep is
+// the landed extent of an out-of-order cut.
+func crashCut(path string, off int64, kind string, keep [2]int64) error {
+	switch kind {
+	case cutTruncate:
+		return chaos.TruncateAt(path, off)
+	case cutTear:
+		return chaos.TornWriteAt(path, off)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := os.Truncate(path, (int64(len(buf))/crashStep+1)*crashStep); err != nil {
+		return err
+	}
+	switch kind {
+	case cutZero:
+		return chaos.ZeroFrom(path, off)
+	case cutTearZero:
+		return chaos.TornZeroAt(path, off)
+	case cutOutOfOrder:
+		if err := chaos.ZeroFrom(path, off); err != nil {
+			return err
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+		if err != nil {
+			return err
+		}
+		if _, err := f.WriteAt(buf[keep[0]:keep[1]], keep[0]); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	return fmt.Errorf("unknown crash form %q", kind)
+}
+
+// crashExact reports whether a crash form must recover the committed
+// prefix exactly; the others may also quarantine, since their garbage can
+// be indistinguishable from tamper.
+func crashExact(kind string) bool { return kind == cutTruncate || kind == cutZero }
 
 // committedPrefix maps a cut offset to the number of fully-synced
 // statements below it.
@@ -285,8 +362,13 @@ func recoverAndCheck(t *testing.T, dir string, o *oracle, wantRows []string, k i
 // TestCrashPointMatrix kills the log of a concurrently written workload
 // at every record boundary and every mid-record offset — inside
 // half-synced commit groups included — by clean truncation and by torn
-// half-synced writes, and requires exact committed-prefix recovery (or
-// quarantine, for tears only) at each of the ~600 points.
+// half-synced writes, each in a file cut to the point and in one whose
+// length ran a step ahead (zeros from the point on), and requires exact
+// committed-prefix recovery (or quarantine, for tears only) at each of
+// the ~1 200 points. At ~200 more, every record but the last lands with
+// a hole out of order: the second half of the record and everything
+// after the next one read back as zero, the next one as written — the
+// committed prefix or quarantine.
 func TestCrashPointMatrix(t *testing.T) {
 	writers, per := 4, 50
 	if testing.Short() {
@@ -369,47 +451,45 @@ func TestCrashPointMatrix(t *testing.T) {
 		t.Fatalf("scanner found %d boundaries, want %d", len(boundaries), len(stmts)+1)
 	}
 
-	// Cut points: each boundary, and the midpoint of each record's extent.
+	// Cut points: each boundary, and the midpoint of each record's extent,
+	// each in its plain and its zero-tail form.
 	type cutPoint struct {
 		off  int64
-		torn bool // TornWriteAt instead of TruncateAt
+		kind string
+		keep [2]int64 // cutOutOfOrder's landed extent
 	}
 	var cuts []cutPoint
 	for i := range boundaries {
-		cuts = append(cuts, cutPoint{boundaries[i], false})
-		cuts = append(cuts, cutPoint{boundaries[i], true})
-		if i+1 < len(boundaries) {
-			cuts = append(cuts, cutPoint{(boundaries[i] + boundaries[i+1]) / 2, false})
+		for _, kind := range []string{cutTruncate, cutTear, cutZero, cutTearZero} {
+			cuts = append(cuts, cutPoint{off: boundaries[i], kind: kind})
+		}
+		if i+1 == len(boundaries) {
+			continue
+		}
+		mid := (boundaries[i] + boundaries[i+1]) / 2
+		cuts = append(cuts, cutPoint{off: mid, kind: cutTruncate}, cutPoint{off: mid, kind: cutZero})
+		if i+2 < len(boundaries) {
+			cuts = append(cuts, cutPoint{off: mid, kind: cutOutOfOrder, keep: [2]int64{boundaries[i+1], boundaries[i+2]}})
 		}
 	}
-	// Header damage: a crash during the very first fsync.
-	cuts = append(cuts, cutPoint{0, false}, cutPoint{boundaries[0] / 2, false})
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i].off < cuts[j].off })
+	// Header damage: a crash during the very first fsync. The header is
+	// synced before the file first grows, so it has no zero-tail form.
+	cuts = append(cuts, cutPoint{off: 0, kind: cutTruncate}, cutPoint{off: boundaries[0] / 2, kind: cutTruncate})
+	sort.SliceStable(cuts, func(i, j int) bool { return cuts[i].off < cuts[j].off })
 
 	o := newOracle(t, stmts)
 	work := filepath.Join(base, "work")
 	for _, c := range cuts {
-		kind := "truncate"
-		if c.torn {
-			kind = "tear"
-		}
-		label := fmt.Sprintf("%s@%d", kind, c.off)
+		label := fmt.Sprintf("%s@%d", c.kind, c.off)
 		os.RemoveAll(work)
 		if err := chaos.CopyDir(pristine, work); err != nil {
 			t.Fatal(err)
 		}
-		walFile := filepath.Join(work, walName)
-		var err error
-		if c.torn {
-			err = chaos.TornWriteAt(walFile, c.off)
-		} else {
-			err = chaos.TruncateAt(walFile, c.off)
-		}
-		if err != nil {
+		if err := crashCut(filepath.Join(work, walName), c.off, c.kind, c.keep); err != nil {
 			t.Fatal(err)
 		}
 		k := committedPrefix(boundaries, c.off)
-		recoverAndCheck(t, work, o, states[k], k, c.torn, label)
+		recoverAndCheck(t, work, o, states[k], k, !crashExact(c.kind), label)
 	}
 }
 
@@ -456,7 +536,9 @@ func TestCrashRecoveredDBKeepsWorking(t *testing.T) {
 }
 
 // TestCrashPointMatrixWithCheckpoints reruns the boundary sweep over the
-// final WAL generation of a workload that checkpointed several times.
+// final WAL generation of a workload that checkpointed several times, by
+// clean truncation, by a zero tail, and by a garbled half then zeros
+// (which may quarantine).
 // Segment restore rebuilds rows through the protected write interfaces
 // with a fresh version history, so the assertion is rows + VerifyAll +
 // sequence continuity rather than checksum equality.
@@ -470,7 +552,7 @@ func TestCrashPointMatrixWithCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// boundary bookkeeping per statement: WAL file and size after ack.
+	// boundary bookkeeping per statement: WAL file and its end after ack.
 	type mark struct {
 		wal  string
 		size int64
@@ -485,28 +567,18 @@ func TestCrashPointMatrixWithCheckpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		size, err := chaos.FileSize(db.WALPath())
-		if err != nil {
-			t.Fatal(err)
-		}
-		marks = append(marks, mark{filepath.Base(db.WALPath()), size})
+		marks = append(marks, mark{filepath.Base(db.WALPath()), walEnd(t, db.WALPath())})
 	}
-	finalWAL := db.WALPath()
-	headerSize, err := chaos.FileSize(finalWAL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	finalName := filepath.Base(db.WALPath())
 	db.Close()
-	finalName := filepath.Base(finalWAL)
-	_ = headerSize
 
 	work := filepath.Join(t.TempDir(), "work")
-	check := func(cut int64, k int, label string) {
+	checkCut := func(cut int64, k int, kind, label string) {
 		os.RemoveAll(work)
 		if err := chaos.CopyDir(pristine, work); err != nil {
 			t.Fatal(err)
 		}
-		if err := chaos.TruncateAt(filepath.Join(work, finalName), cut); err != nil {
+		if err := crashCut(filepath.Join(work, finalName), cut, kind, [2]int64{}); err != nil {
 			t.Fatal(err)
 		}
 		rdb, err := Open(Config{Seed: crashSeed, DataDir: work})
@@ -515,7 +587,10 @@ func TestCrashPointMatrixWithCheckpoints(t *testing.T) {
 		}
 		defer rdb.Close()
 		if qerr := rdb.QuarantineError(); qerr != nil {
-			t.Fatalf("%s: quarantined: %v", label, qerr)
+			if crashExact(kind) {
+				t.Fatalf("%s: quarantined: %v", label, qerr)
+			}
+			return
 		}
 		if got := rdb.WALNextSeq(); got != uint64(k) {
 			t.Fatalf("%s: seq %d, want %d", label, got, k)
@@ -525,6 +600,11 @@ func TestCrashPointMatrixWithCheckpoints(t *testing.T) {
 		}
 		if got := tableRows(t, rdb); !sameRows(got, states[k]) {
 			t.Fatalf("%s: rows %v, want %v", label, got, states[k])
+		}
+	}
+	check := func(cut int64, k int, label string) {
+		for _, kind := range []string{cutTruncate, cutZero, cutTearZero} {
+			checkCut(cut, k, kind, kind+"-"+label)
 		}
 	}
 
@@ -542,6 +622,136 @@ func TestCrashPointMatrixWithCheckpoints(t *testing.T) {
 			check(mid, i, fmt.Sprintf("ckpt-mid@%d", mid))
 		}
 		prev = m.size
+	}
+}
+
+// TestCrashBetweenStepAndSync: a crash after a commit group grew the WAL
+// file by a length step and was written into it, but before its fsync
+// returned. The image is captured inside that fsync for the first two
+// steps and recovered three ways: the length change never reached the
+// disk (cut back to the old length), it did but the group's bytes did not
+// (zeros from the group's offset), and both did. The first two recover
+// exactly the acked statements, the third those and the unacked group;
+// none quarantines.
+func TestCrashBetweenStepAndSync(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "live")
+	db, err := Open(Config{Seed: crashSeed, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	walName := filepath.Base(db.WALPath())
+
+	// One writer, so each group is one statement and runs its fsync on
+	// this goroutine; kilobyte values cross a step in about a thousand.
+	stmts := []string{createKV}
+	rows := []map[int]string{nil, {}}
+	for i := 0; len(stmts) < 2500; i++ {
+		k, v := i%10, fmt.Sprintf("%04d%s", i, strings.Repeat("x", 1000))
+		s := fmt.Sprintf(`INSERT INTO kv VALUES (%d, '%s')`, k, v)
+		if i >= 10 {
+			s = fmt.Sprintf(`UPDATE kv SET v = '%s' WHERE k = %d`, v, k)
+		}
+		next := map[int]string{k: v}
+		for key, val := range rows[len(rows)-1] {
+			if key != k {
+				next[key] = val
+			}
+		}
+		stmts = append(stmts, s)
+		rows = append(rows, next)
+	}
+
+	type capture struct {
+		dir     string
+		acked   int   // statements acked before the captured group
+		oldSize int64 // the file's length before the step
+	}
+	var caps []capture
+	acked, size := 0, walEnd(t, db.WALPath())
+	db.dur.log.SetSyncHook(func(f *os.File) error {
+		fi, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		if fi.Size() != size {
+			c := capture{filepath.Join(base, fmt.Sprintf("step-%d", len(caps))), acked, size}
+			if err := chaos.CopyDir(dir, c.dir); err != nil {
+				return err
+			}
+			caps = append(caps, c)
+			size = fi.Size()
+		}
+		return f.Sync()
+	})
+	for _, s := range stmts {
+		if len(caps) == 2 {
+			break
+		}
+		if _, err := db.Execute(s); err != nil {
+			t.Fatalf("statement %d: %v", acked, err)
+		}
+		acked++
+	}
+	if len(caps) != 2 {
+		t.Fatalf("%d statements grew the log %d times, want 2", acked, len(caps))
+	}
+
+	work := filepath.Join(base, "work")
+	for _, c := range caps {
+		buf, err := os.ReadFile(filepath.Join(c.dir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := wal.Boundaries(buf)
+		groupOff := b[len(b)-2] // the captured group is its last record
+		if end := b[len(b)-1]; end <= c.oldSize {
+			t.Fatalf("step after %d statements: the captured group [%d, %d) does not pass the old length %d", c.acked, groupOff, end, c.oldSize)
+		}
+		for _, form := range []struct {
+			name   string
+			damage func(string) error
+			want   int
+		}{
+			{"length-lost", func(p string) error { return chaos.TruncateAt(p, c.oldSize) }, c.acked},
+			{"data-lost", func(p string) error { return chaos.ZeroFrom(p, groupOff) }, c.acked},
+			{"both-landed", func(string) error { return nil }, c.acked + 1},
+		} {
+			label := fmt.Sprintf("step after %d statements, %s", c.acked, form.name)
+			os.RemoveAll(work)
+			if err := chaos.CopyDir(c.dir, work); err != nil {
+				t.Fatal(err)
+			}
+			if err := form.damage(filepath.Join(work, walName)); err != nil {
+				t.Fatal(err)
+			}
+			rdb, err := Open(Config{Seed: crashSeed, DataDir: work})
+			if err != nil {
+				t.Fatalf("%s: reopen: %v", label, err)
+			}
+			if qerr := rdb.QuarantineError(); qerr != nil {
+				t.Fatalf("%s: quarantined: %v", label, qerr)
+			}
+			if got := rdb.WALNextSeq(); got != uint64(form.want) {
+				t.Fatalf("%s: seq %d, want %d", label, got, form.want)
+			}
+			if err := rdb.Memory().VerifyAll(); err != nil {
+				t.Fatalf("%s: VerifyAll: %v", label, err)
+			}
+			var want []string
+			if rows[form.want] != nil {
+				want = []string{}
+				for k, v := range rows[form.want] {
+					want = append(want, fmt.Sprintf("%d|%s", k, v))
+				}
+				sort.Strings(want)
+			}
+			if got := tableRows(t, rdb); !sameRows(got, want) {
+				t.Fatalf("%s: recovered %d rows, want %d", label, len(got), len(want))
+			}
+			rdb.Close()
+		}
 	}
 }
 

@@ -8,6 +8,9 @@ package wal
 // write+fsync to finish, drains whatever has been enqueued by then, and
 // writes the batch with one write and one fsync. Every waiter's Wait
 // returns only after that fsync: no record is acked before it is durable.
+// The write lands in place at the log's end, below a file length that
+// grows in walChunk steps, so the fsync flushes data without a size
+// change except on the one group per step that extends the file.
 //
 // The predecessor's fsync is the batching window. A lone writer finds no
 // fsync in flight, so its group holds one record and is written at once —
@@ -18,7 +21,9 @@ package wal
 // Go mutexes are not FIFO, so byte order on disk rests on that same wait:
 // a group is drained — and the next one may open — only after every
 // earlier group's bytes are down, hence at most one flush is in flight and
-// groups reach the file in the order their records were chained.
+// groups reach the file in the order their records were chained. Draining
+// also reserves the group's extent: the log's end advances under the
+// mutex, so the offset each group is written at is its chain position.
 //
 // A failed group write or fsync is sticky: l.failed is set under the log
 // mutex before any waiter of the failing group — or of any later group,
@@ -130,17 +135,19 @@ func (l *Log) flush(g *group) error {
 	}
 	l.open, l.last = nil, g.done
 	f, sync, err := l.f, l.syncHook, l.failed
+	off, grow := l.end, int64(0)
+	l.end += int64(len(g.buf))
+	if l.end > l.size {
+		grow = (l.end + walChunk - 1) / walChunk * walChunk
+		l.size = grow
+	}
 	l.mu.Unlock()
 	if sync == nil {
 		sync = (*os.File).Sync
 	}
 
 	if err == nil {
-		if _, werr := f.Write(g.buf); werr != nil {
-			err = fmt.Errorf("wal: appending group: %w", werr)
-		} else if serr := sync(f); serr != nil {
-			err = fmt.Errorf("wal: syncing group: %w", serr)
-		}
+		err = writeGroup(f, sync, g.buf, off, grow)
 		if err != nil {
 			// Fence before any waiter wakes: once failed is visible, no
 			// Enqueue succeeds and every later group's flush fails too.
@@ -154,6 +161,23 @@ func (l *Log) flush(g *group) error {
 	g.err = err
 	close(g.done)
 	return err
+}
+
+// writeGroup lands buf at off, first extending the file to grow bytes
+// when the group passes its length (grow is 0 otherwise), then fsyncs.
+func writeGroup(f *os.File, sync func(*os.File) error, buf []byte, off, grow int64) error {
+	if grow > 0 {
+		if err := f.Truncate(grow); err != nil {
+			return fmt.Errorf("wal: extending log: %w", err)
+		}
+	}
+	if _, err := f.WriteAt(buf, off); err != nil {
+		return fmt.Errorf("wal: writing group: %w", err)
+	}
+	if err := sync(f); err != nil {
+		return fmt.Errorf("wal: syncing group: %w", err)
+	}
+	return nil
 }
 
 // drainPending flushes the open group, if any, and waits for every drained

@@ -357,25 +357,16 @@ func TestFailedSyncFailsEveryWaiter(t *testing.T) {
 }
 
 // TestBoundariesMatchesAckedSizes: the structural scanner reproduces the
-// per-record file sizes a lone writer observes.
+// per-record log ends a lone writer observes.
 func TestBoundariesMatchesAckedSizes(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir)
-	var sizes []int64
-	fi, err := os.Stat(l.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes = append(sizes, fi.Size())
+	sizes := []int64{logEnd(l)}
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append(RecStmt, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		fi, err := os.Stat(l.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, fi.Size())
+		sizes = append(sizes, logEnd(l))
 	}
 	path := l.Path()
 	if err := l.Close(); err != nil {

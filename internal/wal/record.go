@@ -13,10 +13,13 @@
 // checkpoint all break the chain. Only the tail can be lost — the one
 // corruption a genuine crash can produce — and torn tails are
 // distinguished from tampering by position: a structurally incomplete or
-// MAC-invalid suffix at end-of-file is a crash artifact (those bytes were
-// never acked, because appends ack only after fsync returns), while any
-// chain violation with further bytes behind it is evidence of tampering
-// and must quarantine, not truncate.
+// MAC-invalid suffix at the end of the log's non-zero bytes is a crash
+// artifact (those bytes were never acked, because appends ack only after
+// fsync returns), while any chain violation with further non-zero bytes
+// behind it is evidence of tampering and must quarantine, not truncate.
+// The log file's length grows in walChunk steps, so its end is the end of
+// its non-zero bytes, not the end of the file: an all-zero remainder at a
+// record boundary is the clean end of the log.
 package wal
 
 import (
@@ -106,11 +109,14 @@ func appendRecord(buf []byte, key []byte, prev [macSize]byte, seq uint64, typ by
 
 // decodeRecord parses and authenticates the record at the start of buf,
 // returning the record, its MAC (the next record's prev), and the total
-// bytes consumed. Classification is positional: when the failure could
-// have been produced by losing a write tail (the claimed extent reaches
-// or passes end-of-buffer), the error wraps ErrTorn; when intact bytes
-// follow the violation, it wraps ErrTamper.
-func decodeRecord(buf []byte, key []byte, prev [macSize]byte, wantSeq uint64) (Record, [macSize]byte, int, error) {
+// bytes consumed. nonZero is the length of buf up to and including its
+// last non-zero byte (see nonZeroLen); buf itself is never trimmed, since
+// a valid record's MAC may end in 0x00. Classification is positional:
+// when the failure could have been produced by losing a write tail (the
+// claimed extent passes end-of-buffer, or every byte behind it is zero),
+// the error wraps ErrTorn; when non-zero bytes follow the violation, it
+// wraps ErrTamper.
+func decodeRecord(buf []byte, nonZero int, key []byte, prev [macSize]byte, wantSeq uint64) (Record, [macSize]byte, int, error) {
 	var noMAC [macSize]byte
 	if len(buf) < 4 {
 		return Record{}, noMAC, 0, fmt.Errorf("%w: %d-byte length fragment", ErrTorn, len(buf))
@@ -124,7 +130,7 @@ func decodeRecord(buf []byte, key []byte, prev [macSize]byte, wantSeq uint64) (R
 		// have followed; with nothing behind it, torn wins.
 		return Record{}, noMAC, 0, fmt.Errorf("%w: record claims %d body bytes, %d present", ErrTorn, bodyLen, len(rest))
 	}
-	atEOF := bodyLen == len(rest)
+	atEOF := 4+bodyLen >= nonZero
 	classify := func(detail string, args ...any) error {
 		kind := ErrTamper
 		if atEOF {
@@ -158,6 +164,17 @@ func decodeRecord(buf []byte, key []byte, prev [macSize]byte, wantSeq uint64) (R
 		return Record{}, noMAC, 0, fmt.Errorf("%w: record seq %d where %d expected", ErrTamper, seq, wantSeq)
 	}
 	return Record{Seq: seq, Type: typ, Payload: append([]byte(nil), payload...)}, mac, 4 + bodyLen, nil
+}
+
+// nonZeroLen returns the length of buf up to and including its last
+// non-zero byte: the extent of a log whose file length runs past its
+// records in zero bytes.
+func nonZeroLen(buf []byte) int {
+	n := len(buf)
+	for n > 0 && buf[n-1] == 0 {
+		n--
+	}
+	return n
 }
 
 // walMagic opens every WAL file; headerSize is the full fixed header:

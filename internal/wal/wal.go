@@ -22,6 +22,13 @@ const keyFile = "sealed.key"
 // keySize is the sealed MAC key length.
 const keySize = 32
 
+// walChunk is the step the WAL file's length grows by. A commit group is
+// written in place below the file's length, so the fsync that acks it
+// flushes data only; the length changes, zero-filled and sparse, once per
+// walChunk of log (about 7 000 commits of 150 bytes). Recovery reads the
+// zero tail as the log's clean end, and Close trims it off.
+const walChunk = 1 << 20
+
 // Recovery is what Open found on disk, verified and ready to replay:
 // the newest admissible checkpoint's table images (nil when none) and
 // the authenticated WAL tail recorded after it.
@@ -34,14 +41,15 @@ type Recovery struct {
 	// Tail is the verified WAL record suffix to replay over the
 	// checkpoint, in sequence order.
 	Tail []Record
-	// TornBytes counts trailing WAL bytes dropped as a crash-torn suffix
-	// (diagnostic; at most one unacked record plus fragments).
+	// TornBytes counts trailing non-zero WAL bytes dropped as a
+	// crash-torn suffix (diagnostic; at most one unacked group plus
+	// fragments). A zero tail is the log's clean end, not torn bytes.
 	TornBytes int64
 }
 
-// Log is an open authenticated WAL: an append handle positioned after the
-// last verified record, holding the chain state (previous MAC, next
-// sequence number) and the checkpoint naming state.
+// Log is an open authenticated WAL: a write handle whose next group lands
+// after the last verified record, holding the chain state (previous MAC,
+// next sequence number) and the checkpoint naming state.
 type Log struct {
 	dir string
 	key []byte
@@ -57,6 +65,9 @@ type Log struct {
 	// first checkpoint). Together they are what the caller's checkpoint
 	// rule weighs: replaying the log against reloading the image.
 	logged, image int64
+	// end is where the next drained group lands; size is the file's
+	// length, a multiple of walChunk once the first group is written.
+	end, size int64
 
 	// Commit-group state (see group.go).
 	open     *group          // the group taking records; nil when none is
@@ -167,17 +178,17 @@ func Open(dir string) (*Log, *Recovery, error) {
 	walBuf, err := os.ReadFile(l.path)
 	switch {
 	case err == nil:
-		torn, err := l.verifyTail(walBuf, baseSeq, rec)
+		end, err := l.verifyTail(walBuf, baseSeq, rec)
 		if err != nil {
 			return nil, nil, err
 		}
-		if torn > 0 {
-			// Drop the torn suffix so new appends chain off the last good
-			// record at a clean boundary.
-			if err := os.Truncate(l.path, int64(len(walBuf))-torn); err != nil {
+		if end < int64(len(walBuf)) {
+			// Drop the torn suffix and the zero tail so new groups chain
+			// off the last good record at a clean boundary; the writer
+			// re-extends the file from there.
+			if err := os.Truncate(l.path, end); err != nil {
 				return nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 			}
-			rec.TornBytes = torn
 		}
 	case os.IsNotExist(err):
 		older := rec.CheckpointID == 0 && manifest == nil && freshKey
@@ -195,12 +206,23 @@ func Open(dir string) (*Log, *Recovery, error) {
 		return nil, nil, fmt.Errorf("wal: reading %s: %w", l.path, err)
 	}
 
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err := l.openWriter(); err != nil {
+		return nil, nil, err
+	}
+	return l, rec, nil
+}
+
+// openWriter opens the write handle on l.path, whose length is its logical
+// end: walHeaderSize plus the record bytes l.logged counts.
+func (l *Log) openWriter() error {
+	f, err := os.OpenFile(l.path, os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: opening for append: %w", err)
+		return fmt.Errorf("wal: opening %s for writing: %w", filepath.Base(l.path), err)
 	}
 	l.f = f
-	return l, rec, nil
+	l.end = walHeaderSize + l.logged
+	l.size = l.end
+	return nil
 }
 
 // loadOrCreateKey reads the sealed key, creating one when the directory is
@@ -234,11 +256,12 @@ func loadOrCreateKey(dir string, haveManifests bool) (key []byte, fresh bool, er
 	return key, true, nil
 }
 
-// verifyTail authenticates a WAL image: header, then the record chain.
-// It appends verified records to rec.Tail, leaves the log positioned
-// after the last good record, and returns how many trailing bytes to
-// drop as crash-torn.
-func (l *Log) verifyTail(buf []byte, wantBase uint64, rec *Recovery) (torn int64, err error) {
+// verifyTail authenticates a WAL image: header, then the record chain up
+// to the end of its non-zero bytes. It appends verified records to
+// rec.Tail, counts the non-zero bytes dropped as crash-torn in
+// rec.TornBytes, and returns the offset just past the last good record —
+// the log's logical end.
+func (l *Log) verifyTail(buf []byte, wantBase uint64, rec *Recovery) (end int64, err error) {
 	ckptID, baseSeq, genesis, err := decodeWALHeader(buf, l.key)
 	if errors.Is(err, ErrTorn) {
 		// The header is written and synced before any record is acked, so
@@ -249,7 +272,7 @@ func (l *Log) verifyTail(buf []byte, wantBase uint64, rec *Recovery) (torn int64
 			return 0, err
 		}
 		l.nextSeq = wantBase
-		return 0, nil
+		return walHeaderSize, nil
 	}
 	if err != nil {
 		return 0, err
@@ -261,10 +284,14 @@ func (l *Log) verifyTail(buf []byte, wantBase uint64, rec *Recovery) (torn int64
 	l.prevMAC = genesis
 	l.nextSeq = baseSeq
 	off := walHeaderSize
-	for off < len(buf) {
-		r, mac, n, err := decodeRecord(buf[off:], l.key, l.prevMAC, l.nextSeq)
+	// At a record boundary, an all-zero remainder is the clean end of the
+	// log: the zero tail of its last length step.
+	nonZero := nonZeroLen(buf)
+	for off < nonZero {
+		r, mac, n, err := decodeRecord(buf[off:], nonZero-off, l.key, l.prevMAC, l.nextSeq)
 		if errors.Is(err, ErrTorn) {
-			return int64(len(buf) - off), nil
+			rec.TornBytes = int64(nonZero - off)
+			return int64(off), nil
 		}
 		if err != nil {
 			return 0, fmt.Errorf("%s at byte %d: %w", filepath.Base(l.path), off, err)
@@ -275,7 +302,7 @@ func (l *Log) verifyTail(buf []byte, wantBase uint64, rec *Recovery) (torn int64
 		off += n
 		l.logged += int64(n)
 	}
-	return 0, nil
+	return int64(off), nil
 }
 
 // createWAL writes a fresh WAL file for the log's current checkpoint and
@@ -440,13 +467,12 @@ func (l *Log) Checkpoint(tables []*TableImage) error {
 	if err := l.createWAL(l.nextSeq); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: opening rotated WAL: %w", err)
-	}
-	l.f.Close()
-	l.f = f
+	old := l.f
 	l.logged, l.image = 0, image
+	if err := l.openWriter(); err != nil {
+		return err
+	}
+	old.Close()
 
 	// Retire the previous generation. Failures here are cosmetic (extra
 	// files), never a durability loss.
@@ -477,7 +503,9 @@ func tableNames(tables []*TableImage) []string {
 	return names
 }
 
-// Close flushes any pending group, syncs and closes the append handle.
+// Close flushes any pending group, trims the file's zero tail back to the
+// log's end, syncs and closes the write handle. A cleanly closed log is
+// its records and nothing else.
 func (l *Log) Close() error {
 	l.drainPending()
 	l.mu.Lock()
@@ -485,7 +513,10 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.f.Sync()
+	err := l.f.Truncate(l.end)
+	if serr := l.f.Sync(); err == nil {
+		err = serr
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
@@ -495,9 +526,13 @@ func (l *Log) Close() error {
 
 // Boundaries scans a WAL image structurally — length prefixes only, no
 // MAC verification — and returns the byte offset of every record
-// boundary, starting at the end of the header. Crash harnesses use it to
-// derive cut points: one write lands a whole commit group, so file sizes
-// observed at ack time need not fall on one-record increments.
+// boundary, starting at the end of the header. It stops at the first
+// length field that is out of range or overruns the image, a zero one
+// included, so on a live log it stops at the zero tail of the file's
+// length step and its last offset is the log's logical end. Crash
+// harnesses use it to derive cut points: one write lands a whole commit
+// group, so the log's end observed at ack time need not move by
+// one-record increments, and the file's length moves in walChunk steps.
 func Boundaries(buf []byte) []int64 {
 	if len(buf) < walHeaderSize {
 		return nil

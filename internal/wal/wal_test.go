@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -17,6 +18,29 @@ func openT(t *testing.T, dir string) (*Log, *Recovery) {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return l, rec
+}
+
+// logEnd is the log's logical end: its header and every record logged.
+// While the log is open the file's length runs past it in walChunk steps,
+// so its size is not the end of the log.
+func logEnd(l *Log) int64 {
+	logged, _ := l.Sizes()
+	return walHeaderSize + logged
+}
+
+// fileEnd is the logical end of the log file at path as its record
+// boundaries give it: Boundaries stops at the zero tail.
+func fileEnd(t *testing.T, path string) int64 {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Boundaries(buf)
+	if len(b) == 0 {
+		t.Fatalf("%s holds no complete header", path)
+	}
+	return b[len(b)-1]
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
@@ -57,6 +81,58 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLengthGrowsInSteps: the open log's file is a whole number of
+// walChunk steps with zeros behind its records; a copy taken while it is
+// open — a crash image — recovers every record with no torn bytes, and
+// Close trims the file back to its records.
+func TestLengthGrowsInSteps(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir)
+	payload := bytes.Repeat([]byte("p"), 64<<10)
+	n := 0
+	for logEnd(l) <= walChunk {
+		if _, err := l.Append(RecStmt, payload); err != nil {
+			t.Fatal(err)
+		}
+		n++
+		st, err := os.Stat(l.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (logEnd(l) + walChunk - 1) / walChunk * walChunk; st.Size() != want {
+			t.Fatalf("after %d records ending at %d the file is %d bytes, want %d", n, logEnd(l), st.Size(), want)
+		}
+	}
+	crash := t.TempDir()
+	for _, name := range []string{keyFile, filepath.Base(l.Path())} {
+		buf, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crash, name), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lc, rec := openT(t, crash)
+	if len(rec.Tail) != n || rec.TornBytes != 0 {
+		t.Fatalf("crash image recovered %d of %d records with %d torn bytes", len(rec.Tail), n, rec.TornBytes)
+	}
+	lc.Close()
+	end := logEnd(l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{l.Path(), walPath(crash, 0)} {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != end {
+			t.Fatalf("closed log %s is %d bytes, want %d", path, st.Size(), end)
+		}
+	}
+}
+
 // TestTornTailTruncation: cutting the log anywhere inside the last record
 // recovers the full prefix before it and drops only the torn suffix, and
 // appends afterwards continue the chain cleanly.
@@ -68,11 +144,7 @@ func TestTornTailTruncation(t *testing.T) {
 		if _, err := l.Append(RecStmt, []byte("stmt payload with some length")); err != nil {
 			t.Fatal(err)
 		}
-		fi, err := os.Stat(l.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, fi.Size())
+		sizes = append(sizes, logEnd(l))
 	}
 	path := l.Path()
 	l.Close()
@@ -123,8 +195,7 @@ func TestMidLogTamperQuarantines(t *testing.T) {
 		}
 	}
 	path := l.Path()
-	fi, _ := os.Stat(path)
-	firstRecordEnd := fi.Size() / 4 // well inside the first half of the log
+	firstRecordEnd := logEnd(l) / 4 // well inside the first half of the log
 	l.Close()
 
 	buf, err := os.ReadFile(path)
@@ -247,7 +318,8 @@ func TestCheckpointRotation(t *testing.T) {
 }
 
 // TestSizesCountLogAndImage: Sizes reports the record bytes in the current
-// generation's WAL (the file minus its header) and the bytes of its
+// generation's WAL (its records' extent minus the header; the open file's
+// zero tail is not counted) and the bytes of its
 // segments, the same after a reopen as on the live log; a checkpoint
 // restarts the log count.
 func TestSizesCountLogAndImage(t *testing.T) {
@@ -255,12 +327,9 @@ func TestSizesCountLogAndImage(t *testing.T) {
 	l, _ := openT(t, dir)
 	check := func(l *Log, image int64) {
 		t.Helper()
-		st, err := os.Stat(l.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if logged, img := l.Sizes(); logged != st.Size()-walHeaderSize || img != image {
-			t.Fatalf("Sizes() = (%d, %d), want (%d, %d)", logged, img, st.Size()-walHeaderSize, image)
+		end := fileEnd(t, l.Path())
+		if logged, img := l.Sizes(); logged != end-walHeaderSize || img != image {
+			t.Fatalf("Sizes() = (%d, %d), want (%d, %d)", logged, img, end-walHeaderSize, image)
 		}
 	}
 	l.Append(RecStmt, []byte("pre-checkpoint 1"))
@@ -381,13 +450,13 @@ func TestSpliceAcrossLogsQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir)
 	l.Append(RecStmt, []byte("first"))
-	sizeAfter1, _ := os.Stat(l.Path())
+	end1 := logEnd(l)
 	l.Append(RecStmt, []byte("second"))
 	path := l.Path()
 	l.Close()
 
 	buf, _ := os.ReadFile(path)
-	rec1 := append([]byte(nil), buf[walHeaderSize:sizeAfter1.Size()]...)
+	rec1 := append([]byte(nil), buf[walHeaderSize:end1]...)
 	// Duplicate record 1 after record 2: authentic bytes, wrong position.
 	spliced := append(append([]byte(nil), buf...), rec1...)
 	os.WriteFile(path, spliced, 0o644)
@@ -414,9 +483,9 @@ func TestSpliceAcrossLogsQuarantines(t *testing.T) {
 	// Splice a duplicate in the MIDDLE (authentic record 1 twice, then
 	// record 2): now there are intact-looking bytes behind the break, and
 	// the verdict must be tamper.
-	mid := append([]byte(nil), buf[:sizeAfter1.Size()]...)
+	mid := append([]byte(nil), buf[:end1]...)
 	mid = append(mid, rec1...)
-	mid = append(mid, buf[sizeAfter1.Size():]...)
+	mid = append(mid, buf[end1:]...)
 	os.WriteFile(path, mid, 0o644)
 	if _, _, err := Open(dir); !errors.Is(err, ErrTamper) {
 		t.Fatalf("mid-log splice: got %v, want ErrTamper", err)
