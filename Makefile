@@ -121,12 +121,13 @@ chaos:
 # a group landed out of order), recovers, and diffs against the
 # committed-prefix oracle; plus a crash between a length step and its
 # fsync, tamper classification, golden-dir recovery, the recovery/verifier
-# lifecycle, and the replays that compile logged writes (an EXECUTEd write,
-# a key-changing UPDATE, concurrent durable writers) — all under the race
+# lifecycle, and the replays that compile logged writes (EXECUTEd writes,
+# those of values no literal spells — −2⁶³, ±Inf, NaN — included, a
+# key-changing UPDATE, concurrent durable writers) — all under the race
 # detector, uncached.
 crash:
 	$(GO) test -race -count=1 -timeout 5m \
-		-run 'TestCrash|TestMidLogBitFlip|TestGolden|TestRecoveryVerifier|TestQuarantinedRecovery|TestPrepareExecuteDurableReplay|TestUpdateOntoExistingKeySurvivesReopen|TestConcurrentDurableWorkload' \
+		-run 'TestCrash|TestMidLogBitFlip|TestGolden|TestRecoveryVerifier|TestQuarantinedRecovery|TestPrepareExecuteDurableReplay|TestExecuteEdgeValuesSurviveReopen|TestUpdateOntoExistingKeySurvivesReopen|TestConcurrentDurableWorkload' \
 		./internal/core
 	$(GO) test -race -count=1 -timeout 5m ./internal/wal ./internal/chaos
 
@@ -136,8 +137,9 @@ crash:
 # result, never a panic. FuzzWALTail holds WAL recovery to it behind a
 # valid log: a zero run then fuzzed bytes recover the acked records or
 # quarantine. FuzzShape is the statement-text one: what the plan
-# cache assumes of two texts with one shape key, and the lexer, Normalize,
-# Render and BindParams round trips.
+# cache assumes of two texts with one shape key, the lexer and Normalize
+# round trips, and an EXECUTE's expansion — its bind slots, and its WAL
+# text parsing back to the same values.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALHeaderDecode$$' -fuzztime 10s ./internal/wal

@@ -10,16 +10,13 @@ import (
 	"crypto/hmac"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"veridb/internal/enclave"
 	"veridb/internal/govern"
 	"veridb/internal/portal"
-	"veridb/internal/record"
 	"veridb/internal/seqset"
-	"veridb/internal/sql"
 )
 
 // Errors raised during response verification.
@@ -151,26 +148,6 @@ func (c *Client) NewRequestTimeout(query string, timeout time.Duration) portal.R
 		TimeoutMS: ms,
 		MAC:       mac[:],
 	}
-}
-
-// ExecuteText renders an EXECUTE statement for a prepared statement with
-// the given bound arguments — the client-side half of PREPARE/EXECUTE
-// parameter binding. Values are embedded as SQL literals (quotes doubled,
-// floats in decimal notation), so the resulting text round-trips through
-// the server's parser to exactly these values.
-func ExecuteText(name string, args ...record.Value) string {
-	var sb strings.Builder
-	sb.WriteString("EXECUTE ")
-	sb.WriteString(name)
-	sb.WriteString(" (")
-	for i, a := range args {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(sql.FormatValue(a))
-	}
-	sb.WriteString(")")
-	return sb.String()
 }
 
 // NewBeginSnapshotRequest signs a BEGIN SNAPSHOT: the server pins a

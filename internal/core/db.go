@@ -399,8 +399,9 @@ func (db *DB) Health() Health {
 // the same path through ExecuteContext (portal.Executor). With durable
 // storage enabled, mutating statements go through the append-before-ack
 // path: applied, then logged and fsynced, and only then acked. With the
-// plan cache enabled, a repeated SELECT, INSERT, UPDATE, DELETE or
-// EXECUTE shape skips the parser, the planner and the expression compiler.
+// plan cache enabled, a repeated SELECT, INSERT, UPDATE or DELETE shape —
+// an EXECUTE's template with its arguments in place included — skips the
+// parser, the planner and the expression compiler.
 func (db *DB) Execute(query string) (*portal.Result, error) {
 	return db.ExecuteContext(context.Background(), "", query)
 }
@@ -479,7 +480,9 @@ func (db *DB) writeFence(clientID, query string) error {
 // executeAdmitted runs one statement that already holds an admission slot.
 // What it pays before the statement's own work is one lexer pass: the
 // shape key the plan cache is looked up under, and the literals a cached
-// instance is rebound to. Parse, plan and compile run on a miss only.
+// instance is rebound to. Parse, plan and compile run on a miss only. An
+// EXECUTE is resolved first and from then on runs as its expansion, as if
+// the client had sent the template with the arguments written in.
 func (db *DB) executeAdmitted(ctx context.Context, clientID, query string) (*portal.Result, error) {
 	sess := db.sessionFor(clientID)
 	if err := db.touchSession(sess); err != nil {
@@ -487,20 +490,36 @@ func (db *DB) executeAdmitted(ctx context.Context, clientID, query string) (*por
 	}
 	// Text that does not lex goes to Parse, which reports it.
 	key, lits, err := sql.Shape(query)
+	var x sql.Expansion
+	if err == nil && statementKind(key) == "EXECUTE" {
+		if x, err = sess.expand(query); err != nil {
+			return nil, err
+		}
+		key, lits, err = x.Shape()
+		if db.dur != nil {
+			// An EXECUTEd write is logged as its expansion's text, so
+			// replay needs no prepared-statement registry.
+			query = x.String()
+		}
+	}
 	cached := err == nil && cachedKind(key)
 	// Read the version before planning: a DDL between here and Put files
 	// the instance under a stale version, which the next Get discards.
 	version := db.store.CatalogVersion()
 	var in *plan.Instance
 	if cached {
-		in = db.planCache.Get(key, version)
-		if in != nil && !(sess.stillPrepared(in) && in.Bind(lits)) {
-			db.planCache.Discard()
-			in = nil
+		if in = db.planCache.Get(key, version); in != nil {
+			in.Bind(lits)
 		}
 	}
 	if in == nil {
-		stmt, slots, err := sql.ParseSlots(query)
+		var stmt sql.Statement
+		var slots []*sql.Literal
+		if x != nil {
+			stmt, slots, err = x.ParseSlots()
+		} else {
+			stmt, slots, err = sql.ParseSlots(query)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -530,31 +549,58 @@ func (db *DB) sessionFor(clientID string) *session {
 	return s
 }
 
+// statementKind is the first word of a shape key: its statement keyword.
+func statementKind(key string) string {
+	kw, _, _ := strings.Cut(key, " ")
+	return kw
+}
+
 // cachedKind reports whether a shape key is of a statement kind the plan
-// cache holds: the repeated-shape statements (queries, DML and EXECUTE).
-// DDL and the rest of the prepared-statement and snapshot control flow
-// always compile fresh.
+// cache holds: the repeated-shape statements (queries and DML). DDL and
+// the prepared-statement and snapshot control flow always compile fresh.
 func cachedKind(key string) bool {
-	switch kw, _, _ := strings.Cut(key, " "); kw {
-	case "SELECT", "INSERT", "UPDATE", "DELETE", "EXECUTE":
+	switch statementKind(key) {
+	case "SELECT", "INSERT", "UPDATE", "DELETE":
 		return true
 	}
 	return false
 }
 
-// compile builds the instance a parsed statement runs as: an EXECUTE is
-// bound to its template in the session's registry, then a SELECT is
+// expand resolves an EXECUTE against the session's registry: the template
+// is looked up by name and its arguments, constant expressions, are
+// evaluated into the values its placeholders take.
+func (s *session) expand(query string) (sql.Expansion, error) {
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	ex := stmt.(*sql.ExecutePrepared) // a statement whose shape starts EXECUTE
+	s.mu.Lock()
+	prep, ok := s.prepared[ex.Name]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("core: no prepared statement %q", ex.Name)
+	}
+	args := make([]record.Value, len(ex.Args))
+	for i, e := range ex.Args {
+		c, err := engine.Compile(e, engine.Schema{})
+		if err == nil {
+			args[i], err = c.Eval(nil)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: EXECUTE argument %d: %w", i+1, err)
+		}
+	}
+	return prep.Expand(args)
+}
+
+// compile builds the instance a parsed statement runs as: a SELECT is
 // planned; an INSERT, UPDATE or DELETE gets its table and its value
 // expressions compiled, and an UPDATE or DELETE its read phase planned;
 // anything else runs from its AST. A pinned session refuses a write
 // before the write's table is looked up.
 func (db *DB) compile(sess *session, stmt sql.Statement, slots []*sql.Literal) (*plan.Instance, error) {
 	in := &plan.Instance{Stmt: stmt, Slots: slots, Rebindable: true}
-	if ex, ok := stmt.(*sql.ExecutePrepared); ok {
-		if err := sess.bindPrepared(in, ex); err != nil {
-			return nil, err
-		}
-	}
 	if err := sess.writable(in.Stmt); err != nil {
 		return nil, err
 	}
@@ -660,15 +706,6 @@ func compileSet(t storage.Engine, up *sql.Update) ([]plan.Assign, error) {
 // everything else through apply.
 func (db *DB) run(ctx context.Context, sess *session, query string, in *plan.Instance) (*portal.Result, error) {
 	if db.dur != nil && isMutating(in.Stmt) {
-		if in.Prepared != nil {
-			// An EXECUTEd write is logged as the bound statement's text,
-			// rendered from the literals it runs with, so replay does not
-			// depend on the registry.
-			var err error
-			if query, err = sql.Render(in.Stmt); err != nil {
-				return nil, err
-			}
-		}
 		return db.executeDurable(ctx, sess, query, in)
 	}
 	return db.apply(ctx, sess, in)
@@ -702,53 +739,6 @@ func (s *session) writable(stmt sql.Statement) error {
 		return fmt.Errorf("core: session is read-only while a snapshot is pinned; COMMIT first")
 	}
 	return nil
-}
-
-// bindPrepared resolves an EXECUTE against the session's registry and
-// makes in the template's instance: the arguments compiled (constant
-// expressions over the EXECUTE's own literals), evaluated, and substituted
-// into a clone of the template through literal nodes that in.Bind rewrites
-// on a later hit.
-func (s *session) bindPrepared(in *plan.Instance, ex *sql.ExecutePrepared) error {
-	s.mu.Lock()
-	prep, ok := s.prepared[ex.Name]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("core: no prepared statement %q", ex.Name)
-	}
-	if len(ex.Args) != prep.NumParams {
-		return fmt.Errorf("core: prepared statement %q wants %d arguments, got %d", ex.Name, prep.NumParams, len(ex.Args))
-	}
-	args := make([]*engine.Compiled, len(ex.Args))
-	vals := make([]record.Value, len(ex.Args))
-	for i, e := range ex.Args {
-		var err error
-		if args[i], err = engine.Compile(e, engine.Schema{}); err == nil {
-			vals[i], err = args[i].Eval(nil)
-		}
-		if err != nil {
-			return fmt.Errorf("core: EXECUTE argument %d: %w", i+1, err)
-		}
-	}
-	bound, params, err := sql.BindParams(prep.Stmt, vals)
-	if err != nil {
-		return err
-	}
-	in.Stmt, in.Args, in.Params, in.Prepared = bound, args, params, prep
-	return nil
-}
-
-// stillPrepared reports whether an EXECUTE instance's template is the one
-// this session has registered under its name — the plan cache is shared by
-// every client, so an instance another client bound is not; any other
-// instance always is.
-func (s *session) stillPrepared(in *plan.Instance) bool {
-	if in.Prepared == nil {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prepared[in.Prepared.Name] == in.Prepared
 }
 
 // PlanCacheStats snapshots the plan cache counters (zero when caching is

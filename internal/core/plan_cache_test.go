@@ -2,9 +2,9 @@ package core
 
 // Plan-cache behavior at the statement layer: hits on repeated statement
 // shapes whatever their literals, whitespace or keyword case; accounting
-// (one hit or one miss per cacheable statement); invalidation on DDL,
-// shard-layout changes and re-PREPAREd names — a dropped table or a
-// replaced template is never served from a stale instance; and cached =
+// (one hit or one miss per cacheable statement); invalidation on DDL and
+// shard-layout changes — a dropped table is never served from a stale
+// instance; EXECUTE as its template's statement; and cached =
 // fresh under rebinding, for every operator the planner builds and from
 // several clients at once.
 
@@ -196,9 +196,11 @@ func TestPlanCacheShardLayoutInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheExecute: EXECUTE is cached like any statement — constant
-// argument expressions included — and an instance outlives neither its
-// name's DEALLOCATE nor a PREPARE of another template under the name.
+// TestPlanCacheExecute: an EXECUTE runs as its template with the
+// arguments in place, under that statement's shape — constant argument
+// expressions and negative values included — so it shares instances with
+// the statement written with literals; after a re-PREPARE the name runs
+// the new template (a plain miss on its shape), and DEALLOCATE ends it.
 func TestPlanCacheExecute(t *testing.T) {
 	db := openCached(t)
 	seed(t, db)
@@ -208,29 +210,35 @@ func TestPlanCacheExecute(t *testing.T) {
 	}
 	s0 := db.PlanCacheStats()
 	for _, tc := range [][2]string{
-		{`500`, `[[3]]`},     // the shape of (100): a hit
-		{`2 * 300`, `[[4]]`}, // a constant expression is its own shape
+		{`500`, `[[3]]`},
+		{`2 * 300`, `[[4]]`},
 		{`- 7`, `[]`},
 		{`50 + 50`, `[[1] [2]]`},
-		{`5 * 100`, `[[3]]`}, // the shape of 2 * 300: a hit, re-evaluated
+		{`5 * 100`, `[[3]]`},
 	} {
 		if rows := exec(t, db, `EXECUTE p (`+tc[0]+`)`).Rows; fmt.Sprint(rows) != tc[1] {
 			t.Fatalf("EXECUTE p (%s): %v, want %s", tc[0], rows, tc[1])
 		}
 	}
-	if s := db.PlanCacheStats(); s.Hits != s0.Hits+2 {
-		t.Fatalf("hits %d → %d, want the two statements of an earlier one's shape: %+v", s0.Hits, s.Hits, s)
+	if s := db.PlanCacheStats(); s.Hits != s0.Hits+5 || s.Misses != s0.Misses {
+		t.Fatalf("before %+v after %+v, want every int-valued argument a hit on the template's shape", s0, s)
+	}
+	s1 := db.PlanCacheStats()
+	if rows := exec(t, db, `SELECT id FROM quote WHERE count = 600 ORDER BY id`).Rows; fmt.Sprint(rows) != `[[4]]` {
+		t.Fatalf("the template written with a literal: %v", rows)
+	}
+	if s := db.PlanCacheStats(); s.Hits != s1.Hits+1 {
+		t.Fatalf("the template written with a literal missed the EXECUTE's instance: before %+v after %+v", s1, s)
 	}
 
-	// The name now means another statement: the instances bound to the old
-	// template must not answer.
+	// The name now means another statement, of another shape.
 	exec(t, db, `PREPARE p AS SELECT price FROM quote WHERE id = ?`)
-	s1 := db.PlanCacheStats()
+	s2 := db.PlanCacheStats()
 	if rows := exec(t, db, `EXECUTE p (2)`).Rows; fmt.Sprint(rows) != `[[200]]` {
 		t.Fatalf("EXECUTE after re-PREPARE answered from the old template: %v", rows)
 	}
-	if s := db.PlanCacheStats(); s.Invalidations != s1.Invalidations+1 || s.Hits != s1.Hits {
-		t.Fatalf("stale EXECUTE instance not counted as an invalidated miss: before %+v after %+v", s1, s)
+	if s := db.PlanCacheStats(); s.Misses != s2.Misses+1 || s.Hits != s2.Hits || s.Invalidations != s2.Invalidations {
+		t.Fatalf("EXECUTE of the new template: before %+v after %+v, want one plain miss", s2, s)
 	}
 	if rows := exec(t, db, `EXECUTE p (3)`).Rows; fmt.Sprint(rows) != `[[100]]` {
 		t.Fatalf("EXECUTE p (3) on the new template: %v", rows)

@@ -1,13 +1,18 @@
 package core
 
-// PREPARE/EXECUTE round trips: parameter binding through the portal
-// statement path, arity and registry errors, placeholder scoping, and —
-// the durable case — WAL replay of EXECUTEd mutations, which are logged
-// as rendered bound text so recovery is independent of the session's
-// prepared-statement registry (lost on restart by design).
+// PREPARE/EXECUTE round trips: an EXECUTE runs as its template with each
+// argument in place of its ? as one literal node; arity and registry
+// errors, placeholder scoping, per-client registries, a negative key
+// argument kept a key lookup, and — the durable case — WAL replay of
+// EXECUTEd writes, which are logged as the template's text with each
+// argument in sql.FormatValue's form, so recovery is independent of the
+// session's prepared-statement registry (lost on restart by design) and
+// gets back exactly the values written, those no literal spells included.
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,12 +66,12 @@ func TestPrepareExecuteDurableReplay(t *testing.T) {
 	exec(t, db, `EXECUTE ins (1, 'it''s', 2.0, TRUE)`)
 	exec(t, db, `EXECUTE ins (2, '', 0.0000001, FALSE)`)
 	exec(t, db, `EXECUTE ins (3, 'plain', -4.5, TRUE)`)
-	// The shape of the first EXECUTE again: a plan-cache hit, whose WAL
-	// text must be rendered from the arguments bound now, not the
-	// instance's first.
+	// The shape of the first EXECUTE again (-4.5 is one FLOAT value, not
+	// a minus sign and a literal): plan-cache hits, whose WAL text must
+	// carry the arguments bound now, not the instance's first.
 	exec(t, db, `EXECUTE ins (4, 'again', 8.25, TRUE)`)
-	if s := db.PlanCacheStats(); s.Hits != 1 {
-		t.Fatalf("repeated EXECUTE shape: %+v, want one hit", s)
+	if s := db.PlanCacheStats(); s.Hits != 2 {
+		t.Fatalf("repeated EXECUTE shape: %+v, want two hits", s)
 	}
 	want := exec(t, db, `SELECT k, v, f, b FROM kv`).Rows
 	db.Close()
@@ -151,4 +156,120 @@ func TestPreparedStatementsArePerClient(t *testing.T) {
 		t.Fatal("bob deallocated alice's statement")
 	}
 	want("alice", `DEALLOCATE p`)
+}
+
+// TestExecuteEdgeValuesSurviveReopen: EXECUTEd writes of the values whose
+// decimal text is no literal — −2⁶³, +Inf, −Inf, NaN — by INSERT and by
+// UPDATE, a key of −2⁶³ in a WHERE included, are logged as text that
+// replays to exactly those values: the reopened database is not
+// quarantined and holds the rows written.
+func TestExecuteEdgeValuesSurviveReopen(t *testing.T) {
+	maxFloat := strconv.FormatFloat(math.MaxFloat64, 'f', 1, 64)
+	minInt := `-9223372036854775807 - 1`
+	inf, negInf, nan := maxFloat+` * 10.0`, `-`+maxFloat+` * 10.0`, maxFloat+` * 10.0 * 0.0`
+	dir := t.TempDir()
+	db, err := Open(Config{Seed: crashSeed, DataDir: dir, PlanCacheSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(t, db, `CREATE TABLE kv (k INT PRIMARY KEY, i INT, f FLOAT)`)
+	exec(t, db, `PREPARE ins AS INSERT INTO kv VALUES (?, ?, ?)`)
+	exec(t, db, `PREPARE upd AS UPDATE kv SET i = ?, f = ? WHERE k = ?`)
+	for _, q := range []string{
+		`EXECUTE ins (1, ` + minInt + `, ` + inf + `)`,
+		`EXECUTE ins (2, 0, ` + negInf + `)`,
+		`EXECUTE ins (3, 7, ` + nan + `)`,
+		`EXECUTE ins (` + minInt + `, 1, 0.5)`,
+		`EXECUTE ins (5, 2, 2.5)`,
+		`EXECUTE upd (` + minInt + `, ` + nan + `, 5)`,
+		`EXECUTE upd (3, ` + negInf + `, ` + minInt + `)`,
+		`EXECUTE upd (4, ` + inf + `, 2)`,
+	} {
+		exec(t, db, q)
+	}
+	const all = `SELECT k, i, f FROM kv ORDER BY k`
+	want := exec(t, db, all).Rows
+	if len(want) != 5 || want[0][0].I != math.MinInt64 || !math.IsNaN(want[4][2].F) || !math.IsInf(want[0][2].F, -1) {
+		t.Fatalf("rows written: %v", want)
+	}
+	db.Close()
+
+	re, err := Open(Config{Seed: crashSeed, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if qerr := re.QuarantineError(); qerr != nil {
+		t.Fatalf("recovered DB quarantined: %v", qerr)
+	}
+	got := exec(t, re, all).Rows
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d rows, want %d", len(got), len(want))
+	}
+	for r := range want {
+		for c := range want[r] {
+			w, g := want[r][c], got[r][c]
+			if !g.Equal(w) && !(math.IsNaN(g.F) && math.IsNaN(w.F) && g.Type == w.Type) {
+				t.Fatalf("row %d col %d: recovered %v, want %v", r, c, g, w)
+			}
+		}
+	}
+}
+
+// TestExecuteNegativeKeyIsKeyLookup: a negative argument is one literal
+// node, not a negation, so EXECUTE of a key lookup with −5 reads what it
+// reads with 5.
+func TestExecuteNegativeKeyIsKeyLookup(t *testing.T) {
+	db := openTest(t)
+	exec(t, db, `CREATE TABLE kv (id INT PRIMARY KEY, v INT)`)
+	exec(t, db, `INSERT INTO kv VALUES (-5, 1), (5, 2)`)
+	for k := 10; k < 200; k++ {
+		exec(t, db, fmt.Sprintf(`INSERT INTO kv VALUES (%d, 0)`, k))
+	}
+	exec(t, db, `PREPARE get AS SELECT v FROM kv WHERE id = ?`)
+	ops := func(arg, want string) uint64 {
+		t.Helper()
+		before := db.Memory().Stats().Ops
+		if rows := exec(t, db, `EXECUTE get (`+arg+`)`).Rows; fmt.Sprint(rows) != want {
+			t.Fatalf("EXECUTE get (%s): %v, want %s", arg, rows, want)
+		}
+		return db.Memory().Stats().Ops - before
+	}
+	if neg, pos := ops(`-5`, `[[1]]`), ops(`5`, `[[2]]`); neg != pos {
+		t.Fatalf("EXECUTE with -5 did %d protected operations, with 5 %d", neg, pos)
+	}
+}
+
+// BenchmarkExecuteHit is the in-process cost of a plan-cache hit through
+// db.Execute: a point read sent as EXECUTE of a prepared template, and
+// the same read written with its literal.
+func BenchmarkExecuteHit(b *testing.B) {
+	db, err := Open(Config{Seed: 99, PlanCacheSize: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(db.Close)
+	exec(b, db, `CREATE TABLE kv (id INT PRIMARY KEY, v INT)`)
+	for k := 0; k < 100; k++ {
+		exec(b, db, fmt.Sprintf(`INSERT INTO kv VALUES (%d, %d)`, k, 2*k))
+	}
+	exec(b, db, `PREPARE get AS SELECT v FROM kv WHERE id = ?`)
+	for _, form := range []struct{ name, format string }{
+		{"stmt=execute", `EXECUTE get (%d)`},
+		{"stmt=select", `SELECT v FROM kv WHERE id = %d`},
+	} {
+		qs := make([]string, 100)
+		for k := range qs {
+			qs[k] = fmt.Sprintf(form.format, k)
+		}
+		exec(b, db, qs[0])
+		b.Run(form.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Execute(qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -17,9 +17,8 @@ package plan
 //     loads a literal's Val when evaluated, a range scan takes its bounds
 //     — and the tighter of two on one side — from the nodes when it opens,
 //     and text rendered from the AST (a computed column's header, an
-//     error, the WAL text of an EXECUTEd write) is rendered at use. Where
-//     the planner does decide from a literal's value, the instance is not
-//     filed (Rebindable).
+//     error) is rendered at use. Where the planner does decide from a
+//     literal's value, the instance is not filed (Rebindable).
 //   - Exclusive checkout: an instance is in one statement's hands from
 //     Get to Put, so the slot writes, the owner names qualifyRefs writes
 //     into the AST and the row state operators carry across Open/Close
@@ -27,10 +26,11 @@ package plan
 //     instances, so that many concurrent statements of it all hit; one
 //     more misses, compiles its own and files it if there is room.
 //
-// Validity is keyed on the storage catalog version: any CREATE/DROP TABLE
-// or shard-layout change advances it, and Get discards a shape planned
-// under an older one. What else an instance depends on — the PREPARE
-// template an EXECUTE was bound from — its user checks after checkout.
+// Validity is keyed on the storage catalog version alone: any CREATE/DROP
+// TABLE or shard-layout change advances it, and Get discards a shape
+// planned under an older one. Nothing else is bound into an instance: an
+// EXECUTE reaches the cache as its template's tokens with the arguments in
+// place, under the key of that statement.
 
 import (
 	"container/list"
@@ -50,8 +50,7 @@ const instancesPerShape = 4
 // Instance is one compiled copy of a statement, owned by one execution at
 // a time.
 type Instance struct {
-	// Stmt is the statement to run: the parsed AST, or for EXECUTE the
-	// PREPARE template's copy with Params in place of its placeholders.
+	// Stmt is the statement to run: the parsed AST.
 	Stmt sql.Statement
 	// Op is the compiled operator tree of a SELECT, or the whole-row read
 	// phase of an UPDATE or DELETE; nil otherwise.
@@ -64,14 +63,6 @@ type Instance struct {
 	// Slots are the literal nodes lifted out of the shape key, in text
 	// order; Bind writes a statement's literals into them.
 	Slots []*sql.Literal
-	// Args and Params are set for EXECUTE: Args[i] is the compiled i-th
-	// argument (a constant expression over Slots) and Params[i] the literal
-	// node of Stmt it is bound to.
-	Args   []*engine.Compiled
-	Params []*sql.Literal
-	// Prepared is the template an EXECUTE instance was bound from; the
-	// instance is good for as long as the name still maps to it.
-	Prepared *sql.Prepare
 	// Rebindable reports that the instance serves every statement of its
 	// shape; Put files no other kind.
 	Rebindable bool
@@ -96,27 +87,12 @@ type Assign struct {
 	Expr *engine.Compiled
 }
 
-// Bind points the instance at one statement's literals (sql.Shape's, for
-// text of the instance's shape) and reports whether it can run them. It
-// cannot when an EXECUTE argument fails to evaluate, or evaluates to
-// another type or to NULL where the compiled value was not (or the
-// reverse): the plan below was made for a non-NULL parameter of that type.
-func (in *Instance) Bind(lits []record.Value) bool {
-	if len(lits) != len(in.Slots) {
-		return false
-	}
+// Bind points the instance at one statement's literals: sql.Shape's, for
+// a statement of the instance's shape, which lifts one per slot.
+func (in *Instance) Bind(lits []record.Value) {
 	for i, v := range lits {
 		in.Slots[i].Val = v
 	}
-	for i, a := range in.Args {
-		v, err := a.Eval(nil)
-		p := in.Params[i]
-		if err != nil || v.Type != p.Val.Type || v.Null != p.Val.Null {
-			return false
-		}
-		p.Val = v
-	}
-	return true
 }
 
 // shape is one cache entry: the idle instances of one key.
@@ -180,20 +156,6 @@ func (c *Cache) Get(key string, version uint64) *Instance {
 	}
 	c.stats.Misses++
 	return nil
-}
-
-// Discard recounts the hit that checked an instance out as an invalidated
-// miss: its user found it stale or unable to bind, drops it, and compiles
-// the statement fresh.
-func (c *Cache) Discard() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats.Hits--
-	c.stats.Misses++
-	c.stats.Invalidations++
-	c.mu.Unlock()
 }
 
 // Put files an instance under key as idle: one checked out by Get, or one

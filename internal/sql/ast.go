@@ -96,11 +96,14 @@ type Select struct {
 }
 
 // Prepare is PREPARE name AS <statement>: it registers a parameterized
-// statement template (with ? placeholders) under a name, so EXECUTE can
-// replay the shape without resending or re-parsing the text.
+// statement template (with ? placeholders) under a name; EXECUTE runs the
+// template's tokens with its arguments in place (Expand).
 type Prepare struct {
 	Name string
 	Stmt Statement // SELECT, INSERT, UPDATE or DELETE template
+	// Tokens are the template's tokens, from its first keyword to its last
+	// token before any trailing semicolon.
+	Tokens []Token
 	// NumParams is how many ? placeholders the template holds; EXECUTE
 	// must bind exactly this many arguments.
 	NumParams int
@@ -153,10 +156,10 @@ type ColumnRef struct {
 // Literal is a constant value.
 type Literal struct{ Val record.Value }
 
-// Param is one ? placeholder inside a PREPARE template. Index is the
-// 0-based ordinal of the placeholder in statement text order; BindParams
-// substitutes the matching argument before execution.
-type Param struct{ Index int }
+// Param is one ? placeholder inside a PREPARE template. It is never
+// compiled: EXECUTE parses the template again with the argument's value
+// token in the placeholder's place.
+type Param struct{}
 
 // BinaryExpr applies Op to L and R. Ops: OR AND = <> < <= > >= + - * / %.
 type BinaryExpr struct {

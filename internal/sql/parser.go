@@ -15,8 +15,9 @@ type Parser struct {
 	// nparams counts ? placeholders seen in the current top-level
 	// statement; placeholders are legal only inside a PREPARE template.
 	nparams int
-	// slots are the literal nodes built from number and string tokens, in
-	// text order: exactly the tokens Shape lifts out of the cache key.
+	// slots are the literal nodes built from number, string and INT, FLOAT
+	// or TEXT value tokens, in text order: exactly the tokens Shape lifts
+	// out of the cache key.
 	slots []*Literal
 }
 
@@ -37,6 +38,11 @@ func ParseSlots(src string) (Statement, []*Literal, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	return parseTokens(toks)
+}
+
+// parseTokens parses one statement from tokens ending in EOF.
+func parseTokens(toks []Token) (Statement, []*Literal, error) {
 	p := &Parser{toks: toks}
 	st, err := p.topStatement()
 	if err != nil {
@@ -181,6 +187,7 @@ func (p *Parser) prepareStmt() (Statement, error) {
 	if err := p.expectKeyword("AS"); err != nil {
 		return nil, err
 	}
+	start := p.pos
 	inner, err := p.statement()
 	if err != nil {
 		return nil, err
@@ -190,11 +197,12 @@ func (p *Parser) prepareStmt() (Statement, error) {
 	default:
 		return nil, fmt.Errorf("sql: PREPARE supports SELECT, INSERT, UPDATE and DELETE, got %T", inner)
 	}
-	return &Prepare{Name: name, Stmt: inner, NumParams: p.nparams}, nil
+	return &Prepare{Name: name, Stmt: inner, Tokens: p.toks[start:p.pos], NumParams: p.nparams}, nil
 }
 
 // executeStmt parses EXECUTE name [(args...)]. Arguments are constant
-// expressions bound positionally to the template's placeholders.
+// expressions, evaluated and bound positionally to the template's
+// placeholders.
 func (p *Parser) executeStmt() (Statement, error) {
 	p.advance() // EXECUTE
 	name, err := p.ident()
@@ -808,6 +816,18 @@ func (p *Parser) primary() (Expr, error) {
 	case TokString:
 		p.pos++
 		return p.slot(record.Text(t.Text)), nil
+	case TokValue:
+		// The node the argument's literal text would give, whatever its
+		// sign: a bind slot, or a NULL, TRUE or FALSE keyword's.
+		p.pos++
+		switch v := *t.Val; {
+		case slotValue(v):
+			return p.slot(v), nil
+		case v.Null:
+			return &Literal{Val: record.Null(record.TypeInt)}, nil
+		default:
+			return &Literal{Val: v}, nil
+		}
 	case TokKeyword:
 		switch t.Text {
 		case "NULL":
@@ -869,9 +889,8 @@ func (p *Parser) primary() (Expr, error) {
 		}
 		if t.Text == "?" {
 			p.pos++
-			prm := &Param{Index: p.nparams}
 			p.nparams++
-			return prm, nil
+			return &Param{}, nil
 		}
 	}
 	return nil, fmt.Errorf("sql: unexpected %s in expression at offset %d", t, t.Pos)

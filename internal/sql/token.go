@@ -9,6 +9,8 @@ package sql
 import (
 	"fmt"
 	"strings"
+
+	"veridb/internal/record"
 )
 
 // TokenKind classifies lexer output.
@@ -27,13 +29,17 @@ const (
 	TokString
 	// TokSymbol is an operator or punctuation token.
 	TokSymbol
+	// TokValue is an EXECUTE argument in place of its template's ?
+	// placeholder (Prepare.Expand); the lexer never produces one.
+	TokValue
 )
 
 // Token is one lexeme.
 type Token struct {
 	Kind TokenKind
-	Text string // keywords upper-cased; idents as written; strings unquoted
-	Pos  int    // byte offset in the input
+	Text string        // keywords upper-cased; idents as written; strings unquoted
+	Pos  int           // byte offset in the input
+	Val  *record.Value // a TokValue's value, nil for every other kind
 }
 
 func (t Token) String() string {
@@ -42,6 +48,8 @@ func (t Token) String() string {
 		return "end of input"
 	case TokString:
 		return fmt.Sprintf("'%s'", t.Text)
+	case TokValue:
+		return FormatValue(*t.Val)
 	default:
 		return fmt.Sprintf("%q", t.Text)
 	}
