@@ -3,7 +3,7 @@
 //
 //	\verify          run a full verification pass
 //	\explain <sql>   show the physical plan for a SELECT
-//	\stats           print verification counters
+//	\stats           print verification counters and trusted bytes in use
 //	\tamper <table>  simulate the adversary (flip bytes of one record)
 //	\tables          list tables
 //	\quit            exit
@@ -159,8 +159,8 @@ func meta(db *veridb.DB, cmd string) {
 		}
 	case "\\stats":
 		s := db.Stats()
-		fmt.Printf("ops=%d prf=%d pages=%d scans=%d fast=%d rotations=%d alarms=%d ecalls=%d epc=%dB\n",
-			s.Ops, s.PRFEvals, s.PagesAlive, s.Scans, s.FastScans, s.Rotations, s.Alarms, s.ECalls, s.EPCUsed)
+		fmt.Printf("ops=%d prf=%d pages=%d scans=%d fast=%d rotations=%d alarms=%d ecalls=%d trusted=%dB\n",
+			s.Ops, s.PRFEvals, s.PagesAlive, s.Scans, s.FastScans, s.Rotations, s.Alarms, s.ECalls, db.Govern().MemUsed)
 	case "\\tables":
 		for _, n := range db.TableNames() {
 			rows, _ := db.RowCount(n)

@@ -17,13 +17,13 @@
 //
 // Clients are provisioned with -client id:hexkey (repeatable).
 //
-// Hardening: per-connection read/write deadlines (-io-timeout), a maximum
-// request size (-max-line, a frame's payload) answered with a typed error
-// instead of a silent drop, a connection cap (-max-conns) answered with a
-// connection-level refusal frame, a
-// per-connection pipelining bound (-max-inflight), and graceful drain on
-// SIGINT/SIGTERM (stop accepting, wait for in-flight connections up to
-// -drain-timeout).
+// Hardening: per-connection read/write deadlines (-io-timeout), a 1 MiB
+// cap on a request frame's payload answered with a typed error instead of
+// a silent drop, a connection cap (-max-conns) answered with a
+// connection-level refusal frame, at most 64 requests executing per
+// connection, the release of a pinned snapshot idle for five minutes, and
+// graceful drain on SIGINT/SIGTERM (stop accepting, wait for in-flight
+// connections up to -drain-timeout).
 package main
 
 import (
@@ -58,10 +58,7 @@ func main() {
 	stmtTimeout := flag.Duration("statement-timeout", 0, "per-statement execution deadline (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "process memory budget for query state, bytes (0 = track only)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "maximum statements executing at once; the excess is shed at once (0 = no admission control)")
-	sessionMaxIdle := flag.Duration("session-max-idle", 0, "expire idle pinned snapshots after this inactivity (0 = never)")
 	initSQL := flag.String("init", "", "semicolon-separated SQL to run at startup")
-	maxLine := flag.Int("max-line", 1<<20, "maximum request size, bytes (frame payload)")
-	maxInflight := flag.Int("max-inflight", server.DefaultMaxInflight, "pipelined requests executing per connection")
 	maxConns := flag.Int("max-conns", 256, "maximum concurrent connections (0 = unlimited)")
 	ioTimeout := flag.Duration("io-timeout", 5*time.Minute, "per-connection read/write deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown wait for in-flight connections")
@@ -78,7 +75,6 @@ func main() {
 		StatementTimeout:        *stmtTimeout,
 		MemBudget:               *memBudget,
 		MaxConcurrentStatements: *maxConcurrent,
-		SessionMaxIdle:          *sessionMaxIdle,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -117,11 +113,9 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		DB:          db,
-		MaxMessage:  *maxLine,
-		MaxInflight: *maxInflight,
-		IOTimeout:   *ioTimeout,
-		MaxConns:    *maxConns,
+		DB:        db,
+		IOTimeout: *ioTimeout,
+		MaxConns:  *maxConns,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -77,12 +77,14 @@ type Config struct {
 	// with a typed govern.ErrOverloaded carrying a RetryAfter hint. Zero
 	// disables admission control.
 	MaxConcurrentStatements int
-	// SessionMaxIdle expires a client session's pinned snapshot (BEGIN
-	// SNAPSHOT) after this much statement inactivity, unblocking version
-	// reclamation when a client vanishes mid-session. The expired session's next
-	// statement fails once with ErrSessionExpired. Zero never expires.
-	SessionMaxIdle time.Duration
 }
+
+// maxSessionIdle is how long a client session's pinned snapshot (BEGIN
+// SNAPSHOT) survives without a statement from that client before the
+// reaper releases it, so a vanished client cannot hold version reclamation
+// hostage. It equals the server's default -io-timeout, after which an idle
+// connection is closed anyway.
+const maxSessionIdle = 5 * time.Minute
 
 // ErrQuarantined wraps every request rejected because the database's
 // verifier raised a sticky tamper alarm: the state machine is fenced and
@@ -91,8 +93,8 @@ var ErrQuarantined = errors.New("core: database quarantined after tamper alarm")
 
 // ErrSessionExpired is returned once, on the first statement a client
 // issues after the session reaper released its pinned snapshot for idling
-// past SessionMaxIdle. The client re-pins with a fresh BEGIN SNAPSHOT.
-var ErrSessionExpired = errors.New("core: session snapshot expired after idling past SessionMaxIdle; BEGIN SNAPSHOT again")
+// past maxSessionIdle. The client re-pins with a fresh BEGIN SNAPSHOT.
+var ErrSessionExpired = errors.New("core: session snapshot expired after idling; BEGIN SNAPSHOT again")
 
 // DB is one VeriDB instance.
 type DB struct {
@@ -125,12 +127,15 @@ type DB struct {
 	admit       *govern.Admission
 	stmtTimeout time.Duration
 
-	// Session idle reaper (SessionMaxIdle): expires abandoned snapshot
-	// pins so version reclamation is never held hostage by a vanished client.
-	sessionMaxIdle time.Duration
-	reaperStop     chan struct{}
-	reaperWG       sync.WaitGroup
-	sessExpired    atomic.Int64
+	// Session idle reaper: expires snapshot pins idle past maxIdle. It
+	// starts at the first BEGIN SNAPSHOT and stops at Close, so an
+	// instance that never pins runs no reaper.
+	maxIdle     time.Duration // maxSessionIdle; tests shorten it before the first pin
+	reaperMu    sync.Mutex
+	reaperStop  chan struct{} // nil while no reaper runs
+	closed      bool          // set by Close: no reaper starts after it
+	reaperWG    sync.WaitGroup
+	sessExpired atomic.Int64
 }
 
 // session is one client's statement context: its prepared statements and
@@ -144,7 +149,7 @@ type session struct {
 	prepared map[string]*sql.Prepare
 	snap     *storage.Snapshot
 	// lastUse is the last statement touch; the reaper expires pinned
-	// sessions idle past SessionMaxIdle.
+	// sessions idle past maxSessionIdle.
 	lastUse time.Time
 	// expired marks a reaped session; its next statement fails once with
 	// ErrSessionExpired so the client learns its pin is gone.
@@ -176,17 +181,17 @@ func Open(cfg Config) (*DB, error) {
 		cfg.ExecBatchSize = storage.DefaultBatchCapacity
 	}
 	db := &DB{
-		enc:            enc,
-		mem:            mem,
-		store:          st,
-		opts:           plan.Options{Join: cfg.Join},
-		batchCap:       cfg.ExecBatchSize,
-		planCache:      plan.NewCache(cfg.PlanCacheSize),
-		sessions:       make(map[string]*session),
-		budget:         govern.NewBudget(cfg.MemBudget),
-		admit:          govern.NewAdmission(cfg.MaxConcurrentStatements),
-		stmtTimeout:    cfg.StatementTimeout,
-		sessionMaxIdle: cfg.SessionMaxIdle,
+		enc:         enc,
+		mem:         mem,
+		store:       st,
+		opts:        plan.Options{Join: cfg.Join},
+		batchCap:    cfg.ExecBatchSize,
+		planCache:   plan.NewCache(cfg.PlanCacheSize),
+		sessions:    make(map[string]*session),
+		budget:      govern.NewBudget(cfg.MemBudget),
+		admit:       govern.NewAdmission(cfg.MaxConcurrentStatements),
+		stmtTimeout: cfg.StatementTimeout,
+		maxIdle:     maxSessionIdle,
 	}
 	st.SetBudget(db.budget)
 	db.portal = portal.New(enc, db)
@@ -208,9 +213,6 @@ func Open(cfg Config) (*DB, error) {
 		if err := mem.StartVerifier(cfg.VerifyEveryOps); err != nil {
 			return nil, fmt.Errorf("core: starting background verifier: %w", err)
 		}
-	}
-	if cfg.SessionMaxIdle > 0 {
-		db.startSessionReaper(cfg.SessionMaxIdle)
 	}
 	return db, nil
 }
@@ -239,13 +241,20 @@ func (db *DB) Close() {
 	}
 }
 
-// startSessionReaper launches the idle-session collector: every quarter of
-// maxIdle it releases pinned snapshots whose session has not issued a
-// statement within maxIdle, so an abandoned BEGIN SNAPSHOT stops pinning
-// the version reclamation floor.
-func (db *DB) startSessionReaper(maxIdle time.Duration) {
+// startSessionReaper launches the idle-session collector unless it runs
+// already or the instance is closed: every quarter of maxIdle it releases
+// pinned snapshots whose session has not issued a statement within
+// maxIdle, so an abandoned BEGIN SNAPSHOT stops pinning the version
+// reclamation floor.
+func (db *DB) startSessionReaper() {
+	db.reaperMu.Lock()
+	defer db.reaperMu.Unlock()
+	if db.reaperStop != nil || db.closed {
+		return
+	}
 	stop := make(chan struct{})
 	db.reaperStop = stop
+	maxIdle := db.maxIdle
 	interval := maxIdle / 4
 	if interval < time.Millisecond {
 		interval = time.Millisecond
@@ -267,10 +276,14 @@ func (db *DB) startSessionReaper(maxIdle time.Duration) {
 }
 
 func (db *DB) stopSessionReaper() {
-	if db.reaperStop != nil {
-		close(db.reaperStop)
+	db.reaperMu.Lock()
+	db.closed = true
+	stop := db.reaperStop
+	db.reaperStop = nil
+	db.reaperMu.Unlock()
+	if stop != nil {
+		close(stop)
 		db.reaperWG.Wait()
-		db.reaperStop = nil
 	}
 }
 
@@ -583,6 +596,10 @@ func (s *session) expand(query string) (sql.Expansion, error) {
 	}
 	args := make([]record.Value, len(ex.Args))
 	for i, e := range ex.Args {
+		if lit, ok := e.(*sql.Literal); ok {
+			args[i] = lit.Val
+			continue
+		}
 		c, err := engine.Compile(e, engine.Schema{})
 		if err == nil {
 			args[i], err = c.Eval(nil)
@@ -792,6 +809,7 @@ func (db *DB) executeStmtSess(sess *session, stmt sql.Statement) (*portal.Result
 			return nil, fmt.Errorf("core: session already holds a pinned snapshot (BEGIN SNAPSHOT without COMMIT)")
 		}
 		sess.snap = db.store.OpenSnapshot()
+		db.startSessionReaper()
 		return &portal.Result{
 			Columns: []string{"snapshot_seq"},
 			Rows:    []record.Tuple{{record.Int(int64(sess.snap.Seq()))}},

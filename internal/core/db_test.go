@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"veridb/internal/client"
-	"veridb/internal/enclave"
 	"veridb/internal/plan"
 	"veridb/internal/portal"
 	"veridb/internal/record"
@@ -393,15 +392,6 @@ func TestBaselineModeRuns(t *testing.T) {
 	exec(t, db, `INSERT INTO t VALUES (1)`)
 	if s := db.Memory().Stats(); s.PRFEvals != 0 {
 		t.Fatalf("baseline did PRF work: %+v", s)
-	}
-}
-
-// TestSeededOpenHonorsEnclaveConfig: a seed fixes the PRF key and nothing
-// else, so the configured EPC budget still binds.
-func TestSeededOpenHonorsEnclaveConfig(t *testing.T) {
-	_, err := Open(Config{Seed: 1, Enclave: enclave.Config{EPCBytes: 100}, Memory: vmem.Config{Partitions: 4}})
-	if !errors.Is(err, enclave.ErrEPCExhausted) {
-		t.Fatalf("err = %v, want ErrEPCExhausted", err)
 	}
 }
 

@@ -205,6 +205,47 @@ func TestSessionExpiryUnblocksVersionGC(t *testing.T) {
 	}
 }
 
+// TestSessionReaperRunsOnlyWhilePinned: an instance runs no reaper until
+// a session pins, concurrent first pins start it, Close stops it, and a
+// pin after Close starts none.
+func TestSessionReaperRunsOnlyWhilePinned(t *testing.T) {
+	db := openGovern(t, Config{})
+	running := func() bool {
+		db.reaperMu.Lock()
+		defer db.reaperMu.Unlock()
+		return db.reaperStop != nil
+	}
+	exec(t, db, `CREATE TABLE big (id INT PRIMARY KEY, val INT)`)
+	exec(t, db, `SELECT * FROM big`)
+	if running() {
+		t.Fatal("reaper running before any pin")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			if _, err := db.ExecuteSession(id, `BEGIN SNAPSHOT`); err != nil {
+				t.Error(err)
+			}
+		}(fmt.Sprintf("c%d", i))
+	}
+	wg.Wait()
+	if !running() {
+		t.Fatal("no reaper after BEGIN SNAPSHOT")
+	}
+	db.Close()
+	if running() {
+		t.Fatal("reaper running after Close")
+	}
+	if _, err := db.ExecuteSession("late", `BEGIN SNAPSHOT`); err != nil {
+		t.Fatal(err)
+	}
+	if running() {
+		t.Fatal("a pin after Close started a reaper")
+	}
+}
+
 // TestMemBudgetExhaustionTyped: a statement whose materialisations would
 // exceed the process budget is refused with a typed
 // govern.ErrResourceExhausted instead of growing the heap, while writes
@@ -291,12 +332,12 @@ func TestOverloadStormDrains(t *testing.T) {
 		StatementTimeout:        200 * time.Millisecond,
 		MemBudget:               4 << 20,
 		MaxConcurrentStatements: 2,
-		SessionMaxIdle:          50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	db.maxIdle = 50 * time.Millisecond
 	seedBig(t, db, rows)
 	// The seeded rows' version images are tracked, persistent memory: the
 	// leak check is against this floor, not zero.
@@ -377,7 +418,7 @@ func TestOverloadStormDrains(t *testing.T) {
 				return err
 			}
 		}
-		time.Sleep(100 * time.Millisecond) // idle past SessionMaxIdle: the reaper must unpin
+		time.Sleep(100 * time.Millisecond) // idle past maxIdle: the reaper must unpin
 		return nil
 	})
 	hog := fmt.Sprintf(`SELECT id, '%s' FROM big`, strings.Repeat("x", 16<<10))

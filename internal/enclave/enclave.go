@@ -11,15 +11,17 @@
 //   - A measured identity (MRENCLAVE analogue) and remote attestation: the
 //     enclave holds an Ed25519 key whose public half is bound to the
 //     measurement in a quote the client can verify.
-//   - A limited EPC: the enclave accounts every byte of protected state and
-//     refuses to exceed its budget, so "keep the whole database in EPC" is
-//     as impractical here as on hardware (§1, §3.3).
 //   - Expensive boundary crossings: an ECall can charge a configurable
 //     cycle cost (~8000 cycles reported by the paper §2.1), letting the
 //     ablation benches measure the cost of not colocating the query engine
 //     with the storage interface.
 //   - Monotonic counters and sealed keys for the portal's rollback defence
 //     and the RSWS PRF key.
+//
+// The EPC's size is not simulated here. The trusted state that grows with
+// the workload — statement materialisations, MVCC version images and the
+// portal's replay windows — is counted by one ledger, internal/govern's
+// Budget (core.Config.MemBudget).
 package enclave
 
 import (
@@ -36,23 +38,12 @@ import (
 	"veridb/internal/sethash"
 )
 
-// DefaultEPCBytes is the usable enclave page cache budget. Real SGX v1
-// reserves 128 MB with ~96 MB usable (§2.1, §3.3); the simulation defaults
-// to the same figure.
-const DefaultEPCBytes = 96 << 20
-
 // DefaultECallCycles is the boundary-crossing cost reported by the paper
 // (§2.1, citing HotCalls/Eleos: ~8000 cycles per ECall).
 const DefaultECallCycles = 8000
 
-// ErrEPCExhausted is returned when reserving protected memory would exceed
-// the enclave's EPC budget.
-var ErrEPCExhausted = errors.New("enclave: EPC budget exhausted")
-
 // Config controls the simulated hardware.
 type Config struct {
-	// EPCBytes is the protected-memory budget. Zero means DefaultEPCBytes.
-	EPCBytes int64
 	// ECallCycles is the simulated cost of one boundary crossing in CPU
 	// cycles. Zero disables crossing-cost simulation (the default for
 	// correctness tests; benches opt in).
@@ -74,9 +65,6 @@ type Enclave struct {
 	measurement [32]byte
 	signPriv    ed25519.PrivateKey
 	signPub     ed25519.PublicKey
-
-	epcBudget int64
-	epcUsed   atomic.Int64
 
 	ecallCycles int64
 	cyclePeriod time.Duration // duration of one simulated cycle batch
@@ -103,14 +91,10 @@ func New(cfg Config) (*Enclave, error) {
 		measurement: sha256.Sum256([]byte(identity)),
 		signPriv:    priv,
 		signPub:     pub,
-		epcBudget:   cfg.EPCBytes,
 		ecallCycles: cfg.ECallCycles,
 		counters:    make(map[string]*atomic.Uint64),
 		prfKey:      prf,
 		macKeys:     make(map[string][]byte),
-	}
-	if e.epcBudget == 0 {
-		e.epcBudget = DefaultEPCBytes
 	}
 	e.cyclePeriod = time.Duration(float64(time.Second) / (cpuGHz * 1e9) * float64(e.ecallCycles))
 	return e, nil
@@ -167,49 +151,14 @@ func spin(d time.Duration) {
 	}
 }
 
-// Stats reports the boundary-crossing count and EPC usage.
+// Stats reports the boundary-crossing count.
 type Stats struct {
-	ECalls   int64
-	EPCUsed  int64
-	EPCLimit int64
+	ECalls int64
 }
 
 // Stats returns a snapshot of the enclave's resource counters.
 func (e *Enclave) Stats() Stats {
-	return Stats{
-		ECalls:   e.ecalls.Load(),
-		EPCUsed:  e.epcUsed.Load(),
-		EPCLimit: e.epcBudget,
-	}
-}
-
-// ReserveEPC accounts n bytes of protected memory, failing if the budget
-// would be exceeded. VeriDB keeps only RSWS accumulators, portal state and
-// per-query operator state in EPC, so this should never trip in practice;
-// the failure mode exists so tests can demonstrate why the database itself
-// cannot live inside the enclave.
-func (e *Enclave) ReserveEPC(n int64) error {
-	if n < 0 {
-		return fmt.Errorf("enclave: negative EPC reservation %d", n)
-	}
-	for {
-		used := e.epcUsed.Load()
-		if used+n > e.epcBudget {
-			return fmt.Errorf("%w: used %d + requested %d > budget %d",
-				ErrEPCExhausted, used, n, e.epcBudget)
-		}
-		if e.epcUsed.CompareAndSwap(used, used+n) {
-			return nil
-		}
-	}
-}
-
-// ReleaseEPC returns n bytes to the budget.
-func (e *Enclave) ReleaseEPC(n int64) {
-	if n < 0 {
-		return
-	}
-	e.epcUsed.Add(-n)
+	return Stats{ECalls: e.ecalls.Load()}
 }
 
 // MonotonicCounter returns the named strictly-increasing counter, creating

@@ -2,7 +2,6 @@ package enclave
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 )
 
@@ -58,63 +57,6 @@ func TestAttestationRejectsForgedSignature(t *testing.T) {
 	}
 }
 
-func TestEPCBudget(t *testing.T) {
-	e, err := New(Config{EPCBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ReserveEPC(512); err != nil {
-		t.Fatalf("reserve within budget failed: %v", err)
-	}
-	if err := e.ReserveEPC(512); err != nil {
-		t.Fatalf("reserve exactly to budget failed: %v", err)
-	}
-	if err := e.ReserveEPC(1); err == nil {
-		t.Fatal("reserve beyond budget succeeded")
-	}
-	e.ReleaseEPC(512)
-	if err := e.ReserveEPC(256); err != nil {
-		t.Fatalf("reserve after release failed: %v", err)
-	}
-	if got := e.Stats().EPCUsed; got != 768 {
-		t.Fatalf("EPCUsed = %d, want 768", got)
-	}
-}
-
-func TestEPCRejectsNegative(t *testing.T) {
-	e, _ := New(Config{EPCBytes: 1024})
-	if err := e.ReserveEPC(-1); err == nil {
-		t.Fatal("negative reservation accepted")
-	}
-}
-
-func TestEPCConcurrentReservations(t *testing.T) {
-	e, _ := New(Config{EPCBytes: 1000})
-	var wg sync.WaitGroup
-	granted := make(chan int64, 100)
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if e.ReserveEPC(25) == nil {
-				granted <- 25
-			}
-		}()
-	}
-	wg.Wait()
-	close(granted)
-	var total int64
-	for g := range granted {
-		total += g
-	}
-	if total > 1000 {
-		t.Fatalf("concurrent reservations oversubscribed EPC: granted %d of 1000", total)
-	}
-	if total != e.Stats().EPCUsed {
-		t.Fatalf("accounting mismatch: granted %d, used %d", total, e.Stats().EPCUsed)
-	}
-}
-
 func TestMonotonicCounter(t *testing.T) {
 	e, _ := New(Config{})
 	c := e.MonotonicCounter("seq")
@@ -159,6 +101,27 @@ func TestNewForTestDeterministicPRF(t *testing.T) {
 	b := NewForTest(42).PRFKey().PRFv(1, 0, []byte("x"))
 	if !a.Equal(&b) {
 		t.Fatal("NewForTest PRF key not deterministic")
+	}
+}
+
+// TestNewSeededKeepsConfig: a seed fixes the PRF key and nothing else, so
+// the configured crossing cost still applies.
+func TestNewSeededKeepsConfig(t *testing.T) {
+	cfg := Config{ECallCycles: DefaultECallCycles}
+	a, err := NewSeeded(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSeeded(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ecallCycles != cfg.ECallCycles || a.cyclePeriod <= 0 {
+		t.Fatalf("seeded enclave charges %d cycles (%v), want %d", a.ecallCycles, a.cyclePeriod, cfg.ECallCycles)
+	}
+	pa, pb := a.PRFKey().PRFv(1, 0, []byte("x")), b.PRFKey().PRFv(1, 0, []byte("x"))
+	if !pa.Equal(&pb) {
+		t.Fatal("one seed gave two PRF keys")
 	}
 }
 

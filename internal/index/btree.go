@@ -282,15 +282,6 @@ func (n *node) max() ([]byte, Loc) {
 	return n.keys[len(n.keys)-1], n.vals[len(n.vals)-1]
 }
 
-// Min returns the smallest key.
-func (t *BTree) Min() ([]byte, Loc, bool) {
-	if t.size == 0 {
-		return nil, Loc{}, false
-	}
-	k, v := t.root.min()
-	return k, v, true
-}
-
 // Max returns the largest key.
 func (t *BTree) Max() ([]byte, Loc, bool) {
 	if t.size == 0 {
@@ -347,28 +338,6 @@ func (t *BTree) SeekLT(target []byte) ([]byte, Loc, bool) {
 		}
 		if i > 0 {
 			bk, bv = n.keys[i-1], n.vals[i-1]
-			found = true
-		}
-		if n.leaf() {
-			return bk, bv, found
-		}
-		n = n.children[i]
-	}
-}
-
-// SeekGE returns the smallest entry with key ≥ target.
-func (t *BTree) SeekGE(target []byte) ([]byte, Loc, bool) {
-	var bk []byte
-	var bv Loc
-	found := false
-	n := t.root
-	for {
-		i, eq := n.find(target)
-		if eq {
-			return n.keys[i], n.vals[i], true
-		}
-		if i < len(n.keys) {
-			bk, bv = n.keys[i], n.vals[i]
 			found = true
 		}
 		if n.leaf() {

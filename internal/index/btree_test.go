@@ -185,45 +185,18 @@ func TestSeekLT(t *testing.T) {
 	}
 }
 
-func TestSeekGE(t *testing.T) {
-	tr := New()
-	for i := 10; i <= 100; i += 10 {
-		tr.Set(k(i), Loc{Page: uint64(i)})
-	}
-	cases := []struct {
-		target int
-		want   int
-		ok     bool
-	}{
-		{5, 10, true},
-		{10, 10, true},
-		{15, 20, true},
-		{100, 100, true},
-		{101, 0, false},
-	}
-	for _, c := range cases {
-		key, _, ok := tr.SeekGE(k(c.target))
-		if ok != c.ok {
-			t.Fatalf("SeekGE(%d) ok = %v", c.target, ok)
-		}
-		if ok && !bytes.Equal(key, k(c.want)) {
-			t.Fatalf("SeekGE(%d) = %x, want %d", c.target, key, c.want)
-		}
-	}
-}
-
+// TestMinMax: the smallest key is the first Ascend from nil visits, and
+// the largest is Max.
 func TestMinMax(t *testing.T) {
 	tr := New()
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree")
-	}
 	if _, _, ok := tr.Max(); ok {
 		t.Fatal("Max on empty tree")
 	}
 	for _, i := range rand.New(rand.NewSource(9)).Perm(1000) {
 		tr.Set(k(i), Loc{})
 	}
-	mink, _, _ := tr.Min()
+	var mink []byte
+	tr.Ascend(nil, func(key []byte, _ Loc) bool { mink = key; return false })
 	maxk, _, _ := tr.Max()
 	if !bytes.Equal(mink, k(0)) || !bytes.Equal(maxk, k(999)) {
 		t.Fatalf("Min/Max = %x/%x", mink, maxk)

@@ -123,15 +123,6 @@ func (p *Page) LiveRecords() int {
 	return n
 }
 
-// SlotLive reports whether slot i currently holds a record.
-func (p *Page) SlotLive(i int) bool {
-	if i < 0 || i >= p.slotCount() {
-		return false
-	}
-	off, _ := p.slot(i)
-	return off != 0
-}
-
 // Get returns the record bytes stored in slot i. The returned slice aliases
 // the page buffer; callers that retain it must copy.
 func (p *Page) Get(i int) ([]byte, error) {

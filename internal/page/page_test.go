@@ -206,8 +206,8 @@ func TestCompactPreservesSlotsAndReclaims(t *testing.T) {
 			t.Fatalf("slot %d after Compact: %q, %v", s, got, err)
 		}
 	}
-	if p.SlotLive(s2) {
-		t.Fatal("deleted slot live after Compact")
+	if _, err := p.Get(s2); !errors.Is(err, ErrDeadSlot) {
+		t.Fatalf("deleted slot after Compact: %v, want ErrDeadSlot", err)
 	}
 }
 

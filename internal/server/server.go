@@ -31,13 +31,6 @@ import (
 type Config struct {
 	// DB is the database instance to serve. Required.
 	DB *veridb.DB
-	// MaxMessage caps one request frame's payload in bytes. Default 1 MiB.
-	MaxMessage int
-	// MaxInflight bounds per-connection pipelined query handlers. The
-	// database's own admission gate (if configured) still sheds beyond its
-	// slots; this bound keeps one connection from spawning unbounded
-	// goroutines regardless. Default 64.
-	MaxInflight int
 	// IOTimeout is the per-read and per-write deadline (0 = none).
 	IOTimeout time.Duration
 	// MaxConns caps concurrent connections (0 = unlimited); excess
@@ -45,13 +38,18 @@ type Config struct {
 	MaxConns int
 }
 
-// DefaultMaxInflight bounds per-connection pipelining when Config leaves
-// MaxInflight zero.
-const DefaultMaxInflight = 64
+// maxInflight bounds per-connection pipelined query handlers. The
+// database's own admission gate (if configured) still sheds beyond its
+// slots; this bound keeps one connection from spawning unbounded
+// goroutines regardless.
+const maxInflight = 64
 
 // Server is the connection-handling state shared by every session.
 type Server struct {
-	db          *veridb.DB
+	db *veridb.DB
+	// maxMessage (wire.DefaultMaxPayload) caps one request frame's payload
+	// and maxInflight (the constant) a connection's handlers; tests
+	// shorten them.
 	maxMessage  int
 	maxInflight int
 	ioTimeout   time.Duration
@@ -79,16 +77,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("server: Config.DB is required")
 	}
-	if cfg.MaxMessage <= 0 {
-		cfg.MaxMessage = wire.DefaultMaxPayload
-	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = DefaultMaxInflight
-	}
 	s := &Server{
 		db:          cfg.DB,
-		maxMessage:  cfg.MaxMessage,
-		maxInflight: cfg.MaxInflight,
+		maxMessage:  wire.DefaultMaxPayload,
+		maxInflight: maxInflight,
 		ioTimeout:   cfg.IOTimeout,
 	}
 	if cfg.MaxConns > 0 {

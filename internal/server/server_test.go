@@ -28,6 +28,12 @@ func serveTCP(t *testing.T, cfg Config) net.Listener {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return listen(t, srv)
+}
+
+// listen serves srv on a loopback port until the test ends.
+func listen(t *testing.T, srv *Server) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -525,7 +531,12 @@ func TestBinaryPerFrameOverload(t *testing.T) {
 // connection closes.
 func TestBinaryOversizedFrameTypedRefusal(t *testing.T) {
 	db := openDB(t, veridb.Config{Seed: 8})
-	ln := serveTCP(t, Config{DB: db, MaxMessage: 256})
+	srv, err := New(Config{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.maxMessage = 256
+	ln := listen(t, srv)
 	bc := dialBinary(t, ln.Addr().String())
 
 	// Header only: declares 1024 payload bytes against a 256-byte cap.
@@ -563,10 +574,11 @@ func TestBinaryAbruptDisconnectLeaksNothing(t *testing.T) {
 	db.ProvisionClient("alice", key)
 	alice := client.New("alice", key)
 
-	srv, err := New(Config{DB: db, MaxInflight: 4})
+	srv, err := New(Config{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.maxInflight = 4
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@ import (
 )
 
 // DefaultBatchCapacity is the batch size the executor uses when nothing
-// overrides it. 256 rows keeps a batch of typical tuples well under the
-// simulated EPC budget while amortising the per-row interface-call chain
+// overrides it. 256 rows keeps a batch of typical tuples a small share of
+// trusted memory while amortising the per-row interface-call chain
 // (scan → filter → join → agg → portal) across the whole batch.
 const DefaultBatchCapacity = 256
 

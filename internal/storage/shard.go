@@ -154,10 +154,7 @@ func (sh *shard) placeRecord(enc []byte) (index.Loc, error) {
 		}
 		tried++
 	}
-	pid, err := sh.t.mem.NewPageIn(sh.affinity)
-	if err != nil {
-		return index.Loc{}, err
-	}
+	pid := sh.t.mem.NewPageIn(sh.affinity)
 	sh.pages = append(sh.pages, pid)
 	sh.fill = pid
 	return try(pid)

@@ -210,7 +210,6 @@ type Hook interface {
 // Memory is the write-read consistent memory.
 type Memory struct {
 	cfg   Config
-	enc   *enclave.Enclave
 	key   *sethash.Key
 	parts []*partition
 
@@ -231,17 +230,11 @@ type Memory struct {
 
 type alarmBox struct{ err error }
 
-// New builds a memory backed by the given enclave, reserving the enclave
-// EPC needed for the per-partition accumulator state.
+// New builds a memory backed by the given enclave. It returns no error
+// today; the result stays for its callers in benchmark/.
 func New(enc *enclave.Enclave, cfg Config) (*Memory, error) {
 	cfg = cfg.withDefaults()
-	m := &Memory{cfg: cfg, enc: enc, key: enc.PRFKey()}
-	// Each partition keeps 4 accumulators (sethash.Size = 32 B each) plus
-	// epoch/flags in sealed memory; reserve an upper bound on that from the
-	// EPC budget.
-	if err := enc.ReserveEPC(int64(cfg.Partitions) * 512); err != nil {
-		return nil, fmt.Errorf("vmem: reserving RSWS state: %w", err)
-	}
+	m := &Memory{cfg: cfg, key: enc.PRFKey()}
 	m.parts = make([]*partition, cfg.Partitions)
 	for i := range m.parts {
 		m.parts[i] = &partition{epoch: 1, pages: make(map[uint64]*vPage)}
@@ -272,11 +265,10 @@ func (m *Memory) lookup(pageID uint64) (*vPage, error) {
 
 // NewPage registers a fresh empty page and returns its ID. Registration is
 // the Register(page) interface of §4.2: from here on the page's cells are
-// covered by the verification process. The enclave tracks one byte of
-// touched-page bookkeeping per page (paper budgets one bit; we account
-// conservatively).
+// covered by the verification process. It returns no error today; the
+// result stays for its callers in benchmark/.
 func (m *Memory) NewPage() (uint64, error) {
-	return m.NewPageIn(-1)
+	return m.NewPageIn(-1), nil
 }
 
 // NewPageIn is NewPage with a partition-affinity hint: when part is a valid
@@ -286,16 +278,13 @@ func (m *Memory) NewPage() (uint64, error) {
 // on the same subset of cores. part < 0 means no preference, in which case
 // the allocation is identical to NewPage. Skipped IDs are never registered;
 // the ID space is sparse by design (48-bit page field in Addr).
-func (m *Memory) NewPageIn(affinity int) (uint64, error) {
+func (m *Memory) NewPageIn(affinity int) uint64 {
 	id := m.nextPage.Add(1) // IDs start at 1
 	if affinity >= 0 {
 		want := uint64(affinity % len(m.parts))
 		for id%uint64(len(m.parts)) != want {
 			id = m.nextPage.Add(1)
 		}
-	}
-	if err := m.enc.ReserveEPC(1); err != nil {
-		return 0, err
 	}
 	vp := &vPage{id: id, p: page.New(m.cfg.PageSize)}
 	part := m.part(id)
@@ -321,7 +310,7 @@ func (m *Memory) NewPageIn(affinity int) (uint64, error) {
 	part.pagesMu.Unlock()
 	part.mu.Unlock()
 	m.pageCount.Add(1)
-	return id, nil
+	return id
 }
 
 // FreePage removes a page from the verified set. All live cells are folded
@@ -350,7 +339,6 @@ func (m *Memory) FreePage(pageID uint64) error {
 	delete(part.pages, pageID)
 	part.pagesMu.Unlock()
 	m.pageCount.Add(^uint64(0))
-	m.enc.ReleaseEPC(1)
 	return nil
 }
 

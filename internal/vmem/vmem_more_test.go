@@ -1,53 +1,6 @@
 package vmem
 
-import (
-	"errors"
-	"testing"
-
-	"veridb/internal/enclave"
-)
-
-func TestEPCExhaustionSurfaces(t *testing.T) {
-	// A tiny EPC budget: partition state fits, page bookkeeping soon
-	// doesn't. This is the constraint that forces the database out of the
-	// enclave in the first place (§3.3).
-	enc, err := enclave.New(enclave.Config{EPCBytes: 520})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(enc, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastErr error
-	allocated := 0
-	for i := 0; i < 100; i++ {
-		if _, err := m.NewPage(); err != nil {
-			lastErr = err
-			break
-		}
-		allocated++
-	}
-	if lastErr == nil {
-		t.Fatal("100 pages fit in a 520-byte EPC budget")
-	}
-	if !errors.Is(lastErr, enclave.ErrEPCExhausted) {
-		t.Fatalf("err = %v, want ErrEPCExhausted", lastErr)
-	}
-	if allocated == 0 {
-		t.Fatal("not even one page fit")
-	}
-}
-
-func TestPartitionStateRejectedWhenEPCTooSmall(t *testing.T) {
-	enc, err := enclave.New(enclave.Config{EPCBytes: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(enc, Config{Partitions: 4}); !errors.Is(err, enclave.ErrEPCExhausted) {
-		t.Fatalf("err = %v, want ErrEPCExhausted", err)
-	}
-}
+import "testing"
 
 func TestAlarmIsolatedPerMemoryInstance(t *testing.T) {
 	a := newMem(t, Config{FullScan: true})

@@ -133,16 +133,19 @@ var (
 	// ErrResourceExhausted means the statement would exceed MemBudget.
 	ErrResourceExhausted = govern.ErrResourceExhausted
 	// ErrSessionExpired means the idle reaper released this session's
-	// pinned snapshot (SessionMaxIdle); BEGIN SNAPSHOT again.
+	// pinned snapshot after five minutes without a statement from the
+	// session; BEGIN SNAPSHOT again.
 	ErrSessionExpired = core.ErrSessionExpired
 )
 
 // Config tunes a database instance: what a deployment sets. The zero value
 // is a verifying, single-RSWS VeriDB with the paper's recommended
 // optimisations on. The paper's ablations (Baseline mode, RSWS including
-// metadata, full scans, eager compaction, forced join plans, ECall cost,
-// EPC size) are axes of the figure harness, which sets them on
-// core.Config directly.
+// metadata, full scans, eager compaction, forced join plans, ECall cost)
+// are axes of the figure harness, which sets them on core.Config
+// directly. A pinned snapshot (BEGIN SNAPSHOT) whose session sends no
+// statement for five minutes is released; the session's next statement
+// fails once with ErrSessionExpired.
 type Config struct {
 	// RSWSPartitions is the number of ReadSet/WriteSet pairs with
 	// independent locks (§4.3). Zero means 1.
@@ -190,12 +193,6 @@ type Config struct {
 	// client honors the hint with jittered backoff. Zero disables
 	// admission control.
 	MaxConcurrentStatements int
-	// SessionMaxIdle expires a client session's pinned snapshot (BEGIN
-	// SNAPSHOT) after this much statement inactivity, so a vanished client
-	// cannot hold version reclamation hostage. The expired
-	// session's next statement fails once with a session-expired error;
-	// the client re-pins with a fresh BEGIN SNAPSHOT. Zero never expires.
-	SessionMaxIdle time.Duration
 }
 
 // planCacheShapes bounds the prepared-plan LRU, counted in statement
@@ -225,9 +222,6 @@ func (c Config) validate() error {
 	if c.MaxConcurrentStatements < 0 {
 		return fmt.Errorf("veridb: MaxConcurrentStatements is %d; want 0 (no admission control) or a positive slot count", c.MaxConcurrentStatements)
 	}
-	if c.SessionMaxIdle < 0 {
-		return fmt.Errorf("veridb: SessionMaxIdle is %v; want 0 (sessions never expire) or a positive idle bound", c.SessionMaxIdle)
-	}
 	return nil
 }
 
@@ -246,7 +240,6 @@ func (c Config) coreConfig() (core.Config, error) {
 		StatementTimeout:        c.StatementTimeout,
 		MemBudget:               c.MemBudget,
 		MaxConcurrentStatements: c.MaxConcurrentStatements,
-		SessionMaxIdle:          c.SessionMaxIdle,
 	}, nil
 }
 
@@ -281,8 +274,6 @@ type Stats struct {
 	Alarms uint64
 	// ECalls counts simulated enclave boundary crossings.
 	ECalls int64
-	// EPCUsed is the simulated enclave memory in use, bytes.
-	EPCUsed int64
 }
 
 // DB is a VeriDB instance.
@@ -391,7 +382,7 @@ func (db *DB) Stats() Stats {
 	return Stats{
 		Ops: m.Ops, PRFEvals: m.PRFEvals, PagesAlive: m.PagesAlive,
 		Scans: m.Scans, FastScans: m.FastScans, Rotations: m.Rotations,
-		Alarms: m.Alarms, ECalls: e.ECalls, EPCUsed: e.EPCUsed,
+		Alarms: m.Alarms, ECalls: e.ECalls,
 	}
 }
 
