@@ -11,10 +11,10 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # The public surface every simplicity PR quotes: the exported fields of
-# every config object — veridb.Config, core.Config, vmem.Config,
-# server.Config, enclave.Config and client.PipelineConfig (counted from go
-# doc's source view) — the flags veridb-server and veridb-cli define, and
-# the methods of the storage seam: every value a non-test caller can set.
+# every config object — veridb.Config, core.Config, vmem.Config and
+# server.Config (counted from go doc's source view) — the flags
+# veridb-server and veridb-cli define, and the methods of the storage
+# seam: every value a non-test caller can set.
 CONFIG_FIELDS = awk '/^type [A-Za-z]+ struct/ {f = 1; next} f && /^}/ {exit} f && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n}'
 FLAGS = grep -c 'flag\.\(Bool\|Int\|Int64\|String\|Duration\|Var\)('
 knobs:
@@ -22,10 +22,8 @@ knobs:
 	@printf 'core.Config fields:   '; $(GO) doc -u -src ./internal/core Config | $(CONFIG_FIELDS)
 	@printf 'vmem.Config fields:   '; $(GO) doc -u -src ./internal/vmem Config | $(CONFIG_FIELDS)
 	@printf 'server.Config fields: '; $(GO) doc -u -src ./internal/server Config | $(CONFIG_FIELDS)
-	@printf 'enclave.Config fields: '; $(GO) doc -u -src ./internal/enclave Config | $(CONFIG_FIELDS)
 	@printf 'veridb-server flags:  '; $(FLAGS) cmd/veridb-server/main.go
 	@printf 'storage.Engine methods: '; $(GO) doc -u -src ./internal/storage Engine | grep -cE '^[[:space:]]+[A-Z][A-Za-z]*\('
-	@printf 'client.PipelineConfig fields: '; $(GO) doc -u -src ./internal/client PipelineConfig | $(CONFIG_FIELDS)
 	@printf 'veridb-cli flags:     '; $(FLAGS) cmd/veridb-cli/main.go
 
 vet:

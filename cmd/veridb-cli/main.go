@@ -90,7 +90,7 @@ func dialServer(addr, cred string) (*client.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return client.NewPipeline(client.New(id, key), conn, client.PipelineConfig{}), nil
+	return client.NewPipeline(client.New(id, key), conn), nil
 }
 
 // repl reads stdin: \quit ends it, other backslash lines go to meta,

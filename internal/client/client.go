@@ -6,7 +6,6 @@
 package client
 
 import (
-	"crypto/ed25519"
 	"crypto/hmac"
 	"errors"
 	"fmt"
@@ -42,9 +41,12 @@ var (
 // ServerError is an authenticated execution error: the response verified
 // (MAC, sequence number) and carried the portal's error message. It is
 // distinct from transport and integrity failures — the server answered
-// honestly that the query failed. When the message carries a typed server
-// condition the client recognises (today: govern's overload refusal), err
-// holds the recovered typed error so errors.Is/As see through the string.
+// honestly that the query failed. A pipeline also reports the server's
+// unauthenticated TError refusals of a request as ServerError. When the
+// message carries a typed server condition the client recognises
+// (govern's overload refusal, wire's too-large refusal, the portal's
+// replayed qid), err holds the recovered typed error so errors.Is/As see
+// through the string.
 type ServerError struct {
 	Msg string
 	err error
@@ -87,8 +89,8 @@ func (s *SeqTracker) Add(seq uint64) error {
 
 // Client is one VeriDB user: it holds the pre-exchanged MAC key (as the
 // keyed MAC states it signs requests and verifies responses with), a
-// query id counter, the sequence tracker, and the attested enclave
-// identity.
+// query id counter and the sequence tracker. Responses are checked under
+// the MAC key alone; attestation binds nothing to it.
 type Client struct {
 	ID   string
 	macs *portal.KeyedMAC
@@ -96,27 +98,20 @@ type Client struct {
 	mu      sync.Mutex
 	nextQID uint64
 	tracker SeqTracker
-
-	attested ed25519.PublicKey
 }
 
 // New builds a client with the pre-exchanged key (provisioned into the
-// enclave out of band, e.g. over the attested channel).
+// enclave out of band).
 func New(id string, key []byte) *Client {
 	return &Client{ID: id, macs: portal.NewKeyedMAC(append([]byte(nil), key...))}
 }
 
 // Attest verifies an enclave quote against the expected measurement and
-// pins the attestation key for endorsement checks.
+// the nonce the client chose. It keeps nothing: the quote's key checks no
+// later response.
 func (c *Client) Attest(q enclave.Quote, expectedMeasurement [32]byte, nonce []byte) error {
-	pub, err := enclave.VerifyQuote(q, expectedMeasurement, nonce)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.attested = pub
-	c.mu.Unlock()
-	return nil
+	_, err := enclave.VerifyQuote(q, expectedMeasurement, nonce)
+	return err
 }
 
 // NewRequest signs a query with a fresh qid.

@@ -24,59 +24,48 @@ var ErrPipelineClosed = errors.New("client: pipeline closed")
 // retry budget allowed: the peer never answered.
 var ErrTimeout = errors.New("client: request timed out")
 
-// PipelineConfig tunes a pipelined binary-protocol connection.
+// The pipeline's policy. Every pipeline NewPipeline builds runs these
+// values; tests shorten them through newPipeline's policy.
 //
-// The retry policy lives here and nowhere else. Safe retries lean on two
-// protocol properties: requests are idempotent at the portal (a re-sent qid
-// returns the cached original endorsement, never a re-execution), and every
-// response is MAC-verified before the caller sees it, so a retry trusts
-// nothing about the channel. A response that fails verification is never
-// retried — a forged or rolled-back response is evidence, not noise — and
-// neither is an authenticated quarantine or execution error. The one
-// verified response that is retried is the overload refusal
-// (govern.ErrOverloaded), an honest "come back later".
-type PipelineConfig struct {
-	// MaxInflight is the in-flight window: how many requests may await
+// Safe retries lean on two protocol properties: requests are idempotent at
+// the portal (a re-sent qid returns the kept original endorsement, never a
+// re-execution), and every response is MAC-verified before the caller sees
+// it, so a retry trusts nothing about the channel. A response that fails
+// verification is never retried — a forged or rolled-back response is
+// evidence, not noise — and neither is an authenticated quarantine or
+// execution error. The one verified response that is retried is the
+// overload refusal (govern.ErrOverloaded), an honest "come back later".
+// The shipped pipeline does not retransmit: a call whose response never
+// comes waits until the connection fails.
+const (
+	// maxInflight is the in-flight window: how many requests may await
 	// responses at once. Go blocks (backpressure) when the window is full.
-	// Default 16; 1 is the synchronous client (Do sends, waits, returns).
-	MaxInflight int
-	// RetryTimeout is the per-attempt response deadline. When it elapses
-	// the call is retransmitted with the SAME qid and MAC — the portal's
-	// replay window makes the retry at-most-once: a finished query replays
-	// its kept endorsement, an in-flight one answers "query id replayed"
-	// (which the pipeline ignores; the original response is still coming).
-	// 0 disables retransmission. A call whose budget runs out unanswered
-	// fails with ErrTimeout.
-	RetryTimeout time.Duration
-	// Retries bounds extra attempts per call: retransmissions plus
-	// fresh-qid overload retries. Zero means 3; negative means none (every
-	// call is sent exactly once).
-	Retries int
-	// Backoff is the delay before the first overload retry, doubling per
-	// attempt; a larger RetryAfter hint from the server wins (see
-	// retryDelay). Default 5ms.
-	Backoff time.Duration
-	// MaxResponse caps one response frame's payload. Default 64 MiB (a
-	// result set, not a request, sets the size here).
-	MaxResponse int
-}
+	maxInflight = 16
+	// maxRetries bounds the fresh-qid overload retries per call.
+	maxRetries = 3
+	// retryBackoff is the delay before the first overload retry, doubling
+	// per attempt; a larger RetryAfter hint from the server wins (see
+	// retryDelay).
+	retryBackoff = 5 * time.Millisecond
+	// maxResponse caps one response frame's payload (a result set, not a
+	// request, sets the size here).
+	maxResponse = 64 << 20
+)
 
-func (cfg *PipelineConfig) fill() {
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 16
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 3
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 5 * time.Millisecond
-	}
-	if cfg.MaxResponse <= 0 {
-		cfg.MaxResponse = 64 << 20
-	}
+// policy is one pipeline's window and retry policy.
+type policy struct {
+	window int // requests awaiting responses at once
+	// retryTimeout is the per-attempt response deadline; 0 never
+	// retransmits. When it elapses the call is retransmitted with the SAME
+	// qid and MAC — the portal's replay window makes the retry
+	// at-most-once: a finished query replays its kept endorsement, an
+	// in-flight one answers "query id replayed" (which the pipeline
+	// ignores for a retransmitted call; the original response is still
+	// coming). A call whose budget runs out unanswered fails with
+	// ErrTimeout.
+	retryTimeout time.Duration
+	retries      int           // extra attempts per call: retransmissions plus overload retries
+	backoff      time.Duration // the first overload retry's delay
 }
 
 // Call is one in-flight pipelined request. Wait blocks for its completion.
@@ -96,7 +85,8 @@ type Call struct {
 	quote   enclave.Quote
 	health  []byte
 
-	attempts  int // attempts beyond the first
+	attempts  int  // attempts beyond the first
+	resent    bool // the current qid went out more than once
 	completed bool
 	timer     *time.Timer
 	done      chan struct{}
@@ -121,7 +111,7 @@ func (call *Call) Attempts() int { return call.attempts }
 type Pipeline struct {
 	c    *Client
 	conn net.Conn
-	cfg  PipelineConfig
+	pol  policy
 
 	window chan struct{} // in-flight slots
 	sendq  chan *Call
@@ -135,14 +125,18 @@ type Pipeline struct {
 // NewPipeline wraps an established connection. The pipeline owns the
 // connection: Close tears it down, and any transport error fails every
 // in-flight call.
-func NewPipeline(c *Client, conn net.Conn, cfg PipelineConfig) *Pipeline {
-	cfg.fill()
+func NewPipeline(c *Client, conn net.Conn) *Pipeline {
+	return newPipeline(c, conn, policy{window: maxInflight, retries: maxRetries, backoff: retryBackoff})
+}
+
+// newPipeline is NewPipeline under pol.
+func newPipeline(c *Client, conn net.Conn, pol policy) *Pipeline {
 	p := &Pipeline{
 		c:       c,
 		conn:    conn,
-		cfg:     cfg,
-		window:  make(chan struct{}, cfg.MaxInflight),
-		sendq:   make(chan *Call, 2*cfg.MaxInflight),
+		pol:     pol,
+		window:  make(chan struct{}, pol.window),
+		sendq:   make(chan *Call, 2*pol.window),
 		closed:  make(chan struct{}),
 		pending: make(map[uint64]*Call),
 	}
@@ -190,8 +184,8 @@ func (p *Pipeline) Do(query string) (*portal.Response, error) {
 }
 
 // Attest runs remote attestation through the pipeline (it shares the
-// window and qid space with queries) and pins the enclave identity on
-// success.
+// window and qid space with queries) and verifies the quote against the
+// expected measurement and nonce (see Client.Attest).
 func (p *Pipeline) Attest(expectedMeasurement [32]byte, nonce []byte) error {
 	call := &Call{
 		kind:    wire.TAttest,
@@ -261,18 +255,18 @@ func (p *Pipeline) enqueue(call *Call) {
 
 // armTimerLocked starts the retransmission timer for the next attempt.
 func (p *Pipeline) armTimerLocked(call *Call) {
-	if p.cfg.RetryTimeout <= 0 {
+	if p.pol.retryTimeout <= 0 {
 		return
 	}
 	if call.timer != nil {
 		call.timer.Stop()
 	}
 	qid := call.qid
-	call.timer = time.AfterFunc(p.cfg.RetryTimeout, func() { p.retransmit(call, qid) })
+	call.timer = time.AfterFunc(p.pol.retryTimeout, func() { p.retransmit(call, qid) })
 }
 
 // retransmit re-sends a call that missed its response deadline, with the
-// SAME qid and MAC (at-most-once; see PipelineConfig.RetryTimeout). qid is
+// SAME qid and MAC (at-most-once; see policy.retryTimeout). qid is
 // the one the timer was armed for: a timer that fired while dispatch was
 // accepting a shed finds the call reissued under a fresh qid and does
 // nothing — Stop cannot recall it, and it must neither send before the
@@ -283,12 +277,13 @@ func (p *Pipeline) retransmit(call *Call, qid uint64) {
 		p.mu.Unlock()
 		return
 	}
-	if call.attempts >= p.cfg.Retries {
+	if call.attempts >= p.pol.retries {
 		p.completeLocked(call, nil, fmt.Errorf("%w: qid %d: no response after %d attempts", ErrTimeout, call.qid, call.attempts+1))
 		p.mu.Unlock()
 		return
 	}
 	call.attempts++
+	call.resent = true
 	p.armTimerLocked(call)
 	p.mu.Unlock()
 	p.enqueue(call)
@@ -333,6 +328,7 @@ func (p *Pipeline) reissueLocked(call *Call) {
 	call.qid = req.QID
 	call.payload = wire.EncodeQuery(req)
 	call.attempts++
+	call.resent = false
 	p.pending[call.qid] = call
 }
 
@@ -438,17 +434,12 @@ func (p *Pipeline) writeLoop() {
 	}
 }
 
-// replayedMarker identifies the portal's "already executing" answer to a
-// retransmission; the original response is still on its way, so the
-// refusal is informational, not terminal.
-const replayedMarker = "query id replayed"
-
 // readLoop demuxes response frames to their calls until the connection
 // fails (a connection-level refusal in dispatch closes it).
 func (p *Pipeline) readLoop() {
 	br := bufio.NewReader(p.conn)
 	for {
-		f, err := wire.ReadFrame(br, p.cfg.MaxResponse)
+		f, err := wire.ReadFrame(br, maxResponse)
 		if err != nil {
 			p.fatal(fmt.Errorf("%w: read: %v", ErrPipelineClosed, err))
 			return
@@ -506,10 +497,10 @@ func (p *Pipeline) dispatch(f wire.Frame) {
 		var oe *govern.OverloadedError
 		if errors.As(verr, &oe) {
 			p.mu.Lock()
-			if !call.completed && call.attempts < p.cfg.Retries {
+			if !call.completed && call.attempts < p.pol.retries {
 				// Wait off the reader goroutine, so one shed call never
 				// stalls the window for the others.
-				delay := retryDelay(p.cfg.Backoff, call.attempts, oe.RetryAfter, rand.Int63n)
+				delay := retryDelay(p.pol.backoff, call.attempts, oe.RetryAfter, rand.Int63n)
 				p.reissueLocked(call)
 				time.AfterFunc(delay, func() { p.sendReissued(call) })
 			} else {
@@ -534,17 +525,22 @@ func (p *Pipeline) dispatch(f wire.Frame) {
 		p.mu.Unlock()
 	case wire.TError:
 		msg := string(f.Payload)
-		if strings.Contains(msg, replayedMarker) {
-			// Our retransmission raced the original execution; the real
-			// response is still coming under this qid. Keep waiting.
-			return
-		}
-		var err error = &ServerError{Msg: msg}
+		se := &ServerError{Msg: msg}
 		if tl, ok := wire.ParseTooLarge(msg); ok {
-			err = &ServerError{Msg: msg, err: tl}
+			se.err = tl
+		} else if strings.Contains(msg, portal.ErrReplayedQID.Error()) {
+			se.err = portal.ErrReplayedQID
 		}
 		p.mu.Lock()
-		p.completeLocked(call, nil, err)
+		if se.err == portal.ErrReplayedQID && call.resent {
+			// Our retransmission raced the original execution; the real
+			// response is still coming under this qid. Keep waiting.
+			p.mu.Unlock()
+			return
+		}
+		// Otherwise the qid was spent before this call sent it — by an
+		// earlier client under the same id — and nothing else will answer.
+		p.completeLocked(call, nil, se)
 		p.mu.Unlock()
 	}
 }

@@ -70,7 +70,7 @@ func newClientPortal(t *testing.T, exec portal.Executor) (*Client, *portal.Porta
 // scriptedPeer accepts one connection, hands every frame it reads to
 // handle (one at a time, in arrival order) and returns a pipeline dialled
 // to it. The returned func reports the qid of every frame received so far.
-func scriptedPeer(t *testing.T, c *Client, cfg PipelineConfig, handle func(conn net.Conn, f wire.Frame)) (*Pipeline, func() []uint64) {
+func scriptedPeer(t *testing.T, c *Client, pol policy, handle func(conn net.Conn, f wire.Frame)) (*Pipeline, func() []uint64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -101,7 +101,7 @@ func scriptedPeer(t *testing.T, c *Client, cfg PipelineConfig, handle func(conn 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(c, conn, cfg)
+	p := newPipeline(c, conn, pol)
 	t.Cleanup(func() { p.Close(); ln.Close(); <-done })
 	return p, func() []uint64 {
 		mu.Lock()
@@ -174,7 +174,7 @@ func TestPipelineRetransmitsLostResponse(t *testing.T) {
 	exec := &countExec{}
 	c, portal, _ := newClientPortal(t, exec)
 	frames := 0
-	p, seen := scriptedPeer(t, c, PipelineConfig{MaxInflight: 1, RetryTimeout: 20 * time.Millisecond}, func(conn net.Conn, f wire.Frame) {
+	p, seen := scriptedPeer(t, c, policy{window: 1, retryTimeout: 20 * time.Millisecond, retries: maxRetries, backoff: retryBackoff}, func(conn net.Conn, f wire.Frame) {
 		frames++
 		answer := resultFor(t, portal, f)
 		if frames > 1 {
@@ -199,10 +199,10 @@ func TestPipelineRetransmitsLostResponse(t *testing.T) {
 
 // TestPipelineHungPeerTimesOut: a peer that reads and never answers
 // exhausts the per-attempt deadline and the retry budget; the caller gets
-// ErrTimeout after exactly Retries+1 sends of the same qid.
+// ErrTimeout after exactly retries+1 sends of the same qid.
 func TestPipelineHungPeerTimesOut(t *testing.T) {
 	c, _, _ := newClientPortal(t, &countExec{})
-	p, seen := scriptedPeer(t, c, PipelineConfig{MaxInflight: 1, RetryTimeout: 10 * time.Millisecond, Retries: 2},
+	p, seen := scriptedPeer(t, c, policy{window: 1, retryTimeout: 10 * time.Millisecond, retries: 2, backoff: retryBackoff},
 		func(net.Conn, wire.Frame) {})
 	_, err := p.Do("SELECT 1")
 	if !errors.Is(err, ErrTimeout) {
@@ -214,29 +214,29 @@ func TestPipelineHungPeerTimesOut(t *testing.T) {
 	}
 }
 
-// TestPipelineNoRetriesSendsOnce: Retries < 0 means none. A hung peer
+// TestPipelineNoRetriesSendsOnce: a policy of no retries. A hung peer
 // costs one send and one deadline; a shed comes straight back.
 func TestPipelineNoRetriesSendsOnce(t *testing.T) {
 	c, _, _ := newClientPortal(t, &countExec{})
-	p, seen := scriptedPeer(t, c, PipelineConfig{MaxInflight: 1, RetryTimeout: 10 * time.Millisecond, Retries: -1},
+	p, seen := scriptedPeer(t, c, policy{window: 1, retryTimeout: 10 * time.Millisecond},
 		func(net.Conn, wire.Frame) {})
 	if _, err := p.Do("SELECT 1"); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("hung peer returned %v, want ErrTimeout", err)
 	}
 	if qids := seen(); len(qids) != 1 {
-		t.Fatalf("peer saw %d frames with Retries -1, want 1", len(qids))
+		t.Fatalf("peer saw %d frames with no retries, want 1", len(qids))
 	}
 
 	exec := &shedExec{sheds: 1 << 30}
 	c2, portal, _ := newClientPortal(t, exec)
-	p2, _ := scriptedPeer(t, c2, PipelineConfig{MaxInflight: 1, Retries: -1}, func(conn net.Conn, f wire.Frame) {
+	p2, _ := scriptedPeer(t, c2, policy{window: 1}, func(conn net.Conn, f wire.Frame) {
 		wire.WriteFrame(conn, resultFor(t, portal, f))
 	})
 	if _, err := p2.Do("SELECT 1"); !errors.Is(err, govern.ErrOverloaded) {
-		t.Fatalf("shed with Retries -1 returned %v, want ErrOverloaded", err)
+		t.Fatalf("shed with no retries returned %v, want ErrOverloaded", err)
 	}
 	if exec.calls != 1 {
-		t.Fatalf("executed %d times with Retries -1, want 1", exec.calls)
+		t.Fatalf("executed %d times with no retries, want 1", exec.calls)
 	}
 }
 
@@ -244,7 +244,7 @@ func TestPipelineNoRetriesSendsOnce(t *testing.T) {
 // noise — the call must end at once instead of re-requesting.
 func TestPipelineNeverRetriesForgedResponse(t *testing.T) {
 	c, _, _ := newClientPortal(t, &countExec{})
-	p, seen := scriptedPeer(t, c, PipelineConfig{MaxInflight: 1, RetryTimeout: time.Second, Retries: 5}, func(conn net.Conn, f wire.Frame) {
+	p, seen := scriptedPeer(t, c, policy{window: 1, retryTimeout: time.Second, retries: 5, backoff: retryBackoff}, func(conn net.Conn, f wire.Frame) {
 		forged := &portal.Response{QID: f.QID, Seq: 1, MAC: []byte("forged")}
 		wire.WriteFrame(conn, wire.Frame{Type: wire.TResult, QID: f.QID, Payload: wire.EncodeResult(forged)})
 	})
@@ -265,7 +265,7 @@ func TestPipelineNeverRetriesForgedResponse(t *testing.T) {
 // sequence number is not recorded (it dies with the fenced instance).
 func TestPipelineSurfacesQuarantine(t *testing.T) {
 	c, portal, _ := newClientPortal(t, &quarantinedExec{err: errors.New("tamper alarm: page 3")})
-	p, seen := scriptedPeer(t, c, PipelineConfig{MaxInflight: 1, RetryTimeout: time.Second, Retries: 5}, func(conn net.Conn, f wire.Frame) {
+	p, seen := scriptedPeer(t, c, policy{window: 1, retryTimeout: time.Second, retries: 5, backoff: retryBackoff}, func(conn net.Conn, f wire.Frame) {
 		wire.WriteFrame(conn, resultFor(t, portal, f))
 	})
 	call := p.Go("SELECT 1")
@@ -292,7 +292,7 @@ func TestPipelineSurfacesQuarantine(t *testing.T) {
 func TestPipelineGivesUpOverloadAfterBudget(t *testing.T) {
 	exec := &shedExec{sheds: 1 << 30}
 	c, portal, _ := newClientPortal(t, exec)
-	p, seen := scriptedPeer(t, c, PipelineConfig{MaxInflight: 1, Retries: 2, Backoff: time.Millisecond}, func(conn net.Conn, f wire.Frame) {
+	p, seen := scriptedPeer(t, c, policy{window: 1, retries: 2, backoff: time.Millisecond}, func(conn net.Conn, f wire.Frame) {
 		wire.WriteFrame(conn, resultFor(t, portal, f))
 	})
 	start := time.Now()
@@ -328,7 +328,7 @@ func TestPipelineDuplicateShedIsNotARollback(t *testing.T) {
 	exec := &shedExec{sheds: 1}
 	c, portal, _ := newClientPortal(t, exec)
 	frames := 0
-	p, seen := scriptedPeer(t, c, PipelineConfig{MaxInflight: 1, Backoff: time.Millisecond}, func(conn net.Conn, f wire.Frame) {
+	p, seen := scriptedPeer(t, c, policy{window: 1, retries: maxRetries, backoff: time.Millisecond}, func(conn net.Conn, f wire.Frame) {
 		frames++
 		answer := resultFor(t, portal, f)
 		wire.WriteFrame(conn, answer)
@@ -363,8 +363,8 @@ func TestPipelineDuplicateShedIsNotARollback(t *testing.T) {
 func TestPipelineStaleRetransmitTimerIsIgnored(t *testing.T) {
 	exec := &shedExec{sheds: 1}
 	c, portal, _ := newClientPortal(t, exec)
-	cfg := PipelineConfig{MaxInflight: 1, Retries: 1, Backoff: time.Millisecond, RetryTimeout: time.Minute}
-	p, seen := scriptedPeer(t, c, cfg, func(conn net.Conn, f wire.Frame) {
+	pol := policy{window: 1, retryTimeout: time.Minute, retries: 1, backoff: time.Millisecond}
+	p, seen := scriptedPeer(t, c, pol, func(conn net.Conn, f wire.Frame) {
 		wire.WriteFrame(conn, resultFor(t, portal, f))
 	})
 	call := p.Go("SELECT 1")

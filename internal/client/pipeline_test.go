@@ -21,6 +21,7 @@ import (
 	"veridb"
 	"veridb/internal/chaos"
 	"veridb/internal/client"
+	"veridb/internal/portal"
 	"veridb/internal/server"
 	"veridb/internal/wire"
 )
@@ -48,15 +49,29 @@ func startFlakyServer(t *testing.T, db *veridb.DB, cfg server.Config, faults cha
 	return ln
 }
 
-func dialPipeline(t *testing.T, c *client.Client, addr string, cfg client.PipelineConfig) *client.Pipeline {
+// dialPipeline connects a pipeline under the shipped policy.
+func dialPipeline(t *testing.T, c *client.Client, addr string) *client.Pipeline {
+	t.Helper()
+	p := client.NewPipeline(c, dial(t, addr))
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+// dialWith connects a pipeline under a test's window and retry policy.
+func dialWith(t *testing.T, c *client.Client, addr string, window int, retryTimeout time.Duration, retries int, backoff time.Duration) *client.Pipeline {
+	t.Helper()
+	p := client.NewPipelineWith(c, dial(t, addr), window, retryTimeout, retries, backoff)
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+func dial(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := client.NewPipeline(c, conn, cfg)
-	t.Cleanup(func() { p.Close() })
-	return p
+	return conn
 }
 
 func seedBig(t testing.TB, db *veridb.DB, rows int) {
@@ -97,7 +112,7 @@ func TestPipelineVerifiedQueriesAttestAndHealth(t *testing.T) {
 	alice := client.New("alice", key)
 
 	ln := startServer(t, db, server.Config{})
-	p := dialPipeline(t, alice, ln.Addr().String(), client.PipelineConfig{MaxInflight: 4})
+	p := dialPipeline(t, alice, ln.Addr().String())
 
 	if err := p.Attest(db.Measurement(), []byte("pipeline-nonce")); err != nil {
 		t.Fatalf("attest over pipeline: %v", err)
@@ -161,11 +176,7 @@ func TestPipelineOverloadRetriesFreshQID(t *testing.T) {
 	alice := client.New("alice", key)
 
 	ln := startServer(t, db, server.Config{})
-	p := dialPipeline(t, alice, ln.Addr().String(), client.PipelineConfig{
-		MaxInflight: 8,
-		Retries:     50,
-		Backoff:     2 * time.Millisecond,
-	})
+	p := dialWith(t, alice, ln.Addr().String(), 8, 0, 50, 2*time.Millisecond)
 
 	// Pin the only slot with a direct slow scan.
 	hold := make(chan error, 1)
@@ -228,13 +239,10 @@ func TestPipelineRetransmitIsAtMostOnce(t *testing.T) {
 	alice := client.New("alice", key)
 
 	ln := startServer(t, db, server.Config{})
-	p := dialPipeline(t, alice, ln.Addr().String(), client.PipelineConfig{
-		MaxInflight:  4,
-		RetryTimeout: 10 * time.Millisecond,
-		Retries:      200,
-	})
+	// Retransmit every 10ms, up to 200 times.
+	p := dialWith(t, alice, ln.Addr().String(), 4, 10*time.Millisecond, 200, 5*time.Millisecond)
 
-	// The scan takes many RetryTimeouts: the call retransmits while the
+	// The scan takes many retransmission deadlines: the call retransmits while the
 	// original executes.
 	call := p.Go(`SELECT a, b FROM big WHERE b >= 0 ORDER BY a`)
 	resp, rerr := call.Wait()
@@ -245,11 +253,60 @@ func TestPipelineRetransmitIsAtMostOnce(t *testing.T) {
 		t.Fatalf("scan returned %d rows", len(resp.Rows))
 	}
 	if call.Attempts() == 0 {
-		t.Fatal("call never retransmitted — RetryTimeout did not fire")
+		t.Fatal("call never retransmitted — the deadline did not fire")
 	}
 	// One more query: the connection survived the replay refusals.
 	if resp, err := p.Do(`SELECT a FROM big WHERE a = 7`); err != nil || len(resp.Rows) != 1 {
 		t.Fatalf("follow-up after retransmissions: %v %+v", err, resp)
+	}
+}
+
+// TestPipelineReplayedQIDFailsTheCall: a new client under an id the
+// portal has already served starts its qids at 1, which the portal refuses
+// as replayed. The shipped pipeline does not retransmit, so nothing else
+// will answer: the refusal must complete the call, as a ServerError that
+// unwraps to portal.ErrReplayedQID. Taken for a retransmission's race with
+// the original, it left the call waiting forever.
+func TestPipelineReplayedQIDFailsTheCall(t *testing.T) {
+	db, err := veridb.Open(veridb.Config{Seed: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE t (a INT PRIMARY KEY)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO t VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("replayed-pipe")
+	db.ProvisionClient("alice", key)
+	ln := startServer(t, db, server.Config{})
+
+	// The first client's qid 1 is another statement: the portal's replay
+	// window answers only the request it kept.
+	first := dialPipeline(t, client.New("alice", key), ln.Addr().String())
+	if _, err := first.Do(`SELECT a FROM t WHERE a = 1`); err != nil {
+		t.Fatal(err)
+	}
+	second := dialPipeline(t, client.New("alice", key), ln.Addr().String())
+	done := make(chan error, 1)
+	go func() {
+		_, err := second.Do(`SELECT a FROM t`)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var se *client.ServerError
+		if !errors.Is(err, portal.ErrReplayedQID) || !errors.As(err, &se) {
+			t.Fatalf("call under a spent qid returned %v, want a ServerError wrapping portal.ErrReplayedQID", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call under a spent qid still waiting after 5s")
+	}
+	// The next qid was never spent: the same pipeline serves it.
+	if resp, err := second.Do(`SELECT a FROM t`); err != nil || len(resp.Rows) != 1 {
+		t.Fatalf("call under a fresh qid: %v %+v", err, resp)
 	}
 }
 
@@ -282,7 +339,7 @@ func TestPipelineSurfacesCapacityRefusal(t *testing.T) {
 		t.Fatalf("holder connection not serving: %v", err)
 	}
 
-	p := dialPipeline(t, alice, ln.Addr().String(), client.PipelineConfig{MaxInflight: 2})
+	p := dialPipeline(t, alice, ln.Addr().String())
 	_, derr := p.Do(`SELECT 1`)
 	if derr == nil {
 		t.Fatal("call over refused connection succeeded")
@@ -324,7 +381,7 @@ func TestPipelineServerVanishesMidFlight(t *testing.T) {
 	}()
 
 	alice := client.New("alice", []byte("k"))
-	p := dialPipeline(t, alice, ln.Addr().String(), client.PipelineConfig{MaxInflight: 4})
+	p := dialPipeline(t, alice, ln.Addr().String())
 	calls := []*client.Call{p.Go(`SELECT 1`), p.Go(`SELECT 2`)}
 
 	conn := <-accepted
@@ -371,7 +428,7 @@ func TestPipelineSurfacesConnectionRefusal(t *testing.T) {
 			}()
 
 			alice := client.New("alice", []byte("k"))
-			p := dialPipeline(t, alice, ln.Addr().String(), client.PipelineConfig{MaxInflight: 2})
+			p := dialPipeline(t, alice, ln.Addr().String())
 			for _, when := range []string{"in-flight", "later"} {
 				_, err := p.Do(`SELECT 1`)
 				if !errors.Is(err, client.ErrPipelineClosed) || !strings.Contains(err.Error(), refusal) {
@@ -406,7 +463,7 @@ func TestPipelineRejectsMismatchedFrameType(t *testing.T) {
 	}()
 
 	alice := client.New("alice", []byte("k"))
-	p := dialPipeline(t, alice, ln.Addr().String(), client.PipelineConfig{})
+	p := dialPipeline(t, alice, ln.Addr().String())
 	resp, err := p.Do(`SELECT 1`)
 	if err == nil || resp != nil || !strings.Contains(err.Error(), "health-info") {
 		t.Fatalf("query answered by a health frame returned (%+v, %v)", resp, err)
@@ -415,7 +472,7 @@ func TestPipelineRejectsMismatchedFrameType(t *testing.T) {
 
 // TestPipelineThroughChaosConn drives a pipeline at the real server through
 // a network that duplicates every second response write, stalls every
-// third for longer than RetryTimeout (so calls retransmit under their old
+// third for longer than the retransmission deadline (so calls retransmit under their old
 // qid while the answer is stuck in the stall), and finally drops the
 // connection. Every completed call must be verified and executed at most
 // once — the inserts would collide on their primary key otherwise, and the
@@ -451,11 +508,7 @@ func TestPipelineThroughChaosConn(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	// Duplicates and stalls: everything completes, once.
-	p := dialPipeline(t, alice, flaky.Addr().String(), client.PipelineConfig{
-		MaxInflight:  4,
-		RetryTimeout: 10 * time.Millisecond,
-		Retries:      500,
-	})
+	p := dialWith(t, alice, flaky.Addr().String(), 4, 10*time.Millisecond, 500, 5*time.Millisecond)
 	const n = 60
 	calls := make([]*client.Call, n)
 	for i := range calls {
@@ -469,7 +522,7 @@ func TestPipelineThroughChaosConn(t *testing.T) {
 		retransmitted += call.Attempts()
 	}
 	if retransmitted == 0 {
-		t.Fatal("no call retransmitted — the stall never outlasted RetryTimeout, the test exercised nothing")
+		t.Fatal("no call retransmitted — the stall never outlasted the deadline, the test exercised nothing")
 	}
 	if got := rows(); got != n {
 		t.Fatalf("%d rows after %d acknowledged inserts", got, n)
@@ -484,7 +537,8 @@ func TestPipelineThroughChaosConn(t *testing.T) {
 	p.Close()
 
 	// The drop: the connection dies after the server's third write.
-	p2 := dialPipeline(t, alice, dropping.Addr().String(), client.PipelineConfig{MaxInflight: 4})
+	// A window of 4, no retransmission, the shipped overload retries.
+	p2 := dialWith(t, alice, dropping.Addr().String(), 4, 0, 3, 5*time.Millisecond)
 	dropped := make([]*client.Call, 40)
 	for i := range dropped {
 		dropped[i] = p2.Go(fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, n+i, n+i))
@@ -566,7 +620,7 @@ func BenchmarkPipelineWindow(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p := client.NewPipeline(c, conn, client.PipelineConfig{MaxInflight: window})
+			p := client.NewPipelineWith(c, conn, window, 0, 3, 5*time.Millisecond)
 			defer p.Close()
 			var next atomic.Int64
 			var wg sync.WaitGroup

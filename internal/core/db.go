@@ -26,8 +26,6 @@ import (
 
 // Config assembles a database instance.
 type Config struct {
-	// Enclave configures the simulated SGX hardware.
-	Enclave enclave.Config
 	// Memory configures the write-read consistent memory (§4.1, §4.3).
 	Memory vmem.Config
 	// Join selects the default join strategy (§6.3 compares plans).
@@ -165,7 +163,7 @@ func (s *session) pinned() *storage.Snapshot {
 
 // Open builds a database.
 func Open(cfg Config) (*DB, error) {
-	enc, err := enclave.NewSeeded(cfg.Enclave, cfg.Seed)
+	enc, err := enclave.NewSeeded(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -11,11 +11,12 @@
 //   - A measured identity (MRENCLAVE analogue) and remote attestation: the
 //     enclave holds an Ed25519 key whose public half is bound to the
 //     measurement in a quote the client can verify.
-//   - Expensive boundary crossings: an ECall can charge a configurable
-//     cycle cost (~8000 cycles reported by the paper §2.1), letting the
-//     ablation benches measure the cost of not colocating the query engine
-//     with the storage interface.
-//   - Monotonic counters and sealed keys for the portal's rollback defence
+//   - Boundary crossings: each ECall is counted, not slowed. Real SGX
+//     charges ~8000 cycles per crossing (the paper §2.1); what the design
+//     argument needs from the simulation is how many crossings a statement
+//     makes (§3.3 colocates the engine with storage so that it makes one),
+//     and the ablation benchmark prices that count.
+//   - A monotonic counter and sealed keys for the portal's rollback defence
 //     and the RSWS PRF key.
 //
 // The EPC's size is not simulated here. The trusted state that grows with
@@ -33,26 +34,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"veridb/internal/sethash"
 )
-
-// DefaultECallCycles is the boundary-crossing cost reported by the paper
-// (§2.1, citing HotCalls/Eleos: ~8000 cycles per ECall).
-const DefaultECallCycles = 8000
-
-// Config controls the simulated hardware.
-type Config struct {
-	// ECallCycles is the simulated cost of one boundary crossing in CPU
-	// cycles. Zero disables crossing-cost simulation (the default for
-	// correctness tests; benches opt in).
-	ECallCycles int64
-}
-
-// cpuGHz converts simulated cycles to wall time: the paper's Xeon
-// E3-1270 v6.
-const cpuGHz = 3.8
 
 // identity is the enclave identity hash input (the measured code's
 // stand-in).
@@ -66,19 +50,17 @@ type Enclave struct {
 	signPriv    ed25519.PrivateKey
 	signPub     ed25519.PublicKey
 
-	ecallCycles int64
-	cyclePeriod time.Duration // duration of one simulated cycle batch
-	ecalls      atomic.Int64
+	ecalls atomic.Int64
+	seq    atomic.Uint64
 
-	mu       sync.Mutex
-	counters map[string]*atomic.Uint64
-	prfKey   *sethash.Key
-	macKeys  map[string][]byte // per-client pre-exchanged MAC keys (§5.1)
+	mu      sync.Mutex
+	prfKey  *sethash.Key
+	macKeys map[string][]byte // per-client pre-exchanged MAC keys (§5.1)
 }
 
 // New initialises an enclave, generating its attestation keypair and the
 // sealed PRF key for the write-read consistent memory.
-func New(cfg Config) (*Enclave, error) {
+func New() (*Enclave, error) {
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("enclave: generating attestation key: %w", err)
@@ -91,20 +73,17 @@ func New(cfg Config) (*Enclave, error) {
 		measurement: sha256.Sum256([]byte(identity)),
 		signPriv:    priv,
 		signPub:     pub,
-		ecallCycles: cfg.ECallCycles,
-		counters:    make(map[string]*atomic.Uint64),
 		prfKey:      prf,
 		macKeys:     make(map[string][]byte),
 	}
-	e.cyclePeriod = time.Duration(float64(time.Second) / (cpuGHz * 1e9) * float64(e.ecallCycles))
 	return e, nil
 }
 
 // NewSeeded is New with the PRF key derived from a nonzero seed, so runs
-// are reproducible (tests and benchmarks); everything else follows cfg. A
-// zero seed keeps New's random key.
-func NewSeeded(cfg Config, seed uint64) (*Enclave, error) {
-	e, err := New(cfg)
+// are reproducible (tests and benchmarks). A zero seed keeps New's random
+// key.
+func NewSeeded(seed uint64) (*Enclave, error) {
+	e, err := New()
 	if err != nil || seed == 0 {
 		return e, err
 	}
@@ -115,7 +94,7 @@ func NewSeeded(cfg Config, seed uint64) (*Enclave, error) {
 // NewForTest builds a deterministic enclave for tests and benchmarks: the
 // PRF key derives from seed so runs are reproducible.
 func NewForTest(seed uint64) *Enclave {
-	e, err := New(Config{})
+	e, err := New()
 	if err != nil {
 		panic(err)
 	}
@@ -132,24 +111,10 @@ func (e *Enclave) Measurement() [32]byte { return e.measurement }
 // and the key type has no serialisation.
 func (e *Enclave) PRFKey() *sethash.Key { return e.prfKey }
 
-// ECall models entering the enclave: it charges the configured crossing
-// cost and counts the call. Components on the hot path call it once per
-// boundary crossing; colocated components (the VeriDB design, §3.3) avoid
-// it entirely.
-func (e *Enclave) ECall() {
-	e.ecalls.Add(1)
-	if e.ecallCycles > 0 {
-		spin(e.cyclePeriod)
-	}
-}
-
-// spin busy-waits for d. Sleeping is useless at sub-microsecond scale, and
-// a real ECall burns cycles rather than yielding, so the simulation does too.
-func spin(d time.Duration) {
-	start := time.Now()
-	for time.Since(start) < d {
-	}
-}
+// ECall models entering the enclave: it counts the crossing. The portal
+// calls it once per request; the engine and storage run inside, colocated
+// (the VeriDB design, §3.3), so no record access crosses.
+func (e *Enclave) ECall() { e.ecalls.Add(1) }
 
 // Stats reports the boundary-crossing count.
 type Stats struct {
@@ -161,18 +126,9 @@ func (e *Enclave) Stats() Stats {
 	return Stats{ECalls: e.ecalls.Load()}
 }
 
-// MonotonicCounter returns the named strictly-increasing counter, creating
-// it at zero. The portal uses one for query sequence numbers (§5.1).
-func (e *Enclave) MonotonicCounter(name string) *atomic.Uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c, ok := e.counters[name]
-	if !ok {
-		c = &atomic.Uint64{}
-		e.counters[name] = c
-	}
-	return c
-}
+// SeqCounter returns the enclave's monotonic counter, starting at zero:
+// the portal's query sequence numbers (§5.1).
+func (e *Enclave) SeqCounter() *atomic.Uint64 { return &e.seq }
 
 // ProvisionMACKey installs a pre-exchanged client MAC key (paper §5.1: "the
 // client and its trusted query execution engine maintain a pre-exchanged
@@ -214,8 +170,8 @@ func (e *Enclave) Attest(nonce []byte) Quote {
 }
 
 // VerifyQuote checks a quote against an expected measurement and the nonce
-// the verifier chose. It returns the attested public key on success, which
-// the client then uses to check result endorsements.
+// the verifier chose. It returns the attested public key on success. The
+// client checks responses under its MAC key, not this one.
 func VerifyQuote(q Quote, expectedMeasurement [32]byte, nonce []byte) (ed25519.PublicKey, error) {
 	if q.Measurement != expectedMeasurement {
 		return nil, errors.New("enclave: attestation measurement mismatch")

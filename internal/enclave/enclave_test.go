@@ -3,10 +3,12 @@ package enclave
 import (
 	"bytes"
 	"testing"
+
+	"veridb/internal/sethash"
 )
 
 func TestAttestationRoundTrip(t *testing.T) {
-	e, err := New(Config{})
+	e, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +24,7 @@ func TestAttestationRoundTrip(t *testing.T) {
 }
 
 func TestAttestationRejectsWrongMeasurement(t *testing.T) {
-	e, err := New(Config{})
+	e, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestAttestationRejectsWrongMeasurement(t *testing.T) {
 }
 
 func TestAttestationRejectsStaleNonce(t *testing.T) {
-	e, err := New(Config{})
+	e, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestAttestationRejectsStaleNonce(t *testing.T) {
 }
 
 func TestAttestationRejectsForgedSignature(t *testing.T) {
-	e, err := New(Config{})
+	e, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,22 +59,22 @@ func TestAttestationRejectsForgedSignature(t *testing.T) {
 	}
 }
 
-func TestMonotonicCounter(t *testing.T) {
-	e, _ := New(Config{})
-	c := e.MonotonicCounter("seq")
-	if c.Add(1) != 1 || c.Add(1) != 2 {
-		t.Fatal("counter did not increase monotonically")
+func TestSeqCounter(t *testing.T) {
+	e, _ := New()
+	c := e.SeqCounter()
+	if c.Load() != 0 || c.Add(1) != 1 || c.Add(1) != 2 {
+		t.Fatal("counter did not start at zero and increase monotonically")
 	}
-	if e.MonotonicCounter("seq") != c {
+	if e.SeqCounter() != c {
 		t.Fatal("counter identity not stable across lookups")
 	}
-	if e.MonotonicCounter("other").Load() != 0 {
-		t.Fatal("distinct counter names share state")
+	if f, _ := New(); f.SeqCounter().Load() != 0 {
+		t.Fatal("two enclaves share a counter")
 	}
 }
 
 func TestECallAccounting(t *testing.T) {
-	e, _ := New(Config{}) // zero cycle cost: crossings are counted, not slowed
+	e, _ := New()
 	for i := 0; i < 5; i++ {
 		e.ECall()
 	}
@@ -83,7 +85,7 @@ func TestECallAccounting(t *testing.T) {
 }
 
 func TestMACKeyProvisioning(t *testing.T) {
-	e, _ := New(Config{})
+	e, _ := New()
 	if _, ok := e.MACKey("alice"); ok {
 		t.Fatal("unprovisioned key reported present")
 	}
@@ -104,31 +106,22 @@ func TestNewForTestDeterministicPRF(t *testing.T) {
 	}
 }
 
-// TestNewSeededKeepsConfig: a seed fixes the PRF key and nothing else, so
-// the configured crossing cost still applies.
-func TestNewSeededKeepsConfig(t *testing.T) {
-	cfg := Config{ECallCycles: DefaultECallCycles}
-	a, err := NewSeeded(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
+// TestNewSeededFixesPRFKey: a nonzero seed fixes the PRF key; a zero seed
+// keeps New's random one.
+func TestNewSeededFixesPRFKey(t *testing.T) {
+	prf := func(seed uint64) sethash.Digest {
+		e, err := NewSeeded(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.PRFKey().PRFv(1, 0, []byte("x"))
 	}
-	b, err := NewSeeded(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ecallCycles != cfg.ECallCycles || a.cyclePeriod <= 0 {
-		t.Fatalf("seeded enclave charges %d cycles (%v), want %d", a.ecallCycles, a.cyclePeriod, cfg.ECallCycles)
-	}
-	pa, pb := a.PRFKey().PRFv(1, 0, []byte("x")), b.PRFKey().PRFv(1, 0, []byte("x"))
+	pa, pb := prf(7), prf(7)
 	if !pa.Equal(&pb) {
 		t.Fatal("one seed gave two PRF keys")
 	}
-}
-
-func BenchmarkECallCrossing(b *testing.B) {
-	e, _ := New(Config{ECallCycles: DefaultECallCycles})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ECall()
+	ra, rb := prf(0), prf(0)
+	if ra.Equal(&rb) || ra.Equal(&pa) {
+		t.Fatal("a zero seed did not draw a random PRF key")
 	}
 }

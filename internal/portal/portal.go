@@ -142,7 +142,7 @@ type Portal struct {
 
 // New builds a portal over an enclave and executor.
 func New(enc *enclave.Enclave, exec Executor) *Portal {
-	return &Portal{enc: enc, exec: exec, seq: enc.MonotonicCounter("portal-seq")}
+	return &Portal{enc: enc, exec: exec, seq: enc.SeqCounter()}
 }
 
 // SetBudget charges kept response bytes against the process memory budget
